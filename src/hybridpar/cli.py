@@ -14,9 +14,8 @@ import sys
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .engine import (PlanVariant, RunResult, _branches, _condition_groups,
-                     initial_latents, run_plan, run_serial)
-from .errors import HybridparError, PlanError, SeriesParseError
+from .engine import PlanVariant, RunResult, _branches, initial_latents, run_plan, run_serial
+from .errors import HybridparError, ParameterError, PlanError, SeriesParseError
 from .metrics import compare_runs
 from .mixture import conditional_grad, noised_mixture, score
 from .monitor import DiscrepancySeries, rel_mae, replay_series
@@ -96,7 +95,6 @@ def curve_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float, float, fl
     """
     plan = cfg.to_plan(variant=PlanVariant.SERIAL)
     gm, sched = plan.mixture, plan.schedule
-    groups = _condition_groups(plan.conditions)
     state = LatentState(initial_latents(plan), sched.T)
     rows = []
     for _ in range(sched.T):
@@ -106,7 +104,7 @@ def curve_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float, float, fl
 
         s_u = score(noised_mixture(gm, sched.alpha_bar(t)), x).score
         num = sum(float(np.abs(conditional_grad(gm, cond, sched, x[r], t)).sum())
-                  for cond, r in groups)
+                  for cond, r in plan.condition_groups)
         ratio = num / float(np.abs(s_u).sum())
 
         per_row = (np.abs(eps_c - eps_u).sum(axis=1)
@@ -193,8 +191,8 @@ def _parse_k_list(text: str) -> list[int]:
     try:
         return sorted({int(tok) for tok in text.replace(" ", "").split(",") if tok})
     except ValueError as exc:
-        raise SeriesParseError(f"bad k list {text!r}; expected comma-separated "
-                               "integers") from exc
+        raise ParameterError(f"bad k list {text!r}; expected comma-separated "
+                             "integers") from exc
 
 
 def cmd_sweep(args) -> int:
@@ -209,7 +207,7 @@ def cmd_sweep(args) -> int:
         try:
             plans = [cfg.to_plan(seed=seed, variant=PlanVariant.HYBRID, k=k)
                      for seed in cfg.seeds]
-        except PlanError:
+        except (PlanError, ParameterError):   # k out of range for this config
             lines.append(f"{k},infeasible,,,,")
             continue
         per_seed = [compare_runs(run_plan(p), serial_by_seed[p.seed]) for p in plans]

@@ -20,7 +20,7 @@ partner when measured stepping resumes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,6 +58,10 @@ class ExecutionPlan:
     switch: SwitchConfig | None = None
     segment_fractions: tuple[float, ...] | None = None
     cfg_batching_factor: float = 2.0
+    # (condition, batch rows) per distinct subset, in first-seen order; the
+    # row arrays are read-only
+    condition_groups: tuple[tuple[Condition, np.ndarray], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.conditions) == 0:
@@ -65,6 +69,7 @@ class ExecutionPlan:
         for c in self.conditions:
             if max(c.indices) >= self.mixture.n_components:
                 raise PlanError(f"condition {c.indices} exceeds mixture components")
+        object.__setattr__(self, "condition_groups", _condition_groups(self.conditions))
         if not isinstance(self.seed, int) or self.seed < 0:
             raise PlanError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 1.0 <= self.cfg_batching_factor <= 2.0:
@@ -161,27 +166,30 @@ def initial_latents(plan: ExecutionPlan) -> np.ndarray:
     return np.sqrt(ab_t) * x0 + np.sqrt(1.0 - ab_t) * eps
 
 
-def _condition_groups(conditions: tuple[Condition, ...]) -> list[tuple[Condition, np.ndarray]]:
-    groups: dict[tuple[int, ...], list[int]] = {}
+def _condition_groups(conditions: tuple[Condition, ...]
+                      ) -> tuple[tuple[Condition, np.ndarray], ...]:
+    groups: dict[tuple[int, ...], tuple[Condition, list[int]]] = {}
     for i, c in enumerate(conditions):
-        groups.setdefault(c.indices, []).append(i)
-    return [(Condition(idx), np.asarray(rows)) for idx, rows in groups.items()]
+        groups.setdefault(c.indices, (c, []))[1].append(i)
+    out = []
+    for cond, rows in groups.values():
+        arr = np.asarray(rows)
+        arr.flags.writeable = False
+        out.append((cond, arr))
+    return tuple(out)
+
+
+def _conditional_branch(plan: ExecutionPlan, x: np.ndarray, t: int) -> np.ndarray:
+    eps_c = np.empty_like(x)
+    for cond, rows in plan.condition_groups:
+        eps_c[rows] = eps_prediction(plan.mixture, cond, plan.schedule, x[rows], t)
+    return eps_c
 
 
 def _branches(plan: ExecutionPlan, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Both branch outputs for the whole batch at timestep t."""
     eps_u = eps_prediction(plan.mixture, None, plan.schedule, x, t)
-    eps_c = np.empty_like(eps_u)
-    for cond, rows in _condition_groups(plan.conditions):
-        eps_c[rows] = eps_prediction(plan.mixture, cond, plan.schedule, x[rows], t)
-    return eps_c, eps_u
-
-
-def _conditional_branch(plan: ExecutionPlan, x: np.ndarray, t: int) -> np.ndarray:
-    eps_c = np.empty_like(x)
-    for cond, rows in _condition_groups(plan.conditions):
-        eps_c[rows] = eps_prediction(plan.mixture, cond, plan.schedule, x[rows], t)
-    return eps_c
+    return _conditional_branch(plan, x, t), eps_u
 
 
 def _exact_update(plan: ExecutionPlan, state: LatentState) -> tuple[LatentState, float]:

@@ -8,6 +8,7 @@ are (B, d).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,10 @@ class GaussianMixture:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", v)
+        # oracle entries compiled on first use; the parameters above are
+        # read-only, so an entry never goes stale (see _noised_terms)
+        object.__setattr__(self, "_conditionals", {})
+        object.__setattr__(self, "_noised", {})
 
     @property
     def n_components(self) -> int:
@@ -112,7 +117,7 @@ def noised_mixture(gm: GaussianMixture, alpha_bar: float) -> GaussianMixture:
 
 def _prep_x(gm: GaussianMixture, x: np.ndarray) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError("evaluation points must be finite")
     squeezed = x.ndim == 1
     if squeezed:
@@ -122,15 +127,37 @@ def _prep_x(gm: GaussianMixture, x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, squeezed
 
 
-def _log_resp(gm: GaussianMixture, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _Terms(NamedTuple):
+    """A mixture's parameters with the per-call constants of _log_resp hoisted."""
+
+    means: np.ndarray           # (K, d)
+    variances: np.ndarray       # (K, d)
+    log_weights: np.ndarray     # (K,)
+    log_norm: np.ndarray        # (K, d): log(2 pi var)
+
+    @classmethod
+    def of(cls, gm: GaussianMixture) -> "_Terms":
+        return cls(gm.means, gm.variances, np.log(gm.weights),
+                   np.log(2.0 * np.pi * gm.variances))
+
+
+def _log_resp(terms: _Terms, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-component log joint and the log marginal density, batched."""
-    diff = x[:, None, :] - gm.means[None, :, :]                    # (B, K, d)
-    v = gm.variances[None, :, :]
-    log_joint = (np.log(gm.weights)[None, :]
-                 - 0.5 * np.sum(diff * diff / v + np.log(2.0 * np.pi * v), axis=2))
+    diff = x[:, None, :] - terms.means[None, :, :]                 # (B, K, d)
+    log_joint = (terms.log_weights[None, :]
+                 - 0.5 * np.sum(diff * diff / terms.variances[None, :, :]
+                                + terms.log_norm[None, :, :], axis=2))
     mx = log_joint.max(axis=1, keepdims=True)
     log_density = mx[:, 0] + np.log(np.exp(log_joint - mx).sum(axis=1))
     return log_joint, log_density
+
+
+def _score_rows(terms: _Terms, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Score and log-density at each row of a (B, d) batch."""
+    log_joint, log_density = _log_resp(terms, x)
+    r = np.exp(log_joint - log_density[:, None])                   # (B, K)
+    pull = (terms.means[None, :, :] - x[:, None, :]) / terms.variances[None, :, :]
+    return np.einsum("bk,bkd->bd", r, pull), log_density
 
 
 def score(gm: GaussianMixture, x: np.ndarray) -> ScoreEval:
@@ -140,22 +167,55 @@ def score(gm: GaussianMixture, x: np.ndarray) -> ScoreEval:
     from every component stay numerically stable.
     """
     xb, squeezed = _prep_x(gm, x)
-    log_joint, log_density = _log_resp(gm, xb)
-    r = np.exp(log_joint - log_density[:, None])                   # (B, K)
-    pull = (gm.means[None, :, :] - xb[:, None, :]) / gm.variances[None, :, :]
-    s = np.einsum("bk,bkd->bd", r, pull)
+    s, log_density = _score_rows(_Terms.of(gm), xb)
     if squeezed:
         return ScoreEval(score=s[0], log_density=log_density[0])
     return ScoreEval(score=s, log_density=log_density)
 
 
+def _conditional_of(gm: GaussianMixture, cond: Condition | None) -> GaussianMixture:
+    """conditional(gm, cond), built once per subset and kept on gm."""
+    if cond is None:
+        return gm
+    base = gm._conditionals.get(cond.indices)
+    if base is None:
+        base = gm._conditionals[cond.indices] = conditional(gm, cond)
+    return base
+
+
+def _noised_terms(gm: GaussianMixture, cond: Condition | None,
+                  alpha_bar: float) -> _Terms:
+    """Terms of noised_mixture(conditional(gm, cond), alpha_bar), kept on gm.
+
+    Each (subset, alpha_bar) entry is built once with the public constructors,
+    so it is validated once and holds exactly their bits; a failed build
+    raises and stores nothing.
+    """
+    key = (None if cond is None else cond.indices, alpha_bar)
+    terms = gm._noised.get(key)
+    if terms is None:
+        noised = noised_mixture(_conditional_of(gm, cond), alpha_bar)
+        terms = gm._noised[key] = _Terms.of(noised)
+    return terms
+
+
 def eps_prediction(gm: GaussianMixture, cond: Condition | None, sched: NoiseSchedule,
                    x: np.ndarray, t: int) -> np.ndarray:
     """Oracle branch output at timestep t: eps = -sigma_t * score of the
-    noised (conditional) mixture evaluated at x."""
-    base = gm if cond is None else conditional(gm, cond)
-    noised = noised_mixture(base, sched.alpha_bar(t))
-    return -sched.sigma(t) * score(noised, x).score
+    noised (conditional) mixture evaluated at x.
+
+    The noised mixture is compiled once per (subset, alpha_bar) on gm; the
+    result has the same bits as scoring a freshly built noised mixture.
+    """
+    terms = _noised_terms(gm, cond, sched.alpha_bar(t))
+    xb, squeezed = _prep_x(gm, x)
+    if terms.means.shape[0] == 1:
+        # one component: its responsibility is exactly 1, so the score is its pull
+        s = (terms.means[0] - xb) / terms.variances[0]
+    else:
+        s, _ = _score_rows(terms, xb)
+    eps = -sched.sigma(t) * s
+    return eps[0] if squeezed else eps
 
 
 def conditional_grad(gm: GaussianMixture, cond: Condition, sched: NoiseSchedule,
@@ -182,7 +242,7 @@ def fm_velocity(gm: GaussianMixture, cond: Condition | None, x: np.ndarray,
                                means=base.means.copy(),
                                variances=base.variances + t_cont ** 2)
     xb, squeezed = _prep_x(marginal, x)
-    log_joint, log_density = _log_resp(marginal, xb)
+    log_joint, log_density = _log_resp(_Terms.of(marginal), xb)
     r = np.exp(log_joint - log_density[:, None])                   # (B, K)
     v0 = base.variances[None, :, :]
     post_mean = (t_cont ** 2 * base.means[None, :, :] + v0 * xb[:, None, :]) / (v0 + t_cont ** 2)
@@ -196,7 +256,7 @@ def sample_x0(gm: GaussianMixture, cond: Condition | None,
     """Draw n exact samples, conditioning by subset restriction when given."""
     if n < 0:
         raise ParameterError(f"sample count must be >= 0, got {n}")
-    base = gm if cond is None else conditional(gm, cond)
+    base = _conditional_of(gm, cond)
     comp = rng.choice(base.n_components, size=n, p=base.weights)
     noise = rng.standard_normal((n, base.dim))
     return base.means[comp] + np.sqrt(base.variances[comp]) * noise

@@ -284,9 +284,23 @@ def test_sweep_empty_k_list(tmp_path, capsys):
 
 
 def test_sweep_rejects_bad_k(capsys):
-    code, _, stderr = run_cli(["sweep", "--k", "3,x"], capsys)
+    code, stdout, stderr = run_cli(["sweep", "--k", "3,x"], capsys)
     assert code == 1
-    assert json.loads(stderr)["error"] == "SeriesParseError"
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    err = json.loads(stderr)
+    assert err["error"] == "ParameterError"
+    assert "3,x" in err["message"]
+
+
+def test_sweep_negative_k_is_an_infeasible_row(tmp_path, capsys):
+    cfg = write_config(tmp_path, **SMALL)
+    code, stdout, stderr = run_cli(["sweep", "--config", cfg, "--k=-1,4"], capsys)
+    assert code == 0
+    assert stderr == ""
+    lines = stdout.splitlines()
+    assert lines[:2] == [SWEEP_HEADER, "-1,infeasible,,,,"]
+    assert lines[2].startswith("4,ok,")
 
 
 # config validation through the CLI ----------------------------------------------------

@@ -1,0 +1,272 @@
+"""The compiled mixture oracle: eps_prediction against an uncompiled reference.
+
+The reference functions below are the oracle as it was before noised
+mixtures were compiled per (subset, alpha_bar): every call rebuilds and
+re-validates the conditional and noised mixtures and scores them. The
+compiled oracle must return the same arrays (np.array_equal) on every input,
+and build each cache entry once per mixture instance.
+"""
+import numpy as np
+import pytest
+
+import hybridpar.mixture as mixture_mod
+from hybridpar.config import ExperimentConfig
+from hybridpar.engine import PlanVariant, initial_latents
+from hybridpar.errors import NumericError, ParameterError, ShapeError
+from hybridpar.mixture import (Condition, GaussianMixture, ScoreEval,
+                               eps_prediction, sample_x0)
+from hybridpar.schedules import NoiseSchedule, build_schedule
+
+
+# reference: the uncompiled oracle ------------------------------------------------
+
+def ref_conditional(gm: GaussianMixture, cond: Condition) -> GaussianMixture:
+    """Restrict the mixture to a component subset and renormalize weights."""
+    if max(cond.indices) >= gm.n_components:
+        raise ParameterError(f"condition indices {cond.indices} exceed "
+                             f"K={gm.n_components} components")
+    idx = np.asarray(cond.indices, dtype=int)
+    return GaussianMixture(weights=gm.weights[idx].copy(),
+                           means=gm.means[idx].copy(),
+                           variances=gm.variances[idx].copy())
+
+
+def ref_noised_mixture(gm: GaussianMixture, alpha_bar: float) -> GaussianMixture:
+    """Marginal of x_t = sqrt(ab) x_0 + sqrt(1 - ab) eps when x_0 ~ gm.
+
+    Component i maps to N(sqrt(ab) mu_i, ab var_i + (1 - ab)).
+    """
+    if not (0.0 < alpha_bar <= 1.0):
+        raise ParameterError(f"alpha_bar must lie in (0, 1], got {alpha_bar}")
+    return GaussianMixture(weights=gm.weights.copy(),
+                           means=np.sqrt(alpha_bar) * gm.means,
+                           variances=alpha_bar * gm.variances + (1.0 - alpha_bar))
+
+
+def ref_prep_x(gm: GaussianMixture, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise NumericError("evaluation points must be finite")
+    squeezed = x.ndim == 1
+    if squeezed:
+        x = x[None, :]
+    if x.ndim != 2 or x.shape[1] != gm.dim:
+        raise ShapeError(f"x must be (d,) or (B, d) with d={gm.dim}, got {x.shape}")
+    return x, squeezed
+
+
+def ref_log_resp(gm: GaussianMixture, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-component log joint and the log marginal density, batched."""
+    diff = x[:, None, :] - gm.means[None, :, :]                    # (B, K, d)
+    v = gm.variances[None, :, :]
+    log_joint = (np.log(gm.weights)[None, :]
+                 - 0.5 * np.sum(diff * diff / v + np.log(2.0 * np.pi * v), axis=2))
+    mx = log_joint.max(axis=1, keepdims=True)
+    log_density = mx[:, 0] + np.log(np.exp(log_joint - mx).sum(axis=1))
+    return log_joint, log_density
+
+
+def ref_score(gm: GaussianMixture, x: np.ndarray) -> ScoreEval:
+    """Exact gradient of the mixture log-density, with the log-density itself.
+
+    Responsibilities are computed with max-subtracted softmax, so points far
+    from every component stay numerically stable.
+    """
+    xb, squeezed = ref_prep_x(gm, x)
+    log_joint, log_density = ref_log_resp(gm, xb)
+    r = np.exp(log_joint - log_density[:, None])                   # (B, K)
+    pull = (gm.means[None, :, :] - xb[:, None, :]) / gm.variances[None, :, :]
+    s = np.einsum("bk,bkd->bd", r, pull)
+    if squeezed:
+        return ScoreEval(score=s[0], log_density=log_density[0])
+    return ScoreEval(score=s, log_density=log_density)
+
+
+def ref_eps_prediction(gm: GaussianMixture, cond: Condition | None, sched: NoiseSchedule,
+                       x: np.ndarray, t: int) -> np.ndarray:
+    """Oracle branch output at timestep t: eps = -sigma_t * score of the
+    noised (conditional) mixture evaluated at x."""
+    base = gm if cond is None else ref_conditional(gm, cond)
+    noised = ref_noised_mixture(base, sched.alpha_bar(t))
+    return -sched.sigma(t) * ref_score(noised, x).score
+
+
+def ref_sample_x0(gm: GaussianMixture, cond: Condition | None,
+                  rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw n exact samples, conditioning by subset restriction when given."""
+    if n < 0:
+        raise ParameterError(f"sample count must be >= 0, got {n}")
+    base = gm if cond is None else ref_conditional(gm, cond)
+    comp = rng.choice(base.n_components, size=n, p=base.weights)
+    noise = rng.standard_normal((n, base.dim))
+    return base.means[comp] + np.sqrt(base.variances[comp]) * noise
+
+
+# helpers ----------------------------------------------------------------------------
+
+D = 5
+
+
+def random_mixture(seed: int, K: int) -> GaussianMixture:
+    rng = np.random.default_rng(seed)
+    return GaussianMixture(weights=rng.uniform(0.2, 2.0, K),
+                           means=rng.uniform(-3.0, 3.0, (K, D)),
+                           variances=rng.uniform(0.05, 1.5, (K, D)))
+
+
+def subsets(K: int) -> list[Condition | None]:
+    """Unconditional, every singleton, and multi-index subsets in shuffled order."""
+    out: list[Condition | None] = [None]
+    out += [Condition((i,)) for i in range(K)]
+    if K >= 2:
+        out += [Condition((K - 1, 0)), Condition(tuple(range(K)))]
+    if K >= 4:
+        out.append(Condition((2, 0, 3)))
+    return out
+
+
+SCHEDULES = (build_schedule("linear", 12, 0.01, 0.3),
+             build_schedule("scaled-linear", 12, 0.001, 0.2))
+
+
+# bitwise equivalence -----------------------------------------------------------------
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+def test_eps_prediction_matches_reference_bitwise(K):
+    gm = random_mixture(seed=100 + K, K=K)
+    rng = np.random.default_rng(K)
+    points = {B: rng.normal(0.0, 3.0, (B, D)) for B in (1, 7, 64)}
+    points["squeezed"] = rng.normal(0.0, 3.0, D)
+    for sched in SCHEDULES:
+        for cond in subsets(K):
+            for t in range(sched.T + 1):
+                for x in points.values():
+                    # the second call reads the cached entry
+                    for _ in range(2):
+                        got = eps_prediction(gm, cond, sched, x, t)
+                        want = ref_eps_prediction(gm, cond, sched, x, t)
+                        assert got.shape == want.shape
+                        assert np.array_equal(got, want), (K, cond, sched.kind, t)
+
+
+def test_eps_prediction_matches_reference_far_from_every_component():
+    gm = random_mixture(seed=7, K=3)
+    sched = SCHEDULES[0]
+    x = np.full((4, D), 40.0)
+    x[1] *= -1.0
+    for cond in subsets(3):
+        for t in (1, 6, sched.T):
+            assert np.array_equal(eps_prediction(gm, cond, sched, x, t),
+                                  ref_eps_prediction(gm, cond, sched, x, t))
+
+
+def test_initial_latents_match_reference_draws():
+    cfg = ExperimentConfig.from_dict({"conditions": [[0], [1, 2], [3], [0, 1, 2, 3]],
+                                      "condition_batch": 16})
+    for seed in (0, 5):
+        plan = cfg.to_plan(seed=seed, variant=PlanVariant.SERIAL)
+        gm, sched = plan.mixture, plan.schedule
+        rng = np.random.default_rng(seed)
+        x0 = np.stack([ref_sample_x0(gm, c, rng, 1)[0] for c in plan.conditions])
+        eps = rng.standard_normal(x0.shape)
+        ab = sched.alpha_bar(sched.T)
+        want = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+        assert np.array_equal(initial_latents(plan), want)
+
+
+def test_sample_x0_matches_reference_draws():
+    gm = random_mixture(seed=3, K=4)
+    for cond in subsets(4):
+        a = sample_x0(gm, cond, np.random.default_rng(11), 9)
+        b = ref_sample_x0(gm, cond, np.random.default_rng(11), 9)
+        assert np.array_equal(a, b)
+
+
+# the cache ----------------------------------------------------------------------------
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Count calls of the public constructors the cache builds entries with."""
+    counts = {"conditional": [], "noised_mixture": []}
+
+    def counting(name):
+        original = getattr(mixture_mod, name)
+
+        def wrapped(gm, arg):
+            counts[name].append(arg.indices if name == "conditional" else arg)
+            return original(gm, arg)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(mixture_mod, name, counting(name))
+    return counts
+
+
+def test_each_entry_is_built_once_per_instance(build_counts):
+    gm = random_mixture(seed=1, K=4)
+    sched = SCHEDULES[1]
+    x = np.random.default_rng(0).normal(size=(7, D))
+    conds = subsets(4)
+    for _ in range(3):
+        for cond in conds:
+            for t in range(1, sched.T + 1):
+                eps_prediction(gm, cond, sched, x, t)
+                eps_prediction(gm, cond, sched, x[0], t)
+    n_subsets = len(conds) - 1
+    assert sorted(build_counts["conditional"]) == sorted(c.indices for c in conds[1:])
+    assert len(build_counts["noised_mixture"]) == len(conds) * sched.T
+    assert len(set(build_counts["noised_mixture"])) == sched.T
+    # sampling reuses the cached conditional mixtures
+    rng = np.random.default_rng(0)
+    for cond in conds:
+        sample_x0(gm, cond, rng, 3)
+    assert len(build_counts["conditional"]) == n_subsets
+
+
+def test_equal_mixtures_do_not_share_entries(build_counts):
+    a = random_mixture(seed=2, K=3)
+    b = random_mixture(seed=2, K=3)
+    sched = SCHEDULES[0]
+    x = np.zeros((2, D))
+    eps_a = eps_prediction(a, Condition((0, 2)), sched, x, 4)
+    assert len(build_counts["conditional"]) == 1
+    assert len(build_counts["noised_mixture"]) == 1
+    eps_b = eps_prediction(b, Condition((0, 2)), sched, x, 4)
+    assert len(build_counts["conditional"]) == 2
+    assert len(build_counts["noised_mixture"]) == 2
+    assert np.array_equal(eps_a, eps_b)
+
+
+def test_validation_survives_the_cache():
+    gm = random_mixture(seed=4, K=3)
+    sched = SCHEDULES[0]
+    x = np.zeros((3, D))
+    eps_prediction(gm, Condition((1,)), sched, x, 5)
+    eps_prediction(gm, None, sched, x, 5)
+    for _ in range(2):      # a failed build stores nothing, so it raises again
+        with pytest.raises(ParameterError):
+            eps_prediction(gm, Condition((3,)), sched, x, 5)
+        with pytest.raises(ParameterError):
+            eps_prediction(gm, Condition((0, 5)), sched, x, 5)
+        with pytest.raises(ParameterError):
+            sample_x0(gm, Condition((4,)), np.random.default_rng(0), 1)
+    bad = x.copy()
+    bad[1, 2] = np.nan
+    for cond in (Condition((1,)), None):
+        with pytest.raises(NumericError):
+            eps_prediction(gm, cond, sched, bad, 5)
+        with pytest.raises(NumericError):
+            eps_prediction(gm, cond, sched, np.full(D, np.inf), 5)
+        with pytest.raises(ShapeError):
+            eps_prediction(gm, cond, sched, np.zeros((3, D + 1)), 5)
+
+
+def test_plan_condition_groups_are_read_only():
+    cfg = ExperimentConfig.from_dict({"condition_batch": 10})
+    plan = cfg.to_plan(variant=PlanVariant.HYBRID)
+    groups = plan.condition_groups
+    assert [c.indices for c, _ in groups] == [(0,), (1,), (2,), (3,)]
+    assert [rows.tolist() for _, rows in groups] == [[0, 4, 8], [1, 5, 9], [2, 6], [3, 7]]
+    for _, rows in groups:
+        with pytest.raises(ValueError):
+            rows[0] = 1
