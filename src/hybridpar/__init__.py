@@ -18,7 +18,7 @@ from .errors import (DegenerateInputError, HistoryError, HybridparError,
 from .metrics import Metrics, compare_runs, fidelity_l1, fidelity_l2, psnr_analog
 from .mixture import (Condition, GaussianMixture, ScoreEval, conditional,
                       conditional_grad, eps_prediction, fm_velocity,
-                      noised_mixture, sample_x0, score)
+                      noised_mixture, noised_score, sample_x0, score)
 from .monitor import (DiscrepancySeries, SlopeNoiseModel, Stage, StageState,
                       SwitchConfig, hoeffding_false_alarm, rel_mae,
                       replay_series, score_ratio_estimate, slope,

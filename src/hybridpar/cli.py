@@ -17,7 +17,7 @@ from .config import ExperimentConfig, load_config
 from .engine import PlanVariant, RunResult, _branches, initial_latents, run_plan, run_serial
 from .errors import HybridparError, ParameterError, PlanError, SeriesParseError
 from .metrics import compare_runs
-from .mixture import conditional_grad, noised_mixture, score
+from .mixture import conditional_grad, noised_score
 from .monitor import DiscrepancySeries, rel_mae, replay_series
 from .schedules import LatentState, cfg_combine, ddim_step
 
@@ -102,7 +102,7 @@ def curve_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float, float, fl
         eps_c, eps_u = _branches(plan, x, t)
         m = rel_mae(eps_c, eps_u)
 
-        s_u = score(noised_mixture(gm, sched.alpha_bar(t)), x).score
+        s_u = noised_score(gm, None, sched, x, t)
         num = sum(float(np.abs(conditional_grad(gm, cond, sched, x[r], t)).sum())
                   for cond, r in plan.condition_groups)
         ratio = num / float(np.abs(s_u).sum())

@@ -80,6 +80,23 @@ def _require(cond: bool, msg: str) -> None:
         raise ParameterError(msg)
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: true and false are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value, key: str) -> float:
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _section(raw: dict, key: str) -> dict:
+    sec = raw.get(key, {})
+    _require(isinstance(sec, dict), f"{key} must be a JSON object, got {sec!r}")
+    return sec
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A fully resolved experiment; see from_dict for the JSON schema."""
@@ -113,65 +130,86 @@ class ExperimentConfig:
                  f"variant must be one of {sorted(_VARIANTS)}, got {variant_name!r}")
         variant = _VARIANTS[variant_name]
 
-        sched_raw = {**DEFAULT_SCHEDULE, **raw.get("schedule", {})}
+        sched_raw = {**DEFAULT_SCHEDULE, **_section(raw, "schedule")}
         schedule = build_schedule(sched_raw["kind"], sched_raw["T"],
-                                  sched_raw["beta_start"], sched_raw["beta_end"])
+                                  _number(sched_raw["beta_start"], "schedule.beta_start"),
+                                  _number(sched_raw["beta_end"], "schedule.beta_end"))
 
         if "mixture" in raw:
             m = raw["mixture"]
             _require(isinstance(m, dict) and {"weights", "means", "variances"} <= set(m),
                      "mixture needs keys weights, means, variances")
-            mixture = GaussianMixture(weights=np.asarray(m["weights"], dtype=float),
-                                      means=np.asarray(m["means"], dtype=float),
-                                      variances=np.asarray(m["variances"], dtype=float))
+            try:
+                arrays = {key: np.asarray(m[key], dtype=float)
+                          for key in ("weights", "means", "variances")}
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"mixture arrays must be numeric: {exc}") from exc
+            mixture = GaussianMixture(**arrays)
         else:
             mixture = default_mixture()
 
         batch = raw.get("condition_batch", DEFAULT_CONDITION_BATCH)
-        _require(isinstance(batch, int) and batch >= 1,
+        _require(_is_int(batch) and batch >= 1,
                  f"condition_batch must be an integer >= 1, got {batch!r}")
         if "conditions" in raw:
-            base = tuple(Condition(tuple(c)) for c in raw["conditions"])
-            _require(len(base) > 0, "conditions must be nonempty")
+            c_raw = raw["conditions"]
+            _require(isinstance(c_raw, list) and len(c_raw) > 0
+                     and all(isinstance(c, list) and all(_is_int(i) for i in c)
+                             for c in c_raw),
+                     f"conditions must be a nonempty list of component-index "
+                     f"lists, got {c_raw!r}")
+            base = tuple(Condition(tuple(c)) for c in c_raw)
             conditions = tuple(base[i % len(base)] for i in range(batch))
         else:
             conditions = default_conditions(mixture.n_components, batch)
 
-        guidance = GuidanceParams(float(raw.get("guidance_w", DEFAULT_GUIDANCE_W)))
+        guidance = GuidanceParams(_number(raw.get("guidance_w", DEFAULT_GUIDANCE_W),
+                                          "guidance_w"))
 
-        sw_raw = raw.get("switch", {})
+        sw_raw = _section(raw, "switch")
         switch = SwitchConfig(L=sw_raw.get("L", pre["L"]),
-                              g_slope=sw_raw.get("g_slope", pre["g_slope"]),
+                              g_slope=_number(sw_raw.get("g_slope", pre["g_slope"]),
+                                              "switch.g_slope"),
                               tau_cap=sw_raw.get("tau_cap", pre["tau_cap"]),
                               k=sw_raw.get("k", pre["k"]))
 
         dev_raw = raw.get("devices", _default_device_count(variant))
-        if isinstance(dev_raw, int):
-            costs = [pre["branch_step_cost"]] * dev_raw
+        if isinstance(dev_raw, list):
+            _require(len(dev_raw) > 0, "devices must list at least one step cost")
+            costs = [_number(c, "devices") for c in dev_raw]
         else:
-            _require(isinstance(dev_raw, list) and len(dev_raw) > 0,
-                     "devices must be an integer count or a list of step costs")
-            costs = [float(c) for c in dev_raw]
+            _require(_is_int(dev_raw) and dev_raw >= 1,
+                     f"devices must be an integer count >= 1 or a list of step "
+                     f"costs, got {dev_raw!r}")
+            costs = [pre["branch_step_cost"]] * dev_raw
         devices = tuple(DeviceSpec(name=f"dev{i}", branch_step_cost=c)
                         for i, c in enumerate(costs))
 
-        link_raw = {**DEFAULT_LINK, **raw.get("link", {})}
+        link_raw = {**DEFAULT_LINK, **_section(raw, "link")}
         bw = link_raw["bandwidth_bytes_per_s"]
-        link = LinkSpec(bandwidth_bytes_per_s=float("inf") if bw is None else float(bw),
-                        base_latency_s=float(link_raw["base_latency_s"]),
-                        message_bytes_latent=int(link_raw["latent_bytes"]),
-                        message_bytes_activation=int(link_raw["activation_bytes"]))
+        link = LinkSpec(
+            bandwidth_bytes_per_s=(float("inf") if bw is None
+                                   else _number(bw, "link.bandwidth_bytes_per_s")),
+            base_latency_s=_number(link_raw["base_latency_s"], "link.base_latency_s"),
+            message_bytes_latent=int(_number(link_raw["latent_bytes"],
+                                             "link.latent_bytes")),
+            message_bytes_activation=int(_number(link_raw["activation_bytes"],
+                                                 "link.activation_bytes")))
 
         fractions = raw.get("segment_fractions")
         if fractions is not None:
-            fractions = tuple(float(f) for f in fractions)
+            _require(isinstance(fractions, list),
+                     f"segment_fractions must be a list of numbers, got {fractions!r}")
+            fractions = tuple(_number(f, "segment_fractions") for f in fractions)
 
-        seeds = tuple(raw.get("seeds", DEFAULT_SEEDS))
-        _require(len(seeds) > 0, "seeds must be nonempty")
-        _require(all(isinstance(s, int) and s >= 0 for s in seeds),
+        seeds = raw.get("seeds", DEFAULT_SEEDS)
+        _require(isinstance(seeds, (list, tuple)) and len(seeds) > 0,
+                 f"seeds must be a nonempty list, got {seeds!r}")
+        _require(all(_is_int(s) and s >= 0 for s in seeds),
                  "seeds must be integers >= 0")
+        seeds = tuple(seeds)
 
-        factor = float(raw.get("cfg_batching_factor", 2.0))
+        factor = _number(raw.get("cfg_batching_factor", 2.0), "cfg_batching_factor")
 
         out_dir = raw.get("out_dir")
         _require(out_dir is None or isinstance(out_dir, str),

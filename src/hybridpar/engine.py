@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import PlanError
-from .mixture import Condition, GaussianMixture, eps_prediction, sample_x0
+from .mixture import Condition, GaussianMixture, _singleton_eps, eps_prediction, sample_x0
 from .monitor import (DiscrepancySeries, Stage, StageState, SwitchConfig,
                       rel_mae, update_controller)
 from .schedules import GuidanceParams, LatentState, NoiseSchedule, cfg_combine, ddim_step
@@ -62,6 +62,13 @@ class ExecutionPlan:
     # row arrays are read-only
     condition_groups: tuple[tuple[Condition, np.ndarray], ...] = field(
         init=False, repr=False, compare=False)
+    # (rows, component) of every singleton-conditioned row, ascending rows,
+    # read-only; the conditional branch evaluates them in one gather
+    singletons: tuple[np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False)
+    # condition_groups with more than one index, evaluated group by group
+    multi_groups: tuple[tuple[Condition, np.ndarray], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.conditions) == 0:
@@ -69,8 +76,12 @@ class ExecutionPlan:
         for c in self.conditions:
             if max(c.indices) >= self.mixture.n_components:
                 raise PlanError(f"condition {c.indices} exceeds mixture components")
-        object.__setattr__(self, "condition_groups", _condition_groups(self.conditions))
-        if not isinstance(self.seed, int) or self.seed < 0:
+        groups = _condition_groups(self.conditions)
+        object.__setattr__(self, "condition_groups", groups)
+        object.__setattr__(self, "singletons", _singleton_rows(self.conditions))
+        object.__setattr__(self, "multi_groups",
+                           tuple(g for g in groups if len(g[0].indices) > 1))
+        if type(self.seed) is not int or self.seed < 0:
             raise PlanError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 1.0 <= self.cfg_batching_factor <= 2.0:
             raise PlanError(f"cfg_batching_factor must lie in [1, 2], "
@@ -179,9 +190,23 @@ def _condition_groups(conditions: tuple[Condition, ...]
     return tuple(out)
 
 
+def _singleton_rows(conditions: tuple[Condition, ...]) -> tuple[np.ndarray, np.ndarray]:
+    rows = [i for i, c in enumerate(conditions) if len(c.indices) == 1]
+    comps = [conditions[i].indices[0] for i in rows]
+    out = (np.asarray(rows, dtype=np.intp), np.asarray(comps, dtype=np.intp))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def _conditional_branch(plan: ExecutionPlan, x: np.ndarray, t: int) -> np.ndarray:
+    """eps_c for the batch: every singleton row in one gather, then one
+    eps_prediction call per multi-index group."""
     eps_c = np.empty_like(x)
-    for cond, rows in plan.condition_groups:
+    rows, comps = plan.singletons
+    eps_c[rows] = _singleton_eps(plan.mixture, comps, plan.schedule,
+                                 x.take(rows, axis=0), t)
+    for cond, rows in plan.multi_groups:
         eps_c[rows] = eps_prediction(plan.mixture, cond, plan.schedule, x[rows], t)
     return eps_c
 

@@ -137,16 +137,23 @@ class _Terms(NamedTuple):
 
     @classmethod
     def of(cls, gm: GaussianMixture) -> "_Terms":
-        return cls(gm.means, gm.variances, np.log(gm.weights),
-                   np.log(2.0 * np.pi * gm.variances))
+        """Read-only, like gm's own arrays: kernels must not write into them."""
+        log_weights = np.log(gm.weights)
+        log_norm = np.log(2.0 * np.pi * gm.variances)
+        log_weights.flags.writeable = False
+        log_norm.flags.writeable = False
+        return cls(gm.means, gm.variances, log_weights, log_norm)
 
 
-def _log_resp(terms: _Terms, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-component log joint and the log marginal density, batched."""
-    diff = x[:, None, :] - terms.means[None, :, :]                 # (B, K, d)
-    log_joint = (terms.log_weights[None, :]
-                 - 0.5 * np.sum(diff * diff / terms.variances[None, :, :]
-                                + terms.log_norm[None, :, :], axis=2))
+def _log_resp(terms: _Terms, diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-component log joint and the log marginal density, batched.
+
+    diff is x[:, None, :] - means, (B, K, d); it is read, never written.
+    """
+    q = diff * diff                                                # (B, K, d)
+    q /= terms.variances
+    q += terms.log_norm
+    log_joint = terms.log_weights - 0.5 * q.sum(axis=2)
     mx = log_joint.max(axis=1, keepdims=True)
     log_density = mx[:, 0] + np.log(np.exp(log_joint - mx).sum(axis=1))
     return log_joint, log_density
@@ -154,9 +161,12 @@ def _log_resp(terms: _Terms, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _score_rows(terms: _Terms, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Score and log-density at each row of a (B, d) batch."""
-    log_joint, log_density = _log_resp(terms, x)
+    diff = x[:, None, :] - terms.means                             # (B, K, d)
+    log_joint, log_density = _log_resp(terms, diff)
     r = np.exp(log_joint - log_density[:, None])                   # (B, K)
-    pull = (terms.means[None, :, :] - x[:, None, :]) / terms.variances[None, :, :]
+    # -(x - mean) is exactly mean - x, so the pull reuses diff's buffer
+    pull = np.negative(diff, out=diff)
+    pull /= terms.variances
     return np.einsum("bk,bkd->bd", r, pull), log_density
 
 
@@ -218,13 +228,39 @@ def eps_prediction(gm: GaussianMixture, cond: Condition | None, sched: NoiseSche
     return eps[0] if squeezed else eps
 
 
+def _singleton_eps(gm: GaussianMixture, components: np.ndarray,
+                   sched: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
+    """eps_prediction for a (B, d) batch whose row b is conditioned on the
+    single component components[b], in one gather instead of one call per
+    component.
+
+    Noising acts on each component on its own, so row c of the unconditional
+    entry holds exactly the bits of the singleton entry for (c,), and a
+    singleton's responsibility is exactly 1: row b equals
+    eps_prediction(gm, Condition((components[b],)), sched, x[b], t) bit for
+    bit. components must be (B,) indices in [0, K); ExecutionPlan checks
+    them once against the mixture, so they are not checked here.
+    """
+    terms = _noised_terms(gm, None, sched.alpha_bar(t))
+    xb, _ = _prep_x(gm, x)
+    s = (terms.means[components] - xb) / terms.variances[components]
+    return -sched.sigma(t) * s
+
+
+def noised_score(gm: GaussianMixture, cond: Condition | None, sched: NoiseSchedule,
+                 x: np.ndarray, t: int) -> np.ndarray:
+    """Score of the noised (conditional) mixture at timestep t, read from the
+    compiled entry: the same bits as score(noised_mixture(...), x).score."""
+    terms = _noised_terms(gm, cond, sched.alpha_bar(t))
+    xb, squeezed = _prep_x(gm, x)
+    s, _ = _score_rows(terms, xb)
+    return s[0] if squeezed else s
+
+
 def conditional_grad(gm: GaussianMixture, cond: Condition, sched: NoiseSchedule,
                      x: np.ndarray, t: int) -> np.ndarray:
     """Gradient of the log conditioning likelihood, s_c - s_u, at timestep t."""
-    ab = sched.alpha_bar(t)
-    s_c = score(noised_mixture(conditional(gm, cond), ab), x).score
-    s_u = score(noised_mixture(gm, ab), x).score
-    return s_c - s_u
+    return noised_score(gm, cond, sched, x, t) - noised_score(gm, None, sched, x, t)
 
 
 def fm_velocity(gm: GaussianMixture, cond: Condition | None, x: np.ndarray,
@@ -242,7 +278,8 @@ def fm_velocity(gm: GaussianMixture, cond: Condition | None, x: np.ndarray,
                                means=base.means.copy(),
                                variances=base.variances + t_cont ** 2)
     xb, squeezed = _prep_x(marginal, x)
-    log_joint, log_density = _log_resp(_Terms.of(marginal), xb)
+    log_joint, log_density = _log_resp(_Terms.of(marginal),
+                                       xb[:, None, :] - marginal.means)
     r = np.exp(log_joint - log_density[:, None])                   # (B, K)
     v0 = base.variances[None, :, :]
     post_mean = (t_cont ** 2 * base.means[None, :, :] + v0 * xb[:, None, :]) / (v0 + t_cont ** 2)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DegenerateInputError, HistoryError, NumericError,
                      ParameterError, SequencingError, ShapeError)
-from .mixture import Condition, GaussianMixture, conditional_grad, noised_mixture, score
+from .mixture import Condition, GaussianMixture, conditional_grad, noised_score
 from .schedules import NoiseSchedule
 
 
@@ -52,13 +52,13 @@ class SwitchConfig:
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.L, int) or self.L < 1:
+        if type(self.L) is not int or self.L < 1:
             raise ParameterError(f"L must be an integer >= 1, got {self.L!r}")
         if not (math.isfinite(self.g_slope) and self.g_slope > 0):
             raise ParameterError(f"g_slope must be finite and > 0, got {self.g_slope}")
-        if not isinstance(self.tau_cap, int) or self.tau_cap < 0:
+        if type(self.tau_cap) is not int or self.tau_cap < 0:
             raise ParameterError(f"tau_cap must be an integer >= 0, got {self.tau_cap!r}")
-        if not isinstance(self.k, int) or self.k < 0:
+        if type(self.k) is not int or self.k < 0:
             raise ParameterError(f"k must be an integer >= 0, got {self.k!r}")
 
 
@@ -215,7 +215,7 @@ def score_ratio_estimate(gm: GaussianMixture, cond: Condition, sched: NoiseSched
     cancels.
     """
     grad = conditional_grad(gm, cond, sched, x, t)
-    s_u = score(noised_mixture(gm, sched.alpha_bar(t)), x).score
+    s_u = noised_score(gm, None, sched, x, t)
     denom = np.abs(s_u).sum()
     if denom == 0.0:
         raise DegenerateInputError("unconditional score has zero L1 norm")

@@ -97,7 +97,7 @@ def build_schedule(kind: str, T: int, beta_start: float, beta_end: float) -> Noi
     """
     if kind not in SCHEDULE_KINDS:
         raise ParameterError(f"unknown schedule kind {kind!r}; expected one of {SCHEDULE_KINDS}")
-    if not isinstance(T, int) or T < 1:
+    if type(T) is not int or T < 1:
         raise ParameterError(f"T must be an integer >= 1, got {T!r}")
     for name, b in (("beta_start", beta_start), ("beta_end", beta_end)):
         if not (0.0 < b < 1.0):

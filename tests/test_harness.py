@@ -12,7 +12,7 @@ import pytest
 from hybridpar.cli import (CURVE_HEADER, SWEEP_HEADER, TRACE_HEADER,
                            curve_rows, main, read_series_csv)
 from hybridpar.config import ExperimentConfig
-from hybridpar.errors import SeriesParseError, ShapeError
+from hybridpar.errors import ParameterError, PlanError, SeriesParseError, ShapeError
 from hybridpar.metrics import (Metrics, compare_runs, fidelity_l1,
                                fidelity_l2, psnr_analog)
 
@@ -313,6 +313,50 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     err = json.loads(stderr)
     assert err["error"] == "ParameterError"
     assert "bogus" in err["message"]
+
+
+@pytest.mark.parametrize("body, key", [
+    ({"devices": 0}, "devices"),
+    ({"guidance_w": "abc"}, "guidance_w"),
+    ({"segment_fractions": "ab"}, "segment_fractions"),
+    ({"cfg_batching_factor": "x"}, "cfg_batching_factor"),
+    ({"conditions": [5]}, "conditions"),
+    ({"switch": {"g_slope": "x"}}, "g_slope"),
+    ({"seeds": 5}, "seeds"),
+    ({"schedule": 5}, "schedule"),
+    ({"link": {"latent_bytes": "x"}}, "latent_bytes"),
+    ({"mixture": {"weights": "a", "means": [[0]], "variances": [[1]]}}, "mixture"),
+])
+def test_bad_config_value_is_one_json_error(tmp_path, capsys, body, key):
+    cfg = write_config(tmp_path, **body)
+    code, stdout, stderr = run_cli(["simulate", "--config", cfg,
+                                    "--out", str(tmp_path / "run")], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    err = json.loads(stderr)
+    assert err["error"] == "ParameterError"
+    assert key in err["message"]
+
+
+@pytest.mark.parametrize("body, key", [
+    ({"switch": {"L": True}}, "L"),
+    ({"switch": {"tau_cap": True}}, "tau_cap"),
+    ({"switch": {"k": True}}, "k"),
+    ({"seeds": [True]}, "seeds"),
+    ({"condition_batch": True}, "condition_batch"),
+    ({"devices": True}, "devices"),
+    ({"guidance_w": True}, "guidance_w"),
+    ({"schedule": {"T": True}}, "T"),
+])
+def test_bool_is_not_an_integer(body, key):
+    with pytest.raises(ParameterError, match=rf"^{key} must"):
+        ExperimentConfig.from_dict(body)
+
+
+def test_plan_seed_rejects_bool():
+    with pytest.raises(PlanError, match="seed"):
+        ExperimentConfig.from_dict({}).to_plan(seed=True)
 
 
 def test_malformed_json_config(tmp_path, capsys):
