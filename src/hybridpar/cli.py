@@ -10,11 +10,13 @@ import argparse
 import json
 import os
 import sys
+from collections import deque
 
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .engine import PlanVariant, RunResult, _branches, initial_latents, run_plan, run_serial
+from .engine import (ExactPath, PlanVariant, RunResult, _branches, initial_latents,
+                     run_plan, run_serial)
 from .errors import HybridparError, ParameterError, PlanError, SeriesParseError
 from .metrics import compare_runs
 from .mixture import conditional_grad, noised_score
@@ -196,21 +198,42 @@ def _parse_k_list(text: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
+    """Serial and one hybrid run per (seed, feasible k), seed by seed.
+
+    The runs of one seed share an ExactPath, so its all-exact trajectory is
+    computed once: serial reads it in full, each k > 0 run up to tau1, a
+    k = 0 run end to end. The path is dropped once its seed is done. A k is
+    infeasible if its plan cannot be built for some seed.
+    """
     cfg = _load(args)
     k_values = _parse_k_list(args.k)
-    serial_by_seed = {
-        seed: run_serial(cfg.to_plan(seed=seed, variant=PlanVariant.SERIAL))
-        for seed in cfg.seeds
-    }
+    runs, infeasible = deque(), set()
+    for seed in cfg.seeds:
+        path = ExactPath()
+        serial_plan = cfg.to_plan(seed=seed, variant=PlanVariant.SERIAL,
+                                  exact_path=path)
+        hybrid = {}
+        for k in k_values:
+            if k in infeasible:
+                continue
+            try:
+                hybrid[k] = cfg.to_plan(seed=seed, variant=PlanVariant.HYBRID, k=k,
+                                        exact_path=path)
+            except (PlanError, ParameterError):   # k out of range for this config
+                infeasible.add(k)
+        runs.append((serial_plan, hybrid))
+    per_k = {k: [] for k in k_values if k not in infeasible}
+    while runs:     # popping drops each seed's plans, and so its path, once done
+        serial_plan, hybrid = runs.popleft()
+        serial = run_serial(serial_plan)
+        for k, per_seed in per_k.items():
+            per_seed.append(compare_runs(run_plan(hybrid[k]), serial))
     lines = [SWEEP_HEADER]
     for k in k_values:
-        try:
-            plans = [cfg.to_plan(seed=seed, variant=PlanVariant.HYBRID, k=k)
-                     for seed in cfg.seeds]
-        except (PlanError, ParameterError):   # k out of range for this config
+        if k in infeasible:
             lines.append(f"{k},infeasible,,,,")
             continue
-        per_seed = [compare_runs(run_plan(p), serial_by_seed[p.seed]) for p in plans]
+        per_seed = per_k[k]
         lat = float(np.mean([m.latency_s for m in per_seed]))
         spd = float(np.mean([m.speedup for m in per_seed]))
         l1 = float(np.mean([m.fidelity_l1 for m in per_seed]))

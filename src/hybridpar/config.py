@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ExecutionPlan, PlanVariant
+from .engine import ExactPath, ExecutionPlan, PlanVariant
 from .errors import ParameterError
 from .mixture import Condition, GaussianMixture
 from .monitor import SwitchConfig
@@ -91,10 +91,27 @@ def _number(value, key: str) -> float:
     return float(value)
 
 
-def _section(raw: dict, key: str) -> dict:
+def _section(raw: dict, key: str, known) -> dict:
+    """The JSON object under key ({} when absent); unknown keys are errors
+    named by their dotted path."""
     sec = raw.get(key, {})
     _require(isinstance(sec, dict), f"{key} must be a JSON object, got {sec!r}")
+    unknown = sorted(f"{key}.{k}" for k in set(sec) - set(known))
+    _require(not unknown, f"unknown config keys: {unknown}")
     return sec
+
+
+def _byte_size(value, key: str) -> int:
+    """A message size in whole bytes: never truncated."""
+    if _is_int(value):
+        return value
+    n = _number(value, key)
+    _require(n.is_integer(), f"{key} must be a whole number of bytes, got {value!r}")
+    return int(n)
+
+
+_SWITCH_KEYS = ("L", "g_slope", "tau_cap", "k")
+_MIXTURE_KEYS = ("weights", "means", "variances")
 
 
 @dataclass(frozen=True)
@@ -130,18 +147,17 @@ class ExperimentConfig:
                  f"variant must be one of {sorted(_VARIANTS)}, got {variant_name!r}")
         variant = _VARIANTS[variant_name]
 
-        sched_raw = {**DEFAULT_SCHEDULE, **_section(raw, "schedule")}
+        sched_raw = {**DEFAULT_SCHEDULE, **_section(raw, "schedule", DEFAULT_SCHEDULE)}
         schedule = build_schedule(sched_raw["kind"], sched_raw["T"],
                                   _number(sched_raw["beta_start"], "schedule.beta_start"),
                                   _number(sched_raw["beta_end"], "schedule.beta_end"))
 
         if "mixture" in raw:
-            m = raw["mixture"]
-            _require(isinstance(m, dict) and {"weights", "means", "variances"} <= set(m),
+            m = _section(raw, "mixture", _MIXTURE_KEYS)
+            _require(set(_MIXTURE_KEYS) <= set(m),
                      "mixture needs keys weights, means, variances")
             try:
-                arrays = {key: np.asarray(m[key], dtype=float)
-                          for key in ("weights", "means", "variances")}
+                arrays = {key: np.asarray(m[key], dtype=float) for key in _MIXTURE_KEYS}
             except (TypeError, ValueError) as exc:
                 raise ParameterError(f"mixture arrays must be numeric: {exc}") from exc
             mixture = GaussianMixture(**arrays)
@@ -166,7 +182,7 @@ class ExperimentConfig:
         guidance = GuidanceParams(_number(raw.get("guidance_w", DEFAULT_GUIDANCE_W),
                                           "guidance_w"))
 
-        sw_raw = _section(raw, "switch")
+        sw_raw = _section(raw, "switch", _SWITCH_KEYS)
         switch = SwitchConfig(L=sw_raw.get("L", pre["L"]),
                               g_slope=_number(sw_raw.get("g_slope", pre["g_slope"]),
                                               "switch.g_slope"),
@@ -185,16 +201,15 @@ class ExperimentConfig:
         devices = tuple(DeviceSpec(name=f"dev{i}", branch_step_cost=c)
                         for i, c in enumerate(costs))
 
-        link_raw = {**DEFAULT_LINK, **_section(raw, "link")}
+        link_raw = {**DEFAULT_LINK, **_section(raw, "link", DEFAULT_LINK)}
         bw = link_raw["bandwidth_bytes_per_s"]
         link = LinkSpec(
             bandwidth_bytes_per_s=(float("inf") if bw is None
                                    else _number(bw, "link.bandwidth_bytes_per_s")),
             base_latency_s=_number(link_raw["base_latency_s"], "link.base_latency_s"),
-            message_bytes_latent=int(_number(link_raw["latent_bytes"],
-                                             "link.latent_bytes")),
-            message_bytes_activation=int(_number(link_raw["activation_bytes"],
-                                                 "link.activation_bytes")))
+            message_bytes_latent=_byte_size(link_raw["latent_bytes"], "link.latent_bytes"),
+            message_bytes_activation=_byte_size(link_raw["activation_bytes"],
+                                                "link.activation_bytes"))
 
         fractions = raw.get("segment_fractions")
         if fractions is not None:
@@ -223,8 +238,13 @@ class ExperimentConfig:
 
     def to_plan(self, seed: int | None = None,
                 variant: PlanVariant | None = None,
-                k: int | None = None) -> ExecutionPlan:
-        """Build the executable plan, optionally overriding seed/variant/k."""
+                k: int | None = None,
+                exact_path: ExactPath | None = None) -> ExecutionPlan:
+        """Build the executable plan, optionally overriding seed/variant/k.
+
+        exact_path is passed through to the plan: plans of one seed that
+        share it read that seed's exact trajectory instead of recomputing it.
+        """
         variant = variant or self.variant
         staged = variant in (PlanVariant.HYBRID, PlanVariant.LAYER_WISE,
                              PlanVariant.BATCH_LEVEL)
@@ -251,7 +271,8 @@ class ExperimentConfig:
             seed=self.seeds[0] if seed is None else seed,
             switch=switch if staged else None,
             segment_fractions=fractions,
-            cfg_batching_factor=self.cfg_batching_factor)
+            cfg_batching_factor=self.cfg_batching_factor,
+            exact_path=exact_path)
 
 
 def _default_device_count(variant: PlanVariant) -> int:

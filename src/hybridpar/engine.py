@@ -3,7 +3,11 @@
 Numeric semantics are exact everywhere except inside the pipelined window of
 staged plans: measured steps evaluate both branches with classifier-free
 guidance and step deterministically, so any plan whose window is empty
-reproduces the serial trajectory bit for bit. Pipelined steps evaluate only
+reproduces the serial trajectory bit for bit. That invariant is what lets
+runs share an ExactPath: every step a run takes before its first pipelined
+step is a step of the seed's all-exact trajectory, so serial, condition
+partitioning and each staged run's warm-up (all of a k = 0 run) read one
+computed trajectory instead of recomputing it. Pipelined steps evaluate only
 the conditional branch, split into per-device segments, with segment d
 evaluated at the input latent d steps stale and the blend weighted by segment
 fraction. Guidance collapses there (the window is entered once the branches
@@ -24,8 +28,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import PlanError
-from .mixture import Condition, GaussianMixture, _singleton_eps, eps_prediction, sample_x0
+from .errors import PlanError, SequencingError
+from .mixture import (Condition, GaussianMixture, _component_sampler, _singleton_eps,
+                      eps_prediction)
+from .mixture import sample_x0  # noqa: F401  (perfbench/spans.py wraps engine.sample_x0)
 from .monitor import (DiscrepancySeries, Stage, StageState, SwitchConfig,
                       rel_mae, update_controller)
 from .schedules import GuidanceParams, LatentState, NoiseSchedule, cfg_combine, ddim_step
@@ -58,6 +64,9 @@ class ExecutionPlan:
     switch: SwitchConfig | None = None
     segment_fractions: tuple[float, ...] | None = None
     cfg_batching_factor: float = 2.0
+    # all-exact trajectory shared with other plans of the same seed (see
+    # ExactPath); None steps a private one
+    exact_path: ExactPath | None = field(default=None, compare=False, repr=False)
     # (condition, batch rows) per distinct subset, in first-seen order; the
     # row arrays are read-only
     condition_groups: tuple[tuple[Condition, np.ndarray], ...] = field(
@@ -147,6 +156,84 @@ class RunResult:
     per_sample: tuple["RunResult", ...] | None = None
 
 
+class ExactPath:
+    """One seed's all-exact trajectory, stepped on demand.
+
+    latents(plan, s) is the state after s exact steps (s = 0 gives
+    initial_latents) and discrepancy(plan, s) the rel_mae step s measured.
+    Each step is taken with _exact_update, so the entries hold the bits a run
+    stepping on its own computes. A run reads the path until its first
+    pipelined step: serial and condition partitioning end to end, a staged
+    run up to tau1, a k = 0 run end to end.
+
+    A shared path keeps every entry. Its latents are read-only, since runs
+    return them as x0. A private path (keep_all=False) keeps only the latest
+    latents; a run whose plan brings no path steps one. The first plan bound
+    fixes the path's mixture, schedule, conditions and guidance (the same
+    objects) and seed; binding a plan that differs in any of them raises
+    PlanError. A step that raises stores nothing.
+    """
+
+    _BOUND = ("mixture", "schedule", "conditions", "guidance")
+
+    def __init__(self, keep_all: bool = True):
+        self._keep_all = keep_all
+        self._key: tuple | None = None
+        self._xs: list[np.ndarray] = []     # latents after steps _first, ...
+        self._first = 0
+        self._ms: list[float] = []          # discrepancy of steps 1, 2, ...
+
+    def bind(self, plan: ExecutionPlan) -> "ExactPath":
+        key = tuple(getattr(plan, name) for name in self._BOUND) + (plan.seed,)
+        if self._key is None:
+            self._key = key
+            return self
+        for name, a, b in zip(self._BOUND, key, self._key):
+            if a is not b:
+                raise PlanError(f"exact path is bound to another {name}")
+        if key[-1] != self._key[-1]:
+            raise PlanError(f"exact path is bound to seed {self._key[-1]}, "
+                            f"got seed {key[-1]}")
+        return self
+
+    def latents(self, plan: ExecutionPlan, s: int) -> np.ndarray:
+        """Latents after s exact steps; plan must be bound to this path."""
+        if s < self._first:
+            raise SequencingError(f"private exact path has moved past step {s}")
+        self._extend(plan, s)
+        return self._xs[s - self._first]
+
+    def discrepancy(self, plan: ExecutionPlan, s: int) -> float:
+        """rel_mae measured by exact step s >= 1; plan must be bound."""
+        self._extend(plan, s)
+        return self._ms[s - 1]
+
+    def _extend(self, plan: ExecutionPlan, s: int) -> None:
+        if not self._xs:
+            x = initial_latents(plan)
+            x.flags.writeable = False
+            self._xs.append(x)
+        T = plan.schedule.T
+        while self._first + len(self._xs) <= s:
+            done = self._first + len(self._xs) - 1
+            state, m = _exact_update(plan, LatentState(self._xs[-1], T - done))
+            state.x.flags.writeable = False
+            if self._keep_all:
+                self._xs.append(state.x)
+            else:
+                self._xs[0] = state.x
+                self._first += 1
+            self._ms.append(m)
+
+
+def _path_of(plan: ExecutionPlan) -> ExactPath:
+    """The plan's shared path, or a private one when it brings none."""
+    path = plan.exact_path
+    if path is None:
+        path = ExactPath(keep_all=False)
+    return path.bind(plan)
+
+
 def serial_latency_ref(plan: ExecutionPlan) -> float:
     """Latency of the serial baseline on this plan's primary device.
 
@@ -165,13 +252,20 @@ def initial_latents(plan: ExecutionPlan) -> np.ndarray:
 
     Row b draws x0 from the mixture restricted to condition b, then noises it
     to the t = T marginal. Identical across plan variants for a given seed.
+    The stream is the one per-row sample_x0(gm, cond, rng, 1) calls consume
+    (one uniform for the component, then d normals), so the draws match them
+    bit for bit.
     """
     rng = np.random.default_rng(plan.seed)
     gm, sched = plan.mixture, plan.schedule
     b = len(plan.conditions)
-    x0 = np.empty((b, gm.dim))
+    comp = np.empty(b, dtype=np.intp)
+    noise = np.empty((b, gm.dim))
     for i, cond in enumerate(plan.conditions):
-        x0[i] = sample_x0(gm, cond, rng, 1)[0]
+        cdf, comps = _component_sampler(gm, cond)
+        comp[i] = comps[cdf.searchsorted(rng.random(), side="right")]
+        rng.standard_normal(out=noise[i])
+    x0 = gm.means[comp] + np.sqrt(gm.variances[comp]) * noise
     eps = rng.standard_normal((b, gm.dim))
     ab_t = sched.alpha_bar(sched.T)
     return np.sqrt(ab_t) * x0 + np.sqrt(1.0 - ab_t) * eps
@@ -233,18 +327,24 @@ def run_serial(plan: ExecutionPlan) -> RunResult:
     series = DiscrepancySeries()
     dev = plan.devices[0]
     dur = plan.cfg_batching_factor * dev.branch_step_cost
-    state = LatentState(initial_latents(plan), plan.schedule.T)
+    path = _path_of(plan)
+    T = plan.schedule.T
     clock = 0.0
-    for s in range(1, plan.schedule.T + 1):
-        state, m = _exact_update(plan, state)
-        series.record(state.t + 1, m)
+    for s in range(1, T + 1):
+        series.record(T + 1 - s, path.discrepancy(plan, s))
         clock = tl.busy(dev.name, clock, dur, s, "", "cfg_branches")
+    return _result(plan, tl, series, path.latents(plan, T))
+
+
+def _result(plan: ExecutionPlan, tl: Timeline, series: DiscrepancySeries,
+            x0: np.ndarray, ctrl: StageState | None = None) -> RunResult:
     latency = tl.trace.makespan()
     ref = serial_latency_ref(plan)
-    return RunResult(x0=state.x, latency_s=latency, comm_bytes=account_comm(tl.trace),
+    return RunResult(x0=x0, latency_s=latency, comm_bytes=account_comm(tl.trace),
                      speedup=ref / latency, throughput_samples_per_s=1.0 / latency,
-                     tau1=None, tau2=None, trace=tl.trace,
-                     series=tuple(series.items()))
+                     tau1=None if ctrl is None else ctrl.tau1,
+                     tau2=None if ctrl is None else ctrl.tau2,
+                     trace=tl.trace, series=tuple(series.items()))
 
 
 def _measured_step(plan: ExecutionPlan, tl: Timeline, s: int, stage: str,
@@ -270,18 +370,13 @@ def run_full_condition_partition(plan: ExecutionPlan) -> RunResult:
         raise PlanError(f"run_full_condition_partition got a {plan.variant.value} plan")
     tl = Timeline(plan.link)
     series = DiscrepancySeries()
-    state = LatentState(initial_latents(plan), plan.schedule.T)
+    path = _path_of(plan)
+    T = plan.schedule.T
     a_clock, b_avail = 0.0, 0.0
-    for s in range(1, plan.schedule.T + 1):
-        state, m = _exact_update(plan, state)
-        series.record(state.t + 1, m)
+    for s in range(1, T + 1):
+        series.record(T + 1 - s, path.discrepancy(plan, s))
         a_clock, b_avail = _measured_step(plan, tl, s, "", a_clock, b_avail)
-    latency = tl.trace.makespan()
-    ref = serial_latency_ref(plan)
-    return RunResult(x0=state.x, latency_s=latency, comm_bytes=account_comm(tl.trace),
-                     speedup=ref / latency, throughput_samples_per_s=1.0 / latency,
-                     tau1=None, tau2=None, trace=tl.trace,
-                     series=tuple(series.items()))
+    return _result(plan, tl, series, path.latents(plan, T))
 
 
 def _pipelined_estimate(plan: ExecutionPlan, history: list[np.ndarray],
@@ -295,23 +390,28 @@ def _pipelined_estimate(plan: ExecutionPlan, history: list[np.ndarray],
 
 
 def _run_staged(plan: ExecutionPlan, fractions: tuple[float, ...]) -> RunResult:
-    """Shared body of run_hybrid and run_layer_wise."""
+    """Shared body of run_hybrid and run_layer_wise.
+
+    Steps are read from the exact path until the first pipelined step; from
+    there on the run steps its own state.
+    """
     devs = plan.devices
     n = len(devs)
     tl = Timeline(plan.link)
     series = DiscrepancySeries()
     ctrl = StageState()
-    state = LatentState(initial_latents(plan), plan.schedule.T)
+    path = _path_of(plan)
+    T = plan.schedule.T
+    state: LatentState | None = None    # set by the first pipelined step
     history: list[np.ndarray] = []
     a_clock, b_avail = 0.0, 0.0
     prev_stage = Stage.WARM_UP
-    for s in range(1, plan.schedule.T + 1):
-        t = state.t
-        history.insert(0, state.x)
+    for s in range(1, T + 1):
+        t = T + 1 - s
+        history.insert(0, path.latents(plan, s - 1) if state is None else state.x)
         del history[n:]
         if ctrl.tau1 is None:
-            state, m = _exact_update(plan, state)
-            series.record(t, m)
+            series.record(t, path.discrepancy(plan, s))
             update_controller(ctrl, series, t, plan.switch)
             a_clock, b_avail = _measured_step(plan, tl, s, ctrl.stage.value,
                                               a_clock, b_avail)
@@ -322,19 +422,18 @@ def _run_staged(plan: ExecutionPlan, fractions: tuple[float, ...]) -> RunResult:
                 fill = prev_stage is not Stage.PARALLELISM
                 a_clock = _pipelined_step(plan, tl, s, fill, a_clock, b_avail)
                 b_avail = a_clock  # hand-off exchange re-syncs the partner
-                state = ddim_step(state, eps_hat, plan.schedule)
+                state = ddim_step(LatentState(history[0], t), eps_hat, plan.schedule)
             else:
-                state, m = _exact_update(plan, state)
+                if state is None:
+                    m = path.discrepancy(plan, s)
+                else:
+                    state, m = _exact_update(plan, state)
                 series.record(t, m)
                 a_clock, b_avail = _measured_step(plan, tl, s, ctrl.stage.value,
                                                   a_clock, b_avail)
         prev_stage = ctrl.stage
-    latency = tl.trace.makespan()
-    ref = serial_latency_ref(plan)
-    return RunResult(x0=state.x, latency_s=latency, comm_bytes=account_comm(tl.trace),
-                     speedup=ref / latency, throughput_samples_per_s=1.0 / latency,
-                     tau1=ctrl.tau1, tau2=ctrl.tau2, trace=tl.trace,
-                     series=tuple(series.items()))
+    x0 = path.latents(plan, T) if state is None else state.x
+    return _result(plan, tl, series, x0, ctrl)
 
 
 def _pipelined_step(plan: ExecutionPlan, tl: Timeline, s: int, fill: bool,
@@ -400,9 +499,11 @@ def run_batch_level(plan: ExecutionPlan) -> RunResult:
     results = []
     trace = RunTrace()
     for i in range(n_pairs):
+        # only sample 0 runs the plan's seed, so only it may read the path
         sub = replace(plan, variant=PlanVariant.HYBRID,
                       devices=plan.devices[2 * i:2 * i + 2],
-                      segment_fractions=None, seed=plan.seed + i)
+                      segment_fractions=None, seed=plan.seed + i,
+                      exact_path=plan.exact_path if i == 0 else None)
         results.append(run_hybrid(sub))
         trace.merge(results[-1].trace)
     latency = max(r.latency_s for r in results)

@@ -57,6 +57,7 @@ class GaussianMixture:
         # read-only, so an entry never goes stale (see _noised_terms)
         object.__setattr__(self, "_conditionals", {})
         object.__setattr__(self, "_noised", {})
+        object.__setattr__(self, "_samplers", {})
 
     @property
     def n_components(self) -> int:
@@ -288,12 +289,34 @@ def fm_velocity(gm: GaussianMixture, cond: Condition | None, x: np.ndarray,
     return v[0] if squeezed else v
 
 
+def _component_sampler(gm: GaussianMixture, cond: Condition | None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(cdf, components) for drawing components of conditional(gm, cond),
+    built once per subset and kept on gm.
+
+    components[cdf.searchsorted(rng.random(n), side="right")] draws, from the
+    same stream, exactly the components rng.choice(K, size=n, p=weights)
+    would pick (as indices into gm), without choice's per-call validation of
+    p: the conditional mixture validated its weights when it was built.
+    """
+    key = None if cond is None else cond.indices
+    entry = gm._samplers.get(key)
+    if entry is None:
+        cdf = _conditional_of(gm, cond).weights.cumsum()
+        cdf /= cdf[-1]
+        comps = np.arange(gm.n_components) if cond is None else np.asarray(key)
+        for arr in (cdf, comps):
+            arr.flags.writeable = False
+        entry = gm._samplers[key] = (cdf, comps)
+    return entry
+
+
 def sample_x0(gm: GaussianMixture, cond: Condition | None,
               rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw n exact samples, conditioning by subset restriction when given."""
     if n < 0:
         raise ParameterError(f"sample count must be >= 0, got {n}")
-    base = _conditional_of(gm, cond)
-    comp = rng.choice(base.n_components, size=n, p=base.weights)
-    noise = rng.standard_normal((n, base.dim))
-    return base.means[comp] + np.sqrt(base.variances[comp]) * noise
+    cdf, comps = _component_sampler(gm, cond)
+    comp = comps[cdf.searchsorted(rng.random(n), side="right")]
+    noise = rng.standard_normal((n, gm.dim))
+    return gm.means[comp] + np.sqrt(gm.variances[comp]) * noise

@@ -303,6 +303,42 @@ def test_sweep_negative_k_is_an_infeasible_row(tmp_path, capsys):
     assert lines[2].startswith("4,ok,")
 
 
+def test_sweep_calls_each_runner_once_per_plan(tmp_path, capsys, monkeypatch):
+    import hybridpar.cli as cli
+    calls = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "run_serial", recording("serial", cli.run_serial))
+    monkeypatch.setattr(cli, "run_plan", recording("plan", cli.run_plan))
+    seeds = [4, 0, 9]
+    cfg = write_config(tmp_path, seeds=seeds, **{k: v for k, v in SMALL.items()
+                                                 if k != "seeds"})
+    code, stdout, _ = run_cli(["sweep", "--config", cfg, "--k", "0,2,40,4"], capsys)
+    assert code == 0
+    assert stdout.splitlines()[-1] == "40,infeasible,,,,"
+    assert all(len(args) == 1 and not kwargs for _, args, kwargs in calls)
+    got = [(name, args[0].seed, args[0].variant.value,
+            None if args[0].switch is None else args[0].switch.k)
+           for name, args, _ in calls]
+    want = [(name, seed, variant, k) for seed in seeds
+            for name, variant, k in [("serial", "serial", None),
+                                     ("plan", "hybrid", 0), ("plan", "hybrid", 2),
+                                     ("plan", "hybrid", 4)]]
+    assert got == want
+
+
+def test_link_byte_sizes_accept_whole_numbers():
+    link = ExperimentConfig.from_dict({"link": {"latent_bytes": 4096.0,
+                                                "activation_bytes": 2 ** 60 + 1}}).link
+    assert link.message_bytes_latent == 4096
+    assert link.message_bytes_activation == 2 ** 60 + 1
+
+
 # config validation through the CLI ----------------------------------------------------
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -326,6 +362,13 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ({"schedule": 5}, "schedule"),
     ({"link": {"latent_bytes": "x"}}, "latent_bytes"),
     ({"mixture": {"weights": "a", "means": [[0]], "variances": [[1]]}}, "mixture"),
+    ({"switch": {"tua_cap": 3}}, "switch.tua_cap"),
+    ({"link": {"bandwith": 5}}, "link.bandwith"),
+    ({"schedule": {"TT": 3}}, "schedule.TT"),
+    ({"mixture": {"weights": [1], "means": [[0]], "variances": [[1]], "wieghts": [1]}},
+     "mixture.wieghts"),
+    ({"link": {"latent_bytes": 4096.5}}, "link.latent_bytes"),
+    ({"link": {"activation_bytes": 1e400}}, "link.activation_bytes"),
 ])
 def test_bad_config_value_is_one_json_error(tmp_path, capsys, body, key):
     cfg = write_config(tmp_path, **body)

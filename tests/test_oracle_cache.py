@@ -174,6 +174,25 @@ def test_initial_latents_match_reference_draws():
         assert np.array_equal(initial_latents(plan), want)
 
 
+def test_initial_latents_match_reference_draws_weighted_multi_index():
+    rng = np.random.default_rng(8)
+    mixture = {"weights": [0.05, 0.5, 0.15, 0.3, 0.0001],
+               "means": rng.normal(size=(5, D)).tolist(),
+               "variances": rng.uniform(0.1, 2.0, size=(5, D)).tolist()}
+    cfg = ExperimentConfig.from_dict({"mixture": mixture, "condition_batch": 23,
+                                      "conditions": [[4, 0, 2], [1], [3, 1],
+                                                     [0, 1, 2, 3, 4], [2, 4]]})
+    for seed in range(40):
+        plan = cfg.to_plan(seed=seed, variant=PlanVariant.SERIAL)
+        gm, sched = plan.mixture, plan.schedule
+        rng = np.random.default_rng(seed)
+        x0 = np.stack([ref_sample_x0(gm, c, rng, 1)[0] for c in plan.conditions])
+        eps = rng.standard_normal(x0.shape)
+        ab = sched.alpha_bar(sched.T)
+        want = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+        assert np.array_equal(initial_latents(plan), want)
+
+
 def test_sample_x0_matches_reference_draws():
     gm = random_mixture(seed=3, K=4)
     for cond in subsets(4):
