@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from collections import deque
 
 import numpy as np
 
@@ -200,16 +199,16 @@ def _parse_k_list(text: str) -> list[int]:
 def cmd_sweep(args) -> int:
     """Serial and one hybrid run per (seed, feasible k), seed by seed.
 
-    The runs of one seed share an ExactPath, so its all-exact trajectory is
-    computed once: serial reads it in full, each k > 0 run up to tau1, a
-    k = 0 run end to end. The path is dropped once its seed is done. A k is
-    infeasible if its plan cannot be built for some seed.
+    Every run reads one ExactPath over all the seeds, so the numerics are
+    stepped for all seeds at once: the exact trajectories on the first
+    serial run, each k's windows on its first run. A k is infeasible if its
+    plan cannot be built for some seed.
     """
     cfg = _load(args)
     k_values = _parse_k_list(args.k)
-    runs, infeasible = deque(), set()
+    path = ExactPath(cfg.seeds)
+    runs, infeasible = [], set()
     for seed in cfg.seeds:
-        path = ExactPath()
         serial_plan = cfg.to_plan(seed=seed, variant=PlanVariant.SERIAL,
                                   exact_path=path)
         hybrid = {}
@@ -223,8 +222,7 @@ def cmd_sweep(args) -> int:
                 infeasible.add(k)
         runs.append((serial_plan, hybrid))
     per_k = {k: [] for k in k_values if k not in infeasible}
-    while runs:     # popping drops each seed's plans, and so its path, once done
-        serial_plan, hybrid = runs.popleft()
+    for serial_plan, hybrid in runs:
         serial = run_serial(serial_plan)
         for k, per_seed in per_k.items():
             per_seed.append(compare_runs(run_plan(hybrid[k]), serial))

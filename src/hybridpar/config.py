@@ -139,11 +139,12 @@ class ExperimentConfig:
         _require(not unknown, f"unknown config keys: {sorted(unknown)}")
 
         preset = raw.get("preset", "sdxl-like")
-        _require(preset in PRESETS, f"preset must be one of {sorted(PRESETS)}, got {preset!r}")
+        _require(isinstance(preset, str) and preset in PRESETS,
+                 f"preset must be one of {sorted(PRESETS)}, got {preset!r}")
         pre = PRESETS[preset]
 
         variant_name = raw.get("variant", "hybrid")
-        _require(variant_name in _VARIANTS,
+        _require(isinstance(variant_name, str) and variant_name in _VARIANTS,
                  f"variant must be one of {sorted(_VARIANTS)}, got {variant_name!r}")
         variant = _VARIANTS[variant_name]
 

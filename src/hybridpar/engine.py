@@ -1,4 +1,4 @@
-"""Multi-device execution plans and their simulated runs.
+"""Simulated runs of multi-device execution plans (the plans: see plan.py).
 
 Numeric semantics are exact everywhere except inside the pipelined window of
 staged plans: measured steps evaluate both branches with classifier-free
@@ -13,6 +13,12 @@ evaluated at the input latent d steps stale and the blend weighted by segment
 fraction. Guidance collapses there (the window is entered once the branches
 agree), so the blended estimate is used directly.
 
+Every kernel of a step is elementwise or reduces over one row (over d, and
+over the mixture's K components), and the discrepancy is reduced per seed
+over that seed's own rows. So a step of several seeds stacked along the
+batch axis gives each seed the bits it gets alone, and ExactPath steps all
+of its seeds, and every window they share, as one batch.
+
 Timing: measured steps behave like condition-partitioned steps (two branch
 messages per step; the partner's output and the next latent each cross the
 link once). The first pipelined step of a window pays the full sequential
@@ -23,121 +29,22 @@ partner when measured stepping resumes.
 """
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PlanError, SequencingError
-from .mixture import (Condition, GaussianMixture, _component_sampler, _singleton_eps,
-                      eps_prediction)
+from .mixture import (Condition, GaussianMixture, _component_sampler, _condition_rows,
+                      _read_only, _singleton_eps, eps_prediction)
 from .mixture import sample_x0  # noqa: F401  (perfbench/spans.py wraps engine.sample_x0)
 from .monitor import (DiscrepancySeries, Stage, StageState, SwitchConfig,
-                      rel_mae, update_controller)
-from .schedules import GuidanceParams, LatentState, NoiseSchedule, cfg_combine, ddim_step
-from .trace import DeviceSpec, LinkSpec, RunTrace, Timeline, account_comm
-
-
-class PlanVariant(enum.Enum):
-    SERIAL = "serial"
-    FULL_CONDITION_PARTITION = "full_condition_partition"
-    HYBRID = "hybrid"
-    BATCH_LEVEL = "batch_level"
-    LAYER_WISE = "layer_wise"
-
-
-_STAGED = (PlanVariant.HYBRID, PlanVariant.BATCH_LEVEL, PlanVariant.LAYER_WISE)
-
-
-@dataclass(frozen=True)
-class ExecutionPlan:
-    """A fully specified run: model, schedule, devices, and strategy."""
-
-    variant: PlanVariant
-    schedule: NoiseSchedule
-    mixture: GaussianMixture
-    conditions: tuple[Condition, ...]
-    guidance: GuidanceParams
-    devices: tuple[DeviceSpec, ...]
-    link: LinkSpec
-    seed: int
-    switch: SwitchConfig | None = None
-    segment_fractions: tuple[float, ...] | None = None
-    cfg_batching_factor: float = 2.0
-    # all-exact trajectory shared with other plans of the same seed (see
-    # ExactPath); None steps a private one
-    exact_path: ExactPath | None = field(default=None, compare=False, repr=False)
-    # (condition, batch rows) per distinct subset, in first-seen order; the
-    # row arrays are read-only
-    condition_groups: tuple[tuple[Condition, np.ndarray], ...] = field(
-        init=False, repr=False, compare=False)
-    # (rows, component) of every singleton-conditioned row, ascending rows,
-    # read-only; the conditional branch evaluates them in one gather
-    singletons: tuple[np.ndarray, np.ndarray] = field(
-        init=False, repr=False, compare=False)
-    # condition_groups with more than one index, evaluated group by group
-    multi_groups: tuple[tuple[Condition, np.ndarray], ...] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.conditions) == 0:
-            raise PlanError("plan needs at least one condition")
-        for c in self.conditions:
-            if max(c.indices) >= self.mixture.n_components:
-                raise PlanError(f"condition {c.indices} exceeds mixture components")
-        groups = _condition_groups(self.conditions)
-        object.__setattr__(self, "condition_groups", groups)
-        object.__setattr__(self, "singletons", _singleton_rows(self.conditions))
-        object.__setattr__(self, "multi_groups",
-                           tuple(g for g in groups if len(g[0].indices) > 1))
-        if type(self.seed) is not int or self.seed < 0:
-            raise PlanError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not 1.0 <= self.cfg_batching_factor <= 2.0:
-            raise PlanError(f"cfg_batching_factor must lie in [1, 2], "
-                            f"got {self.cfg_batching_factor}")
-        n = len(self.devices)
-        if self.variant is PlanVariant.SERIAL:
-            if n < 1:
-                raise PlanError("serial plan needs one device")
-        elif self.variant is PlanVariant.FULL_CONDITION_PARTITION:
-            if n != 2:
-                raise PlanError(f"condition partitioning needs exactly 2 devices, got {n}")
-        elif self.variant in (PlanVariant.HYBRID, PlanVariant.LAYER_WISE):
-            need = 2 if self.variant is PlanVariant.HYBRID else n
-            if self.variant is PlanVariant.HYBRID and n != 2:
-                raise PlanError(f"hybrid plan needs exactly 2 devices, got {n}")
-            if self.variant is PlanVariant.LAYER_WISE and n < 2:
-                raise PlanError(f"layer-wise plan needs >= 2 devices, got {n}")
-            self._check_switch()
-            fr = self.segment_fractions
-            if fr is None:
-                fr = tuple(1.0 / need for _ in range(need))
-                object.__setattr__(self, "segment_fractions", fr)
-            if len(fr) != need:
-                raise PlanError(f"segment_fractions must have {need} entries, got {len(fr)}")
-            if any(f <= 0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
-                raise PlanError(f"segment_fractions must be positive and sum to 1, got {fr}")
-        elif self.variant is PlanVariant.BATCH_LEVEL:
-            if n < 2 or n % 2 != 0:
-                raise PlanError(f"batch-level plan needs an even device count >= 2, got {n}")
-            self._check_switch()
-
-    def _check_switch(self):
-        sw = self.switch
-        if sw is None:
-            raise PlanError("staged plan needs a switch config")
-        if sw.tau_cap < 1:
-            raise PlanError("staged plan needs tau_cap >= 1 (at least one measured step)")
-        T = self.schedule.T
-        if sw.L >= T:
-            raise PlanError(f"slope window L={sw.L} must be < T={T}")
-        if sw.tau_cap > T:
-            raise PlanError(f"tau_cap={sw.tau_cap} exceeds T={T}")
-        # guarantees the window fits and at least one exact step follows it,
-        # whatever step detection fires on (tau1 <= tau_cap)
-        if sw.k >= 1 and not sw.k < T - sw.tau_cap:
-            raise PlanError(f"window k={sw.k} infeasible: need k < T - tau_cap "
-                            f"= {T - sw.tau_cap}")
+                      _rel_mae_blocks, update_controller)
+from .monitor import rel_mae  # noqa: F401  (perfbench/spans.py wraps engine.rel_mae)
+from .plan import _STAGED, ExecutionPlan, PlanVariant
+from .schedules import GuidanceParams, LatentState, NoiseSchedule, _guided, ddim_step
+from .schedules import cfg_combine  # noqa: F401  (perfbench/spans.py wraps it here)
+from .trace import RunTrace, Timeline, account_comm
 
 
 @dataclass(frozen=True)
@@ -156,82 +63,214 @@ class RunResult:
     per_sample: tuple["RunResult", ...] | None = None
 
 
+class _Stack(NamedTuple):
+    """The branch inputs of `seeds` batches stacked along the batch axis:
+    seed i's rows are block i, and the condition rows are offset to match.
+    The branch kernels read it as they read a plan."""
+
+    mixture: GaussianMixture
+    schedule: NoiseSchedule
+    guidance: GuidanceParams
+    seeds: int
+    singletons: tuple[np.ndarray, np.ndarray]
+    multi_groups: tuple[tuple[Condition, np.ndarray], ...]
+
+
+class _Window(NamedTuple):
+    """What a staged run reads after its pipelined window."""
+
+    x0: np.ndarray              # read-only
+    ms: list[float]             # discrepancy of each exact step after the window
+
+
+def _rule(switch: SwitchConfig) -> tuple[int, float, int]:
+    """The parameters tau1 depends on; k only places tau2."""
+    return switch.L, switch.g_slope, switch.tau_cap
+
+
 class ExactPath:
-    """One seed's all-exact trajectory, stepped on demand.
+    """The all-exact trajectories of a set of seeds, stepped as one batch,
+    and the pipelined windows of the staged runs bound to them.
 
-    latents(plan, s) is the state after s exact steps (s = 0 gives
-    initial_latents) and discrepancy(plan, s) the rel_mae step s measured.
-    Each step is taken with _exact_update, so the entries hold the bits a run
-    stepping on its own computes. A run reads the path until its first
-    pipelined step: serial and condition partitioning end to end, a staged
-    run up to tau1, a k = 0 run end to end.
+    Seed i is row block i of each (S*B, d) array, and gets the bits it gets
+    stepped alone (see the module docstring). Serial and condition
+    partitioning read discrepancy(plan, s) and x0(plan) end to end, a staged
+    run up to its switch (a k = 0 run to the end). A staged run with k >= 1
+    then reads window(plan, tau1): its x0 and the discrepancies of the exact
+    steps after its window. tau1 depends only on a seed's discrepancies and
+    the switch rule (L, g_slope, tau_cap), so the store tracks it while
+    stepping, and the first request computes the window of every bound seed
+    with the same rule, tau1, k and segment count N, as one batch.
 
-    A shared path keeps every entry. Its latents are read-only, since runs
-    return them as x0. A private path (keep_all=False) keeps only the latest
-    latents; a run whose plan brings no path steps one. The first plan bound
-    fixes the path's mixture, schedule, conditions and guidance (the same
-    objects) and seed; binding a plan that differs in any of them raises
-    PlanError. A step that raises stores nothing.
+    Plans bind on construction: the seed must be one of the store's and the
+    mixture, schedule, conditions and guidance the first plan's objects, else
+    PlanError. A staged plan with k >= 1 must bind before the first step,
+    else SequencingError: the store keeps only what bound plans read (per
+    seed the discrepancies, x0, the N latents up to its switch, and the
+    computed windows). A run whose controller switches elsewhere than the
+    store's rule raises SequencingError. What a run can return is read-only,
+    and a step that raises stores nothing.
     """
 
     _BOUND = ("mixture", "schedule", "conditions", "guidance")
 
-    def __init__(self, keep_all: bool = True):
-        self._keep_all = keep_all
-        self._key: tuple | None = None
-        self._xs: list[np.ndarray] = []     # latents after steps _first, ...
-        self._first = 0
-        self._ms: list[float] = []          # discrepancy of steps 1, 2, ...
+    def __init__(self, seeds):
+        self._seeds = tuple(dict.fromkeys(seeds))
+        if not self._seeds:
+            raise PlanError("exact path needs at least one seed")
+        self._slot = {seed: i for i, seed in enumerate(self._seeds)}
+        self._model: tuple | None = None
+        self._stacks: dict[int, _Stack] = {}            # seed count -> stack
+        self._done = -1             # exact steps taken; -1 before the initial latents
+        self._recent: list[np.ndarray] = []            # latents after the last steps
+        self._ms: list[np.ndarray] = []                # per step, each seed's rel_mae
+        self._x0: list[np.ndarray] | None = None
+        self._wanted: dict[tuple, set[int]] = {}       # (rule, k, N) -> seeds
+        self._tau1: dict[tuple, np.ndarray] = {}       # rule -> per seed, 0 = not yet
+        self._waiting: set[tuple] = set()              # rules some seed has yet to meet
+        self._starts: dict[tuple, tuple] = {}          # (rule, tau1) -> (seeds, latents)
+        self._windows: dict[tuple, _Window] = {}       # (seed, rule, k, fractions)
 
     def bind(self, plan: ExecutionPlan) -> "ExactPath":
-        key = tuple(getattr(plan, name) for name in self._BOUND) + (plan.seed,)
-        if self._key is None:
-            self._key = key
-            return self
-        for name, a, b in zip(self._BOUND, key, self._key):
+        slot = self._slot.get(plan.seed)
+        if slot is None:
+            raise PlanError(f"exact path holds seeds {list(self._seeds)}, "
+                            f"got seed {plan.seed}")
+        model = tuple(getattr(plan, name) for name in self._BOUND)
+        for name, a, b in zip(self._BOUND, model, self._model or model):
             if a is not b:
                 raise PlanError(f"exact path is bound to another {name}")
-        if key[-1] != self._key[-1]:
-            raise PlanError(f"exact path is bound to seed {self._key[-1]}, "
-                            f"got seed {key[-1]}")
+        if plan.variant in _STAGED and plan.switch.k >= 1:
+            n = 2 if plan.variant is PlanVariant.BATCH_LEVEL else len(plan.segment_fractions)
+            key = (_rule(plan.switch), plan.switch.k, n)
+            if slot not in self._wanted.get(key, ()):
+                if self._done > 0:
+                    raise SequencingError("bind staged plans before their exact path "
+                                          "takes its first step")
+                self._wanted.setdefault(key, set()).add(slot)
+                if key[0] not in self._tau1:
+                    self._tau1[key[0]] = np.zeros(len(self._seeds), dtype=int)
+                    self._waiting.add(key[0])
+        self._model = model
         return self
 
-    def latents(self, plan: ExecutionPlan, s: int) -> np.ndarray:
-        """Latents after s exact steps; plan must be bound to this path."""
-        if s < self._first:
-            raise SequencingError(f"private exact path has moved past step {s}")
-        self._extend(plan, s)
-        return self._xs[s - self._first]
-
     def discrepancy(self, plan: ExecutionPlan, s: int) -> float:
-        """rel_mae measured by exact step s >= 1; plan must be bound."""
-        self._extend(plan, s)
-        return self._ms[s - 1]
+        """rel_mae of the plan's seed at exact step s >= 1."""
+        self._extend(s)
+        return float(self._ms[s - 1][self._slot[plan.seed]])
 
-    def _extend(self, plan: ExecutionPlan, s: int) -> None:
-        if not self._xs:
-            x = initial_latents(plan)
-            x.flags.writeable = False
-            self._xs.append(x)
-        T = plan.schedule.T
-        while self._first + len(self._xs) <= s:
-            done = self._first + len(self._xs) - 1
-            state, m = _exact_update(plan, LatentState(self._xs[-1], T - done))
-            state.x.flags.writeable = False
-            if self._keep_all:
-                self._xs.append(state.x)
+    def x0(self, plan: ExecutionPlan) -> np.ndarray:
+        """The plan's seed's latents after all T exact steps."""
+        self._extend(plan.schedule.T)
+        if self._x0 is None:
+            self._x0 = np.split(self._recent[-1], len(self._seeds))
+        return self._x0[self._slot[plan.seed]]
+
+    def window(self, plan: ExecutionPlan, tau1: int) -> _Window:
+        """The plan's window and the exact steps after it, for a run that
+        switched at step tau1."""
+        slot = self._slot[plan.seed]
+        rule = _rule(plan.switch)
+        self._extend(tau1)
+        if self._tau1[rule][slot] != tau1:
+            raise SequencingError(f"seed {plan.seed} switched at step {tau1}, but not "
+                                  f"on its exact path")
+        key = (slot, rule, plan.switch.k, plan.segment_fractions)
+        if key not in self._windows:
+            self._fill(rule, plan.switch.k, plan.segment_fractions, tau1)
+        return self._windows[key]
+
+    def _extend(self, s: int) -> None:
+        gm, sched, conditions, _ = self._model
+        while self._done < s:
+            if self._done < 0:
+                x = np.concatenate([_draw_latents(gm, sched, conditions, seed)
+                                    for seed in self._seeds])
             else:
-                self._xs[0] = state.x
-                self._first += 1
-            self._ms.append(m)
+                x, m = _exact_step(self._stack(len(self._seeds)), self._recent[-1],
+                                   sched.T - self._done)
+                self._ms.append(m)
+            x.flags.writeable = False
+            self._recent.append(x)
+            self._done += 1
+            for rule in list(self._waiting) if self._done else ():
+                self._switch(rule, self._done)
+            # keep as many steps as a window of a seed yet to switch starts from
+            del self._recent[:-max([1] + [n for _, _, n in self._wanted]
+                                   if self._waiting else [1])]
+
+    def _rows(self, blocks) -> np.ndarray:
+        """Batch rows of the given seed blocks, in order."""
+        B = len(self._model[2])
+        return (np.asarray(blocks, dtype=np.intp)[:, None] * B + np.arange(B)).ravel()
+
+    def _depth(self, rule: tuple, slot: int) -> int:
+        """How many steps up to its switch the seed's windows start from."""
+        return max([n for (r, _, n), slots in self._wanted.items()
+                    if r == rule and slot in slots], default=0)
+
+    def _switch(self, rule: tuple, s: int) -> None:
+        """Mark the seeds that switch at step s under rule, as
+        update_controller decides it, and keep the latents their windows
+        start from."""
+        tau1 = self._tau1[rule]
+        L, g_slope, cap = rule
+        now = tau1 == 0
+        if s < cap:
+            # before the cap only a flat slope switches, and it needs step s - L
+            if s <= L:
+                return
+            g = (self._ms[s - 1] - self._ms[s - 1 - L]) / L     # slope(series, t, L)
+            now &= (0.0 <= g) & (g < g_slope)
+        tau1[now] = s
+        if tau1.all():
+            self._waiting.discard(rule)
+        slots = tuple(j for j in np.flatnonzero(now).tolist() if self._depth(rule, j))
+        if slots:
+            # the latents of the N steps up to s (the initial ones repeated
+            # where fewer exist), newest first; all seeds' rows as they are
+            # when all switch here
+            rows = None if len(slots) == len(tau1) else self._rows(slots)
+            depth = max(self._depth(rule, slot) for slot in slots)
+            self._starts[rule, s] = slots, [
+                x if rows is None else _read_only(x.take(rows, axis=0))
+                for x in (self._recent[max(-1 - d, -1 - s)] for d in range(depth))]
+
+    def _fill(self, rule: tuple, k: int, fractions: tuple[float, ...], tau1: int) -> None:
+        """Compute the window of every bound seed with this rule, k, segment
+        count and tau1, as one batch."""
+        n = len(fractions)
+        slots, starts = self._starts[rule, tau1]
+        group = tuple(j for j in slots if j in self._wanted[(rule, k, n)])
+        history = starts[:n] if group == slots else [
+            x.take(self._rows([slots.index(j) for j in group]), axis=0) for x in starts[:n]]
+        x, ms = _window_steps(self._stack(len(group)), history, fractions, tau1, k)
+        per_seed = zip(np.split(x, len(group)), zip(*[m.tolist() for m in ms]))
+        for j, (x0, seed_ms) in zip(group, per_seed):
+            self._windows[(j, rule, k, fractions)] = _Window(x0, list(seed_ms))
+
+    def _stack(self, g: int) -> _Stack:
+        stack = self._stacks.get(g)
+        if stack is None:
+            gm, sched, conditions, guidance = self._model
+            rows = _condition_rows(gm, conditions)
+            offsets = np.arange(g, dtype=np.intp)[:, None] * len(conditions)
+
+            def tile(r: np.ndarray) -> np.ndarray:
+                return _read_only((r + offsets).ravel())
+
+            rows_1, comps_1 = rows.singletons
+            stack = self._stacks[g] = _Stack(
+                gm, sched, guidance, g, (tile(rows_1), _read_only(np.tile(comps_1, g))),
+                tuple((cond, tile(r)) for cond, r in rows.multi_groups))
+        return stack
 
 
 def _path_of(plan: ExecutionPlan) -> ExactPath:
-    """The plan's shared path, or a private one when it brings none."""
-    path = plan.exact_path
-    if path is None:
-        path = ExactPath(keep_all=False)
-    return path.bind(plan)
+    """The plan's store, or a private one-seed store when it brings none."""
+    if plan.exact_path is not None:
+        return plan.exact_path
+    return ExactPath((plan.seed,)).bind(plan)
 
 
 def serial_latency_ref(plan: ExecutionPlan) -> float:
@@ -256,12 +295,16 @@ def initial_latents(plan: ExecutionPlan) -> np.ndarray:
     (one uniform for the component, then d normals), so the draws match them
     bit for bit.
     """
-    rng = np.random.default_rng(plan.seed)
-    gm, sched = plan.mixture, plan.schedule
-    b = len(plan.conditions)
+    return _draw_latents(plan.mixture, plan.schedule, plan.conditions, plan.seed)
+
+
+def _draw_latents(gm: GaussianMixture, sched: NoiseSchedule,
+                  conditions: tuple[Condition, ...], seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    b = len(conditions)
     comp = np.empty(b, dtype=np.intp)
     noise = np.empty((b, gm.dim))
-    for i, cond in enumerate(plan.conditions):
+    for i, cond in enumerate(conditions):
         cdf, comps = _component_sampler(gm, cond)
         comp[i] = comps[cdf.searchsorted(rng.random(), side="right")]
         rng.standard_normal(out=noise[i])
@@ -271,33 +314,13 @@ def initial_latents(plan: ExecutionPlan) -> np.ndarray:
     return np.sqrt(ab_t) * x0 + np.sqrt(1.0 - ab_t) * eps
 
 
-def _condition_groups(conditions: tuple[Condition, ...]
-                      ) -> tuple[tuple[Condition, np.ndarray], ...]:
-    groups: dict[tuple[int, ...], tuple[Condition, list[int]]] = {}
-    for i, c in enumerate(conditions):
-        groups.setdefault(c.indices, (c, []))[1].append(i)
-    out = []
-    for cond, rows in groups.values():
-        arr = np.asarray(rows)
-        arr.flags.writeable = False
-        out.append((cond, arr))
-    return tuple(out)
-
-
-def _singleton_rows(conditions: tuple[Condition, ...]) -> tuple[np.ndarray, np.ndarray]:
-    rows = [i for i, c in enumerate(conditions) if len(c.indices) == 1]
-    comps = [conditions[i].indices[0] for i in rows]
-    out = (np.asarray(rows, dtype=np.intp), np.asarray(comps, dtype=np.intp))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
-def _conditional_branch(plan: ExecutionPlan, x: np.ndarray, t: int) -> np.ndarray:
+def _conditional_branch(plan: ExecutionPlan | _Stack, x: np.ndarray, t: int) -> np.ndarray:
     """eps_c for the batch: every singleton row in one gather, then one
     eps_prediction call per multi-index group."""
-    eps_c = np.empty_like(x)
     rows, comps = plan.singletons
+    if rows.size == len(x):     # every row is singleton-conditioned, in order
+        return _singleton_eps(plan.mixture, comps, plan.schedule, x, t)
+    eps_c = np.empty_like(x)
     eps_c[rows] = _singleton_eps(plan.mixture, comps, plan.schedule,
                                  x.take(rows, axis=0), t)
     for cond, rows in plan.multi_groups:
@@ -305,18 +328,51 @@ def _conditional_branch(plan: ExecutionPlan, x: np.ndarray, t: int) -> np.ndarra
     return eps_c
 
 
-def _branches(plan: ExecutionPlan, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+def _branches(plan: ExecutionPlan | _Stack, x: np.ndarray,
+              t: int) -> tuple[np.ndarray, np.ndarray]:
     """Both branch outputs for the whole batch at timestep t."""
     eps_u = eps_prediction(plan.mixture, None, plan.schedule, x, t)
     return _conditional_branch(plan, x, t), eps_u
 
 
-def _exact_update(plan: ExecutionPlan, state: LatentState) -> tuple[LatentState, float]:
-    """One measured guided step; returns the new state and its discrepancy."""
-    eps_c, eps_u = _branches(plan, state.x, state.t)
-    m = rel_mae(eps_c, eps_u)
-    eps = cfg_combine(eps_c, eps_u, plan.guidance)
-    return ddim_step(state, eps, plan.schedule), m
+def _exact_step(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """One measured guided step of every seed in the stack: the new latents
+    and each seed's discrepancy. The branch outputs are checked once, by the
+    per-seed rel_mae; ddim_step checks the guided estimate."""
+    eps_c, eps_u = _branches(stack, x, t)
+    m = _rel_mae_blocks(eps_c, eps_u, stack.seeds)
+    eps = _guided(eps_c, eps_u, stack.guidance.w)
+    del eps_c, eps_u        # freed before the update allocates
+    return ddim_step(LatentState(x, t), eps, stack.schedule).x, m
+
+
+def _window_steps(stack: _Stack, history: list[np.ndarray], fractions: tuple[float, ...],
+                  tau1: int, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The k pipelined steps after a switch at step tau1, then the exact
+    steps to the end; returns the final latents (read-only) and the
+    discrepancies of the exact steps.
+
+    history[d] holds the latents d steps before the window, the initial
+    latents standing in where the path is shorter. Segment d is evaluated d
+    steps stale and the blend is weighted by segment fraction.
+    """
+    sched = stack.schedule
+    T, n = sched.T, len(history)
+    for s in range(tau1 + 1, tau1 + k + 1):
+        t = T + 1 - s
+        est = np.zeros_like(history[0])
+        for d, f in enumerate(fractions):
+            eps_c = _conditional_branch(stack, history[d], t)
+            eps_c *= f
+            est += eps_c
+        history.insert(0, ddim_step(LatentState(history[0], t), est, sched).x)
+        del history[n:]
+    x, ms = history[0], []
+    for s in range(tau1 + k + 1, T + 1):
+        x, m = _exact_step(stack, x, T + 1 - s)
+        ms.append(m)
+    x.flags.writeable = False
+    return x, ms
 
 
 def run_serial(plan: ExecutionPlan) -> RunResult:
@@ -333,7 +389,7 @@ def run_serial(plan: ExecutionPlan) -> RunResult:
     for s in range(1, T + 1):
         series.record(T + 1 - s, path.discrepancy(plan, s))
         clock = tl.busy(dev.name, clock, dur, s, "", "cfg_branches")
-    return _result(plan, tl, series, path.latents(plan, T))
+    return _result(plan, tl, series, path.x0(plan))
 
 
 def _result(plan: ExecutionPlan, tl: Timeline, series: DiscrepancySeries,
@@ -376,40 +432,26 @@ def run_full_condition_partition(plan: ExecutionPlan) -> RunResult:
     for s in range(1, T + 1):
         series.record(T + 1 - s, path.discrepancy(plan, s))
         a_clock, b_avail = _measured_step(plan, tl, s, "", a_clock, b_avail)
-    return _result(plan, tl, series, path.latents(plan, T))
+    return _result(plan, tl, series, path.x0(plan))
 
 
-def _pipelined_estimate(plan: ExecutionPlan, history: list[np.ndarray],
-                        fractions: tuple[float, ...], t: int) -> np.ndarray:
-    """Segment-blended conditional estimate; segment d is d steps stale."""
-    est = np.zeros_like(history[0])
-    for d, f in enumerate(fractions):
-        x_d = history[min(d, len(history) - 1)]
-        est += f * _conditional_branch(plan, x_d, t)
-    return est
-
-
-def _run_staged(plan: ExecutionPlan, fractions: tuple[float, ...]) -> RunResult:
+def _run_staged(plan: ExecutionPlan) -> RunResult:
     """Shared body of run_hybrid and run_layer_wise.
 
-    Steps are read from the exact path until the first pipelined step; from
-    there on the run steps its own state.
+    Numerics come from the plan's store: the exact path up to the switch
+    (to the end when k = 0), then the window it computed for this run's
+    tau1. Controller, series and timeline calls stay here, step by step.
     """
-    devs = plan.devices
-    n = len(devs)
     tl = Timeline(plan.link)
     series = DiscrepancySeries()
     ctrl = StageState()
     path = _path_of(plan)
     T = plan.schedule.T
-    state: LatentState | None = None    # set by the first pipelined step
-    history: list[np.ndarray] = []
+    window: _Window | None = None       # set by the first pipelined step
     a_clock, b_avail = 0.0, 0.0
     prev_stage = Stage.WARM_UP
     for s in range(1, T + 1):
         t = T + 1 - s
-        history.insert(0, path.latents(plan, s - 1) if state is None else state.x)
-        del history[n:]
         if ctrl.tau1 is None:
             series.record(t, path.discrepancy(plan, s))
             update_controller(ctrl, series, t, plan.switch)
@@ -418,22 +460,18 @@ def _run_staged(plan: ExecutionPlan, fractions: tuple[float, ...]) -> RunResult:
         else:
             update_controller(ctrl, series, t, plan.switch)
             if ctrl.stage is Stage.PARALLELISM:
-                eps_hat = _pipelined_estimate(plan, history, fractions, t)
                 fill = prev_stage is not Stage.PARALLELISM
+                if fill:
+                    window = path.window(plan, ctrl.tau1)
                 a_clock = _pipelined_step(plan, tl, s, fill, a_clock, b_avail)
                 b_avail = a_clock  # hand-off exchange re-syncs the partner
-                state = ddim_step(LatentState(history[0], t), eps_hat, plan.schedule)
             else:
-                if state is None:
-                    m = path.discrepancy(plan, s)
-                else:
-                    state, m = _exact_update(plan, state)
-                series.record(t, m)
+                series.record(t, path.discrepancy(plan, s) if window is None
+                              else window.ms[s - ctrl.tau2 - 1])
                 a_clock, b_avail = _measured_step(plan, tl, s, ctrl.stage.value,
                                                   a_clock, b_avail)
         prev_stage = ctrl.stage
-    x0 = path.latents(plan, T) if state is None else state.x
-    return _result(plan, tl, series, x0, ctrl)
+    return _result(plan, tl, series, path.x0(plan) if window is None else window.x0, ctrl)
 
 
 def _pipelined_step(plan: ExecutionPlan, tl: Timeline, s: int, fill: bool,
@@ -473,7 +511,7 @@ def run_hybrid(plan: ExecutionPlan) -> RunResult:
     """Adaptive three-stage run on two devices."""
     if plan.variant is not PlanVariant.HYBRID:
         raise PlanError(f"run_hybrid got a {plan.variant.value} plan")
-    return _run_staged(plan, plan.segment_fractions)
+    return _run_staged(plan)
 
 
 def run_layer_wise(plan: ExecutionPlan) -> RunResult:
@@ -484,7 +522,7 @@ def run_layer_wise(plan: ExecutionPlan) -> RunResult:
     """
     if plan.variant is not PlanVariant.LAYER_WISE:
         raise PlanError(f"run_layer_wise got a {plan.variant.value} plan")
-    return _run_staged(plan, plan.segment_fractions)
+    return _run_staged(plan)
 
 
 def run_batch_level(plan: ExecutionPlan) -> RunResult:

@@ -58,6 +58,7 @@ class GaussianMixture:
         object.__setattr__(self, "_conditionals", {})
         object.__setattr__(self, "_noised", {})
         object.__setattr__(self, "_samplers", {})
+        object.__setattr__(self, "_rows", {})
 
     @property
     def n_components(self) -> int:
@@ -225,8 +226,8 @@ def eps_prediction(gm: GaussianMixture, cond: Condition | None, sched: NoiseSche
         s = (terms.means[0] - xb) / terms.variances[0]
     else:
         s, _ = _score_rows(terms, xb)
-    eps = -sched.sigma(t) * s
-    return eps[0] if squeezed else eps
+    s *= -sched.sigma(t)            # eps = -sigma_t * s, in the score's buffer
+    return s[0] if squeezed else s
 
 
 def _singleton_eps(gm: GaussianMixture, components: np.ndarray,
@@ -244,8 +245,12 @@ def _singleton_eps(gm: GaussianMixture, components: np.ndarray,
     """
     terms = _noised_terms(gm, None, sched.alpha_bar(t))
     xb, _ = _prep_x(gm, x)
-    s = (terms.means[components] - xb) / terms.variances[components]
-    return -sched.sigma(t) * s
+    # in the gathered buffer, with the bits of -sigma * ((m - x) / v)
+    eps = terms.means[components]
+    eps -= xb
+    eps /= terms.variances[components]
+    eps *= -sched.sigma(t)
+    return eps
 
 
 def noised_score(gm: GaussianMixture, cond: Condition | None, sched: NoiseSchedule,
@@ -308,6 +313,41 @@ def _component_sampler(gm: GaussianMixture, cond: Condition | None
         for arr in (cdf, comps):
             arr.flags.writeable = False
         entry = gm._samplers[key] = (cdf, comps)
+    return entry
+
+
+class ConditionRows(NamedTuple):
+    """Where a batch's conditions put their rows; every array is read-only."""
+
+    # (condition, batch rows) per distinct subset, in first-seen order
+    groups: tuple[tuple[Condition, np.ndarray], ...]
+    # (rows, component) of every singleton-conditioned row, ascending rows
+    singletons: tuple[np.ndarray, np.ndarray]
+    # the groups with more than one index
+    multi_groups: tuple[tuple[Condition, np.ndarray], ...]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _condition_rows(gm: GaussianMixture, conditions: tuple[Condition, ...]) -> ConditionRows:
+    """The row layout of a batch of conditions, built once per conditions
+    tuple and kept on gm, so every plan of one config shares its arrays."""
+    entry = gm._rows.get(conditions)
+    if entry is None:
+        subsets: dict[tuple[int, ...], tuple[Condition, list[int]]] = {}
+        for i, c in enumerate(conditions):
+            subsets.setdefault(c.indices, (c, []))[1].append(i)
+        groups = tuple((cond, _read_only(np.asarray(rows)))
+                       for cond, rows in subsets.values())
+        single = [i for i, c in enumerate(conditions) if len(c.indices) == 1]
+        singletons = (_read_only(np.asarray(single, dtype=np.intp)),
+                      _read_only(np.asarray([conditions[i].indices[0] for i in single],
+                                            dtype=np.intp)))
+        entry = gm._rows[conditions] = ConditionRows(
+            groups, singletons, tuple(g for g in groups if len(g[0].indices) > 1))
     return entry
 
 

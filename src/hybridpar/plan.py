@@ -1,0 +1,128 @@
+"""Execution plans: what one simulated run does, checked on construction.
+
+A plan names its variant, model, schedule, devices and link, and for staged
+variants the switch rule and segment split. Plans of one config share their
+condition row layout (compiled once per mixture and conditions), and plans
+that bring the same exact-path store bind to it here (see engine.ExactPath).
+"""
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from .errors import PlanError
+from .mixture import Condition, GaussianMixture, _condition_rows
+from .monitor import SwitchConfig
+from .schedules import GuidanceParams, NoiseSchedule
+from .trace import DeviceSpec, LinkSpec
+
+if TYPE_CHECKING:
+    from .engine import ExactPath
+
+
+class PlanVariant(enum.Enum):
+    SERIAL = "serial"
+    FULL_CONDITION_PARTITION = "full_condition_partition"
+    HYBRID = "hybrid"
+    BATCH_LEVEL = "batch_level"
+    LAYER_WISE = "layer_wise"
+
+
+_STAGED = (PlanVariant.HYBRID, PlanVariant.BATCH_LEVEL, PlanVariant.LAYER_WISE)
+
+
+@dataclass(frozen=True)
+class ExecutionPlan:
+    """A fully specified run: model, schedule, devices, and strategy."""
+
+    variant: PlanVariant
+    schedule: NoiseSchedule
+    mixture: GaussianMixture
+    conditions: tuple[Condition, ...]
+    guidance: GuidanceParams
+    devices: tuple[DeviceSpec, ...]
+    link: LinkSpec
+    seed: int
+    switch: SwitchConfig | None = None
+    segment_fractions: tuple[float, ...] | None = None
+    cfg_batching_factor: float = 2.0
+    # the exact trajectories and windows this plan shares with other plans
+    # (see ExactPath); the plan binds to it on construction. None steps a
+    # private one.
+    exact_path: ExactPath | None = field(default=None, compare=False, repr=False)
+    # (condition, batch rows) per distinct subset, in first-seen order; the
+    # row arrays are read-only and shared by every plan of the same mixture
+    # and conditions (see mixture.ConditionRows)
+    condition_groups: tuple[tuple[Condition, np.ndarray], ...] = field(
+        init=False, repr=False, compare=False)
+    # (rows, component) of every singleton-conditioned row, ascending rows,
+    # read-only; the conditional branch evaluates them in one gather
+    singletons: tuple[np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False)
+    # condition_groups with more than one index, evaluated group by group
+    multi_groups: tuple[tuple[Condition, np.ndarray], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.conditions) == 0:
+            raise PlanError("plan needs at least one condition")
+        rows = _condition_rows(self.mixture, self.conditions)
+        for c, _ in rows.groups:
+            if max(c.indices) >= self.mixture.n_components:
+                raise PlanError(f"condition {c.indices} exceeds mixture components")
+        object.__setattr__(self, "condition_groups", rows.groups)
+        object.__setattr__(self, "singletons", rows.singletons)
+        object.__setattr__(self, "multi_groups", rows.multi_groups)
+        if type(self.seed) is not int or self.seed < 0:
+            raise PlanError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not 1.0 <= self.cfg_batching_factor <= 2.0:
+            raise PlanError(f"cfg_batching_factor must lie in [1, 2], "
+                            f"got {self.cfg_batching_factor}")
+        n = len(self.devices)
+        if self.variant is PlanVariant.SERIAL:
+            if n < 1:
+                raise PlanError("serial plan needs one device")
+        elif self.variant is PlanVariant.FULL_CONDITION_PARTITION:
+            if n != 2:
+                raise PlanError(f"condition partitioning needs exactly 2 devices, got {n}")
+        elif self.variant in (PlanVariant.HYBRID, PlanVariant.LAYER_WISE):
+            need = 2 if self.variant is PlanVariant.HYBRID else n
+            if self.variant is PlanVariant.HYBRID and n != 2:
+                raise PlanError(f"hybrid plan needs exactly 2 devices, got {n}")
+            if self.variant is PlanVariant.LAYER_WISE and n < 2:
+                raise PlanError(f"layer-wise plan needs >= 2 devices, got {n}")
+            self._check_switch()
+            fr = self.segment_fractions
+            if fr is None:
+                fr = tuple(1.0 / need for _ in range(need))
+                object.__setattr__(self, "segment_fractions", fr)
+            if len(fr) != need:
+                raise PlanError(f"segment_fractions must have {need} entries, got {len(fr)}")
+            if not (all(f > 0 for f in fr) and abs(sum(fr) - 1.0) <= 1e-9):
+                raise PlanError(f"segment_fractions must be positive and sum to 1, got {fr}")
+        elif self.variant is PlanVariant.BATCH_LEVEL:
+            if n < 2 or n % 2 != 0:
+                raise PlanError(f"batch-level plan needs an even device count >= 2, got {n}")
+            self._check_switch()
+        if self.exact_path is not None:
+            self.exact_path.bind(self)
+
+    def _check_switch(self):
+        sw = self.switch
+        if sw is None:
+            raise PlanError("staged plan needs a switch config")
+        if sw.tau_cap < 1:
+            raise PlanError("staged plan needs tau_cap >= 1 (at least one measured step)")
+        T = self.schedule.T
+        if sw.L >= T:
+            raise PlanError(f"slope window L={sw.L} must be < T={T}")
+        if sw.tau_cap > T:
+            raise PlanError(f"tau_cap={sw.tau_cap} exceeds T={T}")
+        # guarantees the window fits and at least one exact step follows it,
+        # whatever step detection fires on (tau1 <= tau_cap)
+        if sw.k >= 1 and not sw.k < T - sw.tau_cap:
+            raise PlanError(f"window k={sw.k} infeasible: need k < T - tau_cap "
+                            f"= {T - sw.tau_cap}")

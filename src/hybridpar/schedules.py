@@ -130,7 +130,12 @@ def cfg_combine(eps_c: np.ndarray, eps_u: np.ndarray, g: GuidanceParams) -> np.n
     eps_c = np.asarray(eps_c, dtype=float)
     eps_u = np.asarray(eps_u, dtype=float)
     _check_pair(eps_c, eps_u)
-    return eps_c + g.w * (eps_c - eps_u)
+    return _guided(eps_c, eps_u, g.w)
+
+
+def _guided(eps_c: np.ndarray, eps_u: np.ndarray, w: float) -> np.ndarray:
+    """cfg_combine's arithmetic on arrays the caller has checked."""
+    return eps_c + w * (eps_c - eps_u)
 
 
 def ddpm_posterior_mean(x_t: np.ndarray, t: int, eps_cfg: np.ndarray,

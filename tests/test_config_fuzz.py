@@ -1,0 +1,50 @@
+"""Config documents from outside the program: whatever JSON arrives,
+ExperimentConfig.from_dict followed by to_plan returns or raises a
+HybridparError (which the CLI prints as one JSON error), never another
+exception.
+
+Integers are drawn from a small range: a large count (condition_batch,
+devices, schedule.T) is valid input that only costs memory and time.
+"""
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hybridpar.config import _KNOWN_KEYS, DEFAULT_LINK, DEFAULT_SCHEDULE, ExperimentConfig
+from hybridpar.engine import PlanVariant
+from hybridpar.errors import HybridparError, PlanError
+
+SCALARS = (st.none() | st.booleans() | st.integers(-4, 70)
+           | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6)
+           | st.sampled_from(["sdxl-like", "sd3-like", "linear", "scaled-linear"]
+                             + [v.value for v in PlanVariant]))
+VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=5)
+                      | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+                      max_leaves=12)
+NESTED = {"schedule": list(DEFAULT_SCHEDULE), "switch": ["L", "g_slope", "tau_cap", "k"],
+          "link": list(DEFAULT_LINK), "mixture": ["weights", "means", "variances"]}
+# documents that reach every key, and every nested key, with any JSON value
+DOCUMENTS = st.fixed_dictionaries({}, optional={
+    key: (st.dictionaries(st.sampled_from(NESTED[key]), VALUES) | VALUES)
+    if key in NESTED else VALUES
+    for key in sorted(_KNOWN_KEYS)}) | VALUES
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(DOCUMENTS, st.sampled_from([None, *PlanVariant]), st.sampled_from([None, 0, 3]))
+def test_any_json_document_builds_a_plan_or_raises_a_package_error(raw, variant, k):
+    try:
+        ExperimentConfig.from_dict(raw).to_plan(variant=variant, k=k)
+    except HybridparError:
+        pass
+
+
+@pytest.mark.parametrize("fractions", [[math.nan, math.nan], [math.inf, -math.inf],
+                                       [0.5, math.nan]])
+def test_non_finite_segment_fractions_are_rejected(fractions):
+    cfg = ExperimentConfig.from_dict({"segment_fractions": fractions})
+    with pytest.raises(PlanError, match="segment_fractions"):
+        cfg.to_plan()

@@ -1,11 +1,14 @@
-"""Shared exact paths: runs that read one seed's all-exact trajectory must
-equal runs that step it on their own, bit for bit and event for event.
+"""The shared store: runs that read a set of seeds' stacked trajectories and
+windows must equal runs that step one seed on their own, bit for bit and
+event for event.
 
-A plan whose window is still empty steps exactly like serial, so serial,
-condition partitioning and every staged run up to its first pipelined step
-can read one ExactPath. These tests compare shared runs, in several orders,
-against unshared ones; check the binding and read-only rules; and count the
-exact steps a sweep takes, so a silent loss of sharing fails here.
+ExactPath steps all of its seeds as one (S*B, d) batch: the all-exact
+trajectories, and every pipelined window that seeds with the same switch
+step share. These tests compare stacked runs, in several orders, against
+unshared runs and against a per-seed loop over the public kernels; check the
+binding, read-only and error rules; count the stacked steps a sweep takes,
+so a silent loss of stacking or sharing fails here; and bound what a store
+keeps.
 """
 import io
 import json
@@ -19,45 +22,54 @@ import hybridpar.cli as cli
 import hybridpar.engine as engine
 from hybridpar.cli import SWEEP_HEADER, main
 from hybridpar.config import ExperimentConfig
-from hybridpar.engine import ExactPath, PlanVariant, run_plan, run_serial
-from hybridpar.errors import ParameterError, PlanError, SequencingError
+from hybridpar.engine import ExactPath, PlanVariant, initial_latents, run_plan, run_serial
+from hybridpar.errors import NumericError, ParameterError, PlanError, SequencingError
 from hybridpar.metrics import compare_runs
-from hybridpar.schedules import GuidanceParams, build_schedule
+from hybridpar.mixture import Condition, eps_prediction
+from hybridpar.monitor import (DiscrepancySeries, Stage, StageState, _rel_mae_blocks,
+                               rel_mae, update_controller)
+from hybridpar.schedules import (GuidanceParams, LatentState, build_schedule,
+                                 cfg_combine, ddim_step)
 
 MULTI = [[0], [1, 2], [3], [0, 1, 2, 3]]
 
-# (config, seeds, k values); sd3-like seeds 2 and 1 detect online (tau1 < 40)
+# (config, seeds, k values). sd3-like tau1 at batch 16: seeds 2, 0, 3, 10, 1
+# switch at 31, 40, 29, 28, 40 (two of them forced by the cap, the rest
+# detected online); with MULTI, seeds 1, 7, 4, 5 switch at 28, 28, 27, 27
 CASES = [
-    ({"preset": "sdxl-like", "condition_batch": 16, "devices": 4}, (0, 7), (0, 1, 5, 30)),
+    ({"preset": "sdxl-like", "condition_batch": 16, "devices": 4}, (0, 7, 11), (0, 1, 5, 30)),
     ({"preset": "sdxl-like", "condition_batch": 16, "devices": 4,
       "conditions": MULTI}, (3,), (0, 1, 5, 30)),
-    ({"preset": "sd3-like", "condition_batch": 16, "devices": 4}, (2, 0), (0, 1, 5)),
+    ({"preset": "sd3-like", "condition_batch": 16, "devices": 4}, (2, 0, 3, 10, 1), (0, 1, 5)),
     ({"preset": "sd3-like", "condition_batch": 16, "devices": 4,
-      "conditions": MULTI}, (1,), (0, 1, 5)),
+      "conditions": MULTI}, (1, 7, 4, 5), (0, 1, 5)),
 ]
 CASE_IDS = ["sdxl", "sdxl-multi", "sd3", "sd3-multi"]
 STAGED = [("hybrid", 2), ("layer_wise", 2), ("layer_wise", 3), ("layer_wise", 4),
           ("batch_level", 4)]
 
 
-def plans_for(cfg, seed, ks, path):
-    """name -> plan for every variant, device count and k, all on one path."""
-    def make(variant, n=None, k=None):
+def plans_for(cfg, seeds, ks, path):
+    """(seed, name) -> plan for every seed, variant, device count and k, all
+    on one store (or each on its own when path is None)."""
+    def make(seed, variant, n=None, k=None):
         c = cfg if n is None else replace(cfg, devices=cfg.devices[:n])
         return c.to_plan(seed=seed, variant=PlanVariant(variant), k=k, exact_path=path)
 
-    plans = {"serial": make("serial"),
-             "full_condition_partition": make("full_condition_partition")}
-    for k in ks:
-        for variant, n in STAGED:
-            plans[f"{variant}{n}-k{k}"] = make(variant, n, k)
+    plans = {}
+    for seed in seeds:
+        plans[seed, "serial"] = make(seed, "serial")
+        plans[seed, "full_condition_partition"] = make(seed, "full_condition_partition")
+        for k in ks:
+            for variant, n in STAGED:
+                plans[seed, f"{variant}{n}-k{k}"] = make(seed, variant, n, k)
     return plans
 
 
 def orders(names):
-    """Serial first; staged runs first (widest window first, serial last);
-    the k = 0 runs first."""
-    k0 = [n for n in names if n.endswith("-k0")]
+    """Seed by seed with serial first; reversed (widest windows first, serial
+    last); the k = 0 runs first."""
+    k0 = [n for n in names if n[1].endswith("-k0")]
     return [names, names[::-1], k0 + [n for n in names if n not in k0]]
 
 
@@ -78,33 +90,151 @@ def assert_same_run(a, b):
 @pytest.mark.parametrize("body, seeds, ks", CASES, ids=CASE_IDS)
 def test_shared_runs_equal_unshared_runs_in_any_order(body, seeds, ks):
     cfg = ExperimentConfig.from_dict(body)
-    for seed in seeds:
-        alone = {name: run_plan(plan)
-                 for name, plan in plans_for(cfg, seed, ks, None).items()}
-        for order in orders(list(alone)):
-            plans = plans_for(cfg, seed, ks, ExactPath())
-            for name in order:
-                assert_same_run(run_plan(plans[name]), alone[name])
+    alone = {name: run_plan(plan) for name, plan in plans_for(cfg, seeds, ks, None).items()}
+    for order in orders(list(alone)):
+        plans = plans_for(cfg, seeds, ks, ExactPath(seeds))
+        for name in order:
+            assert_same_run(run_plan(plans[name]), alone[name])
 
 
-def test_sd3_cases_cover_online_detection():
+def test_sd3_cases_cover_online_detection_and_distinct_switches():
     for body, seeds, _ in CASES[2:]:
         cfg = ExperimentConfig.from_dict(body)
-        tau1 = run_plan(cfg.to_plan(seed=seeds[0], variant=PlanVariant.HYBRID, k=1)).tau1
-        assert tau1 < cfg.switch.tau_cap
+        tau1 = [run_plan(cfg.to_plan(seed=s, variant=PlanVariant.HYBRID, k=1)).tau1
+                for s in seeds]
+        assert min(tau1) < cfg.switch.tau_cap
+        assert 1 < len(set(tau1)) < len(seeds)      # several groups, one shared
+
+
+def test_eight_seed_store_equals_unshared_runs():
+    """All eight seeds switch at step 15 but want different windows: each
+    window is computed for just the seeds that want it, and seeds with no
+    staged plan only share the exact path."""
+    cfg = ExperimentConfig.from_dict({"condition_batch": 8, "devices": 4})
+    seeds = tuple(range(20, 28))
+    staged = [[("hybrid", 5), ("batch_level", 5)], [("layer_wise", 30), ("hybrid", 10)],
+              [], [("hybrid", 5)]]
+    path = ExactPath(seeds)
+    stacked = [(cfg.to_plan(seed=s, variant=PlanVariant(v), k=k, exact_path=path),
+                cfg.to_plan(seed=s, variant=PlanVariant(v), k=k))
+               for s in seeds
+               for v, k in [("serial", None), ("hybrid", 0)] + staged[s % 4]]
+    for shared, unshared in stacked:
+        assert_same_run(run_plan(shared), run_plan(unshared))
+
+
+# a per-seed reference loop over the public kernels ---------------------------------------
+
+def reference_run(plan):
+    """x0, series and tau1/tau2 of a run stepped seed by seed with public
+    eps_prediction (one call per condition subset), rel_mae, cfg_combine and
+    ddim_step, with the stale-input window blend."""
+    if plan.variant is PlanVariant.BATCH_LEVEL:
+        plan = replace(plan, variant=PlanVariant.HYBRID, devices=plan.devices[:2],
+                       segment_fractions=None, exact_path=None)
+    staged = plan.switch is not None
+    fractions = plan.segment_fractions if staged else (1.0,)
+    groups = {}
+    for i, cond in enumerate(plan.conditions):
+        groups.setdefault(cond.indices, []).append(i)
+
+    def branch_c(x, t):
+        out = np.empty_like(x)
+        for idx, rows in groups.items():
+            out[rows] = eps_prediction(plan.mixture, Condition(idx), plan.schedule,
+                                       x[rows], t)
+        return out
+
+    state = LatentState(initial_latents(plan), plan.schedule.T)
+    series, ctrl, history = DiscrepancySeries(), StageState(), []
+    while state.t > 0:
+        t = state.t
+        history.insert(0, state.x)
+        del history[len(fractions):]
+        if staged and ctrl.tau1 is not None:
+            update_controller(ctrl, series, t, plan.switch)
+        if staged and ctrl.tau1 is not None and ctrl.stage is Stage.PARALLELISM:
+            est = np.zeros_like(state.x)
+            for d, f in enumerate(fractions):
+                est += f * branch_c(history[min(d, len(history) - 1)], t)
+            state = ddim_step(state, est, plan.schedule)
+        else:
+            eps_c = branch_c(state.x, t)
+            eps_u = eps_prediction(plan.mixture, None, plan.schedule, state.x, t)
+            series.record(t, rel_mae(eps_c, eps_u))
+            if staged and ctrl.tau1 is None:
+                update_controller(ctrl, series, t, plan.switch)
+            state = ddim_step(state, cfg_combine(eps_c, eps_u, plan.guidance),
+                              plan.schedule)
+    return state.x, tuple(series.items()), ctrl.tau1, ctrl.tau2
+
+
+@pytest.mark.parametrize("body, seeds", [
+    ({"preset": "sdxl-like", "condition_batch": 8, "devices": 4}, (5,)),
+    ({"preset": "sd3-like", "condition_batch": 16, "devices": 4, "conditions": MULTI},
+     (1, 4, 6)),
+    ({"preset": "sd3-like", "condition_batch": 8, "devices": 4}, tuple(range(8))),
+], ids=["sdxl-S1", "sd3-multi-S3", "sd3-S8"])
+def test_stacked_runs_equal_a_per_seed_reference_loop(body, seeds):
+    cfg = ExperimentConfig.from_dict(body)
+    path = ExactPath(seeds)
+    plans = [cfg.to_plan(seed=s, variant=PlanVariant(v), k=k, exact_path=path)
+             for s in seeds for v, k in [("full_condition_partition", None),
+                                         ("hybrid", 4), ("layer_wise", 7),
+                                         ("batch_level", 0)]]
+    for plan in plans:
+        res = run_plan(plan)
+        x0, series, tau1, tau2 = reference_run(plan)
+        assert res.x0.tobytes() == x0.tobytes()
+        assert res.series == series
+        assert (res.tau1, res.tau2) == (tau1, tau2)
+
+
+def test_rel_mae_blocks_equal_rel_mae_of_each_block():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n, B, d = (int(v) for v in rng.integers(1, [12, 80, 12]))
+        eps_c = rng.standard_normal((n * B, d)) * 10.0 ** rng.uniform(-3, 3)
+        eps_u = rng.standard_normal((n * B, d))
+        got = _rel_mae_blocks(eps_c, eps_u, n)
+        assert got.tolist() == [rel_mae(eps_c[i * B:(i + 1) * B], eps_u[i * B:(i + 1) * B])
+                                for i in range(n)]
+
+
+# binding, read-only and error rules ------------------------------------------------------
+
+def held_arrays(obj, seen=None):
+    """Every ndarray reachable from obj's attributes, dicts, lists and tuples."""
+    seen = {} if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        seen.setdefault(id(obj), obj)
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            held_arrays(key, seen)
+            held_arrays(value, seen)
+    elif isinstance(obj, (list, tuple, set)):
+        for value in obj:
+            held_arrays(value, seen)
+    elif isinstance(obj, ExactPath):
+        held_arrays(vars(obj), seen)
+    return list(seen.values())
 
 
 def test_shared_latents_are_read_only_and_shared():
     cfg = ExperimentConfig.from_dict({"condition_batch": 8})
-    path = ExactPath()
+    path = ExactPath((4, 9))
     serial_plan = cfg.to_plan(seed=4, variant=PlanVariant.SERIAL, exact_path=path)
+    k5 = cfg.to_plan(seed=4, variant=PlanVariant.HYBRID, k=5, exact_path=path)
     serial = run_serial(serial_plan)
     k0 = run_plan(cfg.to_plan(seed=4, variant=PlanVariant.HYBRID, k=0, exact_path=path))
     assert k0.x0 is serial.x0
-    for s in range(cfg.schedule.T + 1):
-        assert not path.latents(serial_plan, s).flags.writeable
-    with pytest.raises(ValueError):
-        serial.x0[0, 0] = 0.0
+    first, again = run_plan(k5), run_plan(k5)
+    assert first.x0 is again.x0
+    for x0 in (serial.x0, first.x0):
+        with pytest.raises(ValueError):
+            x0[0, 0] = 0.0
+    latents = [a for a in held_arrays(path) if a.dtype == float and a.ndim == 2]
+    assert latents and not any(a.flags.writeable for a in latents)
     alone = run_serial(cfg.to_plan(seed=4, variant=PlanVariant.SERIAL))
     assert alone.x0.tobytes() == serial.x0.tobytes()
 
@@ -112,7 +242,7 @@ def test_shared_latents_are_read_only_and_shared():
 def test_path_rejects_a_plan_of_another_seed_or_model():
     cfg = ExperimentConfig.from_dict({"condition_batch": 4, "schedule": {"T": 12},
                                       "switch": {"L": 2, "tau_cap": 3, "k": 4}})
-    path = ExactPath()
+    path = ExactPath((1,))
     run_serial(cfg.to_plan(seed=1, variant=PlanVariant.SERIAL, exact_path=path))
     other = ExperimentConfig.from_dict({"condition_batch": 4, "schedule": {"T": 12}})
     others = {
@@ -125,51 +255,93 @@ def test_path_rejects_a_plan_of_another_seed_or_model():
     for name, c in others.items():
         seed = 2 if name == "seed" else 1
         for variant in (PlanVariant.SERIAL, PlanVariant.HYBRID):
-            plan = c.to_plan(seed=seed, variant=variant, exact_path=path)
             with pytest.raises(PlanError, match=name):
-                run_plan(plan)
+                c.to_plan(seed=seed, variant=variant, exact_path=path)
     # the binding survives the failed attempts
     again = run_serial(cfg.to_plan(seed=1, variant=PlanVariant.SERIAL, exact_path=path))
     alone = run_serial(cfg.to_plan(seed=1, variant=PlanVariant.SERIAL))
     assert_same_run(again, alone)
-
-
-def test_private_path_keeps_only_the_latest_latents():
-    cfg = ExperimentConfig.from_dict({"condition_batch": 4, "schedule": {"T": 12}})
-    plan = cfg.to_plan(seed=6, variant=PlanVariant.SERIAL)
-    shared, private = ExactPath().bind(plan), ExactPath(keep_all=False).bind(plan)
-    for s in range(13):
-        assert private.latents(plan, s).tobytes() == shared.latents(plan, s).tobytes()
-        if s:
-            assert private.discrepancy(plan, s) == shared.discrepancy(plan, s)
-    with pytest.raises(SequencingError):
-        private.latents(plan, 11)
-    assert shared.latents(plan, 11) is not None
+    with pytest.raises(PlanError):
+        ExactPath(())
 
 
 def test_failed_step_stores_nothing(monkeypatch):
     cfg = ExperimentConfig.from_dict({"condition_batch": 4, "schedule": {"T": 12}})
-    plan = cfg.to_plan(seed=3, variant=PlanVariant.SERIAL, exact_path=ExactPath())
-    original = engine._exact_update
+    path = ExactPath((3, 8))
+    plan = cfg.to_plan(seed=3, variant=PlanVariant.SERIAL, exact_path=path)
+    original = engine._exact_step
     calls = []
 
-    def failing(p, state):
-        calls.append(state.t)
+    def failing(stack, x, t):
+        calls.append(t)
         if len(calls) == 5:
             raise FloatingPointError("injected")
-        return original(p, state)
+        return original(stack, x, t)
 
-    monkeypatch.setattr(engine, "_exact_update", failing)
+    monkeypatch.setattr(engine, "_exact_step", failing)
     with pytest.raises(FloatingPointError):
         run_serial(plan)
-    monkeypatch.setattr(engine, "_exact_update", original)
+    assert len(path._ms) == 4
+    monkeypatch.setattr(engine, "_exact_step", original)
     assert_same_run(run_serial(plan),
                     run_serial(cfg.to_plan(seed=3, variant=PlanVariant.SERIAL)))
 
 
+@pytest.mark.parametrize("at_step", [2, 9], ids=["exact-path", "after-window"])
+def test_guided_overflow_raises_at_its_step_and_stores_nothing(monkeypatch, at_step):
+    """A branch output that is finite but makes eps_c + w (eps_c - eps_u)
+    overflow fails at the step that produced it, as the public cfg_combine
+    and ddim_step pair did, and leaves the store as it was."""
+    cfg = ExperimentConfig.from_dict({"condition_batch": 4, "schedule": {"T": 12},
+                                      "switch": {"L": 2, "tau_cap": 3, "k": 4}})
+    path = ExactPath((3, 8))
+    plan = cfg.to_plan(seed=3, variant=PlanVariant.HYBRID, exact_path=path)
+    original = engine._singleton_eps
+    steps = []
+
+    def huge(gm, comps, sched, x, t):
+        eps = original(gm, comps, sched, x, t)
+        steps.append(t)
+        return np.full_like(eps, 1e308) if t == 13 - at_step else eps
+
+    monkeypatch.setattr(engine, "_singleton_eps", huge)
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        run_plan(plan)
+    assert steps[-1] == 13 - at_step
+    assert len(path._ms) == min(at_step - 1, 3)
+    assert path._windows == {}
+    monkeypatch.setattr(engine, "_singleton_eps", original)
+    assert_same_run(run_plan(plan), run_plan(replace(plan, exact_path=None)))
+
+
+def test_run_that_switches_elsewhere_than_its_store_raises(monkeypatch):
+    cfg = ExperimentConfig.from_dict({"preset": "sd3-like", "condition_batch": 16})
+    assert run_plan(cfg.to_plan(seed=2, k=1)).tau1 < cfg.switch.tau_cap
+    # the store's rule never sees a flat slope (g_slope 0); the run's
+    # controller, with the plan's own switch config, does
+    monkeypatch.setattr(engine, "_rule", lambda sw: (sw.L, 0.0, sw.tau_cap))
+    plan = cfg.to_plan(seed=2, variant=PlanVariant.HYBRID, k=1, exact_path=ExactPath((2,)))
+    with pytest.raises(SequencingError, match="not on its exact path"):
+        run_plan(plan)
+
+
+def test_staged_plan_bound_after_the_first_step_raises():
+    cfg = ExperimentConfig.from_dict({"condition_batch": 4})
+    path = ExactPath((6, 7))
+    early = cfg.to_plan(seed=6, variant=PlanVariant.HYBRID, k=5, exact_path=path)
+    run_serial(cfg.to_plan(seed=6, variant=PlanVariant.SERIAL, exact_path=path))
+    # a k = 0 run and a plan already bound need no step the store dropped
+    k0 = run_plan(cfg.to_plan(seed=6, variant=PlanVariant.HYBRID, k=0, exact_path=path))
+    assert k0.x0.tobytes() == run_plan(cfg.to_plan(seed=6, k=0)).x0.tobytes()
+    assert_same_run(run_plan(replace(early, exact_path=path)), run_plan(cfg.to_plan(seed=6, k=5)))
+    for seed, k in [(6, 4), (7, 5)]:
+        with pytest.raises(SequencingError, match="before their exact path"):
+            cfg.to_plan(seed=seed, variant=PlanVariant.HYBRID, k=k, exact_path=path)
+
+
 def test_batch_level_hands_the_path_to_sample_zero_only(monkeypatch):
     cfg = ExperimentConfig.from_dict({"condition_batch": 8, "devices": 6})
-    path = ExactPath()
+    path = ExactPath((10,))
     seen = []
     original = engine.run_hybrid
 
@@ -178,8 +350,10 @@ def test_batch_level_hands_the_path_to_sample_zero_only(monkeypatch):
         return original(sub)
 
     monkeypatch.setattr(engine, "run_hybrid", recording)
-    run_serial(cfg.to_plan(seed=10, variant=PlanVariant.SERIAL, exact_path=path))
-    run_plan(cfg.to_plan(seed=10, variant=PlanVariant.BATCH_LEVEL, exact_path=path))
+    serial_plan = cfg.to_plan(seed=10, variant=PlanVariant.SERIAL, exact_path=path)
+    batch_plan = cfg.to_plan(seed=10, variant=PlanVariant.BATCH_LEVEL, exact_path=path)
+    run_serial(serial_plan)
+    run_plan(batch_plan)
     assert [s for s, _ in seen] == [10, 11, 12]
     assert seen[0][1] is path
     assert all(p is None for _, p in seen[1:])
@@ -188,38 +362,49 @@ def test_batch_level_hands_the_path_to_sample_zero_only(monkeypatch):
 # work counts ---------------------------------------------------------------------------
 
 @pytest.fixture
-def exact_steps(monkeypatch):
-    """Count every exact step the engine takes."""
+def stacked_steps(monkeypatch):
+    """Rows of every stacked step the engine takes: ("exact", rows) for a
+    measured step, ("step", rows) for every ddim update, pipelined or not."""
     calls = []
-    original = engine._exact_update
+    exact, ddim = engine._exact_step, engine.ddim_step
 
-    def counting(plan, state):
-        calls.append(plan.seed)
-        return original(plan, state)
+    def counting_exact(stack, x, t):
+        calls.append(("exact", x.shape[0]))
+        return exact(stack, x, t)
 
-    monkeypatch.setattr(engine, "_exact_update", counting)
+    def counting_ddim(state, eps, sched):
+        calls.append(("step", state.x.shape[0]))
+        return ddim(state, eps, sched)
+
+    monkeypatch.setattr(engine, "_exact_step", counting_exact)
+    monkeypatch.setattr(engine, "ddim_step", counting_ddim)
     return calls
 
 
-def test_k0_run_on_a_full_path_takes_no_exact_step(exact_steps):
+def test_k0_run_on_a_full_path_takes_no_exact_step(stacked_steps):
     cfg = ExperimentConfig.from_dict({"condition_batch": 8})
     T = cfg.schedule.T
-    path = ExactPath()
-    run_plan(cfg.to_plan(seed=5, variant=PlanVariant.HYBRID, k=0, exact_path=path))
-    assert len(exact_steps) == T
-    run_serial(cfg.to_plan(seed=5, variant=PlanVariant.SERIAL, exact_path=path))
-    run_plan(cfg.to_plan(seed=5, variant=PlanVariant.FULL_CONDITION_PARTITION,
-                         exact_path=path))
-    run_plan(cfg.to_plan(seed=5, variant=PlanVariant.HYBRID, k=0, exact_path=path))
-    assert len(exact_steps) == T
+    path = ExactPath((5,))
+    plans = [cfg.to_plan(seed=5, variant=v, k=k, exact_path=path)
+             for v, k in [(PlanVariant.HYBRID, 0), (PlanVariant.SERIAL, None),
+                          (PlanVariant.FULL_CONDITION_PARTITION, None),
+                          (PlanVariant.HYBRID, 0)]]
+    run_plan(plans[0])
+    assert stacked_steps.count(("exact", 8)) == T
+    for plan in plans[1:]:
+        run_plan(plan)
+    assert stacked_steps == [("exact", 8), ("step", 8)] * T
 
 
 @pytest.mark.parametrize("body", [{"preset": "sdxl-like"}, {"preset": "sd3-like"}],
                          ids=["sdxl", "sd3"])
-def test_sweep_takes_each_shared_step_once(tmp_path, monkeypatch, exact_steps, body):
+def test_sweep_takes_each_shared_step_once(tmp_path, monkeypatch, stacked_steps, body):
+    """A sweep steps all seeds' exact paths as one batch, then each
+    (tau1, k) window once for all seeds that share it, as one batch."""
     cfg_path = tmp_path / "cfg.json"
     seeds = [2, 0, 3]
-    cfg_path.write_text(json.dumps({**body, "condition_batch": 16, "seeds": seeds}))
+    B = 16
+    cfg_path.write_text(json.dumps({**body, "condition_batch": B, "seeds": seeds}))
     ks = (0, 1, 5, 30, 40)
     tau1 = {}
     original = cli.run_plan
@@ -235,11 +420,49 @@ def test_sweep_takes_each_shared_step_once(tmp_path, monkeypatch, exact_steps, b
                      ",".join(map(str, ks))]) == 0
     cfg = ExperimentConfig.from_dict({**body, "seeds": seeds})
     T, cap = cfg.schedule.T, cfg.switch.tau_cap
-    feasible = [k for k in ks if k == 0 or k < T - cap]
-    want = sum(T + sum(max(0, T - tau1[s] - k) for k in feasible if k >= 1)
-               for s in seeds)
-    assert len(exact_steps) == want
-    assert exact_steps == sorted(exact_steps, key=seeds.index)   # seed by seed
+    windows = [(tau, k, sum(1 for s in seeds if tau1[s] == tau) * B)
+               for k in ks if 1 <= k < T - cap for tau in sorted(set(tau1.values()))]
+    want = [("exact", len(seeds) * B), ("step", len(seeds) * B)] * T
+    for tau, k, rows in windows:
+        want += [("step", rows)] * k + [("exact", rows), ("step", rows)] * (T - tau - k)
+    assert sorted(stacked_steps) == sorted(want)
+    assert stacked_steps[:2 * T] == want[:2 * T]      # the path comes first
+    assert len(set(tau1.values())) == (1 if body["preset"] == "sdxl-like" else 3)
+
+
+def test_store_holds_only_what_runs_read(tmp_path, monkeypatch):
+    """After an 8-seed sweep the store holds, per seed, its discrepancies,
+    x0, the latents its window starts from and one x0 per window: far from
+    one array per step."""
+    stores = []
+
+    class Recording(ExactPath):
+        def __init__(self, seeds):
+            super().__init__(seeds)
+            stores.append(self)
+
+    monkeypatch.setattr(cli, "ExactPath", Recording)
+    cfg_path = tmp_path / "cfg.json"
+    S, B, d, ks = 8, 64, 8, (0, 5, 10, 20, 30)
+    cfg_path.write_text(json.dumps({"seeds": list(range(S))}))
+    with redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--config", str(cfg_path), "--k",
+                     ",".join(map(str, ks))]) == 0
+    (store,) = stores
+    roots = {}
+    for a in held_arrays(store):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        roots[id(a)] = a
+    latents = [a for a in roots.values() if a.dtype == float and a.ndim == 2]
+    stacked = S * B * d * 8
+    depth, windows = 2, len(ks) - 1
+    # the path's x0, the start latents of every seed's window, and one
+    # stacked x0 per window
+    assert sum(a.nbytes for a in latents) == (1 + depth + windows) * stacked
+    other = sum(a.nbytes for a in roots.values()) - sum(a.nbytes for a in latents)
+    assert other < stacked      # discrepancies and row indices
+    assert len(store._ms) == 50 and all(m.shape == (S,) for m in store._ms)
 
 
 # the sweep CSV -------------------------------------------------------------------------

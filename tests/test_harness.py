@@ -369,6 +369,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
      "mixture.wieghts"),
     ({"link": {"latent_bytes": 4096.5}}, "link.latent_bytes"),
     ({"link": {"activation_bytes": 1e400}}, "link.activation_bytes"),
+    ({"preset": ["sdxl-like"]}, "preset"),
+    ({"variant": {"hybrid": 1}}, "variant"),
 ])
 def test_bad_config_value_is_one_json_error(tmp_path, capsys, body, key):
     cfg = write_config(tmp_path, **body)

@@ -289,3 +289,30 @@ def test_plan_condition_groups_are_read_only():
     for _, rows in groups:
         with pytest.raises(ValueError):
             rows[0] = 1
+
+
+def test_plans_of_one_config_share_their_condition_rows(monkeypatch):
+    """The row layout is compiled once per (mixture, conditions): a sweep's
+    plans all read the same read-only arrays."""
+    import hybridpar.mixture as mixture_mod
+    cfg = ExperimentConfig.from_dict({"condition_batch": 10,
+                                      "conditions": [[0], [1, 2], [3]]})
+    built = []
+    original = mixture_mod.ConditionRows
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mixture_mod, "ConditionRows", counting)
+    a = cfg.to_plan(seed=1, variant=PlanVariant.SERIAL)
+    b = cfg.to_plan(seed=2, variant=PlanVariant.HYBRID, k=3)
+    assert len(built) == 1
+    assert a.singletons[0] is b.singletons[0] and a.singletons[1] is b.singletons[1]
+    assert all(ra is rb for (_, ra), (_, rb) in zip(a.condition_groups, b.condition_groups))
+    assert all(ra is rb for (_, ra), (_, rb) in zip(a.multi_groups, b.multi_groups))
+    for arr in (*a.singletons, *(r for _, r in a.condition_groups)):
+        assert not arr.flags.writeable
+    other = ExperimentConfig.from_dict({"condition_batch": 10,
+                                        "conditions": [[0], [1, 2], [3]]})
+    assert other.to_plan().singletons[0] is not a.singletons[0]    # its own mixture

@@ -181,6 +181,23 @@ def test_ddim_rejects_nonfinite():
         ddim_step(LatentState(bad, 5), np.zeros(2), sched)
 
 
+def test_guided_step_keeps_the_closed_form_bits():
+    """The engine's stacked steps take cfg_combine's arithmetic and
+    ddim_step unchanged: each returns the bits of its textbook expression."""
+    rng = np.random.default_rng(5)
+    for kind in ("linear", "scaled-linear"):
+        sched = build_schedule(kind, 30, 0.01, 0.12)
+        for t in range(1, sched.T + 1):
+            x, eps_c, eps_u = (rng.normal(0.0, 3.0, (17, 8)) for _ in range(3))
+            w = float(rng.uniform(0.0, 8.0))
+            eps = cfg_combine(eps_c, eps_u, GuidanceParams(w))
+            assert np.array_equal(eps, eps_c + w * (eps_c - eps_u))
+            ab_t, ab_prev = sched.alpha_bar(t), sched.alpha_bar(t - 1)
+            want = (np.sqrt(ab_prev) * ((x - sched.sigma(t) * eps) / np.sqrt(ab_t))
+                    + np.sqrt(1.0 - ab_prev) * eps)
+            assert np.array_equal(ddim_step(LatentState(x, t), eps, sched).x, want)
+
+
 def test_ddim_underflow():
     sched = build_schedule("linear", 10, 0.02, 0.1)
     with pytest.raises(StepUnderflowError):
