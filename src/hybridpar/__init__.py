@@ -17,15 +17,14 @@ from .errors import (DegenerateInputError, HistoryError, HybridparError,
                      SeriesParseError, ShapeError, StepUnderflowError)
 from .metrics import Metrics, compare_runs, fidelity_l1, fidelity_l2, psnr_analog
 from .mixture import (Condition, GaussianMixture, ScoreEval, conditional,
-                      conditional_grad, eps_prediction, fm_velocity,
+                      conditional_grad, eps_prediction,
                       noised_mixture, noised_score, sample_x0, score)
 from .monitor import (DiscrepancySeries, SlopeNoiseModel, Stage, StageState,
                       SwitchConfig, hoeffding_false_alarm, rel_mae,
                       replay_series, score_ratio_estimate, slope,
                       update_controller)
 from .schedules import (GuidanceParams, LatentState, NoiseSchedule,
-                        build_schedule, cfg_combine, ddim_step,
-                        ddpm_posterior_mean, fm_euler_step)
+                        build_schedule, cfg_combine, ddim_step)
 from .trace import (BusyInterval, DeviceSpec, LinkSpec, MessageEvent, RunTrace,
                     Timeline, account_comm)
 

@@ -49,6 +49,13 @@ DEFAULT_GUIDANCE_W = 2.0
 DEFAULT_CONDITION_BATCH = 64
 DEFAULT_SEEDS = tuple(range(32))
 
+# Upper bounds on the counts a document may set, checked before anything is
+# sized from them, so no document can ask for unbounded memory or time.
+MAX_DEVICES = 64
+MAX_CONDITION_BATCH = 4096
+MAX_STEPS = 1000            # schedule.T, and switch.L, switch.tau_cap, switch.k
+MAX_SEED = 2 ** 63 - 1
+
 _KNOWN_KEYS = frozenset({
     "preset", "variant", "seeds", "guidance_w", "schedule", "mixture",
     "conditions", "condition_batch", "switch", "devices", "link",
@@ -88,7 +95,17 @@ def _is_int(value) -> bool:
 def _number(value, key: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ParameterError(f"{key} must be a number within float range") from exc
+
+
+def _at_most(value, key: str, bound: int):
+    """value, unless it is an integer above bound; other bad values are left
+    to the checks that follow."""
+    _require(not (_is_int(value) and value > bound), f"{key} must be at most {bound}")
+    return value
 
 
 def _section(raw: dict, key: str, known) -> dict:
@@ -102,10 +119,10 @@ def _section(raw: dict, key: str, known) -> dict:
 
 
 def _byte_size(value, key: str) -> int:
-    """A message size in whole bytes: never truncated."""
+    """A message size in whole bytes, within float range: never truncated."""
+    n = _number(value, key)
     if _is_int(value):
         return value
-    n = _number(value, key)
     _require(n.is_integer(), f"{key} must be a whole number of bytes, got {value!r}")
     return int(n)
 
@@ -149,7 +166,8 @@ class ExperimentConfig:
         variant = _VARIANTS[variant_name]
 
         sched_raw = {**DEFAULT_SCHEDULE, **_section(raw, "schedule", DEFAULT_SCHEDULE)}
-        schedule = build_schedule(sched_raw["kind"], sched_raw["T"],
+        schedule = build_schedule(sched_raw["kind"],
+                                  _at_most(sched_raw["T"], "schedule.T", MAX_STEPS),
                                   _number(sched_raw["beta_start"], "schedule.beta_start"),
                                   _number(sched_raw["beta_end"], "schedule.beta_end"))
 
@@ -159,13 +177,14 @@ class ExperimentConfig:
                      "mixture needs keys weights, means, variances")
             try:
                 arrays = {key: np.asarray(m[key], dtype=float) for key in _MIXTURE_KEYS}
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ParameterError(f"mixture arrays must be numeric: {exc}") from exc
             mixture = GaussianMixture(**arrays)
         else:
             mixture = default_mixture()
 
-        batch = raw.get("condition_batch", DEFAULT_CONDITION_BATCH)
+        batch = _at_most(raw.get("condition_batch", DEFAULT_CONDITION_BATCH),
+                         "condition_batch", MAX_CONDITION_BATCH)
         _require(_is_int(batch) and batch >= 1,
                  f"condition_batch must be an integer >= 1, got {batch!r}")
         if "conditions" in raw:
@@ -184,15 +203,16 @@ class ExperimentConfig:
                                           "guidance_w"))
 
         sw_raw = _section(raw, "switch", _SWITCH_KEYS)
-        switch = SwitchConfig(L=sw_raw.get("L", pre["L"]),
-                              g_slope=_number(sw_raw.get("g_slope", pre["g_slope"]),
-                                              "switch.g_slope"),
-                              tau_cap=sw_raw.get("tau_cap", pre["tau_cap"]),
-                              k=sw_raw.get("k", pre["k"]))
+        steps = {key: _at_most(sw_raw.get(key, pre[key]), f"switch.{key}", MAX_STEPS)
+                 for key in ("L", "tau_cap", "k")}
+        switch = SwitchConfig(g_slope=_number(sw_raw.get("g_slope", pre["g_slope"]),
+                                              "switch.g_slope"), **steps)
 
-        dev_raw = raw.get("devices", _default_device_count(variant))
+        dev_raw = _at_most(raw.get("devices", _default_device_count(variant)),
+                           "devices", MAX_DEVICES)
         if isinstance(dev_raw, list):
-            _require(len(dev_raw) > 0, "devices must list at least one step cost")
+            _require(0 < len(dev_raw) <= MAX_DEVICES,
+                     f"devices must list 1 to {MAX_DEVICES} step costs")
             costs = [_number(c, "devices") for c in dev_raw]
         else:
             _require(_is_int(dev_raw) and dev_raw >= 1,
@@ -221,8 +241,8 @@ class ExperimentConfig:
         seeds = raw.get("seeds", DEFAULT_SEEDS)
         _require(isinstance(seeds, (list, tuple)) and len(seeds) > 0,
                  f"seeds must be a nonempty list, got {seeds!r}")
-        _require(all(_is_int(s) and s >= 0 for s in seeds),
-                 "seeds must be integers >= 0")
+        _require(all(_is_int(s) and 0 <= s <= MAX_SEED for s in seeds),
+                 f"seeds must be integers in [0, {MAX_SEED}]")
         seeds = tuple(seeds)
 
         factor = _number(raw.get("cfg_batching_factor", 2.0), "cfg_batching_factor")

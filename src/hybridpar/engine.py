@@ -19,13 +19,18 @@ over that seed's own rows. So a step of several seeds stacked along the
 batch axis gives each seed the bits it gets alone, and ExactPath steps all
 of its seeds, and every window they share, as one batch.
 
-Timing: measured steps behave like condition-partitioned steps (two branch
-messages per step; the partner's output and the next latent each cross the
-link once). The first pipelined step of a window pays the full sequential
-chain (pipeline fill); subsequent ones overlap all segments. Each pipelined
-step moves N-1 activation-sized messages; the hand-off is modeled as a
-bidirectional exchange, so no extra message is charged to re-synchronize the
-partner when measured stepping resumes.
+Timing is separate from the numerics: a run's virtual clock depends only on
+its variant, devices, link, segment fractions, cfg_batching_factor, T and
+its switch steps (tau1, tau2), never on latents. _timing builds it, and
+ExactPath keeps each one it builds for the life of the store, one command,
+so runs of one schedule share a read-only trace. Measured steps behave
+like condition-partitioned steps (two branch messages per step; the
+partner's output and the next latent each cross the link once). The first
+pipelined step of a window pays the full sequential chain (pipeline fill);
+subsequent ones overlap all segments. Each pipelined step moves N-1
+activation-sized messages; the hand-off is modeled as a bidirectional
+exchange, so no extra message is charged to re-synchronize the partner
+when measured stepping resumes.
 """
 from __future__ import annotations
 
@@ -110,6 +115,10 @@ class ExactPath:
     computed windows). A run whose controller switches elsewhere than the
     store's rule raises SequencingError. What a run can return is read-only,
     and a step that raises stores nothing.
+
+    The store also memoizes the virtual clock of each schedule its runs
+    take (see timing), so a sweep builds one trace per distinct (tau1, k),
+    not one per run.
     """
 
     _BOUND = ("mixture", "schedule", "conditions", "guidance")
@@ -130,6 +139,7 @@ class ExactPath:
         self._waiting: set[tuple] = set()              # rules some seed has yet to meet
         self._starts: dict[tuple, tuple] = {}          # (rule, tau1) -> (seeds, latents)
         self._windows: dict[tuple, _Window] = {}       # (seed, rule, k, fractions)
+        self._timings: dict[tuple, _Timing] = {}       # see timing
 
     def bind(self, plan: ExecutionPlan) -> "ExactPath":
         slot = self._slot.get(plan.seed)
@@ -179,6 +189,16 @@ class ExactPath:
         if key not in self._windows:
             self._fill(rule, plan.switch.k, plan.segment_fractions, tau1)
         return self._windows[key]
+
+    def timing(self, plan: ExecutionPlan, tau1: int | None, tau2: int | None) -> _Timing:
+        """_timing(plan, tau1, tau2), built once per schedule: the key is
+        every input of the virtual clock, and never the seed."""
+        key = (plan.variant, plan.devices, plan.link, plan.segment_fractions,
+               plan.cfg_batching_factor, plan.schedule.T, tau1, tau2)
+        timing = self._timings.get(key)
+        if timing is None:
+            timing = self._timings[key] = _timing(plan, tau1, tau2)
+        return timing
 
     def _extend(self, s: int) -> None:
         gm, sched, conditions, _ = self._model
@@ -375,37 +395,86 @@ def _window_steps(stack: _Stack, history: list[np.ndarray], fractions: tuple[flo
     return x, ms
 
 
-def run_serial(plan: ExecutionPlan) -> RunResult:
-    """Both branches on one device, every step exact."""
-    if plan.variant is not PlanVariant.SERIAL:
-        raise PlanError(f"run_serial got a {plan.variant.value} plan")
+class _Timing(NamedTuple):
+    """A run's virtual clock; shared by every run of the same schedule."""
+
+    trace: RunTrace
+    latency_s: float
+    comm_bytes: int
+    speedup: float
+
+
+def _timing(plan: ExecutionPlan, tau1: int | None, tau2: int | None) -> _Timing:
+    """The virtual clock of a run of the plan that switched at step tau1
+    (None: unstaged) and reconnects after step tau2.
+
+    It reads no latents: steps <= tau1 are measured warm_up steps, steps <=
+    tau2 pipelined, later steps measured fully_connecting steps. ExactPath
+    memoizes it per command.
+    """
     tl = Timeline(plan.link)
+    T = plan.schedule.T
+    if plan.variant is PlanVariant.SERIAL:
+        dev = plan.devices[0]
+        dur = plan.cfg_batching_factor * dev.branch_step_cost
+        clock = 0.0
+        for s in range(1, T + 1):
+            clock = tl.busy(dev.name, clock, dur, s, "", "cfg_branches")
+    else:
+        a_clock, b_avail = 0.0, 0.0
+        for s in range(1, T + 1):
+            if tau1 is not None and tau1 < s <= tau2:
+                a_clock = _pipelined_step(plan, tl, s, s == tau1 + 1, a_clock, b_avail)
+                b_avail = a_clock  # hand-off exchange re-syncs the partner
+                continue
+            stage = ("" if tau1 is None else Stage.WARM_UP.value if s <= tau1
+                     else Stage.FULLY_CONNECTING.value)
+            a_clock, b_avail = _measured_step(plan, tl, s, stage, a_clock, b_avail)
+    trace = tl.trace()
+    latency = trace.makespan()
+    return _Timing(trace, latency, account_comm(trace), serial_latency_ref(plan) / latency)
+
+
+def _run(plan: ExecutionPlan, variant: PlanVariant) -> RunResult:
+    """The one numerics loop behind every single-sample runner.
+
+    Numbers come from the plan's store: the exact path up to a staged run's
+    switch (to the end when k = 0, or for an unstaged run), then the window
+    it computed for this run's tau1; timing comes from the store's memo.
+    Controller and series calls stay here, step by step.
+    """
+    if plan.variant is not variant:
+        raise PlanError(f"run_{variant.value} got a {plan.variant.value} plan")
     series = DiscrepancySeries()
-    dev = plan.devices[0]
-    dur = plan.cfg_batching_factor * dev.branch_step_cost
+    ctrl = StageState()
+    staged = variant in _STAGED
     path = _path_of(plan)
     T = plan.schedule.T
-    clock = 0.0
+    window: _Window | None = None       # set by the first pipelined step
     for s in range(1, T + 1):
-        series.record(T + 1 - s, path.discrepancy(plan, s))
-        clock = tl.busy(dev.name, clock, dur, s, "", "cfg_branches")
-    return _result(plan, tl, series, path.x0(plan))
-
-
-def _result(plan: ExecutionPlan, tl: Timeline, series: DiscrepancySeries,
-            x0: np.ndarray, ctrl: StageState | None = None) -> RunResult:
-    latency = tl.trace.makespan()
-    ref = serial_latency_ref(plan)
-    return RunResult(x0=x0, latency_s=latency, comm_bytes=account_comm(tl.trace),
-                     speedup=ref / latency, throughput_samples_per_s=1.0 / latency,
-                     tau1=None if ctrl is None else ctrl.tau1,
-                     tau2=None if ctrl is None else ctrl.tau2,
-                     trace=tl.trace, series=tuple(series.items()))
+        t = T + 1 - s
+        if ctrl.tau1 is not None:
+            update_controller(ctrl, series, t, plan.switch)
+            if ctrl.stage is Stage.PARALLELISM:
+                if window is None:
+                    window = path.window(plan, ctrl.tau1)
+                continue
+        series.record(t, path.discrepancy(plan, s) if window is None
+                      else window.ms[s - ctrl.tau2 - 1])
+        if staged and ctrl.tau1 is None:
+            update_controller(ctrl, series, t, plan.switch)
+    timing = path.timing(plan, ctrl.tau1, ctrl.tau2)
+    return RunResult(x0=path.x0(plan) if window is None else window.x0,
+                     latency_s=timing.latency_s, comm_bytes=timing.comm_bytes,
+                     speedup=timing.speedup,
+                     throughput_samples_per_s=1.0 / timing.latency_s,
+                     tau1=ctrl.tau1, tau2=ctrl.tau2, trace=timing.trace,
+                     series=tuple(series.items()))
 
 
 def _measured_step(plan: ExecutionPlan, tl: Timeline, s: int, stage: str,
                    a_clock: float, b_avail: float) -> tuple[float, float]:
-    """Timing of one condition-partitioned step; numerics happen elsewhere.
+    """Timing of one condition-partitioned step.
 
     Device 0 evaluates the conditional branch, device 1 the unconditional one;
     the partner output and the stepped latent each cross the link once.
@@ -418,60 +487,6 @@ def _measured_step(plan: ExecutionPlan, tl: Timeline, s: int, stage: str,
     arr = tl.send(db.name, da.name, "latent", b_end, s)
     combine = max(a_end, arr)
     return combine, tl.send(da.name, db.name, "latent", combine, s)
-
-
-def run_full_condition_partition(plan: ExecutionPlan) -> RunResult:
-    """One branch per device on every step; trajectories match serial exactly."""
-    if plan.variant is not PlanVariant.FULL_CONDITION_PARTITION:
-        raise PlanError(f"run_full_condition_partition got a {plan.variant.value} plan")
-    tl = Timeline(plan.link)
-    series = DiscrepancySeries()
-    path = _path_of(plan)
-    T = plan.schedule.T
-    a_clock, b_avail = 0.0, 0.0
-    for s in range(1, T + 1):
-        series.record(T + 1 - s, path.discrepancy(plan, s))
-        a_clock, b_avail = _measured_step(plan, tl, s, "", a_clock, b_avail)
-    return _result(plan, tl, series, path.x0(plan))
-
-
-def _run_staged(plan: ExecutionPlan) -> RunResult:
-    """Shared body of run_hybrid and run_layer_wise.
-
-    Numerics come from the plan's store: the exact path up to the switch
-    (to the end when k = 0), then the window it computed for this run's
-    tau1. Controller, series and timeline calls stay here, step by step.
-    """
-    tl = Timeline(plan.link)
-    series = DiscrepancySeries()
-    ctrl = StageState()
-    path = _path_of(plan)
-    T = plan.schedule.T
-    window: _Window | None = None       # set by the first pipelined step
-    a_clock, b_avail = 0.0, 0.0
-    prev_stage = Stage.WARM_UP
-    for s in range(1, T + 1):
-        t = T + 1 - s
-        if ctrl.tau1 is None:
-            series.record(t, path.discrepancy(plan, s))
-            update_controller(ctrl, series, t, plan.switch)
-            a_clock, b_avail = _measured_step(plan, tl, s, ctrl.stage.value,
-                                              a_clock, b_avail)
-        else:
-            update_controller(ctrl, series, t, plan.switch)
-            if ctrl.stage is Stage.PARALLELISM:
-                fill = prev_stage is not Stage.PARALLELISM
-                if fill:
-                    window = path.window(plan, ctrl.tau1)
-                a_clock = _pipelined_step(plan, tl, s, fill, a_clock, b_avail)
-                b_avail = a_clock  # hand-off exchange re-syncs the partner
-            else:
-                series.record(t, path.discrepancy(plan, s) if window is None
-                              else window.ms[s - ctrl.tau2 - 1])
-                a_clock, b_avail = _measured_step(plan, tl, s, ctrl.stage.value,
-                                                  a_clock, b_avail)
-        prev_stage = ctrl.stage
-    return _result(plan, tl, series, path.x0(plan) if window is None else window.x0, ctrl)
 
 
 def _pipelined_step(plan: ExecutionPlan, tl: Timeline, s: int, fill: bool,
@@ -507,11 +522,19 @@ def _pipelined_step(plan: ExecutionPlan, tl: Timeline, s: int, fill: bool,
     return max([end0] + arrivals)
 
 
+def run_serial(plan: ExecutionPlan) -> RunResult:
+    """Both branches on one device, every step exact."""
+    return _run(plan, PlanVariant.SERIAL)
+
+
+def run_full_condition_partition(plan: ExecutionPlan) -> RunResult:
+    """One branch per device on every step; trajectories match serial exactly."""
+    return _run(plan, PlanVariant.FULL_CONDITION_PARTITION)
+
+
 def run_hybrid(plan: ExecutionPlan) -> RunResult:
     """Adaptive three-stage run on two devices."""
-    if plan.variant is not PlanVariant.HYBRID:
-        raise PlanError(f"run_hybrid got a {plan.variant.value} plan")
-    return _run_staged(plan)
+    return _run(plan, PlanVariant.HYBRID)
 
 
 def run_layer_wise(plan: ExecutionPlan) -> RunResult:
@@ -520,39 +543,35 @@ def run_layer_wise(plan: ExecutionPlan) -> RunResult:
     Measured stages use devices 0 and 1 for the two branches; the remaining
     devices idle outside the window. N = 2 reproduces run_hybrid exactly.
     """
-    if plan.variant is not PlanVariant.LAYER_WISE:
-        raise PlanError(f"run_layer_wise got a {plan.variant.value} plan")
-    return _run_staged(plan)
+    return _run(plan, PlanVariant.LAYER_WISE)
 
 
 def run_batch_level(plan: ExecutionPlan) -> RunResult:
     """N/2 device pairs each run an independent hybrid sample concurrently.
 
     Sample i uses seed + i. Latency is the slowest pair's makespan; the
-    reported x0, tau1, tau2, and series come from sample 0.
+    reported x0, tau1, tau2, and series come from sample 0, and the trace
+    is the pairs' traces one after another.
     """
     if plan.variant is not PlanVariant.BATCH_LEVEL:
         raise PlanError(f"run_batch_level got a {plan.variant.value} plan")
     n_pairs = len(plan.devices) // 2
-    results = []
-    trace = RunTrace()
-    for i in range(n_pairs):
-        # only sample 0 runs the plan's seed, so only it may read the path
-        sub = replace(plan, variant=PlanVariant.HYBRID,
-                      devices=plan.devices[2 * i:2 * i + 2],
-                      segment_fractions=None, seed=plan.seed + i,
-                      exact_path=plan.exact_path if i == 0 else None)
-        results.append(run_hybrid(sub))
-        trace.merge(results[-1].trace)
+    # only sample 0 runs the plan's seed, so only it may read the path
+    results = tuple(run_hybrid(replace(plan, variant=PlanVariant.HYBRID,
+                                       devices=plan.devices[2 * i:2 * i + 2],
+                                       segment_fractions=None, seed=plan.seed + i,
+                                       exact_path=plan.exact_path if i == 0 else None))
+                    for i in range(n_pairs))
+    trace = RunTrace(sum((r.trace.busy for r in results), ()),
+                     sum((r.trace.messages for r in results), ()))
     latency = max(r.latency_s for r in results)
-    comm = sum(r.comm_bytes for r in results)
-    ref = serial_latency_ref(plan)
     first = results[0]
-    return RunResult(x0=first.x0, latency_s=latency, comm_bytes=comm,
-                     speedup=n_pairs * ref / latency,
+    return RunResult(x0=first.x0, latency_s=latency,
+                     comm_bytes=sum(r.comm_bytes for r in results),
+                     speedup=n_pairs * serial_latency_ref(plan) / latency,
                      throughput_samples_per_s=n_pairs / latency,
                      tau1=first.tau1, tau2=first.tau2, trace=trace,
-                     series=first.series, per_sample=tuple(results))
+                     series=first.series, per_sample=results)
 
 
 _RUNNERS = {

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import NumericError, ParameterError, PlanError, ShapeError
 from .schedules import NoiseSchedule
 
 
@@ -269,31 +269,6 @@ def conditional_grad(gm: GaussianMixture, cond: Condition, sched: NoiseSchedule,
     return noised_score(gm, cond, sched, x, t) - noised_score(gm, None, sched, x, t)
 
 
-def fm_velocity(gm: GaussianMixture, cond: Condition | None, x: np.ndarray,
-                t_cont: float) -> np.ndarray:
-    """Optimal straight-path velocity under x_t = x_0 + t * e.
-
-    v(x, t) = (x - E[x_0 | x_t = x]) / t, where the posterior mean mixes the
-    per-component shrinkage estimates (t^2 mu_i + var_i x) / (var_i + t^2)
-    with responsibilities taken under N(mu_i, var_i + t^2).
-    """
-    if not (0.0 < t_cont <= 1.0):
-        raise ParameterError(f"continuous time must lie in (0, 1], got {t_cont}")
-    base = gm if cond is None else conditional(gm, cond)
-    marginal = GaussianMixture(weights=base.weights.copy(),
-                               means=base.means.copy(),
-                               variances=base.variances + t_cont ** 2)
-    xb, squeezed = _prep_x(marginal, x)
-    log_joint, log_density = _log_resp(_Terms.of(marginal),
-                                       xb[:, None, :] - marginal.means)
-    r = np.exp(log_joint - log_density[:, None])                   # (B, K)
-    v0 = base.variances[None, :, :]
-    post_mean = (t_cont ** 2 * base.means[None, :, :] + v0 * xb[:, None, :]) / (v0 + t_cont ** 2)
-    e_x0 = np.einsum("bk,bkd->bd", r, post_mean)
-    v = (xb - e_x0) / t_cont
-    return v[0] if squeezed else v
-
-
 def _component_sampler(gm: GaussianMixture, cond: Condition | None
                        ) -> tuple[np.ndarray, np.ndarray]:
     """(cdf, components) for drawing components of conditional(gm, cond),
@@ -340,6 +315,9 @@ def _condition_rows(gm: GaussianMixture, conditions: tuple[Condition, ...]) -> C
         subsets: dict[tuple[int, ...], tuple[Condition, list[int]]] = {}
         for i, c in enumerate(conditions):
             subsets.setdefault(c.indices, (c, []))[1].append(i)
+        for idx in subsets:
+            if max(idx) >= gm.n_components:
+                raise PlanError(f"condition {idx} exceeds mixture components")
         groups = tuple((cond, _read_only(np.asarray(rows)))
                        for cond, rows in subsets.values())
         single = [i for i, c in enumerate(conditions) if len(c.indices) == 1]

@@ -70,9 +70,6 @@ class ExecutionPlan:
         if len(self.conditions) == 0:
             raise PlanError("plan needs at least one condition")
         rows = _condition_rows(self.mixture, self.conditions)
-        for c, _ in rows.groups:
-            if max(c.indices) >= self.mixture.n_components:
-                raise PlanError(f"condition {c.indices} exceeds mixture components")
         object.__setattr__(self, "condition_groups", rows.groups)
         object.__setattr__(self, "singletons", rows.singletons)
         object.__setattr__(self, "multi_groups", rows.multi_groups)

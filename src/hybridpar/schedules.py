@@ -52,16 +52,6 @@ class NoiseSchedule:
         if not 1 <= t <= self.T:
             raise ParameterError(f"timestep t={t} outside [1, {self.T}]")
 
-    def to_config(self) -> dict:
-        """Round-trippable description (arrays are rebuilt, not stored)."""
-        return {
-            "kind": self.kind,
-            "T": self.T,
-            "beta_start": self.beta_start,
-            "beta_end": self.beta_end,
-        }
-
-
 @dataclass(frozen=True)
 class GuidanceParams:
     """Classifier-free guidance strength; w = 0 disables the push term."""
@@ -138,22 +128,6 @@ def _guided(eps_c: np.ndarray, eps_u: np.ndarray, w: float) -> np.ndarray:
     return eps_c + w * (eps_c - eps_u)
 
 
-def ddpm_posterior_mean(x_t: np.ndarray, t: int, eps_cfg: np.ndarray,
-                        sched: NoiseSchedule) -> np.ndarray:
-    """Posterior mean of the ancestral update given a guided noise estimate.
-
-    mu = (x_t - beta_t / sqrt(1 - alpha_bar_t) * eps) / sqrt(alpha_t)
-    """
-    if t == 0:
-        raise StepUnderflowError("no update exists below t = 1")
-    x_t = np.asarray(x_t, dtype=float)
-    eps_cfg = np.asarray(eps_cfg, dtype=float)
-    _check_pair(x_t, eps_cfg)
-    beta = sched.beta(t)
-    coeff = beta / np.sqrt(1.0 - sched.alpha_bar(t))
-    return (x_t - coeff * eps_cfg) / np.sqrt(sched.alpha(t))
-
-
 def ddim_step(state: LatentState, eps: np.ndarray, sched: NoiseSchedule) -> LatentState:
     """Deterministic (eta = 0) update from t to t - 1.
 
@@ -171,17 +145,3 @@ def ddim_step(state: LatentState, eps: np.ndarray, sched: NoiseSchedule) -> Late
     ab_prev = sched.alpha_bar(state.t - 1)
     x_prev = np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps
     return LatentState(x=x_prev, t=state.t - 1)
-
-
-def fm_euler_step(x: np.ndarray, t_cont: float, v: np.ndarray, dt: float) -> np.ndarray:
-    """One explicit Euler step of dx/dt = v integrated from t toward 0."""
-    if not (0.0 < t_cont <= 1.0):
-        raise ParameterError(f"continuous time must lie in (0, 1], got {t_cont}")
-    if dt <= 0:
-        raise ParameterError(f"dt must be positive, got {dt}")
-    if t_cont - dt < -1e-12:
-        raise StepUnderflowError(f"step dt={dt} would overshoot t = 0 from t = {t_cont}")
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _check_pair(x, v)
-    return x - v * dt

@@ -9,7 +9,7 @@ contention-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParameterError
 
@@ -76,20 +76,19 @@ class MessageEvent:
     step: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunTrace:
-    """Everything that happened on the virtual clock during one run."""
+    """Everything that happened on the virtual clock during one run.
 
-    busy: list[BusyInterval] = field(default_factory=list)
-    messages: list[MessageEvent] = field(default_factory=list)
+    Read-only: runs of one schedule share one trace (see engine.ExactPath).
+    """
+
+    busy: tuple[BusyInterval, ...] = ()
+    messages: tuple[MessageEvent, ...] = ()
 
     def makespan(self) -> float:
         ends = [b.end for b in self.busy] + [m.arrive for m in self.messages]
         return max(ends) if ends else 0.0
-
-    def merge(self, other: "RunTrace") -> None:
-        self.busy.extend(other.busy)
-        self.messages.extend(other.messages)
 
 
 class Timeline:
@@ -97,7 +96,8 @@ class Timeline:
 
     def __init__(self, link: LinkSpec):
         self.link = link
-        self.trace = RunTrace()
+        self._busy: list[BusyInterval] = []
+        self._messages: list[MessageEvent] = []
         self._free: dict[str, float] = {}
 
     def free_at(self, device: str) -> float:
@@ -107,7 +107,7 @@ class Timeline:
              stage: str, label: str) -> float:
         start = max(start, self.free_at(device))
         end = start + duration
-        self.trace.busy.append(BusyInterval(device, start, end, step, stage, label))
+        self._busy.append(BusyInterval(device, start, end, step, stage, label))
         self._free[device] = end
         return end
 
@@ -115,8 +115,12 @@ class Timeline:
         nbytes = (self.link.message_bytes_latent if kind == "latent"
                   else self.link.message_bytes_activation)
         arrive = depart + self.link.transfer_time(nbytes)
-        self.trace.messages.append(MessageEvent(src, dst, kind, nbytes, depart, arrive, step))
+        self._messages.append(MessageEvent(src, dst, kind, nbytes, depart, arrive, step))
         return arrive
+
+    def trace(self) -> RunTrace:
+        """The events so far, as a read-only trace."""
+        return RunTrace(tuple(self._busy), tuple(self._messages))
 
 
 def account_comm(trace: RunTrace) -> int:

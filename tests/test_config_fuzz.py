@@ -3,8 +3,9 @@ ExperimentConfig.from_dict followed by to_plan returns or raises a
 HybridparError (which the CLI prints as one JSON error), never another
 exception.
 
-Integers are drawn from a small range: a large count (condition_batch,
-devices, schedule.T) is valid input that only costs memory and time.
+Integers are drawn from the full range: every count (condition_batch,
+devices, schedule.T, the switch steps, seeds) has an upper bound that is
+checked before anything is sized from it.
 """
 import math
 
@@ -16,7 +17,7 @@ from hybridpar.config import _KNOWN_KEYS, DEFAULT_LINK, DEFAULT_SCHEDULE, Experi
 from hybridpar.engine import PlanVariant
 from hybridpar.errors import HybridparError, PlanError
 
-SCALARS = (st.none() | st.booleans() | st.integers(-4, 70)
+SCALARS = (st.none() | st.booleans() | st.integers()
            | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6)
            | st.sampled_from(["sdxl-like", "sd3-like", "linear", "scaled-linear"]
                              + [v.value for v in PlanVariant]))
@@ -47,4 +48,10 @@ def test_any_json_document_builds_a_plan_or_raises_a_package_error(raw, variant,
 def test_non_finite_segment_fractions_are_rejected(fractions):
     cfg = ExperimentConfig.from_dict({"segment_fractions": fractions})
     with pytest.raises(PlanError, match="segment_fractions"):
+        cfg.to_plan()
+
+
+def test_condition_index_beyond_any_row_index_is_a_plan_error():
+    cfg = ExperimentConfig.from_dict({"conditions": [[0], [2 ** 70]]})
+    with pytest.raises(PlanError, match="exceeds mixture components"):
         cfg.to_plan()

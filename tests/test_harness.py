@@ -371,6 +371,18 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ({"link": {"activation_bytes": 1e400}}, "link.activation_bytes"),
     ({"preset": ["sdxl-like"]}, "preset"),
     ({"variant": {"hybrid": 1}}, "variant"),
+    # counts above their documented bounds, rejected before anything is sized
+    ({"devices": 10 ** 21}, "devices"),
+    ({"devices": 65}, "devices"),
+    ({"devices": [0.1] * 65}, "devices"),
+    ({"condition_batch": 2 ** 70}, "condition_batch"),
+    ({"schedule": {"T": 10 ** 8}}, "schedule.T"),
+    ({"switch": {"L": 10 ** 8}}, "switch.L"),
+    ({"switch": {"tau_cap": 2 ** 64}}, "switch.tau_cap"),
+    ({"switch": {"k": 1001}}, "switch.k"),
+    ({"seeds": [0, 2 ** 63]}, "seeds"),
+    ({"guidance_w": 10 ** 400}, "guidance_w"),
+    ({"link": {"latent_bytes": 10 ** 400}}, "link.latent_bytes"),
 ])
 def test_bad_config_value_is_one_json_error(tmp_path, capsys, body, key):
     cfg = write_config(tmp_path, **body)

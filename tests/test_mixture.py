@@ -1,5 +1,5 @@
-"""Analytic mixture oracle: scores, noised marginals, branch outputs, FM
-velocities, and sampling. Finishes with integration checks that drive the
+"""Analytic mixture oracle: scores, noised marginals, branch outputs and
+sampling. Finishes with integration checks that drive the
 deterministic steppers with oracle outputs and verify refinement converges.
 """
 import numpy as np
@@ -8,10 +8,10 @@ import pytest
 from hybridpar.config import DEFAULT_SCHEDULE, default_mixture
 from hybridpar.errors import NumericError, ParameterError, ShapeError
 from hybridpar.mixture import (Condition, GaussianMixture, conditional,
-                               conditional_grad, eps_prediction, fm_velocity,
+                               conditional_grad, eps_prediction,
                                noised_mixture, sample_x0, score)
 from hybridpar.schedules import (LatentState, NoiseSchedule, build_schedule,
-                                 ddim_step, fm_euler_step)
+                                 ddim_step)
 
 
 def make_mixture(seed: int = 0, K: int = 3, d: int = 4) -> GaussianMixture:
@@ -206,52 +206,6 @@ def test_conditional_grad_matches_fd_of_log_subset_posterior():
         assert abs(fd - g[j]) < 1e-5
 
 
-# FM velocity ------------------------------------------------------------------
-
-def test_fm_velocity_point_mass_limit():
-    gm = GaussianMixture(weights=np.array([1.0]),
-                         means=np.array([[2.0, -1.0]]),
-                         variances=np.array([[1e-14, 1e-14]]))
-    x = np.array([3.0, 3.0])
-    t = 0.5
-    assert np.allclose(fm_velocity(gm, None, x, t), (x - gm.means[0]) / t)
-
-
-def test_fm_velocity_hand_value():
-    # single component mu=2 var=0.25 at (x=1, t=0.5): posterior mean 1.5
-    gm = GaussianMixture(weights=np.array([1.0]),
-                         means=np.array([[2.0]]),
-                         variances=np.array([[0.25]]))
-    assert np.isclose(fm_velocity(gm, None, np.array([1.0]), 0.5)[0], -1.0)
-
-
-def test_fm_velocity_rejects_bad_time():
-    gm = make_mixture()
-    x = np.zeros(gm.dim)
-    for t in (0.0, -0.5, 1.5):
-        with pytest.raises(ParameterError):
-            fm_velocity(gm, None, x, t)
-
-
-def test_fm_velocity_minimizes_straight_path_regression():
-    """Monte Carlo check that the analytic velocity beats fixed perturbations
-    of itself on the straight-path regression loss. Shifting a conditional
-    mean by delta raises the expected loss by delta^2 / d, far above the
-    sampling noise at this draw count."""
-    gm = default_mixture()
-    rng = np.random.default_rng(5)
-    n, t, delta = 100_000, 0.6, 0.1
-    x0 = sample_x0(gm, None, rng, n)
-    e = rng.standard_normal(x0.shape)
-    v = fm_velocity(gm, None, x0 + t * e, t)
-    u = np.zeros(gm.dim)
-    u[0] = 1.0
-    loss = np.mean((v - e) ** 2)
-    for sign in (+1.0, -1.0):
-        perturbed = np.mean((v + sign * delta * u - e) ** 2)
-        assert perturbed - loss > 1e-3
-
-
 # sampling ---------------------------------------------------------------------
 
 def test_sample_x0_deterministic_per_seed():
@@ -328,25 +282,3 @@ def test_ddim_rollout_converges_under_refinement():
     rel = np.max(np.abs(outs[0] - outs[1])) / np.max(np.abs(outs[1]))
     assert rel < 0.05
 
-
-def test_fm_euler_converges_under_refinement():
-    """Euler integration of the straight-path velocity, 50 vs 500 steps from
-    t = 1 down to 1e-3; measured gap 0.0038 when frozen."""
-    gm = default_mixture()
-    cond = Condition((2,))
-    rng = np.random.default_rng(11)
-    x0 = sample_x0(gm, cond, rng, 4)
-    x1 = x0 + rng.standard_normal(x0.shape)
-
-    def integrate(n_steps: int) -> np.ndarray:
-        t_min = 1e-3
-        dt = (1.0 - t_min) / n_steps
-        x, t = x1.copy(), 1.0
-        for _ in range(n_steps):
-            x = fm_euler_step(x, t, fm_velocity(gm, cond, x, t), dt)
-            t -= dt
-        return x
-
-    xa, xb = integrate(50), integrate(500)
-    rel = np.max(np.abs(xa - xb)) / np.max(np.abs(xb))
-    assert rel < 0.03
