@@ -6,8 +6,9 @@ import pytest
 
 from hybridpar.errors import (NumericError, ParameterError, ShapeError,
                               StepUnderflowError)
-from hybridpar.schedules import (GuidanceParams, LatentState, build_schedule,
-                                 cfg_combine, ddim_step)
+from hybridpar.schedules import (GuidanceParams, LatentState, NoiseSchedule,
+                                 build_schedule, cfg_combine, ddim_step,
+                                 ddpm_posterior_mean)
 
 # independently recomputed in a scratch script as a plain cumulative product
 SCALED_LINEAR_AB50 = 0.763763285673763
@@ -108,6 +109,33 @@ def test_cfg_combine_is_affine():
 def test_cfg_combine_shape_mismatch():
     with pytest.raises(ShapeError):
         cfg_combine(np.zeros(3), np.zeros(4), GuidanceParams(1.0))
+
+
+# ddpm_posterior_mean -------------------------------------------------------
+
+def test_ddpm_mean_zero_noise():
+    sched = build_schedule("linear", 3, 0.1, 0.3)
+    x = np.array([2.0, -1.0])
+    out = ddpm_posterior_mean(x, 2, np.zeros(2), sched)
+    assert np.allclose(out, x / np.sqrt(sched.alpha(2)))
+
+
+def test_ddpm_mean_hand_value():
+    # betas chosen so t=2 carries beta=0.1 with alpha_bar exactly 0.5;
+    # mu = (1 - 0.1/sqrt(0.5)) / sqrt(0.9), substituted by hand
+    betas = np.array([4.0 / 9.0, 0.1])
+    alphas = 1.0 - betas
+    ab = np.cumprod(alphas)
+    sched = NoiseSchedule("linear", 2, float(betas[0]), float(betas[1]),
+                          betas, alphas, ab, np.sqrt(1.0 - ab))
+    out = ddpm_posterior_mean(np.array([1.0]), 2, np.array([1.0]), sched)
+    assert math.isclose(out[0], 0.9050213548894739, rel_tol=1e-12)
+
+
+def test_ddpm_mean_underflow():
+    sched = build_schedule("linear", 3, 0.1, 0.3)
+    with pytest.raises(StepUnderflowError):
+        ddpm_posterior_mean(np.zeros(2), 0, np.zeros(2), sched)
 
 
 # ddim_step ------------------------------------------------------------------
