@@ -24,8 +24,7 @@ from .monitor import (DiscrepancySeries, SlopeNoiseModel, Stage, StageState,
                       replay_series, score_ratio_estimate, slope,
                       update_controller)
 from .schedules import (GuidanceParams, LatentState, NoiseSchedule,
-                        build_schedule, cfg_combine, ddim_step,
-                        ddpm_posterior_mean)
+                        build_schedule, cfg_combine, ddim_step)
 from .trace import (BusyInterval, DeviceSpec, LinkSpec, MessageEvent, RunTrace,
                     Timeline, account_comm)
 

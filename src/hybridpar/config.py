@@ -55,6 +55,9 @@ MAX_DEVICES = 64
 MAX_CONDITION_BATCH = 4096
 MAX_STEPS = 1000            # schedule.T, and switch.L, switch.tau_cap, switch.k
 MAX_SEED = 2 ** 63 - 1
+# len(seeds) * condition_batch: the rows of the (S*B, d) arrays a sweep's
+# ExactPath stacks all seeds' batches on
+MAX_STACKED_ROWS = 2 ** 18
 
 _KNOWN_KEYS = frozenset({
     "preset", "variant", "seeds", "guidance_w", "schedule", "mixture",
@@ -187,6 +190,16 @@ class ExperimentConfig:
                          "condition_batch", MAX_CONDITION_BATCH)
         _require(_is_int(batch) and batch >= 1,
                  f"condition_batch must be an integer >= 1, got {batch!r}")
+        seeds = raw.get("seeds", DEFAULT_SEEDS)
+        _require(isinstance(seeds, (list, tuple)) and len(seeds) > 0,
+                 f"seeds must be a nonempty list, got {seeds!r}")
+        _require(len(seeds) * batch <= MAX_STACKED_ROWS,
+                 f"seeds times condition_batch must be at most {MAX_STACKED_ROWS}, "
+                 f"got {len(seeds)} seeds of {batch}")
+        _require(all(_is_int(s) and 0 <= s <= MAX_SEED for s in seeds),
+                 f"seeds must be integers in [0, {MAX_SEED}]")
+        seeds = tuple(seeds)
+
         if "conditions" in raw:
             c_raw = raw["conditions"]
             _require(isinstance(c_raw, list) and len(c_raw) > 0
@@ -237,13 +250,6 @@ class ExperimentConfig:
             _require(isinstance(fractions, list),
                      f"segment_fractions must be a list of numbers, got {fractions!r}")
             fractions = tuple(_number(f, "segment_fractions") for f in fractions)
-
-        seeds = raw.get("seeds", DEFAULT_SEEDS)
-        _require(isinstance(seeds, (list, tuple)) and len(seeds) > 0,
-                 f"seeds must be a nonempty list, got {seeds!r}")
-        _require(all(_is_int(s) and 0 <= s <= MAX_SEED for s in seeds),
-                 f"seeds must be integers in [0, {MAX_SEED}]")
-        seeds = tuple(seeds)
 
         factor = _number(raw.get("cfg_batching_factor", 2.0), "cfg_batching_factor")
 

@@ -88,9 +88,9 @@ class _Window(NamedTuple):
     ms: list[float]             # discrepancy of each exact step after the window
 
 
-def _rule(switch: SwitchConfig) -> tuple[int, float, int]:
-    """The parameters tau1 depends on; k only places tau2."""
-    return switch.L, switch.g_slope, switch.tau_cap
+def _rule(switch: SwitchConfig) -> SwitchConfig:
+    """The switch config tau1 depends on; k only places tau2."""
+    return replace(switch, k=0)
 
 
 class ExactPath:
@@ -99,22 +99,24 @@ class ExactPath:
 
     Seed i is row block i of each (S*B, d) array, and gets the bits it gets
     stepped alone (see the module docstring). Serial and condition
-    partitioning read discrepancy(plan, s) and x0(plan) end to end, a staged
-    run up to its switch (a k = 0 run to the end). A staged run with k >= 1
-    then reads window(plan, tau1): its x0 and the discrepancies of the exact
-    steps after its window. tau1 depends only on a seed's discrepancies and
-    the switch rule (L, g_slope, tau_cap), so the store tracks it while
-    stepping, and the first request computes the window of every bound seed
-    with the same rule, tau1, k and segment count N, as one batch.
+    partitioning read series(plan, T) and x0(plan) end to end, a staged run
+    up to its switch (a k = 0 run to the end). A staged run with k >= 1 then
+    reads window(plan): its x0 and the discrepancies of the exact steps
+    after its window. The store alone decides tau1: for each switch rule a
+    bound staged plan brings (its switch config with k = 0; k only places
+    tau2) it keeps one controller and series per seed, and after each exact
+    step update_controller advances every seed yet to switch. The first
+    window request computes the window of every bound seed with the same
+    rule, tau1, k and segment count N, as one batch.
 
     Plans bind on construction: the seed must be one of the store's and the
     mixture, schedule, conditions and guidance the first plan's objects, else
-    PlanError. A staged plan with k >= 1 must bind before the first step,
-    else SequencingError: the store keeps only what bound plans read (per
-    seed the discrepancies, x0, the N latents up to its switch, and the
-    computed windows). A run whose controller switches elsewhere than the
-    store's rule raises SequencingError. What a run can return is read-only,
-    and a step that raises stores nothing.
+    PlanError. A rule first bound after the store has stepped replays the
+    stored discrepancies. A staged plan with k >= 1 must bind before the
+    first step, else SequencingError: the store keeps only what bound plans
+    read (per seed the discrepancies, x0, the N latents up to its switch, and
+    the computed windows). What a run can return is read-only, and a step
+    that raises stores nothing.
 
     The store also memoizes the virtual clock of each schedule its runs
     take (see timing), so a sweep builds one trace per distinct (tau1, k),
@@ -135,8 +137,7 @@ class ExactPath:
         self._ms: list[np.ndarray] = []                # per step, each seed's rel_mae
         self._x0: list[np.ndarray] | None = None
         self._wanted: dict[tuple, set[int]] = {}       # (rule, k, N) -> seeds
-        self._tau1: dict[tuple, np.ndarray] = {}       # rule -> per seed, 0 = not yet
-        self._waiting: set[tuple] = set()              # rules some seed has yet to meet
+        self._controls: dict[SwitchConfig, list] = {}  # rule -> per seed (state, series)
         self._starts: dict[tuple, tuple] = {}          # (rule, tau1) -> (seeds, latents)
         self._windows: dict[tuple, _Window] = {}       # (seed, rule, k, fractions)
         self._timings: dict[tuple, _Timing] = {}       # see timing
@@ -150,24 +151,36 @@ class ExactPath:
         for name, a, b in zip(self._BOUND, model, self._model or model):
             if a is not b:
                 raise PlanError(f"exact path is bound to another {name}")
-        if plan.variant in _STAGED and plan.switch.k >= 1:
+        self._model = model
+        if plan.variant not in _STAGED:
+            return self
+        rule = _rule(plan.switch)
+        if plan.switch.k >= 1:
             n = 2 if plan.variant is PlanVariant.BATCH_LEVEL else len(plan.segment_fractions)
-            key = (_rule(plan.switch), plan.switch.k, n)
+            key = (rule, plan.switch.k, n)
             if slot not in self._wanted.get(key, ()):
                 if self._done > 0:
                     raise SequencingError("bind staged plans before their exact path "
                                           "takes its first step")
                 self._wanted.setdefault(key, set()).add(slot)
-                if key[0] not in self._tau1:
-                    self._tau1[key[0]] = np.zeros(len(self._seeds), dtype=int)
-                    self._waiting.add(key[0])
-        self._model = model
+        if rule not in self._controls:
+            self._controls[rule] = [(StageState(), DiscrepancySeries()) for _ in self._seeds]
+            for s in range(1, self._done + 1):
+                self._control(rule, s)
         return self
 
-    def discrepancy(self, plan: ExecutionPlan, s: int) -> float:
-        """rel_mae of the plan's seed at exact step s >= 1."""
-        self._extend(s)
-        return float(self._ms[s - 1][self._slot[plan.seed]])
+    def tau1(self, plan: ExecutionPlan) -> int:
+        """The step the plan's seed switches at under the plan's rule."""
+        state, _ = self._controls[_rule(plan.switch)][self._slot[plan.seed]]
+        while state.tau1 is None:
+            self._extend(self._done + 1)
+        return state.tau1
+
+    def series(self, plan: ExecutionPlan, steps: int) -> list[tuple[int, float]]:
+        """(t, rel_mae) of the plan's seed over exact steps 1..steps."""
+        self._extend(steps)
+        slot, T = self._slot[plan.seed], plan.schedule.T
+        return [(T - i, float(m[slot])) for i, m in enumerate(self._ms[:steps])]
 
     def x0(self, plan: ExecutionPlan) -> np.ndarray:
         """The plan's seed's latents after all T exact steps."""
@@ -176,18 +189,12 @@ class ExactPath:
             self._x0 = np.split(self._recent[-1], len(self._seeds))
         return self._x0[self._slot[plan.seed]]
 
-    def window(self, plan: ExecutionPlan, tau1: int) -> _Window:
-        """The plan's window and the exact steps after it, for a run that
-        switched at step tau1."""
-        slot = self._slot[plan.seed]
+    def window(self, plan: ExecutionPlan) -> _Window:
+        """The plan's window and the exact steps after it (k >= 1)."""
         rule = _rule(plan.switch)
-        self._extend(tau1)
-        if self._tau1[rule][slot] != tau1:
-            raise SequencingError(f"seed {plan.seed} switched at step {tau1}, but not "
-                                  f"on its exact path")
-        key = (slot, rule, plan.switch.k, plan.segment_fractions)
+        key = (self._slot[plan.seed], rule, plan.switch.k, plan.segment_fractions)
         if key not in self._windows:
-            self._fill(rule, plan.switch.k, plan.segment_fractions, tau1)
+            self._fill(rule, plan.switch.k, plan.segment_fractions, self.tau1(plan))
         return self._windows[key]
 
     def timing(self, plan: ExecutionPlan, tau1: int | None, tau2: int | None) -> _Timing:
@@ -213,50 +220,47 @@ class ExactPath:
             x.flags.writeable = False
             self._recent.append(x)
             self._done += 1
-            for rule in list(self._waiting) if self._done else ():
-                self._switch(rule, self._done)
+            for rule in self._controls if self._done else ():
+                self._control(rule, self._done)
             # keep as many steps as a window of a seed yet to switch starts from
-            del self._recent[:-max([1] + [n for _, _, n in self._wanted]
-                                   if self._waiting else [1])]
+            del self._recent[:-max([1] + [
+                n for (rule, _, n), slots in self._wanted.items()
+                if any(self._controls[rule][j][0].tau1 is None for j in slots)])]
 
     def _rows(self, blocks) -> np.ndarray:
         """Batch rows of the given seed blocks, in order."""
         B = len(self._model[2])
         return (np.asarray(blocks, dtype=np.intp)[:, None] * B + np.arange(B)).ravel()
 
-    def _depth(self, rule: tuple, slot: int) -> int:
+    def _depth(self, rule: SwitchConfig, slot: int) -> int:
         """How many steps up to its switch the seed's windows start from."""
         return max([n for (r, _, n), slots in self._wanted.items()
                     if r == rule and slot in slots], default=0)
 
-    def _switch(self, rule: tuple, s: int) -> None:
-        """Mark the seeds that switch at step s under rule, as
-        update_controller decides it, and keep the latents their windows
-        start from."""
-        tau1 = self._tau1[rule]
-        L, g_slope, cap = rule
-        now = tau1 == 0
-        if s < cap:
-            # before the cap only a flat slope switches, and it needs step s - L
-            if s <= L:
-                return
-            g = (self._ms[s - 1] - self._ms[s - 1 - L]) / L     # slope(series, t, L)
-            now &= (0.0 <= g) & (g < g_slope)
-        tau1[now] = s
-        if tau1.all():
-            self._waiting.discard(rule)
-        slots = tuple(j for j in np.flatnonzero(now).tolist() if self._depth(rule, j))
+    def _control(self, rule: SwitchConfig, s: int) -> None:
+        """Record exact step s of every seed yet to switch under rule and
+        step its controller; keep the latents the windows of the seeds that
+        switch here start from."""
+        t = self._model[1].T + 1 - s
+        slots = []
+        for j, (state, series) in enumerate(self._controls[rule]):
+            if state.tau1 is None:
+                series.record(t, float(self._ms[s - 1][j]))
+                update_controller(state, series, t, rule)
+                if state.tau1 is not None and self._depth(rule, j):
+                    slots.append(j)
         if slots:
             # the latents of the N steps up to s (the initial ones repeated
             # where fewer exist), newest first; all seeds' rows as they are
             # when all switch here
-            rows = None if len(slots) == len(tau1) else self._rows(slots)
+            slots = tuple(slots)
+            rows = None if len(slots) == len(self._seeds) else self._rows(slots)
             depth = max(self._depth(rule, slot) for slot in slots)
             self._starts[rule, s] = slots, [
                 x if rows is None else _read_only(x.take(rows, axis=0))
                 for x in (self._recent[max(-1 - d, -1 - s)] for d in range(depth))]
 
-    def _fill(self, rule: tuple, k: int, fractions: tuple[float, ...], tau1: int) -> None:
+    def _fill(self, rule: SwitchConfig, k: int, fractions: tuple[float, ...], tau1: int) -> None:
         """Compute the window of every bound seed with this rule, k, segment
         count and tau1, as one batch."""
         n = len(fractions)
@@ -436,40 +440,32 @@ def _timing(plan: ExecutionPlan, tau1: int | None, tau2: int | None) -> _Timing:
 
 
 def _run(plan: ExecutionPlan, variant: PlanVariant) -> RunResult:
-    """The one numerics loop behind every single-sample runner.
+    """The one run behind every single-sample runner.
 
-    Numbers come from the plan's store: the exact path up to a staged run's
-    switch (to the end when k = 0, or for an unstaged run), then the window
-    it computed for this run's tau1; timing comes from the store's memo.
-    Controller and series calls stay here, step by step.
+    Everything comes from the plan's store: a staged run's tau1 (tau2 =
+    tau1 + k), the exact path up to its switch (to the end when k = 0, or
+    for an unstaged run), then its window; timing comes from the store's
+    memo. The series holds every exact step, none of the window's.
     """
     if plan.variant is not variant:
         raise PlanError(f"run_{variant.value} got a {plan.variant.value} plan")
-    series = DiscrepancySeries()
-    ctrl = StageState()
-    staged = variant in _STAGED
     path = _path_of(plan)
     T = plan.schedule.T
-    window: _Window | None = None       # set by the first pipelined step
-    for s in range(1, T + 1):
-        t = T + 1 - s
-        if ctrl.tau1 is not None:
-            update_controller(ctrl, series, t, plan.switch)
-            if ctrl.stage is Stage.PARALLELISM:
-                if window is None:
-                    window = path.window(plan, ctrl.tau1)
-                continue
-        series.record(t, path.discrepancy(plan, s) if window is None
-                      else window.ms[s - ctrl.tau2 - 1])
-        if staged and ctrl.tau1 is None:
-            update_controller(ctrl, series, t, plan.switch)
-    timing = path.timing(plan, ctrl.tau1, ctrl.tau2)
+    tau1 = tau2 = window = None
+    if variant in _STAGED:
+        tau1 = path.tau1(plan)
+        tau2 = tau1 + plan.switch.k
+        if plan.switch.k >= 1:
+            window = path.window(plan)
+    series = path.series(plan, T if window is None else tau1)
+    if window is not None:
+        series += [(T - tau2 - i, m) for i, m in enumerate(window.ms)]
+    timing = path.timing(plan, tau1, tau2)
     return RunResult(x0=path.x0(plan) if window is None else window.x0,
                      latency_s=timing.latency_s, comm_bytes=timing.comm_bytes,
                      speedup=timing.speedup,
                      throughput_samples_per_s=1.0 / timing.latency_s,
-                     tau1=ctrl.tau1, tau2=ctrl.tau2, trace=timing.trace,
-                     series=tuple(series.items()))
+                     tau1=tau1, tau2=tau2, trace=timing.trace, series=tuple(series))
 
 
 def _measured_step(plan: ExecutionPlan, tl: Timeline, s: int, stage: str,

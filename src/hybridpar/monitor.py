@@ -121,14 +121,19 @@ def rel_mae(eps_c: np.ndarray, eps_u: np.ndarray) -> float:
 def _rel_mae_blocks(eps_c: np.ndarray, eps_u: np.ndarray, n: int) -> np.ndarray:
     """rel_mae of each of n equal row blocks of a stacked (n*B, d) pair, with
     rel_mae's bits: each block's sums run over that block's B*d values in
-    memory order, as rel_mae's sums over a (B, d) array do."""
+    memory order, as rel_mae's sums over a (B, d) array do. Finite branch
+    outputs can still sum past float range, so the results are checked too:
+    no series may record a non-finite discrepancy."""
     if not (np.isfinite(eps_c).all() and np.isfinite(eps_u).all()):
         raise NumericError("non-finite branch outputs")
     denom = np.abs(eps_u).reshape(n, -1).sum(axis=1)
     if (denom == 0.0).any():
         raise DegenerateInputError("reference branch has zero L1 norm")
     diff = eps_c - eps_u
-    return np.abs(diff, out=diff).reshape(n, -1).sum(axis=1) / denom
+    m = np.abs(diff, out=diff).reshape(n, -1).sum(axis=1) / denom
+    if not np.isfinite(m).all():
+        raise NumericError("branch discrepancy is not finite")
+    return m
 
 
 def slope(series: DiscrepancySeries, t: int, L: int) -> float:

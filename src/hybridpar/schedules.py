@@ -128,22 +128,6 @@ def _guided(eps_c: np.ndarray, eps_u: np.ndarray, w: float) -> np.ndarray:
     return eps_c + w * (eps_c - eps_u)
 
 
-def ddpm_posterior_mean(x_t: np.ndarray, t: int, eps_cfg: np.ndarray,
-                        sched: NoiseSchedule) -> np.ndarray:
-    """Posterior mean of the ancestral update given a guided noise estimate.
-
-    mu = (x_t - beta_t / sqrt(1 - alpha_bar_t) * eps) / sqrt(alpha_t)
-    """
-    if t == 0:
-        raise StepUnderflowError("no update exists below t = 1")
-    x_t = np.asarray(x_t, dtype=float)
-    eps_cfg = np.asarray(eps_cfg, dtype=float)
-    _check_pair(x_t, eps_cfg)
-    beta = sched.beta(t)
-    coeff = beta / np.sqrt(1.0 - sched.alpha_bar(t))
-    return (x_t - coeff * eps_cfg) / np.sqrt(sched.alpha(t))
-
-
 def ddim_step(state: LatentState, eps: np.ndarray, sched: NoiseSchedule) -> LatentState:
     """Deterministic (eta = 0) update from t to t - 1.
 

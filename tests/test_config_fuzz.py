@@ -4,8 +4,9 @@ HybridparError (which the CLI prints as one JSON error), never another
 exception.
 
 Integers are drawn from the full range: every count (condition_batch,
-devices, schedule.T, the switch steps, seeds) has an upper bound that is
-checked before anything is sized from it.
+devices, schedule.T, the switch steps, each seed, and the number of seeds
+times condition_batch) has an upper bound that is checked before anything
+is sized from it.
 """
 import math
 

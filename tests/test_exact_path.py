@@ -11,6 +11,7 @@ so a silent loss of stacking or sharing fails here; and bound what a store
 keeps.
 """
 import io
+import itertools
 import json
 from contextlib import redirect_stdout
 from dataclasses import replace
@@ -27,7 +28,7 @@ from hybridpar.errors import NumericError, ParameterError, PlanError, Sequencing
 from hybridpar.metrics import compare_runs
 from hybridpar.mixture import Condition, eps_prediction
 from hybridpar.monitor import (DiscrepancySeries, Stage, StageState, _rel_mae_blocks,
-                               rel_mae, update_controller)
+                               rel_mae, replay_series, update_controller)
 from hybridpar.schedules import (GuidanceParams, LatentState, build_schedule,
                                  cfg_combine, ddim_step)
 
@@ -287,11 +288,14 @@ def test_failed_step_stores_nothing(monkeypatch):
                     run_serial(cfg.to_plan(seed=3, variant=PlanVariant.SERIAL)))
 
 
-@pytest.mark.parametrize("at_step", [2, 9], ids=["exact-path", "after-window"])
-def test_guided_overflow_raises_at_its_step_and_stores_nothing(monkeypatch, at_step):
+@pytest.mark.parametrize("at_step, value", [(2, 1e308), (9, 1e308), (2, 1e307), (9, 1e307)],
+                         ids=["exact-path", "after-window", "exact-path-sum", "after-window-sum"])
+def test_guided_overflow_raises_at_its_step_and_stores_nothing(monkeypatch, at_step, value):
     """A branch output that is finite but makes eps_c + w (eps_c - eps_u)
     overflow fails at the step that produced it, as the public cfg_combine
-    and ddim_step pair did, and leaves the store as it was."""
+    and ddim_step pair did, and leaves the store as it was. So does one whose
+    guided estimate stays finite but whose discrepancy, summed over a seed's
+    4 * 8 values, does not (1e307): no series may record it."""
     cfg = ExperimentConfig.from_dict({"condition_batch": 4, "schedule": {"T": 12},
                                       "switch": {"L": 2, "tau_cap": 3, "k": 4}})
     path = ExactPath((3, 8))
@@ -302,8 +306,10 @@ def test_guided_overflow_raises_at_its_step_and_stores_nothing(monkeypatch, at_s
     def huge(gm, comps, sched, x, t):
         eps = original(gm, comps, sched, x, t)
         steps.append(t)
-        return np.full_like(eps, 1e308) if t == 13 - at_step else eps
+        return np.full_like(eps, value) if t == 13 - at_step else eps
 
+    guided_max = (1 + cfg.guidance.w) * value
+    assert np.isfinite(guided_max) == (value < 1e308) and np.isinf(4 * 8 * value)
     monkeypatch.setattr(engine, "_singleton_eps", huge)
     with np.errstate(over="ignore"), pytest.raises(NumericError):
         run_plan(plan)
@@ -312,17 +318,6 @@ def test_guided_overflow_raises_at_its_step_and_stores_nothing(monkeypatch, at_s
     assert path._windows == {}
     monkeypatch.setattr(engine, "_singleton_eps", original)
     assert_same_run(run_plan(plan), run_plan(replace(plan, exact_path=None)))
-
-
-def test_run_that_switches_elsewhere_than_its_store_raises(monkeypatch):
-    cfg = ExperimentConfig.from_dict({"preset": "sd3-like", "condition_batch": 16})
-    assert run_plan(cfg.to_plan(seed=2, k=1)).tau1 < cfg.switch.tau_cap
-    # the store's rule never sees a flat slope (g_slope 0); the run's
-    # controller, with the plan's own switch config, does
-    monkeypatch.setattr(engine, "_rule", lambda sw: (sw.L, 0.0, sw.tau_cap))
-    plan = cfg.to_plan(seed=2, variant=PlanVariant.HYBRID, k=1, exact_path=ExactPath((2,)))
-    with pytest.raises(SequencingError, match="not on its exact path"):
-        run_plan(plan)
 
 
 def test_staged_plan_bound_after_the_first_step_raises():
@@ -357,6 +352,96 @@ def test_batch_level_hands_the_path_to_sample_zero_only(monkeypatch):
     assert [s for s, _ in seen] == [10, 11, 12]
     assert seen[0][1] is path
     assert all(p is None for _, p in seen[1:])
+
+
+# the one switch rule ------------------------------------------------------------------
+
+def exact_prefix(series, T):
+    """The leading pairs of a series that hold every step from t = T down."""
+    return list(itertools.takewhile(lambda p: p[1][0] == T - p[0], enumerate(series)))
+
+
+@pytest.mark.parametrize("body, seeds, ks", CASES, ids=CASE_IDS)
+def test_every_runs_switch_replays_from_its_own_series(body, seeds, ks):
+    """The store decides tau1; replaying a staged run's own series (up to
+    its window, whose steps it skips) through the controller decides the
+    same tau1 and tau2."""
+    cfg = ExperimentConfig.from_dict(body)
+    detected = []
+    for plan in plans_for(cfg, seeds, ks, ExactPath(seeds)).values():
+        res = run_plan(plan)
+        if plan.switch is None:
+            assert res.tau1 is None and len(res.series) == plan.schedule.T
+            continue
+        prefix = exact_prefix(res.series, plan.schedule.T)
+        state, _ = replay_series([pair for _, pair in prefix], plan.switch)
+        assert (state.tau1, state.tau2) == (res.tau1, res.tau2)
+        assert len(prefix) == (res.tau1 if plan.switch.k else plan.schedule.T)
+        detected.append(res.tau1 < plan.switch.tau_cap)
+    assert any(detected) == (body["preset"] == "sd3-like")
+
+
+@pytest.fixture
+def controller_calls(monkeypatch):
+    """The switch config of every update_controller call the engine makes."""
+    calls = []
+    original = engine.update_controller
+
+    def counting(state, series, t, cfg):
+        calls.append(cfg)
+        return original(state, series, t, cfg)
+
+    monkeypatch.setattr(engine, "update_controller", counting)
+    return calls
+
+
+@pytest.mark.parametrize("body", [{"preset": "sdxl-like"}, {"preset": "sd3-like"}],
+                         ids=["sdxl", "sd3"])
+def test_sweep_steps_one_controller_per_seed_whatever_its_k_values(tmp_path, body,
+                                                                   controller_calls):
+    """Only the store steps a controller: one call per seed and exact step up
+    to that seed's switch, however many k values share the rule."""
+    doc = {**body, "condition_batch": 16, "seeds": [2, 0, 3]}
+    cfg = ExperimentConfig.from_dict(doc)
+    tau1 = [run_plan(cfg.to_plan(seed=s, k=0)).tau1 for s in cfg.seeds]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    counts = []
+    for ks in ("0", "5", "0,1,5,30,40"):
+        controller_calls.clear()
+        with redirect_stdout(io.StringIO()):
+            assert main(["sweep", "--config", str(cfg_path), "--k", ks]) == 0
+        counts.append(len(controller_calls))
+        assert set(controller_calls) == {replace(cfg.switch, k=0)}
+    assert counts == [sum(tau1)] * 3
+
+
+@pytest.mark.parametrize("after", ["staged-run", "serial-run"])
+@pytest.mark.parametrize("L", [5, 20])
+def test_k0_plan_with_a_new_rule_bound_late_equals_an_unshared_run(controller_calls,
+                                                                   after, L):
+    """A rule first bound after the store has stepped (mid-path, or at its
+    end) replays the stored discrepancies, then steps on with the rest."""
+    cfg = ExperimentConfig.from_dict({"preset": "sd3-like", "condition_batch": 16})
+    seeds = (2, 0, 3)
+    late_cfg = replace(cfg, switch=replace(cfg.switch, L=L))
+    alone = {s: run_plan(late_cfg.to_plan(seed=s, k=0)) for s in seeds}
+    path = ExactPath(seeds)
+    early = cfg.to_plan(seed=3, k=1, exact_path=path)
+    if after == "staged-run":
+        run_plan(early)         # seed 3 switches at 29, the others later
+    else:
+        run_serial(cfg.to_plan(seed=3, variant=PlanVariant.SERIAL, exact_path=path))
+    controller_calls.clear()
+    for s in seeds:
+        res = run_plan(late_cfg.to_plan(seed=s, k=0, exact_path=path))
+        assert res.tau1 == alone[s].tau1 and res.series == alone[s].series
+        assert res.x0.tobytes() == alone[s].x0.tobytes()
+    late_rule = replace(late_cfg.switch, k=0)
+    assert controller_calls.count(late_rule) == sum(alone[s].tau1 for s in seeds)
+    assert {alone[s].tau1 for s in seeds} != {run_plan(cfg.to_plan(seed=s, k=0)).tau1
+                                             for s in seeds}
+    assert_same_run(run_plan(early), run_plan(replace(early, exact_path=None)))
 
 
 # work counts ---------------------------------------------------------------------------

@@ -383,6 +383,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ({"seeds": [0, 2 ** 63]}, "seeds"),
     ({"guidance_w": 10 ** 400}, "guidance_w"),
     ({"link": {"latent_bytes": 10 ** 400}}, "link.latent_bytes"),
+    # 20000 seeds of 4096 rows would stack 5 GB of latents
+    ({"seeds": list(range(20000)), "condition_batch": 4096}, "seeds"),
 ])
 def test_bad_config_value_is_one_json_error(tmp_path, capsys, body, key):
     cfg = write_config(tmp_path, **body)
