@@ -10,8 +10,7 @@ bounded window, then reconnects for the final steps.
 from .config import (DEFAULT_LINK, DEFAULT_SCHEDULE, PRESETS, ExperimentConfig,
                      default_conditions, default_mixture, load_config)
 from .engine import (ExactPath, ExecutionPlan, PlanVariant, RunResult, initial_latents,
-                     run_batch_level, run_full_condition_partition, run_hybrid,
-                     run_layer_wise, run_plan, run_serial, serial_latency_ref)
+                     run_plan, run_serial)
 from .errors import (DegenerateInputError, HistoryError, HybridparError,
                      NumericError, ParameterError, PlanError, SequencingError,
                      SeriesParseError, ShapeError, StepUnderflowError)

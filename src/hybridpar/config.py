@@ -18,6 +18,7 @@ from .engine import ExactPath, ExecutionPlan, PlanVariant
 from .errors import ParameterError
 from .mixture import Condition, GaussianMixture
 from .monitor import SwitchConfig
+from .plan import _STAGED
 from .schedules import GuidanceParams, NoiseSchedule, build_schedule
 from .trace import DeviceSpec, LinkSpec
 
@@ -273,8 +274,6 @@ class ExperimentConfig:
         share it read that seed's exact trajectory instead of recomputing it.
         """
         variant = variant or self.variant
-        staged = variant in (PlanVariant.HYBRID, PlanVariant.LAYER_WISE,
-                             PlanVariant.BATCH_LEVEL)
         switch = self.switch if k is None else SwitchConfig(
             L=self.switch.L, g_slope=self.switch.g_slope,
             tau_cap=self.switch.tau_cap, k=k)
@@ -296,7 +295,7 @@ class ExperimentConfig:
             conditions=self.conditions, guidance=self.guidance,
             devices=devices, link=self.link,
             seed=self.seeds[0] if seed is None else seed,
-            switch=switch if staged else None,
+            switch=switch if variant in _STAGED else None,
             segment_fractions=fractions,
             cfg_batching_factor=self.cfg_batching_factor,
             exact_path=exact_path)

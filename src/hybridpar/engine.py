@@ -59,7 +59,6 @@ class RunResult:
     x0: np.ndarray
     latency_s: float
     comm_bytes: int
-    speedup: float
     throughput_samples_per_s: float
     tau1: int | None
     tau2: int | None
@@ -297,19 +296,6 @@ def _path_of(plan: ExecutionPlan) -> ExactPath:
     return ExactPath((plan.seed,)).bind(plan)
 
 
-def serial_latency_ref(plan: ExecutionPlan) -> float:
-    """Latency of the serial baseline on this plan's primary device.
-
-    Accumulated step by step with the same arithmetic run_serial uses, so the
-    baseline's own speedup is exactly 1.
-    """
-    clock = 0.0
-    dur = plan.cfg_batching_factor * plan.devices[0].branch_step_cost
-    for _ in range(plan.schedule.T):
-        clock += dur
-    return clock
-
-
 def initial_latents(plan: ExecutionPlan) -> np.ndarray:
     """Seeded forward-noised draws, one row per condition.
 
@@ -405,7 +391,6 @@ class _Timing(NamedTuple):
     trace: RunTrace
     latency_s: float
     comm_bytes: int
-    speedup: float
 
 
 def _timing(plan: ExecutionPlan, tau1: int | None, tau2: int | None) -> _Timing:
@@ -435,24 +420,21 @@ def _timing(plan: ExecutionPlan, tau1: int | None, tau2: int | None) -> _Timing:
                      else Stage.FULLY_CONNECTING.value)
             a_clock, b_avail = _measured_step(plan, tl, s, stage, a_clock, b_avail)
     trace = tl.trace()
-    latency = trace.makespan()
-    return _Timing(trace, latency, account_comm(trace), serial_latency_ref(plan) / latency)
+    return _Timing(trace, trace.makespan(), account_comm(trace))
 
 
-def _run(plan: ExecutionPlan, variant: PlanVariant) -> RunResult:
-    """The one run behind every single-sample runner.
+def _run(plan: ExecutionPlan) -> RunResult:
+    """One sample's run: every variant but batch_level, and each of its pairs.
 
     Everything comes from the plan's store: a staged run's tau1 (tau2 =
     tau1 + k), the exact path up to its switch (to the end when k = 0, or
     for an unstaged run), then its window; timing comes from the store's
     memo. The series holds every exact step, none of the window's.
     """
-    if plan.variant is not variant:
-        raise PlanError(f"run_{variant.value} got a {plan.variant.value} plan")
     path = _path_of(plan)
     T = plan.schedule.T
     tau1 = tau2 = window = None
-    if variant in _STAGED:
+    if plan.variant in _STAGED:
         tau1 = path.tau1(plan)
         tau2 = tau1 + plan.switch.k
         if plan.switch.k >= 1:
@@ -463,7 +445,6 @@ def _run(plan: ExecutionPlan, variant: PlanVariant) -> RunResult:
     timing = path.timing(plan, tau1, tau2)
     return RunResult(x0=path.x0(plan) if window is None else window.x0,
                      latency_s=timing.latency_s, comm_bytes=timing.comm_bytes,
-                     speedup=timing.speedup,
                      throughput_samples_per_s=1.0 / timing.latency_s,
                      tau1=tau1, tau2=tau2, trace=timing.trace, series=tuple(series))
 
@@ -519,44 +500,33 @@ def _pipelined_step(plan: ExecutionPlan, tl: Timeline, s: int, fill: bool,
 
 
 def run_serial(plan: ExecutionPlan) -> RunResult:
-    """Both branches on one device, every step exact."""
-    return _run(plan, PlanVariant.SERIAL)
+    """The serial baseline: both branches on one device, every step exact."""
+    if plan.variant is not PlanVariant.SERIAL:
+        raise PlanError(f"run_serial got a {plan.variant.value} plan")
+    return _run(plan)
 
 
-def run_full_condition_partition(plan: ExecutionPlan) -> RunResult:
-    """One branch per device on every step; trajectories match serial exactly."""
-    return _run(plan, PlanVariant.FULL_CONDITION_PARTITION)
+def run_plan(plan: ExecutionPlan) -> RunResult:
+    """Run a plan of any variant.
 
-
-def run_hybrid(plan: ExecutionPlan) -> RunResult:
-    """Adaptive three-stage run on two devices."""
-    return _run(plan, PlanVariant.HYBRID)
-
-
-def run_layer_wise(plan: ExecutionPlan) -> RunResult:
-    """Staged run with the pipelined window split across N segment devices.
-
-    Measured stages use devices 0 and 1 for the two branches; the remaining
-    devices idle outside the window. N = 2 reproduces run_hybrid exactly.
-    """
-    return _run(plan, PlanVariant.LAYER_WISE)
-
-
-def run_batch_level(plan: ExecutionPlan) -> RunResult:
-    """N/2 device pairs each run an independent hybrid sample concurrently.
-
-    Sample i uses seed + i. Latency is the slowest pair's makespan; the
-    reported x0, tau1, tau2, and series come from sample 0, and the trace
-    is the pairs' traces one after another.
+    Condition partitioning puts one branch per device on every step, so its
+    trajectory matches serial exactly. Hybrid and layer-wise runs are staged:
+    measured stages use devices 0 and 1 for the two branches, and the window
+    is split across the N segment devices (the rest idle outside it; N = 2
+    is hybrid exactly). A batch_level plan runs N/2 device pairs, each an
+    independent hybrid sample, concurrently: sample i uses seed + i. Latency
+    is the slowest pair's makespan and throughput counts every pair; x0,
+    tau1, tau2 and series come from sample 0, and the trace is the pairs'
+    traces one after another.
     """
     if plan.variant is not PlanVariant.BATCH_LEVEL:
-        raise PlanError(f"run_batch_level got a {plan.variant.value} plan")
+        return _run(plan)
     n_pairs = len(plan.devices) // 2
     # only sample 0 runs the plan's seed, so only it may read the path
-    results = tuple(run_hybrid(replace(plan, variant=PlanVariant.HYBRID,
-                                       devices=plan.devices[2 * i:2 * i + 2],
-                                       segment_fractions=None, seed=plan.seed + i,
-                                       exact_path=plan.exact_path if i == 0 else None))
+    results = tuple(_run(replace(plan, variant=PlanVariant.HYBRID,
+                                 devices=plan.devices[2 * i:2 * i + 2],
+                                 segment_fractions=None, seed=plan.seed + i,
+                                 exact_path=plan.exact_path if i == 0 else None))
                     for i in range(n_pairs))
     trace = RunTrace(sum((r.trace.busy for r in results), ()),
                      sum((r.trace.messages for r in results), ()))
@@ -564,20 +534,6 @@ def run_batch_level(plan: ExecutionPlan) -> RunResult:
     first = results[0]
     return RunResult(x0=first.x0, latency_s=latency,
                      comm_bytes=sum(r.comm_bytes for r in results),
-                     speedup=n_pairs * serial_latency_ref(plan) / latency,
                      throughput_samples_per_s=n_pairs / latency,
                      tau1=first.tau1, tau2=first.tau2, trace=trace,
                      series=first.series, per_sample=results)
-
-
-_RUNNERS = {
-    PlanVariant.SERIAL: run_serial,
-    PlanVariant.FULL_CONDITION_PARTITION: run_full_condition_partition,
-    PlanVariant.HYBRID: run_hybrid,
-    PlanVariant.LAYER_WISE: run_layer_wise,
-    PlanVariant.BATCH_LEVEL: run_batch_level,
-}
-
-
-def run_plan(plan: ExecutionPlan) -> RunResult:
-    return _RUNNERS[plan.variant](plan)

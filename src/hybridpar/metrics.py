@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,16 +27,7 @@ class Metrics:
     tau2: int | None
 
     def to_dict(self) -> dict:
-        return {
-            "latency_s": self.latency_s,
-            "speedup": self.speedup,
-            "comm_bytes": self.comm_bytes,
-            "fidelity_l1": self.fidelity_l1,
-            "fidelity_l2": self.fidelity_l2,
-            "psnr_analog": self.psnr_analog,
-            "tau1": self.tau1,
-            "tau2": self.tau2,
-        }
+        return asdict(self)
 
 
 def _check_same_shape(x: np.ndarray, y: np.ndarray) -> None:

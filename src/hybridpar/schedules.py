@@ -40,14 +40,6 @@ class NoiseSchedule:
         self._check_t(t)
         return float(self.sigmas[t - 1])
 
-    def beta(self, t: int) -> float:
-        self._check_t(t)
-        return float(self.betas[t - 1])
-
-    def alpha(self, t: int) -> float:
-        self._check_t(t)
-        return float(self.alphas[t - 1])
-
     def _check_t(self, t: int) -> None:
         if not 1 <= t <= self.T:
             raise ParameterError(f"timestep t={t} outside [1, {self.T}]")

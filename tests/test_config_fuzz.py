@@ -1,19 +1,26 @@
 """Config documents from outside the program: whatever JSON arrives,
 ExperimentConfig.from_dict followed by to_plan returns or raises a
 HybridparError (which the CLI prints as one JSON error), never another
-exception.
+exception; and `simulate` on such a document either succeeds silently on
+stderr or exits 1 with exactly one JSON object there.
 
 Integers are drawn from the full range: every count (condition_batch,
 devices, schedule.T, the switch steps, each seed, and the number of seeds
 times condition_batch) has an upper bound that is checked before anything
 is sized from it.
 """
+import io
+import json
 import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hybridpar.cli import main
 from hybridpar.config import _KNOWN_KEYS, DEFAULT_LINK, DEFAULT_SCHEDULE, ExperimentConfig
 from hybridpar.engine import PlanVariant
 from hybridpar.errors import HybridparError, PlanError
@@ -42,6 +49,26 @@ def test_any_json_document_builds_a_plan_or_raises_a_package_error(raw, variant,
         ExperimentConfig.from_dict(raw).to_plan(variant=variant, k=k)
     except HybridparError:
         pass
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(DOCUMENTS)
+def test_simulate_on_any_json_document_keeps_the_cli_contract(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["simulate", "--config", path, "--out", os.path.join(tmp, "out")])
+    assert code in (0, 1)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
 
 
 @pytest.mark.parametrize("fractions", [[math.nan, math.nan], [math.inf, -math.inf],

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from hybridpar.config import ExperimentConfig, PRESETS
-from hybridpar.engine import (ExecutionPlan, PlanVariant, initial_latents,
-                              run_hybrid, run_plan, run_serial,
-                              serial_latency_ref)
+from hybridpar.engine import ExecutionPlan, PlanVariant, initial_latents, run_plan, run_serial
 from hybridpar.errors import PlanError
+from hybridpar.metrics import compare_runs
 from hybridpar.mixture import Condition, eps_prediction
 from hybridpar.monitor import (DiscrepancySeries, Stage, StageState,
                                SwitchConfig, rel_mae, update_controller)
@@ -39,7 +38,6 @@ def rel_close(a: float, b: float, tol: float = 1e-12) -> bool:
 def test_serial_reference_latency():
     res = run_serial(preset_plan("serial"))
     assert rel_close(res.latency_s, 16.49)
-    assert res.speedup == 1.0          # same accumulation as the reference
     assert res.comm_bytes == 0
     assert res.tau1 is None and res.tau2 is None
     assert res.throughput_samples_per_s == 1.0 / res.latency_s
@@ -59,11 +57,11 @@ def test_serial_deterministic():
     assert not np.array_equal(a.x0, c.x0)
 
 
-def test_runner_rejects_wrong_variant():
-    with pytest.raises(PlanError):
-        run_serial(preset_plan("hybrid"))
-    with pytest.raises(PlanError):
-        run_hybrid(preset_plan("serial"))
+@pytest.mark.parametrize("variant", ["full_condition_partition", "hybrid", "layer_wise",
+                                     "batch_level"])
+def test_run_serial_rejects_other_variants(variant):
+    with pytest.raises(PlanError, match="run_serial"):
+        run_serial(preset_plan(variant))
 
 
 # full condition partitioning ------------------------------------------------------
@@ -73,7 +71,7 @@ def test_fcp_zero_link_halves_latency():
                        link={"base_latency_s": 0.0})
     res = run_plan(plan)
     assert rel_close(res.latency_s, 50 * C)    # 8.245
-    assert res.speedup == 2.0
+    assert compare_runs(res, run_serial(preset_plan("serial"))).speedup == 2.0
 
 
 def test_fcp_default_link_closed_form():
@@ -87,7 +85,7 @@ def test_fcp_calibrated_link_hits_reference_point():
     res = run_plan(preset_plan("full_condition_partition",
                                link={"base_latency_s": 0.00995}))
     assert rel_close(res.latency_s, 9.24)
-    assert round(res.speedup, 2) == 1.78
+    assert round(compare_runs(res, run_serial(preset_plan("serial"))).speedup, 2) == 1.78
 
 
 def test_fcp_trajectory_matches_serial():
@@ -339,5 +337,5 @@ def test_initial_latents_shared_across_variants():
 def test_serial_reference_scales_with_batching_factor():
     full = preset_plan("serial")
     lean = preset_plan("serial", cfg_batching_factor=1.0)
-    assert rel_close(serial_latency_ref(full), 16.49)
-    assert rel_close(serial_latency_ref(lean), 8.245)
+    assert rel_close(run_serial(full).latency_s, 16.49)
+    assert rel_close(run_serial(lean).latency_s, 8.245)

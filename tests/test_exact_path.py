@@ -78,7 +78,7 @@ def assert_same_run(a, b):
     assert a.x0.shape == b.x0.shape and a.x0.tobytes() == b.x0.tobytes()
     assert a.series == b.series
     assert (a.tau1, a.tau2) == (b.tau1, b.tau2)
-    assert a.latency_s == b.latency_s and a.speedup == b.speedup
+    assert a.latency_s == b.latency_s
     assert a.throughput_samples_per_s == b.throughput_samples_per_s
     assert a.comm_bytes == b.comm_bytes
     assert a.trace.busy == b.trace.busy
@@ -338,16 +338,16 @@ def test_batch_level_hands_the_path_to_sample_zero_only(monkeypatch):
     cfg = ExperimentConfig.from_dict({"condition_batch": 8, "devices": 6})
     path = ExactPath((10,))
     seen = []
-    original = engine.run_hybrid
+    original = engine._run
 
     def recording(sub):
         seen.append((sub.seed, sub.exact_path))
         return original(sub)
 
-    monkeypatch.setattr(engine, "run_hybrid", recording)
     serial_plan = cfg.to_plan(seed=10, variant=PlanVariant.SERIAL, exact_path=path)
     batch_plan = cfg.to_plan(seed=10, variant=PlanVariant.BATCH_LEVEL, exact_path=path)
     run_serial(serial_plan)
+    monkeypatch.setattr(engine, "_run", recording)
     run_plan(batch_plan)
     assert [s for s, _ in seen] == [10, 11, 12]
     assert seen[0][1] is path
