@@ -19,7 +19,7 @@ from .engine import (ExactPath, PlanVariant, RunResult, _branches, initial_laten
 from .errors import HybridparError, ParameterError, PlanError, SeriesParseError
 from .metrics import compare_runs
 from .mixture import conditional_grad, noised_score
-from .monitor import DiscrepancySeries, rel_mae, replay_series
+from .monitor import rel_mae, replay_series
 from .schedules import LatentState, cfg_combine, ddim_step
 
 CURVE_HEADER = "t,rel_mae,score_ratio,band_lo,band_hi,is_argmin"
@@ -138,7 +138,10 @@ def read_series_csv(path: str) -> list[tuple[int, float]]:
     t and rel_mae are used then, else columns 0 and 1.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
+        try:
+            lines = [ln.strip() for ln in fh]
+        except UnicodeDecodeError as exc:
+            raise SeriesParseError(f"series file is not valid UTF-8: {exc}") from exc
     lines = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
     if not lines:
         raise SeriesParseError("series file is empty")

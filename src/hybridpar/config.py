@@ -307,5 +307,10 @@ def _default_device_count(variant: PlanVariant) -> int:
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"config file is not valid UTF-8: {exc}") from exc
+        except RecursionError as exc:
+            raise ParameterError("config document nests too deeply to parse") from exc
     return ExperimentConfig.from_dict(raw)

@@ -87,11 +87,6 @@ class _Window(NamedTuple):
     ms: list[float]             # discrepancy of each exact step after the window
 
 
-def _rule(switch: SwitchConfig) -> SwitchConfig:
-    """The switch config tau1 depends on; k only places tau2."""
-    return replace(switch, k=0)
-
-
 class ExactPath:
     """The all-exact trajectories of a set of seeds, stepped as one batch,
     and the pipelined windows of the staged runs bound to them.
@@ -101,21 +96,24 @@ class ExactPath:
     partitioning read series(plan, T) and x0(plan) end to end, a staged run
     up to its switch (a k = 0 run to the end). A staged run with k >= 1 then
     reads window(plan): its x0 and the discrepancies of the exact steps
-    after its window. The store alone decides tau1: for each switch rule a
-    bound staged plan brings (its switch config with k = 0; k only places
-    tau2) it keeps one controller and series per seed, and after each exact
+    after its window. The store alone decides tau1, under its one switch
+    rule (the first staged plan's switch config with k = 0; k only places
+    tau2): it keeps one controller and series per seed, and after each exact
     step update_controller advances every seed yet to switch. The first
-    window request computes the window of every bound seed with the same
-    rule, tau1, k and segment count N, as one batch.
+    window request computes the window with that k and those segment
+    fractions of every seed that switched at the same step, as one batch.
 
-    Plans bind on construction: the seed must be one of the store's and the
-    mixture, schedule, conditions and guidance the first plan's objects, else
-    PlanError. A rule first bound after the store has stepped replays the
-    stored discrepancies. A staged plan with k >= 1 must bind before the
-    first step, else SequencingError: the store keeps only what bound plans
-    read (per seed the discrepancies, x0, the N latents up to its switch, and
-    the computed windows). What a run can return is read-only, and a step
-    that raises stores nothing.
+    Plans bind on construction: the seed must be one of the store's, the
+    mixture, schedule, conditions and guidance the first plan's objects, and
+    a staged plan's rule the store's rule, else PlanError. A rule first bound
+    after the store has stepped replays the stored discrepancies. The store
+    keeps, up to each seed's switch, as many latents as the widest window of
+    a bound plan starts from (N for N segments; 2 for batch_level); a plan
+    with k >= 1 that needs more binds only before the first step, else
+    SequencingError. A bind that raises changes nothing. The store keeps
+    only what bound plans read (per seed the discrepancies, x0, the latents
+    up to its switch, and the computed windows). What a run can return is
+    read-only, and a step that raises stores nothing.
 
     The store also memoizes the virtual clock of each schedule its runs
     take (see timing), so a sweep builds one trace per distinct (tau1, k),
@@ -130,47 +128,50 @@ class ExactPath:
             raise PlanError("exact path needs at least one seed")
         self._slot = {seed: i for i, seed in enumerate(self._seeds)}
         self._model: tuple | None = None
+        self._switch: SwitchConfig | None = None       # the rule: k = 0
+        self._depth = 0             # the most latents a bound window starts from
         self._stacks: dict[int, _Stack] = {}            # seed count -> stack
         self._done = -1             # exact steps taken; -1 before the initial latents
         self._recent: list[np.ndarray] = []            # latents after the last steps
         self._ms: list[np.ndarray] = []                # per step, each seed's rel_mae
         self._x0: list[np.ndarray] | None = None
-        self._wanted: dict[tuple, set[int]] = {}       # (rule, k, N) -> seeds
-        self._controls: dict[SwitchConfig, list] = {}  # rule -> per seed (state, series)
-        self._starts: dict[tuple, tuple] = {}          # (rule, tau1) -> (seeds, latents)
-        self._windows: dict[tuple, _Window] = {}       # (seed, rule, k, fractions)
+        self._controls: list[tuple[StageState, DiscrepancySeries]] = []  # per seed
+        self._starts: dict[int, tuple] = {}            # tau1 -> (seeds, latents)
+        self._windows: dict[tuple, _Window] = {}       # (seed, k, fractions)
         self._timings: dict[tuple, _Timing] = {}       # see timing
 
     def bind(self, plan: ExecutionPlan) -> "ExactPath":
-        slot = self._slot.get(plan.seed)
-        if slot is None:
+        if plan.seed not in self._slot:
             raise PlanError(f"exact path holds seeds {list(self._seeds)}, "
                             f"got seed {plan.seed}")
         model = tuple(getattr(plan, name) for name in self._BOUND)
         for name, a, b in zip(self._BOUND, model, self._model or model):
             if a is not b:
                 raise PlanError(f"exact path is bound to another {name}")
+        staged = plan.variant in _STAGED
+        if staged:
+            rule = replace(plan.switch, k=0)
+            if self._switch not in (None, rule):
+                raise PlanError("exact path is bound to another switch rule")
+            depth = 0 if plan.switch.k == 0 else (
+                2 if plan.variant is PlanVariant.BATCH_LEVEL else len(plan.segment_fractions))
+            if depth > self._depth and self._done > 0:
+                raise SequencingError(
+                    f"exact path keeps {self._depth} latents per switch, the plan reads "
+                    f"{depth}: bind staged plans before their exact path takes its first step")
         self._model = model
-        if plan.variant not in _STAGED:
-            return self
-        rule = _rule(plan.switch)
-        if plan.switch.k >= 1:
-            n = 2 if plan.variant is PlanVariant.BATCH_LEVEL else len(plan.segment_fractions)
-            key = (rule, plan.switch.k, n)
-            if slot not in self._wanted.get(key, ()):
-                if self._done > 0:
-                    raise SequencingError("bind staged plans before their exact path "
-                                          "takes its first step")
-                self._wanted.setdefault(key, set()).add(slot)
-        if rule not in self._controls:
-            self._controls[rule] = [(StageState(), DiscrepancySeries()) for _ in self._seeds]
-            for s in range(1, self._done + 1):
-                self._control(rule, s)
+        if staged:
+            self._depth = max(self._depth, depth)
+            if self._switch is None:
+                self._switch = rule
+                self._controls = [(StageState(), DiscrepancySeries()) for _ in self._seeds]
+                for s in range(1, self._done + 1):
+                    self._control(s)
         return self
 
     def tau1(self, plan: ExecutionPlan) -> int:
-        """The step the plan's seed switches at under the plan's rule."""
-        state, _ = self._controls[_rule(plan.switch)][self._slot[plan.seed]]
+        """The step the plan's seed switches at."""
+        state, _ = self._controls[self._slot[plan.seed]]
         while state.tau1 is None:
             self._extend(self._done + 1)
         return state.tau1
@@ -190,10 +191,9 @@ class ExactPath:
 
     def window(self, plan: ExecutionPlan) -> _Window:
         """The plan's window and the exact steps after it (k >= 1)."""
-        rule = _rule(plan.switch)
-        key = (self._slot[plan.seed], rule, plan.switch.k, plan.segment_fractions)
+        key = (self._slot[plan.seed], plan.switch.k, plan.segment_fractions)
         if key not in self._windows:
-            self._fill(rule, plan.switch.k, plan.segment_fractions, self.tau1(plan))
+            self._fill(plan.switch.k, plan.segment_fractions, self.tau1(plan))
         return self._windows[key]
 
     def timing(self, plan: ExecutionPlan, tau1: int | None, tau2: int | None) -> _Timing:
@@ -219,58 +219,44 @@ class ExactPath:
             x.flags.writeable = False
             self._recent.append(x)
             self._done += 1
-            for rule in self._controls if self._done else ():
-                self._control(rule, self._done)
+            if self._done:
+                self._control(self._done)
             # keep as many steps as a window of a seed yet to switch starts from
-            del self._recent[:-max([1] + [
-                n for (rule, _, n), slots in self._wanted.items()
-                if any(self._controls[rule][j][0].tau1 is None for j in slots)])]
+            keep = self._depth if any(st.tau1 is None for st, _ in self._controls) else 1
+            del self._recent[:-max(keep, 1)]
 
-    def _rows(self, blocks) -> np.ndarray:
-        """Batch rows of the given seed blocks, in order."""
-        B = len(self._model[2])
-        return (np.asarray(blocks, dtype=np.intp)[:, None] * B + np.arange(B)).ravel()
-
-    def _depth(self, rule: SwitchConfig, slot: int) -> int:
-        """How many steps up to its switch the seed's windows start from."""
-        return max([n for (r, _, n), slots in self._wanted.items()
-                    if r == rule and slot in slots], default=0)
-
-    def _control(self, rule: SwitchConfig, s: int) -> None:
-        """Record exact step s of every seed yet to switch under rule and
-        step its controller; keep the latents the windows of the seeds that
-        switch here start from."""
+    def _control(self, s: int) -> None:
+        """Record exact step s of every seed yet to switch and step its
+        controller; keep the latents the windows of the seeds that switch
+        here start from."""
         t = self._model[1].T + 1 - s
         slots = []
-        for j, (state, series) in enumerate(self._controls[rule]):
+        for j, (state, series) in enumerate(self._controls):
             if state.tau1 is None:
                 series.record(t, float(self._ms[s - 1][j]))
-                update_controller(state, series, t, rule)
-                if state.tau1 is not None and self._depth(rule, j):
+                update_controller(state, series, t, self._switch)
+                if state.tau1 is not None:
                     slots.append(j)
-        if slots:
-            # the latents of the N steps up to s (the initial ones repeated
-            # where fewer exist), newest first; all seeds' rows as they are
-            # when all switch here
-            slots = tuple(slots)
-            rows = None if len(slots) == len(self._seeds) else self._rows(slots)
-            depth = max(self._depth(rule, slot) for slot in slots)
-            self._starts[rule, s] = slots, [
+        if slots and self._depth:
+            # the latents of the depth steps up to s (the initial ones
+            # repeated where fewer exist), newest first; all seeds' rows as
+            # they are when all switch here
+            B = len(self._model[2])
+            rows = None if len(slots) == len(self._seeds) else (
+                np.asarray(slots, dtype=np.intp)[:, None] * B + np.arange(B)).ravel()
+            self._starts[s] = tuple(slots), [
                 x if rows is None else _read_only(x.take(rows, axis=0))
-                for x in (self._recent[max(-1 - d, -1 - s)] for d in range(depth))]
+                for x in (self._recent[max(-1 - d, -1 - s)] for d in range(self._depth))]
 
-    def _fill(self, rule: SwitchConfig, k: int, fractions: tuple[float, ...], tau1: int) -> None:
-        """Compute the window of every bound seed with this rule, k, segment
-        count and tau1, as one batch."""
-        n = len(fractions)
-        slots, starts = self._starts[rule, tau1]
-        group = tuple(j for j in slots if j in self._wanted[(rule, k, n)])
-        history = starts[:n] if group == slots else [
-            x.take(self._rows([slots.index(j) for j in group]), axis=0) for x in starts[:n]]
-        x, ms = _window_steps(self._stack(len(group)), history, fractions, tau1, k)
-        per_seed = zip(np.split(x, len(group)), zip(*[m.tolist() for m in ms]))
-        for j, (x0, seed_ms) in zip(group, per_seed):
-            self._windows[(j, rule, k, fractions)] = _Window(x0, list(seed_ms))
+    def _fill(self, k: int, fractions: tuple[float, ...], tau1: int) -> None:
+        """Compute the window with this k and these segment fractions of
+        every seed that switched at tau1, as one batch."""
+        slots, starts = self._starts[tau1]
+        x, ms = _window_steps(self._stack(len(slots)), starts[:len(fractions)],
+                              fractions, tau1, k)
+        per_seed = zip(np.split(x, len(slots)), zip(*[m.tolist() for m in ms]))
+        for j, (x0, seed_ms) in zip(slots, per_seed):
+            self._windows[j, k, fractions] = _Window(x0, list(seed_ms))
 
     def _stack(self, g: int) -> _Stack:
         stack = self._stacks.get(g)

@@ -1,9 +1,8 @@
 """Analytic Gaussian-mixture model used as an exact stand-in for a denoiser.
 
-All densities are diagonal-covariance mixtures, so scores, noised marginals,
-posterior means, and branch noise predictions have closed forms. Shapes follow
-the convention that the trailing axis is the data dimension d; batched inputs
-are (B, d).
+All densities are diagonal-covariance mixtures, so scores, noised marginals
+and branch noise predictions have closed forms. Shapes follow the convention
+that the trailing axis is the data dimension d; batched inputs are (B, d).
 """
 from __future__ import annotations
 

@@ -39,8 +39,9 @@ class SwitchConfig:
     Attributes:
         L: slope window length in controller iterations, >= 1.
         g_slope: flatness threshold; detection fires when 0 <= G < g_slope.
-        tau_cap: upper bound on tau1 in denoising steps; if no detection has
-            fired by step tau_cap the switch is forced there.
+        tau_cap: upper bound on tau1 in denoising steps, >= 1 (a window
+            follows at least one measured step); if no detection has fired
+            by step tau_cap the switch is forced there.
         k: width of the pipelined window in steps. k = 0 collapses the window
             (every step runs exactly); the usual constraint 1 <= k < T - tau1
             is enforced where a plan is executed, not here.
@@ -56,8 +57,8 @@ class SwitchConfig:
             raise ParameterError(f"L must be an integer >= 1, got {self.L!r}")
         if not (math.isfinite(self.g_slope) and self.g_slope > 0):
             raise ParameterError(f"g_slope must be finite and > 0, got {self.g_slope}")
-        if type(self.tau_cap) is not int or self.tau_cap < 0:
-            raise ParameterError(f"tau_cap must be an integer >= 0, got {self.tau_cap!r}")
+        if type(self.tau_cap) is not int or self.tau_cap < 1:
+            raise ParameterError(f"tau_cap must be an integer >= 1, got {self.tau_cap!r}")
         if type(self.k) is not int or self.k < 0:
             raise ParameterError(f"k must be an integer >= 0, got {self.k!r}")
 

@@ -111,8 +111,6 @@ class ExecutionPlan:
         sw = self.switch
         if sw is None:
             raise PlanError("staged plan needs a switch config")
-        if sw.tau_cap < 1:
-            raise PlanError("staged plan needs tau_cap >= 1 (at least one measured step)")
         T = self.schedule.T
         if sw.L >= T:
             raise PlanError(f"slope window L={sw.L} must be < T={T}")

@@ -12,7 +12,7 @@ import pytest
 
 from hybridpar.config import ExperimentConfig, PRESETS
 from hybridpar.engine import ExecutionPlan, PlanVariant, initial_latents, run_plan, run_serial
-from hybridpar.errors import PlanError
+from hybridpar.errors import ParameterError, PlanError
 from hybridpar.metrics import compare_runs
 from hybridpar.mixture import Condition, eps_prediction
 from hybridpar.monitor import (DiscrepancySeries, Stage, StageState,
@@ -246,7 +246,7 @@ def test_plan_rejects_bad_switch_geometry():
         preset_plan("hybrid", switch={"L": 50})            # window >= T
     with pytest.raises(PlanError):
         preset_plan("hybrid", switch={"tau_cap": 60})      # cap beyond T
-    with pytest.raises(PlanError):
+    with pytest.raises(ParameterError, match="tau_cap"):
         preset_plan("hybrid", switch={"tau_cap": 0})       # no measured step
 
 

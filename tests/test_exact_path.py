@@ -108,9 +108,9 @@ def test_sd3_cases_cover_online_detection_and_distinct_switches():
 
 
 def test_eight_seed_store_equals_unshared_runs():
-    """All eight seeds switch at step 15 but want different windows: each
-    window is computed for just the seeds that want it, and seeds with no
-    staged plan only share the exact path."""
+    """All eight seeds switch at step 15 but bind different windows: each
+    window is computed once for all eight, and seeds that bind no window
+    only read the exact path."""
     cfg = ExperimentConfig.from_dict({"condition_batch": 8, "devices": 4})
     seeds = tuple(range(20, 28))
     staged = [[("hybrid", 5), ("batch_level", 5)], [("layer_wise", 30), ("hybrid", 10)],
@@ -244,24 +244,32 @@ def test_path_rejects_a_plan_of_another_seed_or_model():
     cfg = ExperimentConfig.from_dict({"condition_batch": 4, "schedule": {"T": 12},
                                       "switch": {"L": 2, "tau_cap": 3, "k": 4}})
     path = ExactPath((1,))
+    cfg.to_plan(seed=1, variant=PlanVariant.HYBRID, exact_path=path)
     run_serial(cfg.to_plan(seed=1, variant=PlanVariant.SERIAL, exact_path=path))
     other = ExperimentConfig.from_dict({"condition_batch": 4, "schedule": {"T": 12}})
-    others = {
-        "seed": cfg,
-        "mixture": replace(cfg, mixture=other.mixture),
-        "schedule": replace(cfg, schedule=build_schedule("linear", 12, 0.01, 0.12)),
-        "conditions": replace(cfg, conditions=tuple(list(cfg.conditions))),
-        "guidance": replace(cfg, guidance=GuidanceParams(cfg.guidance.w)),
-    }
-    for name, c in others.items():
+    others = [
+        ("seed", cfg),
+        ("mixture", replace(cfg, mixture=other.mixture)),
+        ("schedule", replace(cfg, schedule=build_schedule("linear", 12, 0.01, 0.12))),
+        ("conditions", replace(cfg, conditions=tuple(list(cfg.conditions)))),
+        ("guidance", replace(cfg, guidance=GuidanceParams(cfg.guidance.w))),
+    ] + [("switch rule", replace(cfg, switch=replace(cfg.switch, **change)))
+         for change in ({"L": 3}, {"g_slope": 1e-3}, {"tau_cap": 2})]
+    for name, c in others:
         seed = 2 if name == "seed" else 1
-        for variant in (PlanVariant.SERIAL, PlanVariant.HYBRID):
+        variants = ((PlanVariant.HYBRID, PlanVariant.BATCH_LEVEL) if name == "switch rule"
+                    else (PlanVariant.SERIAL, PlanVariant.HYBRID))
+        for variant in variants:
             with pytest.raises(PlanError, match=name):
                 c.to_plan(seed=seed, variant=variant, exact_path=path)
     # the binding survives the failed attempts
     again = run_serial(cfg.to_plan(seed=1, variant=PlanVariant.SERIAL, exact_path=path))
     alone = run_serial(cfg.to_plan(seed=1, variant=PlanVariant.SERIAL))
     assert_same_run(again, alone)
+    # the same rule with another k is the store's rule
+    for k in (4, 2, 0):
+        plan = cfg.to_plan(seed=1, variant=PlanVariant.HYBRID, k=k, exact_path=path)
+        assert_same_run(run_plan(plan), run_plan(replace(plan, exact_path=None)))
     with pytest.raises(PlanError):
         ExactPath(())
 
@@ -320,8 +328,20 @@ def test_guided_overflow_raises_at_its_step_and_stores_nothing(monkeypatch, at_s
     assert_same_run(run_plan(plan), run_plan(replace(plan, exact_path=None)))
 
 
+def store_state(path):
+    """Each attribute of a store, and each item of its lists and dicts, by
+    identity."""
+    def ids(value):
+        if isinstance(value, dict):
+            return [(key, id(item)) for key, item in value.items()]
+        return [id(item) for item in value] if isinstance(value, list) else id(value)
+    return {name: ids(value) for name, value in vars(path).items()}
+
+
 def test_staged_plan_bound_after_the_first_step_raises():
-    cfg = ExperimentConfig.from_dict({"condition_batch": 4})
+    """After its first step a store serves a window plan only from the
+    latents it kept: as many per switch as the widest window bound before."""
+    cfg = ExperimentConfig.from_dict({"condition_batch": 4, "devices": 3})
     path = ExactPath((6, 7))
     early = cfg.to_plan(seed=6, variant=PlanVariant.HYBRID, k=5, exact_path=path)
     run_serial(cfg.to_plan(seed=6, variant=PlanVariant.SERIAL, exact_path=path))
@@ -329,9 +349,25 @@ def test_staged_plan_bound_after_the_first_step_raises():
     k0 = run_plan(cfg.to_plan(seed=6, variant=PlanVariant.HYBRID, k=0, exact_path=path))
     assert k0.x0.tobytes() == run_plan(cfg.to_plan(seed=6, k=0)).x0.tobytes()
     assert_same_run(run_plan(replace(early, exact_path=path)), run_plan(cfg.to_plan(seed=6, k=5)))
+    # nor does any other two-segment window of either seed
     for seed, k in [(6, 4), (7, 5)]:
-        with pytest.raises(SequencingError, match="before their exact path"):
-            cfg.to_plan(seed=seed, variant=PlanVariant.HYBRID, k=k, exact_path=path)
+        late = cfg.to_plan(seed=seed, variant=PlanVariant.HYBRID, k=k, exact_path=path)
+        assert_same_run(run_plan(late), run_plan(replace(late, exact_path=None)))
+    # three segments start from three latents, and the store kept two
+    before = store_state(path)
+    with pytest.raises(SequencingError, match="before their exact path"):
+        cfg.to_plan(seed=7, variant=PlanVariant.LAYER_WISE, k=5, exact_path=path)
+    assert store_state(path) == before
+    # a store that stepped with no staged plan bound kept none
+    path = ExactPath((6, 7))
+    run_serial(cfg.to_plan(seed=6, variant=PlanVariant.SERIAL, exact_path=path))
+    before = store_state(path)
+    with pytest.raises(SequencingError, match="before their exact path"):
+        cfg.to_plan(seed=7, variant=PlanVariant.HYBRID, k=5, exact_path=path)
+    assert store_state(path) == before
+    # and the failed bind set no rule: a k = 0 plan of another one binds first
+    other = replace(cfg, switch=replace(cfg.switch, L=5)).to_plan(seed=7, k=0, exact_path=path)
+    assert_same_run(run_plan(other), run_plan(replace(other, exact_path=None)))
 
 
 def test_batch_level_hands_the_path_to_sample_zero_only(monkeypatch):
@@ -416,32 +452,32 @@ def test_sweep_steps_one_controller_per_seed_whatever_its_k_values(tmp_path, bod
     assert counts == [sum(tau1)] * 3
 
 
-@pytest.mark.parametrize("after", ["staged-run", "serial-run"])
+@pytest.mark.parametrize("after", ["mid-path", "serial-run"])
 @pytest.mark.parametrize("L", [5, 20])
 def test_k0_plan_with_a_new_rule_bound_late_equals_an_unshared_run(controller_calls,
                                                                    after, L):
-    """A rule first bound after the store has stepped (mid-path, or at its
-    end) replays the stored discrepancies, then steps on with the rest."""
+    """The store's first rule, bound after it has stepped (mid-path, or at
+    its end), replays the stored discrepancies, then steps on with the rest."""
     cfg = ExperimentConfig.from_dict({"preset": "sd3-like", "condition_batch": 16})
     seeds = (2, 0, 3)
     late_cfg = replace(cfg, switch=replace(cfg.switch, L=L))
     alone = {s: run_plan(late_cfg.to_plan(seed=s, k=0)) for s in seeds}
     path = ExactPath(seeds)
-    early = cfg.to_plan(seed=3, k=1, exact_path=path)
-    if after == "staged-run":
-        run_plan(early)         # seed 3 switches at 29, the others later
+    serial = cfg.to_plan(seed=3, variant=PlanVariant.SERIAL, exact_path=path)
+    if after == "mid-path":
+        path.series(serial, 29)     # where the preset's rule switches seed 3
     else:
-        run_serial(cfg.to_plan(seed=3, variant=PlanVariant.SERIAL, exact_path=path))
+        run_serial(serial)
     controller_calls.clear()
     for s in seeds:
         res = run_plan(late_cfg.to_plan(seed=s, k=0, exact_path=path))
         assert res.tau1 == alone[s].tau1 and res.series == alone[s].series
         assert res.x0.tobytes() == alone[s].x0.tobytes()
     late_rule = replace(late_cfg.switch, k=0)
-    assert controller_calls.count(late_rule) == sum(alone[s].tau1 for s in seeds)
+    assert controller_calls == [late_rule] * sum(alone[s].tau1 for s in seeds)
     assert {alone[s].tau1 for s in seeds} != {run_plan(cfg.to_plan(seed=s, k=0)).tau1
                                              for s in seeds}
-    assert_same_run(run_plan(early), run_plan(replace(early, exact_path=None)))
+    assert_same_run(run_serial(serial), run_serial(replace(serial, exact_path=None)))
 
 
 # work counts ---------------------------------------------------------------------------

@@ -191,6 +191,18 @@ def test_detect_cap_precedes_window_fill(tmp_path, capsys):
     assert json.loads(stdout)["tau1"] == 15
 
 
+def test_detect_rejects_a_zero_tau_cap(tmp_path, capsys):
+    """With no measured step before it, a window could not span exactly k
+    steps: every command rejects tau_cap = 0, detect included."""
+    cfg = write_config(tmp_path, switch={"L": 1, "tau_cap": 0, "k": 2})
+    series = write_series(tmp_path, [(t, 0.2) for t in range(50, 0, -1)])
+    code, stdout, stderr = run_cli(["detect", "--series", series, "--config", cfg], capsys)
+    assert code == 1
+    assert stdout == ""
+    err = json.loads(stderr)
+    assert err["error"] == "ParameterError" and "tau_cap" in err["message"]
+
+
 def test_detect_consumes_curve_output(tmp_path, capsys):
     """Headered curve CSV feeds straight back into detection, and the replay
     lands on the same switch points the live run used."""
@@ -418,12 +430,31 @@ def test_plan_seed_rejects_bool():
         ExperimentConfig.from_dict({}).to_plan(seed=True)
 
 
-def test_malformed_json_config(tmp_path, capsys):
+@pytest.mark.parametrize("content, config_error", [
+    (b"{not json", "JSONDecodeError"),
+    ('{"out_dir": "café"}'.encode("latin-1"), "ParameterError"),
+    (b"[" * 100000, "ParameterError"),      # deeper than the parser recurses
+], ids=["not-json", "not-utf8", "too-deep"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--out", "run", "--config"],
+    ["curve", "--out", "curve.csv", "--config"],
+    ["detect", "--series", "series.csv", "--config"],
+    ["sweep", "--k", "1", "--config"],
+    ["detect", "--series"],
+], ids=["simulate", "curve", "detect", "sweep", "detect-series"])
+def test_malformed_json_config(tmp_path, capsys, monkeypatch, content, config_error, argv):
+    """An unreadable --config (or --series) file exits 1 with one JSON
+    object on stderr, whatever the command."""
+    monkeypatch.chdir(tmp_path)
+    write_series(tmp_path, [(50, 0.5), (49, 0.4)])
     path = tmp_path / "broken.json"
-    path.write_text("{not json", encoding="utf-8")
-    code, _, stderr = run_cli(["sweep", "--config", str(path), "--k", "1"], capsys)
+    path.write_bytes(content)
+    code, stdout, stderr = run_cli(argv + [str(path)], capsys)
     assert code == 1
-    assert json.loads(stderr)["error"] == "JSONDecodeError"
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    want = "SeriesParseError" if argv[-1] == "--series" else config_error
+    assert json.loads(stderr)["error"] == want
 
 
 def test_module_entry_point(tmp_path):
