@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .metrics import compare_runs
 from .mixture import conditional_grad, noised_score
 from .monitor import rel_mae, replay_series
 from .schedules import LatentState, cfg_combine, ddim_step
+from .trace import RunTrace
 
 CURVE_HEADER = "t,rel_mae,score_ratio,band_lo,band_hi,is_argmin"
 SWEEP_HEADER = "k,status,latency_s,speedup,fidelity_l1,psnr_analog"
@@ -39,6 +41,41 @@ def _load(args) -> ExperimentConfig:
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# json spells the non-finite floats this way; finite ones as float.__repr__
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _JSON_NON_FINITE.get(text, text)
+
+
+def _json_list(items: str) -> str:
+    """A list member of a top-level object, as _json_dumps indents it, from
+    its items already indented and joined by ",\n"."""
+    return f"[\n{items}\n  ]" if items else "[]"
+
+
+def _trace_json(trace: RunTrace) -> str:
+    """trace.json: byte for byte _json_dumps of {"busy": [...], "messages":
+    [...]} with one object per event, written from one template per event
+    because json's indenting encoder is pure Python."""
+    s, f = _json_str, _json_float
+    busy = ",\n".join(
+        f'    {{\n      "device": {s(b.device)},\n      "end": {f(b.end)},\n'
+        f'      "label": {s(b.label)},\n      "stage": {s(b.stage)},\n'
+        f'      "start": {f(b.start)},\n      "step": {b.step}\n    }}'
+        for b in trace.busy)
+    messages = ",\n".join(
+        f'    {{\n      "arrive": {f(m.arrive)},\n      "depart": {f(m.depart)},\n'
+        f'      "dst": {s(m.dst)},\n      "kind": {s(m.kind)},\n'
+        f'      "nbytes": {m.nbytes},\n      "src": {s(m.src)},\n'
+        f'      "step": {m.step}\n    }}'
+        for m in trace.messages)
+    return (f'{{\n  "busy": {_json_list(busy)},\n'
+            f'  "messages": {_json_list(messages)}\n}}\n')
 
 
 def cmd_simulate(args) -> int:
@@ -74,17 +111,8 @@ def _write_trace(result: RunResult, out_dir: str) -> None:
                     f"{_fmt(m.depart)},{_fmt(m.arrive)},{m.nbytes}")
     with open(os.path.join(out_dir, "trace.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
-    structured = {
-        "busy": [{"device": b.device, "start": b.start, "end": b.end,
-                  "step": b.step, "stage": b.stage, "label": b.label}
-                 for b in result.trace.busy],
-        "messages": [{"src": m.src, "dst": m.dst, "kind": m.kind,
-                      "nbytes": m.nbytes, "depart": m.depart,
-                      "arrive": m.arrive, "step": m.step}
-                     for m in result.trace.messages],
-    }
     with open(os.path.join(out_dir, "trace.json"), "w", encoding="utf-8") as fh:
-        fh.write(_json_dumps(structured))
+        fh.write(_trace_json(result.trace))
 
 
 def curve_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float, float, float]]:
@@ -180,12 +208,11 @@ def cmd_detect(args) -> int:
     cfg = _load(args)
     pairs = read_series_csv(args.series)
     state, labels = replay_series(pairs, cfg.switch)
-    payload = {
-        "tau1": state.tau1,
-        "tau2": state.tau2,
-        "stages": [lab.value for lab in labels],
-    }
-    sys.stdout.write(_json_dumps(payload))
+    # _json_dumps of {"stages": [...], "tau1": ..., "tau2": ...}, byte for byte
+    stages = ",\n".join(f"    {_json_str(lab.value)}" for lab in labels)
+    sys.stdout.write(f'{{\n  "stages": {_json_list(stages)},\n'
+                     f'  "tau1": {json.dumps(state.tau1)},\n'
+                     f'  "tau2": {json.dumps(state.tau2)}\n}}\n')
     return 0
 
 
@@ -286,7 +313,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the package's finiteness checks report overflow as one JSON error;
+        # numpy's warnings would add lines to stderr ahead of it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except HybridparError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, SeriesParseError) and exc.line is not None:

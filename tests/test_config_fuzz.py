@@ -1,8 +1,10 @@
 """Config documents from outside the program: whatever JSON arrives,
 ExperimentConfig.from_dict followed by to_plan returns or raises a
 HybridparError (which the CLI prints as one JSON error), never another
-exception; and `simulate` on such a document either succeeds silently on
-stderr or exits 1 with exactly one JSON object there.
+exception; and `simulate`, `detect` and `sweep` on such a document either
+succeed silently on stderr or exit 1 with exactly one JSON object there,
+never emitting a warning (numpy's overflow warnings would reach stderr
+outside pytest, which captures them).
 
 Integers are drawn from the full range: every count (condition_batch,
 devices, schedule.T, the switch steps, each seed, and the number of seeds
@@ -14,10 +16,11 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hybridpar.cli import main
@@ -51,17 +54,25 @@ def test_any_json_document_builds_a_plan_or_raises_a_package_error(raw, variant,
         pass
 
 
-@settings(max_examples=60, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(DOCUMENTS)
-def test_simulate_on_any_json_document_keeps_the_cli_contract(raw):
+# a fixed 60-row (t, rel_mae) series for detect: decays, then flattens
+SERIES = "t,rel_mae\n" + "".join(f"{59 - i},{0.05 + 0.5 / (i + 1)!r}\n" for i in range(60))
+
+
+def assert_cli_contract(raw, command: list[str]) -> None:
+    """Run `hybridpar <command> --config <raw>` in a fresh directory, where
+    {tmp} in the command names that directory."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(raw, fh)
+        with open(os.path.join(tmp, "series.csv"), "w", encoding="utf-8") as fh:
+            fh.write(SERIES)
         out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(["simulate", "--config", path, "--out", os.path.join(tmp, "out")])
+        with (redirect_stdout(out), redirect_stderr(err),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
+            code = main([arg.format(tmp=tmp) for arg in command] + ["--config", path])
+    assert [str(w.message) for w in caught] == []
     assert code in (0, 1)
     if code == 0:
         assert err.getvalue() == ""
@@ -69,6 +80,30 @@ def test_simulate_on_any_json_document_keeps_the_cli_contract(raw):
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(DOCUMENTS)
+@example({"guidance_w": 1e300})
+@example({"guidance_w": 1e308})
+def test_simulate_on_any_json_document_keeps_the_cli_contract(raw):
+    assert_cli_contract(raw, ["simulate", "--out", os.path.join("{tmp}", "out")])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(DOCUMENTS)
+def test_detect_on_any_json_document_keeps_the_cli_contract(raw):
+    assert_cli_contract(raw, ["detect", "--series", os.path.join("{tmp}", "series.csv")])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(DOCUMENTS)
+@example({"guidance_w": 1e300})
+def test_sweep_on_any_json_document_keeps_the_cli_contract(raw):
+    assert_cli_contract(raw, ["sweep", "--k", "0,5"])
 
 
 @pytest.mark.parametrize("fractions", [[math.nan, math.nan], [math.inf, -math.inf],

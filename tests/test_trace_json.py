@@ -1,0 +1,124 @@
+"""simulate's trace.json and detect's stdout against json.dumps.
+
+Both are written from one template per event or label. The reference below
+is the trace.json writer as it was when it built dicts and passed them to
+json.dumps(..., sort_keys=True, indent=2): the templates must write the same
+bytes for every trace, non-finite times and empty traces included.
+"""
+import io
+import json
+import os
+from contextlib import redirect_stdout
+from types import SimpleNamespace
+
+import pytest
+
+from hybridpar.cli import _write_trace, main, read_series_csv
+from hybridpar.config import ExperimentConfig
+from hybridpar.engine import PlanVariant, RunResult, run_plan
+from hybridpar.monitor import replay_series
+from hybridpar.trace import BusyInterval, MessageEvent, RunTrace
+
+
+# reference: the json.dumps writer -------------------------------------------------
+
+def _json_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def ref_write_trace_json(result: RunResult, out_dir: str) -> None:
+    structured = {
+        "busy": [{"device": b.device, "start": b.start, "end": b.end,
+                  "step": b.step, "stage": b.stage, "label": b.label}
+                 for b in result.trace.busy],
+        "messages": [{"src": m.src, "dst": m.dst, "kind": m.kind,
+                      "nbytes": m.nbytes, "depart": m.depart,
+                      "arrive": m.arrive, "step": m.step}
+                     for m in result.trace.messages],
+    }
+    with open(os.path.join(out_dir, "trace.json"), "w", encoding="utf-8") as fh:
+        fh.write(_json_dumps(structured))
+
+
+# ---------------------------------------------------------------------------------
+
+def assert_trace_json_matches(result, tmp_path) -> bytes:
+    """Both writers read only result.trace."""
+    ref_dir, out_dir = tmp_path / "ref", tmp_path / "out"
+    ref_dir.mkdir()
+    out_dir.mkdir()
+    ref_write_trace_json(result, str(ref_dir))
+    _write_trace(result, str(out_dir))
+    expected = (ref_dir / "trace.json").read_bytes()
+    assert (out_dir / "trace.json").read_bytes() == expected
+    return expected
+
+
+@pytest.mark.parametrize("preset", ["sdxl-like", "sd3-like"])
+@pytest.mark.parametrize("variant", list(PlanVariant))
+def test_trace_json_of_every_variant_equals_json_dumps(preset, variant, tmp_path):
+    cfg = ExperimentConfig.from_dict({"preset": preset, "devices": 4})
+    result = run_plan(cfg.to_plan(seed=7, variant=variant))
+    assert_trace_json_matches(result, tmp_path)
+
+
+def test_trace_json_of_a_multi_index_hybrid_equals_json_dumps(tmp_path):
+    cfg = ExperimentConfig.from_dict({"conditions": [[0, 1], [2]], "variant": "hybrid"})
+    result = run_plan(cfg.to_plan(seed=3))
+    assert_trace_json_matches(result, tmp_path)
+
+
+def test_trace_json_spells_non_finite_times_as_json_does(tmp_path):
+    inf, nan = float("inf"), float("nan")
+    trace = RunTrace(
+        busy=(BusyInterval("dev0", 0.0, inf, 1, "warm_up", "eps_c"),
+              BusyInterval('dév"1\n', -inf, nan, 2, "", "segment_1"),
+              BusyInterval("dev2", 1e-300, 1.7976931348623157e308, 3, "x", "\t")),
+        messages=(MessageEvent("dev1", "dev0", "latent", 2 ** 70, nan, inf, 1),
+                  MessageEvent("dev0", "dev1", "activation", 1, -inf, -0.0, 2)))
+    text = assert_trace_json_matches(SimpleNamespace(trace=trace), tmp_path)
+    for spelling in (b"NaN", b"Infinity", b"-Infinity"):
+        assert spelling in text
+
+
+def test_empty_trace_json_equals_json_dumps(tmp_path):
+    text = assert_trace_json_matches(SimpleNamespace(trace=RunTrace()), tmp_path)
+    assert text == b'{\n  "busy": [],\n  "messages": []\n}\n'
+
+
+# detect ---------------------------------------------------------------------------
+
+def write_series(tmp_path, ms) -> str:
+    path = tmp_path / "series.csv"
+    T = len(ms)
+    path.write_text("t,rel_mae\n" + "".join(f"{T - 1 - i},{m!r}\n" for i, m in enumerate(ms)),
+                    encoding="utf-8")
+    return str(path)
+
+
+def detect_stdout(series: str, config: str) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["detect", "--series", series, "--config", config]) == 0
+    return out.getvalue()
+
+
+SWITCH = {"L": 2, "g_slope": 1e-3, "tau_cap": 8, "k": 3}
+DECAYING = [1.0 / (i + 1) for i in range(20)]           # G < 0 on every step
+
+
+@pytest.mark.parametrize("ms, tau1", [
+    ([1.0, 0.5, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3], 5),   # flat at step 5
+    (DECAYING, SWITCH["tau_cap"]),                                 # forced by the cap
+    (DECAYING[:4], None),                                          # too short
+], ids=["slope-fires", "forced-by-tau-cap", "too-short"])
+def test_detect_stdout_equals_json_dumps(ms, tau1, tmp_path):
+    series = write_series(tmp_path, ms)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"switch": SWITCH}), encoding="utf-8")
+    cfg = ExperimentConfig.from_dict({"switch": SWITCH})
+    state, labels = replay_series(read_series_csv(series), cfg.switch)
+    assert state.tau1 == tau1
+    expected = _json_dumps({"tau1": state.tau1, "tau2": state.tau2,
+                            "stages": [lab.value for lab in labels]})
+    assert detect_stdout(series, str(config)) == expected
