@@ -8,7 +8,7 @@ discrepancy flatten, pipelines the conditional branch across devices for a
 bounded window, then reconnects for the final steps.
 """
 from .config import (DEFAULT_LINK, DEFAULT_SCHEDULE, PRESETS, ExperimentConfig,
-                     default_conditions, default_mixture, load_config)
+                     default_mixture, load_config)
 from .engine import (ExactPath, ExecutionPlan, PlanVariant, RunResult, initial_latents,
                      run_plan, run_serial)
 from .errors import (DegenerateInputError, HistoryError, HybridparError,

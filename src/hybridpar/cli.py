@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, _seed, load_config
 from .engine import (ExactPath, PlanVariant, RunResult, _branches, initial_latents,
                      run_plan, run_serial)
 from .errors import HybridparError, ParameterError, PlanError, SeriesParseError
@@ -81,7 +81,8 @@ def _trace_json(trace: RunTrace) -> str:
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     variant = PlanVariant(args.variant) if args.variant else None
-    plan = cfg.to_plan(seed=args.seed, variant=variant)
+    seed = None if args.seed is None else _seed("--seed", args.seed)
+    plan = cfg.to_plan(seed=seed, variant=variant)
     result = run_plan(plan)
     if plan.variant is PlanVariant.SERIAL:
         serial = result
@@ -277,8 +278,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are ParameterErrors, which main prints as one JSON line."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hybridpar",
         description="Adaptive hybrid-parallel diffusion sampling on a "
                     "simulated device cluster.")
@@ -311,8 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         # the package's finiteness checks report overflow as one JSON error;
         # numpy's warnings would add lines to stderr ahead of it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -1,8 +1,8 @@
 """Experiment configuration: defaults, presets, and JSON loading.
 
-A config document is one JSON object; every key is optional and falls back to
-the preset (which fills controller parameters and the per-step branch cost)
-and then to the built-in defaults below. The default data model is a
+A config document is one JSON object checked against SCHEMA; every key is
+optional and falls back to the preset (which fills controller parameters and
+the per-step branch cost) or to a built-in default. The default data model is a
 four-component mixture with two well-separated coarse clusters that split
 into nearby fine modes, picked so the measured discrepancy curve dips in the
 middle of the schedule and rises again near the end.
@@ -10,6 +10,8 @@ middle of the schedule and rises again near the end.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +21,7 @@ from .errors import ParameterError
 from .mixture import Condition, GaussianMixture
 from .monitor import SwitchConfig
 from .plan import _STAGED
-from .schedules import GuidanceParams, NoiseSchedule, build_schedule
+from .schedules import SCHEDULE_KINDS, GuidanceParams, NoiseSchedule, build_schedule
 from .trace import DeviceSpec, LinkSpec
 
 PRESETS: dict[str, dict] = {
@@ -46,9 +48,6 @@ DEFAULT_LINK = {
 }
 
 DEFAULT_SCHEDULE = {"kind": "linear", "T": 50, "beta_start": 0.01, "beta_end": 0.12}
-DEFAULT_GUIDANCE_W = 2.0
-DEFAULT_CONDITION_BATCH = 64
-DEFAULT_SEEDS = tuple(range(32))
 
 # Upper bounds on the counts a document may set, checked before anything is
 # sized from them, so no document can ask for unbounded memory or time.
@@ -59,12 +58,6 @@ MAX_SEED = 2 ** 63 - 1
 # len(seeds) * condition_batch: the rows of the (S*B, d) arrays a sweep's
 # ExactPath stacks all seeds' batches on
 MAX_STACKED_ROWS = 2 ** 18
-
-_KNOWN_KEYS = frozenset({
-    "preset", "variant", "seeds", "guidance_w", "schedule", "mixture",
-    "conditions", "condition_batch", "switch", "devices", "link",
-    "segment_fractions", "cfg_batching_factor", "out_dir",
-})
 
 _VARIANTS = {v.value: v for v in PlanVariant}
 
@@ -81,63 +74,126 @@ def default_mixture() -> GaussianMixture:
                            variances=np.full((k, d), 0.15))
 
 
-def default_conditions(n_components: int, batch: int) -> tuple[Condition, ...]:
-    """Singleton conditions cycled over the batch, one component each."""
-    return tuple(Condition((i % n_components,)) for i in range(batch))
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ParameterError(msg)
 
 
-def _is_int(value) -> bool:
-    """JSON integers only: true and false are not counts."""
-    return isinstance(value, int) and not isinstance(value, bool)
+# Kinds: each checks one value a document sets, named by its dotted path,
+# and returns it as from_dict uses it.
+
+def _is(want: str, ok, convert=None):
+    """The values ok accepts, passed through convert if it is given."""
+    def check(path: str, value):
+        if not ok(value):   # repr fails on an integer over 4300 digits: hex does not
+            got = hex(value) if type(value) is int and value.bit_length() > 14000 else repr(value)
+            raise ParameterError(f"{path} must be {want}, got {got}")
+        return value if convert is None else convert(value)
+    return check
 
 
-def _number(value, key: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise ParameterError(f"{key} must be a number within float range") from exc
+def _count(lo: int, hi: int):
+    return _is(f"an integer in [{lo}, {hi}]", lambda v: type(v) is int and lo <= v <= hi)
 
 
-def _at_most(value, key: str, bound: int):
-    """value, unless it is an integer above bound; other bad values are left
-    to the checks that follow."""
-    _require(not (_is_int(value) and value > bound), f"{key} must be at most {bound}")
-    return value
+def _one_of(choices):
+    return _is(f"one of {sorted(choices)}", lambda v: isinstance(v, str) and v in choices)
 
 
-def _section(raw: dict, key: str, known) -> dict:
-    """The JSON object under key ({} when absent); unknown keys are errors
-    named by their dotted path."""
-    sec = raw.get(key, {})
-    _require(isinstance(sec, dict), f"{key} must be a JSON object, got {sec!r}")
-    unknown = sorted(f"{key}.{k}" for k in set(sec) - set(known))
-    _require(not unknown, f"unknown config keys: {unknown}")
-    return sec
+_number = _is("a number within float range", lambda v: isinstance(v, float) or (
+    type(v) is int and abs(v) <= sys.float_info.max), float)
 
 
-def _byte_size(value, key: str) -> int:
+def _bytes(path: str, value) -> int:
     """A message size in whole bytes, within float range: never truncated."""
-    n = _number(value, key)
-    if _is_int(value):
-        return value
-    _require(n.is_integer(), f"{key} must be a whole number of bytes, got {value!r}")
-    return int(n)
+    n = _number(path, value)
+    _require(n.is_integer(), f"{path} must be a whole number of bytes, got {value!r}")
+    return value if type(value) is int else int(n)
 
 
-_SWITCH_KEYS = ("L", "g_slope", "tau_cap", "k")
-_MIXTURE_KEYS = ("weights", "means", "variances")
+def _array(path: str, value) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"{path} must be a numeric array: {exc}") from exc
+
+
+def _list_of(item, lo: int, hi: int, count=None):
+    """lo to hi values of kind item, as a tuple; or one of kind count."""
+    def check(path: str, value):
+        if count is not None and not isinstance(value, list):
+            return count(path, value)
+        _require(isinstance(value, list) and lo <= len(value) <= hi,
+                 f"{path} must be a list of {lo} to {hi} items")
+        return tuple(item(path, x) for x in value)
+    return check
+
+
+def _or_null(kind, null=None):
+    return lambda path, value: null if value is None else kind(path, value)
+
+
+_seed = _count(0, MAX_SEED)
+_PRESET = object()         # the preset's value of the key's last name
+_MIXTURE = default_mixture()
+
+# Every key a document may set, dotted under its section: its kind and its
+# default. No conditions are the singletons [[0], ..., [K - 1]], cycled over
+# the batch; no devices are one for a serial plan and two otherwise.
+SCHEMA = {
+    "preset": (_one_of(PRESETS), "sdxl-like"),
+    "variant": (_one_of(_VARIANTS), "hybrid"),
+    "seeds": (_list_of(_seed, 1, MAX_STACKED_ROWS), tuple(range(32))),
+    "guidance_w": (_number, 2.0),
+    "schedule.kind": (_one_of(SCHEDULE_KINDS), DEFAULT_SCHEDULE["kind"]),
+    "schedule.T": (_count(1, MAX_STEPS), DEFAULT_SCHEDULE["T"]),
+    "schedule.beta_start": (_number, DEFAULT_SCHEDULE["beta_start"]),
+    "schedule.beta_end": (_number, DEFAULT_SCHEDULE["beta_end"]),
+    "mixture.weights": (_array, _MIXTURE.weights),
+    "mixture.means": (_array, _MIXTURE.means),
+    "mixture.variances": (_array, _MIXTURE.variances),
+    "conditions": (_list_of(_is("a list of component indices", lambda c: isinstance(c, list)
+                                and all(type(i) is int for i in c)), 1, MAX_CONDITION_BATCH), None),
+    "condition_batch": (_count(1, MAX_CONDITION_BATCH), 64),
+    "switch.L": (_count(1, MAX_STEPS), _PRESET),
+    "switch.g_slope": (_number, _PRESET),
+    "switch.tau_cap": (_count(1, MAX_STEPS), _PRESET),
+    "switch.k": (_count(0, MAX_STEPS), _PRESET),
+    "devices": (_list_of(_number, 1, MAX_DEVICES, count=_count(1, MAX_DEVICES)), None),
+    "link.base_latency_s": (_number, DEFAULT_LINK["base_latency_s"]),
+    # null is a link of infinite bandwidth
+    "link.bandwidth_bytes_per_s": (_or_null(_number, math.inf), math.inf),
+    "link.latent_bytes": (_bytes, DEFAULT_LINK["latent_bytes"]),
+    "link.activation_bytes": (_bytes, DEFAULT_LINK["activation_bytes"]),
+    "segment_fractions": (_or_null(_list_of(_number, 0, MAX_DEVICES)), None),
+    "cfg_batching_factor": (_number, 2.0),
+    "out_dir": (_or_null(_is("a string", lambda v: isinstance(v, str))), None),
+}
+_SECTIONS = {path.split(".")[0] for path in SCHEMA if "." in path}
+
+
+def _check(raw, prefix: str = "") -> dict:
+    """The values raw sets, by dotted path, each checked by its kind; an
+    unknown key at any level is an error that names its dotted path."""
+    _require(isinstance(raw, dict), f"{prefix[:-1] or 'config document'} must be a JSON object")
+    got = {}
+    for key, value in raw.items():
+        path = f"{prefix}{key}"
+        if path in _SECTIONS:
+            got.update(_check(value, path + "."))
+        else:
+            _require(path in SCHEMA and "." not in str(key), f"{path}: unknown config key")
+            got[path] = SCHEMA[path][0](path, value)
+    return got
+
+
+def _fields(v: dict, section: str) -> dict:
+    return {path.split(".")[1]: x for path, x in v.items() if path.startswith(section + ".")}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A fully resolved experiment; see from_dict for the JSON schema."""
+    """A fully resolved experiment; see SCHEMA for its JSON document."""
 
     variant: PlanVariant
     preset: str
@@ -155,114 +211,36 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _require(isinstance(raw, dict), "config document must be a JSON object")
-        unknown = set(raw) - _KNOWN_KEYS
-        _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-
-        preset = raw.get("preset", "sdxl-like")
-        _require(isinstance(preset, str) and preset in PRESETS,
-                 f"preset must be one of {sorted(PRESETS)}, got {preset!r}")
-        pre = PRESETS[preset]
-
-        variant_name = raw.get("variant", "hybrid")
-        _require(isinstance(variant_name, str) and variant_name in _VARIANTS,
-                 f"variant must be one of {sorted(_VARIANTS)}, got {variant_name!r}")
-        variant = _VARIANTS[variant_name]
-
-        sched_raw = {**DEFAULT_SCHEDULE, **_section(raw, "schedule", DEFAULT_SCHEDULE)}
-        schedule = build_schedule(sched_raw["kind"],
-                                  _at_most(sched_raw["T"], "schedule.T", MAX_STEPS),
-                                  _number(sched_raw["beta_start"], "schedule.beta_start"),
-                                  _number(sched_raw["beta_end"], "schedule.beta_end"))
-
-        if "mixture" in raw:
-            m = _section(raw, "mixture", _MIXTURE_KEYS)
-            _require(set(_MIXTURE_KEYS) <= set(m),
-                     "mixture needs keys weights, means, variances")
-            try:
-                arrays = {key: np.asarray(m[key], dtype=float) for key in _MIXTURE_KEYS}
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ParameterError(f"mixture arrays must be numeric: {exc}") from exc
-            mixture = GaussianMixture(**arrays)
-        else:
-            mixture = default_mixture()
-
-        batch = _at_most(raw.get("condition_batch", DEFAULT_CONDITION_BATCH),
-                         "condition_batch", MAX_CONDITION_BATCH)
-        _require(_is_int(batch) and batch >= 1,
-                 f"condition_batch must be an integer >= 1, got {batch!r}")
-        seeds = raw.get("seeds", DEFAULT_SEEDS)
-        _require(isinstance(seeds, (list, tuple)) and len(seeds) > 0,
-                 f"seeds must be a nonempty list, got {seeds!r}")
+        got = _check(raw)
+        pre = PRESETS[got.get("preset", "sdxl-like")]
+        v = {path: pre[path.split(".")[-1]] if default is _PRESET else default
+             for path, (_, default) in SCHEMA.items()} | got
+        variant = _VARIANTS[v["variant"]]
+        schedule = build_schedule(**_fields(v, "schedule"))
+        _require("mixture" not in raw or len(raw["mixture"]) == 3,
+                 "mixture needs keys weights, means, variances")
+        mixture = GaussianMixture(**_fields(v, "mixture"))
+        batch, seeds = v["condition_batch"], v["seeds"]
         _require(len(seeds) * batch <= MAX_STACKED_ROWS,
                  f"seeds times condition_batch must be at most {MAX_STACKED_ROWS}, "
                  f"got {len(seeds)} seeds of {batch}")
-        _require(all(_is_int(s) and 0 <= s <= MAX_SEED for s in seeds),
-                 f"seeds must be integers in [0, {MAX_SEED}]")
-        seeds = tuple(seeds)
-
-        if "conditions" in raw:
-            c_raw = raw["conditions"]
-            _require(isinstance(c_raw, list) and len(c_raw) > 0
-                     and all(isinstance(c, list) and all(_is_int(i) for i in c)
-                             for c in c_raw),
-                     f"conditions must be a nonempty list of component-index "
-                     f"lists, got {c_raw!r}")
-            base = tuple(Condition(tuple(c)) for c in c_raw)
-            conditions = tuple(base[i % len(base)] for i in range(batch))
-        else:
-            conditions = default_conditions(mixture.n_components, batch)
-
-        guidance = GuidanceParams(_number(raw.get("guidance_w", DEFAULT_GUIDANCE_W),
-                                          "guidance_w"))
-
-        sw_raw = _section(raw, "switch", _SWITCH_KEYS)
-        steps = {key: _at_most(sw_raw.get(key, pre[key]), f"switch.{key}", MAX_STEPS)
-                 for key in ("L", "tau_cap", "k")}
-        switch = SwitchConfig(g_slope=_number(sw_raw.get("g_slope", pre["g_slope"]),
-                                              "switch.g_slope"), **steps)
-
-        dev_raw = _at_most(raw.get("devices", _default_device_count(variant)),
-                           "devices", MAX_DEVICES)
-        if isinstance(dev_raw, list):
-            _require(0 < len(dev_raw) <= MAX_DEVICES,
-                     f"devices must list 1 to {MAX_DEVICES} step costs")
-            costs = [_number(c, "devices") for c in dev_raw]
-        else:
-            _require(_is_int(dev_raw) and dev_raw >= 1,
-                     f"devices must be an integer count >= 1 or a list of step "
-                     f"costs, got {dev_raw!r}")
-            costs = [pre["branch_step_cost"]] * dev_raw
-        devices = tuple(DeviceSpec(name=f"dev{i}", branch_step_cost=c)
-                        for i, c in enumerate(costs))
-
-        link_raw = {**DEFAULT_LINK, **_section(raw, "link", DEFAULT_LINK)}
-        bw = link_raw["bandwidth_bytes_per_s"]
-        link = LinkSpec(
-            bandwidth_bytes_per_s=(float("inf") if bw is None
-                                   else _number(bw, "link.bandwidth_bytes_per_s")),
-            base_latency_s=_number(link_raw["base_latency_s"], "link.base_latency_s"),
-            message_bytes_latent=_byte_size(link_raw["latent_bytes"], "link.latent_bytes"),
-            message_bytes_activation=_byte_size(link_raw["activation_bytes"],
-                                                "link.activation_bytes"))
-
-        fractions = raw.get("segment_fractions")
-        if fractions is not None:
-            _require(isinstance(fractions, list),
-                     f"segment_fractions must be a list of numbers, got {fractions!r}")
-            fractions = tuple(_number(f, "segment_fractions") for f in fractions)
-
-        factor = _number(raw.get("cfg_batching_factor", 2.0), "cfg_batching_factor")
-
-        out_dir = raw.get("out_dir")
-        _require(out_dir is None or isinstance(out_dir, str),
-                 "out_dir must be a string path")
-
-        return cls(variant=variant, preset=preset, schedule=schedule,
-                   mixture=mixture, conditions=conditions, guidance=guidance,
-                   switch=switch, devices=devices, link=link,
-                   segment_fractions=fractions, cfg_batching_factor=factor,
-                   seeds=seeds, out_dir=out_dir)
+        base = tuple(Condition(c) for c in v["conditions"]
+                     or [(i,) for i in range(mixture.n_components)])
+        costs = v["devices"] or (1 if variant is PlanVariant.SERIAL else 2)
+        costs = costs if isinstance(costs, tuple) else (pre["branch_step_cost"],) * costs
+        return cls(
+            variant=variant, preset=v["preset"], schedule=schedule, mixture=mixture,
+            conditions=tuple(base[i % len(base)] for i in range(batch)),
+            guidance=GuidanceParams(v["guidance_w"]),
+            switch=SwitchConfig(**_fields(v, "switch")),
+            devices=tuple(DeviceSpec(name=f"dev{i}", branch_step_cost=c)
+                          for i, c in enumerate(costs)),
+            link=LinkSpec(bandwidth_bytes_per_s=v["link.bandwidth_bytes_per_s"],
+                          base_latency_s=v["link.base_latency_s"],
+                          message_bytes_latent=v["link.latent_bytes"],
+                          message_bytes_activation=v["link.activation_bytes"]),
+            segment_fractions=v["segment_fractions"],
+            cfg_batching_factor=v["cfg_batching_factor"], seeds=seeds, out_dir=v["out_dir"])
 
     def to_plan(self, seed: int | None = None,
                 variant: PlanVariant | None = None,
@@ -301,16 +279,13 @@ class ExperimentConfig:
             exact_path=exact_path)
 
 
-def _default_device_count(variant: PlanVariant) -> int:
-    return 1 if variant is PlanVariant.SERIAL else 2
-
-
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise ParameterError(f"config file is not valid UTF-8: {exc}") from exc
-        except RecursionError as exc:
-            raise ParameterError("config document nests too deeply to parse") from exc
+        except json.JSONDecodeError:
+            raise
+        except (ValueError, RecursionError) as exc:
+            # not UTF-8, nested too deep, or an integer literal over 4300 digits
+            raise ParameterError(f"config document cannot be read: {exc}") from exc
     return ExperimentConfig.from_dict(raw)

@@ -34,12 +34,13 @@ when measured stepping resumes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PlanError, SequencingError
+from .errors import NumericError, PlanError, SequencingError
 from .mixture import (Condition, GaussianMixture, _component_sampler, _condition_rows,
                       _read_only, _singleton_eps, eps_prediction)
 from .mixture import sample_x0  # noqa: F401  (perfbench/spans.py wraps engine.sample_x0)
@@ -385,7 +386,8 @@ def _timing(plan: ExecutionPlan, tau1: int | None, tau2: int | None) -> _Timing:
 
     It reads no latents: steps <= tau1 are measured warm_up steps, steps <=
     tau2 pipelined, later steps measured fully_connecting steps. ExactPath
-    memoizes it per command.
+    memoizes it per command. A makespan that overflows (inf or nan) is a
+    NumericError, so no run reports an infinite latency or a nan speedup.
     """
     tl = Timeline(plan.link)
     T = plan.schedule.T
@@ -406,7 +408,10 @@ def _timing(plan: ExecutionPlan, tau1: int | None, tau2: int | None) -> _Timing:
                      else Stage.FULLY_CONNECTING.value)
             a_clock, b_avail = _measured_step(plan, tl, s, stage, a_clock, b_avail)
     trace = tl.trace()
-    return _Timing(trace, trace.makespan(), account_comm(trace))
+    latency = trace.makespan()
+    if not math.isfinite(latency):
+        raise NumericError(f"virtual latency is not finite: {latency}")
+    return _Timing(trace, latency, account_comm(trace))
 
 
 def _run(plan: ExecutionPlan) -> RunResult:

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hybridpar.cli import main
-from hybridpar.config import _KNOWN_KEYS, DEFAULT_LINK, DEFAULT_SCHEDULE, ExperimentConfig
+from hybridpar.config import SCHEMA, ExperimentConfig
 from hybridpar.engine import PlanVariant
 from hybridpar.errors import HybridparError, PlanError
 
@@ -35,13 +35,16 @@ SCALARS = (st.none() | st.booleans() | st.integers()
 VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=5)
                       | st.dictionaries(st.text(max_size=6), inner, max_size=4),
                       max_leaves=12)
-NESTED = {"schedule": list(DEFAULT_SCHEDULE), "switch": ["L", "g_slope", "tau_cap", "k"],
-          "link": list(DEFAULT_LINK), "mixture": ["weights", "means", "variances"]}
+NESTED = {}
+for path in SCHEMA:
+    section, _, key = path.partition(".")
+    if key:
+        NESTED.setdefault(section, []).append(key)
 # documents that reach every key, and every nested key, with any JSON value
 DOCUMENTS = st.fixed_dictionaries({}, optional={
     key: (st.dictionaries(st.sampled_from(NESTED[key]), VALUES) | VALUES)
     if key in NESTED else VALUES
-    for key in sorted(_KNOWN_KEYS)}) | VALUES
+    for key in sorted({path.partition(".")[0] for path in SCHEMA})}) | VALUES
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,
@@ -54,13 +57,31 @@ def test_any_json_document_builds_a_plan_or_raises_a_package_error(raw, variant,
         pass
 
 
+# each overflows the virtual clock to inf: latency inf and speedup nan
+NON_FINITE_TIME = [{"devices": [1e308, 1e308]}, {"link": {"base_latency_s": 1e308}},
+                   {"link": {"bandwidth_bytes_per_s": 1e-320}}]
 # a fixed 60-row (t, rel_mae) series for detect: decays, then flattens
 SERIES = "t,rel_mae\n" + "".join(f"{59 - i},{0.05 + 0.5 / (i + 1)!r}\n" for i in range(60))
 
 
+def numbers(text: str) -> list[float]:
+    """The numbers of a JSON object (metrics.json, detect's stdout) or of a
+    CSV table after its header (sweep, curve)."""
+    if text.startswith("{"):
+        return [v for v in json.loads(text).values() if isinstance(v, (int, float))]
+    values = []
+    for cell in ",".join(text.splitlines()[1:]).split(","):
+        try:
+            values.append(float(cell))
+        except ValueError:          # "ok", "infeasible", an empty psnr cell
+            pass
+    return values
+
+
 def assert_cli_contract(raw, command: list[str]) -> None:
     """Run `hybridpar <command> --config <raw>` in a fresh directory, where
-    {tmp} in the command names that directory."""
+    {tmp} in the command names that directory. On exit 0 every number it
+    writes (metrics.json and stdout, the sweep and curve CSVs) is finite."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -72,10 +93,16 @@ def assert_cli_contract(raw, command: list[str]) -> None:
               warnings.catch_warnings(record=True) as caught):
             warnings.simplefilter("always")
             code = main([arg.format(tmp=tmp) for arg in command] + ["--config", path])
+        texts = [out.getvalue()]
+        for name in (os.path.join("out", "metrics.json"), "curve.csv"):
+            if os.path.exists(os.path.join(tmp, name)):
+                with open(os.path.join(tmp, name), encoding="utf-8") as fh:
+                    texts.append(fh.read())
     assert [str(w.message) for w in caught] == []
     assert code in (0, 1)
     if code == 0:
         assert err.getvalue() == ""
+        assert all(math.isfinite(x) for text in texts for x in numbers(text))
     else:
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
@@ -87,6 +114,9 @@ def assert_cli_contract(raw, command: list[str]) -> None:
 @given(DOCUMENTS)
 @example({"guidance_w": 1e300})
 @example({"guidance_w": 1e308})
+@example(NON_FINITE_TIME[0])
+@example(NON_FINITE_TIME[1])
+@example(NON_FINITE_TIME[2])
 def test_simulate_on_any_json_document_keeps_the_cli_contract(raw):
     assert_cli_contract(raw, ["simulate", "--out", os.path.join("{tmp}", "out")])
 
@@ -102,8 +132,19 @@ def test_detect_on_any_json_document_keeps_the_cli_contract(raw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(DOCUMENTS)
 @example({"guidance_w": 1e300})
+@example(NON_FINITE_TIME[0])
+@example(NON_FINITE_TIME[1])
+@example(NON_FINITE_TIME[2])
 def test_sweep_on_any_json_document_keeps_the_cli_contract(raw):
     assert_cli_contract(raw, ["sweep", "--k", "0,5"])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(DOCUMENTS)
+@example({"guidance_w": 1e300})
+def test_curve_on_any_json_document_keeps_the_cli_contract(raw):
+    assert_cli_contract(raw, ["curve", "--out", os.path.join("{tmp}", "curve.csv")])
 
 
 @pytest.mark.parametrize("fractions", [[math.nan, math.nan], [math.inf, -math.inf],

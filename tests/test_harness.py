@@ -3,6 +3,7 @@ machine-readable failures, and cross-command consistency.
 """
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -363,7 +364,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "bogus" in err["message"]
 
 
-@pytest.mark.parametrize("body, key", [
+BAD_CONFIG_VALUES = [
     ({"devices": 0}, "devices"),
     ({"guidance_w": "abc"}, "guidance_w"),
     ({"segment_fractions": "ab"}, "segment_fractions"),
@@ -397,7 +398,10 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     ({"link": {"latent_bytes": 10 ** 400}}, "link.latent_bytes"),
     # 20000 seeds of 4096 rows would stack 5 GB of latents
     ({"seeds": list(range(20000)), "condition_batch": 4096}, "seeds"),
-])
+]
+
+
+@pytest.mark.parametrize("body, key", BAD_CONFIG_VALUES)
 def test_bad_config_value_is_one_json_error(tmp_path, capsys, body, key):
     cfg = write_config(tmp_path, **body)
     code, stdout, stderr = run_cli(["simulate", "--config", cfg,
@@ -421,7 +425,23 @@ def test_bad_config_value_is_one_json_error(tmp_path, capsys, body, key):
     ({"schedule": {"T": True}}, "T"),
 ])
 def test_bool_is_not_an_integer(body, key):
-    with pytest.raises(ParameterError, match=rf"^{key} must"):
+    """Each error starts with the key's dotted path: switch.L, not L."""
+    (name, value), = body.items()
+    path = f"{name}.{key}" if isinstance(value, dict) else key
+    with pytest.raises(ParameterError, match=rf"^{re.escape(path)} must"):
+        ExperimentConfig.from_dict(body)
+
+
+@pytest.mark.parametrize("body", [
+    {"guidance_w": 10 ** 5000},
+    {"switch": {"L": 10 ** 5000}},
+    {"seeds": [-10 ** 5000]},
+    {"devices": 10 ** 5000},
+    {"link": {"latent_bytes": 10 ** 5000}},
+], ids=["number", "count", "seed", "devices", "bytes"])
+def test_an_integer_too_long_to_print_is_a_parameter_error(body):
+    """repr raises ValueError past 4300 digits; the error shows it in hex."""
+    with pytest.raises(ParameterError):
         ExperimentConfig.from_dict(body)
 
 
@@ -434,7 +454,9 @@ def test_plan_seed_rejects_bool():
     (b"{not json", "JSONDecodeError"),
     ('{"out_dir": "café"}'.encode("latin-1"), "ParameterError"),
     (b"[" * 100000, "ParameterError"),      # deeper than the parser recurses
-], ids=["not-json", "not-utf8", "too-deep"])
+    # an integer literal longer than int() converts (4300 digits)
+    (b'{"guidance_w": ' + b"1" * 5000 + b"}", "ParameterError"),
+], ids=["not-json", "not-utf8", "too-deep", "long-int"])
 @pytest.mark.parametrize("argv", [
     ["simulate", "--out", "run", "--config"],
     ["curve", "--out", "curve.csv", "--config"],
@@ -455,6 +477,50 @@ def test_malformed_json_config(tmp_path, capsys, monkeypatch, content, config_er
     assert len(stderr.splitlines()) == 1
     want = "SeriesParseError" if argv[-1] == "--series" else config_error
     assert json.loads(stderr)["error"] == want
+
+
+@pytest.mark.parametrize("body", [
+    {"devices": [1e308, 1e308]},
+    {"link": {"base_latency_s": 1e308}},
+    {"link": {"bandwidth_bytes_per_s": 1e-320}},
+], ids=["step-cost", "link-latency", "bandwidth"])
+@pytest.mark.parametrize("argv", [["simulate", "--out", "run"], ["sweep", "--k", "0,5"]],
+                         ids=["simulate", "sweep"])
+def test_non_finite_virtual_time_is_one_json_error(tmp_path, capsys, monkeypatch, body, argv):
+    """A virtual clock that overflows to inf would print latency inf and
+    speedup nan; it is a NumericError instead."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, seeds=[0], condition_batch=4, **body)
+    code, stdout, stderr = run_cli(argv + ["--config", cfg], capsys)
+    assert (code, stdout) == (1, "")
+    assert len(stderr.splitlines()) == 1
+    assert json.loads(stderr)["error"] == "NumericError"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "abc"],
+    ["sweep"],
+    ["simulate", "--variant", "bogus"],
+    ["bogus"],
+    [],
+    ["simulate", "--seed", "99999999999999999999999", "--out", "run"],
+    ["simulate", "--seed", "-1", "--out", "run"],
+], ids=["seed-not-int", "sweep-without-k", "bad-variant", "unknown-command",
+        "no-command", "seed-above-bound", "negative-seed"])
+def test_usage_error_is_one_json_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run_cli(argv, capsys)
+    assert (code, stdout) == (1, "")
+    assert len(stderr.splitlines()) == 1
+    assert json.loads(stderr)["error"] == "ParameterError"
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hybridpar simulate")
 
 
 def test_module_entry_point(tmp_path):
