@@ -15,11 +15,11 @@ from json.encoder import encode_basestring_ascii as _json_str
 import numpy as np
 
 from .config import ExperimentConfig, _seed, load_config
-from .engine import (ExactPath, PlanVariant, RunResult, _branches, initial_latents,
+from .engine import (ExactPath, PlanVariant, RunResult, _branches, _stack, initial_latents,
                      run_plan, run_serial)
 from .errors import HybridparError, ParameterError, PlanError, SeriesParseError
 from .metrics import compare_runs
-from .mixture import conditional_grad, noised_score
+from .mixture import _condition_rows, conditional_grad, noised_score
 from .monitor import rel_mae, replay_series
 from .schedules import LatentState, cfg_combine, ddim_step
 from .trace import RunTrace
@@ -125,16 +125,18 @@ def curve_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float, float, fl
     """
     plan = cfg.to_plan(variant=PlanVariant.SERIAL)
     gm, sched = plan.mixture, plan.schedule
+    stack = _stack(gm, sched, plan.conditions, plan.guidance, 1)
+    groups = _condition_rows(gm, plan.conditions).groups
     state = LatentState(initial_latents(plan), sched.T)
     rows = []
     for _ in range(sched.T):
         x, t = state.x, state.t
-        eps_c, eps_u = _branches(plan, x, t)
+        eps_c, eps_u = _branches(stack, x, t)
         m = rel_mae(eps_c, eps_u)
 
         s_u = noised_score(gm, None, sched, x, t)
         num = sum(float(np.abs(conditional_grad(gm, cond, sched, x[r], t)).sum())
-                  for cond, r in plan.condition_groups)
+                  for cond, r in groups)
         ratio = num / float(np.abs(s_u).sum())
 
         per_row = (np.abs(eps_c - eps_u).sum(axis=1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .engine import ExactPath, ExecutionPlan, PlanVariant
 from .errors import ParameterError
 from .mixture import Condition, GaussianMixture
 from .monitor import SwitchConfig
-from .plan import _STAGED
+from .plan import _DEVICES, _STAGED
 from .schedules import SCHEDULE_KINDS, GuidanceParams, NoiseSchedule, build_schedule
 from .trace import DeviceSpec, LinkSpec
 
@@ -139,7 +139,7 @@ _MIXTURE = default_mixture()
 
 # Every key a document may set, dotted under its section: its kind and its
 # default. No conditions are the singletons [[0], ..., [K - 1]], cycled over
-# the batch; no devices are one for a serial plan and two otherwise.
+# the batch; no devices are the variant's fewest (see plan._DEVICES).
 SCHEMA = {
     "preset": (_one_of(PRESETS), "sdxl-like"),
     "variant": (_one_of(_VARIANTS), "hybrid"),
@@ -226,7 +226,7 @@ class ExperimentConfig:
                  f"got {len(seeds)} seeds of {batch}")
         base = tuple(Condition(c) for c in v["conditions"]
                      or [(i,) for i in range(mixture.n_components)])
-        costs = v["devices"] or (1 if variant is PlanVariant.SERIAL else 2)
+        costs = v["devices"] or _DEVICES[variant][0]
         costs = costs if isinstance(costs, tuple) else (pre["branch_step_cost"],) * costs
         return cls(
             variant=variant, preset=v["preset"], schedule=schedule, mixture=mixture,
@@ -252,29 +252,20 @@ class ExperimentConfig:
         share it read that seed's exact trajectory instead of recomputing it.
         """
         variant = variant or self.variant
-        switch = self.switch if k is None else SwitchConfig(
-            L=self.switch.L, g_slope=self.switch.g_slope,
-            tau_cap=self.switch.tau_cap, k=k)
-        devices = self.devices
-        if len(devices) < 2 and variant is not PlanVariant.SERIAL:
-            # pad with clones of device 0 so variant overrides stay convenient
-            devices = devices + tuple(
-                DeviceSpec(name=f"dev{i}", branch_step_cost=devices[0].branch_step_cost)
-                for i in range(len(devices), 2))
-        if variant is PlanVariant.SERIAL:
-            devices = devices[:1]
-        elif variant in (PlanVariant.FULL_CONDITION_PARTITION, PlanVariant.HYBRID):
-            devices = devices[:2]
-        fractions = self.segment_fractions
-        if variant not in (PlanVariant.HYBRID, PlanVariant.LAYER_WISE):
-            fractions = None
+        switch = self.switch if k is None else replace(self.switch, k=k)
+        fewest, most = _DEVICES[variant]
+        # pad with clones of device 0 so variant overrides stay convenient
+        devices = (self.devices + tuple(
+            DeviceSpec(name=f"dev{i}", branch_step_cost=self.devices[0].branch_step_cost)
+            for i in range(len(self.devices), fewest)))[:most]
         return ExecutionPlan(
             variant=variant, schedule=self.schedule, mixture=self.mixture,
             conditions=self.conditions, guidance=self.guidance,
             devices=devices, link=self.link,
             seed=self.seeds[0] if seed is None else seed,
             switch=switch if variant in _STAGED else None,
-            segment_fractions=fractions,
+            segment_fractions=(self.segment_fractions if variant in
+                               (PlanVariant.HYBRID, PlanVariant.LAYER_WISE) else None),
             cfg_batching_factor=self.cfg_batching_factor,
             exact_path=exact_path)
 

@@ -70,8 +70,8 @@ class RunResult:
 
 class _Stack(NamedTuple):
     """The branch inputs of `seeds` batches stacked along the batch axis:
-    seed i's rows are block i, and the condition rows are offset to match.
-    The branch kernels read it as they read a plan."""
+    seed i's rows are block i, and the condition rows are offset to match
+    (see _stack)."""
 
     mixture: GaussianMixture
     schedule: NoiseSchedule
@@ -109,9 +109,9 @@ class ExactPath:
     a staged plan's rule the store's rule, else PlanError. A rule first bound
     after the store has stepped replays the stored discrepancies. The store
     keeps, up to each seed's switch, as many latents as the widest window of
-    a bound plan starts from (N for N segments; 2 for batch_level); a plan
-    with k >= 1 that needs more binds only before the first step, else
-    SequencingError. A bind that raises changes nothing. The store keeps
+    a bound plan starts from (one per segment); a plan with k >= 1 that
+    needs more binds only before the first step, else SequencingError. A
+    bind that raises changes nothing. The store keeps
     only what bound plans read (per seed the discrepancies, x0, the latents
     up to its switch, and the computed windows). What a run can return is
     read-only, and a step that raises stores nothing.
@@ -154,8 +154,7 @@ class ExactPath:
             rule = replace(plan.switch, k=0)
             if self._switch not in (None, rule):
                 raise PlanError("exact path is bound to another switch rule")
-            depth = 0 if plan.switch.k == 0 else (
-                2 if plan.variant is PlanVariant.BATCH_LEVEL else len(plan.segment_fractions))
+            depth = 0 if plan.switch.k == 0 else len(plan.segment_fractions)
             if depth > self._depth and self._done > 0:
                 raise SequencingError(
                     f"exact path keeps {self._depth} latents per switch, the plan reads "
@@ -214,7 +213,7 @@ class ExactPath:
                 x = np.concatenate([_draw_latents(gm, sched, conditions, seed)
                                     for seed in self._seeds])
             else:
-                x, m = _exact_step(self._stack(len(self._seeds)), self._recent[-1],
+                x, m = _exact_step(self._tiled(len(self._seeds)), self._recent[-1],
                                    sched.T - self._done)
                 self._ms.append(m)
             x.flags.writeable = False
@@ -253,27 +252,32 @@ class ExactPath:
         """Compute the window with this k and these segment fractions of
         every seed that switched at tau1, as one batch."""
         slots, starts = self._starts[tau1]
-        x, ms = _window_steps(self._stack(len(slots)), starts[:len(fractions)],
+        x, ms = _window_steps(self._tiled(len(slots)), starts[:len(fractions)],
                               fractions, tau1, k)
         per_seed = zip(np.split(x, len(slots)), zip(*[m.tolist() for m in ms]))
         for j, (x0, seed_ms) in zip(slots, per_seed):
             self._windows[j, k, fractions] = _Window(x0, list(seed_ms))
 
-    def _stack(self, g: int) -> _Stack:
+    def _tiled(self, g: int) -> _Stack:
         stack = self._stacks.get(g)
         if stack is None:
-            gm, sched, conditions, guidance = self._model
-            rows = _condition_rows(gm, conditions)
-            offsets = np.arange(g, dtype=np.intp)[:, None] * len(conditions)
-
-            def tile(r: np.ndarray) -> np.ndarray:
-                return _read_only((r + offsets).ravel())
-
-            rows_1, comps_1 = rows.singletons
-            stack = self._stacks[g] = _Stack(
-                gm, sched, guidance, g, (tile(rows_1), _read_only(np.tile(comps_1, g))),
-                tuple((cond, tile(r)) for cond, r in rows.multi_groups))
+            stack = self._stacks[g] = _stack(*self._model, g)
         return stack
+
+
+def _stack(gm: GaussianMixture, sched: NoiseSchedule, conditions: tuple[Condition, ...],
+           guidance: GuidanceParams, g: int) -> _Stack:
+    """g copies of the batch of conditions, stacked: the condition rows of
+    _condition_rows(gm, conditions) tiled with block offsets, read-only."""
+    rows = _condition_rows(gm, conditions)
+    offsets = np.arange(g, dtype=np.intp)[:, None] * len(conditions)
+
+    def tile(r: np.ndarray) -> np.ndarray:
+        return _read_only((r + offsets).ravel())
+
+    rows_1, comps_1 = rows.singletons
+    return _Stack(gm, sched, guidance, g, (tile(rows_1), _read_only(np.tile(comps_1, g))),
+                  tuple((cond, tile(r)) for cond, r in rows.multi_groups))
 
 
 def _path_of(plan: ExecutionPlan) -> ExactPath:
@@ -311,25 +315,24 @@ def _draw_latents(gm: GaussianMixture, sched: NoiseSchedule,
     return np.sqrt(ab_t) * x0 + np.sqrt(1.0 - ab_t) * eps
 
 
-def _conditional_branch(plan: ExecutionPlan | _Stack, x: np.ndarray, t: int) -> np.ndarray:
+def _conditional_branch(stack: _Stack, x: np.ndarray, t: int) -> np.ndarray:
     """eps_c for the batch: every singleton row in one gather, then one
     eps_prediction call per multi-index group."""
-    rows, comps = plan.singletons
+    rows, comps = stack.singletons
     if rows.size == len(x):     # every row is singleton-conditioned, in order
-        return _singleton_eps(plan.mixture, comps, plan.schedule, x, t)
+        return _singleton_eps(stack.mixture, comps, stack.schedule, x, t)
     eps_c = np.empty_like(x)
-    eps_c[rows] = _singleton_eps(plan.mixture, comps, plan.schedule,
+    eps_c[rows] = _singleton_eps(stack.mixture, comps, stack.schedule,
                                  x.take(rows, axis=0), t)
-    for cond, rows in plan.multi_groups:
-        eps_c[rows] = eps_prediction(plan.mixture, cond, plan.schedule, x[rows], t)
+    for cond, rows in stack.multi_groups:
+        eps_c[rows] = eps_prediction(stack.mixture, cond, stack.schedule, x[rows], t)
     return eps_c
 
 
-def _branches(plan: ExecutionPlan | _Stack, x: np.ndarray,
-              t: int) -> tuple[np.ndarray, np.ndarray]:
+def _branches(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Both branch outputs for the whole batch at timestep t."""
-    eps_u = eps_prediction(plan.mixture, None, plan.schedule, x, t)
-    return _conditional_branch(plan, x, t), eps_u
+    eps_u = eps_prediction(stack.mixture, None, stack.schedule, x, t)
+    return _conditional_branch(stack, x, t), eps_u
 
 
 def _exact_step(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -515,8 +518,7 @@ def run_plan(plan: ExecutionPlan) -> RunResult:
     n_pairs = len(plan.devices) // 2
     # only sample 0 runs the plan's seed, so only it may read the path
     results = tuple(_run(replace(plan, variant=PlanVariant.HYBRID,
-                                 devices=plan.devices[2 * i:2 * i + 2],
-                                 segment_fractions=None, seed=plan.seed + i,
+                                 devices=plan.devices[2 * i:2 * i + 2], seed=plan.seed + i,
                                  exact_path=plan.exact_path if i == 0 else None))
                     for i in range(n_pairs))
     trace = RunTrace(sum((r.trace.busy for r in results), ()),

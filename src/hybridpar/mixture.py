@@ -220,11 +220,7 @@ def eps_prediction(gm: GaussianMixture, cond: Condition | None, sched: NoiseSche
     """
     terms = _noised_terms(gm, cond, sched.alpha_bar(t))
     xb, squeezed = _prep_x(gm, x)
-    if terms.means.shape[0] == 1:
-        # one component: its responsibility is exactly 1, so the score is its pull
-        s = (terms.means[0] - xb) / terms.variances[0]
-    else:
-        s, _ = _score_rows(terms, xb)
+    s, _ = _score_rows(terms, xb)
     s *= -sched.sigma(t)            # eps = -sigma_t * s, in the score's buffer
     return s[0] if squeezed else s
 
@@ -308,7 +304,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def _condition_rows(gm: GaussianMixture, conditions: tuple[Condition, ...]) -> ConditionRows:
     """The row layout of a batch of conditions, built once per conditions
-    tuple and kept on gm, so every plan of one config shares its arrays."""
+    tuple and kept on gm, so every stack of one config tiles the same arrays."""
     entry = gm._rows.get(conditions)
     if entry is None:
         subsets: dict[tuple[int, ...], tuple[Condition, list[int]]] = {}

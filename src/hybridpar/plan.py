@@ -1,17 +1,15 @@
 """Execution plans: what one simulated run does, checked on construction.
 
 A plan names its variant, model, schedule, devices and link, and for staged
-variants the switch rule and segment split. Plans of one config share their
-condition row layout (compiled once per mixture and conditions), and plans
-that bring the same exact-path store bind to it here (see engine.ExactPath).
+variants the switch rule and segment split. _DEVICES alone decides how many
+devices each variant takes. Plans that bring the same exact-path store bind
+to it here (see engine.ExactPath).
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .errors import PlanError
 from .mixture import Condition, GaussianMixture, _condition_rows
@@ -33,6 +31,16 @@ class PlanVariant(enum.Enum):
 
 _STAGED = (PlanVariant.HYBRID, PlanVariant.BATCH_LEVEL, PlanVariant.LAYER_WISE)
 
+# Each variant's device count: (fewest, most), None for no upper bound. A
+# batch_level plan runs N/2 hybrid pairs, so its count must also be even.
+_DEVICES = {
+    PlanVariant.SERIAL: (1, 1),
+    PlanVariant.FULL_CONDITION_PARTITION: (2, 2),
+    PlanVariant.HYBRID: (2, 2),
+    PlanVariant.LAYER_WISE: (2, None),
+    PlanVariant.BATCH_LEVEL: (2, None),
+}
+
 
 @dataclass(frozen=True)
 class ExecutionPlan:
@@ -53,45 +61,25 @@ class ExecutionPlan:
     # (see ExactPath); the plan binds to it on construction. None steps a
     # private one.
     exact_path: ExactPath | None = field(default=None, compare=False, repr=False)
-    # (condition, batch rows) per distinct subset, in first-seen order; the
-    # row arrays are read-only and shared by every plan of the same mixture
-    # and conditions (see mixture.ConditionRows)
-    condition_groups: tuple[tuple[Condition, np.ndarray], ...] = field(
-        init=False, repr=False, compare=False)
-    # (rows, component) of every singleton-conditioned row, ascending rows,
-    # read-only; the conditional branch evaluates them in one gather
-    singletons: tuple[np.ndarray, np.ndarray] = field(
-        init=False, repr=False, compare=False)
-    # condition_groups with more than one index, evaluated group by group
-    multi_groups: tuple[tuple[Condition, np.ndarray], ...] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.conditions) == 0:
             raise PlanError("plan needs at least one condition")
-        rows = _condition_rows(self.mixture, self.conditions)
-        object.__setattr__(self, "condition_groups", rows.groups)
-        object.__setattr__(self, "singletons", rows.singletons)
-        object.__setattr__(self, "multi_groups", rows.multi_groups)
+        _condition_rows(self.mixture, self.conditions)      # PlanError if out of range
         if type(self.seed) is not int or self.seed < 0:
             raise PlanError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 1.0 <= self.cfg_batching_factor <= 2.0:
             raise PlanError(f"cfg_batching_factor must lie in [1, 2], "
                             f"got {self.cfg_batching_factor}")
-        n = len(self.devices)
-        if self.variant is PlanVariant.SERIAL:
-            if n < 1:
-                raise PlanError("serial plan needs one device")
-        elif self.variant is PlanVariant.FULL_CONDITION_PARTITION:
-            if n != 2:
-                raise PlanError(f"condition partitioning needs exactly 2 devices, got {n}")
-        elif self.variant in (PlanVariant.HYBRID, PlanVariant.LAYER_WISE):
-            need = 2 if self.variant is PlanVariant.HYBRID else n
-            if self.variant is PlanVariant.HYBRID and n != 2:
-                raise PlanError(f"hybrid plan needs exactly 2 devices, got {n}")
-            if self.variant is PlanVariant.LAYER_WISE and n < 2:
-                raise PlanError(f"layer-wise plan needs >= 2 devices, got {n}")
+        n, (fewest, most) = len(self.devices), _DEVICES[self.variant]
+        even = self.variant is PlanVariant.BATCH_LEVEL
+        if not fewest <= n <= (most or n) or (even and n % 2):
+            want = fewest if most == fewest else f"{'an even number ' if even else ''}>= {fewest}"
+            raise PlanError(f"{self.variant.value} plan: device count must be {want}, got {n}")
+        if self.variant in _STAGED:
             self._check_switch()
+            # one segment per device; two per pair of a batch_level plan
+            need = 2 if even else n
             fr = self.segment_fractions
             if fr is None:
                 fr = tuple(1.0 / need for _ in range(need))
@@ -100,10 +88,6 @@ class ExecutionPlan:
                 raise PlanError(f"segment_fractions must have {need} entries, got {len(fr)}")
             if not (all(f > 0 for f in fr) and abs(sum(fr) - 1.0) <= 1e-9):
                 raise PlanError(f"segment_fractions must be positive and sum to 1, got {fr}")
-        elif self.variant is PlanVariant.BATCH_LEVEL:
-            if n < 2 or n % 2 != 0:
-                raise PlanError(f"batch-level plan needs an even device count >= 2, got {n}")
-            self._check_switch()
         if self.exact_path is not None:
             self.exact_path.bind(self)
 

@@ -92,23 +92,18 @@ class RunTrace:
 
 
 class Timeline:
-    """Append-only trace builder with per-device ready clocks."""
+    """Append-only trace builder. It keeps no device clocks: each caller
+    starts a device's interval no earlier than that device's last end."""
 
     def __init__(self, link: LinkSpec):
         self.link = link
         self._busy: list[BusyInterval] = []
         self._messages: list[MessageEvent] = []
-        self._free: dict[str, float] = {}
-
-    def free_at(self, device: str) -> float:
-        return self._free.get(device, 0.0)
 
     def busy(self, device: str, start: float, duration: float, step: int,
              stage: str, label: str) -> float:
-        start = max(start, self.free_at(device))
         end = start + duration
         self._busy.append(BusyInterval(device, start, end, step, stage, label))
-        self._free[device] = end
         return end
 
     def send(self, src: str, dst: str, kind: str, depart: float, step: int) -> float:

@@ -17,6 +17,7 @@ from hybridpar.metrics import compare_runs
 from hybridpar.mixture import Condition, eps_prediction
 from hybridpar.monitor import (DiscrepancySeries, Stage, StageState,
                                SwitchConfig, rel_mae, update_controller)
+from hybridpar.plan import _DEVICES, _STAGED
 from hybridpar.schedules import GuidanceParams, LatentState, cfg_combine, ddim_step
 from hybridpar.trace import DeviceSpec, LinkSpec
 
@@ -275,6 +276,51 @@ def test_plan_rejects_wrong_device_count():
                       conditions=plan.conditions, guidance=plan.guidance,
                       devices=plan.devices + (DeviceSpec("dev2", C),),
                       link=plan.link, seed=0)
+
+
+# the device counts each variant takes, from 0 to 5: batch_level only even ones
+ACCEPTED = {PlanVariant.SERIAL: {1}, PlanVariant.FULL_CONDITION_PARTITION: {2},
+            PlanVariant.HYBRID: {2}, PlanVariant.LAYER_WISE: {2, 3, 4, 5},
+            PlanVariant.BATCH_LEVEL: {2, 4}}
+# the device counts to_plan gives each variant from a 1-device and a 4-device config
+FROM_ONE_AND_FOUR = {PlanVariant.SERIAL: (1, 1), PlanVariant.FULL_CONDITION_PARTITION: (2, 2),
+                     PlanVariant.HYBRID: (2, 2), PlanVariant.LAYER_WISE: (2, 4),
+                     PlanVariant.BATCH_LEVEL: (2, 4)}
+
+
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("variant", list(PlanVariant), ids=lambda v: v.value)
+def test_plan_takes_exactly_the_device_counts_of_the_table(variant, n):
+    fewest, most = _DEVICES[variant]
+    in_table = fewest <= n <= (most or n) and (variant is not PlanVariant.BATCH_LEVEL
+                                                or n % 2 == 0)
+    assert in_table == (n in ACCEPTED[variant])
+    base = preset_plan("hybrid")
+
+    def build():
+        return ExecutionPlan(variant=variant, schedule=base.schedule, mixture=base.mixture,
+                             conditions=base.conditions, guidance=base.guidance,
+                             devices=tuple(DeviceSpec(f"dev{i}", C) for i in range(n)),
+                             link=base.link, seed=0,
+                             switch=base.switch if variant in _STAGED else None)
+
+    if n in ACCEPTED[variant]:
+        assert len(build().devices) == n
+    else:
+        with pytest.raises(PlanError, match="device count"):
+            build()
+
+
+@pytest.mark.parametrize("variant", list(PlanVariant), ids=lambda v: v.value)
+def test_to_plan_pads_and_cuts_devices_to_the_table(variant):
+    """to_plan pads with clones of device 0 and keeps at most the table's
+    most; a config without devices has the variant's fewest."""
+    for costs, n in zip(([0.3], [0.3, 0.4, 0.5, 0.6]), FROM_ONE_AND_FOUR[variant]):
+        plan = ExperimentConfig.from_dict({"devices": costs}).to_plan(variant=variant)
+        assert plan.devices == tuple(DeviceSpec(f"dev{i}", costs[i] if i < len(costs)
+                                                else costs[0]) for i in range(n))
+    cfg = ExperimentConfig.from_dict({"variant": variant.value})
+    assert len(cfg.devices) == len(cfg.to_plan().devices) == _DEVICES[variant][0]
 
 
 def test_plan_rejects_condition_outside_mixture():

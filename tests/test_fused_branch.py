@@ -12,10 +12,10 @@ import pytest
 import hybridpar.mixture as mixture_mod
 from hybridpar.cli import CURVE_HEADER, main
 from hybridpar.config import ExperimentConfig
-from hybridpar.engine import (PlanVariant, _branches, _conditional_branch,
+from hybridpar.engine import (PlanVariant, _branches, _conditional_branch, _stack,
                               initial_latents)
-from hybridpar.mixture import (Condition, _noised_terms, _score_rows, _Terms,
-                               conditional, eps_prediction, noised_mixture)
+from hybridpar.mixture import (Condition, _condition_rows, _noised_terms, _score_rows,
+                               _Terms, conditional, eps_prediction, noised_mixture)
 from hybridpar.monitor import rel_mae
 from hybridpar.schedules import LatentState, cfg_combine, ddim_step
 
@@ -84,6 +84,11 @@ def make_plan(B: int, conditions=None, schedule=None, mixture=None):
     return ExperimentConfig.from_dict(raw).to_plan(variant=PlanVariant.SERIAL)
 
 
+def one_seed(plan):
+    """The plan's batch as the one-seed stack the branch kernels read."""
+    return _stack(plan.mixture, plan.schedule, plan.conditions, plan.guidance, 1)
+
+
 def points(B: int, seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     far = np.full((B, D), 40.0)
@@ -99,13 +104,14 @@ def points(B: int, seed: int) -> dict[str, np.ndarray]:
 def test_branches_match_per_group_loop_bitwise(conditions, B, sched):
     for mixture in (None, random_mixture_raw(seed=B)):
         plan = make_plan(B, conditions, sched, mixture)
+        stack = one_seed(plan)
         for name, x in points(B, seed=B).items():
             x_before = x.copy()
             for t in range(plan.schedule.T + 1):
                 want_c = ref_conditional_branch(plan, x, t)
                 want_u = eps_prediction(plan.mixture, None, plan.schedule, x, t)
-                assert np.array_equal(_conditional_branch(plan, x, t), want_c), (name, t)
-                eps_c, eps_u = _branches(plan, x, t)
+                assert np.array_equal(_conditional_branch(stack, x, t), want_c), (name, t)
+                eps_c, eps_u = _branches(stack, x, t)
                 assert np.array_equal(eps_c, want_c), (name, t)
                 assert np.array_equal(eps_u, want_u), (name, t)
             assert np.array_equal(x, x_before)
@@ -123,32 +129,36 @@ def test_singleton_rows_read_the_unconditional_entry(monkeypatch):
     monkeypatch.setattr(mixture_mod, "conditional", counting)
     plan = make_plan(16, schedule=SCHEDULES[0], mixture=random_mixture_raw(seed=3))
     x = points(16, seed=3)["near"]
+    stack = one_seed(plan)
     for t in range(1, plan.schedule.T + 1):
-        _conditional_branch(plan, x, t)
+        _conditional_branch(stack, x, t)
     assert built == []
     assert {subset for subset, _ in plan.mixture._noised} == {None}
 
 
 def test_plan_singleton_and_multi_groups():
     plan = make_plan(10, MIXED)
-    rows, comps = plan.singletons
+    layout = _condition_rows(plan.mixture, plan.conditions)
+    rows, comps = layout.singletons
     assert rows.tolist() == [0, 2, 4, 6, 8]
     assert comps.tolist() == [0, 3, 0, 3, 0]
-    assert [(c.indices, r.tolist()) for c, r in plan.multi_groups] == [
+    assert [(c.indices, r.tolist()) for c, r in layout.multi_groups] == [
         ((1, 2), [1, 5, 9]), ((0, 1, 2, 3), [3, 7])]
-    for arr in (rows, comps) + tuple(r for _, r in plan.multi_groups):
+    for arr in (rows, comps) + tuple(r for _, r in layout.multi_groups):
         with pytest.raises(ValueError):
             arr[0] = 1
 
     plan = make_plan(6)
-    assert plan.singletons[0].tolist() == list(range(6))
-    assert plan.singletons[1].tolist() == [0, 1, 2, 3, 0, 1]
-    assert plan.multi_groups == ()
+    layout = _condition_rows(plan.mixture, plan.conditions)
+    assert layout.singletons[0].tolist() == list(range(6))
+    assert layout.singletons[1].tolist() == [0, 1, 2, 3, 0, 1]
+    assert layout.multi_groups == ()
 
     plan = make_plan(3, [[0, 1]])
-    assert plan.singletons[0].size == 0 and plan.singletons[1].size == 0
+    layout = _condition_rows(plan.mixture, plan.conditions)
+    assert layout.singletons[0].size == 0 and layout.singletons[1].size == 0
     x = points(3, seed=0)["near"]
-    assert np.array_equal(_conditional_branch(plan, x, 5),
+    assert np.array_equal(_conditional_branch(one_seed(plan), x, 5),
                           ref_conditional_branch(plan, x, 5))
 
 
@@ -192,7 +202,7 @@ def ref_curve_csv() -> str:
         s_u = ref_score(noised_mixture(gm, ab), x)
         num = sum(float(np.abs(ref_score(noised_mixture(conditional(gm, cond), ab), x[r])
                                - ref_score(noised_mixture(gm, ab), x[r])).sum())
-                  for cond, r in plan.condition_groups)
+                  for cond, r in _condition_rows(gm, plan.conditions).groups)
         ratio = num / float(np.abs(s_u).sum())
         per_row = np.abs(eps_c - eps_u).sum(axis=1) / np.abs(eps_u).sum(axis=1)
         sd = float(per_row.std(ddof=1))

@@ -13,7 +13,7 @@ import hybridpar.mixture as mixture_mod
 from hybridpar.config import ExperimentConfig
 from hybridpar.engine import PlanVariant, initial_latents
 from hybridpar.errors import NumericError, ParameterError, ShapeError
-from hybridpar.mixture import (Condition, GaussianMixture, ScoreEval,
+from hybridpar.mixture import (Condition, GaussianMixture, ScoreEval, _condition_rows,
                                eps_prediction, sample_x0)
 from hybridpar.schedules import NoiseSchedule, build_schedule
 
@@ -283,7 +283,7 @@ def test_validation_survives_the_cache():
 def test_plan_condition_groups_are_read_only():
     cfg = ExperimentConfig.from_dict({"condition_batch": 10})
     plan = cfg.to_plan(variant=PlanVariant.HYBRID)
-    groups = plan.condition_groups
+    groups = _condition_rows(plan.mixture, plan.conditions).groups
     assert [c.indices for c, _ in groups] == [(0,), (1,), (2,), (3,)]
     assert [rows.tolist() for _, rows in groups] == [[0, 4, 8], [1, 5, 9], [2, 6], [3, 7]]
     for _, rows in groups:
@@ -305,14 +305,17 @@ def test_plans_of_one_config_share_their_condition_rows(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(mixture_mod, "ConditionRows", counting)
-    a = cfg.to_plan(seed=1, variant=PlanVariant.SERIAL)
-    b = cfg.to_plan(seed=2, variant=PlanVariant.HYBRID, k=3)
+    plans = (cfg.to_plan(seed=1, variant=PlanVariant.SERIAL),
+             cfg.to_plan(seed=2, variant=PlanVariant.HYBRID, k=3))
+    assert len(built) == 1
+    a, b = (_condition_rows(p.mixture, p.conditions) for p in plans)
     assert len(built) == 1
     assert a.singletons[0] is b.singletons[0] and a.singletons[1] is b.singletons[1]
-    assert all(ra is rb for (_, ra), (_, rb) in zip(a.condition_groups, b.condition_groups))
+    assert all(ra is rb for (_, ra), (_, rb) in zip(a.groups, b.groups))
     assert all(ra is rb for (_, ra), (_, rb) in zip(a.multi_groups, b.multi_groups))
-    for arr in (*a.singletons, *(r for _, r in a.condition_groups)):
+    for arr in (*a.singletons, *(r for _, r in a.groups)):
         assert not arr.flags.writeable
     other = ExperimentConfig.from_dict({"condition_batch": 10,
-                                        "conditions": [[0], [1, 2], [3]]})
-    assert other.to_plan().singletons[0] is not a.singletons[0]    # its own mixture
+                                        "conditions": [[0], [1, 2], [3]]}).to_plan()
+    # its own mixture
+    assert _condition_rows(other.mixture, other.conditions).singletons[0] is not a.singletons[0]

@@ -13,6 +13,7 @@ import json
 from contextlib import redirect_stdout
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import hybridpar.cli as cli
@@ -121,6 +122,37 @@ def test_batch_level_pair_forms(no_numerics):
     assert rel_close(pairs[1].latency_s, 48 * 2 * C + 95 * MSG)
     assert {b.device for b in pairs[1].trace.busy} == {"dev2", "dev3"}
     assert pairs[0].comm_bytes == pairs[1].comm_bytes == 90 * 4096 + 5 * 16384
+
+
+# each device computes one interval at a time: the engine starts every interval
+# no earlier than its device's last end, and Timeline relies on that
+LINKS = {"zero": {"base_latency_s": 0.0}, "latency": {},
+         "bandwidth": {"bandwidth_bytes_per_s": 1e6}}
+COUNTS = {"serial": (1,), "full_condition_partition": (2,), "hybrid": (2,),
+          "layer_wise": (2, 3, 5), "batch_level": (2, 4, 6)}
+
+
+@pytest.mark.parametrize("link", LINKS.values(), ids=list(LINKS))
+@pytest.mark.parametrize("variant", list(COUNTS))
+def test_each_device_runs_its_intervals_in_order_without_overlap(no_numerics, variant, link):
+    rng = np.random.default_rng(len(variant))
+    schedules = ([(None, None)] if variant in ("serial", "full_condition_partition")
+                 else [(tau1, tau1 + k) for tau1 in (1, 3, 6) for k in (0, 1, 5)])
+    for n in COUNTS[variant]:
+        p = plan(variant, devices=rng.uniform(0.01, 0.5, n).tolist(), link=link,
+                 schedule={"T": 12}, switch={"L": 2, "tau_cap": 6, "k": 0})
+        # a batch_level plan is timed pair by pair, each as a hybrid plan
+        timed = ([replace(p, variant=PlanVariant.HYBRID, devices=p.devices[i:i + 2])
+                  for i in range(0, n, 2)] if variant == "batch_level" else [p])
+        seen = set()
+        for q in timed:
+            for tau1, tau2 in schedules:
+                last_end: dict[str, float] = {}
+                for b in engine._timing(q, tau1, tau2).trace.busy:
+                    assert b.start >= last_end.get(b.device, 0.0), (n, tau1, tau2, b)
+                    last_end[b.device] = b.end
+                seen |= set(last_end)
+        assert seen == {d.name for d in p.devices}
 
 
 # read-only traces ----------------------------------------------------------------------
