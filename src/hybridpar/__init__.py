@@ -20,7 +20,7 @@ from .mixture import (Condition, GaussianMixture, ScoreEval, conditional,
                       noised_mixture, noised_score, sample_x0, score)
 from .monitor import (DiscrepancySeries, SlopeNoiseModel, Stage, StageState,
                       SwitchConfig, hoeffding_false_alarm, rel_mae,
-                      replay_series, score_ratio_estimate, slope,
+                      replay_series, score_ratio_estimate, slope, stage_at,
                       update_controller)
 from .schedules import (GuidanceParams, LatentState, NoiseSchedule,
                         build_schedule, cfg_combine, ddim_step)

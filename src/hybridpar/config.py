@@ -264,8 +264,7 @@ class ExperimentConfig:
             devices=devices, link=self.link,
             seed=self.seeds[0] if seed is None else seed,
             switch=switch if variant in _STAGED else None,
-            segment_fractions=(self.segment_fractions if variant in
-                               (PlanVariant.HYBRID, PlanVariant.LAYER_WISE) else None),
+            segment_fractions=self.segment_fractions if variant in _STAGED else None,
             cfg_batching_factor=self.cfg_batching_factor,
             exact_path=exact_path)
 

@@ -45,7 +45,7 @@ from .mixture import (Condition, GaussianMixture, _component_sampler, _condition
                       _read_only, _singleton_eps, eps_prediction)
 from .mixture import sample_x0  # noqa: F401  (perfbench/spans.py wraps engine.sample_x0)
 from .monitor import (DiscrepancySeries, Stage, StageState, SwitchConfig,
-                      _rel_mae_blocks, update_controller)
+                      _rel_mae_blocks, stage_at, update_controller)
 from .monitor import rel_mae  # noqa: F401  (perfbench/spans.py wraps engine.rel_mae)
 from .plan import _STAGED, ExecutionPlan, PlanVariant
 from .schedules import GuidanceParams, LatentState, NoiseSchedule, _guided, ddim_step
@@ -387,29 +387,54 @@ def _timing(plan: ExecutionPlan, tau1: int | None, tau2: int | None) -> _Timing:
     """The virtual clock of a run of the plan that switched at step tau1
     (None: unstaged) and reconnects after step tau2.
 
-    It reads no latents: steps <= tau1 are measured warm_up steps, steps <=
-    tau2 pipelined, later steps measured fully_connecting steps. ExactPath
-    memoizes it per command. A makespan that overflows (inf or nan) is a
-    NumericError, so no run reports an infinite latency or a nan speedup.
+    It reads no latents: stage_at(s, tau1, tau2) decides how step s runs
+    (see the module docstring), and an unstaged run's intervals carry no
+    stage label. ExactPath memoizes it per command. A makespan that overflows
+    (inf or nan) is a NumericError, so no run reports an infinite latency or
+    a nan speedup.
     """
     tl = Timeline(plan.link)
     T = plan.schedule.T
+    devs, fr = plan.devices, plan.segment_fractions
     if plan.variant is PlanVariant.SERIAL:
-        dev = plan.devices[0]
-        dur = plan.cfg_batching_factor * dev.branch_step_cost
+        dur = plan.cfg_batching_factor * devs[0].branch_step_cost
         clock = 0.0
         for s in range(1, T + 1):
-            clock = tl.busy(dev.name, clock, dur, s, "", "cfg_branches")
+            clock = tl.busy(devs[0].name, clock, dur, s, "", "cfg_branches")
     else:
-        a_clock, b_avail = 0.0, 0.0
+        a, b = devs[0], devs[1]
+        # device 0's clock, and when the latent reaches device 1; after a
+        # pipelined step the hand-off exchange has re-synced the partner
+        clock = partner = 0.0
+
+        def segment(d: int, start: float) -> float:
+            """Segment d's interval in the loop's current step s."""
+            return tl.busy(devs[d].name, start, fr[d] * devs[d].branch_step_cost,
+                           s, label, f"segment_{d}")
+
         for s in range(1, T + 1):
-            if tau1 is not None and tau1 < s <= tau2:
-                a_clock = _pipelined_step(plan, tl, s, s == tau1 + 1, a_clock, b_avail)
-                b_avail = a_clock  # hand-off exchange re-syncs the partner
-                continue
-            stage = ("" if tau1 is None else Stage.WARM_UP.value if s <= tau1
-                     else Stage.FULLY_CONNECTING.value)
-            a_clock, b_avail = _measured_step(plan, tl, s, stage, a_clock, b_avail)
+            stage = stage_at(s, tau1, tau2)
+            label = "" if tau1 is None else stage.value
+            if stage is not Stage.PARALLELISM:      # measured: one branch per device
+                a_end = tl.busy(a.name, clock, a.branch_step_cost, s, label, "eps_c")
+                b_end = tl.busy(b.name, partner, b.branch_step_cost, s, label, "eps_u")
+                clock = max(a_end, tl.send(b.name, a.name, "latent", b_end, s))
+                partner = tl.send(a.name, b.name, "latent", clock, s)
+            elif s == tau1 + 1:
+                # fill: a sequential chain ending at device 0, one hand-off per
+                # hop; it starts when the partner holds the latent (N = 2), else
+                # at device 0's clock
+                cur = partner if len(devs) == 2 else clock
+                for d in range(len(devs) - 1, 0, -1):
+                    cur = tl.send(devs[d].name, devs[d - 1].name, "activation",
+                                  segment(d, cur), s)
+                clock = partner = segment(0, cur)
+            else:
+                # steady state: the segments overlap, and the N-1 contributions
+                # travel concurrently (links are contention-free)
+                arrivals = [tl.send(devs[d].name, a.name, "activation", segment(d, clock), s)
+                            for d in range(1, len(devs))]
+                clock = partner = max([segment(0, clock)] + arrivals)
     trace = tl.trace()
     latency = trace.makespan()
     if not math.isfinite(latency):
@@ -441,56 +466,6 @@ def _run(plan: ExecutionPlan) -> RunResult:
                      latency_s=timing.latency_s, comm_bytes=timing.comm_bytes,
                      throughput_samples_per_s=1.0 / timing.latency_s,
                      tau1=tau1, tau2=tau2, trace=timing.trace, series=tuple(series))
-
-
-def _measured_step(plan: ExecutionPlan, tl: Timeline, s: int, stage: str,
-                   a_clock: float, b_avail: float) -> tuple[float, float]:
-    """Timing of one condition-partitioned step.
-
-    Device 0 evaluates the conditional branch, device 1 the unconditional one;
-    the partner output and the stepped latent each cross the link once.
-    Returns (time device 0 finishes the update, time the latent reaches
-    device 1).
-    """
-    da, db = plan.devices[0], plan.devices[1]
-    a_end = tl.busy(da.name, a_clock, da.branch_step_cost, s, stage, "eps_c")
-    b_end = tl.busy(db.name, b_avail, db.branch_step_cost, s, stage, "eps_u")
-    arr = tl.send(db.name, da.name, "latent", b_end, s)
-    combine = max(a_end, arr)
-    return combine, tl.send(da.name, db.name, "latent", combine, s)
-
-
-def _pipelined_step(plan: ExecutionPlan, tl: Timeline, s: int, fill: bool,
-                    a_clock: float, b_avail: float) -> float:
-    """Timing of one pipelined step; returns the assembly time on device 0.
-
-    Fill: segments run as a sequential chain ending at the assembler, one
-    activation hand-off per hop. Steady state: all segments overlap and the
-    N-1 contributions travel concurrently (links are contention-free).
-    """
-    devs = plan.devices
-    fr = plan.segment_fractions
-    n = len(devs)
-    stage = Stage.PARALLELISM.value
-    ready = [a_clock] * n
-    if n > 1:
-        ready[1] = max(b_avail, a_clock) if not fill else b_avail
-    if fill:
-        cur = ready[n - 1]
-        for d in range(n - 1, 0, -1):
-            end = tl.busy(devs[d].name, cur, fr[d] * devs[d].branch_step_cost,
-                          s, stage, f"segment_{d}")
-            cur = tl.send(devs[d].name, devs[d - 1].name, "activation", end, s)
-        return tl.busy(devs[0].name, cur, fr[0] * devs[0].branch_step_cost,
-                       s, stage, "segment_0")
-    arrivals = []
-    for d in range(1, n):
-        end = tl.busy(devs[d].name, ready[d], fr[d] * devs[d].branch_step_cost,
-                      s, stage, f"segment_{d}")
-        arrivals.append(tl.send(devs[d].name, devs[0].name, "activation", end, s))
-    end0 = tl.busy(devs[0].name, a_clock, fr[0] * devs[0].branch_step_cost,
-                   s, stage, "segment_0")
-    return max([end0] + arrivals)
 
 
 def run_serial(plan: ExecutionPlan) -> RunResult:

@@ -151,15 +151,28 @@ def slope(series: DiscrepancySeries, t: int, L: int) -> float:
     return (series.get(t) - series.get(t + L)) / L
 
 
+def stage_at(s: int, tau1: int | None, tau2: int | None) -> Stage:
+    """The stage of denoising step s under switch steps (tau1, tau2): warm-up
+    through tau1 (every step while tau1 is undecided), pipelined through tau2,
+    then fully connecting. The one home of that mapping."""
+    if tau1 is None or s <= tau1:
+        return Stage.WARM_UP
+    return Stage.PARALLELISM if s <= tau2 else Stage.FULLY_CONNECTING
+
+
 @dataclass
 class StageState:
     """Mutable controller state; owned by exactly one execution engine."""
 
     tau1: int | None = None
     tau2: int | None = None
-    stage: Stage = Stage.WARM_UP
     steps_done: int = 0
     last_t: int | None = field(default=None, repr=False)
+
+    @property
+    def stage(self) -> Stage:
+        """The stage of the last step taken."""
+        return stage_at(self.steps_done, self.tau1, self.tau2)
 
 
 def update_controller(state: StageState, series: DiscrepancySeries, t: int,
@@ -170,7 +183,7 @@ def update_controller(state: StageState, series: DiscrepancySeries, t: int,
     if it never has; tau2 = tau1 + k. The step on which detection fires still
     runs as WARM_UP (its measurement was needed to decide), so the pipelined
     window occupies steps tau1+1 .. tau2 and stage labels are monotone:
-    WARM_UP+ PARALLELISM^k FULLY_CONNECTING*.
+    WARM_UP+ PARALLELISM^k FULLY_CONNECTING* (see stage_at).
     """
     if t < 0:
         raise ParameterError(f"timestep must be >= 0, got {t}")
@@ -178,31 +191,13 @@ def update_controller(state: StageState, series: DiscrepancySeries, t: int,
         raise SequencingError(f"controller called at t={t} after t={state.last_t}; "
                               "steps must descend by exactly 1")
     s = state.steps_done + 1
-
     if state.tau1 is None:
-        fired = False
-        if series.has(t) and series.has(t + cfg.L):
-            g = slope(series, t, cfg.L)
-            fired = 0.0 <= g < cfg.g_slope
-        if fired:
+        fired = (series.has(t) and series.has(t + cfg.L)
+                 and 0.0 <= slope(series, t, cfg.L) < cfg.g_slope)
+        # at step tau_cap the switch is forced even if the slope never flattened
+        if fired or s >= cfg.tau_cap:
             state.tau1 = min(s, cfg.tau_cap)
             state.tau2 = state.tau1 + cfg.k
-        elif s >= cfg.tau_cap:
-            # safety cap: force the switch even if the slope never flattened
-            state.tau1 = cfg.tau_cap
-            state.tau2 = state.tau1 + cfg.k
-        label = Stage.WARM_UP
-    elif s <= state.tau1:
-        label = Stage.WARM_UP
-    elif s <= state.tau2:
-        label = Stage.PARALLELISM
-    else:
-        label = Stage.FULLY_CONNECTING
-
-    _STAGE_ORDER = (Stage.WARM_UP, Stage.PARALLELISM, Stage.FULLY_CONNECTING)
-    if _STAGE_ORDER.index(label) < _STAGE_ORDER.index(state.stage):
-        raise SequencingError(f"stage regressed from {state.stage} to {label}")
-    state.stage = label
     state.steps_done = s
     state.last_t = t
     return state
@@ -216,12 +211,10 @@ def replay_series(pairs: list[tuple[int, float]], cfg: SwitchConfig) -> tuple[St
     """
     series = DiscrepancySeries()
     state = StageState()
-    labels: list[Stage] = []
     for t, m in pairs:
         series.record(t, m)
         update_controller(state, series, t, cfg)
-        labels.append(state.stage)
-    return state, labels
+    return state, [stage_at(s, state.tau1, state.tau2) for s in range(1, len(pairs) + 1)]
 
 
 def score_ratio_estimate(gm: GaussianMixture, cond: Condition, sched: NoiseSchedule,

@@ -115,6 +115,17 @@ def test_simulate_requires_out_dir(capsys):
     assert err["error"] == "PlanError"
 
 
+def test_batch_level_segment_fractions_need_two_entries(tmp_path, capsys):
+    """A batch_level plan reads the config's fractions, two per pair."""
+    cfg = write_config(tmp_path, devices=4, segment_fractions=[0.25] * 4, **SMALL)
+    code, stdout, stderr = run_cli(["simulate", "--config", cfg, "--variant", "batch_level",
+                                    "--out", str(tmp_path / "run")], capsys)
+    assert code == 1 and stdout == "" and len(stderr.splitlines()) == 1
+    err = json.loads(stderr)
+    assert err["error"] == "PlanError"
+    assert "segment_fractions must have 2 entries, got 4" in err["message"]
+
+
 def test_simulate_reruns_byte_identical(tmp_path, capsys):
     cfg = write_config(tmp_path, variant="hybrid", **SMALL)
     outs = []

@@ -1,5 +1,6 @@
 """Discrepancy metric, windowed slope, and the stage-switch controller."""
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from hybridpar.mixture import Condition, eps_prediction
 from hybridpar.monitor import (DiscrepancySeries, SlopeNoiseModel, Stage,
                                StageState, SwitchConfig,
                                hoeffding_false_alarm, rel_mae, replay_series,
-                               score_ratio_estimate, slope, update_controller)
+                               score_ratio_estimate, slope, stage_at,
+                               update_controller)
 from hybridpar.schedules import build_schedule
 
 
@@ -211,6 +213,115 @@ def test_replay_labels_are_monotone():
         assert labels.count(Stage.PARALLELISM) <= cfg.k
         if Stage.FULLY_CONNECTING in labels:
             assert labels.count(Stage.PARALLELISM) == cfg.k
+
+
+def test_stage_at_boundaries():
+    assert [stage_at(s, None, None) for s in (0, 1, 50)] == [Stage.WARM_UP] * 3
+    assert [stage_at(s, 3, 5) for s in range(1, 8)] == (
+        [Stage.WARM_UP] * 3 + [Stage.PARALLELISM] * 2 + [Stage.FULLY_CONNECTING] * 2)
+    assert [stage_at(s, 3, 3) for s in (3, 4)] == [Stage.WARM_UP, Stage.FULLY_CONNECTING]
+    with pytest.raises(AttributeError):        # derived, so it cannot regress
+        StageState().stage = Stage.FULLY_CONNECTING
+
+
+# The controller as it was when every call computed its own stage label,
+# verbatim but for the state class, whose stage was a settable field. It is
+# the reference the derived stage is checked against.
+@dataclass
+class LabelledState:
+    tau1: int | None = None
+    tau2: int | None = None
+    stage: Stage = Stage.WARM_UP
+    steps_done: int = 0
+    last_t: int | None = None
+
+
+def labelled_update_controller(state, series, t, cfg):
+    if t < 0:
+        raise ParameterError(f"timestep must be >= 0, got {t}")
+    if state.last_t is not None and t != state.last_t - 1:
+        raise SequencingError(f"controller called at t={t} after t={state.last_t}; "
+                              "steps must descend by exactly 1")
+    s = state.steps_done + 1
+
+    if state.tau1 is None:
+        fired = False
+        if series.has(t) and series.has(t + cfg.L):
+            g = slope(series, t, cfg.L)
+            fired = 0.0 <= g < cfg.g_slope
+        if fired:
+            state.tau1 = min(s, cfg.tau_cap)
+            state.tau2 = state.tau1 + cfg.k
+        elif s >= cfg.tau_cap:
+            # safety cap: force the switch even if the slope never flattened
+            state.tau1 = cfg.tau_cap
+            state.tau2 = state.tau1 + cfg.k
+        label = Stage.WARM_UP
+    elif s <= state.tau1:
+        label = Stage.WARM_UP
+    elif s <= state.tau2:
+        label = Stage.PARALLELISM
+    else:
+        label = Stage.FULLY_CONNECTING
+
+    _STAGE_ORDER = (Stage.WARM_UP, Stage.PARALLELISM, Stage.FULLY_CONNECTING)
+    if _STAGE_ORDER.index(label) < _STAGE_ORDER.index(state.stage):
+        raise SequencingError(f"stage regressed from {state.stage} to {label}")
+    state.stage = label
+    state.steps_done = s
+    state.last_t = t
+    return state
+
+
+def labelled_replay_series(pairs, cfg):
+    series = DiscrepancySeries()
+    state = LabelledState()
+    labels: list[Stage] = []
+    for t, m in pairs:
+        series.record(t, m)
+        labelled_update_controller(state, series, t, cfg)
+        labels.append(state.stage)
+    return state, labels
+
+
+CURVES = {
+    "flat": lambda s, rng: 0.25,
+    "rising": lambda s, rng: 0.05 + 0.004 * s,
+    "falling": lambda s, rng: 0.5 - 0.004 * s,
+    "parabola": lambda s, rng: 0.05 + 0.02 * (s - 25) ** 2 / 625,
+    "noisy": lambda s, rng: float(rng.uniform(0.0, 1.0)),
+}
+
+
+def test_controller_matches_the_labelled_reference_step_by_step():
+    rng = np.random.default_rng(31)
+    seen = set()
+    for case in range(400):
+        shape = list(CURVES)[case % len(CURVES)]
+        L = int(rng.integers(1, 15))
+        # one case in four is shorter than a full slope window, L + 1 steps
+        T = int(rng.integers(1, L + 1)) if case % 4 == 0 else int(rng.integers(L + 1, 80))
+        tau_cap = (1, T + int(rng.integers(1, 10)), int(rng.integers(1, T + 1)))[case // 5 % 3]
+        cfg = SwitchConfig(L=L, g_slope=float(10 ** rng.uniform(-5, -1)), tau_cap=tau_cap,
+                           k=0 if case % 7 == 0 else int(rng.integers(1, 10)))
+        pairs = [(T + 1 - s, CURVES[shape](s, rng)) for s in range(1, T + 1)]
+        series, ref_series = DiscrepancySeries(), DiscrepancySeries()
+        state, ref = StageState(), LabelledState()
+        for t, m in pairs:
+            series.record(t, m)
+            ref_series.record(t, m)
+            update_controller(state, series, t, cfg)
+            labelled_update_controller(ref, ref_series, t, cfg)
+            got = (state.tau1, state.tau2, state.steps_done, state.last_t, state.stage)
+            assert got == (ref.tau1, ref.tau2, ref.steps_done, ref.last_t, ref.stage), case
+        replayed, labels = replay_series(pairs, cfg)
+        ref_replayed, ref_labels = labelled_replay_series(pairs, cfg)
+        assert labels == ref_labels, case
+        assert replayed.tau1 == ref_replayed.tau1 and replayed.tau2 == ref_replayed.tau2
+        seen.add("undecided" if state.tau1 is None else
+                 "at the cap" if state.tau1 == tau_cap else "before the cap")
+        seen.add(f"k={'0' if cfg.k == 0 else 'k'}")
+    assert seen == {"undecided", "at the cap", "before the cap", "k=0", "k=k"}
 
 
 # score-based discrepancy estimate ------------------------------------------------

@@ -124,6 +124,20 @@ def test_batch_level_pair_forms(no_numerics):
     assert pairs[0].comm_bytes == pairs[1].comm_bytes == 90 * 4096 + 5 * 16384
 
 
+def test_batch_level_pairs_take_the_config_segment_fractions():
+    """Each pair splits its window as the config says, so it runs hybrid's
+    schedule with those fractions: a steady step takes the 0.7 segment plus
+    its hand-off, 0.2 C more than an even split's, over k - 1 = 4 steps."""
+    cfg = ExperimentConfig.from_dict({"devices": 4, "segment_fractions": [0.3, 0.7],
+                                      "condition_batch": 4, "seeds": [0]})
+    batch = cfg.to_plan(variant=PlanVariant.BATCH_LEVEL)
+    assert batch.segment_fractions == (0.3, 0.7)
+    hybrid = run_plan(cfg.to_plan(variant=PlanVariant.HYBRID))
+    assert rel_close(hybrid.latency_s, 48.8 * C + 95 * MSG)        # 8.28462
+    pairs = run_plan(batch).per_sample
+    assert [r.latency_s for r in pairs] == [hybrid.latency_s] * 2
+
+
 # each device computes one interval at a time: the engine starts every interval
 # no earlier than its device's last end, and Timeline relies on that
 LINKS = {"zero": {"base_latency_s": 0.0}, "latency": {},
@@ -153,6 +167,30 @@ def test_each_device_runs_its_intervals_in_order_without_overlap(no_numerics, va
                     last_end[b.device] = b.end
                 seen |= set(last_end)
         assert seen == {d.name for d in p.devices}
+
+
+# the switch step moves fidelity, never latency: at a fixed k, every feasible
+# tau1 gives the same makespan, whatever the devices, fractions and link
+def test_latency_does_not_depend_on_the_switch_step(no_numerics):
+    rng = np.random.default_rng(2024)
+    for trial in range(300):
+        variant = ("hybrid", "layer_wise", "batch_level")[trial % 3]
+        n = {"hybrid": 2, "layer_wise": int(rng.integers(2, 7)),
+             "batch_level": 2 * int(rng.integers(1, 4))}[variant]
+        T = int(rng.integers(4, 51))
+        k = int(rng.integers(1, T - 2))
+        link = list(LINKS.values())[trial // 3 % 3]
+        p = plan(variant, devices=rng.uniform(0.01, 0.5, n).tolist(), link=link,
+                 schedule={"T": T}, switch={"L": 1, "tau_cap": T - k - 1, "k": k})
+        w = rng.uniform(0.1, 1.0, len(p.segment_fractions))
+        p = replace(p, segment_fractions=tuple((w / w.sum()).tolist()))
+        # a batch_level plan is timed pair by pair, each as a hybrid plan
+        timed = ([replace(p, variant=PlanVariant.HYBRID, devices=p.devices[i:i + 2])
+                  for i in range(0, n, 2)] if variant == "batch_level" else [p])
+        for q in timed:
+            latency = [engine._timing(q, tau1, tau1 + k).latency_s
+                       for tau1 in range(1, T - k)]
+            assert all(rel_close(x, latency[0]) for x in latency), (trial, q.devices)
 
 
 # read-only traces ----------------------------------------------------------------------
