@@ -52,12 +52,9 @@ class GaussianMixture:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", v)
-        # oracle entries compiled on first use; the parameters above are
-        # read-only, so an entry never goes stale (see _noised_terms)
-        object.__setattr__(self, "_conditionals", {})
-        object.__setattr__(self, "_noised", {})
-        object.__setattr__(self, "_samplers", {})
-        object.__setattr__(self, "_rows", {})
+        # oracle entries compiled on first use, keyed by kind (see _memo); the
+        # parameters above are read-only, so an entry never goes stale
+        object.__setattr__(self, "_memo", {})
 
     @property
     def n_components(self) -> int:
@@ -184,14 +181,25 @@ def score(gm: GaussianMixture, x: np.ndarray) -> ScoreEval:
     return ScoreEval(score=s, log_density=log_density)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _memo(gm: GaussianMixture, key: tuple, build):
+    """gm's entry for key, built by build() on first use. key starts with
+    its kind, so the kinds share one dict; a build that raises stores nothing."""
+    entry = gm._memo.get(key)
+    if entry is None:
+        entry = gm._memo[key] = build()
+    return entry
+
+
 def _conditional_of(gm: GaussianMixture, cond: Condition | None) -> GaussianMixture:
     """conditional(gm, cond), built once per subset and kept on gm."""
     if cond is None:
         return gm
-    base = gm._conditionals.get(cond.indices)
-    if base is None:
-        base = gm._conditionals[cond.indices] = conditional(gm, cond)
-    return base
+    return _memo(gm, ("conditional", cond.indices), lambda: conditional(gm, cond))
 
 
 def _noised_terms(gm: GaussianMixture, cond: Condition | None,
@@ -199,15 +207,10 @@ def _noised_terms(gm: GaussianMixture, cond: Condition | None,
     """Terms of noised_mixture(conditional(gm, cond), alpha_bar), kept on gm.
 
     Each (subset, alpha_bar) entry is built once with the public constructors,
-    so it is validated once and holds exactly their bits; a failed build
-    raises and stores nothing.
+    so it is validated once and holds exactly their bits.
     """
-    key = (None if cond is None else cond.indices, alpha_bar)
-    terms = gm._noised.get(key)
-    if terms is None:
-        noised = noised_mixture(_conditional_of(gm, cond), alpha_bar)
-        terms = gm._noised[key] = _Terms.of(noised)
-    return terms
+    return _memo(gm, ("noised", None if cond is None else cond.indices, alpha_bar),
+                 lambda: _Terms.of(noised_mixture(_conditional_of(gm, cond), alpha_bar)))
 
 
 def eps_prediction(gm: GaussianMixture, cond: Condition | None, sched: NoiseSchedule,
@@ -218,11 +221,9 @@ def eps_prediction(gm: GaussianMixture, cond: Condition | None, sched: NoiseSche
     The noised mixture is compiled once per (subset, alpha_bar) on gm; the
     result has the same bits as scoring a freshly built noised mixture.
     """
-    terms = _noised_terms(gm, cond, sched.alpha_bar(t))
-    xb, squeezed = _prep_x(gm, x)
-    s, _ = _score_rows(terms, xb)
+    s = noised_score(gm, cond, sched, x, t)
     s *= -sched.sigma(t)            # eps = -sigma_t * s, in the score's buffer
-    return s[0] if squeezed else s
+    return s
 
 
 def _singleton_eps(gm: GaussianMixture, components: np.ndarray,
@@ -274,16 +275,13 @@ def _component_sampler(gm: GaussianMixture, cond: Condition | None
     would pick (as indices into gm), without choice's per-call validation of
     p: the conditional mixture validated its weights when it was built.
     """
-    key = None if cond is None else cond.indices
-    entry = gm._samplers.get(key)
-    if entry is None:
+    def build():
         cdf = _conditional_of(gm, cond).weights.cumsum()
         cdf /= cdf[-1]
-        comps = np.arange(gm.n_components) if cond is None else np.asarray(key)
-        for arr in (cdf, comps):
-            arr.flags.writeable = False
-        entry = gm._samplers[key] = (cdf, comps)
-    return entry
+        comps = np.arange(gm.n_components) if cond is None else np.asarray(cond.indices)
+        return _read_only(cdf), _read_only(comps)
+
+    return _memo(gm, ("sampler", None if cond is None else cond.indices), build)
 
 
 class ConditionRows(NamedTuple):
@@ -297,16 +295,10 @@ class ConditionRows(NamedTuple):
     multi_groups: tuple[tuple[Condition, np.ndarray], ...]
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 def _condition_rows(gm: GaussianMixture, conditions: tuple[Condition, ...]) -> ConditionRows:
     """The row layout of a batch of conditions, built once per conditions
     tuple and kept on gm, so every stack of one config tiles the same arrays."""
-    entry = gm._rows.get(conditions)
-    if entry is None:
+    def build():
         subsets: dict[tuple[int, ...], tuple[Condition, list[int]]] = {}
         for i, c in enumerate(conditions):
             subsets.setdefault(c.indices, (c, []))[1].append(i)
@@ -319,9 +311,10 @@ def _condition_rows(gm: GaussianMixture, conditions: tuple[Condition, ...]) -> C
         singletons = (_read_only(np.asarray(single, dtype=np.intp)),
                       _read_only(np.asarray([conditions[i].indices[0] for i in single],
                                             dtype=np.intp)))
-        entry = gm._rows[conditions] = ConditionRows(
-            groups, singletons, tuple(g for g in groups if len(g[0].indices) > 1))
-    return entry
+        return ConditionRows(groups, singletons,
+                             tuple(g for g in groups if len(g[0].indices) > 1))
+
+    return _memo(gm, ("rows", conditions), build)
 
 
 def sample_x0(gm: GaussianMixture, cond: Condition | None,

@@ -111,20 +111,16 @@ def rel_mae(eps_c: np.ndarray, eps_u: np.ndarray) -> float:
     eps_u = np.asarray(eps_u, dtype=float)
     if eps_c.shape != eps_u.shape:
         raise ShapeError(f"branch outputs disagree: {eps_c.shape} vs {eps_u.shape}")
-    if not (np.all(np.isfinite(eps_c)) and np.all(np.isfinite(eps_u))):
-        raise NumericError("non-finite branch outputs")
-    denom = np.abs(eps_u).sum()
-    if denom == 0.0:
-        raise DegenerateInputError("reference branch has zero L1 norm")
-    return float(np.abs(eps_c - eps_u).sum() / denom)
+    # one block of every value; the reshape also gives a 0-d pair a buffer
+    return float(_rel_mae_blocks(eps_c.reshape(1, -1), eps_u.reshape(1, -1), 1)[0])
 
 
 def _rel_mae_blocks(eps_c: np.ndarray, eps_u: np.ndarray, n: int) -> np.ndarray:
-    """rel_mae of each of n equal row blocks of a stacked (n*B, d) pair, with
-    rel_mae's bits: each block's sums run over that block's B*d values in
-    memory order, as rel_mae's sums over a (B, d) array do. Finite branch
-    outputs can still sum past float range, so the results are checked too:
-    no series may record a non-finite discrepancy."""
+    """rel_mae of each of n equal row blocks of a stacked (n*B, d) pair: each
+    block's sums run over that block's B*d values in memory order, with the
+    bits of np.abs(c - u).sum() / np.abs(u).sum() over the block alone. Finite
+    branch outputs can still sum past float range, so the results are checked
+    too: no series may record a non-finite discrepancy."""
     if not (np.isfinite(eps_c).all() and np.isfinite(eps_u).all()):
         raise NumericError("non-finite branch outputs")
     denom = np.abs(eps_u).reshape(n, -1).sum(axis=1)

@@ -192,14 +192,17 @@ def test_stacked_runs_equal_a_per_seed_reference_loop(body, seeds):
 
 
 def test_rel_mae_blocks_equal_rel_mae_of_each_block():
+    """The stacked kernel, and rel_mae on each block, against the plain
+    per-block ratio of L1 sums, bit for bit."""
     rng = np.random.default_rng(11)
     for _ in range(300):
         n, B, d = (int(v) for v in rng.integers(1, [12, 80, 12]))
         eps_c = rng.standard_normal((n * B, d)) * 10.0 ** rng.uniform(-3, 3)
         eps_u = rng.standard_normal((n * B, d))
-        got = _rel_mae_blocks(eps_c, eps_u, n)
-        assert got.tolist() == [rel_mae(eps_c[i * B:(i + 1) * B], eps_u[i * B:(i + 1) * B])
-                                for i in range(n)]
+        blocks = [(eps_c[i * B:(i + 1) * B], eps_u[i * B:(i + 1) * B]) for i in range(n)]
+        want = [float(np.abs(c - u).sum() / np.abs(u).sum()) for c, u in blocks]
+        assert _rel_mae_blocks(eps_c, eps_u, n).tolist() == want
+        assert [rel_mae(c, u) for c, u in blocks] == want
 
 
 # binding, read-only and error rules ------------------------------------------------------

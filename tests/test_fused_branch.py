@@ -14,6 +14,7 @@ from hybridpar.cli import CURVE_HEADER, main
 from hybridpar.config import ExperimentConfig
 from hybridpar.engine import (PlanVariant, _branches, _conditional_branch, _stack,
                               initial_latents)
+from hybridpar.errors import PlanError
 from hybridpar.mixture import (Condition, _condition_rows, _noised_terms, _score_rows,
                                _Terms, conditional, eps_prediction, noised_mixture)
 from hybridpar.monitor import rel_mae
@@ -133,7 +134,17 @@ def test_singleton_rows_read_the_unconditional_entry(monkeypatch):
     for t in range(1, plan.schedule.T + 1):
         _conditional_branch(stack, x, t)
     assert built == []
-    assert {subset for subset, _ in plan.mixture._noised} == {None}
+    assert {key[1] for key in plan.mixture._memo if key[0] == "noised"} == {None}
+
+
+def test_a_failed_rows_build_leaves_the_memo_unchanged():
+    plan = make_plan(8, MIXED)
+    gm = plan.mixture
+    before = {key: id(entry) for key, entry in gm._memo.items()}
+    assert ("rows", plan.conditions) in before
+    with pytest.raises(PlanError, match="exceeds mixture components"):
+        _condition_rows(gm, plan.conditions + (Condition((gm.n_components,)),))
+    assert {key: id(entry) for key, entry in gm._memo.items()} == before
 
 
 def test_plan_singleton_and_multi_groups():

@@ -58,6 +58,20 @@ def test_rel_mae_rejects_bad_input():
         rel_mae(np.array([1.0]), np.array([0.0]))
 
 
+def test_rel_mae_rejects_finite_inputs_whose_sums_overflow():
+    """Finite branch outputs can sum past float range; rel_mae raises rather
+    than return nan or inf, as the stacked kernel does."""
+    big = np.full((4, 2), 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for eps_u in (-big, np.ones((4, 2))):
+            with pytest.raises(NumericError, match="branch discrepancy is not finite"):
+                rel_mae(big, eps_u)
+    with pytest.raises(ShapeError):
+        rel_mae(big, np.ones((2, 4)))
+    with pytest.raises(DegenerateInputError):
+        rel_mae(big, np.zeros((4, 2)))
+
+
 # series and slope ---------------------------------------------------------------
 
 def test_series_records_descending_only():
