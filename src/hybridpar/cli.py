@@ -3,26 +3,29 @@
 All commands exit 0 on success. Failures print one machine-readable JSON
 object to stderr ({"error": <class>, "message": <text>, ...}) and exit 1.
 Floats in CSV output carry 17 significant digits so files round-trip exactly.
+
+Importing this module, and running `detect`, loads no numpy: the numeric
+modules are imported by the commands that use them (simulate, curve, sweep).
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import ExperimentConfig, _seed, load_config
-from .engine import (ExactPath, PlanVariant, RunResult, _branches, _stack, initial_latents,
-                     run_plan, run_serial)
 from .errors import HybridparError, ParameterError, PlanError, SeriesParseError
-from .metrics import compare_runs
-from .mixture import _condition_rows, conditional_grad, noised_score
-from .monitor import rel_mae, replay_series
-from .schedules import LatentState, cfg_combine, ddim_step
+from .monitor import replay_series
+from .plan import PlanVariant
 from .trace import RunTrace
+
+if TYPE_CHECKING:
+    from .engine import RunResult
+    from .metrics import Metrics
 
 CURVE_HEADER = "t,rel_mae,score_ratio,band_lo,band_hi,is_argmin"
 SWEEP_HEADER = "k,status,latency_s,speedup,fidelity_l1,psnr_analog"
@@ -31,6 +34,43 @@ TRACE_HEADER = "event,step,stage,device,src,dst,label,kind,start,end,nbytes"
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+# The engine and metrics entry points, whose modules load on the first call.
+# The commands call them by these names, so a caller can replace one here.
+
+def run_plan(plan) -> RunResult:
+    """engine.run_plan."""
+    from . import engine
+
+    return engine.run_plan(plan)
+
+
+def run_serial(plan) -> RunResult:
+    """engine.run_serial."""
+    from . import engine
+
+    return engine.run_serial(plan)
+
+
+def compare_runs(result, serial_result) -> Metrics:
+    """metrics.compare_runs."""
+    from . import metrics
+
+    return metrics.compare_runs(result, serial_result)
+
+
+def _numeric(cmd):
+    """cmd, run with numpy's floating-point warnings off: the package's
+    finiteness checks report overflow as one JSON error, and numpy's warnings
+    would add lines to stderr ahead of it."""
+    @functools.wraps(cmd)
+    def run(args) -> int:
+        import numpy as np
+
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return cmd(args)
+    return run
 
 
 def _load(args) -> ExperimentConfig:
@@ -78,6 +118,7 @@ def _trace_json(trace: RunTrace) -> str:
             f'  "messages": {_json_list(messages)}\n}}\n')
 
 
+@_numeric
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     variant = PlanVariant(args.variant) if args.variant else None
@@ -123,6 +164,12 @@ def curve_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float, float, fl
     The band is mean +/- 2 sample standard deviations of the per-condition
     discrepancy ratios across the batch.
     """
+    import numpy as np
+
+    from .engine import _branches, _stack, initial_latents
+    from .mixture import _condition_rows, conditional_grad, noised_score, rel_mae
+    from .schedules import LatentState, cfg_combine, ddim_step
+
     plan = cfg.to_plan(variant=PlanVariant.SERIAL)
     gm, sched = plan.mixture, plan.schedule
     stack = _stack(gm, sched, plan.conditions, plan.guidance, 1)
@@ -149,6 +196,7 @@ def curve_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float, float, fl
     return rows
 
 
+@_numeric
 def cmd_curve(args) -> int:
     cfg = _load(args)
     rows = curve_rows(cfg)
@@ -166,44 +214,48 @@ def read_series_csv(path: str) -> list[tuple[int, float]]:
     """Parse (t, discrepancy) pairs from a curve CSV or a bare two-column file.
 
     A header row is detected by non-numeric first field; the columns named
-    t and rel_mae are used then, else columns 0 and 1.
+    t and rel_mae are used then, else columns 0 and 1. Blank lines are
+    skipped but counted in error line numbers. One pass over the lines:
+    int and float ignore the whitespace around a field, so a field is
+    stripped only to name a header column or to quote it in an error.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            lines = [ln.strip() for ln in fh]
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise SeriesParseError(f"series file is not valid UTF-8: {exc}") from exc
-    lines = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
-    if not lines:
-        raise SeriesParseError("series file is empty")
-    t_col, m_col = 0, 1
-    first_fields = [f.strip() for f in lines[0][1].split(",")]
-    try:
-        float(first_fields[0])
-        has_header = False
-    except ValueError:
-        has_header = True
-    if has_header:
-        try:
-            t_col = first_fields.index("t")
-            m_col = first_fields.index("rel_mae")
-        except ValueError as exc:
-            raise SeriesParseError(f"header must name columns t and rel_mae, "
-                                   f"got {first_fields}", line=1) from exc
-        lines = lines[1:]
     pairs = []
-    for lineno, ln in lines:
-        fields = [f.strip() for f in ln.split(",")]
-        if len(fields) <= max(t_col, m_col):
-            raise SeriesParseError(f"expected at least {max(t_col, m_col) + 1} "
-                                   f"columns, got {len(fields)}", line=lineno)
+    cols = None                 # (t_col, m_col), set by the first non-blank line
+    for lineno, ln in enumerate(text.split("\n"), 1):
+        ln = ln.strip()
+        if not ln:
+            continue
+        fields = ln.split(",")
+        if cols is None:
+            cols = 0, 1
+            try:
+                float(fields[0])
+            except ValueError:
+                names = [f.strip() for f in fields]
+                try:
+                    cols = names.index("t"), names.index("rel_mae")
+                except ValueError as exc:
+                    raise SeriesParseError(f"header must name columns t and rel_mae, "
+                                           f"got {names}", line=1) from exc
+                need = max(cols) + 1
+                continue
+            need = 2
+        if len(fields) < need:
+            raise SeriesParseError(f"expected at least {need} columns, got {len(fields)}",
+                                   line=lineno)
+        t_col, m_col = cols
         try:
-            t = int(fields[t_col])
-            m = float(fields[m_col])
+            pairs.append((int(fields[t_col]), float(fields[m_col])))
         except ValueError as exc:
-            raise SeriesParseError(f"bad numeric fields {fields[t_col]!r}, "
-                                   f"{fields[m_col]!r}", line=lineno) from exc
-        pairs.append((t, m))
+            raise SeriesParseError(f"bad numeric fields {fields[t_col].strip()!r}, "
+                                   f"{fields[m_col].strip()!r}", line=lineno) from exc
+    if cols is None:
+        raise SeriesParseError("series file is empty")
     return pairs
 
 
@@ -229,6 +281,7 @@ def _parse_k_list(text: str) -> list[int]:
                              "integers") from exc
 
 
+@_numeric
 def cmd_sweep(args) -> int:
     """Serial and one hybrid run per (seed, feasible k), seed by seed.
 
@@ -237,6 +290,10 @@ def cmd_sweep(args) -> int:
     serial run, each k's windows on its first run. A k is infeasible if its
     plan cannot be built for some seed.
     """
+    import numpy as np
+
+    from .engine import ExactPath
+
     cfg = _load(args)
     k_values = _parse_k_list(args.k)
     path = ExactPath(cfg.seeds)
@@ -323,10 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        # the package's finiteness checks report overflow as one JSON error;
-        # numpy's warnings would add lines to stderr ahead of it
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+        return args.func(args)
     except HybridparError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, SeriesParseError) and exc.line is not None:

@@ -6,6 +6,11 @@ the per-step branch cost) or to a built-in default. The default data model is a
 four-component mixture with two well-separated coarse clusters that split
 into nearby fine modes, picked so the measured discrepancy curve dips in the
 middle of the schedule and rises again near the end.
+
+The module loads no numpy. A config's model objects (schedule, mixture,
+conditions, guidance) are numpy-bound: from_dict builds the ones the document
+sets, so a bad value fails there, and leaves the rest to their first read, so
+parsing a document that sets none, which is all `detect` needs, loads no numpy.
 """
 from __future__ import annotations
 
@@ -13,16 +18,19 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .engine import ExactPath, ExecutionPlan, PlanVariant
 from .errors import ParameterError
-from .mixture import Condition, GaussianMixture
 from .monitor import SwitchConfig
-from .plan import _DEVICES, _STAGED
-from .schedules import SCHEDULE_KINDS, GuidanceParams, NoiseSchedule, build_schedule
+from .plan import _DEVICES, _STAGED, SCHEDULE_KINDS, ExecutionPlan, PlanVariant
 from .trace import DeviceSpec, LinkSpec
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .engine import ExactPath
+    from .mixture import Condition, GaussianMixture
+    from .schedules import GuidanceParams, NoiseSchedule
 
 PRESETS: dict[str, dict] = {
     # SDXL-scale cost model: 0.1649 s per branch step calibrated from the
@@ -49,6 +57,13 @@ DEFAULT_LINK = {
 
 DEFAULT_SCHEDULE = {"kind": "linear", "T": 50, "beta_start": 0.01, "beta_end": 0.12}
 
+# two-scale testbed in R^8: coarse +/-3 split on axis 0, fine +/-0.2 on axis 1
+DEFAULT_MIXTURE = {
+    "weights": (0.25,) * 4,
+    "means": tuple((x0, x1) + (0.0,) * 6 for x0 in (3.0, -3.0) for x1 in (0.2, -0.2)),
+    "variances": ((0.15,) * 8,) * 4,
+}
+
 # Upper bounds on the counts a document may set, checked before anything is
 # sized from them, so no document can ask for unbounded memory or time.
 MAX_DEVICES = 64
@@ -63,15 +78,18 @@ _VARIANTS = {v.value: v for v in PlanVariant}
 
 
 def default_mixture() -> GaussianMixture:
-    """Two-scale testbed: coarse +/-3 split on axis 0, fine +/-0.2 on axis 1."""
-    d, k = 8, 4
-    means = np.zeros((k, d))
-    for i in range(k):
-        means[i, 0] = 3.0 if i < 2 else -3.0
-        means[i, 1] = 0.2 if i % 2 == 0 else -0.2
-    return GaussianMixture(weights=np.full(k, 0.25),
-                           means=means,
-                           variances=np.full((k, d), 0.15))
+    """The mixture of DEFAULT_MIXTURE."""
+    from .mixture import GaussianMixture
+
+    return GaussianMixture(**DEFAULT_MIXTURE)
+
+
+def build_schedule(kind: str, T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
+    """schedules.build_schedule, imported on the first call: see the module
+    docstring. The config code calls it by this name."""
+    from . import schedules
+
+    return schedules.build_schedule(kind, T, beta_start, beta_end)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -112,6 +130,8 @@ def _bytes(path: str, value) -> int:
 
 
 def _array(path: str, value) -> np.ndarray:
+    import numpy as np
+
     try:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -135,7 +155,6 @@ def _or_null(kind, null=None):
 
 _seed = _count(0, MAX_SEED)
 _PRESET = object()         # the preset's value of the key's last name
-_MIXTURE = default_mixture()
 
 # Every key a document may set, dotted under its section: its kind and its
 # default. No conditions are the singletons [[0], ..., [K - 1]], cycled over
@@ -149,9 +168,9 @@ SCHEMA = {
     "schedule.T": (_count(1, MAX_STEPS), DEFAULT_SCHEDULE["T"]),
     "schedule.beta_start": (_number, DEFAULT_SCHEDULE["beta_start"]),
     "schedule.beta_end": (_number, DEFAULT_SCHEDULE["beta_end"]),
-    "mixture.weights": (_array, _MIXTURE.weights),
-    "mixture.means": (_array, _MIXTURE.means),
-    "mixture.variances": (_array, _MIXTURE.variances),
+    "mixture.weights": (_array, DEFAULT_MIXTURE["weights"]),
+    "mixture.means": (_array, DEFAULT_MIXTURE["means"]),
+    "mixture.variances": (_array, DEFAULT_MIXTURE["variances"]),
     "conditions": (_list_of(_is("a list of component indices", lambda c: isinstance(c, list)
                                 and all(type(i) is int for i in c)), 1, MAX_CONDITION_BATCH), None),
     "condition_batch": (_count(1, MAX_CONDITION_BATCH), 64),
@@ -191,16 +210,81 @@ def _fields(v: dict, section: str) -> dict:
     return {path.split(".")[1]: x for path, x in v.items() if path.startswith(section + ".")}
 
 
+# The model objects a document's resolved values v describe, one function per
+# model field of ExperimentConfig. Each imports its numpy-bound module when
+# it first runs.
+
+def _schedule(v: dict) -> NoiseSchedule:
+    return build_schedule(**_fields(v, "schedule"))
+
+
+def _mixture(v: dict) -> GaussianMixture:
+    import numpy as np
+
+    from .mixture import GaussianMixture
+
+    # detect runs outside the numeric commands' errstate, and weights that
+    # sum past float range make numpy warn on stderr while normalizing them
+    with np.errstate(over="ignore"):
+        return GaussianMixture(**_fields(v, "mixture"))
+
+
+def _conditions(v: dict) -> tuple[Condition, ...]:
+    from .mixture import Condition
+
+    # no conditions are the singletons of the mixture's components; a
+    # mixture the document sets was built, so checked, before this runs
+    base = tuple(Condition(c) for c in v["conditions"]
+                 or [(i,) for i in range(len(v["mixture.weights"]))])
+    return tuple(base[i % len(base)] for i in range(v["condition_batch"]))
+
+
+def _guidance(v: dict) -> GuidanceParams:
+    from .schedules import GuidanceParams
+
+    return GuidanceParams(v["guidance_w"])
+
+
+class _Unbuilt(NamedTuple):
+    """A model field not read yet, with the resolved values it is built from."""
+
+    values: dict
+
+
+class _Model:
+    """A model field of ExperimentConfig, built by build(values) on its first
+    read if it holds an _Unbuilt, and kept: every read of one config, so
+    every plan it makes, sees one object. The oracle memo and
+    engine.ExactPath.bind go by that identity."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, cfg, owner=None):
+        if cfg is None:
+            raise AttributeError(self.name)     # so the field has no default
+        value = cfg.__dict__[self.name]
+        if isinstance(value, _Unbuilt):
+            value = cfg.__dict__[self.name] = self.build(value.values)
+        return value
+
+    def __set__(self, cfg, value):
+        cfg.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A fully resolved experiment; see SCHEMA for its JSON document."""
 
     variant: PlanVariant
     preset: str
-    schedule: NoiseSchedule
-    mixture: GaussianMixture
-    conditions: tuple[Condition, ...]
-    guidance: GuidanceParams
+    schedule: NoiseSchedule = _Model(_schedule)
+    mixture: GaussianMixture = _Model(_mixture)
+    conditions: tuple[Condition, ...] = _Model(_conditions)
+    guidance: GuidanceParams = _Model(_guidance)
     switch: SwitchConfig
     devices: tuple[DeviceSpec, ...]
     link: LinkSpec
@@ -216,22 +300,25 @@ class ExperimentConfig:
         v = {path: pre[path.split(".")[-1]] if default is _PRESET else default
              for path, (_, default) in SCHEMA.items()} | got
         variant = _VARIANTS[v["variant"]]
-        schedule = build_schedule(**_fields(v, "schedule"))
+
+        def model(key: str, build):
+            """build(v) now if the document sets key, so a bad value fails
+            here; else left to the first read (see _Model)."""
+            return build(v) if key in raw else _Unbuilt(v)
+
+        schedule = model("schedule", _schedule)
         _require("mixture" not in raw or len(raw["mixture"]) == 3,
                  "mixture needs keys weights, means, variances")
-        mixture = GaussianMixture(**_fields(v, "mixture"))
+        mixture = model("mixture", _mixture)
         batch, seeds = v["condition_batch"], v["seeds"]
         _require(len(seeds) * batch <= MAX_STACKED_ROWS,
                  f"seeds times condition_batch must be at most {MAX_STACKED_ROWS}, "
                  f"got {len(seeds)} seeds of {batch}")
-        base = tuple(Condition(c) for c in v["conditions"]
-                     or [(i,) for i in range(mixture.n_components)])
         costs = v["devices"] or _DEVICES[variant][0]
         costs = costs if isinstance(costs, tuple) else (pre["branch_step_cost"],) * costs
         return cls(
             variant=variant, preset=v["preset"], schedule=schedule, mixture=mixture,
-            conditions=tuple(base[i % len(base)] for i in range(batch)),
-            guidance=GuidanceParams(v["guidance_w"]),
+            conditions=model("conditions", _conditions), guidance=model("guidance_w", _guidance),
             switch=SwitchConfig(**_fields(v, "switch")),
             devices=tuple(DeviceSpec(name=f"dev{i}", branch_step_cost=c)
                           for i, c in enumerate(costs)),

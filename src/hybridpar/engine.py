@@ -42,11 +42,11 @@ import numpy as np
 
 from .errors import NumericError, PlanError, SequencingError
 from .mixture import (Condition, GaussianMixture, _component_sampler, _condition_rows,
-                      _read_only, _singleton_eps, eps_prediction)
+                      _read_only, _rel_mae_blocks, _singleton_eps, eps_prediction)
+from .mixture import rel_mae  # noqa: F401  (perfbench/spans.py wraps engine.rel_mae)
 from .mixture import sample_x0  # noqa: F401  (perfbench/spans.py wraps engine.sample_x0)
-from .monitor import (DiscrepancySeries, Stage, StageState, SwitchConfig,
-                      _rel_mae_blocks, stage_at, update_controller)
-from .monitor import rel_mae  # noqa: F401  (perfbench/spans.py wraps engine.rel_mae)
+from .monitor import (DiscrepancySeries, Stage, StageState, SwitchConfig, stage_at,
+                      update_controller)
 from .plan import _STAGED, ExecutionPlan, PlanVariant
 from .schedules import GuidanceParams, LatentState, NoiseSchedule, _guided, ddim_step
 from .schedules import cfg_combine  # noqa: F401  (perfbench/spans.py wraps it here)

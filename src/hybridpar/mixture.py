@@ -3,6 +3,8 @@
 All densities are diagonal-covariance mixtures, so scores, noised marginals
 and branch noise predictions have closed forms. Shapes follow the convention
 that the trailing axis is the data dimension d; batched inputs are (B, d).
+The branch-discrepancy kernels (rel_mae and its score-ratio prediction) live
+here too, so the controller in monitor.py runs without numpy.
 """
 from __future__ import annotations
 
@@ -11,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, PlanError, ShapeError
+from .errors import (DegenerateInputError, NumericError, ParameterError, PlanError,
+                     ShapeError)
 from .schedules import NoiseSchedule
 
 
@@ -263,6 +266,55 @@ def conditional_grad(gm: GaussianMixture, cond: Condition, sched: NoiseSchedule,
                      x: np.ndarray, t: int) -> np.ndarray:
     """Gradient of the log conditioning likelihood, s_c - s_u, at timestep t."""
     return noised_score(gm, cond, sched, x, t) - noised_score(gm, None, sched, x, t)
+
+
+def rel_mae(eps_c: np.ndarray, eps_u: np.ndarray) -> float:
+    """Relative mean absolute error between branch outputs.
+
+    Computed as the ratio of batch-summed L1 norms, which equals the ratio of
+    batch means; invariant to common rescaling of both inputs.
+    """
+    eps_c = np.asarray(eps_c, dtype=float)
+    eps_u = np.asarray(eps_u, dtype=float)
+    if eps_c.shape != eps_u.shape:
+        raise ShapeError(f"branch outputs disagree: {eps_c.shape} vs {eps_u.shape}")
+    # one block of every value; the reshape also gives a 0-d pair a buffer
+    return float(_rel_mae_blocks(eps_c.reshape(1, -1), eps_u.reshape(1, -1), 1)[0])
+
+
+def _rel_mae_blocks(eps_c: np.ndarray, eps_u: np.ndarray, n: int) -> np.ndarray:
+    """rel_mae of each of n equal row blocks of a stacked (n*B, d) pair: each
+    block's sums run over that block's B*d values in memory order, with the
+    bits of np.abs(c - u).sum() / np.abs(u).sum() over the block alone. Finite
+    branch outputs can still sum past float range, so the results are checked
+    too: no series may record a non-finite discrepancy."""
+    if not (np.isfinite(eps_c).all() and np.isfinite(eps_u).all()):
+        raise NumericError("non-finite branch outputs")
+    denom = np.abs(eps_u).reshape(n, -1).sum(axis=1)
+    if (denom == 0.0).any():
+        raise DegenerateInputError("reference branch has zero L1 norm")
+    diff = eps_c - eps_u
+    m = np.abs(diff, out=diff).reshape(n, -1).sum(axis=1) / denom
+    if not np.isfinite(m).all():
+        raise NumericError("branch discrepancy is not finite")
+    return m
+
+
+def score_ratio_estimate(gm: GaussianMixture, cond: Condition, sched: NoiseSchedule,
+                         x: np.ndarray, t: int) -> float:
+    """Discrepancy predicted from scores alone.
+
+    Ratio of batch-summed L1 norms of the conditioning gradient s_c - s_u and
+    the unconditional score s_u, both at the noised marginal for timestep t.
+    Identical to rel_mae of the two branch outputs because the sigma_t factor
+    cancels.
+    """
+    grad = conditional_grad(gm, cond, sched, x, t)
+    s_u = noised_score(gm, None, sched, x, t)
+    denom = np.abs(s_u).sum()
+    if denom == 0.0:
+        raise DegenerateInputError("unconditional score has zero L1 norm")
+    return float(np.abs(grad).sum() / denom)
 
 
 def _component_sampler(gm: GaussianMixture, cond: Condition | None

@@ -9,6 +9,9 @@ start of sampling: step s processes timestep t = T - s + 1. Counting this way
 keeps tau_cap a plain upper bound (tau1 <= tau_cap), makes tau2 = tau1 + k,
 and gives the pipelined window exactly k steps regardless of where detection
 fires.
+
+The module is pure Python, so `detect` replays a series without numpy; the
+kernels that measure a discrepancy from branch outputs live in mixture.py.
 """
 from __future__ import annotations
 
@@ -16,12 +19,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import (DegenerateInputError, HistoryError, NumericError,
-                     ParameterError, SequencingError, ShapeError)
-from .mixture import Condition, GaussianMixture, conditional_grad, noised_score
-from .schedules import NoiseSchedule
+from .errors import HistoryError, NumericError, ParameterError, SequencingError
 
 
 class Stage(enum.Enum):
@@ -99,38 +97,6 @@ class DiscrepancySeries:
 
     def __len__(self) -> int:
         return len(self._values)
-
-
-def rel_mae(eps_c: np.ndarray, eps_u: np.ndarray) -> float:
-    """Relative mean absolute error between branch outputs.
-
-    Computed as the ratio of batch-summed L1 norms, which equals the ratio of
-    batch means; invariant to common rescaling of both inputs.
-    """
-    eps_c = np.asarray(eps_c, dtype=float)
-    eps_u = np.asarray(eps_u, dtype=float)
-    if eps_c.shape != eps_u.shape:
-        raise ShapeError(f"branch outputs disagree: {eps_c.shape} vs {eps_u.shape}")
-    # one block of every value; the reshape also gives a 0-d pair a buffer
-    return float(_rel_mae_blocks(eps_c.reshape(1, -1), eps_u.reshape(1, -1), 1)[0])
-
-
-def _rel_mae_blocks(eps_c: np.ndarray, eps_u: np.ndarray, n: int) -> np.ndarray:
-    """rel_mae of each of n equal row blocks of a stacked (n*B, d) pair: each
-    block's sums run over that block's B*d values in memory order, with the
-    bits of np.abs(c - u).sum() / np.abs(u).sum() over the block alone. Finite
-    branch outputs can still sum past float range, so the results are checked
-    too: no series may record a non-finite discrepancy."""
-    if not (np.isfinite(eps_c).all() and np.isfinite(eps_u).all()):
-        raise NumericError("non-finite branch outputs")
-    denom = np.abs(eps_u).reshape(n, -1).sum(axis=1)
-    if (denom == 0.0).any():
-        raise DegenerateInputError("reference branch has zero L1 norm")
-    diff = eps_c - eps_u
-    m = np.abs(diff, out=diff).reshape(n, -1).sum(axis=1) / denom
-    if not np.isfinite(m).all():
-        raise NumericError("branch discrepancy is not finite")
-    return m
 
 
 def slope(series: DiscrepancySeries, t: int, L: int) -> float:
@@ -211,23 +177,6 @@ def replay_series(pairs: list[tuple[int, float]], cfg: SwitchConfig) -> tuple[St
         series.record(t, m)
         update_controller(state, series, t, cfg)
     return state, [stage_at(s, state.tau1, state.tau2) for s in range(1, len(pairs) + 1)]
-
-
-def score_ratio_estimate(gm: GaussianMixture, cond: Condition, sched: NoiseSchedule,
-                         x: np.ndarray, t: int) -> float:
-    """Discrepancy predicted from scores alone.
-
-    Ratio of batch-summed L1 norms of the conditioning gradient s_c - s_u and
-    the unconditional score s_u, both at the noised marginal for timestep t.
-    Identical to rel_mae of the two branch outputs because the sigma_t factor
-    cancels.
-    """
-    grad = conditional_grad(gm, cond, sched, x, t)
-    s_u = noised_score(gm, None, sched, x, t)
-    denom = np.abs(s_u).sum()
-    if denom == 0.0:
-        raise DegenerateInputError("unconditional score has zero L1 norm")
-    return float(np.abs(grad).sum() / denom)
 
 
 @dataclass(frozen=True)

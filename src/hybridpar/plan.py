@@ -4,6 +4,10 @@ A plan names its variant, model, schedule, devices and link, and for staged
 variants the switch rule and segment split. _DEVICES alone decides how many
 devices each variant takes. Plans that bring the same exact-path store bind
 to it here (see engine.ExactPath).
+
+The module loads no numpy, so config parsing and `detect` can use the
+choices a plan is built from (PlanVariant, _DEVICES, SCHEDULE_KINDS) without
+it; a plan's numeric parts are imported where they are checked.
 """
 from __future__ import annotations
 
@@ -12,13 +16,15 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import PlanError
-from .mixture import Condition, GaussianMixture, _condition_rows
 from .monitor import SwitchConfig
-from .schedules import GuidanceParams, NoiseSchedule
 from .trace import DeviceSpec, LinkSpec
 
 if TYPE_CHECKING:
     from .engine import ExactPath
+    from .mixture import Condition, GaussianMixture
+    from .schedules import GuidanceParams, NoiseSchedule
+
+SCHEDULE_KINDS = ("linear", "scaled-linear")
 
 
 class PlanVariant(enum.Enum):
@@ -63,6 +69,8 @@ class ExecutionPlan:
     exact_path: ExactPath | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        from .mixture import _condition_rows
+
         if len(self.conditions) == 0:
             raise PlanError("plan needs at least one condition")
         _condition_rows(self.mixture, self.conditions)      # PlanError if out of range

@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError, StepUnderflowError
-
-SCHEDULE_KINDS = ("linear", "scaled-linear")
+from .plan import SCHEDULE_KINDS
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,9 @@ from hybridpar.config import ExperimentConfig, PRESETS
 from hybridpar.engine import PlanVariant, run_plan, run_serial
 from hybridpar.metrics import compare_runs, fidelity_l1
 from hybridpar.mixture import (Condition, GaussianMixture, eps_prediction,
-                               score)
+                               rel_mae, score, score_ratio_estimate)
 from hybridpar.monitor import (SlopeNoiseModel, SwitchConfig,
-                               hoeffding_false_alarm, rel_mae, replay_series,
-                               score_ratio_estimate)
+                               hoeffding_false_alarm, replay_series)
 from hybridpar.schedules import build_schedule
 from hybridpar.cli import curve_rows
 

@@ -134,6 +134,8 @@ def test_simulate_on_any_json_document_keeps_the_cli_contract(raw):
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(DOCUMENTS)
+# detect runs without numpy's errstate: building this mixture must not warn
+@example({"mixture": {"weights": [1e308, 1e308], "means": [[0], [0]], "variances": [[1], [1]]}})
 def test_detect_on_any_json_document_keeps_the_cli_contract(raw):
     assert_cli_contract(raw, ["detect", "--series", os.path.join("{tmp}", "series.csv")])
 

@@ -14,9 +14,9 @@ from hybridpar.config import ExperimentConfig, PRESETS
 from hybridpar.engine import ExecutionPlan, PlanVariant, initial_latents, run_plan, run_serial
 from hybridpar.errors import ParameterError, PlanError
 from hybridpar.metrics import compare_runs
-from hybridpar.mixture import Condition, eps_prediction
+from hybridpar.mixture import Condition, eps_prediction, rel_mae
 from hybridpar.monitor import (DiscrepancySeries, Stage, StageState,
-                               SwitchConfig, rel_mae, update_controller)
+                               SwitchConfig, update_controller)
 from hybridpar.plan import _DEVICES, _STAGED
 from hybridpar.schedules import GuidanceParams, LatentState, cfg_combine, ddim_step
 from hybridpar.trace import DeviceSpec, LinkSpec

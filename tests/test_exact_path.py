@@ -26,9 +26,9 @@ from hybridpar.config import ExperimentConfig
 from hybridpar.engine import ExactPath, PlanVariant, initial_latents, run_plan, run_serial
 from hybridpar.errors import NumericError, ParameterError, PlanError, SequencingError
 from hybridpar.metrics import compare_runs
-from hybridpar.mixture import Condition, eps_prediction
-from hybridpar.monitor import (DiscrepancySeries, Stage, StageState, _rel_mae_blocks,
-                               rel_mae, replay_series, update_controller)
+from hybridpar.mixture import Condition, _rel_mae_blocks, eps_prediction, rel_mae
+from hybridpar.monitor import (DiscrepancySeries, Stage, StageState, replay_series,
+                               update_controller)
 from hybridpar.schedules import (GuidanceParams, LatentState, build_schedule,
                                  cfg_combine, ddim_step)
 
@@ -275,6 +275,32 @@ def test_path_rejects_a_plan_of_another_seed_or_model():
         assert_same_run(run_plan(plan), run_plan(replace(plan, exact_path=None)))
     with pytest.raises(PlanError):
         ExactPath(())
+
+
+MODEL_KEYS = {
+    "schedule": {"schedule": {"kind": "scaled-linear", "T": 30}},
+    "mixture": {"mixture": {"weights": [1, 2, 1], "means": [[0, 0], [1, 1], [2, 0]],
+                            "variances": [[1, 1], [0.5, 0.5], [1, 2]]}},
+    "conditions": {"conditions": [[0], [1, 2]]},
+    "guidance": {"guidance_w": 3.5},
+}
+
+
+@pytest.mark.parametrize("body", [{}, *MODEL_KEYS.values(),
+                                  {k: v for body in MODEL_KEYS.values() for k, v in body.items()}],
+                         ids=["defaults", *MODEL_KEYS, "every-model-key"])
+def test_every_plan_of_a_config_shares_its_model_objects(body):
+    """from_dict builds a model object the document sets and leaves the rest
+    to the first read; either way every plan the config makes holds the
+    config's one object of each, which the oracle memo and bind go by."""
+    cfg = ExperimentConfig.from_dict({"condition_batch": 4, "seeds": [0, 1], **body})
+    path = ExactPath(cfg.seeds)
+    plans = [cfg.to_plan(seed=seed, variant=variant, k=k, exact_path=shared)
+             for shared in (None, path) for seed in cfg.seeds
+             for variant, k in ((PlanVariant.SERIAL, None), (PlanVariant.HYBRID, 0),
+                                (PlanVariant.HYBRID, 1), (PlanVariant.HYBRID, 5))]
+    for name in ExactPath._BOUND:
+        assert all(getattr(plan, name) is getattr(cfg, name) for plan in plans), name
 
 
 def test_failed_step_stores_nothing(monkeypatch):
@@ -565,7 +591,7 @@ def test_store_holds_only_what_runs_read(tmp_path, monkeypatch):
             super().__init__(seeds)
             stores.append(self)
 
-    monkeypatch.setattr(cli, "ExactPath", Recording)
+    monkeypatch.setattr(engine, "ExactPath", Recording)
     cfg_path = tmp_path / "cfg.json"
     S, B, d, ks = 8, 64, 8, (0, 5, 10, 20, 30)
     cfg_path.write_text(json.dumps({"seeds": list(range(S))}))

@@ -16,8 +16,8 @@ from hybridpar.engine import (PlanVariant, _branches, _conditional_branch, _stac
                               initial_latents)
 from hybridpar.errors import PlanError
 from hybridpar.mixture import (Condition, _condition_rows, _noised_terms, _score_rows,
-                               _Terms, conditional, eps_prediction, noised_mixture)
-from hybridpar.monitor import rel_mae
+                               _Terms, conditional, eps_prediction, noised_mixture,
+                               rel_mae)
 from hybridpar.schedules import LatentState, cfg_combine, ddim_step
 
 

@@ -467,7 +467,12 @@ def test_plan_seed_rejects_bool():
     (b"[" * 100000, "ParameterError"),      # deeper than the parser recurses
     # an integer literal longer than int() converts (4300 digits)
     (b'{"guidance_w": ' + b"1" * 5000 + b"}", "ParameterError"),
-], ids=["not-json", "not-utf8", "too-deep", "long-int"])
+    # bad model values: checked while parsing, though detect reads no model
+    (b'{"schedule": {"beta_start": 1}}', "ParameterError"),
+    (b'{"mixture": {"weights": [1], "means": [[0]], "variances": [[-1]]}}', "ParameterError"),
+    (b'{"conditions": [[]]}', "ParameterError"),
+], ids=["not-json", "not-utf8", "too-deep", "long-int", "bad-schedule", "bad-mixture",
+        "bad-conditions"])
 @pytest.mark.parametrize("argv", [
     ["simulate", "--out", "run", "--config"],
     ["curve", "--out", "curve.csv", "--config"],
@@ -476,8 +481,9 @@ def test_plan_seed_rejects_bool():
     ["detect", "--series"],
 ], ids=["simulate", "curve", "detect", "sweep", "detect-series"])
 def test_malformed_json_config(tmp_path, capsys, monkeypatch, content, config_error, argv):
-    """An unreadable --config (or --series) file exits 1 with one JSON
-    object on stderr, whatever the command."""
+    """An unreadable --config (or --series) file, or a config with a bad
+    model value, exits 1 with one JSON object on stderr, whatever the
+    command."""
     monkeypatch.chdir(tmp_path)
     write_series(tmp_path, [(50, 0.5), (49, 0.4)])
     path = tmp_path / "broken.json"

@@ -11,12 +11,11 @@ from hybridpar.config import DEFAULT_SCHEDULE, default_mixture
 from hybridpar.errors import (DegenerateInputError, HistoryError,
                               NumericError, ParameterError, SequencingError,
                               ShapeError)
-from hybridpar.mixture import Condition, eps_prediction
+from hybridpar.mixture import Condition, eps_prediction, rel_mae, score_ratio_estimate
 from hybridpar.monitor import (DiscrepancySeries, SlopeNoiseModel, Stage,
                                StageState, SwitchConfig,
-                               hoeffding_false_alarm, rel_mae, replay_series,
-                               score_ratio_estimate, slope, stage_at,
-                               update_controller)
+                               hoeffding_false_alarm, replay_series,
+                               slope, stage_at, update_controller)
 from hybridpar.schedules import build_schedule
 
 

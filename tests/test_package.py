@@ -1,6 +1,6 @@
-"""The package namespace and the README's library example, each run in a
-fresh interpreter so no module the test session already imported hides what
-they load or need.
+"""The package namespace, the README's library example and the CLI's
+numpy-free paths, each run in a fresh interpreter so no module the test
+session already imported hides what they load or need.
 """
 import os
 import re
@@ -32,3 +32,40 @@ def test_readme_library_example_runs(tmp_path):
     proc = run_fresh(block, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+NUMERIC_MODULES = ("numpy", "hybridpar.engine", "hybridpar.mixture", "hybridpar.schedules")
+
+
+def test_detect_and_config_parsing_load_no_numeric_module(tmp_path):
+    """Importing the CLI, parsing documents that set no model key and running
+    detect load neither numpy nor a module that imports it; a simulate in the
+    same interpreter afterwards imports them and still writes its files."""
+    (tmp_path / "switch.json").write_text('{"switch": {"L": 2, "tau_cap": 5, "k": 1}}',
+                                          encoding="utf-8")
+    (tmp_path / "series.csv").write_text(
+        "t,rel_mae\n" + "".join(f"{9 - i},{1.0 / (i + 1)!r}\n" for i in range(10)),
+        encoding="utf-8")
+    proc = run_fresh(
+        "import sys\n"
+        "def loaded():\n"
+        f"    return [m for m in {NUMERIC_MODULES!r} if m in sys.modules]\n"
+        "import hybridpar.cli as cli\n"
+        "print('loaded by import:', loaded())\n"
+        "cli.load_config('switch.json')\n"
+        "print('loaded by load_config:', loaded())\n"
+        "from hybridpar.config import ExperimentConfig\n"
+        "ExperimentConfig.from_dict({})\n"
+        "print('loaded by from_dict:', loaded())\n"
+        "assert cli.main(['detect', '--series', 'series.csv', '--config', 'switch.json']) == 0\n"
+        "assert cli.main(['detect', '--series', 'series.csv']) == 0\n"
+        "print('loaded by detect:', loaded())\n"
+        "assert cli.main(['simulate', '--config', 'switch.json', '--out', 'run']) == 0\n",
+        tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    steps = [line for line in proc.stdout.splitlines() if line.startswith("loaded by ")]
+    assert steps == [f"loaded by {step}: []"
+                     for step in ("import", "load_config", "from_dict", "detect")]
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "metrics.json", "trace.csv", "trace.json"]
