@@ -164,35 +164,24 @@ def curve_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float, float, fl
     The band is mean +/- 2 sample standard deviations of the per-condition
     discrepancy ratios across the batch.
     """
-    import numpy as np
-
     from .engine import _branches, _stack, initial_latents
-    from .mixture import _condition_rows, conditional_grad, noised_score, rel_mae
-    from .schedules import LatentState, cfg_combine, ddim_step
+    from .mixture import _condition_rows, _rel_mae_blocks, rel_mae, score_ratio_estimate
+    from .schedules import cfg_combine, ddim_step
 
     plan = cfg.to_plan(variant=PlanVariant.SERIAL)
     gm, sched = plan.mixture, plan.schedule
     stack = _stack(gm, sched, plan.conditions, plan.guidance, 1)
     groups = _condition_rows(gm, plan.conditions).groups
-    state = LatentState(initial_latents(plan), sched.T)
+    x = initial_latents(plan)
     rows = []
-    for _ in range(sched.T):
-        x, t = state.x, state.t
+    for t in range(sched.T, 0, -1):
         eps_c, eps_u = _branches(stack, x, t)
         m = rel_mae(eps_c, eps_u)
-
-        s_u = noised_score(gm, None, sched, x, t)
-        num = sum(float(np.abs(conditional_grad(gm, cond, sched, x[r], t)).sum())
-                  for cond, r in groups)
-        ratio = num / float(np.abs(s_u).sum())
-
-        per_row = (np.abs(eps_c - eps_u).sum(axis=1)
-                   / np.abs(eps_u).sum(axis=1))
+        ratio = score_ratio_estimate(gm, groups, sched, x, t)
+        per_row = _rel_mae_blocks(eps_c, eps_u, len(x))
         sd = float(per_row.std(ddof=1)) if per_row.size > 1 else 0.0
         rows.append((t, m, ratio, m - 2.0 * sd, m + 2.0 * sd))
-
-        eps = cfg_combine(eps_c, eps_u, plan.guidance)
-        state = ddim_step(state, eps, sched)
+        x = ddim_step(x, t, cfg_combine(eps_c, eps_u, plan.guidance), sched)
     return rows
 
 
@@ -241,7 +230,7 @@ def read_series_csv(path: str) -> list[tuple[int, float]]:
                     cols = names.index("t"), names.index("rel_mae")
                 except ValueError as exc:
                     raise SeriesParseError(f"header must name columns t and rel_mae, "
-                                           f"got {names}", line=1) from exc
+                                           f"got {names}", line=lineno) from exc
                 need = max(cols) + 1
                 continue
             need = 2
@@ -381,14 +370,10 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except HybridparError as exc:
+    except (HybridparError, json.JSONDecodeError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, SeriesParseError) and exc.line is not None:
             payload["line"] = exc.line
-        sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
-        return 1
-    except (json.JSONDecodeError, OSError) as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
         return 1
 

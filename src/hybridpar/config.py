@@ -224,7 +224,7 @@ def _mixture(v: dict) -> GaussianMixture:
     from .mixture import GaussianMixture
 
     # detect runs outside the numeric commands' errstate, and weights that
-    # sum past float range make numpy warn on stderr while normalizing them
+    # sum past float range make numpy warn on stderr before they are rejected
     with np.errstate(over="ignore"):
         return GaussianMixture(**_fields(v, "mixture"))
 

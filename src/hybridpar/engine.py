@@ -48,7 +48,7 @@ from .mixture import sample_x0  # noqa: F401  (perfbench/spans.py wraps engine.s
 from .monitor import (DiscrepancySeries, Stage, StageState, SwitchConfig, stage_at,
                       update_controller)
 from .plan import _STAGED, ExecutionPlan, PlanVariant
-from .schedules import GuidanceParams, LatentState, NoiseSchedule, _guided, ddim_step
+from .schedules import GuidanceParams, NoiseSchedule, _guided, ddim_step
 from .schedules import cfg_combine  # noqa: F401  (perfbench/spans.py wraps it here)
 from .trace import RunTrace, Timeline, account_comm
 
@@ -343,7 +343,7 @@ def _exact_step(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, np.nd
     m = _rel_mae_blocks(eps_c, eps_u, stack.seeds)
     eps = _guided(eps_c, eps_u, stack.guidance.w)
     del eps_c, eps_u        # freed before the update allocates
-    return ddim_step(LatentState(x, t), eps, stack.schedule).x, m
+    return ddim_step(x, t, eps, stack.schedule), m
 
 
 def _window_steps(stack: _Stack, history: list[np.ndarray], fractions: tuple[float, ...],
@@ -365,7 +365,7 @@ def _window_steps(stack: _Stack, history: list[np.ndarray], fractions: tuple[flo
             eps_c = _conditional_branch(stack, history[d], t)
             eps_c *= f
             est += eps_c
-        history.insert(0, ddim_step(LatentState(history[0], t), est, sched).x)
+        history.insert(0, ddim_step(history[0], t, est, sched))
         del history[n:]
     x, ms = history[0], []
     for s in range(tau1 + k + 1, T + 1):

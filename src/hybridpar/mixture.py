@@ -49,7 +49,10 @@ class GaussianMixture:
             raise ParameterError("mixture weights must be strictly positive")
         if np.any(v <= 0):
             raise ParameterError("mixture variances must be strictly positive")
-        w = w / w.sum()
+        total = w.sum()
+        if not np.isfinite(total):
+            raise NumericError("mixture weights sum past float range")
+        w = w / total
         for arr in (w, m, v):
             arr.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -300,21 +303,23 @@ def _rel_mae_blocks(eps_c: np.ndarray, eps_u: np.ndarray, n: int) -> np.ndarray:
     return m
 
 
-def score_ratio_estimate(gm: GaussianMixture, cond: Condition, sched: NoiseSchedule,
-                         x: np.ndarray, t: int) -> float:
+def score_ratio_estimate(gm: GaussianMixture,
+                         groups: tuple[tuple[Condition, np.ndarray | slice], ...],
+                         sched: NoiseSchedule, x: np.ndarray, t: int) -> float:
     """Discrepancy predicted from scores alone.
 
-    Ratio of batch-summed L1 norms of the conditioning gradient s_c - s_u and
-    the unconditional score s_u, both at the noised marginal for timestep t.
-    Identical to rel_mae of the two branch outputs because the sigma_t factor
-    cancels.
+    groups holds (condition, rows) pairs, as _condition_rows(...).groups
+    does: rows index x, and each condition's rows take its conditioning
+    gradient s_c - s_u. The result is the ratio of batch-summed L1 norms of
+    those gradients and of the unconditional score s_u, both at the noised
+    marginal for timestep t. Identical to rel_mae of the two branch outputs
+    because the sigma_t factor cancels.
     """
-    grad = conditional_grad(gm, cond, sched, x, t)
-    s_u = noised_score(gm, None, sched, x, t)
-    denom = np.abs(s_u).sum()
+    denom = float(np.abs(noised_score(gm, None, sched, x, t)).sum())
     if denom == 0.0:
         raise DegenerateInputError("unconditional score has zero L1 norm")
-    return float(np.abs(grad).sum() / denom)
+    return sum(float(np.abs(conditional_grad(gm, cond, sched, x[rows], t)).sum())
+               for cond, rows in groups) / denom
 
 
 def _component_sampler(gm: GaussianMixture, cond: Condition | None

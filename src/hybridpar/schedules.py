@@ -54,18 +54,6 @@ class GuidanceParams:
             raise ParameterError(f"guidance w must be finite and >= 0, got {self.w}")
 
 
-@dataclass(frozen=True)
-class LatentState:
-    """A latent array paired with the timestep it lives at."""
-
-    x: np.ndarray
-    t: int
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ParameterError(f"latent timestep must be >= 0, got {self.t}")
-
-
 def build_schedule(kind: str, T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Construct a discrete VP schedule.
 
@@ -119,20 +107,19 @@ def _guided(eps_c: np.ndarray, eps_u: np.ndarray, w: float) -> np.ndarray:
     return eps_c + w * (eps_c - eps_u)
 
 
-def ddim_step(state: LatentState, eps: np.ndarray, sched: NoiseSchedule) -> LatentState:
-    """Deterministic (eta = 0) update from t to t - 1.
+def ddim_step(x_t: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
+    """Deterministic (eta = 0) update of latents x_t from t to t - 1.
 
     Reconstructs x0_hat = (x_t - sigma_t * eps) / sqrt(alpha_bar_t) then
     re-noises it to the t - 1 marginal. At t = 1 this returns x0_hat itself
     because alpha_bar_0 = 1 and sigma_0 = 0.
     """
-    if state.t == 0:
+    if t == 0:
         raise StepUnderflowError("cannot step below t = 1")
-    x_t = np.asarray(state.x, dtype=float)
+    x_t = np.asarray(x_t, dtype=float)
     eps = np.asarray(eps, dtype=float)
     _check_pair(x_t, eps)
-    ab_t = sched.alpha_bar(state.t)
-    x0_hat = (x_t - sched.sigma(state.t) * eps) / np.sqrt(ab_t)
-    ab_prev = sched.alpha_bar(state.t - 1)
-    x_prev = np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps
-    return LatentState(x=x_prev, t=state.t - 1)
+    ab_t = sched.alpha_bar(t)
+    x0_hat = (x_t - sched.sigma(t) * eps) / np.sqrt(ab_t)
+    ab_prev = sched.alpha_bar(t - 1)
+    return np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps

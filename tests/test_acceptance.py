@@ -57,7 +57,7 @@ def test_criterion_01_discrepancy_identity():
         eps_c = eps_prediction(gm, cond, sched, x, t)
         eps_u = eps_prediction(gm, None, sched, x, t)
         measured = rel_mae(eps_c, eps_u)
-        predicted = score_ratio_estimate(gm, cond, sched, x, t)
+        predicted = score_ratio_estimate(gm, ((cond, slice(None)),), sched, x, t)
         # abs_tol covers subsets whose discrepancy itself sits at rounding
         # level, where both sides are pure cancellation noise
         assert math.isclose(measured, predicted, rel_tol=1e-10, abs_tol=1e-12)

@@ -18,7 +18,7 @@ from hybridpar.mixture import Condition, eps_prediction, rel_mae
 from hybridpar.monitor import (DiscrepancySeries, Stage, StageState,
                                SwitchConfig, update_controller)
 from hybridpar.plan import _DEVICES, _STAGED
-from hybridpar.schedules import GuidanceParams, LatentState, cfg_combine, ddim_step
+from hybridpar.schedules import GuidanceParams, cfg_combine, ddim_step
 from hybridpar.trace import DeviceSpec, LinkSpec
 
 C = PRESETS["sdxl-like"]["branch_step_cost"]   # 0.1649
@@ -136,32 +136,31 @@ def test_hybrid_trajectory_bitwise_reference():
                 plan.mixture, Condition(idx), plan.schedule, x[np.asarray(rows)], t)
         return out
 
-    state = LatentState(initial_latents(plan), 10)
+    x = initial_latents(plan)
     series = DiscrepancySeries()
     ctrl = StageState()
     history: list[np.ndarray] = []
     for s in range(1, 11):
-        t = state.t
-        history.insert(0, state.x)
+        t = 11 - s
+        history.insert(0, x)
         del history[2:]
         if ctrl.tau1 is not None:
             update_controller(ctrl, series, t, plan.switch)
         if ctrl.tau1 is not None and ctrl.stage is Stage.PARALLELISM:
-            est = np.zeros_like(state.x)
+            est = np.zeros_like(x)
             for d, f in enumerate(plan.segment_fractions):
                 est += f * branch_c(history[min(d, len(history) - 1)], t)
-            state = ddim_step(state, est, plan.schedule)
+            x = ddim_step(x, t, est, plan.schedule)
         else:
-            eps_c = branch_c(state.x, t)
-            eps_u = eps_prediction(plan.mixture, None, plan.schedule, state.x, t)
+            eps_c = branch_c(x, t)
+            eps_u = eps_prediction(plan.mixture, None, plan.schedule, x, t)
             series.record(t, rel_mae(eps_c, eps_u))
             if ctrl.steps_done == s - 1 and ctrl.tau1 is None:
                 update_controller(ctrl, series, t, plan.switch)
-            state = ddim_step(state, cfg_combine(eps_c, eps_u, plan.guidance),
-                              plan.schedule)
+            x = ddim_step(x, t, cfg_combine(eps_c, eps_u, plan.guidance), plan.schedule)
 
     assert ctrl.tau1 == res.tau1 == 3
-    assert np.array_equal(res.x0, state.x)
+    assert np.array_equal(res.x0, x)
 
 
 # layer-wise -------------------------------------------------------------------------

@@ -29,8 +29,7 @@ from hybridpar.metrics import compare_runs
 from hybridpar.mixture import Condition, _rel_mae_blocks, eps_prediction, rel_mae
 from hybridpar.monitor import (DiscrepancySeries, Stage, StageState, replay_series,
                                update_controller)
-from hybridpar.schedules import (GuidanceParams, LatentState, build_schedule,
-                                 cfg_combine, ddim_step)
+from hybridpar.schedules import GuidanceParams, build_schedule, cfg_combine, ddim_step
 
 MULTI = [[0], [1, 2], [3], [0, 1, 2, 3]]
 
@@ -146,28 +145,26 @@ def reference_run(plan):
                                        x[rows], t)
         return out
 
-    state = LatentState(initial_latents(plan), plan.schedule.T)
+    x = initial_latents(plan)
     series, ctrl, history = DiscrepancySeries(), StageState(), []
-    while state.t > 0:
-        t = state.t
-        history.insert(0, state.x)
+    for t in range(plan.schedule.T, 0, -1):
+        history.insert(0, x)
         del history[len(fractions):]
         if staged and ctrl.tau1 is not None:
             update_controller(ctrl, series, t, plan.switch)
         if staged and ctrl.tau1 is not None and ctrl.stage is Stage.PARALLELISM:
-            est = np.zeros_like(state.x)
+            est = np.zeros_like(x)
             for d, f in enumerate(fractions):
                 est += f * branch_c(history[min(d, len(history) - 1)], t)
-            state = ddim_step(state, est, plan.schedule)
+            x = ddim_step(x, t, est, plan.schedule)
         else:
-            eps_c = branch_c(state.x, t)
-            eps_u = eps_prediction(plan.mixture, None, plan.schedule, state.x, t)
+            eps_c = branch_c(x, t)
+            eps_u = eps_prediction(plan.mixture, None, plan.schedule, x, t)
             series.record(t, rel_mae(eps_c, eps_u))
             if staged and ctrl.tau1 is None:
                 update_controller(ctrl, series, t, plan.switch)
-            state = ddim_step(state, cfg_combine(eps_c, eps_u, plan.guidance),
-                              plan.schedule)
-    return state.x, tuple(series.items()), ctrl.tau1, ctrl.tau2
+            x = ddim_step(x, t, cfg_combine(eps_c, eps_u, plan.guidance), plan.schedule)
+    return x, tuple(series.items()), ctrl.tau1, ctrl.tau2
 
 
 @pytest.mark.parametrize("body, seeds", [
@@ -522,9 +519,9 @@ def stacked_steps(monkeypatch):
         calls.append(("exact", x.shape[0]))
         return exact(stack, x, t)
 
-    def counting_ddim(state, eps, sched):
-        calls.append(("step", state.x.shape[0]))
-        return ddim(state, eps, sched)
+    def counting_ddim(x, t, eps, sched):
+        calls.append(("step", x.shape[0]))
+        return ddim(x, t, eps, sched)
 
     monkeypatch.setattr(engine, "_exact_step", counting_exact)
     monkeypatch.setattr(engine, "ddim_step", counting_ddim)

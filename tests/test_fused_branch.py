@@ -18,7 +18,7 @@ from hybridpar.errors import PlanError
 from hybridpar.mixture import (Condition, _condition_rows, _noised_terms, _score_rows,
                                _Terms, conditional, eps_prediction, noised_mixture,
                                rel_mae)
-from hybridpar.schedules import LatentState, cfg_combine, ddim_step
+from hybridpar.schedules import cfg_combine, ddim_step
 
 
 # reference: the kernel before it reused its buffer ---------------------------------
@@ -202,10 +202,9 @@ def ref_curve_csv() -> str:
     """The curve command's CSV, computed with freshly built mixtures."""
     plan = ExperimentConfig.from_dict({}).to_plan(variant=PlanVariant.SERIAL)
     gm, sched = plan.mixture, plan.schedule
-    state = LatentState(initial_latents(plan), sched.T)
+    x = initial_latents(plan)
     rows = []
-    for _ in range(sched.T):
-        x, t = state.x, state.t
+    for t in range(sched.T, 0, -1):
         eps_c = ref_conditional_branch(plan, x, t)
         eps_u = eps_prediction(gm, None, sched, x, t)
         m = rel_mae(eps_c, eps_u)
@@ -218,7 +217,7 @@ def ref_curve_csv() -> str:
         per_row = np.abs(eps_c - eps_u).sum(axis=1) / np.abs(eps_u).sum(axis=1)
         sd = float(per_row.std(ddof=1))
         rows.append((t, m, ratio, m - 2.0 * sd, m + 2.0 * sd))
-        state = ddim_step(state, cfg_combine(eps_c, eps_u, plan.guidance), sched)
+        x = ddim_step(x, t, cfg_combine(eps_c, eps_u, plan.guidance), sched)
     arg_min = min(range(len(rows)), key=lambda i: rows[i][1])
     lines = [CURVE_HEADER]
     for i, (t, m, ratio, lo, hi) in enumerate(rows):

@@ -263,6 +263,16 @@ def test_detect_header_must_name_columns(tmp_path, capsys):
     assert json.loads(stderr)["line"] == 1
 
 
+def test_detect_header_error_names_the_header_line(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text("\n\nstep,value\n3,0.5\n", encoding="utf-8")
+    code, _, stderr = run_cli(["detect", "--series", str(series)], capsys)
+    assert code == 1
+    err = json.loads(stderr)
+    assert err["line"] == 3
+    assert err["message"].startswith("line 3: header must name columns")
+
+
 def test_detect_missing_file_is_clean_failure(capsys):
     code, _, stderr = run_cli(["detect", "--series", "/nonexistent.csv"], capsys)
     assert code == 1

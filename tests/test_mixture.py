@@ -10,8 +10,7 @@ from hybridpar.errors import NumericError, ParameterError, ShapeError
 from hybridpar.mixture import (Condition, GaussianMixture, conditional,
                                conditional_grad, eps_prediction,
                                noised_mixture, sample_x0, score)
-from hybridpar.schedules import (LatentState, NoiseSchedule, build_schedule,
-                                 ddim_step)
+from hybridpar.schedules import NoiseSchedule, build_schedule, ddim_step
 
 
 def make_mixture(seed: int = 0, K: int = 3, d: int = 4) -> GaussianMixture:
@@ -42,6 +41,13 @@ def test_weights_normalized():
 def test_mixture_rejects_degenerate(kwargs):
     with pytest.raises((ParameterError, ShapeError)):
         GaussianMixture(**{k: np.asarray(v, dtype=float) for k, v in kwargs.items()})
+
+
+def test_mixture_rejects_weights_whose_sum_overflows():
+    # each weight is finite, but normalizing by their inf sum would give zeros
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        GaussianMixture(weights=np.array([1e308, 1e308]), means=np.zeros((2, 1)),
+                        variances=np.ones((2, 1)))
 
 
 def test_condition_validation():
@@ -275,10 +281,10 @@ def test_ddim_rollout_converges_under_refinement():
 
     outs = []
     for sched in (coarse, fine):
-        state = LatentState(xT, sched.T)
+        x = xT
         for t in range(sched.T, 0, -1):
-            state = ddim_step(state, eps_prediction(gm, cond, sched, state.x, t), sched)
-        outs.append(state.x)
+            x = ddim_step(x, t, eps_prediction(gm, cond, sched, x, t), sched)
+        outs.append(x)
     rel = np.max(np.abs(outs[0] - outs[1])) / np.max(np.abs(outs[1]))
     assert rel < 0.05
 

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridpar.config import DEFAULT_SCHEDULE, default_mixture
+from hybridpar.cli import curve_rows
+from hybridpar.config import DEFAULT_SCHEDULE, ExperimentConfig, default_mixture
+from hybridpar.engine import PlanVariant, initial_latents
 from hybridpar.errors import (DegenerateInputError, HistoryError,
                               NumericError, ParameterError, SequencingError,
                               ShapeError)
-from hybridpar.mixture import Condition, eps_prediction, rel_mae, score_ratio_estimate
+from hybridpar.mixture import (Condition, _condition_rows, eps_prediction, rel_mae,
+                               score_ratio_estimate)
 from hybridpar.monitor import (DiscrepancySeries, SlopeNoiseModel, Stage,
                                StageState, SwitchConfig,
                                hoeffding_false_alarm, replay_series,
@@ -345,7 +348,7 @@ def test_score_ratio_zero_when_condition_covers_everything():
                            DEFAULT_SCHEDULE["beta_start"], DEFAULT_SCHEDULE["beta_end"])
     cond = Condition(tuple(range(gm.n_components)))
     x = np.linspace(-1.0, 1.0, gm.dim)
-    assert score_ratio_estimate(gm, cond, sched, x, 25) == 0.0
+    assert score_ratio_estimate(gm, ((cond, slice(None)),), sched, x, 25) == 0.0
 
 
 def test_score_ratio_matches_branch_rel_mae():
@@ -359,8 +362,31 @@ def test_score_ratio_matches_branch_rel_mae():
         eps_c = eps_prediction(gm, cond, sched, x, t)
         eps_u = eps_prediction(gm, None, sched, x, t)
         measured = rel_mae(eps_c, eps_u)
-        predicted = score_ratio_estimate(gm, cond, sched, x, t)
+        predicted = score_ratio_estimate(gm, ((cond, slice(None)),), sched, x, t)
         assert math.isclose(measured, predicted, rel_tol=1e-10)
+
+
+def test_score_ratio_over_condition_groups_matches_branch_rel_mae():
+    """On a batch conditioned on a multi-index subset and a singleton, the
+    estimate over the batch's condition groups predicts rel_mae of the whole
+    batch's branches, and so does each row of the curve command."""
+    cfg = ExperimentConfig.from_dict({"conditions": [[0, 1], [2]]})
+    plan = cfg.to_plan(variant=PlanVariant.SERIAL)
+    gm, sched = plan.mixture, plan.schedule
+    groups = _condition_rows(gm, plan.conditions).groups
+    assert sorted(len(cond.indices) for cond, _ in groups) == [1, 2]
+    x = initial_latents(plan)
+    for t in (3, 25, 50):
+        eps_c = np.empty_like(x)
+        for cond, rows in groups:
+            eps_c[rows] = eps_prediction(gm, cond, sched, x[rows], t)
+        measured = rel_mae(eps_c, eps_prediction(gm, None, sched, x, t))
+        predicted = score_ratio_estimate(gm, groups, sched, x, t)
+        assert math.isclose(measured, predicted, rel_tol=1e-10)
+    rows = curve_rows(cfg)
+    assert len(rows) == sched.T
+    for _, m, ratio, _, _ in rows:
+        assert math.isclose(m, ratio, rel_tol=1e-10)
 
 
 # false-alarm bound ----------------------------------------------------------------

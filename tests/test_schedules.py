@@ -6,8 +6,7 @@ import pytest
 
 from hybridpar.errors import (NumericError, ParameterError, ShapeError,
                               StepUnderflowError)
-from hybridpar.schedules import (GuidanceParams, LatentState, build_schedule,
-                                 cfg_combine, ddim_step)
+from hybridpar.schedules import GuidanceParams, build_schedule, cfg_combine, ddim_step
 
 # independently recomputed in a scratch script as a plain cumulative product
 SCALED_LINEAR_AB50 = 0.763763285673763
@@ -71,11 +70,6 @@ def test_guidance_params_range():
         GuidanceParams(float("nan"))
 
 
-def test_latent_state_rejects_negative_t():
-    with pytest.raises(ParameterError):
-        LatentState(np.zeros(3), -1)
-
-
 # cfg_combine ---------------------------------------------------------------
 
 def test_cfg_combine_zero_guidance():
@@ -121,10 +115,9 @@ def test_ddim_round_trip_identity():
     eps = rng.standard_normal((3, 5))
     for t in (1, 7, 20):
         x_t = np.sqrt(sched.alpha_bar(t)) * x0 + sched.sigma(t) * eps
-        out = ddim_step(LatentState(x_t, t), eps, sched)
+        out = ddim_step(x_t, t, eps, sched)
         expect = np.sqrt(sched.alpha_bar(t - 1)) * x0 + sched.sigma(t - 1) * eps
-        assert out.t == t - 1
-        assert np.allclose(out.x, expect, rtol=1e-10, atol=1e-12)
+        assert np.allclose(out, expect, rtol=1e-10, atol=1e-12)
 
 
 def test_ddim_final_step_returns_x0_hat():
@@ -133,24 +126,24 @@ def test_ddim_final_step_returns_x0_hat():
     x0 = rng.standard_normal(6)
     eps = rng.standard_normal(6)
     x1 = np.sqrt(sched.alpha_bar(1)) * x0 + sched.sigma(1) * eps
-    out = ddim_step(LatentState(x1, 1), eps, sched)
-    assert np.allclose(out.x, x0, rtol=1e-10, atol=1e-12)
+    out = ddim_step(x1, 1, eps, sched)
+    assert np.allclose(out, x0, rtol=1e-10, atol=1e-12)
 
 
 def test_ddim_deterministic():
     sched = build_schedule("linear", 10, 0.02, 0.1)
     x = np.linspace(-1, 1, 8)
     eps = np.cos(x)
-    a = ddim_step(LatentState(x, 5), eps, sched)
-    b = ddim_step(LatentState(x, 5), eps, sched)
-    assert np.array_equal(a.x, b.x)
+    a = ddim_step(x, 5, eps, sched)
+    b = ddim_step(x, 5, eps, sched)
+    assert np.array_equal(a, b)
 
 
 def test_ddim_rejects_nonfinite():
     sched = build_schedule("linear", 10, 0.02, 0.1)
     bad = np.array([1.0, float("inf")])
     with pytest.raises(NumericError):
-        ddim_step(LatentState(bad, 5), np.zeros(2), sched)
+        ddim_step(bad, 5, np.zeros(2), sched)
 
 
 def test_guided_step_keeps_the_closed_form_bits():
@@ -167,10 +160,16 @@ def test_guided_step_keeps_the_closed_form_bits():
             ab_t, ab_prev = sched.alpha_bar(t), sched.alpha_bar(t - 1)
             want = (np.sqrt(ab_prev) * ((x - sched.sigma(t) * eps) / np.sqrt(ab_t))
                     + np.sqrt(1.0 - ab_prev) * eps)
-            assert np.array_equal(ddim_step(LatentState(x, t), eps, sched).x, want)
+            assert np.array_equal(ddim_step(x, t, eps, sched), want)
 
 
 def test_ddim_underflow():
     sched = build_schedule("linear", 10, 0.02, 0.1)
     with pytest.raises(StepUnderflowError):
-        ddim_step(LatentState(np.zeros(2), 0), np.zeros(2), sched)
+        ddim_step(np.zeros(2), 0, np.zeros(2), sched)
+
+
+def test_ddim_rejects_negative_t():
+    sched = build_schedule("linear", 10, 0.02, 0.1)
+    with pytest.raises(ParameterError):
+        ddim_step(np.zeros(3), -1, np.zeros(3), sched)
