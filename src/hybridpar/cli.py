@@ -286,28 +286,23 @@ def cmd_sweep(args) -> int:
     cfg = _load(args)
     k_values = _parse_k_list(args.k)
     path = ExactPath(cfg.seeds)
-    runs, infeasible = [], set()
-    for seed in cfg.seeds:
-        serial_plan = cfg.to_plan(seed=seed, variant=PlanVariant.SERIAL,
-                                  exact_path=path)
-        hybrid = {}
-        for k in k_values:
-            if k in infeasible:
-                continue
-            try:
-                hybrid[k] = cfg.to_plan(seed=seed, variant=PlanVariant.HYBRID, k=k,
-                                        exact_path=path)
-            except (PlanError, ParameterError):   # k out of range for this config
-                infeasible.add(k)
-        runs.append((serial_plan, hybrid))
-    per_k = {k: [] for k in k_values if k not in infeasible}
-    for serial_plan, hybrid in runs:
+    serial_plans = [cfg.to_plan(seed=seed, variant=PlanVariant.SERIAL, exact_path=path)
+                    for seed in cfg.seeds]
+    hybrid = {}                 # k -> each seed's plan, for the feasible k
+    for k in k_values:
+        try:
+            hybrid[k] = [cfg.to_plan(seed=seed, variant=PlanVariant.HYBRID, k=k,
+                                     exact_path=path) for seed in cfg.seeds]
+        except (PlanError, ParameterError):   # k out of range for this config
+            pass
+    per_k = {k: [] for k in hybrid}
+    for i, serial_plan in enumerate(serial_plans):
         serial = run_serial(serial_plan)
         for k, per_seed in per_k.items():
-            per_seed.append(compare_runs(run_plan(hybrid[k]), serial))
+            per_seed.append(compare_runs(run_plan(hybrid[k][i]), serial))
     lines = [SWEEP_HEADER]
     for k in k_values:
-        if k in infeasible:
+        if k not in per_k:
             lines.append(f"{k},infeasible,,,,")
             continue
         per_seed = per_k[k]

@@ -77,13 +77,6 @@ MAX_STACKED_ROWS = 2 ** 18
 _VARIANTS = {v.value: v for v in PlanVariant}
 
 
-def default_mixture() -> GaussianMixture:
-    """The mixture of DEFAULT_MIXTURE."""
-    from .mixture import GaussianMixture
-
-    return GaussianMixture(**DEFAULT_MIXTURE)
-
-
 def build_schedule(kind: str, T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """schedules.build_schedule, imported on the first call: see the module
     docstring. The config code calls it by this name."""

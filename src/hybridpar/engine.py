@@ -106,15 +106,15 @@ class ExactPath:
 
     Plans bind on construction: the seed must be one of the store's, the
     mixture, schedule, conditions and guidance the first plan's objects, and
-    a staged plan's rule the store's rule, else PlanError. A rule first bound
-    after the store has stepped replays the stored discrepancies. The store
-    keeps, up to each seed's switch, as many latents as the widest window of
-    a bound plan starts from (one per segment); a plan with k >= 1 that
-    needs more binds only before the first step, else SequencingError. A
-    bind that raises changes nothing. The store keeps
-    only what bound plans read (per seed the discrepancies, x0, the latents
-    up to its switch, and the computed windows). What a run can return is
-    read-only, and a step that raises stores nothing.
+    a staged plan's rule the store's rule, else PlanError. The store keeps,
+    up to each seed's switch, as many latents as the widest window of a
+    bound plan starts from (one per segment). So a staged plan that brings
+    the store's first rule, or a window that needs more latents, binds only
+    before the first step, else SequencingError. A bind that raises changes
+    nothing. The store keeps only what bound plans read (per seed the
+    discrepancies, x0, the latents up to its switch, and the computed
+    windows). What a run can return is read-only, and a step that raises
+    stores nothing.
 
     The store also memoizes the virtual clock of each schedule its runs
     take (see timing), so a sweep builds one trace per distinct (tau1, k),
@@ -155,18 +155,17 @@ class ExactPath:
             if self._switch not in (None, rule):
                 raise PlanError("exact path is bound to another switch rule")
             depth = 0 if plan.switch.k == 0 else len(plan.segment_fractions)
-            if depth > self._depth and self._done > 0:
-                raise SequencingError(
-                    f"exact path keeps {self._depth} latents per switch, the plan reads "
-                    f"{depth}: bind staged plans before their exact path takes its first step")
+            if (self._switch is None or depth > self._depth) and self._done > 0:
+                need = ("its switch rule" if self._switch is None
+                        else f"{depth} latents per switch, the store kept {self._depth}")
+                raise SequencingError(f"the plan needs {need}: bind staged plans before "
+                                      "their exact path takes its first step")
         self._model = model
         if staged:
             self._depth = max(self._depth, depth)
             if self._switch is None:
                 self._switch = rule
                 self._controls = [(StageState(), DiscrepancySeries()) for _ in self._seeds]
-                for s in range(1, self._done + 1):
-                    self._control(s)
         return self
 
     def tau1(self, plan: ExecutionPlan) -> int:
@@ -278,13 +277,6 @@ def _stack(gm: GaussianMixture, sched: NoiseSchedule, conditions: tuple[Conditio
     rows_1, comps_1 = rows.singletons
     return _Stack(gm, sched, guidance, g, (tile(rows_1), _read_only(np.tile(comps_1, g))),
                   tuple((cond, tile(r)) for cond, r in rows.multi_groups))
-
-
-def _path_of(plan: ExecutionPlan) -> ExactPath:
-    """The plan's store, or a private one-seed store when it brings none."""
-    if plan.exact_path is not None:
-        return plan.exact_path
-    return ExactPath((plan.seed,)).bind(plan)
 
 
 def initial_latents(plan: ExecutionPlan) -> np.ndarray:
@@ -450,7 +442,7 @@ def _run(plan: ExecutionPlan) -> RunResult:
     for an unstaged run), then its window; timing comes from the store's
     memo. The series holds every exact step, none of the window's.
     """
-    path = _path_of(plan)
+    path = plan.exact_path or ExactPath((plan.seed,)).bind(plan)
     T = plan.schedule.T
     tau1 = tau2 = window = None
     if plan.variant in _STAGED:

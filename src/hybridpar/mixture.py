@@ -265,12 +265,6 @@ def noised_score(gm: GaussianMixture, cond: Condition | None, sched: NoiseSchedu
     return s[0] if squeezed else s
 
 
-def conditional_grad(gm: GaussianMixture, cond: Condition, sched: NoiseSchedule,
-                     x: np.ndarray, t: int) -> np.ndarray:
-    """Gradient of the log conditioning likelihood, s_c - s_u, at timestep t."""
-    return noised_score(gm, cond, sched, x, t) - noised_score(gm, None, sched, x, t)
-
-
 def rel_mae(eps_c: np.ndarray, eps_u: np.ndarray) -> float:
     """Relative mean absolute error between branch outputs.
 
@@ -315,10 +309,11 @@ def score_ratio_estimate(gm: GaussianMixture,
     marginal for timestep t. Identical to rel_mae of the two branch outputs
     because the sigma_t factor cancels.
     """
-    denom = float(np.abs(noised_score(gm, None, sched, x, t)).sum())
+    s_u = noised_score(gm, None, sched, x, t)
+    denom = float(np.abs(s_u).sum())
     if denom == 0.0:
         raise DegenerateInputError("unconditional score has zero L1 norm")
-    return sum(float(np.abs(conditional_grad(gm, cond, sched, x[rows], t)).sum())
+    return sum(float(np.abs(noised_score(gm, cond, sched, x[rows], t) - s_u[rows]).sum())
                for cond, rows in groups) / denom
 
 

@@ -93,7 +93,7 @@ class DiscrepancySeries:
 
     def items(self) -> list[tuple[int, float]]:
         """(t, value) pairs in recorded (descending-t) order."""
-        return sorted(self._values.items(), key=lambda kv: -kv[0])
+        return list(self._values.items())
 
     def __len__(self) -> int:
         return len(self._values)

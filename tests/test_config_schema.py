@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from test_config_fuzz import DOCUMENTS
 from test_harness import BAD_CONFIG_VALUES
 
-from hybridpar.config import (DEFAULT_LINK, DEFAULT_SCHEDULE, MAX_CONDITION_BATCH,
-                              MAX_DEVICES, MAX_SEED, MAX_STACKED_ROWS, MAX_STEPS, PRESETS,
-                              SCHEMA, ExperimentConfig, default_mixture)
+from hybridpar.config import (DEFAULT_LINK, DEFAULT_MIXTURE, DEFAULT_SCHEDULE,
+                              MAX_CONDITION_BATCH, MAX_DEVICES, MAX_SEED, MAX_STACKED_ROWS,
+                              MAX_STEPS, PRESETS, SCHEMA, ExperimentConfig)
 from hybridpar.engine import PlanVariant
 from hybridpar.errors import HybridparError, ParameterError
 from hybridpar.mixture import Condition, GaussianMixture
@@ -129,7 +129,7 @@ def ref_from_dict(raw: dict) -> ExperimentConfig:
                 raise ParameterError(f"mixture arrays must be numeric: {exc}") from exc
             mixture = GaussianMixture(**arrays)
         else:
-            mixture = default_mixture()
+            mixture = GaussianMixture(**DEFAULT_MIXTURE)
 
         batch = _at_most(raw.get("condition_batch", DEFAULT_CONDITION_BATCH),
                          "condition_batch", MAX_CONDITION_BATCH)

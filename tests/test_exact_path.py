@@ -391,9 +391,11 @@ def test_staged_plan_bound_after_the_first_step_raises():
     with pytest.raises(SequencingError, match="before their exact path"):
         cfg.to_plan(seed=7, variant=PlanVariant.HYBRID, k=5, exact_path=path)
     assert store_state(path) == before
-    # and the failed bind set no rule: a k = 0 plan of another one binds first
-    other = replace(cfg, switch=replace(cfg.switch, L=5)).to_plan(seed=7, k=0, exact_path=path)
-    assert_same_run(run_plan(other), run_plan(replace(other, exact_path=None)))
+    # the failed bind set no rule, and a k = 0 plan that brings one this late raises too
+    late = replace(cfg, switch=replace(cfg.switch, L=5))
+    with pytest.raises(SequencingError, match="before their exact path"):
+        late.to_plan(seed=7, k=0, exact_path=path)
+    assert store_state(path) == before
 
 
 def test_batch_level_hands_the_path_to_sample_zero_only(monkeypatch):
@@ -482,27 +484,25 @@ def test_sweep_steps_one_controller_per_seed_whatever_its_k_values(tmp_path, bod
 @pytest.mark.parametrize("L", [5, 20])
 def test_k0_plan_with_a_new_rule_bound_late_equals_an_unshared_run(controller_calls,
                                                                    after, L):
-    """The store's first rule, bound after it has stepped (mid-path, or at
-    its end), replays the stored discrepancies, then steps on with the rest."""
+    """A store that stepped (mid-path, or to its end) with no staged plan
+    bound holds no rule: a plan that brings the first one, whatever its
+    window, raises, changes nothing and steps no controller, and the store's
+    serial run still equals an unshared one."""
     cfg = ExperimentConfig.from_dict({"preset": "sd3-like", "condition_batch": 16})
     seeds = (2, 0, 3)
     late_cfg = replace(cfg, switch=replace(cfg.switch, L=L))
-    alone = {s: run_plan(late_cfg.to_plan(seed=s, k=0)) for s in seeds}
     path = ExactPath(seeds)
     serial = cfg.to_plan(seed=3, variant=PlanVariant.SERIAL, exact_path=path)
     if after == "mid-path":
         path.series(serial, 29)     # where the preset's rule switches seed 3
     else:
         run_serial(serial)
-    controller_calls.clear()
+    before = store_state(path)
     for s in seeds:
-        res = run_plan(late_cfg.to_plan(seed=s, k=0, exact_path=path))
-        assert res.tau1 == alone[s].tau1 and res.series == alone[s].series
-        assert res.x0.tobytes() == alone[s].x0.tobytes()
-    late_rule = replace(late_cfg.switch, k=0)
-    assert controller_calls == [late_rule] * sum(alone[s].tau1 for s in seeds)
-    assert {alone[s].tau1 for s in seeds} != {run_plan(cfg.to_plan(seed=s, k=0)).tau1
-                                             for s in seeds}
+        with pytest.raises(SequencingError, match="before their exact path"):
+            late_cfg.to_plan(seed=s, k=0, exact_path=path)
+    assert store_state(path) == before
+    assert controller_calls == []
     assert_same_run(run_serial(serial), run_serial(replace(serial, exact_path=None)))
 
 

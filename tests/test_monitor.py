@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hybridpar.mixture as mixture
 from hybridpar.cli import curve_rows
-from hybridpar.config import DEFAULT_SCHEDULE, ExperimentConfig, default_mixture
+from hybridpar.config import DEFAULT_MIXTURE, DEFAULT_SCHEDULE, ExperimentConfig
 from hybridpar.engine import PlanVariant, initial_latents
 from hybridpar.errors import (DegenerateInputError, HistoryError,
                               NumericError, ParameterError, SequencingError,
                               ShapeError)
-from hybridpar.mixture import (Condition, _condition_rows, eps_prediction, rel_mae,
-                               score_ratio_estimate)
+from hybridpar.mixture import (Condition, GaussianMixture, _condition_rows, eps_prediction,
+                               rel_mae, score_ratio_estimate)
 from hybridpar.monitor import (DiscrepancySeries, SlopeNoiseModel, Stage,
                                StageState, SwitchConfig,
                                hoeffding_false_alarm, replay_series,
@@ -343,7 +344,7 @@ def test_controller_matches_the_labelled_reference_step_by_step():
 # score-based discrepancy estimate ------------------------------------------------
 
 def test_score_ratio_zero_when_condition_covers_everything():
-    gm = default_mixture()
+    gm = GaussianMixture(**DEFAULT_MIXTURE)
     sched = build_schedule(DEFAULT_SCHEDULE["kind"], DEFAULT_SCHEDULE["T"],
                            DEFAULT_SCHEDULE["beta_start"], DEFAULT_SCHEDULE["beta_end"])
     cond = Condition(tuple(range(gm.n_components)))
@@ -352,7 +353,7 @@ def test_score_ratio_zero_when_condition_covers_everything():
 
 
 def test_score_ratio_matches_branch_rel_mae():
-    gm = default_mixture()
+    gm = GaussianMixture(**DEFAULT_MIXTURE)
     sched = build_schedule(DEFAULT_SCHEDULE["kind"], DEFAULT_SCHEDULE["T"],
                            DEFAULT_SCHEDULE["beta_start"], DEFAULT_SCHEDULE["beta_end"])
     cond = Condition((0,))
@@ -387,6 +388,29 @@ def test_score_ratio_over_condition_groups_matches_branch_rel_mae():
     assert len(rows) == sched.T
     for _, m, ratio, _, _ in rows:
         assert math.isclose(m, ratio, rel_tol=1e-10)
+
+
+def test_score_ratio_scores_the_unconditional_branch_once(monkeypatch):
+    """The estimate scores the unconditional branch once per call, however
+    many condition groups it sums, so curve takes two unconditional scores
+    per step: the estimate's and the eps_u branch's."""
+    cfg = ExperimentConfig.from_dict({"conditions": [[0, 1], [2]]})
+    plan = cfg.to_plan(variant=PlanVariant.SERIAL)
+    groups = _condition_rows(plan.mixture, plan.conditions).groups
+    x = initial_latents(plan)
+    conds = []
+    original = mixture.noised_score
+
+    def counting(gm, cond, sched, x, t):
+        conds.append(cond)
+        return original(gm, cond, sched, x, t)
+
+    monkeypatch.setattr(mixture, "noised_score", counting)
+    score_ratio_estimate(plan.mixture, groups, plan.schedule, x, 25)
+    assert len(groups) == 2 and conds.count(None) == 1
+    conds.clear()
+    curve_rows(cfg)
+    assert conds.count(None) == 2 * plan.schedule.T
 
 
 # false-alarm bound ----------------------------------------------------------------
