@@ -274,10 +274,11 @@ def _parse_k_list(text: str) -> list[int]:
 def cmd_sweep(args) -> int:
     """Serial and one hybrid run per (seed, feasible k), seed by seed.
 
-    Every run reads one ExactPath over all the seeds, so the numerics are
-    stepped for all seeds at once: the exact trajectories on the first
-    serial run, each k's windows on its first run. A k is infeasible if its
-    plan cannot be built for some seed.
+    Every run reads one ExactPath over all the seeds, built from the
+    config's k = 0 hybrid plan (an error if there is none), so the numerics
+    are stepped for all seeds at once: the exact trajectories on the first
+    serial run, each k's windows on its first run. A k is infeasible if it
+    is out of range (k < 0, or not k < T - tau_cap).
     """
     import numpy as np
 
@@ -285,7 +286,7 @@ def cmd_sweep(args) -> int:
 
     cfg = _load(args)
     k_values = _parse_k_list(args.k)
-    path = ExactPath(cfg.seeds)
+    path = ExactPath(cfg.seeds, cfg.to_plan(variant=PlanVariant.HYBRID, k=0))
     serial_plans = [cfg.to_plan(seed=seed, variant=PlanVariant.SERIAL, exact_path=path)
                     for seed in cfg.seeds]
     hybrid = {}                 # k -> each seed's plan, for the feasible k

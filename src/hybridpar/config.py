@@ -307,6 +307,7 @@ class ExperimentConfig:
         _require(len(seeds) * batch <= MAX_STACKED_ROWS,
                  f"seeds times condition_batch must be at most {MAX_STACKED_ROWS}, "
                  f"got {len(seeds)} seeds of {batch}")
+        _require(len(set(seeds)) == len(seeds), f"seeds must be distinct, got {list(seeds)}")
         costs = v["devices"] or _DEVICES[variant][0]
         costs = costs if isinstance(costs, tuple) else (pre["branch_step_cost"],) * costs
         return cls(

@@ -40,13 +40,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError, PlanError, SequencingError
+from .errors import NumericError, PlanError
 from .mixture import (Condition, GaussianMixture, _component_sampler, _condition_rows,
                       _read_only, _rel_mae_blocks, _singleton_eps, eps_prediction)
 from .mixture import rel_mae  # noqa: F401  (perfbench/spans.py wraps engine.rel_mae)
 from .mixture import sample_x0  # noqa: F401  (perfbench/spans.py wraps engine.sample_x0)
-from .monitor import (DiscrepancySeries, Stage, StageState, SwitchConfig, stage_at,
-                      update_controller)
+from .monitor import DiscrepancySeries, Stage, StageState, stage_at, update_controller
 from .plan import _STAGED, ExecutionPlan, PlanVariant
 from .schedules import GuidanceParams, NoiseSchedule, _guided, ddim_step
 from .schedules import cfg_combine  # noqa: F401  (perfbench/spans.py wraps it here)
@@ -98,23 +97,23 @@ class ExactPath:
     up to its switch (a k = 0 run to the end). A staged run with k >= 1 then
     reads window(plan): its x0 and the discrepancies of the exact steps
     after its window. The store alone decides tau1, under its one switch
-    rule (the first staged plan's switch config with k = 0; k only places
-    tau2): it keeps one controller and series per seed, and after each exact
-    step update_controller advances every seed yet to switch. The first
-    window request computes the window with that k and those segment
-    fractions of every seed that switched at the same step, as one batch.
+    rule (k only places tau2): it keeps one controller and series per seed,
+    and after each exact step update_controller advances every seed yet to
+    switch. The first window request computes the window with that k and
+    those segment fractions of every seed that switched at the same step,
+    as one batch.
 
-    Plans bind on construction: the seed must be one of the store's, the
-    mixture, schedule, conditions and guidance the first plan's objects, and
-    a staged plan's rule the store's rule, else PlanError. The store keeps,
-    up to each seed's switch, as many latents as the widest window of a
-    bound plan starts from (one per segment). So a staged plan that brings
-    the store's first rule, or a window that needs more latents, binds only
-    before the first step, else SequencingError. A bind that raises changes
-    nothing. The store keeps only what bound plans read (per seed the
-    discrepancies, x0, the latents up to its switch, and the computed
-    windows). What a run can return is read-only, and a step that raises
-    stores nothing.
+    A template plan fixes the store when it is built: the model objects
+    (_BOUND), the switch rule (a staged plan's switch config with k = 0;
+    none for an unstaged plan) and the depth (a staged plan's segment
+    count, whatever its k), the latents it keeps up to each seed's switch
+    for windows to start from. bind only checks a plan against them, else
+    PlanError: its seed is one of the store's distinct seeds, its model the
+    template's objects, a staged plan's rule the store's, and a window
+    (k >= 1) starts from no more latents than the depth. The store keeps
+    only what bound plans read (per seed the discrepancies, x0, the latents
+    up to its switch, and the computed windows). What a run can return is
+    read-only, and a step that raises stores nothing.
 
     The store also memoizes the virtual clock of each schedule its runs
     take (see timing), so a sweep builds one trace per distinct (tau1, k),
@@ -123,50 +122,45 @@ class ExactPath:
 
     _BOUND = ("mixture", "schedule", "conditions", "guidance")
 
-    def __init__(self, seeds):
-        self._seeds = tuple(dict.fromkeys(seeds))
+    def __init__(self, seeds, plan: ExecutionPlan):
+        self._seeds = tuple(seeds)
         if not self._seeds:
             raise PlanError("exact path needs at least one seed")
         self._slot = {seed: i for i, seed in enumerate(self._seeds)}
-        self._model: tuple | None = None
-        self._switch: SwitchConfig | None = None       # the rule: k = 0
-        self._depth = 0             # the most latents a bound window starts from
+        if len(self._slot) < len(self._seeds):
+            raise PlanError(f"exact path seeds must be distinct, got {list(self._seeds)}")
+        self._model = tuple(getattr(plan, name) for name in self._BOUND)
+        staged = plan.variant in _STAGED
+        self._switch = replace(plan.switch, k=0) if staged else None     # the rule
+        self._depth = len(plan.segment_fractions) if staged else 0      # >= 2 if staged
+        self._controls = [(StageState(), DiscrepancySeries())           # per seed
+                          for _ in self._seeds] if staged else []
         self._stacks: dict[int, _Stack] = {}            # seed count -> stack
         self._done = -1             # exact steps taken; -1 before the initial latents
         self._recent: list[np.ndarray] = []            # latents after the last steps
         self._ms: list[np.ndarray] = []                # per step, each seed's rel_mae
         self._x0: list[np.ndarray] | None = None
-        self._controls: list[tuple[StageState, DiscrepancySeries]] = []  # per seed
         self._starts: dict[int, tuple] = {}            # tau1 -> (seeds, latents)
         self._windows: dict[tuple, _Window] = {}       # (seed, k, fractions)
         self._timings: dict[tuple, _Timing] = {}       # see timing
 
-    def bind(self, plan: ExecutionPlan) -> "ExactPath":
+    def bind(self, plan: ExecutionPlan) -> None:
+        """Check that the store serves the plan (see the class docstring)."""
         if plan.seed not in self._slot:
             raise PlanError(f"exact path holds seeds {list(self._seeds)}, "
                             f"got seed {plan.seed}")
-        model = tuple(getattr(plan, name) for name in self._BOUND)
-        for name, a, b in zip(self._BOUND, model, self._model or model):
-            if a is not b:
+        for name, bound in zip(self._BOUND, self._model):
+            if getattr(plan, name) is not bound:
                 raise PlanError(f"exact path is bound to another {name}")
-        staged = plan.variant in _STAGED
-        if staged:
-            rule = replace(plan.switch, k=0)
-            if self._switch not in (None, rule):
-                raise PlanError("exact path is bound to another switch rule")
-            depth = 0 if plan.switch.k == 0 else len(plan.segment_fractions)
-            if (self._switch is None or depth > self._depth) and self._done > 0:
-                need = ("its switch rule" if self._switch is None
-                        else f"{depth} latents per switch, the store kept {self._depth}")
-                raise SequencingError(f"the plan needs {need}: bind staged plans before "
-                                      "their exact path takes its first step")
-        self._model = model
-        if staged:
-            self._depth = max(self._depth, depth)
+        if plan.variant in _STAGED:
             if self._switch is None:
-                self._switch = rule
-                self._controls = [(StageState(), DiscrepancySeries()) for _ in self._seeds]
-        return self
+                raise PlanError("exact path has no switch rule: build it from a staged plan")
+            if replace(plan.switch, k=0) != self._switch:
+                raise PlanError("exact path is bound to another switch rule")
+            n = len(plan.segment_fractions)
+            if plan.switch.k >= 1 and n > self._depth:
+                raise PlanError(f"the plan's window starts from {n} latents, "
+                                f"the exact path keeps {self._depth}")
 
     def tau1(self, plan: ExecutionPlan) -> int:
         """The step the plan's seed switches at."""
@@ -222,7 +216,7 @@ class ExactPath:
                 self._control(self._done)
             # keep as many steps as a window of a seed yet to switch starts from
             keep = self._depth if any(st.tau1 is None for st, _ in self._controls) else 1
-            del self._recent[:-max(keep, 1)]
+            del self._recent[:-keep]
 
     def _control(self, s: int) -> None:
         """Record exact step s of every seed yet to switch and step its
@@ -236,7 +230,7 @@ class ExactPath:
                 update_controller(state, series, t, self._switch)
                 if state.tau1 is not None:
                     slots.append(j)
-        if slots and self._depth:
+        if slots:
             # the latents of the depth steps up to s (the initial ones
             # repeated where fewer exist), newest first; all seeds' rows as
             # they are when all switch here
@@ -442,7 +436,7 @@ def _run(plan: ExecutionPlan) -> RunResult:
     for an unstaged run), then its window; timing comes from the store's
     memo. The series holds every exact step, none of the window's.
     """
-    path = plan.exact_path or ExactPath((plan.seed,)).bind(plan)
+    path = plan.exact_path or ExactPath((plan.seed,), plan)
     T = plan.schedule.T
     tau1 = tau2 = window = None
     if plan.variant in _STAGED:

@@ -2,8 +2,8 @@
 
 A plan names its variant, model, schedule, devices and link, and for staged
 variants the switch rule and segment split. _DEVICES alone decides how many
-devices each variant takes. Plans that bring the same exact-path store bind
-to it here (see engine.ExactPath).
+devices each variant takes. A plan that brings an exact-path store is
+checked against it here (see engine.ExactPath).
 
 The module loads no numpy, so config parsing and `detect` can use the
 choices a plan is built from (PlanVariant, _DEVICES, SCHEDULE_KINDS) without
@@ -64,7 +64,7 @@ class ExecutionPlan:
     segment_fractions: tuple[float, ...] | None = None
     cfg_batching_factor: float = 2.0
     # the exact trajectories and windows this plan shares with other plans
-    # (see ExactPath); the plan binds to it on construction. None steps a
+    # (see ExactPath); it checks the plan on construction. None steps a
     # private one.
     exact_path: ExactPath | None = field(default=None, compare=False, repr=False)
 

@@ -143,6 +143,7 @@ def ref_from_dict(raw: dict) -> ExperimentConfig:
                  f"got {len(seeds)} seeds of {batch}")
         _require(all(_is_int(s) and 0 <= s <= MAX_SEED for s in seeds),
                  f"seeds must be integers in [0, {MAX_SEED}]")
+        _require(len(set(seeds)) == len(seeds), f"seeds must be distinct, got {seeds!r}")
         seeds = tuple(seeds)
 
         if "conditions" in raw:
@@ -265,7 +266,7 @@ def test_parsers_agree_on_any_json_document(raw):
 CANDIDATES = {
     "preset": ["sdxl-like", "sd3-like", "sdxl"],
     "variant": [v.value for v in PlanVariant],
-    "seeds": [[0], [5, 2], [MAX_SEED], [-1]],
+    "seeds": [[0], [5, 2], [MAX_SEED], [-1], [3, 3]],
     "guidance_w": [0, 2, 7.5, -1.0],
     "schedule.kind": ["linear", "scaled-linear"],
     "schedule.T": [1, 12, 50, MAX_STEPS],

@@ -24,7 +24,7 @@ import hybridpar.engine as engine
 from hybridpar.cli import SWEEP_HEADER, main
 from hybridpar.config import ExperimentConfig
 from hybridpar.engine import ExactPath, PlanVariant, initial_latents, run_plan, run_serial
-from hybridpar.errors import NumericError, ParameterError, PlanError, SequencingError
+from hybridpar.errors import NumericError, ParameterError, PlanError
 from hybridpar.metrics import compare_runs
 from hybridpar.mixture import Condition, _rel_mae_blocks, eps_prediction, rel_mae
 from hybridpar.monitor import (DiscrepancySeries, Stage, StageState, replay_series,
@@ -47,6 +47,12 @@ CASES = [
 CASE_IDS = ["sdxl", "sdxl-multi", "sd3", "sd3-multi"]
 STAGED = [("hybrid", 2), ("layer_wise", 2), ("layer_wise", 3), ("layer_wise", 4),
           ("batch_level", 4)]
+
+
+def widest_store(cfg, seeds):
+    """A store for every plan of plans_for: its template is the config's
+    widest staged plan, layer_wise on all of its devices."""
+    return ExactPath(seeds, cfg.to_plan(variant=PlanVariant.LAYER_WISE))
 
 
 def plans_for(cfg, seeds, ks, path):
@@ -92,7 +98,7 @@ def test_shared_runs_equal_unshared_runs_in_any_order(body, seeds, ks):
     cfg = ExperimentConfig.from_dict(body)
     alone = {name: run_plan(plan) for name, plan in plans_for(cfg, seeds, ks, None).items()}
     for order in orders(list(alone)):
-        plans = plans_for(cfg, seeds, ks, ExactPath(seeds))
+        plans = plans_for(cfg, seeds, ks, widest_store(cfg, seeds))
         for name in order:
             assert_same_run(run_plan(plans[name]), alone[name])
 
@@ -114,7 +120,7 @@ def test_eight_seed_store_equals_unshared_runs():
     seeds = tuple(range(20, 28))
     staged = [[("hybrid", 5), ("batch_level", 5)], [("layer_wise", 30), ("hybrid", 10)],
               [], [("hybrid", 5)]]
-    path = ExactPath(seeds)
+    path = widest_store(cfg, seeds)
     stacked = [(cfg.to_plan(seed=s, variant=PlanVariant(v), k=k, exact_path=path),
                 cfg.to_plan(seed=s, variant=PlanVariant(v), k=k))
                for s in seeds
@@ -175,7 +181,7 @@ def reference_run(plan):
 ], ids=["sdxl-S1", "sd3-multi-S3", "sd3-S8"])
 def test_stacked_runs_equal_a_per_seed_reference_loop(body, seeds):
     cfg = ExperimentConfig.from_dict(body)
-    path = ExactPath(seeds)
+    path = widest_store(cfg, seeds)
     plans = [cfg.to_plan(seed=s, variant=PlanVariant(v), k=k, exact_path=path)
              for s in seeds for v, k in [("full_condition_partition", None),
                                          ("hybrid", 4), ("layer_wise", 7),
@@ -223,7 +229,7 @@ def held_arrays(obj, seen=None):
 
 def test_shared_latents_are_read_only_and_shared():
     cfg = ExperimentConfig.from_dict({"condition_batch": 8})
-    path = ExactPath((4, 9))
+    path = ExactPath((4, 9), cfg.to_plan(variant=PlanVariant.HYBRID))
     serial_plan = cfg.to_plan(seed=4, variant=PlanVariant.SERIAL, exact_path=path)
     k5 = cfg.to_plan(seed=4, variant=PlanVariant.HYBRID, k=5, exact_path=path)
     serial = run_serial(serial_plan)
@@ -243,8 +249,7 @@ def test_shared_latents_are_read_only_and_shared():
 def test_path_rejects_a_plan_of_another_seed_or_model():
     cfg = ExperimentConfig.from_dict({"condition_batch": 4, "schedule": {"T": 12},
                                       "switch": {"L": 2, "tau_cap": 3, "k": 4}})
-    path = ExactPath((1,))
-    cfg.to_plan(seed=1, variant=PlanVariant.HYBRID, exact_path=path)
+    path = ExactPath((1,), cfg.to_plan(seed=1, variant=PlanVariant.HYBRID))
     run_serial(cfg.to_plan(seed=1, variant=PlanVariant.SERIAL, exact_path=path))
     other = ExperimentConfig.from_dict({"condition_batch": 4, "schedule": {"T": 12}})
     others = [
@@ -270,8 +275,9 @@ def test_path_rejects_a_plan_of_another_seed_or_model():
     for k in (4, 2, 0):
         plan = cfg.to_plan(seed=1, variant=PlanVariant.HYBRID, k=k, exact_path=path)
         assert_same_run(run_plan(plan), run_plan(replace(plan, exact_path=None)))
-    with pytest.raises(PlanError):
-        ExactPath(())
+    for seeds in ((), (1, 1), (2, 1, 2)):
+        with pytest.raises(PlanError):
+            ExactPath(seeds, plan)
 
 
 MODEL_KEYS = {
@@ -291,7 +297,7 @@ def test_every_plan_of_a_config_shares_its_model_objects(body):
     to the first read; either way every plan the config makes holds the
     config's one object of each, which the oracle memo and bind go by."""
     cfg = ExperimentConfig.from_dict({"condition_batch": 4, "seeds": [0, 1], **body})
-    path = ExactPath(cfg.seeds)
+    path = ExactPath(cfg.seeds, cfg.to_plan(variant=PlanVariant.HYBRID))
     plans = [cfg.to_plan(seed=seed, variant=variant, k=k, exact_path=shared)
              for shared in (None, path) for seed in cfg.seeds
              for variant, k in ((PlanVariant.SERIAL, None), (PlanVariant.HYBRID, 0),
@@ -301,8 +307,9 @@ def test_every_plan_of_a_config_shares_its_model_objects(body):
 
 
 def test_failed_step_stores_nothing(monkeypatch):
+    # at T = 12 the preset's slope window (L = 12) allows no staged plan
     cfg = ExperimentConfig.from_dict({"condition_batch": 4, "schedule": {"T": 12}})
-    path = ExactPath((3, 8))
+    path = ExactPath((3, 8), cfg.to_plan(variant=PlanVariant.SERIAL))
     plan = cfg.to_plan(seed=3, variant=PlanVariant.SERIAL, exact_path=path)
     original = engine._exact_step
     calls = []
@@ -332,7 +339,7 @@ def test_guided_overflow_raises_at_its_step_and_stores_nothing(monkeypatch, at_s
     4 * 8 values, does not (1e307): no series may record it."""
     cfg = ExperimentConfig.from_dict({"condition_batch": 4, "schedule": {"T": 12},
                                       "switch": {"L": 2, "tau_cap": 3, "k": 4}})
-    path = ExactPath((3, 8))
+    path = ExactPath((3, 8), cfg.to_plan(variant=PlanVariant.HYBRID))
     plan = cfg.to_plan(seed=3, variant=PlanVariant.HYBRID, exact_path=path)
     original = engine._singleton_eps
     steps = []
@@ -364,43 +371,68 @@ def store_state(path):
     return {name: ids(value) for name, value in vars(path).items()}
 
 
-def test_staged_plan_bound_after_the_first_step_raises():
-    """After its first step a store serves a window plan only from the
-    latents it kept: as many per switch as the widest window bound before."""
+def test_bind_changes_no_store_state():
+    """The template fixes the store; a bind that succeeds and every bind that
+    raises leave each attribute, list item and dict item as it was."""
     cfg = ExperimentConfig.from_dict({"condition_batch": 4, "devices": 3})
-    path = ExactPath((6, 7))
-    early = cfg.to_plan(seed=6, variant=PlanVariant.HYBRID, k=5, exact_path=path)
-    run_serial(cfg.to_plan(seed=6, variant=PlanVariant.SERIAL, exact_path=path))
-    # a k = 0 run and a plan already bound need no step the store dropped
-    k0 = run_plan(cfg.to_plan(seed=6, variant=PlanVariant.HYBRID, k=0, exact_path=path))
-    assert k0.x0.tobytes() == run_plan(cfg.to_plan(seed=6, k=0)).x0.tobytes()
-    assert_same_run(run_plan(replace(early, exact_path=path)), run_plan(cfg.to_plan(seed=6, k=5)))
-    # nor does any other two-segment window of either seed
-    for seed, k in [(6, 4), (7, 5)]:
-        late = cfg.to_plan(seed=seed, variant=PlanVariant.HYBRID, k=k, exact_path=path)
+    path = ExactPath((6, 7), cfg.to_plan(variant=PlanVariant.HYBRID))
+    serial = cfg.to_plan(seed=6, variant=PlanVariant.SERIAL, exact_path=path)
+    path.series(serial, 10)
+    before = store_state(path)
+    # any seed of the store, any k, and a k = 0 plan of any segment count
+    for seed, variant, k in [(6, "serial", None), (7, "hybrid", 5), (6, "hybrid", 30),
+                             (7, "layer_wise", 0)]:
+        cfg.to_plan(seed=seed, variant=PlanVariant(variant), k=k, exact_path=path)
+    assert store_state(path) == before
+    other = ExperimentConfig.from_dict({"condition_batch": 4})
+    failing = [
+        ("seed", cfg, 8, "hybrid", None),
+        ("mixture", replace(cfg, mixture=other.mixture), 6, "serial", None),
+        ("schedule", replace(cfg, schedule=other.schedule), 6, "serial", None),
+        ("conditions", replace(cfg, conditions=other.conditions), 6, "serial", None),
+        ("guidance", replace(cfg, guidance=other.guidance), 6, "serial", None),
+        ("switch rule", replace(cfg, switch=replace(cfg.switch, L=5)), 7, "hybrid", 0),
+        # three segments start from three latents, and the store keeps two
+        ("starts from 3 latents", cfg, 7, "layer_wise", 5),
+    ]
+    for match, c, seed, variant, k in failing:
+        with pytest.raises(PlanError, match=match):
+            c.to_plan(seed=seed, variant=PlanVariant(variant), k=k, exact_path=path)
+        assert store_state(path) == before, match
+    # a store built from an unstaged plan has no rule, so serves no staged plan
+    unstaged = ExactPath((6, 7), serial)
+    run_serial(replace(serial, exact_path=unstaged))
+    before = store_state(unstaged)
+    for k in (0, 5):
+        with pytest.raises(PlanError, match="no switch rule"):
+            cfg.to_plan(seed=7, variant=PlanVariant.HYBRID, k=k, exact_path=unstaged)
+    assert store_state(unstaged) == before
+
+
+@pytest.mark.parametrize("after", ["mid-path", "serial-run"])
+@pytest.mark.parametrize("k", [0, 5])
+def test_staged_plan_bound_after_the_store_stepped_equals_an_unshared_run(after, k):
+    """The store keeps its rule's controllers and its window's latents from
+    its first step, so a staged plan bound after it stepped (mid-path, or to
+    its end) runs as if unshared, for seeds that switch before, at and
+    after the step where it stopped."""
+    cfg = ExperimentConfig.from_dict({"preset": "sd3-like", "condition_batch": 16})
+    seeds = (2, 0, 3)
+    path = ExactPath(seeds, cfg.to_plan(variant=PlanVariant.HYBRID))
+    serial = cfg.to_plan(seed=3, variant=PlanVariant.SERIAL, exact_path=path)
+    if after == "mid-path":
+        path.series(serial, 31)     # where the preset's rule switches seed 2
+    else:
+        run_serial(serial)
+    for s in seeds:
+        late = cfg.to_plan(seed=s, variant=PlanVariant.HYBRID, k=k, exact_path=path)
         assert_same_run(run_plan(late), run_plan(replace(late, exact_path=None)))
-    # three segments start from three latents, and the store kept two
-    before = store_state(path)
-    with pytest.raises(SequencingError, match="before their exact path"):
-        cfg.to_plan(seed=7, variant=PlanVariant.LAYER_WISE, k=5, exact_path=path)
-    assert store_state(path) == before
-    # a store that stepped with no staged plan bound kept none
-    path = ExactPath((6, 7))
-    run_serial(cfg.to_plan(seed=6, variant=PlanVariant.SERIAL, exact_path=path))
-    before = store_state(path)
-    with pytest.raises(SequencingError, match="before their exact path"):
-        cfg.to_plan(seed=7, variant=PlanVariant.HYBRID, k=5, exact_path=path)
-    assert store_state(path) == before
-    # the failed bind set no rule, and a k = 0 plan that brings one this late raises too
-    late = replace(cfg, switch=replace(cfg.switch, L=5))
-    with pytest.raises(SequencingError, match="before their exact path"):
-        late.to_plan(seed=7, k=0, exact_path=path)
-    assert store_state(path) == before
+    assert_same_run(run_serial(serial), run_serial(replace(serial, exact_path=None)))
 
 
 def test_batch_level_hands_the_path_to_sample_zero_only(monkeypatch):
     cfg = ExperimentConfig.from_dict({"condition_batch": 8, "devices": 6})
-    path = ExactPath((10,))
+    path = ExactPath((10,), cfg.to_plan(variant=PlanVariant.BATCH_LEVEL))
     seen = []
     original = engine._run
 
@@ -432,7 +464,7 @@ def test_every_runs_switch_replays_from_its_own_series(body, seeds, ks):
     same tau1 and tau2."""
     cfg = ExperimentConfig.from_dict(body)
     detected = []
-    for plan in plans_for(cfg, seeds, ks, ExactPath(seeds)).values():
+    for plan in plans_for(cfg, seeds, ks, widest_store(cfg, seeds)).values():
         res = run_plan(plan)
         if plan.switch is None:
             assert res.tau1 is None and len(res.series) == plan.schedule.T
@@ -480,32 +512,6 @@ def test_sweep_steps_one_controller_per_seed_whatever_its_k_values(tmp_path, bod
     assert counts == [sum(tau1)] * 3
 
 
-@pytest.mark.parametrize("after", ["mid-path", "serial-run"])
-@pytest.mark.parametrize("L", [5, 20])
-def test_k0_plan_with_a_new_rule_bound_late_equals_an_unshared_run(controller_calls,
-                                                                   after, L):
-    """A store that stepped (mid-path, or to its end) with no staged plan
-    bound holds no rule: a plan that brings the first one, whatever its
-    window, raises, changes nothing and steps no controller, and the store's
-    serial run still equals an unshared one."""
-    cfg = ExperimentConfig.from_dict({"preset": "sd3-like", "condition_batch": 16})
-    seeds = (2, 0, 3)
-    late_cfg = replace(cfg, switch=replace(cfg.switch, L=L))
-    path = ExactPath(seeds)
-    serial = cfg.to_plan(seed=3, variant=PlanVariant.SERIAL, exact_path=path)
-    if after == "mid-path":
-        path.series(serial, 29)     # where the preset's rule switches seed 3
-    else:
-        run_serial(serial)
-    before = store_state(path)
-    for s in seeds:
-        with pytest.raises(SequencingError, match="before their exact path"):
-            late_cfg.to_plan(seed=s, k=0, exact_path=path)
-    assert store_state(path) == before
-    assert controller_calls == []
-    assert_same_run(run_serial(serial), run_serial(replace(serial, exact_path=None)))
-
-
 # work counts ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -531,7 +537,7 @@ def stacked_steps(monkeypatch):
 def test_k0_run_on_a_full_path_takes_no_exact_step(stacked_steps):
     cfg = ExperimentConfig.from_dict({"condition_batch": 8})
     T = cfg.schedule.T
-    path = ExactPath((5,))
+    path = ExactPath((5,), cfg.to_plan(variant=PlanVariant.HYBRID))
     plans = [cfg.to_plan(seed=5, variant=v, k=k, exact_path=path)
              for v, k in [(PlanVariant.HYBRID, 0), (PlanVariant.SERIAL, None),
                           (PlanVariant.FULL_CONDITION_PARTITION, None),
@@ -584,8 +590,8 @@ def test_store_holds_only_what_runs_read(tmp_path, monkeypatch):
     stores = []
 
     class Recording(ExactPath):
-        def __init__(self, seeds):
-            super().__init__(seeds)
+        def __init__(self, seeds, plan):
+            super().__init__(seeds, plan)
             stores.append(self)
 
     monkeypatch.setattr(engine, "ExactPath", Recording)

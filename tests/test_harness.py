@@ -317,6 +317,22 @@ def test_sweep_empty_k_list(tmp_path, capsys):
     assert out.read_text() == SWEEP_HEADER + "\n"
 
 
+@pytest.mark.parametrize("body, message", [
+    ({"schedule": {"T": 10}}, "slope window L=12 must be < T=10"),
+    ({"devices": 4, "variant": "layer_wise", "segment_fractions": [0.25] * 4},
+     "segment_fractions must have 2 entries, got 4"),
+], ids=["short-schedule", "four-segments"])
+def test_sweep_without_a_hybrid_plan_is_one_json_error(tmp_path, capsys, body, message):
+    """Every run shares a store built from the k = 0 hybrid plan: a config
+    with none fails once, whatever the k values."""
+    cfg = write_config(tmp_path, seeds=[0], condition_batch=4, **body)
+    code, stdout, stderr = run_cli(["sweep", "--config", cfg, "--k", "0,1"], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert json.loads(stderr) == {"error": "PlanError", "message": message}
+
+
 def test_sweep_rejects_bad_k(capsys):
     code, stdout, stderr = run_cli(["sweep", "--k", "3,x"], capsys)
     assert code == 1
@@ -419,6 +435,8 @@ BAD_CONFIG_VALUES = [
     ({"link": {"latent_bytes": 10 ** 400}}, "link.latent_bytes"),
     # 20000 seeds of 4096 rows would stack 5 GB of latents
     ({"seeds": list(range(20000)), "condition_batch": 4096}, "seeds"),
+    # sweep means would count a repeated seed twice
+    ({"seeds": [0, 0, 1]}, "seeds"),
 ]
 
 

@@ -197,7 +197,7 @@ def test_latency_does_not_depend_on_the_switch_step(no_numerics):
 
 def test_a_shared_trace_cannot_be_changed():
     cfg = ExperimentConfig.from_dict({"condition_batch": 4, "seeds": [0, 1]})
-    path = ExactPath(cfg.seeds)
+    path = ExactPath(cfg.seeds, cfg.to_plan())
     plans = [cfg.to_plan(seed=s, exact_path=path) for s in cfg.seeds]
     a, b = (run_plan(p) for p in plans)
     assert a.trace is b.trace            # one schedule, one trace
