@@ -124,16 +124,15 @@ def cmd_simulate(args) -> int:
     variant = PlanVariant(args.variant) if args.variant else None
     seed = None if args.seed is None else _seed("--seed", args.seed)
     plan = cfg.to_plan(seed=seed, variant=variant)
+    out_dir = args.out or cfg.out_dir
+    if out_dir is None:
+        raise PlanError("simulate needs an output directory (--out or config out_dir)")
     result = run_plan(plan)
     if plan.variant is PlanVariant.SERIAL:
         serial = result
     else:
         serial = run_serial(cfg.to_plan(seed=plan.seed, variant=PlanVariant.SERIAL))
     metrics = compare_runs(result, serial)
-
-    out_dir = args.out or cfg.out_dir
-    if out_dir is None:
-        raise PlanError("simulate needs an output directory (--out or config out_dir)")
     os.makedirs(out_dir, exist_ok=True)
     payload = _json_dumps(metrics.to_dict())
     with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
@@ -206,9 +205,10 @@ def read_series_csv(path: str) -> list[tuple[int, float]]:
     t and rel_mae are used then, else columns 0 and 1. Blank lines are
     skipped but counted in error line numbers. One pass over the lines:
     int and float ignore the whitespace around a field, so a field is
-    stripped only to name a header column or to quote it in an error.
+    stripped only to name a header column or to quote it in an error. A
+    leading UTF-8 byte order mark, as spreadsheet exports write, is dropped.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
@@ -278,7 +278,8 @@ def cmd_sweep(args) -> int:
     config's k = 0 hybrid plan (an error if there is none), so the numerics
     are stepped for all seeds at once: the exact trajectories on the first
     serial run, each k's windows on its first run. A k is infeasible if it
-    is out of range (k < 0, or not k < T - tau_cap).
+    is out of range (k < 0, or not k < T - tau_cap); with no feasible k no
+    run is made, the serial baselines included.
     """
     import numpy as np
 
@@ -297,7 +298,7 @@ def cmd_sweep(args) -> int:
         except (PlanError, ParameterError):   # k out of range for this config
             pass
     per_k = {k: [] for k in hybrid}
-    for i, serial_plan in enumerate(serial_plans):
+    for i, serial_plan in enumerate(serial_plans if per_k else ()):
         serial = run_serial(serial_plan)
         for k, per_seed in per_k.items():
             per_seed.append(compare_runs(run_plan(hybrid[k][i]), serial))

@@ -80,26 +80,19 @@ class _Stack(NamedTuple):
     multi_groups: tuple[tuple[Condition, np.ndarray], ...]
 
 
-class _Window(NamedTuple):
-    """What a staged run reads after its pipelined window."""
-
-    x0: np.ndarray              # read-only
-    ms: list[float]             # discrepancy of each exact step after the window
-
-
 class ExactPath:
     """The all-exact trajectories of a set of seeds, stepped as one batch,
     and the pipelined windows of the staged runs bound to them.
 
     Seed i is row block i of each (S*B, d) array, and gets the bits it gets
-    stepped alone (see the module docstring). Serial and condition
-    partitioning read series(plan, T) and x0(plan) end to end, a staged run
-    up to its switch (a k = 0 run to the end). A staged run with k >= 1 then
-    reads window(plan): its x0 and the discrepancies of the exact steps
-    after its window. The store alone decides tau1, under its one switch
+    stepped alone (see the module docstring). run(plan) runs a bound plan:
+    serial and condition partitioning read the exact path end to end, and
+    so does a k = 0 staged run; a staged run with k >= 1 reads it up to its
+    switch, then its window's x0 and the discrepancies of the exact steps
+    after the window. The store alone decides tau1, under its one switch
     rule (k only places tau2): it keeps one controller and series per seed,
     and after each exact step update_controller advances every seed yet to
-    switch. The first window request computes the window with that k and
+    switch. The first run of a window computes the window with that k and
     those segment fractions of every seed that switched at the same step,
     as one batch.
 
@@ -116,8 +109,8 @@ class ExactPath:
     read-only, and a step that raises stores nothing.
 
     The store also memoizes the virtual clock of each schedule its runs
-    take (see timing), so a sweep builds one trace per distinct (tau1, k),
-    not one per run.
+    take (_timing, keyed by every input of the clock but never the seed), so
+    a sweep builds one trace per distinct (tau1, k), not one per run.
     """
 
     _BOUND = ("mixture", "schedule", "conditions", "guidance")
@@ -141,8 +134,8 @@ class ExactPath:
         self._ms: list[np.ndarray] = []                # per step, each seed's rel_mae
         self._x0: list[np.ndarray] | None = None
         self._starts: dict[int, tuple] = {}            # tau1 -> (seeds, latents)
-        self._windows: dict[tuple, _Window] = {}       # (seed, k, fractions)
-        self._timings: dict[tuple, _Timing] = {}       # see timing
+        self._windows: dict[tuple, tuple] = {}         # (seed, k, fractions) -> (x0, ms)
+        self._timings: dict[tuple, _Timing] = {}       # see run
 
     def bind(self, plan: ExecutionPlan) -> None:
         """Check that the store serves the plan (see the class docstring)."""
@@ -162,42 +155,39 @@ class ExactPath:
                 raise PlanError(f"the plan's window starts from {n} latents, "
                                 f"the exact path keeps {self._depth}")
 
-    def tau1(self, plan: ExecutionPlan) -> int:
-        """The step the plan's seed switches at."""
-        state, _ = self._controls[self._slot[plan.seed]]
-        while state.tau1 is None:
-            self._extend(self._done + 1)
-        return state.tau1
-
-    def series(self, plan: ExecutionPlan, steps: int) -> list[tuple[int, float]]:
-        """(t, rel_mae) of the plan's seed over exact steps 1..steps."""
-        self._extend(steps)
+    def run(self, plan: ExecutionPlan) -> RunResult:
+        """Run a bound plan: its seed's exact path up to the step it leaves
+        it (T, or a staged run's tau1 when k >= 1), then its window. The
+        series holds every exact step, none of the window's."""
         slot, T = self._slot[plan.seed], plan.schedule.T
-        return [(T - i, float(m[slot])) for i, m in enumerate(self._ms[:steps])]
-
-    def x0(self, plan: ExecutionPlan) -> np.ndarray:
-        """The plan's seed's latents after all T exact steps."""
-        self._extend(plan.schedule.T)
-        if self._x0 is None:
-            self._x0 = np.split(self._recent[-1], len(self._seeds))
-        return self._x0[self._slot[plan.seed]]
-
-    def window(self, plan: ExecutionPlan) -> _Window:
-        """The plan's window and the exact steps after it (k >= 1)."""
-        key = (self._slot[plan.seed], plan.switch.k, plan.segment_fractions)
-        if key not in self._windows:
-            self._fill(plan.switch.k, plan.segment_fractions, self.tau1(plan))
-        return self._windows[key]
-
-    def timing(self, plan: ExecutionPlan, tau1: int | None, tau2: int | None) -> _Timing:
-        """_timing(plan, tau1, tau2), built once per schedule: the key is
-        every input of the virtual clock, and never the seed."""
+        tau1 = tau2 = None
+        if plan.variant in _STAGED:
+            state, _ = self._controls[slot]
+            while state.tau1 is None:
+                self._extend(self._done + 1)
+            tau1, tau2 = state.tau1, state.tau1 + plan.switch.k
+        steps = T if tau1 == tau2 else tau1
+        self._extend(steps)
+        series = [(T - i, float(m[slot])) for i, m in enumerate(self._ms[:steps])]
+        if tau1 == tau2:
+            if self._x0 is None:
+                self._x0 = np.split(self._recent[-1], len(self._seeds))
+            x0 = self._x0[slot]
+        else:
+            key = (slot, plan.switch.k, plan.segment_fractions)
+            if key not in self._windows:
+                self._fill(plan.switch.k, plan.segment_fractions, tau1)
+            x0, ms = self._windows[key]
+            series += [(T - tau2 - i, m) for i, m in enumerate(ms)]
+        # every input of the virtual clock, and never the seed
         key = (plan.variant, plan.devices, plan.link, plan.segment_fractions,
-               plan.cfg_batching_factor, plan.schedule.T, tau1, tau2)
+               plan.cfg_batching_factor, T, tau1, tau2)
         timing = self._timings.get(key)
         if timing is None:
             timing = self._timings[key] = _timing(plan, tau1, tau2)
-        return timing
+        return RunResult(x0=x0, latency_s=timing.latency_s, comm_bytes=timing.comm_bytes,
+                         throughput_samples_per_s=1.0 / timing.latency_s,
+                         tau1=tau1, tau2=tau2, trace=timing.trace, series=tuple(series))
 
     def _extend(self, s: int) -> None:
         gm, sched, conditions, _ = self._model
@@ -248,8 +238,8 @@ class ExactPath:
         x, ms = _window_steps(self._tiled(len(slots)), starts[:len(fractions)],
                               fractions, tau1, k)
         per_seed = zip(np.split(x, len(slots)), zip(*[m.tolist() for m in ms]))
-        for j, (x0, seed_ms) in zip(slots, per_seed):
-            self._windows[j, k, fractions] = _Window(x0, list(seed_ms))
+        for j, window in zip(slots, per_seed):
+            self._windows[j, k, fractions] = window
 
     def _tiled(self, g: int) -> _Stack:
         stack = self._stacks.get(g)
@@ -429,29 +419,8 @@ def _timing(plan: ExecutionPlan, tau1: int | None, tau2: int | None) -> _Timing:
 
 
 def _run(plan: ExecutionPlan) -> RunResult:
-    """One sample's run: every variant but batch_level, and each of its pairs.
-
-    Everything comes from the plan's store: a staged run's tau1 (tau2 =
-    tau1 + k), the exact path up to its switch (to the end when k = 0, or
-    for an unstaged run), then its window; timing comes from the store's
-    memo. The series holds every exact step, none of the window's.
-    """
-    path = plan.exact_path or ExactPath((plan.seed,), plan)
-    T = plan.schedule.T
-    tau1 = tau2 = window = None
-    if plan.variant in _STAGED:
-        tau1 = path.tau1(plan)
-        tau2 = tau1 + plan.switch.k
-        if plan.switch.k >= 1:
-            window = path.window(plan)
-    series = path.series(plan, T if window is None else tau1)
-    if window is not None:
-        series += [(T - tau2 - i, m) for i, m in enumerate(window.ms)]
-    timing = path.timing(plan, tau1, tau2)
-    return RunResult(x0=path.x0(plan) if window is None else window.x0,
-                     latency_s=timing.latency_s, comm_bytes=timing.comm_bytes,
-                     throughput_samples_per_s=1.0 / timing.latency_s,
-                     tau1=tau1, tau2=tau2, trace=timing.trace, series=tuple(series))
+    """One sample's run: every variant but batch_level, and each of its pairs."""
+    return (plan.exact_path or ExactPath((plan.seed,), plan)).run(plan)
 
 
 def run_serial(plan: ExecutionPlan) -> RunResult:

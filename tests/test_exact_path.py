@@ -377,7 +377,7 @@ def test_bind_changes_no_store_state():
     cfg = ExperimentConfig.from_dict({"condition_batch": 4, "devices": 3})
     path = ExactPath((6, 7), cfg.to_plan(variant=PlanVariant.HYBRID))
     serial = cfg.to_plan(seed=6, variant=PlanVariant.SERIAL, exact_path=path)
-    path.series(serial, 10)
+    path._extend(10)
     before = store_state(path)
     # any seed of the store, any k, and a k = 0 plan of any segment count
     for seed, variant, k in [(6, "serial", None), (7, "hybrid", 5), (6, "hybrid", 30),
@@ -421,7 +421,7 @@ def test_staged_plan_bound_after_the_store_stepped_equals_an_unshared_run(after,
     path = ExactPath(seeds, cfg.to_plan(variant=PlanVariant.HYBRID))
     serial = cfg.to_plan(seed=3, variant=PlanVariant.SERIAL, exact_path=path)
     if after == "mid-path":
-        path.series(serial, 31)     # where the preset's rule switches seed 2
+        path._extend(31)  # where the preset's rule switches seed 2
     else:
         run_serial(serial)
     for s in seeds:

@@ -33,6 +33,22 @@ def run_cli(argv, capsys) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def record_runners(monkeypatch) -> list:
+    """Patch cli.run_serial and cli.run_plan to record each call, then run."""
+    import hybridpar.cli as cli
+    calls = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "run_serial", recording("serial", cli.run_serial))
+    monkeypatch.setattr(cli, "run_plan", recording("plan", cli.run_plan))
+    return calls
+
+
 SMALL = dict(condition_batch=4, seeds=[0],
              schedule={"T": 12}, switch={"L": 2, "tau_cap": 3, "k": 4})
 
@@ -108,11 +124,36 @@ def test_simulate_serial_psnr_is_null(tmp_path, capsys):
     assert payload["speedup"] == 1.0 and payload["fidelity_l1"] == 0.0
 
 
-def test_simulate_requires_out_dir(capsys):
-    code, _, stderr = run_cli(["simulate"], capsys)
-    assert code == 1
-    err = json.loads(stderr)
-    assert err["error"] == "PlanError"
+def test_simulate_requires_out_dir(capsys, monkeypatch):
+    """With neither --out nor config out_dir, simulate fails before either run."""
+    calls = record_runners(monkeypatch)
+    code, stdout, stderr = run_cli(["simulate"], capsys)
+    assert code == 1 and stdout == "" and len(stderr.splitlines()) == 1
+    assert json.loads(stderr) == {
+        "error": "PlanError",
+        "message": "simulate needs an output directory (--out or config out_dir)"}
+    assert calls == []
+
+
+OUT_FILES = {"metrics.json", "trace.csv", "trace.json"}
+
+
+def test_simulate_writes_to_config_out_dir_and_out_wins(tmp_path, capsys):
+    configured = tmp_path / "configured"
+    cfg = write_config(tmp_path, variant="hybrid", out_dir=str(configured), **SMALL)
+    code, stdout, _ = run_cli(["simulate", "--config", cfg], capsys)
+    assert code == 0
+    assert {p.name for p in configured.iterdir()} == OUT_FILES
+    assert json.loads((configured / "metrics.json").read_text()) == json.loads(stdout)
+
+    flag = tmp_path / "flag"
+    written = {p: p.read_bytes() for p in configured.iterdir()}
+    code, _, _ = run_cli(["simulate", "--config", cfg, "--out", str(flag)], capsys)
+    assert code == 0
+    assert {p.name for p in flag.iterdir()} == OUT_FILES
+    assert {p: p.read_bytes() for p in configured.iterdir()} == written
+    for name in OUT_FILES:
+        assert (flag / name).read_bytes() == written[configured / name]
 
 
 def test_batch_level_segment_fractions_need_two_entries(tmp_path, capsys):
@@ -238,6 +279,19 @@ def test_read_series_accepts_bare_columns(tmp_path):
     assert read_series_csv(path) == [(3, 0.5), (2, 0.4), (1, 0.3)]
 
 
+@pytest.mark.parametrize("header", [None, "t,rel_mae"], ids=["bare", "headered"])
+def test_detect_accepts_a_utf8_byte_order_mark(tmp_path, capsys, header):
+    """A series file that starts with a BOM, as spreadsheet exports write,
+    parses and detects as the same file without one."""
+    pairs = [(t, 0.2) for t in range(50, 0, -1)]
+    plain = write_series(tmp_path, pairs, header=header)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "series.csv").read_bytes())
+    assert read_series_csv(str(bom)) == read_series_csv(plain) == pairs
+    outputs = [run_cli(["detect", "--series", path], capsys) for path in (plain, str(bom))]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
 def test_read_series_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")
@@ -354,17 +408,7 @@ def test_sweep_negative_k_is_an_infeasible_row(tmp_path, capsys):
 
 
 def test_sweep_calls_each_runner_once_per_plan(tmp_path, capsys, monkeypatch):
-    import hybridpar.cli as cli
-    calls = []
-
-    def recording(name, fn):
-        def wrapped(*args, **kwargs):
-            calls.append((name, args, kwargs))
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(cli, "run_serial", recording("serial", cli.run_serial))
-    monkeypatch.setattr(cli, "run_plan", recording("plan", cli.run_plan))
+    calls = record_runners(monkeypatch)
     seeds = [4, 0, 9]
     cfg = write_config(tmp_path, seeds=seeds, **{k: v for k, v in SMALL.items()
                                                  if k != "seeds"})
@@ -380,6 +424,19 @@ def test_sweep_calls_each_runner_once_per_plan(tmp_path, capsys, monkeypatch):
                                      ("plan", "hybrid", 0), ("plan", "hybrid", 2),
                                      ("plan", "hybrid", 4)]]
     assert got == want
+
+
+@pytest.mark.parametrize("k, rows", [("", []), ("60", ["60,infeasible,,,,"])],
+                         ids=["empty", "infeasible"])
+def test_sweep_with_no_feasible_k_runs_nothing(tmp_path, capsys, monkeypatch, k, rows):
+    """No row reads a serial baseline, so none is run."""
+    calls = record_runners(monkeypatch)
+    cfg = write_config(tmp_path, seeds=[4, 0, 9], **{key: v for key, v in SMALL.items()
+                                                     if key != "seeds"})
+    code, stdout, stderr = run_cli(["sweep", "--config", cfg, "--k", k], capsys)
+    assert (code, stderr) == (0, "")
+    assert stdout == "\n".join([SWEEP_HEADER] + rows) + "\n"
+    assert calls == []
 
 
 def test_link_byte_sizes_accept_whole_numbers():
