@@ -163,21 +163,20 @@ def curve_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float, float, fl
     The band is mean +/- 2 sample standard deviations of the per-condition
     discrepancy ratios across the batch.
     """
-    from .engine import _branches, _stack, initial_latents
+    from .engine import _branches, _Stack, initial_latents
     from .mixture import _condition_rows, _rel_mae_blocks, rel_mae, score_ratio_estimate
     from .schedules import cfg_combine, ddim_step
 
     plan = cfg.to_plan(variant=PlanVariant.SERIAL)
     gm, sched = plan.mixture, plan.schedule
-    stack = _stack(gm, sched, plan.conditions, plan.guidance, 1)
-    groups = _condition_rows(gm, plan.conditions).groups
-    x = initial_latents(plan)
+    stack = _Stack(gm, sched, plan.guidance, _condition_rows(gm, plan.conditions))
+    x = initial_latents(plan)[None]         # one seed: the kernels' (S, B, d)
     rows = []
     for t in range(sched.T, 0, -1):
         eps_c, eps_u = _branches(stack, x, t)
         m = rel_mae(eps_c, eps_u)
-        ratio = score_ratio_estimate(gm, groups, sched, x, t)
-        per_row = _rel_mae_blocks(eps_c, eps_u, len(x))
+        ratio = score_ratio_estimate(gm, stack.rows.groups, sched, x[0], t)
+        per_row = _rel_mae_blocks(eps_c[0], eps_u[0])
         sd = float(per_row.std(ddof=1)) if per_row.size > 1 else 0.0
         rows.append((t, m, ratio, m - 2.0 * sd, m + 2.0 * sd))
         x = ddim_step(x, t, cfg_combine(eps_c, eps_u, plan.guidance), sched)

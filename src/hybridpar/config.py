@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -350,11 +351,21 @@ class ExperimentConfig:
             exact_path=exact_path)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key is an error, not a last-wins overwrite."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+        raise ParameterError(f"config key {repeated!r} is repeated")
+    return obj
+
+
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig skips a byte order mark, as spreadsheet exports write
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
-            raw = json.load(fh)
-        except json.JSONDecodeError:
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
+        except (json.JSONDecodeError, ParameterError):
             raise
         except (ValueError, RecursionError) as exc:
             # not UTF-8, nested too deep, or an integer literal over 4300 digits

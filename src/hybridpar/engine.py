@@ -13,11 +13,12 @@ evaluated at the input latent d steps stale and the blend weighted by segment
 fraction. Guidance collapses there (the window is entered once the branches
 agree), so the blended estimate is used directly.
 
-Every kernel of a step is elementwise or reduces over one row (over d, and
-over the mixture's K components), and the discrepancy is reduced per seed
-over that seed's own rows. So a step of several seeds stacked along the
-batch axis gives each seed the bits it gets alone, and ExactPath steps all
-of its seeds, and every window they share, as one batch.
+A seed is the leading axis of the latents: S seeds are one (S, B, d) array
+x, seed i is x[i], and all share one batch's condition rows (axis 1). Every
+kernel of a step is elementwise (broadcast over seeds) or reduces over one
+row (over d and the mixture's K components), and the discrepancy over x[i]
+alone, so each seed gets the bits it gets alone: ExactPath steps all of its
+seeds, and every window they share, as one batch.
 
 Timing is separate from the numerics: a run's virtual clock depends only on
 its variant, devices, link, segment fractions, cfg_batching_factor, T and
@@ -41,8 +42,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError, PlanError
-from .mixture import (Condition, GaussianMixture, _component_sampler, _condition_rows,
-                      _read_only, _rel_mae_blocks, _singleton_eps, eps_prediction)
+from .mixture import (Condition, ConditionRows, GaussianMixture, _component_sampler,
+                      _condition_rows, _read_only, _rel_mae_blocks, _singleton_eps,
+                      eps_prediction)
 from .mixture import rel_mae  # noqa: F401  (perfbench/spans.py wraps engine.rel_mae)
 from .mixture import sample_x0  # noqa: F401  (perfbench/spans.py wraps engine.sample_x0)
 from .monitor import DiscrepancySeries, Stage, StageState, stage_at, update_controller
@@ -68,33 +70,29 @@ class RunResult:
 
 
 class _Stack(NamedTuple):
-    """The branch inputs of `seeds` batches stacked along the batch axis:
-    seed i's rows are block i, and the condition rows are offset to match
-    (see _stack)."""
+    """The step kernels' inputs besides the latents; all seeds share the rows."""
 
     mixture: GaussianMixture
     schedule: NoiseSchedule
     guidance: GuidanceParams
-    seeds: int
-    singletons: tuple[np.ndarray, np.ndarray]
-    multi_groups: tuple[tuple[Condition, np.ndarray], ...]
+    rows: ConditionRows
 
 
 class ExactPath:
     """The all-exact trajectories of a set of seeds, stepped as one batch,
     and the pipelined windows of the staged runs bound to them.
 
-    Seed i is row block i of each (S*B, d) array, and gets the bits it gets
-    stepped alone (see the module docstring). run(plan) runs a bound plan:
-    serial and condition partitioning read the exact path end to end, and
-    so does a k = 0 staged run; a staged run with k >= 1 reads it up to its
-    switch, then its window's x0 and the discrepancies of the exact steps
-    after the window. The store alone decides tau1, under its one switch
-    rule (k only places tau2): it keeps one controller and series per seed,
-    and after each exact step update_controller advances every seed yet to
-    switch. The first run of a window computes the window with that k and
-    those segment fractions of every seed that switched at the same step,
-    as one batch.
+    Each step's latents are one (S, B, d) array, and seed i, x[i], gets the
+    bits it gets stepped alone (see the module docstring). run(plan) runs a
+    bound plan: serial and condition partitioning read the exact path end
+    to end, and so does a k = 0 staged run; a staged run with k >= 1 reads
+    it up to its switch, then its window's x0 and the discrepancies of the
+    exact steps after the window. The store alone decides tau1, under its
+    one switch rule (k only places tau2): it keeps one controller and
+    series per seed, and after each exact step update_controller advances
+    every seed yet to switch. The first run of a window computes the window
+    with that k and those segment fractions of every seed that switched at
+    the same step, as one batch.
 
     A template plan fixes the store when it is built: the model objects
     (_BOUND), the switch rule (a staged plan's switch config with k = 0;
@@ -105,8 +103,9 @@ class ExactPath:
     template's objects, a staged plan's rule the store's, and a window
     (k >= 1) starts from no more latents than the depth. The store keeps
     only what bound plans read (per seed the discrepancies, x0, the latents
-    up to its switch, and the computed windows). What a run can return is
-    read-only, and a step that raises stores nothing.
+    up to its switch, and the computed windows). A run's x0 is a read-only
+    view x[i] of an (S, B, d) array, the same object on every run that
+    reads it, and a step that raises stores nothing.
 
     The store also memoizes the virtual clock of each schedule its runs
     take (_timing, keyed by every input of the clock but never the seed), so
@@ -123,16 +122,17 @@ class ExactPath:
         if len(self._slot) < len(self._seeds):
             raise PlanError(f"exact path seeds must be distinct, got {list(self._seeds)}")
         self._model = tuple(getattr(plan, name) for name in self._BOUND)
+        gm, sched, conditions, guidance = self._model
+        self._inputs = _Stack(gm, sched, guidance, _condition_rows(gm, conditions))
         staged = plan.variant in _STAGED
         self._switch = replace(plan.switch, k=0) if staged else None     # the rule
         self._depth = len(plan.segment_fractions) if staged else 0      # >= 2 if staged
         self._controls = [(StageState(), DiscrepancySeries())           # per seed
                           for _ in self._seeds] if staged else []
-        self._stacks: dict[int, _Stack] = {}            # seed count -> stack
         self._done = -1             # exact steps taken; -1 before the initial latents
         self._recent: list[np.ndarray] = []            # latents after the last steps
         self._ms: list[np.ndarray] = []                # per step, each seed's rel_mae
-        self._x0: list[np.ndarray] | None = None
+        self._x0: tuple[np.ndarray, ...] = ()           # per seed, once step T is taken
         self._starts: dict[int, tuple] = {}            # tau1 -> (seeds, latents)
         self._windows: dict[tuple, tuple] = {}         # (seed, k, fractions) -> (x0, ms)
         self._timings: dict[tuple, _Timing] = {}       # see run
@@ -170,8 +170,6 @@ class ExactPath:
         self._extend(steps)
         series = [(T - i, float(m[slot])) for i, m in enumerate(self._ms[:steps])]
         if tau1 == tau2:
-            if self._x0 is None:
-                self._x0 = np.split(self._recent[-1], len(self._seeds))
             x0 = self._x0[slot]
         else:
             key = (slot, plan.switch.k, plan.segment_fractions)
@@ -193,15 +191,16 @@ class ExactPath:
         gm, sched, conditions, _ = self._model
         while self._done < s:
             if self._done < 0:
-                x = np.concatenate([_draw_latents(gm, sched, conditions, seed)
-                                    for seed in self._seeds])
+                x = np.stack([_draw_latents(gm, sched, conditions, seed)
+                              for seed in self._seeds])
             else:
-                x, m = _exact_step(self._tiled(len(self._seeds)), self._recent[-1],
-                                   sched.T - self._done)
+                x, m = _exact_step(self._inputs, self._recent[-1], sched.T - self._done)
                 self._ms.append(m)
             x.flags.writeable = False
             self._recent.append(x)
             self._done += 1
+            if self._done == sched.T:
+                self._x0 = tuple(x)             # seed i's x0 is the view x[i]
             if self._done:
                 self._control(self._done)
             # keep as many steps as a window of a seed yet to switch starts from
@@ -221,46 +220,20 @@ class ExactPath:
                 if state.tau1 is not None:
                     slots.append(j)
         if slots:
-            # the latents of the depth steps up to s (the initial ones
-            # repeated where fewer exist), newest first; all seeds' rows as
-            # they are when all switch here
-            B = len(self._model[2])
-            rows = None if len(slots) == len(self._seeds) else (
-                np.asarray(slots, dtype=np.intp)[:, None] * B + np.arange(B)).ravel()
+            # the latents of the depth steps up to s (the initial ones repeated
+            # where fewer exist), newest first; x itself when all seeds switch here
+            every = len(slots) == len(self._seeds)
             self._starts[s] = tuple(slots), [
-                x if rows is None else _read_only(x.take(rows, axis=0))
+                x if every else _read_only(x[slots])
                 for x in (self._recent[max(-1 - d, -1 - s)] for d in range(self._depth))]
 
     def _fill(self, k: int, fractions: tuple[float, ...], tau1: int) -> None:
         """Compute the window with this k and these segment fractions of
         every seed that switched at tau1, as one batch."""
         slots, starts = self._starts[tau1]
-        x, ms = _window_steps(self._tiled(len(slots)), starts[:len(fractions)],
-                              fractions, tau1, k)
-        per_seed = zip(np.split(x, len(slots)), zip(*[m.tolist() for m in ms]))
-        for j, window in zip(slots, per_seed):
-            self._windows[j, k, fractions] = window
-
-    def _tiled(self, g: int) -> _Stack:
-        stack = self._stacks.get(g)
-        if stack is None:
-            stack = self._stacks[g] = _stack(*self._model, g)
-        return stack
-
-
-def _stack(gm: GaussianMixture, sched: NoiseSchedule, conditions: tuple[Condition, ...],
-           guidance: GuidanceParams, g: int) -> _Stack:
-    """g copies of the batch of conditions, stacked: the condition rows of
-    _condition_rows(gm, conditions) tiled with block offsets, read-only."""
-    rows = _condition_rows(gm, conditions)
-    offsets = np.arange(g, dtype=np.intp)[:, None] * len(conditions)
-
-    def tile(r: np.ndarray) -> np.ndarray:
-        return _read_only((r + offsets).ravel())
-
-    rows_1, comps_1 = rows.singletons
-    return _Stack(gm, sched, guidance, g, (tile(rows_1), _read_only(np.tile(comps_1, g))),
-                  tuple((cond, tile(r)) for cond, r in rows.multi_groups))
+        x, ms = _window_steps(self._inputs, starts[:len(fractions)], fractions, tau1, k)
+        for j, x0, window_ms in zip(slots, x, zip(*[m.tolist() for m in ms])):
+            self._windows[j, k, fractions] = x0, window_ms
 
 
 def initial_latents(plan: ExecutionPlan) -> np.ndarray:
@@ -292,23 +265,27 @@ def _draw_latents(gm: GaussianMixture, sched: NoiseSchedule,
 
 
 def _conditional_branch(stack: _Stack, x: np.ndarray, t: int) -> np.ndarray:
-    """eps_c for the batch: every singleton row in one gather, then one
-    eps_prediction call per multi-index group."""
-    rows, comps = stack.singletons
-    if rows.size == len(x):     # every row is singleton-conditioned, in order
-        return _singleton_eps(stack.mixture, comps, stack.schedule, x, t)
+    """eps_c for (S, B, d) latents: every singleton row of every seed in one
+    gather, then one eps_prediction call per multi-index group, on the
+    group's rows of every seed as one flat batch."""
+    gm, sched = stack.mixture, stack.schedule
+    rows, comps = stack.rows.singletons
+    if rows.size == x.shape[1]:     # every row is singleton-conditioned, in order
+        return _singleton_eps(gm, comps, sched, x, t)
     eps_c = np.empty_like(x)
-    eps_c[rows] = _singleton_eps(stack.mixture, comps, stack.schedule,
-                                 x.take(rows, axis=0), t)
-    for cond, rows in stack.multi_groups:
-        eps_c[rows] = eps_prediction(stack.mixture, cond, stack.schedule, x[rows], t)
+    eps_c[:, rows] = _singleton_eps(gm, comps, sched, x.take(rows, axis=1), t)
+    for cond, rows in stack.rows.multi_groups:
+        xs = x.take(rows, axis=1)
+        eps_c[:, rows] = eps_prediction(gm, cond, sched, xs.reshape(-1, x.shape[2]),
+                                        t).reshape(xs.shape)
     return eps_c
 
 
 def _branches(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Both branch outputs for the whole batch at timestep t."""
-    eps_u = eps_prediction(stack.mixture, None, stack.schedule, x, t)
-    return _conditional_branch(stack, x, t), eps_u
+    """Both branch outputs for (S, B, d) latents at timestep t; eps_u is one
+    eps_prediction call on the flat (S*B, d) view."""
+    eps_u = eps_prediction(stack.mixture, None, stack.schedule, x.reshape(-1, x.shape[2]), t)
+    return _conditional_branch(stack, x, t), eps_u.reshape(x.shape)
 
 
 def _exact_step(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +293,7 @@ def _exact_step(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, np.nd
     and each seed's discrepancy. The branch outputs are checked once, by the
     per-seed rel_mae; ddim_step checks the guided estimate."""
     eps_c, eps_u = _branches(stack, x, t)
-    m = _rel_mae_blocks(eps_c, eps_u, stack.seeds)
+    m = _rel_mae_blocks(eps_c, eps_u)
     eps = _guided(eps_c, eps_u, stack.guidance.w)
     del eps_c, eps_u        # freed before the update allocates
     return ddim_step(x, t, eps, stack.schedule), m

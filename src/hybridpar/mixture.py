@@ -234,23 +234,23 @@ def eps_prediction(gm: GaussianMixture, cond: Condition | None, sched: NoiseSche
 
 def _singleton_eps(gm: GaussianMixture, components: np.ndarray,
                    sched: NoiseSchedule, x: np.ndarray, t: int) -> np.ndarray:
-    """eps_prediction for a (B, d) batch whose row b is conditioned on the
-    single component components[b], in one gather instead of one call per
-    component.
+    """eps_prediction for (S, B, d) latents whose row b of each seed is
+    conditioned on the single component components[b], in one (B, d) gather
+    broadcast over the seeds instead of one call per component.
 
     Noising acts on each component on its own, so row c of the unconditional
     entry holds exactly the bits of the singleton entry for (c,), and a
-    singleton's responsibility is exactly 1: row b equals
-    eps_prediction(gm, Condition((components[b],)), sched, x[b], t) bit for
-    bit. components must be (B,) indices in [0, K); ExecutionPlan checks
-    them once against the mixture, so they are not checked here.
+    singleton's responsibility is exactly 1: eps[i, b] equals
+    eps_prediction(gm, Condition((components[b],)), sched, x[i, b], t) bit
+    for bit, whatever S is. components must be (B,) indices in [0, K);
+    ExecutionPlan checks them once against the mixture, so not here.
     """
     terms = _noised_terms(gm, None, sched.alpha_bar(t))
-    xb, _ = _prep_x(gm, x)
-    # in the gathered buffer, with the bits of -sigma * ((m - x) / v)
-    eps = terms.means[components]
-    eps -= xb
-    eps /= terms.variances[components]
+    if not np.isfinite(x).all():
+        raise NumericError("evaluation points must be finite")
+    # with the bits of -sigma * ((m - x) / v); take gathers faster than [components]
+    eps = terms.means.take(components, axis=0) - x
+    eps /= terms.variances.take(components, axis=0)
     eps *= -sched.sigma(t)
     return eps
 
@@ -276,22 +276,21 @@ def rel_mae(eps_c: np.ndarray, eps_u: np.ndarray) -> float:
     if eps_c.shape != eps_u.shape:
         raise ShapeError(f"branch outputs disagree: {eps_c.shape} vs {eps_u.shape}")
     # one block of every value; the reshape also gives a 0-d pair a buffer
-    return float(_rel_mae_blocks(eps_c.reshape(1, -1), eps_u.reshape(1, -1), 1)[0])
+    return float(_rel_mae_blocks(eps_c.reshape(1, -1), eps_u.reshape(1, -1))[0])
 
 
-def _rel_mae_blocks(eps_c: np.ndarray, eps_u: np.ndarray, n: int) -> np.ndarray:
-    """rel_mae of each of n equal row blocks of a stacked (n*B, d) pair: each
-    block's sums run over that block's B*d values in memory order, with the
-    bits of np.abs(c - u).sum() / np.abs(u).sum() over the block alone. Finite
-    branch outputs can still sum past float range, so the results are checked
-    too: no series may record a non-finite discrepancy."""
+def _rel_mae_blocks(eps_c: np.ndarray, eps_u: np.ndarray) -> np.ndarray:
+    """rel_mae of each pair (eps_c[i], eps_u[i]), summed over its values in
+    memory order with the bits of np.abs(c - u).sum() / np.abs(u).sum() on
+    that pair alone. Finite outputs can still sum past float range, so the
+    results are checked too: no series may record a non-finite discrepancy."""
     if not (np.isfinite(eps_c).all() and np.isfinite(eps_u).all()):
         raise NumericError("non-finite branch outputs")
-    denom = np.abs(eps_u).reshape(n, -1).sum(axis=1)
+    denom = np.abs(eps_u).reshape(len(eps_u), -1).sum(axis=1)
     if (denom == 0.0).any():
         raise DegenerateInputError("reference branch has zero L1 norm")
     diff = eps_c - eps_u
-    m = np.abs(diff, out=diff).reshape(n, -1).sum(axis=1) / denom
+    m = np.abs(diff, out=diff).reshape(len(diff), -1).sum(axis=1) / denom
     if not np.isfinite(m).all():
         raise NumericError("branch discrepancy is not finite")
     return m
@@ -349,7 +348,7 @@ class ConditionRows(NamedTuple):
 
 def _condition_rows(gm: GaussianMixture, conditions: tuple[Condition, ...]) -> ConditionRows:
     """The row layout of a batch of conditions, built once per conditions
-    tuple and kept on gm, so every stack of one config tiles the same arrays."""
+    tuple and kept on gm, so every store of one config reads the same arrays."""
     def build():
         subsets: dict[tuple[int, ...], tuple[Condition, list[int]]] = {}
         for i, c in enumerate(conditions):

@@ -2,7 +2,7 @@
 windows must equal runs that step one seed on their own, bit for bit and
 event for event.
 
-ExactPath steps all of its seeds as one (S*B, d) batch: the all-exact
+ExactPath steps all of its seeds as one (S, B, d) batch: the all-exact
 trajectories, and every pipelined window that seeds with the same switch
 step share. These tests compare stacked runs, in several orders, against
 unshared runs and against a per-seed loop over the public kernels; check the
@@ -200,11 +200,11 @@ def test_rel_mae_blocks_equal_rel_mae_of_each_block():
     rng = np.random.default_rng(11)
     for _ in range(300):
         n, B, d = (int(v) for v in rng.integers(1, [12, 80, 12]))
-        eps_c = rng.standard_normal((n * B, d)) * 10.0 ** rng.uniform(-3, 3)
-        eps_u = rng.standard_normal((n * B, d))
-        blocks = [(eps_c[i * B:(i + 1) * B], eps_u[i * B:(i + 1) * B]) for i in range(n)]
+        eps_c = rng.standard_normal((n, B, d)) * 10.0 ** rng.uniform(-3, 3)
+        eps_u = rng.standard_normal((n, B, d))
+        blocks = list(zip(eps_c, eps_u))
         want = [float(np.abs(c - u).sum() / np.abs(u).sum()) for c, u in blocks]
-        assert _rel_mae_blocks(eps_c, eps_u, n).tolist() == want
+        assert _rel_mae_blocks(eps_c, eps_u).tolist() == want
         assert [rel_mae(c, u) for c, u in blocks] == want
 
 
@@ -240,10 +240,30 @@ def test_shared_latents_are_read_only_and_shared():
     for x0 in (serial.x0, first.x0):
         with pytest.raises(ValueError):
             x0[0, 0] = 0.0
-    latents = [a for a in held_arrays(path) if a.dtype == float and a.ndim == 2]
+    latents = [a for a in held_arrays(path) if a.dtype == float and a.ndim >= 2]
     assert latents and not any(a.flags.writeable for a in latents)
     alone = run_serial(cfg.to_plan(seed=4, variant=PlanVariant.SERIAL))
     assert alone.x0.tobytes() == serial.x0.tobytes()
+
+
+def test_each_seed_x0_is_a_read_only_view_of_one_stacked_array():
+    """The exact path's x0 and a window's x0 are seeds of one (S, B, d)
+    array each, read-only, and a second run returns the same object."""
+    cfg = ExperimentConfig.from_dict({"condition_batch": 8})
+    seeds = (4, 9, 2)
+    path = ExactPath(seeds, cfg.to_plan(variant=PlanVariant.HYBRID))
+    for k in (0, 5):
+        plans = [cfg.to_plan(seed=s, variant=PlanVariant.HYBRID, k=k, exact_path=path)
+                 for s in seeds]
+        runs = [run_plan(plan) for plan in plans]
+        assert len({r.tau1 for r in runs}) == 1     # one window for all seeds
+        stacked = runs[0].x0.base
+        assert stacked.shape == (len(seeds), 8, cfg.mixture.dim)
+        assert not stacked.flags.writeable
+        for i, (plan, r) in enumerate(zip(plans, runs)):
+            assert r.x0.base is stacked and not r.x0.flags.writeable
+            assert r.x0.__array_interface__ == stacked[i].__array_interface__
+            assert run_plan(plan).x0 is r.x0
 
 
 def test_path_rejects_a_plan_of_another_seed_or_model():
@@ -517,16 +537,17 @@ def test_sweep_steps_one_controller_per_seed_whatever_its_k_values(tmp_path, bod
 @pytest.fixture
 def stacked_steps(monkeypatch):
     """Rows of every stacked step the engine takes: ("exact", rows) for a
-    measured step, ("step", rows) for every ddim update, pipelined or not."""
+    measured step, ("step", rows) for every ddim update, pipelined or not;
+    an (S, B, d) step has S*B rows."""
     calls = []
     exact, ddim = engine._exact_step, engine.ddim_step
 
     def counting_exact(stack, x, t):
-        calls.append(("exact", x.shape[0]))
+        calls.append(("exact", x.shape[0] * x.shape[1]))
         return exact(stack, x, t)
 
     def counting_ddim(x, t, eps, sched):
-        calls.append(("step", x.shape[0]))
+        calls.append(("step", x.shape[0] * x.shape[1]))
         return ddim(x, t, eps, sched)
 
     monkeypatch.setattr(engine, "_exact_step", counting_exact)
@@ -607,7 +628,7 @@ def test_store_holds_only_what_runs_read(tmp_path, monkeypatch):
         while isinstance(a.base, np.ndarray):
             a = a.base
         roots[id(a)] = a
-    latents = [a for a in roots.values() if a.dtype == float and a.ndim == 2]
+    latents = [a for a in roots.values() if a.dtype == float and a.ndim == 3]
     stacked = S * B * d * 8
     depth, windows = 2, len(ks) - 1
     # the path's x0, the start latents of every seed's window, and one

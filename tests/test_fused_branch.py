@@ -12,8 +12,8 @@ import pytest
 import hybridpar.mixture as mixture_mod
 from hybridpar.cli import CURVE_HEADER, main
 from hybridpar.config import ExperimentConfig
-from hybridpar.engine import (PlanVariant, _branches, _conditional_branch, _stack,
-                              initial_latents)
+from hybridpar.engine import (PlanVariant, _branches, _conditional_branch, _exact_step,
+                              _Stack, initial_latents)
 from hybridpar.errors import PlanError
 from hybridpar.mixture import (Condition, _condition_rows, _noised_terms, _score_rows,
                                _Terms, conditional, eps_prediction, noised_mixture,
@@ -86,8 +86,10 @@ def make_plan(B: int, conditions=None, schedule=None, mixture=None):
 
 
 def one_seed(plan):
-    """The plan's batch as the one-seed stack the branch kernels read."""
-    return _stack(plan.mixture, plan.schedule, plan.conditions, plan.guidance, 1)
+    """What the branch kernels read of the plan; they take (S, B, d)
+    latents, so a (B, d) batch goes in as one seed, x[None]."""
+    gm = plan.mixture
+    return _Stack(gm, plan.schedule, plan.guidance, _condition_rows(gm, plan.conditions))
 
 
 def points(B: int, seed: int) -> dict[str, np.ndarray]:
@@ -111,10 +113,11 @@ def test_branches_match_per_group_loop_bitwise(conditions, B, sched):
             for t in range(plan.schedule.T + 1):
                 want_c = ref_conditional_branch(plan, x, t)
                 want_u = eps_prediction(plan.mixture, None, plan.schedule, x, t)
-                assert np.array_equal(_conditional_branch(stack, x, t), want_c), (name, t)
-                eps_c, eps_u = _branches(stack, x, t)
-                assert np.array_equal(eps_c, want_c), (name, t)
-                assert np.array_equal(eps_u, want_u), (name, t)
+                assert np.array_equal(_conditional_branch(stack, x[None], t)[0],
+                                      want_c), (name, t)
+                eps_c, eps_u = _branches(stack, x[None], t)
+                assert np.array_equal(eps_c[0], want_c), (name, t)
+                assert np.array_equal(eps_u[0], want_u), (name, t)
             assert np.array_equal(x, x_before)
 
 
@@ -132,7 +135,7 @@ def test_singleton_rows_read_the_unconditional_entry(monkeypatch):
     x = points(16, seed=3)["near"]
     stack = one_seed(plan)
     for t in range(1, plan.schedule.T + 1):
-        _conditional_branch(stack, x, t)
+        _conditional_branch(stack, x[None], t)
     assert built == []
     assert {key[1] for key in plan.mixture._memo if key[0] == "noised"} == {None}
 
@@ -169,8 +172,30 @@ def test_plan_singleton_and_multi_groups():
     layout = _condition_rows(plan.mixture, plan.conditions)
     assert layout.singletons[0].size == 0 and layout.singletons[1].size == 0
     x = points(3, seed=0)["near"]
-    assert np.array_equal(_conditional_branch(one_seed(plan), x, 5),
+    assert np.array_equal(_conditional_branch(one_seed(plan), x[None], 5)[0],
                           ref_conditional_branch(plan, x, 5))
+
+
+@pytest.mark.parametrize("conditions", [None, MIXED, [[0, 1], [1, 2, 3]]],
+                         ids=["singletons", "mixed", "multi-only"])
+@pytest.mark.parametrize("S", [1, 3, 8])
+def test_seed_axis_steps_equal_one_seed_steps_bitwise(conditions, S):
+    """The step kernels on S seeds' (S, B, d) latents give seed i the bits
+    of the same kernel on x[i] alone, along a whole trajectory."""
+    plan = make_plan(7, conditions, SCHEDULES[1], random_mixture_raw(seed=S))
+    stack = one_seed(plan)
+    x = np.random.default_rng(S).normal(0.0, 3.0, (S, 7, D))
+    for t in range(plan.schedule.T, 0, -1):
+        eps_c = _conditional_branch(stack, x, t)
+        x_next, m = _exact_step(stack, x, t)
+        assert eps_c.shape == x_next.shape == x.shape and m.shape == (S,)
+        for i in range(S):
+            one_c = _conditional_branch(stack, x[i][None], t)
+            one_x, one_m = _exact_step(stack, x[i][None], t)
+            assert eps_c[i].tobytes() == one_c[0].tobytes(), (i, t)
+            assert x_next[i].tobytes() == one_x[0].tobytes(), (i, t)
+            assert m[i:i + 1].tobytes() == one_m.tobytes(), (i, t)
+        x = x_next
 
 
 # the in-place kernel ------------------------------------------------------------------

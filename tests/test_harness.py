@@ -12,7 +12,7 @@ import pytest
 
 from hybridpar.cli import (CURVE_HEADER, SWEEP_HEADER, TRACE_HEADER,
                            curve_rows, main, read_series_csv)
-from hybridpar.config import ExperimentConfig
+from hybridpar.config import ExperimentConfig, load_config
 from hybridpar.errors import ParameterError, PlanError, SeriesParseError, ShapeError
 from hybridpar.metrics import (Metrics, compare_runs, fidelity_l1,
                                fidelity_l2, psnr_analog)
@@ -556,8 +556,11 @@ def test_plan_seed_rejects_bool():
     (b'{"schedule": {"beta_start": 1}}', "ParameterError"),
     (b'{"mixture": {"weights": [1], "means": [[0]], "variances": [[-1]]}}', "ParameterError"),
     (b'{"conditions": [[]]}', "ParameterError"),
+    # a repeated key, at the top level or nested: the last value would win
+    (b'{"seeds": [0], "seeds": [1]}', "ParameterError"),
+    (b'{"switch": {"L": 3, "L": 4}}', "ParameterError"),
 ], ids=["not-json", "not-utf8", "too-deep", "long-int", "bad-schedule", "bad-mixture",
-        "bad-conditions"])
+        "bad-conditions", "dup-top", "dup-nested"])
 @pytest.mark.parametrize("argv", [
     ["simulate", "--out", "run", "--config"],
     ["curve", "--out", "curve.csv", "--config"],
@@ -579,6 +582,39 @@ def test_malformed_json_config(tmp_path, capsys, monkeypatch, content, config_er
     assert len(stderr.splitlines()) == 1
     want = "SeriesParseError" if argv[-1] == "--series" else config_error
     assert json.loads(stderr)["error"] == want
+
+
+@pytest.mark.parametrize("content, key", [
+    (b'{"seeds": [0], "seeds": [1]}', "seeds"),
+    (b'{"switch": {"L": 3, "tau_cap": 4, "L": 4}}', "L"),
+], ids=["top", "nested"])
+def test_a_repeated_config_key_is_named(tmp_path, content, key):
+    path = tmp_path / "dup.json"
+    path.write_bytes(content)
+    with pytest.raises(ParameterError, match=f"config key '{key}' is repeated"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["simulate", "--out", "run"], "run/trace.json"),       # stdout holds the metrics
+    (["curve", "--out", "curve.csv"], "curve.csv"),
+    (["detect", "--series", "series.csv"], None),
+    (["sweep", "--k", "0,5"], None),
+], ids=["simulate", "curve", "detect", "sweep"])
+def test_a_config_with_a_byte_order_mark(tmp_path, capsys, monkeypatch, argv, out):
+    """A config file that starts with a UTF-8 BOM, as some editors and
+    spreadsheet exports write, runs as the same file without one."""
+    monkeypatch.chdir(tmp_path)
+    write_series(tmp_path, [(t, 0.2) for t in range(50, 0, -1)])
+    plain = write_config(tmp_path, seeds=[0], condition_batch=8)
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "cfg.json").read_bytes())
+    results = []
+    for path in (plain, str(bom)):
+        code, stdout, stderr = run_cli(argv + ["--config", path], capsys)
+        results.append((code, stdout, stderr, (tmp_path / out).read_bytes() if out else b""))
+    assert results[0] == results[1]
+    assert results[0][0] == 0 and results[0][2] == ""
 
 
 @pytest.mark.parametrize("body", [
