@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import TYPE_CHECKING
@@ -164,12 +165,12 @@ def curve_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float, float, fl
     discrepancy ratios across the batch.
     """
     from .engine import _branches, _Stack, initial_latents
-    from .mixture import _condition_rows, _rel_mae_blocks, rel_mae, score_ratio_estimate
+    from .mixture import _rel_mae_blocks, rel_mae, score_ratio_estimate
     from .schedules import cfg_combine, ddim_step
 
     plan = cfg.to_plan(variant=PlanVariant.SERIAL)
     gm, sched = plan.mixture, plan.schedule
-    stack = _Stack(gm, sched, plan.guidance, _condition_rows(gm, plan.conditions))
+    stack = _Stack.of(plan)
     x = initial_latents(plan)[None]         # one seed: the kernels' (S, B, d)
     rows = []
     for t in range(sched.T, 0, -1):
@@ -260,13 +261,22 @@ def cmd_detect(args) -> int:
 
 
 def _parse_k_list(text: str) -> list[int]:
+    """The k values of a comma-separated list, ascending; none for an empty
+    or blank list. Each token, stripped, is an optionally signed run of
+    ASCII digits, and no value appears twice."""
     if not text.strip():
         return []
+    tokens = [tok.strip() for tok in text.split(",")]
     try:
-        return sorted({int(tok) for tok in text.replace(" ", "").split(",") if tok})
+        if not all(re.fullmatch(r"[+-]?[0-9]+", tok) for tok in tokens):
+            raise ValueError("not an integer")
+        ks = [int(tok) for tok in tokens]       # int() also caps the digit count
     except ValueError as exc:
         raise ParameterError(f"bad k list {text!r}; expected comma-separated "
                              "integers") from exc
+    if len(set(ks)) < len(ks):
+        raise ParameterError(f"bad k list {text!r}; each k may appear once")
+    return sorted(ks)
 
 
 @_numeric

@@ -17,8 +17,8 @@ A seed is the leading axis of the latents: S seeds are one (S, B, d) array
 x, seed i is x[i], and all share one batch's condition rows (axis 1). Every
 kernel of a step is elementwise (broadcast over seeds) or reduces over one
 row (over d and the mixture's K components), and the discrepancy over x[i]
-alone, so each seed gets the bits it gets alone: ExactPath steps all of its
-seeds, and every window they share, as one batch.
+alone, so each seed gets the bits it gets alone: ExactPath steps its seeds
+(a sweep's or a batch_level plan's pairs') and shared windows as one batch.
 
 Timing is separate from the numerics: a run's virtual clock depends only on
 its variant, devices, link, segment fractions, cfg_batching_factor, T and
@@ -66,16 +66,27 @@ class RunResult:
     tau2: int | None
     trace: RunTrace
     series: tuple[tuple[int, float], ...]
-    per_sample: tuple["RunResult", ...] | None = None
 
 
 class _Stack(NamedTuple):
-    """The step kernels' inputs besides the latents; all seeds share the rows."""
+    """A plan's model objects and condition rows: all the kernels read but x."""
 
     mixture: GaussianMixture
     schedule: NoiseSchedule
+    conditions: tuple[Condition, ...]
     guidance: GuidanceParams
     rows: ConditionRows
+
+    @classmethod
+    def of(cls, plan: ExecutionPlan) -> "_Stack":
+        return cls(plan.mixture, plan.schedule, plan.conditions, plan.guidance,
+                   _condition_rows(plan.mixture, plan.conditions))
+
+
+def _seeds(plan: ExecutionPlan) -> range:
+    """The seeds a plan reads: a batch_level plan's pair i runs seed + i."""
+    pairs = len(plan.devices) // 2 if plan.variant is PlanVariant.BATCH_LEVEL else 1
+    return range(plan.seed, plan.seed + pairs)
 
 
 class ExactPath:
@@ -92,15 +103,16 @@ class ExactPath:
     series per seed, and after each exact step update_controller advances
     every seed yet to switch. The first run of a window computes the window
     with that k and those segment fractions of every seed that switched at
-    the same step, as one batch.
+    the same step, as one batch. A batch_level plan runs its pairs' hybrid
+    plans on the store.
 
     A template plan fixes the store when it is built: the model objects
-    (_BOUND), the switch rule (a staged plan's switch config with k = 0;
+    (a _Stack), the switch rule (a staged plan's switch config with k = 0;
     none for an unstaged plan) and the depth (a staged plan's segment
     count, whatever its k), the latents it keeps up to each seed's switch
     for windows to start from. bind only checks a plan against them, else
-    PlanError: its seed is one of the store's distinct seeds, its model the
-    template's objects, a staged plan's rule the store's, and a window
+    PlanError: each seed it reads (_seeds) is one of the store's, its model
+    the template's objects, a staged plan's rule the store's, and a window
     (k >= 1) starts from no more latents than the depth. The store keeps
     only what bound plans read (per seed the discrepancies, x0, the latents
     up to its switch, and the computed windows). A run's x0 is a read-only
@@ -112,8 +124,6 @@ class ExactPath:
     a sweep builds one trace per distinct (tau1, k), not one per run.
     """
 
-    _BOUND = ("mixture", "schedule", "conditions", "guidance")
-
     def __init__(self, seeds, plan: ExecutionPlan):
         self._seeds = tuple(seeds)
         if not self._seeds:
@@ -121,9 +131,7 @@ class ExactPath:
         self._slot = {seed: i for i, seed in enumerate(self._seeds)}
         if len(self._slot) < len(self._seeds):
             raise PlanError(f"exact path seeds must be distinct, got {list(self._seeds)}")
-        self._model = tuple(getattr(plan, name) for name in self._BOUND)
-        gm, sched, conditions, guidance = self._model
-        self._inputs = _Stack(gm, sched, guidance, _condition_rows(gm, conditions))
+        self._inputs = _Stack.of(plan)
         staged = plan.variant in _STAGED
         self._switch = replace(plan.switch, k=0) if staged else None     # the rule
         self._depth = len(plan.segment_fractions) if staged else 0      # >= 2 if staged
@@ -139,11 +147,12 @@ class ExactPath:
 
     def bind(self, plan: ExecutionPlan) -> None:
         """Check that the store serves the plan (see the class docstring)."""
-        if plan.seed not in self._slot:
+        missing = [seed for seed in _seeds(plan) if seed not in self._slot]
+        if missing:
             raise PlanError(f"exact path holds seeds {list(self._seeds)}, "
-                            f"got seed {plan.seed}")
-        for name, bound in zip(self._BOUND, self._model):
-            if getattr(plan, name) is not bound:
+                            f"got seed {missing[0]}")
+        for name in ("mixture", "schedule", "conditions", "guidance"):
+            if getattr(plan, name) is not getattr(self._inputs, name):
                 raise PlanError(f"exact path is bound to another {name}")
         if plan.variant in _STAGED:
             if self._switch is None:
@@ -159,6 +168,16 @@ class ExactPath:
         """Run a bound plan: its seed's exact path up to the step it leaves
         it (T, or a staged run's tau1 when k >= 1), then its window. The
         series holds every exact step, none of the window's."""
+        if plan.variant is PlanVariant.BATCH_LEVEL:     # see run_plan
+            runs = [self.run(replace(plan, variant=PlanVariant.HYBRID, seed=seed,
+                                     devices=plan.devices[2 * i:2 * i + 2], exact_path=self))
+                    for i, seed in enumerate(_seeds(plan))]
+            latency = max(r.latency_s for r in runs)
+            return replace(runs[0], latency_s=latency,
+                           throughput_samples_per_s=len(runs) / latency,
+                           comm_bytes=sum(r.comm_bytes for r in runs),
+                           trace=RunTrace(sum((r.trace.busy for r in runs), ()),
+                                          sum((r.trace.messages for r in runs), ())))
         slot, T = self._slot[plan.seed], plan.schedule.T
         tau1 = tau2 = None
         if plan.variant in _STAGED:
@@ -188,7 +207,7 @@ class ExactPath:
                          tau1=tau1, tau2=tau2, trace=timing.trace, series=tuple(series))
 
     def _extend(self, s: int) -> None:
-        gm, sched, conditions, _ = self._model
+        gm, sched, conditions = self._inputs[:3]
         while self._done < s:
             if self._done < 0:
                 x = np.stack([_draw_latents(gm, sched, conditions, seed)
@@ -211,7 +230,7 @@ class ExactPath:
         """Record exact step s of every seed yet to switch and step its
         controller; keep the latents the windows of the seeds that switch
         here start from."""
-        t = self._model[1].T + 1 - s
+        t = self._inputs.schedule.T + 1 - s
         slots = []
         for j, (state, series) in enumerate(self._controls):
             if state.tau1 is None:
@@ -395,45 +414,25 @@ def _timing(plan: ExecutionPlan, tau1: int | None, tau2: int | None) -> _Timing:
     return _Timing(trace, latency, account_comm(trace))
 
 
-def _run(plan: ExecutionPlan) -> RunResult:
-    """One sample's run: every variant but batch_level, and each of its pairs."""
-    return (plan.exact_path or ExactPath((plan.seed,), plan)).run(plan)
-
-
 def run_serial(plan: ExecutionPlan) -> RunResult:
     """The serial baseline: both branches on one device, every step exact."""
     if plan.variant is not PlanVariant.SERIAL:
         raise PlanError(f"run_serial got a {plan.variant.value} plan")
-    return _run(plan)
+    return run_plan(plan)
 
 
 def run_plan(plan: ExecutionPlan) -> RunResult:
-    """Run a plan of any variant.
+    """Run a plan of any variant on its store, else on a private one.
 
     Condition partitioning puts one branch per device on every step, so its
     trajectory matches serial exactly. Hybrid and layer-wise runs are staged:
     measured stages use devices 0 and 1 for the two branches, and the window
     is split across the N segment devices (the rest idle outside it; N = 2
     is hybrid exactly). A batch_level plan runs N/2 device pairs, each an
-    independent hybrid sample, concurrently: sample i uses seed + i. Latency
-    is the slowest pair's makespan and throughput counts every pair; x0,
-    tau1, tau2 and series come from sample 0, and the trace is the pairs'
-    traces one after another.
+    independent hybrid sample, concurrently: pair i uses seed + i, and one
+    store steps seeds seed .. seed + N/2 - 1 as one batch. Latency is the
+    slowest pair's makespan and throughput counts every pair; x0, tau1,
+    tau2 and series come from pair 0, and the trace is the pairs' traces
+    one after another.
     """
-    if plan.variant is not PlanVariant.BATCH_LEVEL:
-        return _run(plan)
-    n_pairs = len(plan.devices) // 2
-    # only sample 0 runs the plan's seed, so only it may read the path
-    results = tuple(_run(replace(plan, variant=PlanVariant.HYBRID,
-                                 devices=plan.devices[2 * i:2 * i + 2], seed=plan.seed + i,
-                                 exact_path=plan.exact_path if i == 0 else None))
-                    for i in range(n_pairs))
-    trace = RunTrace(sum((r.trace.busy for r in results), ()),
-                     sum((r.trace.messages for r in results), ()))
-    latency = max(r.latency_s for r in results)
-    first = results[0]
-    return RunResult(x0=first.x0, latency_s=latency,
-                     comm_bytes=sum(r.comm_bytes for r in results),
-                     throughput_samples_per_s=n_pairs / latency,
-                     tau1=first.tau1, tau2=first.tau2, trace=trace,
-                     series=first.series, per_sample=results)
+    return (plan.exact_path or ExactPath(_seeds(plan), plan)).run(plan)

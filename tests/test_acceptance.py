@@ -18,6 +18,7 @@ import math
 import time
 
 import numpy as np
+from test_exact_path import on_its_store
 
 from hybridpar.config import ExperimentConfig, PRESETS
 from hybridpar.engine import PlanVariant, run_plan, run_serial
@@ -239,10 +240,11 @@ def test_criterion_10_device_count_aggregation():
         assert hy.latency_s == lw.latency_s and hy.comm_bytes == lw.comm_bytes
 
     hy = run_plan(cfg.to_plan(seed=0, variant=PlanVariant.HYBRID))
-    batch = run_plan(ExperimentConfig.from_dict({"devices": 4})
-                     .to_plan(seed=0, variant=PlanVariant.BATCH_LEVEL))
-    assert len(batch.per_sample) == 2
-    assert batch.per_sample[0].latency_s == batch.per_sample[1].latency_s
+    batch, pairs = on_its_store(ExperimentConfig.from_dict({"devices": 4})
+                                .to_plan(seed=0, variant=PlanVariant.BATCH_LEVEL))
+    batch, pairs = run_plan(batch), [run_plan(p) for p in pairs]
+    assert len(pairs) == 2
+    assert pairs[0].latency_s == pairs[1].latency_s
     assert batch.latency_s == hy.latency_s
     assert batch.throughput_samples_per_s == 2.0 * hy.throughput_samples_per_s
     assert time.perf_counter() - start < 10.0

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_exact_path import on_its_store
 
 from hybridpar.config import ExperimentConfig, PRESETS
 from hybridpar.engine import ExecutionPlan, PlanVariant, initial_latents, run_plan, run_serial
@@ -207,12 +208,13 @@ def test_layer_wise_needs_two_devices():
 # batch-level -------------------------------------------------------------------------
 
 def test_batch_level_two_pairs():
-    res = run_plan(preset_plan("batch_level", seed=10, devices=4))
+    batch, pairs = on_its_store(preset_plan("batch_level", seed=10, devices=4))
+    res = run_plan(batch)
     hy0 = run_plan(preset_plan("hybrid", seed=10))
     hy1 = run_plan(preset_plan("hybrid", seed=11))
-    assert res.per_sample is not None and len(res.per_sample) == 2
-    assert np.array_equal(res.per_sample[0].x0, hy0.x0)
-    assert np.array_equal(res.per_sample[1].x0, hy1.x0)
+    assert [p.seed for p in pairs] == [10, 11]
+    assert np.array_equal(run_plan(pairs[0]).x0, hy0.x0)
+    assert np.array_equal(run_plan(pairs[1]).x0, hy1.x0)
     assert np.array_equal(res.x0, hy0.x0)
     assert res.latency_s == max(hy0.latency_s, hy1.latency_s)
     assert res.comm_bytes == hy0.comm_bytes + hy1.comm_bytes
@@ -220,9 +222,11 @@ def test_batch_level_two_pairs():
 
 
 def test_batch_level_slow_pair_dominates():
-    res = run_plan(preset_plan("batch_level", devices=[C, C, 2 * C, 2 * C]))
-    assert res.per_sample[1].latency_s > res.per_sample[0].latency_s
-    assert res.latency_s == res.per_sample[1].latency_s
+    batch, pairs = on_its_store(preset_plan("batch_level", devices=[C, C, 2 * C, 2 * C]))
+    res = run_plan(batch)
+    fast, slow = (run_plan(p) for p in pairs)
+    assert slow.latency_s > fast.latency_s
+    assert res.latency_s == slow.latency_s
 
 
 def test_batch_level_single_pair_is_hybrid():

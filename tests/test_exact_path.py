@@ -51,13 +51,31 @@ STAGED = [("hybrid", 2), ("layer_wise", 2), ("layer_wise", 3), ("layer_wise", 4)
 
 def widest_store(cfg, seeds):
     """A store for every plan of plans_for: its template is the config's
-    widest staged plan, layer_wise on all of its devices."""
-    return ExactPath(seeds, cfg.to_plan(variant=PlanVariant.LAYER_WISE))
+    widest staged plan, layer_wise on all of its devices, and it holds each
+    seed s and s + 1, which a 4-device batch_level plan's second pair runs."""
+    held = dict.fromkeys([*seeds, *(s + 1 for s in seeds)])
+    return ExactPath(held, cfg.to_plan(variant=PlanVariant.LAYER_WISE))
+
+
+def pair_plans(batch):
+    """The hybrid plan each pair of a batch_level plan runs, on its store:
+    pair i runs seed + i on devices 2i and 2i + 1."""
+    return [replace(batch, variant=PlanVariant.HYBRID, seed=batch.seed + i,
+                    devices=batch.devices[2 * i:2 * i + 2])
+            for i in range(len(batch.devices) // 2)]
+
+
+def on_its_store(batch):
+    """A batch_level plan bound to a store of the seeds it reads, and its
+    pairs' hybrid plans on that store."""
+    batch = replace(batch, exact_path=ExactPath(engine._seeds(batch), batch))
+    return batch, pair_plans(batch)
 
 
 def plans_for(cfg, seeds, ks, path):
-    """(seed, name) -> plan for every seed, variant, device count and k, all
-    on one store (or each on its own when path is None)."""
+    """(seed, name) -> plan for every seed, variant, device count and k, and
+    every pair of each batch_level plan, all on one store (or each on its
+    own when path is None)."""
     def make(seed, variant, n=None, k=None):
         c = cfg if n is None else replace(cfg, devices=cfg.devices[:n])
         return c.to_plan(seed=seed, variant=PlanVariant(variant), k=k, exact_path=path)
@@ -68,14 +86,18 @@ def plans_for(cfg, seeds, ks, path):
         plans[seed, "full_condition_partition"] = make(seed, "full_condition_partition")
         for k in ks:
             for variant, n in STAGED:
-                plans[seed, f"{variant}{n}-k{k}"] = make(seed, variant, n, k)
+                name = f"{variant}{n}-k{k}"
+                plans[seed, name] = make(seed, variant, n, k)
+                if variant == "batch_level":
+                    for i, pair in enumerate(pair_plans(plans[seed, name])):
+                        plans[seed, f"{name}-pair{i}"] = pair
     return plans
 
 
 def orders(names):
     """Seed by seed with serial first; reversed (widest windows first, serial
     last); the k = 0 runs first."""
-    k0 = [n for n in names if n[1].endswith("-k0")]
+    k0 = [n for n in names if "-k0" in n[1]]
     return [names, names[::-1], k0 + [n for n in names if n not in k0]]
 
 
@@ -88,9 +110,6 @@ def assert_same_run(a, b):
     assert a.comm_bytes == b.comm_bytes
     assert a.trace.busy == b.trace.busy
     assert a.trace.messages == b.trace.messages
-    assert (a.per_sample is None) == (b.per_sample is None)
-    for sa, sb in zip(a.per_sample or (), b.per_sample or ()):
-        assert_same_run(sa, sb)
 
 
 @pytest.mark.parametrize("body, seeds, ks", CASES, ids=CASE_IDS)
@@ -127,17 +146,20 @@ def test_eight_seed_store_equals_unshared_runs():
                for v, k in [("serial", None), ("hybrid", 0)] + staged[s % 4]]
     for shared, unshared in stacked:
         assert_same_run(run_plan(shared), run_plan(unshared))
+        if shared.variant is PlanVariant.BATCH_LEVEL:
+            for a, b in zip(pair_plans(shared), pair_plans(unshared)):
+                assert_same_run(run_plan(a), run_plan(b))
 
 
 # a per-seed reference loop over the public kernels ---------------------------------------
 
-def reference_run(plan):
-    """x0, series and tau1/tau2 of a run stepped seed by seed with public
-    eps_prediction (one call per condition subset), rel_mae, cfg_combine and
-    ddim_step, with the stale-input window blend."""
+def reference_runs(plan):
+    """x0, series and tau1/tau2 of the run of each seed the plan reads (a
+    batch_level plan's pair i runs seed + i), stepped seed by seed with
+    public eps_prediction (one call per condition subset), rel_mae,
+    cfg_combine and ddim_step, with the stale-input window blend."""
     if plan.variant is PlanVariant.BATCH_LEVEL:
-        plan = replace(plan, variant=PlanVariant.HYBRID, devices=plan.devices[:2],
-                       segment_fractions=None, exact_path=None)
+        return [reference_runs(pair)[0] for pair in pair_plans(plan)]
     staged = plan.switch is not None
     fractions = plan.segment_fractions if staged else (1.0,)
     groups = {}
@@ -170,7 +192,7 @@ def reference_run(plan):
             if staged and ctrl.tau1 is None:
                 update_controller(ctrl, series, t, plan.switch)
             x = ddim_step(x, t, cfg_combine(eps_c, eps_u, plan.guidance), plan.schedule)
-    return x, tuple(series.items()), ctrl.tau1, ctrl.tau2
+    return [(x, tuple(series.items()), ctrl.tau1, ctrl.tau2)]
 
 
 @pytest.mark.parametrize("body, seeds", [
@@ -187,11 +209,16 @@ def test_stacked_runs_equal_a_per_seed_reference_loop(body, seeds):
                                          ("hybrid", 4), ("layer_wise", 7),
                                          ("batch_level", 0)]]
     for plan in plans:
-        res = run_plan(plan)
-        x0, series, tau1, tau2 = reference_run(plan)
-        assert res.x0.tobytes() == x0.tobytes()
-        assert res.series == series
-        assert (res.tau1, res.tau2) == (tau1, tau2)
+        refs = reference_runs(plan)
+        # a batch_level run reports pair 0; pair i is its hybrid plan's run
+        runs = [run_plan(plan)]
+        if plan.variant is PlanVariant.BATCH_LEVEL:
+            runs += [run_plan(pair) for pair in pair_plans(plan)[1:]]
+        assert len(runs) == len(refs) == (2 if plan.variant is PlanVariant.BATCH_LEVEL else 1)
+        for res, (x0, series, tau1, tau2) in zip(runs, refs):
+            assert res.x0.tobytes() == x0.tobytes()
+            assert res.series == series
+            assert (res.tau1, res.tau2) == (tau1, tau2)
 
 
 def test_rel_mae_blocks_equal_rel_mae_of_each_block():
@@ -322,7 +349,7 @@ def test_every_plan_of_a_config_shares_its_model_objects(body):
              for shared in (None, path) for seed in cfg.seeds
              for variant, k in ((PlanVariant.SERIAL, None), (PlanVariant.HYBRID, 0),
                                 (PlanVariant.HYBRID, 1), (PlanVariant.HYBRID, 5))]
-    for name in ExactPath._BOUND:
+    for name in ("mixture", "schedule", "conditions", "guidance"):
         assert all(getattr(plan, name) is getattr(cfg, name) for plan in plans), name
 
 
@@ -450,24 +477,25 @@ def test_staged_plan_bound_after_the_store_stepped_equals_an_unshared_run(after,
     assert_same_run(run_serial(serial), run_serial(replace(serial, exact_path=None)))
 
 
-def test_batch_level_hands_the_path_to_sample_zero_only(monkeypatch):
+def test_batch_level_plan_needs_every_pair_seed_in_its_store():
+    """A batch_level plan reads seed + i for each pair i: a store that lacks
+    one rejects the plan, naming the first seed it lacks, and stays as it
+    was; a store that holds them all runs the pairs as unshared runs do."""
     cfg = ExperimentConfig.from_dict({"condition_batch": 8, "devices": 6})
-    path = ExactPath((10,), cfg.to_plan(variant=PlanVariant.BATCH_LEVEL))
-    seen = []
-    original = engine._run
-
-    def recording(sub):
-        seen.append((sub.seed, sub.exact_path))
-        return original(sub)
-
-    serial_plan = cfg.to_plan(seed=10, variant=PlanVariant.SERIAL, exact_path=path)
-    batch_plan = cfg.to_plan(seed=10, variant=PlanVariant.BATCH_LEVEL, exact_path=path)
-    run_serial(serial_plan)
-    monkeypatch.setattr(engine, "_run", recording)
-    run_plan(batch_plan)
-    assert [s for s, _ in seen] == [10, 11, 12]
-    assert seen[0][1] is path
-    assert all(p is None for _, p in seen[1:])
+    template = cfg.to_plan(variant=PlanVariant.BATCH_LEVEL)
+    path = ExactPath((10, 12), template)
+    run_serial(cfg.to_plan(seed=10, variant=PlanVariant.SERIAL, exact_path=path))
+    before = store_state(path)
+    for seed, missing in [(10, 11), (11, 11), (12, 13)]:
+        with pytest.raises(PlanError, match=f"got seed {missing}$"):
+            cfg.to_plan(seed=seed, variant=PlanVariant.BATCH_LEVEL, exact_path=path)
+    assert store_state(path) == before
+    full = ExactPath((10, 11, 12), template)
+    batch = cfg.to_plan(seed=10, variant=PlanVariant.BATCH_LEVEL, exact_path=full)
+    assert_same_run(run_plan(batch), run_plan(replace(batch, exact_path=None)))
+    for pair in pair_plans(batch):
+        assert pair.exact_path is full
+        assert_same_run(run_plan(pair), run_plan(replace(pair, exact_path=None)))
 
 
 # the one switch rule ------------------------------------------------------------------
@@ -568,6 +596,21 @@ def test_k0_run_on_a_full_path_takes_no_exact_step(stacked_steps):
     for plan in plans[1:]:
         run_plan(plan)
     assert stacked_steps == [("exact", 8), ("step", 8)] * T
+
+
+def test_batch_level_pairs_step_as_one_batch(stacked_steps):
+    """sdxl-like forces tau1 = 15 on every seed, so a 4-device batch_level
+    run steps both pairs' exact paths and their one window as one batch:
+    T ddim updates of 2B rows each, not 2T of B rows."""
+    B = 8
+    cfg = ExperimentConfig.from_dict({"preset": "sdxl-like", "condition_batch": B,
+                                      "devices": 4})
+    T = cfg.schedule.T
+    assert T == 50
+    batch = cfg.to_plan(seed=3, variant=PlanVariant.BATCH_LEVEL)
+    assert run_plan(batch).tau1 == 15
+    assert [rows for kind, rows in stacked_steps if kind == "step"] == [2 * B] * T
+    assert all(run_plan(pair).tau1 == 15 for pair in pair_plans(batch))
 
 
 @pytest.mark.parametrize("body", [{"preset": "sdxl-like"}, {"preset": "sd3-like"}],

@@ -4,7 +4,8 @@ The engine evaluates every singleton-conditioned row of a batch in one gather
 from the unconditional noised entry, and scores through a kernel that reuses
 one (B, K, d) buffer. Both must return exactly the arrays of the plain path:
 a per-group loop over the public eps_prediction, and the kernel as it was
-before (copied verbatim below as the reference).
+before (copied verbatim below as the reference). The branch kernels take
+(S, B, d) latents, so a (B, d) batch goes in as one seed, x[None].
 """
 import numpy as np
 import pytest
@@ -85,13 +86,6 @@ def make_plan(B: int, conditions=None, schedule=None, mixture=None):
     return ExperimentConfig.from_dict(raw).to_plan(variant=PlanVariant.SERIAL)
 
 
-def one_seed(plan):
-    """What the branch kernels read of the plan; they take (S, B, d)
-    latents, so a (B, d) batch goes in as one seed, x[None]."""
-    gm = plan.mixture
-    return _Stack(gm, plan.schedule, plan.guidance, _condition_rows(gm, plan.conditions))
-
-
 def points(B: int, seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     far = np.full((B, D), 40.0)
@@ -107,7 +101,7 @@ def points(B: int, seed: int) -> dict[str, np.ndarray]:
 def test_branches_match_per_group_loop_bitwise(conditions, B, sched):
     for mixture in (None, random_mixture_raw(seed=B)):
         plan = make_plan(B, conditions, sched, mixture)
-        stack = one_seed(plan)
+        stack = _Stack.of(plan)
         for name, x in points(B, seed=B).items():
             x_before = x.copy()
             for t in range(plan.schedule.T + 1):
@@ -133,7 +127,7 @@ def test_singleton_rows_read_the_unconditional_entry(monkeypatch):
     monkeypatch.setattr(mixture_mod, "conditional", counting)
     plan = make_plan(16, schedule=SCHEDULES[0], mixture=random_mixture_raw(seed=3))
     x = points(16, seed=3)["near"]
-    stack = one_seed(plan)
+    stack = _Stack.of(plan)
     for t in range(1, plan.schedule.T + 1):
         _conditional_branch(stack, x[None], t)
     assert built == []
@@ -172,7 +166,7 @@ def test_plan_singleton_and_multi_groups():
     layout = _condition_rows(plan.mixture, plan.conditions)
     assert layout.singletons[0].size == 0 and layout.singletons[1].size == 0
     x = points(3, seed=0)["near"]
-    assert np.array_equal(_conditional_branch(one_seed(plan), x[None], 5)[0],
+    assert np.array_equal(_conditional_branch(_Stack.of(plan), x[None], 5)[0],
                           ref_conditional_branch(plan, x, 5))
 
 
@@ -183,7 +177,7 @@ def test_seed_axis_steps_equal_one_seed_steps_bitwise(conditions, S):
     """The step kernels on S seeds' (S, B, d) latents give seed i the bits
     of the same kernel on x[i] alone, along a whole trajectory."""
     plan = make_plan(7, conditions, SCHEDULES[1], random_mixture_raw(seed=S))
-    stack = one_seed(plan)
+    stack = _Stack.of(plan)
     x = np.random.default_rng(S).normal(0.0, 3.0, (S, 7, D))
     for t in range(plan.schedule.T, 0, -1):
         eps_c = _conditional_branch(stack, x, t)

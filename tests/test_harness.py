@@ -397,6 +397,39 @@ def test_sweep_rejects_bad_k(capsys):
     assert "3,x" in err["message"]
 
 
+# a space inside a token, an empty token, a repeated k (however it is
+# written), digits int() reads but a k list should not, and a 5000-digit k
+K_TYPOS = {"space": "5 10", "empty": "5,,6", "repeated": "5,5", "trailing": "5,",
+           "leading": ",5", "signed-repeat": "+0, 0, -0", "padded-repeat": "05,5",
+           "underscore": "1_0", "arabic-indic": "\u0665", "fullwidth": "\uff15",
+           "sign-only": "-", "huge": "9" * 5000}
+
+
+@pytest.mark.parametrize("k", K_TYPOS.values(), ids=list(K_TYPOS))
+def test_sweep_rejects_a_k_list_typo(tmp_path, capsys, monkeypatch, k):
+    """A typo in --k is one ParameterError that quotes the list, and no run."""
+    calls = record_runners(monkeypatch)
+    cfg = write_config(tmp_path, **SMALL)
+    code, stdout, stderr = run_cli(["sweep", "--config", cfg, "--k", k], capsys)
+    assert (code, stdout, calls) == (1, "", [])
+    assert len(stderr.splitlines()) == 1
+    err = json.loads(stderr)
+    assert err["error"] == "ParameterError"
+    assert repr(k)[:50] in err["message"]
+
+
+@pytest.mark.parametrize("k, ks", [("0, 5", ["0", "5"]), (" 4 ,\t-1 ", ["-1", "4"]),
+                                   ("+4", ["4"]), ("   ", [])],
+                         ids=["space-after-comma", "padded", "plus", "blank"])
+def test_sweep_k_tokens_may_carry_surrounding_whitespace_and_a_sign(tmp_path, capsys, k, ks):
+    cfg = write_config(tmp_path, **SMALL)
+    code, stdout, stderr = run_cli(["sweep", "--config", cfg, "--k", k], capsys)
+    assert (code, stderr) == (0, "")
+    lines = stdout.splitlines()
+    assert lines[0] == SWEEP_HEADER
+    assert [ln.split(",")[0] for ln in lines[1:]] == ks
+
+
 def test_sweep_negative_k_is_an_infeasible_row(tmp_path, capsys):
     cfg = write_config(tmp_path, **SMALL)
     code, stdout, stderr = run_cli(["sweep", "--config", cfg, "--k=-1,4"], capsys)

@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_exact_path import on_its_store
 
 import hybridpar.cli as cli
 import hybridpar.engine as engine
@@ -134,8 +135,8 @@ def test_batch_level_pairs_take_the_config_segment_fractions():
     assert batch.segment_fractions == (0.3, 0.7)
     hybrid = run_plan(cfg.to_plan(variant=PlanVariant.HYBRID))
     assert rel_close(hybrid.latency_s, 48.8 * C + 95 * MSG)        # 8.28462
-    pairs = run_plan(batch).per_sample
-    assert [r.latency_s for r in pairs] == [hybrid.latency_s] * 2
+    _, pairs = on_its_store(batch)
+    assert [run_plan(p).latency_s for p in pairs] == [hybrid.latency_s] * 2
 
 
 # each device computes one interval at a time: the engine starts every interval
@@ -214,9 +215,10 @@ def test_a_shared_trace_cannot_be_changed():
 
 
 def test_batch_level_trace_concatenates_the_pairs():
-    res = run_plan(plan("batch_level", devices=4, condition_batch=4))
-    assert res.trace.busy == sum((r.trace.busy for r in res.per_sample), ())
-    assert res.trace.messages == sum((r.trace.messages for r in res.per_sample), ())
+    batch, pairs = on_its_store(plan("batch_level", devices=4, condition_batch=4))
+    res, runs = run_plan(batch), [run_plan(p) for p in pairs]
+    assert res.trace.busy == sum((r.trace.busy for r in runs), ())
+    assert res.trace.messages == sum((r.trace.messages for r in runs), ())
 
 
 # the memo ------------------------------------------------------------------------------
