@@ -18,7 +18,8 @@ x, seed i is x[i], and all share one batch's condition rows (axis 1). Every
 kernel of a step is elementwise (broadcast over seeds) or reduces over one
 row (over d and the mixture's K components), and the discrepancy over x[i]
 alone, so each seed gets the bits it gets alone: ExactPath steps its seeds
-(a sweep's or a batch_level plan's pairs') and shared windows as one batch.
+(a sweep's or a batch_level plan's pairs') and shared windows as one batch,
+and a window's pipelined steps continue those of a narrower one.
 
 Timing is separate from the numerics: a run's virtual clock depends only on
 its variant, devices, link, segment fractions, cfg_batching_factor, T and
@@ -103,8 +104,8 @@ class ExactPath:
     series per seed, and after each exact step update_controller advances
     every seed yet to switch. The first run of a window computes the window
     with that k and those segment fractions of every seed that switched at
-    the same step, as one batch. A batch_level plan runs its pairs' hybrid
-    plans on the store.
+    the same step, as one batch, its pipelined steps continuing the furthest
+    computed (_fill). A batch_level plan runs its pairs' hybrid plans on it.
 
     A template plan fixes the store when it is built: the model objects
     (a _Stack), the switch rule (a staged plan's switch config with k = 0;
@@ -115,9 +116,10 @@ class ExactPath:
     the template's objects, a staged plan's rule the store's, and a window
     (k >= 1) starts from no more latents than the depth. The store keeps
     only what bound plans read (per seed the discrepancies, x0, the latents
-    up to its switch, and the computed windows). A run's x0 is a read-only
-    view x[i] of an (S, B, d) array, the same object on every run that
-    reads it, and a step that raises stores nothing.
+    up to its switch and the windows' x0; per switch step and fractions, the
+    N latents of the furthest pipelined step). A run's x0 is a read-only view
+    x[i] of an (S, B, d) array, the same object on every run that reads it,
+    and a step that raises stores nothing.
 
     The store also memoizes the virtual clock of each schedule its runs
     take (_timing, keyed by every input of the clock but never the seed), so
@@ -143,6 +145,7 @@ class ExactPath:
         self._x0: tuple[np.ndarray, ...] = ()           # per seed, once step T is taken
         self._starts: dict[int, tuple] = {}            # tau1 -> (seeds, latents)
         self._windows: dict[tuple, tuple] = {}         # (seed, k, fractions) -> (x0, ms)
+        self._heads: dict[tuple, tuple] = {}           # (tau1, fractions) -> (k, latents)
         self._timings: dict[tuple, _Timing] = {}       # see run
 
     def bind(self, plan: ExecutionPlan) -> None:
@@ -242,15 +245,22 @@ class ExactPath:
             # the latents of the depth steps up to s (the initial ones repeated
             # where fewer exist), newest first; x itself when all seeds switch here
             every = len(slots) == len(self._seeds)
-            self._starts[s] = tuple(slots), [
+            self._starts[s] = tuple(slots), tuple(
                 x if every else _read_only(x[slots])
-                for x in (self._recent[max(-1 - d, -1 - s)] for d in range(self._depth))]
+                for x in (self._recent[max(-1 - d, -1 - s)] for d in range(self._depth)))
 
     def _fill(self, k: int, fractions: tuple[float, ...], tau1: int) -> None:
-        """Compute the window with this k and these segment fractions of
-        every seed that switched at tau1, as one batch."""
+        """Compute the window with this k and these fractions of every seed
+        that switched at tau1, as one batch: its pipelined steps continue the
+        head (the furthest computed) if that is at most k steps in, else restart."""
         slots, starts = self._starts[tau1]
-        x, ms = _window_steps(self._inputs, starts[:len(fractions)], fractions, tau1, k)
+        j, head = self._heads.get((tau1, fractions), (0, starts[:len(fractions)]))
+        if j > k:
+            head = _pipelined_steps(self._inputs, starts[:len(fractions)], fractions, tau1, k)
+        else:
+            head = _pipelined_steps(self._inputs, head, fractions, tau1 + j, k - j)
+            self._heads[tau1, fractions] = k, head
+        x, ms = _exact_steps(self._inputs, head[0], tau1 + k)
         for j, x0, window_ms in zip(slots, x, zip(*[m.tolist() for m in ms])):
             self._windows[j, k, fractions] = x0, window_ms
 
@@ -318,33 +328,29 @@ def _exact_step(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, np.nd
     return ddim_step(x, t, eps, stack.schedule), m
 
 
-def _window_steps(stack: _Stack, history: list[np.ndarray], fractions: tuple[float, ...],
-                  tau1: int, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The k pipelined steps after a switch at step tau1, then the exact
-    steps to the end; returns the final latents (read-only) and the
-    discrepancies of the exact steps.
-
-    history[d] holds the latents d steps before the window, the initial
-    latents standing in where the path is shorter. Segment d is evaluated d
-    steps stale and the blend is weighted by segment fraction.
-    """
+def _pipelined_steps(stack: _Stack, history: tuple[np.ndarray, ...],
+                     fractions: tuple[float, ...], s: int, k: int) -> tuple[np.ndarray, ...]:
+    """Pipelined steps s + 1 .. s + k from history, the read-only latents of the
+    N steps up to s, newest first (the initial latents where the path is
+    shorter), to those up to s + k; segment d reads the latents d steps stale."""
     sched = stack.schedule
-    T, n = sched.T, len(history)
-    for s in range(tau1 + 1, tau1 + k + 1):
-        t = T + 1 - s
+    for t in range(sched.T - s, sched.T - s - k, -1):       # steps s + 1 .. s + k
         est = np.zeros_like(history[0])
         for d, f in enumerate(fractions):
             eps_c = _conditional_branch(stack, history[d], t)
             eps_c *= f
             est += eps_c
-        history.insert(0, ddim_step(history[0], t, est, sched))
-        del history[n:]
-    x, ms = history[0], []
-    for s in range(tau1 + k + 1, T + 1):
-        x, m = _exact_step(stack, x, T + 1 - s)
+        history = (_read_only(ddim_step(history[0], t, est, sched)),) + history[:-1]
+    return history
+
+
+def _exact_steps(stack: _Stack, x: np.ndarray, s: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Exact steps s + 1 .. T from x: the final latents and discrepancies."""
+    ms = []
+    for t in range(stack.schedule.T - s, 0, -1):
+        x, m = _exact_step(stack, x, t)
         ms.append(m)
-    x.flags.writeable = False
-    return x, ms
+    return _read_only(x), ms
 
 
 class _Timing(NamedTuple):

@@ -56,7 +56,10 @@ def psnr_analog(x: np.ndarray, y: np.ndarray) -> float | None:
     have no such scale, so the peak is taken from the data and recorded as a
     modeling choice.
     """
-    rmse = fidelity_l2(x, y)
+    return _psnr(x, y, fidelity_l2(x, y))
+
+
+def _psnr(x: np.ndarray, y: np.ndarray, rmse: float) -> float | None:
     if rmse == 0.0:
         return None
     peak = float(max(np.abs(x).max(), np.abs(y).max()))
@@ -65,13 +68,17 @@ def psnr_analog(x: np.ndarray, y: np.ndarray) -> float | None:
 
 def compare_runs(result, serial_result) -> Metrics:
     """Metrics for a run, with speedup and fidelity against the serial run."""
+    x, y = (np.asarray(r.x0, dtype=float) for r in (result, serial_result))
+    _check_same_shape(x, y)
+    diff = x - y
+    rmse = float(np.sqrt((diff ** 2).mean()))
     return Metrics(
         latency_s=result.latency_s,
         speedup=serial_result.latency_s / result.latency_s,
         comm_bytes=result.comm_bytes,
-        fidelity_l1=fidelity_l1(result.x0, serial_result.x0),
-        fidelity_l2=fidelity_l2(result.x0, serial_result.x0),
-        psnr_analog=psnr_analog(result.x0, serial_result.x0),
+        fidelity_l1=float(np.abs(diff, out=diff).mean()),
+        fidelity_l2=rmse,
+        psnr_analog=_psnr(x, y, rmse),
         tau1=result.tau1,
         tau2=result.tau2,
     )

@@ -157,10 +157,42 @@ def _log_resp(terms: _Terms, diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = diff * diff                                                # (B, K, d)
     q /= terms.variances
     q += terms.log_norm
-    log_joint = terms.log_weights - 0.5 * q.sum(axis=2)
-    mx = log_joint.max(axis=1, keepdims=True)
-    log_density = mx[:, 0] + np.log(np.exp(log_joint - mx).sum(axis=1))
+    log_joint = terms.log_weights - 0.5 * _sum_last(q)
+    mx = _max_last(log_joint)
+    log_density = mx + np.log(_sum_last(np.exp(log_joint - mx[:, None])))
     return log_joint, log_density
+
+
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1) as adds of whole columns in numpy's order for a row of
+    n: one value at a time if n < 8; up to 128, eight running sums, then
+    ((0+1)+(2+3))+((4+5)+(6+7)), then the rest. Longer rows take numpy's own
+    sum, and so do fewer than 512 rows, where each add's fixed cost dominates."""
+    n, m = a.shape[-1], a.shape[-1] // 8 * 8
+    if not 0 < n <= 128 or a.size < 512 * n:
+        return a.sum(axis=-1)
+    if m:
+        r = a[..., :8]
+        for i in range(8, m, 8):
+            r = r + a[..., i:i + 8]
+        r = r[..., 0::2] + r[..., 1::2]
+        r = r[..., 0::2] + r[..., 1::2]
+        res = r[..., 0] + r[..., 1]
+    else:
+        res, m = a[..., 0].copy(), 1
+    for i in range(m, n):
+        res += a[..., i]
+    res += 0.0          # numpy's initial 0.0: it turns a sum of -0.0 into +0.0
+    return res
+
+
+def _max_last(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1) as np.maximum over whole columns: numpy's vector loop may
+    break a -0.0/+0.0 tie the other way, which _log_resp's bits do not see."""
+    mx = a[..., 0]
+    for i in range(1, a.shape[-1]):
+        mx = np.maximum(mx, a[..., i])
+    return mx
 
 
 def _score_rows(terms: _Terms, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

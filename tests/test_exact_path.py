@@ -269,6 +269,8 @@ def test_shared_latents_are_read_only_and_shared():
             x0[0, 0] = 0.0
     latents = [a for a in held_arrays(path) if a.dtype == float and a.ndim >= 2]
     assert latents and not any(a.flags.writeable for a in latents)
+    heads = held_arrays(path._heads)        # the latents k5's pipelined steps reached
+    assert len(heads) == 2 and not any(a.flags.writeable for a in heads)
     alone = run_serial(cfg.to_plan(seed=4, variant=PlanVariant.SERIAL))
     assert alone.x0.tobytes() == serial.x0.tobytes()
 
@@ -616,8 +618,10 @@ def test_batch_level_pairs_step_as_one_batch(stacked_steps):
 @pytest.mark.parametrize("body", [{"preset": "sdxl-like"}, {"preset": "sd3-like"}],
                          ids=["sdxl", "sd3"])
 def test_sweep_takes_each_shared_step_once(tmp_path, monkeypatch, stacked_steps, body):
-    """A sweep steps all seeds' exact paths as one batch, then each
-    (tau1, k) window once for all seeds that share it, as one batch."""
+    """A sweep steps all seeds' exact paths as one batch, then the windows
+    of all seeds that share a tau1 as one batch: the pipelined steps of the
+    widest feasible k once, each narrower window reading its prefix, and
+    each k's exact tail."""
     cfg_path = tmp_path / "cfg.json"
     seeds = [2, 0, 3]
     B = 16
@@ -637,11 +641,13 @@ def test_sweep_takes_each_shared_step_once(tmp_path, monkeypatch, stacked_steps,
                      ",".join(map(str, ks))]) == 0
     cfg = ExperimentConfig.from_dict({**body, "seeds": seeds})
     T, cap = cfg.schedule.T, cfg.switch.tau_cap
-    windows = [(tau, k, sum(1 for s in seeds if tau1[s] == tau) * B)
-               for k in ks if 1 <= k < T - cap for tau in sorted(set(tau1.values()))]
+    feasible = [k for k in ks if 1 <= k < T - cap]
     want = [("exact", len(seeds) * B), ("step", len(seeds) * B)] * T
-    for tau, k, rows in windows:
-        want += [("step", rows)] * k + [("exact", rows), ("step", rows)] * (T - tau - k)
+    for tau in sorted(set(tau1.values())):
+        rows = sum(1 for s in seeds if tau1[s] == tau) * B
+        want += [("step", rows)] * max(feasible)
+        for k in feasible:
+            want += [("exact", rows), ("step", rows)] * (T - tau - k)
     assert sorted(stacked_steps) == sorted(want)
     assert stacked_steps[:2 * T] == want[:2 * T]      # the path comes first
     assert len(set(tau1.values())) == (1 if body["preset"] == "sdxl-like" else 3)
@@ -649,8 +655,9 @@ def test_sweep_takes_each_shared_step_once(tmp_path, monkeypatch, stacked_steps,
 
 def test_store_holds_only_what_runs_read(tmp_path, monkeypatch):
     """After an 8-seed sweep the store holds, per seed, its discrepancies,
-    x0, the latents its window starts from and one x0 per window: far from
-    one array per step."""
+    x0, the latents its window starts from and one x0 per window, and per
+    group of seeds that switched at one step, the N latents its widest
+    window's pipelined steps reached: far from one array per step."""
     stores = []
 
     class Recording(ExactPath):
@@ -673,13 +680,58 @@ def test_store_holds_only_what_runs_read(tmp_path, monkeypatch):
         roots[id(a)] = a
     latents = [a for a in roots.values() if a.dtype == float and a.ndim == 3]
     stacked = S * B * d * 8
-    depth, windows = 2, len(ks) - 1
-    # the path's x0, the start latents of every seed's window, and one
-    # stacked x0 per window
-    assert sum(a.nbytes for a in latents) == (1 + depth + windows) * stacked
+    depth, windows, n = 2, len(ks) - 1, 2
+    groups = {st.tau1 for st, _ in store._controls}
+    assert len(groups) == 1 and len(store._heads) == 1     # sdxl-like: tau1 = 15 on all
+    # the path's x0, the start latents of every seed's window, one stacked
+    # x0 per window and the group's head, its N latents after step tau1 + 30
+    ((k, head),) = store._heads.values()
+    assert k == max(ks) and len(head) == n and all(a.shape == (S, B, d) for a in head)
+    assert sum(a.nbytes for a in latents) == (1 + depth + windows + n) * stacked
     other = sum(a.nbytes for a in roots.values()) - sum(a.nbytes for a in latents)
     assert other < stacked      # discrepancies and row indices
     assert len(store._ms) == 50 and all(m.shape == (S,) for m in store._ms)
+
+
+@pytest.mark.parametrize("body, seeds, ks", [
+    ({"preset": "sdxl-like"}, (0, 7, 11), (30, 5, 20, 1, 10)),
+    ({"preset": "sd3-like"}, (2, 0, 3, 10, 1), (9, 2, 6, 1, 4)),
+], ids=["sdxl", "sd3"])
+@pytest.mark.parametrize("variant, devices", [("hybrid", 2), ("layer_wise", 3)])
+def test_windows_asked_in_any_k_order_equal_fresh_stores(body, seeds, ks, variant, devices):
+    """One store asked for its windows out of k order (a narrower k after a
+    wider one starts again from the switch latents, a wider one continues
+    the head) gives every run the x0 bytes and series of a fresh store per
+    k, and keeps the widest k's head."""
+    cfg = ExperimentConfig.from_dict({**body, "condition_batch": 16, "devices": devices,
+                                      "seeds": list(seeds)})
+    V = PlanVariant(variant)
+    path = ExactPath(seeds, cfg.to_plan(variant=V))
+    for k in ks:
+        fresh = ExactPath(seeds, cfg.to_plan(variant=V))
+        for seed in seeds:
+            shared = run_plan(cfg.to_plan(seed=seed, variant=V, k=k, exact_path=path))
+            alone = run_plan(cfg.to_plan(seed=seed, variant=V, k=k, exact_path=fresh))
+            assert shared.x0.tobytes() == alone.x0.tobytes(), (k, seed)
+            assert shared.series == alone.series, (k, seed)
+    taus = {run_plan(cfg.to_plan(seed=s, variant=V, k=0, exact_path=path)).tau1
+            for s in seeds}
+    assert sorted(tau for tau, _ in path._heads) == sorted(taus)
+    assert {k for k, _ in path._heads.values()} == {max(ks)}
+
+
+def test_default_sweep_steps_the_widest_window_once(tmp_path, stacked_steps):
+    """A default 8-seed sweep over k = 0, 5, 10, 20, 30: every seed switches
+    at tau1 = 15, so it takes T exact-path steps, the 30 pipelined steps of
+    the widest window once, and each window's T - tau1 - k exact steps."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seeds": list(range(8))}))
+    with redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--config", str(cfg_path), "--k", "0,5,10,20,30"]) == 0
+    T, tau1, ks = 50, 15, (5, 10, 20, 30)
+    steps = [rows for kind, rows in stacked_steps if kind == "step"]
+    assert len(steps) == T + max(ks) + sum(T - tau1 - k for k in ks) == 155
+    assert set(steps) == {8 * 64}
 
 
 # the sweep CSV -------------------------------------------------------------------------

@@ -68,11 +68,11 @@ SCHEDULES = ({"kind": "linear", "T": 12, "beta_start": 0.01, "beta_end": 0.3},
              {"kind": "scaled-linear", "T": 12, "beta_start": 0.001, "beta_end": 0.2})
 
 
-def random_mixture_raw(seed: int, K: int = 4) -> dict:
+def random_mixture_raw(seed: int, K: int = 4, d: int = D) -> dict:
     rng = np.random.default_rng(seed)
     return {"weights": rng.uniform(0.2, 2.0, K).tolist(),
-            "means": rng.uniform(-3.0, 3.0, (K, D)).tolist(),
-            "variances": rng.uniform(0.05, 1.5, (K, D)).tolist()}
+            "means": rng.uniform(-3.0, 3.0, (K, d)).tolist(),
+            "variances": rng.uniform(0.05, 1.5, (K, d)).tolist()}
 
 
 def make_plan(B: int, conditions=None, schedule=None, mixture=None):
@@ -194,14 +194,26 @@ def test_seed_axis_steps_equal_one_seed_steps_bitwise(conditions, S):
 
 # the in-place kernel ------------------------------------------------------------------
 
-@pytest.mark.parametrize("K", [1, 2, 4, 5])
+@pytest.mark.parametrize("K", [1, 2, 4, 5, 9])
 def test_score_kernel_matches_reference_bitwise(K):
-    raw = random_mixture_raw(seed=20 + K, K=K)
+    assert_score_kernel_matches_reference(K, D)
+
+
+@pytest.mark.parametrize("K", [1, 2, 4, 5, 9])
+@pytest.mark.parametrize("d", [1, 3, 9, 17, 130])
+def test_score_kernel_matches_reference_bitwise_in_any_dimension(K, d):
+    """The kernel's adds over d and K (mixture._sum_last) take another order
+    below 8 values, up to 128 and beyond; each keeps numpy's bits."""
+    assert_score_kernel_matches_reference(K, d)
+
+
+def assert_score_kernel_matches_reference(K: int, d: int):
+    raw = random_mixture_raw(seed=20 + K, K=K, d=d)
     plan = make_plan(4, [[0]], SCHEDULES[1], raw)
     gm, sched = plan.mixture, plan.schedule
     rng = np.random.default_rng(K)
-    batches = [rng.normal(0.0, 3.0, (B, D)) for B in (1, 7, 64)]
-    batches += [np.full((3, D), 40.0), rng.normal(0.0, 3.0, (16, 2 * D))[:, ::2]]
+    batches = [rng.normal(0.0, 3.0, (B, d)) for B in (1, 7, 64, 512)]
+    batches += [np.full((3, d), 40.0), rng.normal(0.0, 3.0, (16, 2 * d))[:, ::2]]
     for t in range(1, sched.T + 1):
         for cond in (None, Condition(tuple(range(K)))):
             terms = _noised_terms(gm, cond, sched.alpha_bar(t))

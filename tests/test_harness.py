@@ -86,6 +86,27 @@ def test_compare_runs_speedup_direction():
     assert set(m.to_dict()) == METRIC_KEYS
 
 
+
+@pytest.mark.parametrize("shape", [(1, 2), (64, 8), (3, 7, 5)])
+def test_compare_runs_equals_the_public_fidelities_bitwise(shape):
+    """compare_runs forms x0 - serial x0 once; its fidelities keep the bits
+    of fidelity_l1, fidelity_l2 and psnr_analog, and an exact match is
+    psnr None."""
+    class Stub:
+        def __init__(self, x0):
+            self.latency_s, self.comm_bytes, self.x0 = 1.0, 0, x0
+            self.tau1 = self.tau2 = None
+    rng = np.random.default_rng(len(shape))
+    for _ in range(20):
+        x, y = rng.normal(0.0, 3.0, (2, *shape)) * 10.0 ** rng.integers(-3, 4)
+        for a, b in [(x, y), (x, x.copy()), (x, x + 1e-17)]:
+            m = compare_runs(Stub(a), Stub(b))
+            # repr round-trips a float exactly, and tells None apart
+            assert (repr((m.fidelity_l1, m.fidelity_l2, m.psnr_analog))
+                    == repr((fidelity_l1(a, b), fidelity_l2(a, b), psnr_analog(a, b))))
+        assert compare_runs(Stub(x), Stub(x.copy())).psnr_analog is None
+
+
 # golden output shapes --------------------------------------------------------------
 
 def test_golden_headers():

@@ -287,3 +287,50 @@ def test_ddim_rollout_converges_under_refinement():
     rel = np.max(np.abs(outs[0] - outs[1])) / np.max(np.abs(outs[1]))
     assert rel < 0.05
 
+
+
+# the short-axis reductions of the score kernel --------------------------------
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e-300])
+
+
+def assert_same_reduction(got: np.ndarray, want: np.ndarray, zero_sign: bool = True):
+    """got has want's bits wherever want is not nan, and nan where it is.
+
+    IEEE 754 leaves a nan result's sign and payload open, and which operand's
+    nan an add passes on differs between numpy's scalar and vector loops, so
+    nans compare as nans. Without zero_sign, a zero compares by value.
+    """
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    keep = ~nan if zero_sign else ~nan & (want != 0.0)
+    assert got[keep].tobytes() == want[keep].tobytes()
+    assert np.array_equal(got[~nan], want[~nan])
+
+
+@pytest.mark.parametrize("share", [0.0, 0.1, 0.5])
+def test_short_axis_reductions_equal_numpys(share):
+    """_sum_last has the bits of a.sum(axis=-1) and _max_last the values of
+    a.max(axis=-1), on every row length from 1 to 300 (below 8, up to 128
+    and beyond, where _sum_last adds in different orders) and on 512 rows,
+    where _sum_last adds columns, as well as on 64, where it leaves the sum
+    to numpy. Rows span magnitudes 1e-300 to 1e300, and a share of their
+    values is one of +-0.0, +-inf, nan and +-1e+-300; some rows are all
+    +-0.0 or all +-1e300. The max of a row of -0.0 and +0.0 may be either
+    zero: numpy's vector loop breaks that tie by lane."""
+    from hybridpar.mixture import _max_last, _sum_last
+    rng = np.random.default_rng(int(share * 10))
+    pool = rng.standard_normal(512 * 400) * 10.0 ** rng.integers(-300, 301, 512 * 400)
+    mask = rng.random(pool.size) < share
+    pool[mask] = rng.choice(SPECIALS, mask.sum())
+    with np.errstate(all="ignore"):
+        for n in range(1, 301):
+            start = rng.integers(pool.size - 512 * n)
+            a = pool[start:start + 512 * n].reshape(8, 64, n).copy()
+            a[0, 0], a[0, 1] = -0.0, 0.0
+            a[0, 2] = rng.choice(SPECIALS[:2], n)
+            a[0, 3] = rng.choice(SPECIALS[5:7], n)
+            for rows in (a, a[0]):
+                assert_same_reduction(_sum_last(rows), rows.sum(axis=-1))
+                assert_same_reduction(_max_last(rows), rows.max(axis=-1), zero_sign=False)

@@ -36,7 +36,8 @@ def no_numerics(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("timing took a numeric step")
 
-    for name in ("_exact_step", "_window_steps", "eps_prediction", "_singleton_eps"):
+    for name in ("_exact_step", "_pipelined_steps", "_exact_steps", "eps_prediction",
+                 "_singleton_eps"):
         monkeypatch.setattr(engine, name, fail)
 
 
