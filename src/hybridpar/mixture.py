@@ -240,15 +240,39 @@ def _conditional_of(gm: GaussianMixture, cond: Condition | None) -> GaussianMixt
     return _memo(gm, ("conditional", cond.indices), lambda: conditional(gm, cond))
 
 
-def _noised_terms(gm: GaussianMixture, cond: Condition | None,
-                  alpha_bar: float) -> _Terms:
-    """Terms of noised_mixture(conditional(gm, cond), alpha_bar), kept on gm.
+def _noised_rows(base: GaussianMixture, alpha_bars: np.ndarray) -> tuple[_Terms | None, ...]:
+    """Row t, for t = 0..T of a schedule's alpha_bars, is the _Terms.of
+    noised_mixture(base, alpha_bar(t)) with its bits, built in one numpy
+    pass: read-only views of three (T + 1, K, d) tables, and the log-weights
+    every row shares. A row that noised_mixture rejects is None."""
+    ab = np.concatenate(([1.0], alpha_bars))                # t = 0: alpha_bar = 1
+    ok = (ab > 0.0) & (ab <= 1.0)
+    ab = np.where(ok, ab, 1.0)[:, None, None]               # a rejected row must not warn
+    means = _read_only(np.sqrt(ab) * base.means)
+    variances = ab * base.variances
+    variances += 1.0 - ab
+    log_norm = 2.0 * np.pi * variances
+    np.log(log_norm, out=log_norm)
+    # GaussianMixture's checks on every row at once: a NaN wins min and max
+    ok &= (np.isfinite([means.min((1, 2)), means.max((1, 2)), variances.max((1, 2))]).all(0)
+           & (variances.min((1, 2)) > 0.0))
+    log_weights = _read_only(np.log(base.weights / base.weights.sum()))
+    variances, log_norm = _read_only(variances), _read_only(log_norm)
+    return tuple(_Terms(means[t], variances[t], log_weights, log_norm[t]) if row_ok else None
+                 for t, row_ok in enumerate(ok.tolist()))
 
-    Each (subset, alpha_bar) entry is built once with the public constructors,
-    so it is validated once and holds exactly their bits.
-    """
-    return _memo(gm, ("noised", None if cond is None else cond.indices, alpha_bar),
-                 lambda: _Terms.of(noised_mixture(_conditional_of(gm, cond), alpha_bar)))
+
+def _noised_terms(gm: GaussianMixture, cond: Condition | None, sched: NoiseSchedule,
+                  t: int) -> _Terms:
+    """Terms of noised_mixture(conditional(gm, cond), sched.alpha_bar(t)): row
+    t of the subset's table for that alpha_bar array (keyed by its bytes),
+    kept on gm. A t outside [0, T], or a row noised_mixture rejects, runs
+    it, so its error is raised when, and only when, that step is reached."""
+    rows = _memo(gm, ("noised", None if cond is None else cond.indices, sched.alpha_bars.tobytes()),
+                 lambda: _noised_rows(_conditional_of(gm, cond), sched.alpha_bars))
+    if 0 <= t < len(rows) and rows[t] is not None:
+        return rows[t]
+    return _Terms.of(noised_mixture(_conditional_of(gm, cond), sched.alpha_bar(t)))
 
 
 def eps_prediction(gm: GaussianMixture, cond: Condition | None, sched: NoiseSchedule,
@@ -256,8 +280,8 @@ def eps_prediction(gm: GaussianMixture, cond: Condition | None, sched: NoiseSche
     """Oracle branch output at timestep t: eps = -sigma_t * score of the
     noised (conditional) mixture evaluated at x.
 
-    The noised mixture is compiled once per (subset, alpha_bar) on gm; the
-    result has the same bits as scoring a freshly built noised mixture.
+    It reads row t of the subset's noised table (_noised_terms), built once
+    per schedule on gm: the same bits as scoring a freshly built mixture.
     """
     s = noised_score(gm, cond, sched, x, t)
     s *= -sched.sigma(t)            # eps = -sigma_t * s, in the score's buffer
@@ -270,14 +294,14 @@ def _singleton_eps(gm: GaussianMixture, components: np.ndarray,
     conditioned on the single component components[b], in one (B, d) gather
     broadcast over the seeds instead of one call per component.
 
-    Noising acts on each component on its own, so row c of the unconditional
-    entry holds exactly the bits of the singleton entry for (c,), and a
-    singleton's responsibility is exactly 1: eps[i, b] equals
+    Noising acts on each component on its own, so component c of the
+    unconditional table's row t holds exactly the bits of the singleton's,
+    and a singleton's responsibility is exactly 1: eps[i, b] equals
     eps_prediction(gm, Condition((components[b],)), sched, x[i, b], t) bit
     for bit, whatever S is. components must be (B,) indices in [0, K);
     ExecutionPlan checks them once against the mixture, so not here.
     """
-    terms = _noised_terms(gm, None, sched.alpha_bar(t))
+    terms = _noised_terms(gm, None, sched, t)
     if not np.isfinite(x).all():
         raise NumericError("evaluation points must be finite")
     # with the bits of -sigma * ((m - x) / v); take gathers faster than [components]
@@ -290,8 +314,8 @@ def _singleton_eps(gm: GaussianMixture, components: np.ndarray,
 def noised_score(gm: GaussianMixture, cond: Condition | None, sched: NoiseSchedule,
                  x: np.ndarray, t: int) -> np.ndarray:
     """Score of the noised (conditional) mixture at timestep t, read from the
-    compiled entry: the same bits as score(noised_mixture(...), x).score."""
-    terms = _noised_terms(gm, cond, sched.alpha_bar(t))
+    table row t: the same bits as score(noised_mixture(...), x).score."""
+    terms = _noised_terms(gm, cond, sched, t)
     xb, squeezed = _prep_x(gm, x)
     s, _ = _score_rows(terms, xb)
     return s[0] if squeezed else s

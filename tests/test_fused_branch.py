@@ -1,7 +1,7 @@
 """The fused conditional branch and the in-place score kernel, bit for bit.
 
 The engine evaluates every singleton-conditioned row of a batch in one gather
-from the unconditional noised entry, and scores through a kernel that reuses
+from the unconditional noised table's row, and scores through a kernel that reuses
 one (B, K, d) buffer. Both must return exactly the arrays of the plain path:
 a per-group loop over the public eps_prediction, and the kernel as it was
 before (copied verbatim below as the reference). The branch kernels take
@@ -216,7 +216,7 @@ def assert_score_kernel_matches_reference(K: int, d: int):
     batches += [np.full((3, d), 40.0), rng.normal(0.0, 3.0, (16, 2 * d))[:, ::2]]
     for t in range(1, sched.T + 1):
         for cond in (None, Condition(tuple(range(K)))):
-            terms = _noised_terms(gm, cond, sched.alpha_bar(t))
+            terms = _noised_terms(gm, cond, sched, t)
             for x in batches:
                 x_before = x.copy()
                 s, log_density = _score_rows(terms, x)

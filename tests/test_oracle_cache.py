@@ -1,20 +1,25 @@
 """The compiled mixture oracle: eps_prediction against an uncompiled reference.
 
-The reference functions below are the oracle as it was before noised
-mixtures were compiled per (subset, alpha_bar): every call rebuilds and
-re-validates the conditional and noised mixtures and scores them. The
-compiled oracle must return the same arrays (np.array_equal) on every input,
-and build each cache entry once per mixture instance.
+The reference functions below are the oracle without a cache: every call
+rebuilds and re-validates the conditional and noised mixtures and scores
+them. The compiled oracle must return the same arrays (np.array_equal) on
+every input, and build each cache entry, such as a subset's noised table
+for one schedule, once per mixture instance.
 """
+import itertools
+import json
+
 import numpy as np
 import pytest
 
 import hybridpar.mixture as mixture_mod
+from hybridpar.cli import main
 from hybridpar.config import ExperimentConfig
 from hybridpar.engine import PlanVariant, initial_latents
 from hybridpar.errors import NumericError, ParameterError, ShapeError
 from hybridpar.mixture import (Condition, GaussianMixture, ScoreEval, _condition_rows,
-                               eps_prediction, sample_x0)
+                               _noised_terms, _Terms, conditional, eps_prediction,
+                               noised_mixture, sample_x0)
 from hybridpar.schedules import NoiseSchedule, build_schedule
 
 
@@ -205,14 +210,18 @@ def test_sample_x0_matches_reference_draws():
 
 @pytest.fixture
 def build_counts(monkeypatch):
-    """Count calls of the public constructors the cache builds entries with."""
-    counts = {"conditional": [], "noised_mixture": []}
+    """Count calls of the public constructors the cache builds entries with,
+    and of the noised-table build, each recorded by one of its arguments."""
+    record = {"conditional": lambda gm, cond: cond.indices,
+              "noised_mixture": lambda gm, alpha_bar: alpha_bar,
+              "_noised_rows": lambda base, alpha_bars: base.n_components}
+    counts = {name: [] for name in record}
 
     def counting(name):
         original = getattr(mixture_mod, name)
 
         def wrapped(gm, arg):
-            counts[name].append(arg.indices if name == "conditional" else arg)
+            counts[name].append(record[name](gm, arg))
             return original(gm, arg)
         return wrapped
 
@@ -223,18 +232,20 @@ def build_counts(monkeypatch):
 
 def test_each_entry_is_built_once_per_instance(build_counts):
     gm = random_mixture(seed=1, K=4)
-    sched = SCHEDULES[1]
     x = np.random.default_rng(0).normal(size=(7, D))
     conds = subsets(4)
     for _ in range(3):
-        for cond in conds:
-            for t in range(1, sched.T + 1):
-                eps_prediction(gm, cond, sched, x, t)
-                eps_prediction(gm, cond, sched, x[0], t)
+        for sched in SCHEDULES:
+            for cond in conds:
+                for t in range(sched.T + 1):
+                    eps_prediction(gm, cond, sched, x, t)
+                    eps_prediction(gm, cond, sched, x[0], t)
     n_subsets = len(conds) - 1
     assert sorted(build_counts["conditional"]) == sorted(c.indices for c in conds[1:])
-    assert len(build_counts["noised_mixture"]) == len(conds) * sched.T
-    assert len(set(build_counts["noised_mixture"])) == sched.T
+    # one table per (subset, schedule), and no per-step noised mixture
+    assert sorted(build_counts["_noised_rows"]) == sorted(
+        4 if c is None else len(c.indices) for c in conds for _ in SCHEDULES)
+    assert build_counts["noised_mixture"] == []
     # sampling reuses the cached conditional mixtures
     rng = np.random.default_rng(0)
     for cond in conds:
@@ -249,11 +260,90 @@ def test_equal_mixtures_do_not_share_entries(build_counts):
     x = np.zeros((2, D))
     eps_a = eps_prediction(a, Condition((0, 2)), sched, x, 4)
     assert len(build_counts["conditional"]) == 1
-    assert len(build_counts["noised_mixture"]) == 1
+    assert len(build_counts["_noised_rows"]) == 1
     eps_b = eps_prediction(b, Condition((0, 2)), sched, x, 4)
     assert len(build_counts["conditional"]) == 2
-    assert len(build_counts["noised_mixture"]) == 2
+    assert len(build_counts["_noised_rows"]) == 2
+    assert build_counts["noised_mixture"] == []
     assert np.array_equal(eps_a, eps_b)
+
+
+def test_schedules_with_other_alpha_bars_do_not_share_a_table(build_counts):
+    """The table is keyed by the alpha_bar array's bytes: a schedule that
+    differs in one beta, or only in T, builds its own."""
+    gm = random_mixture(seed=5, K=3)
+    x = np.zeros((2, D))
+    scheds = (build_schedule("linear", 12, 0.01, 0.3), build_schedule("linear", 12, 0.01, 0.3),
+              build_schedule("linear", 12, 0.01, 0.31), build_schedule("linear", 13, 0.01, 0.3))
+    for sched in scheds:
+        assert np.array_equal(eps_prediction(gm, None, sched, x, 12),
+                              ref_eps_prediction(gm, None, sched, x, 12))
+    assert build_counts["_noised_rows"] == [3, 3, 3]
+
+
+# the per-(subset, schedule) table ----------------------------------------------------
+
+@pytest.mark.parametrize("kind,beta_start,beta_end", [("linear", 1e-4, 0.02),
+                                                      ("scaled-linear", 0.00085, 0.012)])
+@pytest.mark.parametrize("T", [1, 50, 1000])
+def test_table_rows_equal_the_per_step_build(kind, beta_start, beta_end, T):
+    """Row t of each subset's table, t = 0..T, holds the bits of the noised
+    mixture built for that one step, and is read-only."""
+    gm = random_mixture(seed=9, K=4)
+    sched = build_schedule(kind, T, beta_start, beta_end)
+    conds = [None] + [Condition(c) for n in range(1, 5)
+                      for c in itertools.combinations(range(4), n)]
+    for cond in conds:
+        base = gm if cond is None else conditional(gm, cond)
+        for t in range(T + 1):
+            got = _noised_terms(gm, cond, sched, t)
+            want = _Terms.of(noised_mixture(base, sched.alpha_bar(t)))
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (cond, t)
+                assert not a.flags.writeable
+
+
+UNDERFLOW = {"schedule": {"T": 1000, "beta_start": 0.9, "beta_end": 0.9}}
+
+
+def test_an_underflowed_alpha_bar_fails_only_at_its_step():
+    """alpha_bar underflows to 0.0 from t = 324 on: the table is built on the
+    first call, but only a call at a rejected step raises, and every time."""
+    plan = ExperimentConfig.from_dict(UNDERFLOW).to_plan(variant=PlanVariant.SERIAL)
+    gm, sched = plan.mixture, plan.schedule
+    assert sched.alpha_bar(323) > 0.0 and sched.alpha_bar(324) == 0.0
+    x = np.random.default_rng(3).normal(size=(4, gm.dim))
+    for cond in (None, Condition((0, 2))):
+        for _ in range(2):
+            with pytest.raises(ParameterError, match=r"alpha_bar must lie in \(0, 1\], got 0.0"):
+                eps_prediction(gm, cond, sched, x, 324)
+            got = eps_prediction(gm, cond, sched, x, 10)
+            assert got.tobytes() == ref_eps_prediction(gm, cond, sched, x, 10).tobytes()
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--out", "{tmp}/run"], ["sweep", "--k", "0,5"],
+                                  ["curve", "--out", "{tmp}/curve.csv"]])
+def test_an_underflowed_alpha_bar_exits_1_with_one_json_line(tmp_path, capsys, argv):
+    cfg = tmp_path / "underflow.json"
+    cfg.write_text(json.dumps(UNDERFLOW))
+    code = main([a.format(tmp=tmp_path) for a in argv] + ["--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.splitlines() == [json.dumps(
+        {"error": "ParameterError", "message": "alpha_bar must lie in (0, 1], got 0.0"})]
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--out", "{tmp}/run"],
+                                  ["sweep", "--k", "0,5", "--config", "{tmp}/seeds.json"]])
+def test_a_command_builds_the_unconditional_table_once(tmp_path, capsys, build_counts, argv):
+    """The default config's conditions are singletons, which read only the
+    unconditional table: a default simulate, or a sweep over 8 seeds, builds
+    it once and builds no per-step noised mixture."""
+    (tmp_path / "seeds.json").write_text(json.dumps({"seeds": list(range(8))}))
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 0
+    capsys.readouterr()
+    assert build_counts["_noised_rows"] == [4]
+    assert build_counts["noised_mixture"] == []
 
 
 def test_validation_survives_the_cache():
