@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import re
@@ -252,9 +253,12 @@ def cmd_detect(args) -> int:
     cfg = _load(args)
     pairs = read_series_csv(args.series)
     state, labels = replay_series(pairs, cfg.switch)
-    # _json_dumps of {"stages": [...], "tau1": ..., "tau2": ...}, byte for byte
-    stages = ",\n".join(f"    {_json_str(lab.value)}" for lab in labels)
-    sys.stdout.write(f'{{\n  "stages": {_json_list(stages)},\n'
+    # _json_dumps of {"stages": [...], "tau1": ..., "tau2": ...}, byte for
+    # byte, written one run of equal labels at a time: the labels are
+    # monotone, so there are at most three runs
+    items = "".join(f"    {_json_str(stage.value)},\n" * len(list(run))
+                    for stage, run in itertools.groupby(labels))
+    sys.stdout.write(f'{{\n  "stages": {_json_list(items[:-2])},\n'
                      f'  "tau1": {json.dumps(state.tau1)},\n'
                      f'  "tau2": {json.dumps(state.tau2)}\n}}\n')
     return 0
@@ -339,7 +343,11 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first main() call and kept for
+    the process: parsing keeps its state in the returned namespace, so later
+    calls (a closed loop, a test suite) reuse the parser as it was built."""
     parser = _Parser(
         prog="hybridpar",
         description="Adaptive hybrid-parallel diffusion sampling on a "

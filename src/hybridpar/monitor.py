@@ -99,18 +99,28 @@ class DiscrepancySeries:
         return len(self._values)
 
 
+def _slope(series: DiscrepancySeries, t: int, L: int) -> float | None:
+    """slope's G, or None where M_t or M_{t+L} is not recorded. Each value is
+    read once: one dict lookup per key, no membership test before it."""
+    now, then = series._values.get(t), series._values.get(t + L)
+    return None if now is None or then is None else (now - then) / L
+
+
 def slope(series: DiscrepancySeries, t: int, L: int) -> float:
     """Windowed slope G at timestep t: (M_t - M_{t+L}) / L.
 
     The reference point is the measurement taken L controller iterations
     earlier, which in a descending traversal lives at key t + L. Negative
-    while the curve decays, entering [0, g) once it flattens.
+    while the curve decays, entering [0, g) once it flattens. Raises
+    HistoryError if either value is missing; update_controller reads the
+    same G through _slope, which returns None instead.
     """
     if L < 1:
         raise ParameterError(f"L must be >= 1, got {L}")
-    if not series.has(t) or not series.has(t + L):
+    g = _slope(series, t, L)
+    if g is None:
         raise HistoryError(f"slope at t={t} needs recorded values at t={t} and t={t + L}")
-    return (series.get(t) - series.get(t + L)) / L
+    return g
 
 
 def stage_at(s: int, tau1: int | None, tau2: int | None) -> Stage:
@@ -145,7 +155,9 @@ def update_controller(state: StageState, series: DiscrepancySeries, t: int,
     if it never has; tau2 = tau1 + k. The step on which detection fires still
     runs as WARM_UP (its measurement was needed to decide), so the pipelined
     window occupies steps tau1+1 .. tau2 and stage labels are monotone:
-    WARM_UP+ PARALLELISM^k FULLY_CONNECTING* (see stage_at).
+    WARM_UP+ PARALLELISM^k FULLY_CONNECTING* (see stage_at). It is the only
+    code that sets tau1; once tau1 is set, a call only checks t and counts
+    the step. The slope is read through _slope, one lookup per value.
     """
     if t < 0:
         raise ParameterError(f"timestep must be >= 0, got {t}")
@@ -154,8 +166,8 @@ def update_controller(state: StageState, series: DiscrepancySeries, t: int,
                               "steps must descend by exactly 1")
     s = state.steps_done + 1
     if state.tau1 is None:
-        fired = (series.has(t) and series.has(t + cfg.L)
-                 and 0.0 <= slope(series, t, cfg.L) < cfg.g_slope)
+        g = _slope(series, t, cfg.L)
+        fired = g is not None and 0.0 <= g < cfg.g_slope
         # at step tau_cap the switch is forced even if the slope never flattened
         if fired or s >= cfg.tau_cap:
             state.tau1 = min(s, cfg.tau_cap)
@@ -165,17 +177,50 @@ def update_controller(state: StageState, series: DiscrepancySeries, t: int,
     return state
 
 
+def _accepts(rows: list[tuple[int, float]], last_t: int) -> bool:
+    """Whether record and update_controller would accept every (t, M) of
+    rows after a step at last_t: t runs last_t - 1, last_t - 2, ... and stays
+    >= 0, and every M is finite. The t and M columns are compared whole,
+    not row by row; a pair it cannot read that way counts as not accepted,
+    and so does any value whose check raises."""
+    try:
+        ts, ms = zip(*rows)
+        return (last_t - len(ts) >= 0
+                and ts == tuple(range(last_t - 1, last_t - 1 - len(ts), -1))
+                and all(map(math.isfinite, ms)))
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def replay_series(pairs: list[tuple[int, float]], cfg: SwitchConfig) -> tuple[StageState, list[Stage]]:
     """Run the controller over a fully recorded (t, M) sequence.
 
     Pairs must be in descending-t order, one per denoising step. Returns the
-    final state and the per-step stage labels.
+    final state and the per-step stage labels (stage_at of each step).
+
+    Each row is recorded and passed to update_controller only until tau1 is
+    decided. After that a call would only check t and count the step, so
+    the remaining rows get the same checks in one pass (_accepts) and the
+    state takes their step count and last t. If any row would fail, the
+    per-row calls resume from the decision, so that row raises its own
+    error, with the same class, message and precedence.
     """
     series = DiscrepancySeries()
     state = StageState()
-    for t, m in pairs:
+    rows = iter(pairs)
+    for t, m in rows:
         series.record(t, m)
         update_controller(state, series, t, cfg)
+        if state.tau1 is not None:
+            break
+    rest = pairs[state.steps_done:]
+    if rest and _accepts(rest, state.last_t):
+        state.steps_done += len(rest)
+        state.last_t = rest[-1][0]
+    else:
+        for t, m in rows:
+            series.record(t, m)
+            update_controller(state, series, t, cfg)
     return state, [stage_at(s, state.tau1, state.tau2) for s in range(1, len(pairs) + 1)]
 
 

@@ -358,7 +358,8 @@ def test_detect_non_descending_series_rejected(tmp_path, capsys):
     series = write_series(tmp_path, [(10, 0.5), (11, 0.4)])
     code, _, stderr = run_cli(["detect", "--series", series], capsys)
     assert code == 1
-    assert json.loads(stderr)["error"] == "SequencingError"
+    assert json.loads(stderr) == {"error": "SequencingError",
+                                  "message": "t=11 recorded after t=10; series must descend"}
 
 
 # sweep -------------------------------------------------------------------------------
@@ -713,6 +714,50 @@ def test_help_still_prints_usage_and_exits_0(capsys):
         main(["simulate", "--help"])
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: hybridpar simulate")
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys, monkeypatch):
+    """main builds its parser on the first call and reuses it: across simulate,
+    detect, sweep, a usage error and --help it is built once."""
+    import hybridpar.cli as cli
+    monkeypatch.chdir(tmp_path)
+    series = write_series(tmp_path, [(t, 0.2) for t in range(50, 0, -1)])
+    cfg = write_config(tmp_path, **SMALL)
+    cli._build_parser.cache_clear()
+    assert run_cli(["simulate", "--config", cfg, "--out", "run"], capsys)[0] == 0
+    assert run_cli(["detect", "--series", series], capsys)[0] == 0
+    assert run_cli(["sweep", "--config", cfg, "--k", "0,2"], capsys)[0] == 0
+    assert run_cli(["simulate", "--seed", "abc"], capsys)[0] == 1
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+
+
+def test_a_call_after_a_usage_error_prints_what_it_prints_alone(tmp_path, capsys):
+    """Parsing leaves nothing on the shared parser: detect and --help print
+    the same bytes after a usage error as on a parser built for them."""
+    import hybridpar.cli as cli
+    series = write_series(tmp_path, [(t, 0.2) for t in range(50, 0, -1)])
+
+    def help_text(argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        return capsys.readouterr()
+
+    calls = [lambda: run_cli(["detect", "--series", series], capsys),
+             lambda: help_text(["detect", "--help"]),
+             lambda: help_text(["--help"])]
+    alone = []
+    for call in calls:
+        cli._build_parser.cache_clear()
+        alone.append(call())
+    for call, want in zip(calls, alone):
+        code, stdout, stderr = run_cli(["simulate", "--seed", "abc"], capsys)
+        assert (code, stdout) == (1, "") and json.loads(stderr)["error"] == "ParameterError"
+        assert call() == want
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_module_entry_point(tmp_path):

@@ -334,11 +334,99 @@ def test_controller_matches_the_labelled_reference_step_by_step():
         replayed, labels = replay_series(pairs, cfg)
         ref_replayed, ref_labels = labelled_replay_series(pairs, cfg)
         assert labels == ref_labels, case
-        assert replayed.tau1 == ref_replayed.tau1 and replayed.tau2 == ref_replayed.tau2
+        # the full state, against the labelled reference and the per-row replay
+        assert (replayed.tau1, replayed.tau2, replayed.steps_done, replayed.last_t) == (
+            ref_replayed.tau1, ref_replayed.tau2, ref_replayed.steps_done,
+            ref_replayed.last_t), case
+        assert (replayed, labels) == per_row_replay(pairs, cfg), case
         seen.add("undecided" if state.tau1 is None else
                  "at the cap" if state.tau1 == tau_cap else "before the cap")
         seen.add(f"k={'0' if cfg.k == 0 else 'k'}")
     assert seen == {"undecided", "at the cap", "before the cap", "k=0", "k=k"}
+
+
+def per_row_replay(pairs, cfg):
+    """replay_series as it was when every row was recorded and stepped."""
+    series = DiscrepancySeries()
+    state = StageState()
+    for t, m in pairs:
+        series.record(t, m)
+        update_controller(state, series, t, cfg)
+    return state, [stage_at(s, state.tau1, state.tau2) for s in range(1, len(pairs) + 1)]
+
+
+# a decaying series (G < 0 on every step) whose switch the cap forces at step 10
+LATE_CFG = SwitchConfig(L=2, g_slope=1e-3, tau_cap=10, k=3)
+LATE_ROWS = 30
+LATE_POSITIONS = {"before-the-switch": 4, "on-the-switch": 9, "right-after": 10,
+                  "last-row": LATE_ROWS - 1}
+
+
+def late_series() -> list[tuple[int, float]]:
+    return [(t, 0.1 + 0.01 * t) for t in range(LATE_ROWS, 0, -1)]
+
+
+def bad_series(kind: str, i: int) -> list[tuple[int, float]]:
+    """late_series with row i made bad by kind."""
+    pairs = late_series()
+    t = pairs[i][0]
+    if kind == "negative-t":       # descends by exactly 1, through 0 to -1 at row i
+        return [(i - 1 - j, m) for j, (_, m) in enumerate(pairs)]
+    pairs[i] = {"nan": (t, math.nan), "inf": (t, math.inf),
+                "repeated-t": (t + 1, 0.5), "ascending-t": (t + 2, 0.5),
+                "skipped-t": (t - 1, 0.5)}[kind]
+    return pairs
+
+
+def raised(fn, *args) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("position", LATE_POSITIONS)
+@pytest.mark.parametrize("kind", ["nan", "inf", "repeated-t", "ascending-t",
+                                  "skipped-t", "negative-t"])
+def test_a_bad_row_raises_its_own_error_wherever_it_lies(kind, position):
+    """A bad row before, on or after the switch raises what the per-row
+    replay raises there, class and message alike."""
+    pairs = bad_series(kind, LATE_POSITIONS[position])
+    want = raised(per_row_replay, pairs, LATE_CFG)
+    assert want[0] in {NumericError, SequencingError, ParameterError}
+    assert raised(replay_series, pairs, LATE_CFG) == want
+
+
+@pytest.mark.parametrize("first, second", [("nan", "skipped-t"), ("skipped-t", "nan"),
+                                           ("negative-t", "nan")])
+def test_the_first_bad_row_after_the_switch_wins(first, second):
+    """Of two bad rows after the switch, the earlier one raises, as per row."""
+    pairs = bad_series(first, 15)
+    pairs[22] = bad_series(second, 22)[22]
+    want = raised(per_row_replay, pairs, LATE_CFG)
+    assert raised(replay_series, pairs, LATE_CFG) == want
+    assert want == raised(per_row_replay, pairs[:16], LATE_CFG)
+
+
+def test_replay_steps_the_controller_only_until_it_decides(monkeypatch):
+    """A clean series calls update_controller once per row up to tau1, which
+    the late series reaches on its switch row; a bad row after it sends the
+    replay back to one call per row from there."""
+    import hybridpar.monitor as monitor
+    calls = []
+    original = monitor.update_controller
+
+    def counting(state, series, t, cfg):
+        calls.append(t)
+        return original(state, series, t, cfg)
+
+    monkeypatch.setattr(monitor, "update_controller", counting)
+    state, _ = replay_series(late_series(), LATE_CFG)
+    assert state.tau1 == LATE_POSITIONS["on-the-switch"] + 1 == len(calls) == 10
+    assert (state.steps_done, state.last_t) == (LATE_ROWS, 1)
+    calls.clear()
+    with pytest.raises(NumericError):
+        replay_series(bad_series("nan", 20), LATE_CFG)
+    assert len(calls) == 20
 
 
 # score-based discrepancy estimate ------------------------------------------------

@@ -40,7 +40,9 @@ NUMERIC_MODULES = ("numpy", "hybridpar.engine", "hybridpar.mixture", "hybridpar.
 def test_detect_and_config_parsing_load_no_numeric_module(tmp_path):
     """Importing the CLI, parsing documents that set no model key and running
     detect load neither numpy nor a module that imports it; a simulate in the
-    same interpreter afterwards imports them and still writes its files."""
+    same interpreter afterwards imports them and still writes its files.
+    Importing the CLI builds no argument parser; the first main() call
+    builds the one that every later call reuses."""
     (tmp_path / "switch.json").write_text('{"switch": {"L": 2, "tau_cap": 5, "k": 1}}',
                                           encoding="utf-8")
     (tmp_path / "series.csv").write_text(
@@ -52,6 +54,7 @@ def test_detect_and_config_parsing_load_no_numeric_module(tmp_path):
         f"    return [m for m in {NUMERIC_MODULES!r} if m in sys.modules]\n"
         "import hybridpar.cli as cli\n"
         "print('loaded by import:', loaded())\n"
+        "print('parsers built by import:', cli._build_parser.cache_info().misses)\n"
         "cli.load_config('switch.json')\n"
         "print('loaded by load_config:', loaded())\n"
         "from hybridpar.config import ExperimentConfig\n"
@@ -60,12 +63,15 @@ def test_detect_and_config_parsing_load_no_numeric_module(tmp_path):
         "assert cli.main(['detect', '--series', 'series.csv', '--config', 'switch.json']) == 0\n"
         "assert cli.main(['detect', '--series', 'series.csv']) == 0\n"
         "print('loaded by detect:', loaded())\n"
-        "assert cli.main(['simulate', '--config', 'switch.json', '--out', 'run']) == 0\n",
+        "assert cli.main(['simulate', '--config', 'switch.json', '--out', 'run']) == 0\n"
+        "print('parsers built by three calls:', cli._build_parser.cache_info().misses)\n",
         tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     steps = [line for line in proc.stdout.splitlines() if line.startswith("loaded by ")]
     assert steps == [f"loaded by {step}: []"
                      for step in ("import", "load_config", "from_dict", "detect")]
+    built = [line for line in proc.stdout.splitlines() if line.startswith("parsers built ")]
+    assert built == ["parsers built by import: 0", "parsers built by three calls: 1"]
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
         "metrics.json", "trace.csv", "trace.json"]

@@ -107,18 +107,27 @@ SWITCH = {"L": 2, "g_slope": 1e-3, "tau_cap": 8, "k": 3}
 DECAYING = [1.0 / (i + 1) for i in range(20)]           # G < 0 on every step
 
 
-@pytest.mark.parametrize("ms, tau1", [
-    ([1.0, 0.5, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3], 5),   # flat at step 5
-    (DECAYING, SWITCH["tau_cap"]),                                 # forced by the cap
-    (DECAYING[:4], None),                                          # too short
-], ids=["slope-fires", "forced-by-tau-cap", "too-short"])
-def test_detect_stdout_equals_json_dumps(ms, tau1, tmp_path):
+@pytest.mark.parametrize("ms, switch, stages", [
+    ([1.0, 0.5, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3], SWITCH,
+     {"tau1": 5, "warm_up": 5, "parallelism": 3, "fully_connecting": 2}),
+    (DECAYING, SWITCH, {"tau1": 8, "warm_up": 8, "parallelism": 3,
+                        "fully_connecting": 9}),                      # forced by the cap
+    (DECAYING[:4], SWITCH, {"tau1": None, "warm_up": 4}),              # too short
+    ([], SWITCH, {"tau1": None}),                                      # header only
+    (DECAYING, {**SWITCH, "k": 0}, {"tau1": 8, "warm_up": 8, "fully_connecting": 12}),
+    (DECAYING[:10], SWITCH, {"tau1": 8, "warm_up": 8, "parallelism": 2}),  # tau2 > n
+], ids=["slope-fires", "forced-by-tau-cap", "too-short", "header-only", "k-zero",
+        "window-past-the-end"])
+def test_detect_stdout_equals_json_dumps(ms, switch, stages, tmp_path):
+    """detect writes its stage list one run of equal labels at a time; each
+    case's tau1 and label counts are pinned beside the bytes."""
     series = write_series(tmp_path, ms)
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"switch": SWITCH}), encoding="utf-8")
-    cfg = ExperimentConfig.from_dict({"switch": SWITCH})
+    config.write_text(json.dumps({"switch": switch}), encoding="utf-8")
+    cfg = ExperimentConfig.from_dict({"switch": switch})
     state, labels = replay_series(read_series_csv(series), cfg.switch)
-    assert state.tau1 == tau1
+    runs = {lab.value: labels.count(lab) for lab in dict.fromkeys(labels)}
+    assert {"tau1": state.tau1, **runs} == stages
     expected = _json_dumps({"tau1": state.tau1, "tau2": state.tau2,
                             "stages": [lab.value for lab in labels]})
     assert detect_stdout(series, str(config)) == expected
