@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import re
 import sys
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .config import ExperimentConfig, _seed, load_config
 from .errors import HybridparError, ParameterError, PlanError, SeriesParseError
-from .monitor import replay_series
+from .monitor import replay_series, stage_runs
 from .plan import PlanVariant
 from .trace import RunTrace
 
@@ -204,16 +205,51 @@ def read_series_csv(path: str) -> list[tuple[int, float]]:
 
     A header row is detected by non-numeric first field; the columns named
     t and rel_mae are used then, else columns 0 and 1. Blank lines are
-    skipped but counted in error line numbers. One pass over the lines:
-    int and float ignore the whitespace around a field, so a field is
-    stripped only to name a header column or to quote it in an error. A
-    leading UTF-8 byte order mark, as spreadsheet exports write, is dropped.
+    skipped but counted in error line numbers. A leading UTF-8 byte order
+    mark, as spreadsheet exports write, is dropped. A t or rel_mae field
+    holding "_" or a non-ASCII character is rejected, though int and float
+    would read "1_0" as 10 and Arabic-Indic digits as ASCII ones.
+
+    The file is read as columns: blank lines are dropped and the lines split
+    by map and filter, the t and rel_mae columns picked by itemgetter and
+    converted by map, and the typo rule checked once on each joined column.
+    Only a file that fails somewhere is scanned line by line
+    (_first_bad_line), to name the first bad line.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise SeriesParseError(f"series file is not valid UTF-8: {exc}") from exc
+    try:
+        rows = list(map(str.split, filter(None, map(str.strip, text.split("\n"))),
+                        repeat(",")))
+        try:
+            float(rows[0][0])
+            t_col, m_col = 0, 1
+        except ValueError:
+            names = [f.strip() for f in rows.pop(0)]
+            t_col, m_col = names.index("t"), names.index("rel_mae")
+        ts = list(map(itemgetter(t_col), rows))
+        ms = list(map(itemgetter(m_col), rows))
+        if not _typo("".join(ts)) and not _typo("".join(ms)):
+            return list(zip(map(int, ts), map(float, ms)))
+    except (IndexError, ValueError):
+        pass
+    return _first_bad_line(text)
+
+
+def _typo(field: str) -> bool:
+    """Whether a number field (or a column of them, joined) holds "_" or a
+    non-ASCII character, which int and float accept but a series rejects."""
+    return "_" in field or not field.isascii()
+
+
+def _first_bad_line(text: str) -> list[tuple[int, float]]:
+    """read_series_csv's rules applied one line at a time, so that a file
+    the column pass refused raises the first bad line's SeriesParseError,
+    with its line number. It returns the pairs only if no line is bad,
+    which the column pass would have read itself."""
     pairs = []
     cols = None                 # (t_col, m_col), set by the first non-blank line
     for lineno, ln in enumerate(text.split("\n"), 1):
@@ -238,12 +274,14 @@ def read_series_csv(path: str) -> list[tuple[int, float]]:
         if len(fields) < need:
             raise SeriesParseError(f"expected at least {need} columns, got {len(fields)}",
                                    line=lineno)
-        t_col, m_col = cols
+        t, m = fields[cols[0]], fields[cols[1]]
         try:
-            pairs.append((int(fields[t_col]), float(fields[m_col])))
+            if _typo(t) or _typo(m):
+                raise ValueError("a number holds '_' or a non-ASCII character")
+            pairs.append((int(t), float(m)))
         except ValueError as exc:
-            raise SeriesParseError(f"bad numeric fields {fields[t_col].strip()!r}, "
-                                   f"{fields[m_col].strip()!r}", line=lineno) from exc
+            raise SeriesParseError(f"bad numeric fields {t.strip()!r}, "
+                                   f"{m.strip()!r}", line=lineno) from exc
     if cols is None:
         raise SeriesParseError("series file is empty")
     return pairs
@@ -252,12 +290,12 @@ def read_series_csv(path: str) -> list[tuple[int, float]]:
 def cmd_detect(args) -> int:
     cfg = _load(args)
     pairs = read_series_csv(args.series)
-    state, labels = replay_series(pairs, cfg.switch)
+    state, _ = replay_series(pairs, cfg.switch)
     # _json_dumps of {"stages": [...], "tau1": ..., "tau2": ...}, byte for
-    # byte, written one run of equal labels at a time: the labels are
-    # monotone, so there are at most three runs
-    items = "".join(f"    {_json_str(stage.value)},\n" * len(list(run))
-                    for stage, run in itertools.groupby(labels))
+    # byte, written one run of equal labels at a time (stage_runs: at most
+    # three)
+    items = "".join(f"    {_json_str(stage.value)},\n" * count
+                    for stage, count in stage_runs(len(pairs), state.tau1, state.tau2))
     sys.stdout.write(f'{{\n  "stages": {_json_list(items[:-2])},\n'
                      f'  "tau1": {json.dumps(state.tau1)},\n'
                      f'  "tau2": {json.dumps(state.tau2)}\n}}\n')

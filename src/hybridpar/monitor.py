@@ -132,6 +132,20 @@ def stage_at(s: int, tau1: int | None, tau2: int | None) -> Stage:
     return Stage.PARALLELISM if s <= tau2 else Stage.FULLY_CONNECTING
 
 
+def stage_runs(n: int, tau1: int | None, tau2: int | None) -> list[tuple[Stage, int]]:
+    """The stages of steps 1..n as (stage, count) runs in step order, empty
+    runs left out. The labels are monotone (WARM_UP+ PARALLELISM^k
+    FULLY_CONNECTING*), so the runs end at tau1, tau2 and n, each clipped to
+    n, and there are at most three; each run's stage is stage_at of its
+    first step."""
+    runs, start = [], 0
+    for end in ([n] if tau1 is None else [min(tau1, n), min(tau2, n), n]):
+        if end > start:
+            runs.append((stage_at(start + 1, tau1, tau2), end - start))
+            start = end
+    return runs
+
+
 @dataclass
 class StageState:
     """Mutable controller state; owned by exactly one execution engine."""
@@ -196,7 +210,8 @@ def replay_series(pairs: list[tuple[int, float]], cfg: SwitchConfig) -> tuple[St
     """Run the controller over a fully recorded (t, M) sequence.
 
     Pairs must be in descending-t order, one per denoising step. Returns the
-    final state and the per-step stage labels (stage_at of each step).
+    final state and the per-step stage labels (stage_at of each step), built
+    from the at most three runs of stage_runs.
 
     Each row is recorded and passed to update_controller only until tau1 is
     decided. After that a call would only check t and count the step, so
@@ -221,7 +236,10 @@ def replay_series(pairs: list[tuple[int, float]], cfg: SwitchConfig) -> tuple[St
         for t, m in rows:
             series.record(t, m)
             update_controller(state, series, t, cfg)
-    return state, [stage_at(s, state.tau1, state.tau2) for s in range(1, len(pairs) + 1)]
+    labels = []
+    for stage, count in stage_runs(len(pairs), state.tau1, state.tau2):
+        labels += [stage] * count
+    return state, labels
 
 
 @dataclass(frozen=True)

@@ -355,6 +355,40 @@ def per_row_replay(pairs, cfg):
     return state, [stage_at(s, state.tau1, state.tau2) for s in range(1, len(pairs) + 1)]
 
 
+def test_replay_labels_are_stage_at_of_every_step(monkeypatch):
+    """replay_series builds its labels from at most three runs, one stage_at
+    call each, and they equal stage_at of every step: with tau1 undecided,
+    tau1 = n, tau2 past n and k = 0 among the cases."""
+    import hybridpar.monitor as monitor
+    calls = []
+
+    def counting(s, tau1, tau2):
+        calls.append(s)
+        return stage_at(s, tau1, tau2)
+
+    monkeypatch.setattr(monitor, "stage_at", counting)
+    seen = set()
+    for n in (0, 1, 2, 5, 12):
+        for curve in (lambda t: 0.1 + 0.01 * t, lambda t: 0.25):   # decaying: the cap decides
+            pairs = [(t, curve(t)) for t in range(n, 0, -1)]
+            for tau_cap in (1, max(n // 2, 1), max(n, 1), n + 3):
+                for k in (0, 1, 4, 20):
+                    cfg = SwitchConfig(L=2, g_slope=1e-3, tau_cap=tau_cap, k=k)
+                    calls.clear()
+                    state, labels = replay_series(pairs, cfg)
+                    tau1, tau2 = state.tau1, state.tau2
+                    assert labels == [stage_at(s, tau1, tau2) for s in range(1, n + 1)]
+                    assert (state, labels) == per_row_replay(pairs, cfg)
+                    assert len(calls) == len(set(labels)) <= 3
+                    if tau1 is None:
+                        seen.add("undecided")
+                    else:
+                        seen.update(tag for tag, hit in (("tau1=n", tau1 == n),
+                                                         ("tau2>n", tau2 > n),
+                                                         ("k=0", k == 0)) if hit)
+    assert seen == {"undecided", "tau1=n", "tau2>n", "k=0"}
+
+
 # a decaying series (G < 0 on every step) whose switch the cap forces at step 10
 LATE_CFG = SwitchConfig(L=2, g_slope=1e-3, tau_cap=10, k=3)
 LATE_ROWS = 30

@@ -1,0 +1,229 @@
+"""read_series_csv, the column parser behind `detect`, against the line-by-line
+parser it replaced: the same pairs for every file that parses, the same
+error (class, message and line) for every file that does not, and the typo
+rule that only the column parser has."""
+import json
+import random
+
+import pytest
+
+from hybridpar.cli import CURVE_HEADER, main, read_series_csv
+from hybridpar.errors import SeriesParseError
+
+
+def per_line_read(path: str) -> list[tuple[int, float]]:
+    """read_series_csv as it was when every line was split, stripped and
+    converted in its own loop iteration: the reference."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SeriesParseError(f"series file is not valid UTF-8: {exc}") from exc
+    pairs = []
+    cols = None
+    for lineno, ln in enumerate(text.split("\n"), 1):
+        ln = ln.strip()
+        if not ln:
+            continue
+        fields = ln.split(",")
+        if cols is None:
+            cols = 0, 1
+            try:
+                float(fields[0])
+            except ValueError:
+                names = [f.strip() for f in fields]
+                try:
+                    cols = names.index("t"), names.index("rel_mae")
+                except ValueError as exc:
+                    raise SeriesParseError(f"header must name columns t and rel_mae, "
+                                           f"got {names}", line=lineno) from exc
+                need = max(cols) + 1
+                continue
+            need = 2
+        if len(fields) < need:
+            raise SeriesParseError(f"expected at least {need} columns, got {len(fields)}",
+                                   line=lineno)
+        t_col, m_col = cols
+        try:
+            pairs.append((int(fields[t_col]), float(fields[m_col])))
+        except ValueError as exc:
+            raise SeriesParseError(f"bad numeric fields {fields[t_col].strip()!r}, "
+                                   f"{fields[m_col].strip()!r}", line=lineno) from exc
+    if cols is None:
+        raise SeriesParseError("series file is empty")
+    return pairs
+
+
+def outcome(read, path):
+    """The pairs read, by repr (NaN equals itself, -0.0 differs from 0.0 and
+    an int from a float), or the error raised: class, message and line."""
+    try:
+        return repr(read(path))
+    except Exception as exc:                      # noqa: BLE001 - compared whole
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@pytest.fixture
+def scans(monkeypatch) -> list:
+    """The files cli._first_bad_line scans: a file that parses must be read
+    by the column pass alone."""
+    import hybridpar.cli as cli
+    calls = []
+    original = cli._first_bad_line
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(cli, "_first_bad_line", counting)
+    return calls
+
+
+def write(tmp_path, data) -> str:
+    path = tmp_path / "series.csv"
+    path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    return str(path)
+
+
+CURVE = CURVE_HEADER + "\n" + "".join(
+    f"{t},{0.1 + t / 7!r},{t / 3!r},{t / 9!r},{t / 5!r},{int(t == 2)}\n" for t in range(6, 0, -1))
+
+VALID = {
+    "bare": "3,0.5\n2,0.4\n1,0.3\n",
+    "headered": "t,rel_mae\n3,0.5\n2,0.4\n1,0.3\n",
+    "columns-swapped": "rel_mae,t\n0.5,3\n0.4,2\n0.3,1\n",
+    "columns-among-others": "x,rel_mae,y,t\na,0.5,b,3\n,0.4,,2\n",
+    "curve-csv": CURVE,
+    "ragged-extra-columns": "t,rel_mae\n3,0.5,extra\n2,0.4\n1,0.3,a,b,c\n",
+    "bare-ragged": "3,0.5,9\n2,0.4\n",
+    "blank-lines-anywhere": "\n \n\t\nt,rel_mae\n\n3,0.5\n  \n\r\n2,0.4\n\n\n",
+    "padded-fields": " t , rel_mae \n 3 , 0.5 \n\t2\t,\t0.4\t\n",
+    "crlf": "t,rel_mae\r\n3,0.5\r\n2,0.4\r\n",
+    "bom": b"\xef\xbb\xbft,rel_mae\n3,0.5\n2,0.4\n",
+    "bom-bare": b"\xef\xbb\xbf3,0.5\n2,0.4\n",
+    "no-final-newline": "t,rel_mae\n3,0.5\n2,0.4",
+    "number-spellings": "t,rel_mae\n+3,1e-3\n-2,-0.0\n007,nan\n1,inf\n0,-Infinity\n",
+    "header-only": "t,rel_mae\n",
+    "header-only-blank-lines": "\n\nt,rel_mae\n\n",
+    "curve-header-only": CURVE_HEADER + "\n",
+    "long": "t,rel_mae\n" + "".join(f"{t},{t / 1000 + 0.1!r}\n" for t in range(1000, 0, -1)),
+}
+
+BAD = {
+    "short-first-row": "3\n2,0.4\n1,0.3\n",
+    "short-middle-row": "t,rel_mae\n3,0.5\n2\n1,0.3\n",
+    "short-last-row": "t,rel_mae\n3,0.5\n2,0.4\n1\n",
+    "short-row-for-a-late-t-column": "x,rel_mae,y,t\na,0.5,b,3\na,0.4,b\n",
+    "bad-rel-mae": "t,rel_mae\n50,0.5\n49,0.4\n48,not_a_number\n",
+    "bad-t": "t,rel_mae\n3,0.5\n2.5,0.4\n",
+    "bad-bare-first-row": "3,x\n2,0.4\n",
+    "header-without-t": "time,rel_mae\n3,0.5\n",
+    "header-without-rel-mae": "t,mae\n3,0.5\n",
+    "empty": "",
+    "blank-only": "\n  \n\t\r\n\n",
+    "bom-only": b"\xef\xbb\xbf",
+    "t-over-4300-digits": "t,rel_mae\n" + "1" * 4301 + ",0.5\n",
+    "invalid-utf8": b"t,rel_mae\n3,0.5\n\xff\xfe,0.4\n",
+    "second-header": "t,rel_mae\n3,0.5\nt,rel_mae\n2,0.4\n",
+    "first-of-two-bad-lines": "t,rel_mae\n3,0.5\n2,x\n1\n",
+}
+
+# int and float read each of these; a series rejects them: line -> fields
+TYPOS = {
+    "underscore-in-t": ("t,rel_mae\n3,0.5\n1_0,0.5\n", 3, "'1_0', '0.5'"),
+    "underscore-in-rel-mae": ("t,rel_mae\n9,0.4_5\n", 2, "'9', '0.4_5'"),
+    "arabic-indic-t": ("٣,0.5\n", 1, "'٣', '0.5'"),
+    "arabic-indic-rel-mae": ("t,rel_mae\n3,0.٥\n", 2, "'3', '0.٥'"),
+    "fullwidth-t": ("t,rel_mae\n3,0.5\n２,0.4\n", 3, "'２', '0.4'"),
+    "no-break-space-inside": ("t,rel_mae\n3\u00a0,0.5\n2,0.4\n", 2, "'3', '0.5'"),
+    "underscore-in-bare-first-row": ("1_0,0.5\n9,0.4\n", 1, "'1_0', '0.5'"),
+}
+
+
+@pytest.mark.parametrize("data", list(VALID.values()), ids=list(VALID))
+def test_every_valid_shape_reads_as_the_per_line_parser_reads_it(data, tmp_path, scans):
+    path = write(tmp_path, data)
+    got = outcome(read_series_csv, path)
+    assert isinstance(got, str), got
+    assert got == outcome(per_line_read, path)
+    assert scans == []
+
+
+@pytest.mark.parametrize("data", list(BAD.values()), ids=list(BAD))
+def test_every_bad_file_raises_the_per_line_parsers_error(data, tmp_path, scans):
+    path = write(tmp_path, data)
+    want = outcome(per_line_read, path)
+    assert want[0] is SeriesParseError, want
+    assert outcome(read_series_csv, path) == want
+    # a file that is not UTF-8 fails before either pass
+    assert len(scans) == (data != BAD["invalid-utf8"])
+
+
+def test_the_two_parsers_agree_on_random_files(tmp_path, scans):
+    """Files of random lines: fields both valid and not, short and ragged
+    rows, blank lines, CRLF and padding, with and without a header. None
+    holds '_' or a non-ASCII character, which only the typo rule tells
+    apart. Only the files that fail are scanned line by line."""
+    rng = random.Random(7)
+    fields = ["3", " 2 ", "0.5", "1e-3", "-1", "nan", "", "abc", "t", "rel_mae", "0.4\t",
+              "2.5", "+7"]
+    parsed = failed = 0
+    for _ in range(400):
+        lines = []
+        if rng.random() < 0.5:
+            names = ["t", "rel_mae"] + rng.sample(["x", "y", " z "], rng.randint(0, 2))
+            rng.shuffle(names)
+            lines.append(",".join(names))
+        for _ in range(rng.randint(0, 8)):
+            if rng.random() < 0.15:
+                lines.append(rng.choice(["", "  ", "\t"]))
+            elif rng.random() < 0.7:                   # numeric, maybe ragged
+                width = rng.choice([2, 2, 2, 3, 4, 1])
+                lines.append(",".join(rng.choice(["3", "2", "10", " 4 "]) if i % 2 == 0
+                                      else rng.choice(["0.5", "1e-3", "-0.25"])
+                                      for i in range(width)))
+            else:
+                lines.append(",".join(rng.choice(fields) for _ in range(rng.randint(1, 4))))
+        text = rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
+        path = write(tmp_path, text)
+        want = outcome(per_line_read, path)
+        assert outcome(read_series_csv, path) == want, text
+        parsed += isinstance(want, str)
+        failed += not isinstance(want, str)
+        assert len(scans) == failed, text
+    assert parsed > 50 and failed > 50
+
+
+@pytest.mark.parametrize("data, line, quoted", list(TYPOS.values()), ids=list(TYPOS))
+def test_a_typo_in_a_number_names_its_line(data, line, quoted, tmp_path):
+    """int and float accept '_' and non-ASCII digits, so the per-line parser
+    read these; the column parser names the first such line."""
+    path = write(tmp_path, data)
+    assert isinstance(outcome(per_line_read, path), str)
+    with pytest.raises(SeriesParseError) as info:
+        read_series_csv(path)
+    assert (str(info.value), info.value.line) == (
+        f"line {line}: bad numeric fields {quoted}", line)
+
+
+@pytest.mark.parametrize("data, want", [
+    ("t,rel_mae\n3,0.5\n2,0_4\n1\n", "line 3: bad numeric fields '2', '0_4'"),
+    ("t,rel_mae\n3,0.5\n2\n1,0_4\n", "line 3: expected at least 2 columns, got 1"),
+], ids=["typo-then-short-row", "short-row-then-typo"])
+def test_the_first_bad_line_wins_typo_or_not(data, want, tmp_path):
+    with pytest.raises(SeriesParseError, match=f"^{want}$"):
+        read_series_csv(write(tmp_path, data))
+
+
+def test_extra_columns_are_not_checked_for_typos(tmp_path):
+    path = write(tmp_path, "t,rel_mae,note\n3,0.5,1_0\n2,0.4,٣\n")
+    assert read_series_csv(path) == per_line_read(path) == [(3, 0.5), (2, 0.4)]
+
+
+def test_detect_reports_a_typo_with_its_line(tmp_path, capsys):
+    path = write(tmp_path, "t,rel_mae\n11,0.5\n1_0,0.4\n9,0.3\n")
+    assert main(["detect", "--series", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "SeriesParseError", "line": 3,
+                                        "message": "line 3: bad numeric fields '1_0', '0.4'"}
