@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
@@ -123,9 +122,9 @@ def _trace_json(trace: RunTrace) -> str:
 
 @_numeric
 def cmd_simulate(args) -> int:
+    seed = None if args.seed is None else _seed("--seed", _int("--seed", args.seed))
     cfg = _load(args)
     variant = PlanVariant(args.variant) if args.variant else None
-    seed = None if args.seed is None else _seed("--seed", args.seed)
     plan = cfg.to_plan(seed=seed, variant=variant)
     out_dir = args.out or cfg.out_dir
     if out_dir is None:
@@ -211,80 +210,82 @@ def read_series_csv(path: str) -> list[tuple[int, float]]:
     would read "1_0" as 10 and Arabic-Indic digits as ASCII ones.
 
     The file is read as columns: blank lines are dropped and the lines split
-    by map and filter, the t and rel_mae columns picked by itemgetter and
-    converted by map, and the typo rule checked once on each joined column.
-    Only a file that fails somewhere is scanned line by line
-    (_first_bad_line), to name the first bad line.
+    by map and filter, and _pairs reads the t and rel_mae columns whole.
+    Only a file whose columns fail is re-read one row at a time by the same
+    _pairs, to name the first bad row's line.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise SeriesParseError(f"series file is not valid UTF-8: {exc}") from exc
+    rows = list(map(str.split, filter(None, map(str.strip, text.split("\n"))), repeat(",")))
+    if not rows:
+        raise SeriesParseError("series file is empty")
     try:
-        rows = list(map(str.split, filter(None, map(str.strip, text.split("\n"))),
-                        repeat(",")))
+        float(rows[0][0])
+        head, cols = 0, (0, 1)
+    except ValueError:
+        head, names = 1, [f.strip() for f in rows.pop(0)]
         try:
-            float(rows[0][0])
-            t_col, m_col = 0, 1
-        except ValueError:
-            names = [f.strip() for f in rows.pop(0)]
-            t_col, m_col = names.index("t"), names.index("rel_mae")
-        ts = list(map(itemgetter(t_col), rows))
-        ms = list(map(itemgetter(m_col), rows))
-        if not _typo("".join(ts)) and not _typo("".join(ms)):
-            return list(zip(map(int, ts), map(float, ms)))
+            cols = names.index("t"), names.index("rel_mae")
+        except ValueError as exc:
+            raise SeriesParseError(f"header must name columns t and rel_mae, got {names}",
+                                   line=_line(text, 0)) from exc
+    try:
+        return _pairs(rows, cols)
     except (IndexError, ValueError):
         pass
-    return _first_bad_line(text)
+    for i, row in enumerate(rows):      # some row fails alone, as the columns did
+        try:
+            _pairs([row], cols)
+        except IndexError as exc:
+            raise SeriesParseError(f"expected at least {max(cols) + 1} columns, "
+                                   f"got {len(row)}", line=_line(text, head + i)) from exc
+        except ValueError as exc:
+            t, m = (row[c].strip(_ASCII_SPACE) for c in cols)
+            raise SeriesParseError(f"bad numeric fields {t!r}, {m!r}",
+                                   line=_line(text, head + i)) from exc
+
+
+def _pairs(rows: list[list[str]], cols: tuple[int, int]) -> list[tuple[int, float]]:
+    """The (t, rel_mae) pairs of split rows: the t and rel_mae columns (at
+    indices cols) picked by itemgetter, which raises IndexError on a short
+    row, then checked for typos joined and converted by map (ValueError)."""
+    ts = list(map(itemgetter(cols[0]), rows))
+    ms = list(map(itemgetter(cols[1]), rows))
+    if _typo("".join(ts)) or _typo("".join(ms)):
+        raise ValueError("a number holds '_' or a non-ASCII character")
+    return list(zip(map(int, ts), map(float, ms)))
+
+
+def _line(text: str, i: int) -> int:
+    """The line number of text's i-th non-blank line (from 0): blank lines count."""
+    return [n for n, ln in enumerate(text.split("\n"), 1) if ln.strip()][i]
+
+
+# What str.strip removes of ASCII: a bad field is quoted without it, and so
+# keeps the non-ASCII whitespace that made it bad.
+_ASCII_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
 
 
 def _typo(field: str) -> bool:
     """Whether a number field (or a column of them, joined) holds "_" or a
-    non-ASCII character, which int and float accept but a series rejects."""
+    non-ASCII character, which int and float accept but no number typed
+    into the CLI may hold: int reads "1_0" as 10 and "٣" as 3."""
     return "_" in field or not field.isascii()
 
 
-def _first_bad_line(text: str) -> list[tuple[int, float]]:
-    """read_series_csv's rules applied one line at a time, so that a file
-    the column pass refused raises the first bad line's SeriesParseError,
-    with its line number. It returns the pairs only if no line is bad,
-    which the column pass would have read itself."""
-    pairs = []
-    cols = None                 # (t_col, m_col), set by the first non-blank line
-    for lineno, ln in enumerate(text.split("\n"), 1):
-        ln = ln.strip()
-        if not ln:
-            continue
-        fields = ln.split(",")
-        if cols is None:
-            cols = 0, 1
-            try:
-                float(fields[0])
-            except ValueError:
-                names = [f.strip() for f in fields]
-                try:
-                    cols = names.index("t"), names.index("rel_mae")
-                except ValueError as exc:
-                    raise SeriesParseError(f"header must name columns t and rel_mae, "
-                                           f"got {names}", line=lineno) from exc
-                need = max(cols) + 1
-                continue
-            need = 2
-        if len(fields) < need:
-            raise SeriesParseError(f"expected at least {need} columns, got {len(fields)}",
-                                   line=lineno)
-        t, m = fields[cols[0]], fields[cols[1]]
+def _int(name: str, text: str) -> int:
+    """text as an integer, by the one rule of --seed, each --k token and
+    each series t field (_pairs applies it a column at a time): no typo,
+    then int, which takes a sign and surrounding whitespace."""
+    if not _typo(text):
         try:
-            if _typo(t) or _typo(m):
-                raise ValueError("a number holds '_' or a non-ASCII character")
-            pairs.append((int(t), float(m)))
-        except ValueError as exc:
-            raise SeriesParseError(f"bad numeric fields {t.strip()!r}, "
-                                   f"{m.strip()!r}", line=lineno) from exc
-    if cols is None:
-        raise SeriesParseError("series file is empty")
-    return pairs
+            return int(text)
+        except ValueError:
+            pass
+    raise ParameterError(f"{name} must be an integer, got {text!r}")
 
 
 def cmd_detect(args) -> int:
@@ -304,16 +305,13 @@ def cmd_detect(args) -> int:
 
 def _parse_k_list(text: str) -> list[int]:
     """The k values of a comma-separated list, ascending; none for an empty
-    or blank list. Each token, stripped, is an optionally signed run of
-    ASCII digits, and no value appears twice."""
+    or blank list. Each token is an integer by _int's rule, and no value
+    appears twice."""
     if not text.strip():
         return []
-    tokens = [tok.strip() for tok in text.split(",")]
     try:
-        if not all(re.fullmatch(r"[+-]?[0-9]+", tok) for tok in tokens):
-            raise ValueError("not an integer")
-        ks = [int(tok) for tok in tokens]       # int() also caps the digit count
-    except ValueError as exc:
+        ks = [_int("k", tok) for tok in text.split(",")]
+    except ParameterError as exc:
         raise ParameterError(f"bad k list {text!r}; expected comma-separated "
                              "integers") from exc
     if len(set(ks)) < len(ks):
@@ -396,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="experiment JSON; defaults apply if omitted")
     p.add_argument("--variant", choices=[v.value for v in PlanVariant],
                    help="override the config's plan variant")
-    p.add_argument("--seed", type=int, help="override the first config seed")
+    p.add_argument("--seed", help="override the first config seed")
     p.add_argument("--out", help="output directory (falls back to config out_dir)")
     p.set_defaults(func=cmd_simulate)
 

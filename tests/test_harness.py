@@ -452,6 +452,46 @@ def test_sweep_k_tokens_may_carry_surrounding_whitespace_and_a_sign(tmp_path, ca
     assert [ln.split(",")[0] for ln in lines[1:]] == ks
 
 
+# one integer rule: token -> its value, or None where every reader rejects it
+INT_TOKENS = {"plain": ("7", 7), "plus": ("+7", 7), "padded": (" 7 ", 7),
+              "minus-zero": ("-0", 0), "underscore": ("1_0", None),
+              "arabic-indic": ("\u0663", None), "fullwidth": ("\uff17", None),
+              "float": ("7.0", None), "empty": ("", None)}
+
+
+@pytest.mark.parametrize("token, want", INT_TOKENS.values(), ids=list(INT_TOKENS))
+def test_seed_k_and_series_t_share_one_integer_rule(tmp_path, capsys, monkeypatch,
+                                                    token, want):
+    """The same token as a --k list entry, as --seed and as a series t field."""
+    import hybridpar.cli as cli
+    seeds = []
+
+    def stop(plan):             # record the seed simulate runs, and run nothing
+        seeds.append(plan.seed)
+        raise PlanError("stopped")
+
+    monkeypatch.setattr(cli, "run_plan", stop)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, **SMALL)
+    code, _, stderr = run_cli(["simulate", "--config", cfg, "--seed", token, "--out", "run"],
+                              capsys)
+    series = tmp_path / "series.csv"
+    series.write_text(f"t,rel_mae\n{token},0.5\n", encoding="utf-8")
+    if want is not None:
+        assert cli._parse_k_list(f"5,{token}") == sorted([5, want])
+        assert (code, seeds) == (1, [want])
+        assert read_series_csv(str(series)) == [(want, 0.5)]
+        return
+    with pytest.raises(ParameterError, match="^bad k list"):
+        cli._parse_k_list(f"5,{token}")
+    assert (code, seeds) == (1, [])
+    assert json.loads(stderr) == {"error": "ParameterError",
+                                  "message": f"--seed must be an integer, got {token!r}"}
+    with pytest.raises(SeriesParseError, match="^line 2: bad numeric fields"):
+        read_series_csv(str(series))
+    assert not (tmp_path / "run").exists()
+
+
 def test_sweep_negative_k_is_an_infeasible_row(tmp_path, capsys):
     cfg = write_config(tmp_path, **SMALL)
     code, stdout, stderr = run_cli(["sweep", "--config", cfg, "--k=-1,4"], capsys)
@@ -699,14 +739,22 @@ def test_non_finite_virtual_time_is_one_json_error(tmp_path, capsys, monkeypatch
     [],
     ["simulate", "--seed", "99999999999999999999999", "--out", "run"],
     ["simulate", "--seed", "-1", "--out", "run"],
+    ["simulate", "--seed", "1_0", "--out", "run"],
+    ["simulate", "--seed", "\u0663", "--out", "run"],
+    ["simulate", "--seed", "\uff17", "--out", "run"],
 ], ids=["seed-not-int", "sweep-without-k", "bad-variant", "unknown-command",
-        "no-command", "seed-above-bound", "negative-seed"])
+        "no-command", "seed-above-bound", "negative-seed", "seed-underscore",
+        "seed-arabic-indic", "seed-fullwidth"])
 def test_usage_error_is_one_json_error(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code, stdout, stderr = run_cli(argv, capsys)
     assert (code, stdout) == (1, "")
     assert len(stderr.splitlines()) == 1
-    assert json.loads(stderr)["error"] == "ParameterError"
+    err = json.loads(stderr)
+    assert err["error"] == "ParameterError"
+    if argv[1:2] == ["--seed"]:
+        assert "--seed" in err["message"] and argv[2] in err["message"]
+    assert not (tmp_path / "run").exists()
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):

@@ -64,18 +64,19 @@ def outcome(read, path):
 
 
 @pytest.fixture
-def scans(monkeypatch) -> list:
-    """The files cli._first_bad_line scans: a file that parses must be read
-    by the column pass alone."""
+def reads(monkeypatch) -> list:
+    """The row count of each cli._pairs call: the whole-file read first,
+    then, if it failed, the one-row re-reads (reads[1:]) up to the first bad
+    row. A file that fails before its rows are read makes no call."""
     import hybridpar.cli as cli
     calls = []
-    original = cli._first_bad_line
+    original = cli._pairs
 
-    def counting(text):
-        calls.append(text)
-        return original(text)
+    def counting(rows, cols):
+        calls.append(len(rows))
+        return original(rows, cols)
 
-    monkeypatch.setattr(cli, "_first_bad_line", counting)
+    monkeypatch.setattr(cli, "_pairs", counting)
     return calls
 
 
@@ -109,23 +110,29 @@ VALID = {
     "long": "t,rel_mae\n" + "".join(f"{t},{t / 1000 + 0.1!r}\n" for t in range(1000, 0, -1)),
 }
 
+# name -> (file, the error's line, the rows re-read one at a time): the data
+# rows up to and including the bad one, none for a file that fails before
 BAD = {
-    "short-first-row": "3\n2,0.4\n1,0.3\n",
-    "short-middle-row": "t,rel_mae\n3,0.5\n2\n1,0.3\n",
-    "short-last-row": "t,rel_mae\n3,0.5\n2,0.4\n1\n",
-    "short-row-for-a-late-t-column": "x,rel_mae,y,t\na,0.5,b,3\na,0.4,b\n",
-    "bad-rel-mae": "t,rel_mae\n50,0.5\n49,0.4\n48,not_a_number\n",
-    "bad-t": "t,rel_mae\n3,0.5\n2.5,0.4\n",
-    "bad-bare-first-row": "3,x\n2,0.4\n",
-    "header-without-t": "time,rel_mae\n3,0.5\n",
-    "header-without-rel-mae": "t,mae\n3,0.5\n",
-    "empty": "",
-    "blank-only": "\n  \n\t\r\n\n",
-    "bom-only": b"\xef\xbb\xbf",
-    "t-over-4300-digits": "t,rel_mae\n" + "1" * 4301 + ",0.5\n",
-    "invalid-utf8": b"t,rel_mae\n3,0.5\n\xff\xfe,0.4\n",
-    "second-header": "t,rel_mae\n3,0.5\nt,rel_mae\n2,0.4\n",
-    "first-of-two-bad-lines": "t,rel_mae\n3,0.5\n2,x\n1\n",
+    "short-first-row": ("3\n2,0.4\n1,0.3\n", 1, 1),
+    "short-middle-row": ("t,rel_mae\n3,0.5\n2\n1,0.3\n", 3, 2),
+    "short-last-row": ("t,rel_mae\n3,0.5\n2,0.4\n1\n", 4, 3),
+    "short-row-for-a-late-t-column": ("x,rel_mae,y,t\na,0.5,b,3\na,0.4,b\n", 3, 2),
+    "bad-rel-mae": ("t,rel_mae\n50,0.5\n49,0.4\n48,not_a_number\n", 4, 3),
+    "bad-t": ("t,rel_mae\n3,0.5\n2.5,0.4\n", 3, 2),
+    "bad-bare-first-row": ("3,x\n2,0.4\n", 1, 1),
+    "header-without-t": ("time,rel_mae\n3,0.5\n", 1, 0),
+    "header-without-rel-mae": ("t,mae\n3,0.5\n", 1, 0),
+    "empty": ("", None, 0),
+    "blank-only": ("\n  \n\t\r\n\n", None, 0),
+    "bom-only": (b"\xef\xbb\xbf", None, 0),
+    "t-over-4300-digits": ("t,rel_mae\n" + "1" * 4301 + ",0.5\n", 2, 1),
+    "invalid-utf8": (b"t,rel_mae\n3,0.5\n\xff\xfe,0.4\n", None, 0),
+    "second-header": ("t,rel_mae\n3,0.5\nt,rel_mae\n2,0.4\n", 3, 2),
+    "first-of-two-bad-lines": ("t,rel_mae\n3,0.5\n2,x\n1\n", 3, 2),
+    # lines 2-999 hold 899 rows and a blank line at each multiple of 10
+    "bad-row-after-scattered-blank-lines": ("t,rel_mae\n" + "".join(
+        "\n" if n % 10 == 0 else f"{n},0.5\n" for n in range(2, 1000)) + "x,0.5\n", 1000, 900),
+    "bad-header-after-blank-lines": ("\n \n\t\ntime,rel_mae\n3,0.5\n", 4, 0),
 }
 
 # int and float read each of these; a series rejects them: line -> fields
@@ -135,39 +142,41 @@ TYPOS = {
     "arabic-indic-t": ("٣,0.5\n", 1, "'٣', '0.5'"),
     "arabic-indic-rel-mae": ("t,rel_mae\n3,0.٥\n", 2, "'3', '0.٥'"),
     "fullwidth-t": ("t,rel_mae\n3,0.5\n２,0.4\n", 3, "'２', '0.4'"),
-    "no-break-space-inside": ("t,rel_mae\n3\u00a0,0.5\n2,0.4\n", 2, "'3', '0.5'"),
+    "no-break-space-inside": ("t,rel_mae\n3\u00a0,0.5\n2,0.4\n", 2, "'3\\xa0', '0.5'"),
+    "padded-no-break-space": ("t,rel_mae,x\n3, 0.5\u00a0 ,x\n", 2, "'3', '0.5\\xa0'"),
     "underscore-in-bare-first-row": ("1_0,0.5\n9,0.4\n", 1, "'1_0', '0.5'"),
 }
 
 
 @pytest.mark.parametrize("data", list(VALID.values()), ids=list(VALID))
-def test_every_valid_shape_reads_as_the_per_line_parser_reads_it(data, tmp_path, scans):
+def test_every_valid_shape_reads_as_the_per_line_parser_reads_it(data, tmp_path, reads):
     path = write(tmp_path, data)
     got = outcome(read_series_csv, path)
     assert isinstance(got, str), got
     assert got == outcome(per_line_read, path)
-    assert scans == []
+    assert len(reads) == 1                      # the whole-file read, no re-read
 
 
-@pytest.mark.parametrize("data", list(BAD.values()), ids=list(BAD))
-def test_every_bad_file_raises_the_per_line_parsers_error(data, tmp_path, scans):
+@pytest.mark.parametrize("data, line, rereads", list(BAD.values()), ids=list(BAD))
+def test_every_bad_file_raises_the_per_line_parsers_error(data, line, rereads, tmp_path,
+                                                         reads):
     path = write(tmp_path, data)
     want = outcome(per_line_read, path)
     assert want[0] is SeriesParseError, want
+    assert want[2] == line
     assert outcome(read_series_csv, path) == want
-    # a file that is not UTF-8 fails before either pass
-    assert len(scans) == (data != BAD["invalid-utf8"])
+    assert reads == ([reads[0]] + [1] * rereads if rereads else [])
 
 
-def test_the_two_parsers_agree_on_random_files(tmp_path, scans):
+def test_the_two_parsers_agree_on_random_files(tmp_path, reads):
     """Files of random lines: fields both valid and not, short and ragged
     rows, blank lines, CRLF and padding, with and without a header. None
     holds '_' or a non-ASCII character, which only the typo rule tells
-    apart. Only the files that fail are scanned line by line."""
+    apart. Only the files that fail on a row are re-read row by row."""
     rng = random.Random(7)
     fields = ["3", " 2 ", "0.5", "1e-3", "-1", "nan", "", "abc", "t", "rel_mae", "0.4\t",
               "2.5", "+7"]
-    parsed = failed = 0
+    parsed = failed_on_a_row = 0
     for _ in range(400):
         lines = []
         if rng.random() < 0.5:
@@ -187,11 +196,14 @@ def test_the_two_parsers_agree_on_random_files(tmp_path, scans):
         text = rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
         path = write(tmp_path, text)
         want = outcome(per_line_read, path)
+        reads.clear()
         assert outcome(read_series_csv, path) == want, text
         parsed += isinstance(want, str)
-        failed += not isinstance(want, str)
-        assert len(scans) == failed, text
-    assert parsed > 50 and failed > 50
+        # not the empty file's error, which has no line, nor a bad header's
+        on_a_row = not isinstance(want, str) and want[2] is not None and "header must" not in want[1]
+        failed_on_a_row += on_a_row
+        assert bool(reads[1:]) == on_a_row and set(reads[1:]) <= {1}, text
+    assert parsed > 50 and failed_on_a_row > 50
 
 
 @pytest.mark.parametrize("data, line, quoted", list(TYPOS.values()), ids=list(TYPOS))
