@@ -160,28 +160,25 @@ def _write_trace(result: RunResult, out_dir: str) -> None:
 
 def curve_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float, float, float]]:
     """Serial-trajectory discrepancy curve: (t, rel_mae, score_ratio, band_lo,
-    band_hi) per step, descending t.
+    band_hi) per step, descending t, each step the engine's _exact_step.
 
     The band is mean +/- 2 sample standard deviations of the per-condition
     discrepancy ratios across the batch.
     """
-    from .engine import _branches, _Stack, initial_latents
-    from .mixture import _rel_mae_blocks, rel_mae, score_ratio_estimate
-    from .schedules import cfg_combine, ddim_step
+    from .engine import _exact_step, _Stack, initial_latents
+    from .mixture import _rel_mae_blocks, score_ratio_estimate
 
     plan = cfg.to_plan(variant=PlanVariant.SERIAL)
-    gm, sched = plan.mixture, plan.schedule
     stack = _Stack.of(plan)
     x = initial_latents(plan)[None]         # one seed: the kernels' (S, B, d)
     rows = []
-    for t in range(sched.T, 0, -1):
-        eps_c, eps_u = _branches(stack, x, t)
-        m = rel_mae(eps_c, eps_u)
-        ratio = score_ratio_estimate(gm, stack.rows.groups, sched, x[0], t)
-        per_row = _rel_mae_blocks(eps_c[0], eps_u[0])
+    for t in range(plan.schedule.T, 0, -1):
+        x_next, ms, eps_c, eps_u = _exact_step(stack, x, t)
+        ratio = score_ratio_estimate(plan.mixture, stack.rows.groups, plan.schedule, x[0], t)
+        m, per_row = float(ms[0]), _rel_mae_blocks(eps_c[0], eps_u[0])
         sd = float(per_row.std(ddof=1)) if per_row.size > 1 else 0.0
         rows.append((t, m, ratio, m - 2.0 * sd, m + 2.0 * sd))
-        x = ddim_step(x, t, cfg_combine(eps_c, eps_u, plan.guidance), sched)
+        x = x_next
     return rows
 
 
@@ -420,8 +417,10 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (HybridparError, json.JSONDecodeError, OSError) as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
+    except (HybridparError, json.JSONDecodeError, OSError, MemoryError) as exc:
+        # numpy raises a private subclass of MemoryError: report the builtin
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        payload = {"error": name, "message": str(exc)}
         if isinstance(exc, SeriesParseError) and exc.line is not None:
             payload["line"] = exc.line
         sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")

@@ -66,7 +66,8 @@ DEFAULT_MIXTURE = {
 }
 
 # Upper bounds on the counts a document may set, checked before anything is
-# sized from them, so no document can ask for unbounded memory or time.
+# sized from them. A mixture's K and d are bounded only by the document, so
+# memory grows with rows x K x d; running out is cli.main's MemoryError.
 MAX_DEVICES = 64
 MAX_CONDITION_BATCH = 4096
 MAX_STEPS = 1000            # schedule.T, and switch.L, switch.tau_cap, switch.k

@@ -216,7 +216,7 @@ class ExactPath:
                 x = np.stack([_draw_latents(gm, sched, conditions, seed)
                               for seed in self._seeds])
             else:
-                x, m = _exact_step(self._inputs, self._recent[-1], sched.T - self._done)
+                x, m, _, _ = _exact_step(self._inputs, self._recent[-1], sched.T - self._done)
                 self._ms.append(m)
             x.flags.writeable = False
             self._recent.append(x)
@@ -317,15 +317,14 @@ def _branches(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndar
     return _conditional_branch(stack, x, t), eps_u.reshape(x.shape)
 
 
-def _exact_step(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """One measured guided step of every seed in the stack: the new latents
-    and each seed's discrepancy. The branch outputs are checked once, by the
-    per-seed rel_mae; ddim_step checks the guided estimate."""
+def _exact_step(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, ...]:
+    """One measured guided step of every seed in the stack, curve's too: the
+    new latents, each seed's discrepancy and the branch outputs eps_c, eps_u,
+    checked once, by the per-seed rel_mae; ddim_step checks the guided estimate."""
     eps_c, eps_u = _branches(stack, x, t)
     m = _rel_mae_blocks(eps_c, eps_u)
     eps = _guided(eps_c, eps_u, stack.guidance.w)
-    del eps_c, eps_u        # freed before the update allocates
-    return ddim_step(x, t, eps, stack.schedule), m
+    return ddim_step(x, t, eps, stack.schedule), m, eps_c, eps_u
 
 
 def _pipelined_steps(stack: _Stack, history: tuple[np.ndarray, ...],
@@ -348,7 +347,7 @@ def _exact_steps(stack: _Stack, x: np.ndarray, s: int) -> tuple[np.ndarray, list
     """Exact steps s + 1 .. T from x: the final latents and discrepancies."""
     ms = []
     for t in range(stack.schedule.T - s, 0, -1):
-        x, m = _exact_step(stack, x, t)
+        x, m, _, _ = _exact_step(stack, x, t)
         ms.append(m)
     return _read_only(x), ms
 

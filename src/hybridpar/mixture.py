@@ -244,7 +244,9 @@ def _noised_rows(base: GaussianMixture, alpha_bars: np.ndarray) -> tuple[_Terms 
     """Row t, for t = 0..T of a schedule's alpha_bars, is the _Terms.of
     noised_mixture(base, alpha_bar(t)) with its bits, built in one numpy
     pass: read-only views of three (T + 1, K, d) tables, and the log-weights
-    every row shares. A row that noised_mixture rejects is None."""
+    every row shares. A row is None exactly when noised_mixture rejects its
+    alpha_bar, outside (0, 1]: inside, a valid base's noised means are finite
+    and its variances finite and positive, so GaussianMixture's checks pass."""
     ab = np.concatenate(([1.0], alpha_bars))                # t = 0: alpha_bar = 1
     ok = (ab > 0.0) & (ab <= 1.0)
     ab = np.where(ok, ab, 1.0)[:, None, None]               # a rejected row must not warn
@@ -253,9 +255,6 @@ def _noised_rows(base: GaussianMixture, alpha_bars: np.ndarray) -> tuple[_Terms 
     variances += 1.0 - ab
     log_norm = 2.0 * np.pi * variances
     np.log(log_norm, out=log_norm)
-    # GaussianMixture's checks on every row at once: a NaN wins min and max
-    ok &= (np.isfinite([means.min((1, 2)), means.max((1, 2)), variances.max((1, 2))]).all(0)
-           & (variances.min((1, 2)) > 0.0))
     log_weights = _read_only(np.log(base.weights / base.weights.sum()))
     variances, log_norm = _read_only(variances), _read_only(log_norm)
     return tuple(_Terms(means[t], variances[t], log_weights, log_norm[t]) if row_ok else None

@@ -175,17 +175,20 @@ def test_plan_singleton_and_multi_groups():
 @pytest.mark.parametrize("S", [1, 3, 8])
 def test_seed_axis_steps_equal_one_seed_steps_bitwise(conditions, S):
     """The step kernels on S seeds' (S, B, d) latents give seed i the bits
-    of the same kernel on x[i] alone, along a whole trajectory."""
+    of the same kernel on x[i] alone, along a whole trajectory; the exact
+    step returns the branch outputs it stepped from, _branches' bits."""
     plan = make_plan(7, conditions, SCHEDULES[1], random_mixture_raw(seed=S))
     stack = _Stack.of(plan)
     x = np.random.default_rng(S).normal(0.0, 3.0, (S, 7, D))
     for t in range(plan.schedule.T, 0, -1):
         eps_c = _conditional_branch(stack, x, t)
-        x_next, m = _exact_step(stack, x, t)
+        x_next, m, step_c, step_u = _exact_step(stack, x, t)
         assert eps_c.shape == x_next.shape == x.shape and m.shape == (S,)
+        for got, want in zip((step_c, step_u), _branches(stack, x, t)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), t
         for i in range(S):
             one_c = _conditional_branch(stack, x[i][None], t)
-            one_x, one_m = _exact_step(stack, x[i][None], t)
+            one_x, one_m, _, _ = _exact_step(stack, x[i][None], t)
             assert eps_c[i].tobytes() == one_c[0].tobytes(), (i, t)
             assert x_next[i].tobytes() == one_x[0].tobytes(), (i, t)
             assert m[i:i + 1].tobytes() == one_m.tobytes(), (i, t)

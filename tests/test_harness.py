@@ -212,6 +212,29 @@ def test_curve_rows_measured_equals_predicted():
         assert lo <= measured <= hi
 
 
+@pytest.mark.parametrize("body", [{}, {"preset": "sd3-like"}, {"conditions": [[0, 1], [2]]},
+                                  {"condition_batch": 1}],
+                         ids=["default", "sd3-like", "multi-index", "batch-1"])
+def test_curve_is_the_serial_run_of_the_exact_path(monkeypatch, body):
+    """curve's (t, rel_mae) columns are the series of a serial run on an
+    ExactPath bit for bit, and each of its rows is one engine exact step."""
+    import hybridpar.engine as engine
+    from hybridpar.plan import PlanVariant
+    cfg = ExperimentConfig.from_dict(body)
+    serial = engine.run_serial(cfg.to_plan(variant=PlanVariant.SERIAL))
+    steps = []
+    exact = engine._exact_step
+
+    def counting_exact(stack, x, t):
+        steps.append(t)
+        return exact(stack, x, t)
+
+    monkeypatch.setattr(engine, "_exact_step", counting_exact)
+    rows = curve_rows(cfg)
+    assert [(t, m.hex()) for t, m, *_ in rows] == [(t, m.hex()) for t, m in serial.series]
+    assert steps == [t for t, *_ in rows] == list(range(cfg.schedule.T, 0, -1))
+
+
 def test_curve_zero_when_condition_spans_mixture():
     cfg = ExperimentConfig.from_dict(dict(condition_batch=4, seeds=[0],
                                           conditions=[[0, 1, 2, 3]]))
@@ -729,6 +752,33 @@ def test_non_finite_virtual_time_is_one_json_error(tmp_path, capsys, monkeypatch
     assert len(stderr.splitlines()) == 1
     assert json.loads(stderr)["error"] == "NumericError"
     assert not (tmp_path / "run").exists()
+
+
+def test_running_out_of_memory_is_one_json_error(tmp_path):
+    """A config inside every documented bound can ask for more memory than
+    the process may take: a mixture's K and d are bounded only by the
+    document's size. One seed's 4096 rows against a K = 256, d = 256
+    mixture need a 2 GiB (rows, K, d) array; under a 1 GiB address-space
+    limit numpy's MemoryError is one JSON line, as every failure is."""
+    import os
+    import resource
+    K = d = 256
+    cfg = write_config(tmp_path, seeds=[0], condition_batch=4096,
+                       mixture={"weights": [1] * K, "means": [[0] * d] * K,
+                                "variances": [[1] * d] * K})
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    # numpy's BLAS reserves address space per thread when it loads
+    proc = subprocess.run([sys.executable, "-m", "hybridpar.cli", "sweep", "--config", cfg,
+                           "--k", "0"], capture_output=True, text=True, preexec_fn=limit,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert len(proc.stderr.splitlines()) == 1
+    err = json.loads(proc.stderr)
+    assert err["error"] == "MemoryError" and err["message"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -288,7 +288,11 @@ def test_schedules_with_other_alpha_bars_do_not_share_a_table(build_counts):
 @pytest.mark.parametrize("T", [1, 50, 1000])
 def test_table_rows_equal_the_per_step_build(kind, beta_start, beta_end, T):
     """Row t of each subset's table, t = 0..T, holds the bits of the noised
-    mixture built for that one step, and is read-only."""
+    mixture built for that one step, and is read-only. The table masks rows
+    by the alpha_bar range alone: on valid mixtures at the float extremes,
+    every alpha_bar in (0, 1], the schedule's and the edge values, gives a
+    row with those bits, and any other gives None, whose step raises
+    noised_mixture's error."""
     gm = random_mixture(seed=9, K=4)
     sched = build_schedule(kind, T, beta_start, beta_end)
     conds = [None] + [Condition(c) for n in range(1, 5)
@@ -296,11 +300,45 @@ def test_table_rows_equal_the_per_step_build(kind, beta_start, beta_end, T):
     for cond in conds:
         base = gm if cond is None else conditional(gm, cond)
         for t in range(T + 1):
-            got = _noised_terms(gm, cond, sched, t)
-            want = _Terms.of(noised_mixture(base, sched.alpha_bar(t)))
-            for a, b in zip(got, want):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (cond, t)
-                assert not a.flags.writeable
+            assert_row_is_the_per_step_build(gm, cond, sched, t, base)
+
+    ok = np.concatenate([sched.alpha_bars, [5e-324, 1e-300, 1.0 - 2.0 ** -53, 1.0]])
+    alpha_bars = np.concatenate([ok, [0.0, np.nan, -1.0, 1.5]])
+    edges = NoiseSchedule(kind, len(alpha_bars), beta_start, beta_end,
+                          alpha_bars, alpha_bars, alpha_bars, alpha_bars)
+    for gm in EXTREME_MIXTURES:
+        with np.errstate(over="ignore"):    # log(2 pi var) of a near-max var is inf
+            rows = mixture_mod._noised_rows(gm, alpha_bars)
+            for t in range(len(ok) + 1):
+                assert rows[t] is not None, t
+                assert_row_is_the_per_step_build(gm, None, edges, t, gm)
+        for t in range(len(ok) + 1, len(alpha_bars) + 1):
+            assert rows[t] is None, t
+            message = rf"alpha_bar must lie in \(0, 1\], got {edges.alpha_bar(t)}"
+            with pytest.raises(ParameterError, match=message):
+                _noised_terms(gm, None, edges, t)
+
+
+def assert_row_is_the_per_step_build(gm, cond, sched, t, base):
+    got = _noised_terms(gm, cond, sched, t)
+    want = _Terms.of(noised_mixture(base, sched.alpha_bar(t)))
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), (cond, t)
+        assert not a.flags.writeable
+
+
+_MAX, _TINY = np.finfo(float).max, 5e-324
+# valid mixtures at the float extremes: +-max and subnormal means, subnormal
+# and near-max variances
+EXTREME_MIXTURES = [
+    GaussianMixture(weights=[1.0, 2.0], means=[[_MAX, -_MAX, 0.0], [-_MAX, _TINY, _MAX]],
+                    variances=[[_TINY, _TINY, 1e-310], [_TINY, 1e-310, _TINY]]),
+    GaussianMixture(weights=[1.0, 2.0], means=[[_MAX, -_MAX, _TINY], [-_MAX, _MAX, -_TINY]],
+                    variances=[[_MAX, _MAX / 8, _MAX], [np.nextafter(_MAX, 0.0), _MAX, 1.0]]),
+    GaussianMixture(weights=[1.0, 1e-300, 3.0],
+                    means=[[_MAX, 0.0], [-_MAX, -0.0], [_TINY, -_MAX]],
+                    variances=[[_TINY, _MAX], [_MAX, _TINY], [1.0, 1e-300]]),
+]
 
 
 UNDERFLOW = {"schedule": {"T": 1000, "beta_start": 0.9, "beta_end": 0.9}}
