@@ -175,7 +175,7 @@ def curve_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float, float, fl
     for t in range(plan.schedule.T, 0, -1):
         x_next, ms, eps_c, eps_u = _exact_step(stack, x, t)
         ratio = score_ratio_estimate(plan.mixture, stack.rows.groups, plan.schedule, x[0], t)
-        m, per_row = float(ms[0]), _rel_mae_blocks(eps_c[0], eps_u[0])
+        m, (per_row, _) = float(ms[0]), _rel_mae_blocks(eps_c[0], eps_u[0])
         sd = float(per_row.std(ddof=1)) if per_row.size > 1 else 0.0
         rows.append((t, m, ratio, m - 2.0 * sd, m + 2.0 * sd))
         x = x_next

@@ -43,9 +43,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError, PlanError
-from .mixture import (Condition, ConditionRows, GaussianMixture, _component_sampler,
-                      _condition_rows, _read_only, _rel_mae_blocks, _singleton_eps,
-                      eps_prediction)
+from .mixture import (Condition, ConditionRows, GaussianMixture, _check_points,
+                      _component_sampler, _condition_rows, _read_only, _rel_mae_blocks,
+                      _singleton_eps, eps_prediction)
 from .mixture import rel_mae  # noqa: F401  (perfbench/spans.py wraps engine.rel_mae)
 from .mixture import sample_x0  # noqa: F401  (perfbench/spans.py wraps engine.sample_x0)
 from .monitor import DiscrepancySeries, Stage, StageState, stage_at, update_controller
@@ -272,7 +272,8 @@ def initial_latents(plan: ExecutionPlan) -> np.ndarray:
     to the t = T marginal. Identical across plan variants for a given seed.
     The stream is the one per-row sample_x0(gm, cond, rng, 1) calls consume
     (one uniform for the component, then d normals), so the draws match them
-    bit for bit.
+    bit for bit; each condition's rows then take their components in one
+    search of the uniforms.
     """
     return _draw_latents(plan.mixture, plan.schedule, plan.conditions, plan.seed)
 
@@ -281,12 +282,14 @@ def _draw_latents(gm: GaussianMixture, sched: NoiseSchedule,
                   conditions: tuple[Condition, ...], seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     b = len(conditions)
-    comp = np.empty(b, dtype=np.intp)
-    noise = np.empty((b, gm.dim))
-    for i, cond in enumerate(conditions):
-        cdf, comps = _component_sampler(gm, cond)
-        comp[i] = comps[cdf.searchsorted(rng.random(), side="right")]
+    u, noise = np.empty(b), np.empty((b, gm.dim))
+    for i in range(b):
+        u[i] = rng.random()
         rng.standard_normal(out=noise[i])
+    comp = np.empty(b, dtype=np.intp)
+    for cond, rows in _condition_rows(gm, conditions).groups:
+        cdf, comps = _component_sampler(gm, cond)
+        comp[rows] = comps[cdf.searchsorted(u[rows], side="right")]
     x0 = gm.means[comp] + np.sqrt(gm.variances[comp]) * noise
     eps = rng.standard_normal((b, gm.dim))
     ab_t = sched.alpha_bar(sched.T)
@@ -312,26 +315,31 @@ def _conditional_branch(stack: _Stack, x: np.ndarray, t: int) -> np.ndarray:
 
 def _branches(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Both branch outputs for (S, B, d) latents at timestep t; eps_u is one
-    eps_prediction call on the flat (S*B, d) view."""
+    eps_prediction call on the flat (S*B, d) view, and its input check, which
+    runs first, is the one check of x."""
     eps_u = eps_prediction(stack.mixture, None, stack.schedule, x.reshape(-1, x.shape[2]), t)
     return _conditional_branch(stack, x, t), eps_u.reshape(x.shape)
 
 
 def _exact_step(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, ...]:
     """One measured guided step of every seed in the stack, curve's too: the
-    new latents, each seed's discrepancy and the branch outputs eps_c, eps_u,
-    checked once, by the per-seed rel_mae; ddim_step checks the guided estimate."""
+    new latents, each seed's discrepancy and the branch outputs eps_c, eps_u.
+    The oracle checks x, the per-seed rel_mae the branch outputs, and
+    ddim_step the guided estimate, formed in the rel_mae's eps_c - eps_u."""
     eps_c, eps_u = _branches(stack, x, t)
-    m = _rel_mae_blocks(eps_c, eps_u)
-    eps = _guided(eps_c, eps_u, stack.guidance.w)
-    return ddim_step(x, t, eps, stack.schedule), m, eps_c, eps_u
+    m, delta = _rel_mae_blocks(eps_c, eps_u)
+    return ddim_step(x, t, _guided(eps_c, delta, stack.guidance.w), stack.schedule), m, eps_c, eps_u
 
 
 def _pipelined_steps(stack: _Stack, history: tuple[np.ndarray, ...],
                      fractions: tuple[float, ...], s: int, k: int) -> tuple[np.ndarray, ...]:
     """Pipelined steps s + 1 .. s + k from history, the read-only latents of the
     N steps up to s, newest first (the initial latents where the path is
-    shorter), to those up to s + k; segment d reads the latents d steps stale."""
+    shorter), to those up to s + k; segment d reads the latents d steps stale.
+    It checks each latent once, on entry or as it is made, so an overflowing
+    step raises before any caller keeps its latents; the gather checks none."""
+    for x in history:
+        _check_points(x)
     sched = stack.schedule
     for t in range(sched.T - s, sched.T - s - k, -1):       # steps s + 1 .. s + k
         est = np.zeros_like(history[0])
@@ -339,7 +347,9 @@ def _pipelined_steps(stack: _Stack, history: tuple[np.ndarray, ...],
             eps_c = _conditional_branch(stack, history[d], t)
             eps_c *= f
             est += eps_c
-        history = (_read_only(ddim_step(history[0], t, est, sched)),) + history[:-1]
+        x = ddim_step(history[0], t, est, sched)
+        _check_points(x)
+        history = (_read_only(x),) + history[:-1]
     return history
 
 

@@ -119,10 +119,14 @@ def noised_mixture(gm: GaussianMixture, alpha_bar: float) -> GaussianMixture:
                            variances=alpha_bar * gm.variances + (1.0 - alpha_bar))
 
 
-def _prep_x(gm: GaussianMixture, x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
+def _check_points(x: np.ndarray) -> None:
     if not np.isfinite(x).all():
         raise NumericError("evaluation points must be finite")
+
+
+def _prep_x(gm: GaussianMixture, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    x = np.asarray(x, dtype=float)
+    _check_points(x)
     squeezed = x.ndim == 1
     if squeezed:
         x = x[None, :]
@@ -152,7 +156,7 @@ class _Terms(NamedTuple):
 def _log_resp(terms: _Terms, diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-component log joint and the log marginal density, batched.
 
-    diff is x[:, None, :] - means, (B, K, d); it is read, never written.
+    diff is means - x[:, None, :], (B, K, d), read and never written.
     """
     q = diff * diff                                                # (B, K, d)
     q /= terms.variances
@@ -197,13 +201,11 @@ def _max_last(a: np.ndarray) -> np.ndarray:
 
 def _score_rows(terms: _Terms, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Score and log-density at each row of a (B, d) batch."""
-    diff = x[:, None, :] - terms.means                             # (B, K, d)
+    diff = terms.means - x[:, None, :]                             # (B, K, d)
     log_joint, log_density = _log_resp(terms, diff)
     r = np.exp(log_joint - log_density[:, None])                   # (B, K)
-    # -(x - mean) is exactly mean - x, so the pull reuses diff's buffer
-    pull = np.negative(diff, out=diff)
-    pull /= terms.variances
-    return np.einsum("bk,bkd->bd", r, pull), log_density
+    diff /= terms.variances                                        # the pull, in place
+    return np.einsum("bk,bkd->bd", r, diff), log_density
 
 
 def score(gm: GaussianMixture, x: np.ndarray) -> ScoreEval:
@@ -298,11 +300,10 @@ def _singleton_eps(gm: GaussianMixture, components: np.ndarray,
     and a singleton's responsibility is exactly 1: eps[i, b] equals
     eps_prediction(gm, Condition((components[b],)), sched, x[i, b], t) bit
     for bit, whatever S is. components must be (B,) indices in [0, K);
-    ExecutionPlan checks them once against the mixture, so not here.
+    ExecutionPlan checks them once against the mixture, so not here. It is
+    the gather alone: its callers check x (_check_points) before it.
     """
     terms = _noised_terms(gm, None, sched, t)
-    if not np.isfinite(x).all():
-        raise NumericError("evaluation points must be finite")
     # with the bits of -sigma * ((m - x) / v); take gathers faster than [components]
     eps = terms.means.take(components, axis=0) - x
     eps /= terms.variances.take(components, axis=0)
@@ -331,24 +332,26 @@ def rel_mae(eps_c: np.ndarray, eps_u: np.ndarray) -> float:
     if eps_c.shape != eps_u.shape:
         raise ShapeError(f"branch outputs disagree: {eps_c.shape} vs {eps_u.shape}")
     # one block of every value; the reshape also gives a 0-d pair a buffer
-    return float(_rel_mae_blocks(eps_c.reshape(1, -1), eps_u.reshape(1, -1))[0])
+    return float(_rel_mae_blocks(eps_c.reshape(1, -1), eps_u.reshape(1, -1))[0][0])
 
 
-def _rel_mae_blocks(eps_c: np.ndarray, eps_u: np.ndarray) -> np.ndarray:
+def _rel_mae_blocks(eps_c: np.ndarray, eps_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rel_mae of each pair (eps_c[i], eps_u[i]), summed over its values in
     memory order with the bits of np.abs(c - u).sum() / np.abs(u).sum() on
-    that pair alone. Finite outputs can still sum past float range, so the
-    results are checked too: no series may record a non-finite discrepancy."""
+    that pair alone, and the new array delta = eps_c - eps_u it sums, which
+    the guided step takes over. Finite outputs can still sum past float range,
+    so the results are checked too: no series may record a non-finite one."""
     if not (np.isfinite(eps_c).all() and np.isfinite(eps_u).all()):
         raise NumericError("non-finite branch outputs")
-    denom = np.abs(eps_u).reshape(len(eps_u), -1).sum(axis=1)
+    magnitude = np.abs(eps_u)
+    denom = magnitude.reshape(len(eps_u), -1).sum(axis=1)
     if (denom == 0.0).any():
         raise DegenerateInputError("reference branch has zero L1 norm")
-    diff = eps_c - eps_u
-    m = np.abs(diff, out=diff).reshape(len(diff), -1).sum(axis=1) / denom
+    delta = eps_c - eps_u
+    m = np.abs(delta, out=magnitude).reshape(len(delta), -1).sum(axis=1) / denom
     if not np.isfinite(m).all():
         raise NumericError("branch discrepancy is not finite")
-    return m
+    return m, delta
 
 
 def score_ratio_estimate(gm: GaussianMixture,

@@ -6,6 +6,7 @@ t = 0 and return the clean-sample convention (alpha_bar = 1, sigma = 0).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +91,7 @@ def build_schedule(kind: str, T: int, beta_start: float, beta_end: float) -> Noi
 def _check_pair(eps_c: np.ndarray, eps_u: np.ndarray) -> None:
     if eps_c.shape != eps_u.shape:
         raise ShapeError(f"branch outputs disagree: {eps_c.shape} vs {eps_u.shape}")
-    if not (np.all(np.isfinite(eps_c)) and np.all(np.isfinite(eps_u))):
+    if not (np.isfinite(eps_c).all() and np.isfinite(eps_u).all()):
         raise NumericError("non-finite values in branch outputs")
 
 
@@ -99,12 +100,16 @@ def cfg_combine(eps_c: np.ndarray, eps_u: np.ndarray, g: GuidanceParams) -> np.n
     eps_c = np.asarray(eps_c, dtype=float)
     eps_u = np.asarray(eps_u, dtype=float)
     _check_pair(eps_c, eps_u)
-    return _guided(eps_c, eps_u, g.w)
+    return _guided(eps_c, eps_c - eps_u, g.w)
 
 
-def _guided(eps_c: np.ndarray, eps_u: np.ndarray, w: float) -> np.ndarray:
-    """cfg_combine's arithmetic on arrays the caller has checked."""
-    return eps_c + w * (eps_c - eps_u)
+def _guided(eps_c: np.ndarray, delta: np.ndarray, w: float) -> np.ndarray:
+    """cfg_combine's arithmetic on checked arrays, in the buffer of delta =
+    eps_c - eps_u: IEEE + and * commute, so w * delta + eps_c is bitwise
+    eps_c + w * delta."""
+    delta *= w
+    delta += eps_c
+    return delta
 
 
 def ddim_step(x_t: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
@@ -119,7 +124,9 @@ def ddim_step(x_t: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) ->
     x_t = np.asarray(x_t, dtype=float)
     eps = np.asarray(eps, dtype=float)
     _check_pair(x_t, eps)
-    ab_t = sched.alpha_bar(t)
-    x0_hat = (x_t - sched.sigma(t) * eps) / np.sqrt(ab_t)
+    x0_hat = x_t - sched.sigma(t) * eps
+    x0_hat /= math.sqrt(sched.alpha_bar(t))     # correctly rounded, as np.sqrt is
     ab_prev = sched.alpha_bar(t - 1)
-    return np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps
+    x0_hat *= math.sqrt(ab_prev)                # re-noised in x0_hat's buffer
+    x0_hat += math.sqrt(1.0 - ab_prev) * eps
+    return x0_hat

@@ -223,7 +223,8 @@ def test_stacked_runs_equal_a_per_seed_reference_loop(body, seeds):
 
 def test_rel_mae_blocks_equal_rel_mae_of_each_block():
     """The stacked kernel, and rel_mae on each block, against the plain
-    per-block ratio of L1 sums, bit for bit."""
+    per-block ratio of L1 sums, bit for bit; the signed difference it also
+    returns is eps_c - eps_u, a new array."""
     rng = np.random.default_rng(11)
     for _ in range(300):
         n, B, d = (int(v) for v in rng.integers(1, [12, 80, 12]))
@@ -231,7 +232,10 @@ def test_rel_mae_blocks_equal_rel_mae_of_each_block():
         eps_u = rng.standard_normal((n, B, d))
         blocks = list(zip(eps_c, eps_u))
         want = [float(np.abs(c - u).sum() / np.abs(u).sum()) for c, u in blocks]
-        assert _rel_mae_blocks(eps_c, eps_u).tolist() == want
+        m, delta = _rel_mae_blocks(eps_c, eps_u)
+        assert m.tolist() == want
+        assert delta.tobytes() == (eps_c - eps_u).tobytes()
+        assert not np.shares_memory(delta, eps_c) and not np.shares_memory(delta, eps_u)
         assert [rel_mae(c, u) for c, u in blocks] == want
 
 
@@ -408,6 +412,32 @@ def test_guided_overflow_raises_at_its_step_and_stores_nothing(monkeypatch, at_s
     assert path._windows == {}
     monkeypatch.setattr(engine, "_singleton_eps", original)
     assert_same_run(run_plan(plan), run_plan(replace(plan, exact_path=None)))
+
+
+@pytest.mark.parametrize("window_step", [1, 2, 4], ids=["first", "middle", "last"])
+def test_window_step_that_overflows_stores_nothing(monkeypatch, window_step):
+    """A pipelined step whose latents overflow fails at that step, and the
+    store keeps neither the window's head nor its x0, even when it is the
+    window's last step: the window's exact steps never read the latents."""
+    cfg = ExperimentConfig.from_dict({"condition_batch": 4, "schedule": {"T": 12},
+                                      "switch": {"L": 2, "tau_cap": 3, "k": 4}})
+    path = ExactPath((3, 8), cfg.to_plan(variant=PlanVariant.HYBRID))
+    plan = cfg.to_plan(seed=3, variant=PlanVariant.HYBRID, exact_path=path)
+    want = run_plan(replace(plan, exact_path=None))
+    assert want.tau2 - want.tau1 == 4
+    original = engine.ddim_step
+    bad_t = cfg.schedule.T - want.tau1 - window_step + 1
+
+    def overflowing(x, t, eps, sched):
+        out = original(x, t, eps, sched)
+        return np.full_like(out, np.inf) if t == bad_t else out
+
+    monkeypatch.setattr(engine, "ddim_step", overflowing)
+    with pytest.raises(NumericError, match="must be finite"):
+        run_plan(plan)
+    assert path._heads == {} and path._windows == {}
+    monkeypatch.setattr(engine, "ddim_step", original)
+    assert_same_run(run_plan(plan), want)
 
 
 def store_state(path):

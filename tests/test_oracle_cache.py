@@ -179,6 +179,26 @@ def test_initial_latents_match_reference_draws():
         assert np.array_equal(initial_latents(plan), want)
 
 
+@pytest.mark.parametrize("body", [{}, {"conditions": [[0, 1], [2], [1, 2, 3]],
+                                      "condition_batch": 17}, {"condition_batch": 1}],
+                         ids=["default", "mixed-17", "one-row"])
+def test_initial_latents_equal_per_row_sample_x0(body):
+    """initial_latents against the reference its docstring names: one
+    sample_x0(gm, cond, rng, 1) per row, one (B, d) normal draw for eps,
+    then noised to t = T, bit for bit."""
+    cfg = ExperimentConfig.from_dict(body)
+    for seed in range(20):
+        plan = cfg.to_plan(seed=seed, variant=PlanVariant.SERIAL)
+        gm, sched = plan.mixture, plan.schedule
+        rng = np.random.default_rng(seed)
+        x0 = np.concatenate([sample_x0(gm, c, rng, 1) for c in plan.conditions])
+        eps = rng.standard_normal(x0.shape)
+        ab = sched.alpha_bar(sched.T)
+        want = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+        got = initial_latents(plan)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
+
+
 def test_initial_latents_match_reference_draws_weighted_multi_index():
     rng = np.random.default_rng(8)
     mixture = {"weights": [0.05, 0.5, 0.15, 0.3, 0.0001],

@@ -99,6 +99,28 @@ def test_cfg_combine_is_affine():
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
+def test_cfg_combine_keeps_the_literal_bits():
+    """cfg_combine forms its estimate in the buffer of eps_c - eps_u; it
+    returns the bits of the literal eps_c + w * (eps_c - eps_u) on random
+    batches and at the edges (signed zeros, overflow to inf, the nan of
+    0 * inf) and leaves its inputs as they were."""
+    rng = np.random.default_rng(17)
+    big = np.nextafter(np.inf, 0.0)
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308, big, -big])
+    grid_c, grid_u = (a.ravel() for a in np.meshgrid(edges, edges))
+    batches = [(rng.normal(0.0, 3.0, (64, 8)), rng.normal(0.0, 3.0, (64, 8))),
+               (rng.normal(0.0, 1e307, (9, 5)), rng.normal(0.0, 1e307, (9, 5))),
+               (grid_c, grid_u)]
+    for w in (0.0, 0.5, 7.5, 1e-300, 1e308):
+        for eps_c, eps_u in batches:
+            before = eps_c.tobytes(), eps_u.tobytes()
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = eps_c + w * (eps_c - eps_u)
+                got = cfg_combine(eps_c, eps_u, GuidanceParams(w))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), w
+            assert (eps_c.tobytes(), eps_u.tobytes()) == before
+
+
 def test_cfg_combine_shape_mismatch():
     with pytest.raises(ShapeError):
         cfg_combine(np.zeros(3), np.zeros(4), GuidanceParams(1.0))
