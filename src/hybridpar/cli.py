@@ -165,12 +165,12 @@ def curve_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float, float, fl
     The band is mean +/- 2 sample standard deviations of the per-condition
     discrepancy ratios across the batch.
     """
-    from .engine import _exact_step, _Stack, initial_latents
+    from .engine import _draw_latents, _exact_step, _Stack
     from .mixture import _rel_mae_blocks, score_ratio_estimate
 
     plan = cfg.to_plan(variant=PlanVariant.SERIAL)
     stack = _Stack.of(plan)
-    x = initial_latents(plan)[None]         # one seed: the kernels' (S, B, d)
+    x = _draw_latents(stack, plan.seed)[None]   # one seed: the kernels' (S, B, d)
     rows = []
     for t in range(plan.schedule.T, 0, -1):
         x_next, ms, eps_c, eps_u = _exact_step(stack, x, t)

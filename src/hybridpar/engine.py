@@ -11,7 +11,9 @@ computed trajectory instead of recomputing it. Pipelined steps evaluate only
 the conditional branch, split into per-device segments, with segment d
 evaluated at the input latent d steps stale and the blend weighted by segment
 fraction. Guidance collapses there (the window is entered once the branches
-agree), so the blended estimate is used directly.
+agree), so the blended estimate is used directly. A latent is checked finite
+once: by the oracle call that reads it, on window entry, else by the step that
+makes it (_pipelined_steps; x0, which no oracle reads, _exact_step at t = 1).
 
 A seed is the leading axis of the latents: S seeds are one (S, B, d) array
 x, seed i is x[i], and all share one batch's condition rows (axis 1). Every
@@ -107,18 +109,19 @@ class ExactPath:
     the same step, as one batch, its pipelined steps continuing the furthest
     computed (_fill). A batch_level plan runs its pairs' hybrid plans on it.
 
-    A template plan fixes the store when it is built: the model objects
-    (a _Stack), the switch rule (a staged plan's switch config with k = 0;
-    none for an unstaged plan) and the depth (a staged plan's segment
-    count, whatever its k), the latents it keeps up to each seed's switch
-    for windows to start from. bind only checks a plan against them, else
-    PlanError: each seed it reads (_seeds) is one of the store's, its model
-    the template's objects, a staged plan's rule the store's, and a window
-    (k >= 1) starts from no more latents than the depth. The store keeps
-    only what bound plans read (per seed the discrepancies, x0, the latents
-    up to its switch and the windows' x0; per switch step and fractions, the
-    N latents of the furthest pipelined step). A run's x0 is a read-only view
-    x[i] of an (S, B, d) array, the same object on every run that reads it,
+    A template plan fixes the store when it is built: the model objects (a
+    _Stack, from which it draws the initial latents), the switch rule (a
+    staged plan's switch config with k = 0; none for an unstaged plan) and
+    the depth (a staged plan's segment count, whatever its k), the latents it
+    keeps up to each seed's switch for windows to start from. bind only
+    checks a plan against them, else PlanError: each seed it reads (_seeds)
+    is one of the store's, its model the template's objects, a staged plan's
+    rule the store's, and a window (k >= 1) starts from no more latents than
+    the depth. The store keeps only what bound plans read (per seed the
+    discrepancies, x0, the latents up to its switch and the windows' x0; per
+    switch step and fractions, the N latents of the furthest pipelined step).
+    A run's x0 is a read-only view x[i] of an (S, B, d) array, the same
+    object on every run that reads it and checked by the step that made it,
     and a step that raises stores nothing.
 
     The store also memoizes the virtual clock of each schedule its runs
@@ -139,9 +142,9 @@ class ExactPath:
         self._depth = len(plan.segment_fractions) if staged else 0      # >= 2 if staged
         self._controls = [(StageState(), DiscrepancySeries())           # per seed
                           for _ in self._seeds] if staged else []
-        self._done = -1             # exact steps taken; -1 before the initial latents
-        self._recent: list[np.ndarray] = []            # latents after the last steps
-        self._ms: list[np.ndarray] = []                # per step, each seed's rel_mae
+        x_T = np.stack([_draw_latents(self._inputs, seed) for seed in self._seeds])
+        self._recent = [_read_only(x_T)]               # x_T, then the last steps' latents
+        self._ms: list[np.ndarray] = []                # per exact step, each seed's rel_mae
         self._x0: tuple[np.ndarray, ...] = ()           # per seed, once step T is taken
         self._starts: dict[int, tuple] = {}            # tau1 -> (seeds, latents)
         self._windows: dict[tuple, tuple] = {}         # (seed, k, fractions) -> (x0, ms)
@@ -186,7 +189,7 @@ class ExactPath:
         if plan.variant in _STAGED:
             state, _ = self._controls[slot]
             while state.tau1 is None:
-                self._extend(self._done + 1)
+                self._extend(len(self._ms) + 1)
             tau1, tau2 = state.tau1, state.tau1 + plan.switch.k
         steps = T if tau1 == tau2 else tau1
         self._extend(steps)
@@ -210,21 +213,14 @@ class ExactPath:
                          tau1=tau1, tau2=tau2, trace=timing.trace, series=tuple(series))
 
     def _extend(self, s: int) -> None:
-        gm, sched, conditions = self._inputs[:3]
-        while self._done < s:
-            if self._done < 0:
-                x = np.stack([_draw_latents(gm, sched, conditions, seed)
-                              for seed in self._seeds])
-            else:
-                x, m, _, _ = _exact_step(self._inputs, self._recent[-1], sched.T - self._done)
-                self._ms.append(m)
-            x.flags.writeable = False
-            self._recent.append(x)
-            self._done += 1
-            if self._done == sched.T:
+        T = self._inputs.schedule.T
+        while len(self._ms) < s:
+            x, m, _, _ = _exact_step(self._inputs, self._recent[-1], T - len(self._ms))
+            self._ms.append(m)
+            self._recent.append(_read_only(x))
+            if len(self._ms) == T:
                 self._x0 = tuple(x)             # seed i's x0 is the view x[i]
-            if self._done:
-                self._control(self._done)
+            self._control(len(self._ms))
             # keep as many steps as a window of a seed yet to switch starts from
             keep = self._depth if any(st.tau1 is None for st, _ in self._controls) else 1
             del self._recent[:-keep]
@@ -275,19 +271,19 @@ def initial_latents(plan: ExecutionPlan) -> np.ndarray:
     bit for bit; each condition's rows then take their components in one
     search of the uniforms.
     """
-    return _draw_latents(plan.mixture, plan.schedule, plan.conditions, plan.seed)
+    return _draw_latents(_Stack.of(plan), plan.seed)
 
 
-def _draw_latents(gm: GaussianMixture, sched: NoiseSchedule,
-                  conditions: tuple[Condition, ...], seed: int) -> np.ndarray:
+def _draw_latents(stack: _Stack, seed: int) -> np.ndarray:
+    gm, sched = stack.mixture, stack.schedule
     rng = np.random.default_rng(seed)
-    b = len(conditions)
+    b = len(stack.conditions)
     u, noise = np.empty(b), np.empty((b, gm.dim))
     for i in range(b):
         u[i] = rng.random()
         rng.standard_normal(out=noise[i])
     comp = np.empty(b, dtype=np.intp)
-    for cond, rows in _condition_rows(gm, conditions).groups:
+    for cond, rows in stack.rows.groups:
         cdf, comps = _component_sampler(gm, cond)
         comp[rows] = comps[cdf.searchsorted(u[rows], side="right")]
     x0 = gm.means[comp] + np.sqrt(gm.variances[comp]) * noise
@@ -324,11 +320,14 @@ def _branches(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndar
 def _exact_step(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, ...]:
     """One measured guided step of every seed in the stack, curve's too: the
     new latents, each seed's discrepancy and the branch outputs eps_c, eps_u.
-    The oracle checks x, the per-seed rel_mae the branch outputs, and
-    ddim_step the guided estimate, formed in the rel_mae's eps_c - eps_u."""
+    The oracle checks x, rel_mae the branch outputs, ddim_step the guided
+    estimate (in rel_mae's eps_c - eps_u), and the step x0, which nothing reads."""
     eps_c, eps_u = _branches(stack, x, t)
     m, delta = _rel_mae_blocks(eps_c, eps_u)
-    return ddim_step(x, t, _guided(eps_c, delta, stack.guidance.w), stack.schedule), m, eps_c, eps_u
+    x = ddim_step(x, t, _guided(eps_c, delta, stack.guidance.w), stack.schedule)
+    if t == 1:
+        _check_points(x)
+    return x, m, eps_c, eps_u
 
 
 def _pipelined_steps(stack: _Stack, history: tuple[np.ndarray, ...],

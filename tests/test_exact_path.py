@@ -280,11 +280,18 @@ def test_shared_latents_are_read_only_and_shared():
 
 
 def test_each_seed_x0_is_a_read_only_view_of_one_stacked_array():
-    """The exact path's x0 and a window's x0 are seeds of one (S, B, d)
-    array each, read-only, and a second run returns the same object."""
+    """A store draws its seeds' initial latents when it is built, as one
+    read-only (S, B, d) array, and has taken no step. The exact path's x0
+    and a window's x0 are seeds of one (S, B, d) array each, read-only, and
+    a second run returns the same object."""
     cfg = ExperimentConfig.from_dict({"condition_batch": 8})
     seeds = (4, 9, 2)
     path = ExactPath(seeds, cfg.to_plan(variant=PlanVariant.HYBRID))
+    assert len(path._ms) == 0
+    (drawn,) = [a for a in held_arrays(path) if a.dtype == float and a.ndim >= 2]
+    want = np.stack([initial_latents(cfg.to_plan(seed=s)) for s in seeds])
+    assert drawn.shape == (len(seeds), 8, cfg.mixture.dim) and not drawn.flags.writeable
+    assert drawn.tobytes() == want.tobytes()
     for k in (0, 5):
         plans = [cfg.to_plan(seed=s, variant=PlanVariant.HYBRID, k=k, exact_path=path)
                  for s in seeds]
@@ -438,6 +445,32 @@ def test_window_step_that_overflows_stores_nothing(monkeypatch, window_step):
     assert path._heads == {} and path._windows == {}
     monkeypatch.setattr(engine, "ddim_step", original)
     assert_same_run(run_plan(plan), want)
+
+
+@pytest.mark.parametrize("variant, k", [("serial", None), ("hybrid", 4)],
+                         ids=["exact-path", "window"])
+def test_x0_that_overflows_raises_and_stores_nothing(monkeypatch, variant, k):
+    """No oracle call reads x0, so the exact step at t = 1 checks it: an
+    overflowing last step fails there, on the exact path and on a window's
+    exact tail alike, and the store keeps no x0 for a later run to read."""
+    cfg = ExperimentConfig.from_dict({"condition_batch": 4, "schedule": {"T": 12},
+                                      "switch": {"L": 2, "tau_cap": 3, "k": 4}})
+    path = ExactPath((3, 8), cfg.to_plan(variant=PlanVariant.HYBRID))
+    plan = cfg.to_plan(seed=3, variant=PlanVariant(variant), k=k, exact_path=path)
+    original = engine.ddim_step
+
+    def overflowing(x, t, eps, sched):
+        out = original(x, t, eps, sched)
+        return np.full_like(out, np.inf) if t == 1 else out
+
+    monkeypatch.setattr(engine, "ddim_step", overflowing)
+    with pytest.raises(NumericError, match="must be finite"):
+        run_plan(plan)
+    assert path._x0 == () and path._windows == {}
+    if k is None:
+        assert len(path._ms) == cfg.schedule.T - 1
+    monkeypatch.setattr(engine, "ddim_step", original)
+    assert_same_run(run_plan(plan), run_plan(replace(plan, exact_path=None)))
 
 
 def store_state(path):

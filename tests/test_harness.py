@@ -754,6 +754,30 @@ def test_non_finite_virtual_time_is_one_json_error(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "3", "--out", "run"],
+    ["simulate", "--seed", "3", "--variant", "serial", "--out", "run"],
+    ["curve", "--out", "run"],
+], ids=["simulate", "simulate-serial", "curve"])
+def test_non_finite_x0_is_one_json_error(tmp_path, capsys, monkeypatch, argv):
+    """x0 that overflows would be written as NaN fidelity metrics; the exact
+    step that makes it raises instead, and the command writes nothing."""
+    import hybridpar.engine as engine
+    monkeypatch.chdir(tmp_path)
+    original = engine.ddim_step
+
+    def overflowing(x, t, eps, sched):
+        out = original(x, t, eps, sched)
+        return np.full_like(out, np.inf) if t == 1 else out
+
+    monkeypatch.setattr(engine, "ddim_step", overflowing)
+    code, stdout, stderr = run_cli(argv, capsys)
+    assert (code, stdout) == (1, "")
+    assert len(stderr.splitlines()) == 1
+    assert json.loads(stderr)["error"] == "NumericError"
+    assert not (tmp_path / "run").exists()
+
+
 def test_running_out_of_memory_is_one_json_error(tmp_path):
     """A config inside every documented bound can ask for more memory than
     the process may take: a mixture's K and d are bounded only by the
