@@ -45,9 +45,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError, PlanError
-from .mixture import (Condition, ConditionRows, GaussianMixture, _check_points,
-                      _component_sampler, _condition_rows, _read_only, _rel_mae_blocks,
-                      _singleton_eps, eps_prediction)
+from .mixture import (Condition, ConditionRows, GaussianMixture, _component_sampler,
+                      _condition_rows, _read_only, _rel_mae_blocks, _singleton_eps,
+                      eps_prediction)
 from .mixture import rel_mae  # noqa: F401  (perfbench/spans.py wraps engine.rel_mae)
 from .mixture import sample_x0  # noqa: F401  (perfbench/spans.py wraps engine.sample_x0)
 from .monitor import DiscrepancySeries, Stage, StageState, stage_at, update_controller
@@ -261,20 +261,16 @@ class ExactPath:
             self._windows[j, k, fractions] = x0, window_ms
 
 
-def initial_latents(plan: ExecutionPlan) -> np.ndarray:
-    """Seeded forward-noised draws, one row per condition.
-
-    Row b draws x0 from the mixture restricted to condition b, then noises it
-    to the t = T marginal. Identical across plan variants for a given seed.
-    The stream is the one per-row sample_x0(gm, cond, rng, 1) calls consume
-    (one uniform for the component, then d normals), so the draws match them
-    bit for bit; each condition's rows then take their components in one
-    search of the uniforms.
-    """
-    return _draw_latents(_Stack.of(plan), plan.seed)
-
-
 def _draw_latents(stack: _Stack, seed: int) -> np.ndarray:
+    """Seeded forward-noised draws, one row per condition: row b draws x0
+    from the mixture restricted to condition b, then noises it to the t = T
+    marginal. They read only the stack and the seed, so every plan variant
+    starts from the same latents. The stream is the one per-row
+    sample_x0(gm, cond, rng, 1) calls consume (one uniform for the
+    component, then d normals), so the draws match them bit for bit; each
+    condition's rows then take their components in one search of the
+    uniforms.
+    """
     gm, sched = stack.mixture, stack.schedule
     rng = np.random.default_rng(seed)
     b = len(stack.conditions)
@@ -326,7 +322,7 @@ def _exact_step(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, ...]:
     m, delta = _rel_mae_blocks(eps_c, eps_u)
     x = ddim_step(x, t, _guided(eps_c, delta, stack.guidance.w), stack.schedule)
     if t == 1:
-        _check_points(x)
+        _check_latents(x, 0)
     return x, m, eps_c, eps_u
 
 
@@ -337,9 +333,9 @@ def _pipelined_steps(stack: _Stack, history: tuple[np.ndarray, ...],
     shorter), to those up to s + k; segment d reads the latents d steps stale.
     It checks each latent once, on entry or as it is made, so an overflowing
     step raises before any caller keeps its latents; the gather checks none."""
-    for x in history:
-        _check_points(x)
     sched = stack.schedule
+    for d, x in enumerate(history):
+        _check_latents(x, min(sched.T - s + d, sched.T))
     for t in range(sched.T - s, sched.T - s - k, -1):       # steps s + 1 .. s + k
         est = np.zeros_like(history[0])
         for d, f in enumerate(fractions):
@@ -347,9 +343,15 @@ def _pipelined_steps(stack: _Stack, history: tuple[np.ndarray, ...],
             eps_c *= f
             est += eps_c
         x = ddim_step(history[0], t, est, sched)
-        _check_points(x)
+        _check_latents(x, t - 1)
         history = (_read_only(x),) + history[:-1]
     return history
+
+
+def _check_latents(x: np.ndarray, t: int) -> None:
+    """Check latents at timestep t that no oracle call checks before use."""
+    if not np.isfinite(x).all():
+        raise NumericError(f"latents at t={t} are not finite")
 
 
 def _exact_steps(stack: _Stack, x: np.ndarray, s: int) -> tuple[np.ndarray, list[np.ndarray]]:

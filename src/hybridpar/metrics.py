@@ -30,36 +30,13 @@ class Metrics:
         return asdict(self)
 
 
-def _check_same_shape(x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape != y.shape:
-        raise ShapeError(f"compared samples disagree: {x.shape} vs {y.shape}")
-
-
-def fidelity_l1(x: np.ndarray, y: np.ndarray) -> float:
-    """Mean absolute difference per latent entry."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    _check_same_shape(x, y)
-    return float(np.abs(x - y).mean())
-
-
-def fidelity_l2(x: np.ndarray, y: np.ndarray) -> float:
-    """Root mean squared difference per latent entry."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    _check_same_shape(x, y)
-    return float(np.sqrt(((x - y) ** 2).mean()))
-
-
-def psnr_analog(x: np.ndarray, y: np.ndarray) -> float | None:
-    """PSNR over latent vectors, peak = max |entry| across both inputs.
-
-    None signals an exact match. The usual image PSNR fixes peak = 255; latents
-    have no such scale, so the peak is taken from the data and recorded as a
-    modeling choice.
-    """
-    return _psnr(x, y, fidelity_l2(x, y))
-
-
 def _psnr(x: np.ndarray, y: np.ndarray, rmse: float) -> float | None:
+    """PSNR over latent vectors with this rmse, None on an exact match.
+
+    The usual image PSNR fixes peak = 255; latents have no such scale, so
+    the peak is taken from the data, max |entry| across both inputs, and
+    recorded as a modeling choice.
+    """
     if rmse == 0.0:
         return None
     peak = float(max(np.abs(x).max(), np.abs(y).max()))
@@ -67,9 +44,12 @@ def _psnr(x: np.ndarray, y: np.ndarray, rmse: float) -> float | None:
 
 
 def compare_runs(result, serial_result) -> Metrics:
-    """Metrics for a run, with speedup and fidelity against the serial run."""
+    """Metrics for a run, with speedup and fidelity against the serial run:
+    per latent entry, the mean absolute difference (fidelity_l1), the root
+    mean squared difference (fidelity_l2) and _psnr of that rmse."""
     x, y = (np.asarray(r.x0, dtype=float) for r in (result, serial_result))
-    _check_same_shape(x, y)
+    if x.shape != y.shape:
+        raise ShapeError(f"compared samples disagree: {x.shape} vs {y.shape}")
     diff = x - y
     rmse = float(np.sqrt((diff ** 2).mean()))
     return Metrics(

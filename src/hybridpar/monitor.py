@@ -62,11 +62,8 @@ class SwitchConfig:
 
 
 class DiscrepancySeries:
-    """Ordered map timestep -> measured discrepancy, recorded descending.
-
-    Gaps are allowed: steps executed inside the pipelined window do not
-    evaluate both branches, so nothing is recorded for them.
-    """
+    """Ordered map timestep -> measured discrepancy. record takes t strictly
+    descending, with gaps allowed: t may skip timesteps between records."""
 
     def __init__(self):
         self._values: dict[int, float] = {}
@@ -91,36 +88,19 @@ class DiscrepancySeries:
             raise HistoryError(f"no value recorded at t={t}")
         return self._values[t]
 
-    def items(self) -> list[tuple[int, float]]:
-        """(t, value) pairs in recorded (descending-t) order."""
-        return list(self._values.items())
-
-    def __len__(self) -> int:
-        return len(self._values)
-
 
 def _slope(series: DiscrepancySeries, t: int, L: int) -> float | None:
-    """slope's G, or None where M_t or M_{t+L} is not recorded. Each value is
-    read once: one dict lookup per key, no membership test before it."""
-    now, then = series._values.get(t), series._values.get(t + L)
-    return None if now is None or then is None else (now - then) / L
-
-
-def slope(series: DiscrepancySeries, t: int, L: int) -> float:
-    """Windowed slope G at timestep t: (M_t - M_{t+L}) / L.
+    """Windowed slope G at timestep t: (M_t - M_{t+L}) / L, or None where
+    M_t or M_{t+L} is not recorded.
 
     The reference point is the measurement taken L controller iterations
-    earlier, which in a descending traversal lives at key t + L. Negative
-    while the curve decays, entering [0, g) once it flattens. Raises
-    HistoryError if either value is missing; update_controller reads the
-    same G through _slope, which returns None instead.
+    earlier, which in a descending traversal lives at key t + L. G is
+    negative while the curve decays and enters [0, g_slope) once it
+    flattens. Each value is read once: one dict lookup per key, no
+    membership test before it.
     """
-    if L < 1:
-        raise ParameterError(f"L must be >= 1, got {L}")
-    g = _slope(series, t, L)
-    if g is None:
-        raise HistoryError(f"slope at t={t} needs recorded values at t={t} and t={t + L}")
-    return g
+    now, then = series._values.get(t), series._values.get(t + L)
+    return None if now is None or then is None else (now - then) / L
 
 
 def stage_at(s: int, tau1: int | None, tau2: int | None) -> Stage:
@@ -154,11 +134,6 @@ class StageState:
     tau2: int | None = None
     steps_done: int = 0
     last_t: int | None = field(default=None, repr=False)
-
-    @property
-    def stage(self) -> Stage:
-        """The stage of the last step taken."""
-        return stage_at(self.steps_done, self.tau1, self.tau2)
 
 
 def update_controller(state: StageState, series: DiscrepancySeries, t: int,

@@ -22,7 +22,7 @@ from test_exact_path import on_its_store
 
 from hybridpar.config import ExperimentConfig, PRESETS
 from hybridpar.engine import PlanVariant, run_plan, run_serial
-from hybridpar.metrics import compare_runs, fidelity_l1
+from hybridpar.metrics import compare_runs
 from hybridpar.mixture import (Condition, GaussianMixture, eps_prediction,
                                rel_mae, score, score_ratio_estimate)
 from hybridpar.monitor import (SlopeNoiseModel, SwitchConfig,
@@ -164,7 +164,7 @@ def test_criterion_06_window_width_tradeoff():
         for k in ks:
             res = run_plan(cfg.to_plan(seed=seed, variant=PlanVariant.HYBRID, k=k))
             lat[k].append(res.latency_s)
-            fid[k].append(fidelity_l1(res.x0, serial.x0))
+            fid[k].append(compare_runs(res, serial).fidelity_l1)
     mean_lat = [float(np.mean(lat[k])) for k in ks]
     mean_fid = [float(np.mean(fid[k])) for k in ks]
     assert all(b < a for a, b in zip(mean_lat, mean_lat[1:]))

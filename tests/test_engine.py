@@ -5,6 +5,7 @@ The preset cost model is c = 0.1649 s per branch evaluation and 0.0025 s per
 message (infinite bandwidth), so every latency asserted here has a hand
 closed form built from those two constants.
 """
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -12,12 +13,13 @@ import pytest
 from test_exact_path import on_its_store
 
 from hybridpar.config import ExperimentConfig, PRESETS
-from hybridpar.engine import ExecutionPlan, PlanVariant, initial_latents, run_plan, run_serial
+from hybridpar.engine import (ExecutionPlan, PlanVariant, _draw_latents, _Stack, run_plan,
+                             run_serial)
 from hybridpar.errors import ParameterError, PlanError
 from hybridpar.metrics import compare_runs
 from hybridpar.mixture import Condition, eps_prediction, rel_mae
 from hybridpar.monitor import (DiscrepancySeries, Stage, StageState,
-                               SwitchConfig, update_controller)
+                               SwitchConfig, stage_at, update_controller)
 from hybridpar.plan import _DEVICES, _STAGED
 from hybridpar.schedules import GuidanceParams, cfg_combine, ddim_step
 from hybridpar.trace import DeviceSpec, LinkSpec
@@ -137,7 +139,7 @@ def test_hybrid_trajectory_bitwise_reference():
                 plan.mixture, Condition(idx), plan.schedule, x[np.asarray(rows)], t)
         return out
 
-    x = initial_latents(plan)
+    x = _draw_latents(_Stack.of(plan), plan.seed)
     series = DiscrepancySeries()
     ctrl = StageState()
     history: list[np.ndarray] = []
@@ -147,7 +149,7 @@ def test_hybrid_trajectory_bitwise_reference():
         del history[2:]
         if ctrl.tau1 is not None:
             update_controller(ctrl, series, t, plan.switch)
-        if ctrl.tau1 is not None and ctrl.stage is Stage.PARALLELISM:
+        if stage_at(ctrl.steps_done, ctrl.tau1, ctrl.tau2) is Stage.PARALLELISM:
             est = np.zeros_like(x)
             for d, f in enumerate(plan.segment_fractions):
                 est += f * branch_c(history[min(d, len(history) - 1)], t)
@@ -271,6 +273,23 @@ def test_plan_rejects_bad_scalars():
         replace(plan, cfg_batching_factor=2.5)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"conditions": ()}, "^plan needs at least one condition$"),
+    ({"switch": None}, "^staged plan needs a switch config$"),
+], ids=["no-conditions", "staged-without-switch"])
+def test_plan_rejects_what_to_plan_never_builds(change, message):
+    """to_plan gives every plan a condition and every staged plan a switch
+    config, so only a plan built directly reaches these checks."""
+    with pytest.raises(PlanError, match=message):
+        replace(preset_plan("hybrid"), **change)
+
+
+@pytest.mark.parametrize("cost", [0.0, -C, math.inf, math.nan])
+def test_device_cost_must_be_finite_and_positive(cost):
+    with pytest.raises(ParameterError, match="^branch_step_cost must be finite and > 0"):
+        DeviceSpec("dev0", cost)
+
+
 def test_plan_rejects_wrong_device_count():
     plan = preset_plan("hybrid")
     with pytest.raises(PlanError):
@@ -378,8 +397,8 @@ def test_trace_messages_follow_link_model():
 
 
 def test_initial_latents_shared_across_variants():
-    a = initial_latents(preset_plan("serial", seed=12, condition_batch=8))
-    b = initial_latents(preset_plan("hybrid", seed=12, condition_batch=8))
+    a, b = (_draw_latents(_Stack.of(preset_plan(variant, seed=12, condition_batch=8)), 12)
+            for variant in ("serial", "hybrid"))
     assert np.array_equal(a, b)
 
 

@@ -23,12 +23,13 @@ import hybridpar.cli as cli
 import hybridpar.engine as engine
 from hybridpar.cli import SWEEP_HEADER, main
 from hybridpar.config import ExperimentConfig
-from hybridpar.engine import ExactPath, PlanVariant, initial_latents, run_plan, run_serial
+from hybridpar.engine import (ExactPath, PlanVariant, _draw_latents, _Stack, run_plan,
+                             run_serial)
 from hybridpar.errors import NumericError, ParameterError, PlanError
 from hybridpar.metrics import compare_runs
 from hybridpar.mixture import Condition, _rel_mae_blocks, eps_prediction, rel_mae
 from hybridpar.monitor import (DiscrepancySeries, Stage, StageState, replay_series,
-                               update_controller)
+                               stage_at, update_controller)
 from hybridpar.schedules import GuidanceParams, build_schedule, cfg_combine, ddim_step
 
 MULTI = [[0], [1, 2], [3], [0, 1, 2, 3]]
@@ -173,14 +174,14 @@ def reference_runs(plan):
                                        x[rows], t)
         return out
 
-    x = initial_latents(plan)
+    x = _draw_latents(_Stack.of(plan), plan.seed)
     series, ctrl, history = DiscrepancySeries(), StageState(), []
     for t in range(plan.schedule.T, 0, -1):
         history.insert(0, x)
         del history[len(fractions):]
         if staged and ctrl.tau1 is not None:
             update_controller(ctrl, series, t, plan.switch)
-        if staged and ctrl.tau1 is not None and ctrl.stage is Stage.PARALLELISM:
+        if staged and stage_at(ctrl.steps_done, ctrl.tau1, ctrl.tau2) is Stage.PARALLELISM:
             est = np.zeros_like(x)
             for d, f in enumerate(fractions):
                 est += f * branch_c(history[min(d, len(history) - 1)], t)
@@ -192,7 +193,7 @@ def reference_runs(plan):
             if staged and ctrl.tau1 is None:
                 update_controller(ctrl, series, t, plan.switch)
             x = ddim_step(x, t, cfg_combine(eps_c, eps_u, plan.guidance), plan.schedule)
-    return [(x, tuple(series.items()), ctrl.tau1, ctrl.tau2)]
+    return [(x, tuple(series._values.items()), ctrl.tau1, ctrl.tau2)]
 
 
 @pytest.mark.parametrize("body, seeds", [
@@ -289,7 +290,7 @@ def test_each_seed_x0_is_a_read_only_view_of_one_stacked_array():
     path = ExactPath(seeds, cfg.to_plan(variant=PlanVariant.HYBRID))
     assert len(path._ms) == 0
     (drawn,) = [a for a in held_arrays(path) if a.dtype == float and a.ndim >= 2]
-    want = np.stack([initial_latents(cfg.to_plan(seed=s)) for s in seeds])
+    want = np.stack([_draw_latents(_Stack.of(cfg.to_plan(seed=s)), s) for s in seeds])
     assert drawn.shape == (len(seeds), 8, cfg.mixture.dim) and not drawn.flags.writeable
     assert drawn.tobytes() == want.tobytes()
     for k in (0, 5):
@@ -440,11 +441,36 @@ def test_window_step_that_overflows_stores_nothing(monkeypatch, window_step):
         return np.full_like(out, np.inf) if t == bad_t else out
 
     monkeypatch.setattr(engine, "ddim_step", overflowing)
-    with pytest.raises(NumericError, match="must be finite"):
+    with pytest.raises(NumericError, match=rf"^latents at t={bad_t - 1} are not finite$"):
         run_plan(plan)
     assert path._heads == {} and path._windows == {}
     monkeypatch.setattr(engine, "ddim_step", original)
     assert_same_run(run_plan(plan), want)
+
+
+def test_window_entry_names_the_latents_no_oracle_read(monkeypatch):
+    """The latents of the switch step reach no oracle call before a window
+    starts from them, so the window's entry check names them and their
+    timestep; an exact step that reads them fails in the oracle's own check."""
+    cfg = ExperimentConfig.from_dict({"condition_batch": 4, "schedule": {"T": 12},
+                                      "switch": {"L": 2, "tau_cap": 3, "k": 4}})
+    path = ExactPath((3,), cfg.to_plan(variant=PlanVariant.HYBRID))
+    plan = cfg.to_plan(seed=3, variant=PlanVariant.HYBRID, exact_path=path)
+    tau1 = run_plan(replace(plan, exact_path=None)).tau1
+    original = engine.ddim_step
+    switch_t = cfg.schedule.T - tau1 + 1
+
+    def overflowing(x, t, eps, sched):
+        out = original(x, t, eps, sched)
+        return np.full_like(out, np.inf) if t == switch_t else out
+
+    monkeypatch.setattr(engine, "ddim_step", overflowing)
+    with pytest.raises(NumericError, match=rf"^latents at t={switch_t - 1} are not finite$"):
+        run_plan(plan)
+    assert len(path._ms) == tau1 and path._windows == {}
+    serial = cfg.to_plan(seed=3, variant=PlanVariant.SERIAL, exact_path=path)
+    with pytest.raises(NumericError, match="^evaluation points must be finite$"):
+        run_plan(serial)
 
 
 @pytest.mark.parametrize("variant, k", [("serial", None), ("hybrid", 4)],
@@ -464,7 +490,7 @@ def test_x0_that_overflows_raises_and_stores_nothing(monkeypatch, variant, k):
         return np.full_like(out, np.inf) if t == 1 else out
 
     monkeypatch.setattr(engine, "ddim_step", overflowing)
-    with pytest.raises(NumericError, match="must be finite"):
+    with pytest.raises(NumericError, match="^latents at t=0 are not finite$"):
         run_plan(plan)
     assert path._x0 == () and path._windows == {}
     if k is None:

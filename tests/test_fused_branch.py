@@ -13,8 +13,8 @@ import pytest
 import hybridpar.mixture as mixture_mod
 from hybridpar.cli import CURVE_HEADER, main
 from hybridpar.config import ExperimentConfig
-from hybridpar.engine import (PlanVariant, _branches, _conditional_branch, _exact_step,
-                              _Stack, initial_latents)
+from hybridpar.engine import (PlanVariant, _branches, _conditional_branch, _draw_latents,
+                              _exact_step, _Stack)
 from hybridpar.errors import PlanError
 from hybridpar.mixture import (Condition, _condition_rows, _noised_terms, _score_rows,
                                _Terms, conditional, eps_prediction, noised_mixture,
@@ -236,7 +236,7 @@ def ref_curve_csv() -> str:
     """The curve command's CSV, computed with freshly built mixtures."""
     plan = ExperimentConfig.from_dict({}).to_plan(variant=PlanVariant.SERIAL)
     gm, sched = plan.mixture, plan.schedule
-    x = initial_latents(plan)
+    x = _draw_latents(_Stack.of(plan), plan.seed)
     rows = []
     for t in range(sched.T, 0, -1):
         eps_c = ref_conditional_branch(plan, x, t)

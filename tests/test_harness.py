@@ -14,8 +14,7 @@ from hybridpar.cli import (CURVE_HEADER, SWEEP_HEADER, TRACE_HEADER,
                            curve_rows, main, read_series_csv)
 from hybridpar.config import ExperimentConfig, load_config
 from hybridpar.errors import ParameterError, PlanError, SeriesParseError, ShapeError
-from hybridpar.metrics import (Metrics, compare_runs, fidelity_l1,
-                               fidelity_l2, psnr_analog)
+from hybridpar.metrics import Metrics, compare_runs
 
 METRIC_KEYS = {"latency_s", "speedup", "comm_bytes", "fidelity_l1",
                "fidelity_l2", "psnr_analog", "tau1", "tau2"}
@@ -55,32 +54,47 @@ SMALL = dict(condition_batch=4, seeds=[0],
 
 # metrics ------------------------------------------------------------------------
 
+class Run:
+    """The fields of a RunResult that compare_runs reads."""
+
+    def __init__(self, x0, latency_s=1.0):
+        self.x0, self.latency_s, self.comm_bytes = x0, latency_s, 0
+        self.tau1 = self.tau2 = None
+
+
+# reference: the fidelities computed one metric at a time, each forming x - y
+def fidelity_l1(x, y):
+    return float(np.abs(x - y).mean())
+
+
+def fidelity_l2(x, y):
+    return float(np.sqrt(((x - y) ** 2).mean()))
+
+
+def psnr_analog(x, y):
+    rmse = fidelity_l2(x, y)
+    return None if rmse == 0.0 else 20.0 * math.log10(
+        float(max(np.abs(x).max(), np.abs(y).max())) / rmse)
+
+
 def test_fidelity_hand_values():
-    x = np.zeros((1, 2))
-    y = np.array([[1.0, -1.0]])
-    assert fidelity_l1(x, y) == 1.0
-    assert fidelity_l2(x, y) == 1.0
-    assert psnr_analog(x, y) == 0.0    # peak 1, rmse 1
+    m = compare_runs(Run(np.zeros((1, 2))), Run(np.array([[1.0, -1.0]])))
+    assert (m.fidelity_l1, m.fidelity_l2) == (1.0, 1.0)
+    assert m.psnr_analog == 0.0    # peak 1, rmse 1
 
 
 def test_psnr_none_on_exact_match():
     x = np.array([[0.5, -2.0]])
-    assert psnr_analog(x, x.copy()) is None
+    assert compare_runs(Run(x), Run(x.copy())).psnr_analog is None
 
 
 def test_fidelity_shape_mismatch():
     with pytest.raises(ShapeError):
-        fidelity_l1(np.zeros(2), np.zeros(3))
+        compare_runs(Run(np.zeros(2)), Run(np.zeros(3)))
 
 
 def test_compare_runs_speedup_direction():
-    class Stub:
-        def __init__(self, latency):
-            self.latency_s = latency
-            self.comm_bytes = 0
-            self.x0 = np.zeros((1, 2))
-            self.tau1 = self.tau2 = None
-    m = compare_runs(Stub(5.0), Stub(10.0))
+    m = compare_runs(Run(np.zeros((1, 2)), 5.0), Run(np.zeros((1, 2)), 10.0))
     assert m.speedup == 2.0
     assert m.fidelity_l1 == 0.0 and m.psnr_analog is None
     assert set(m.to_dict()) == METRIC_KEYS
@@ -90,21 +104,17 @@ def test_compare_runs_speedup_direction():
 @pytest.mark.parametrize("shape", [(1, 2), (64, 8), (3, 7, 5)])
 def test_compare_runs_equals_the_public_fidelities_bitwise(shape):
     """compare_runs forms x0 - serial x0 once; its fidelities keep the bits
-    of fidelity_l1, fidelity_l2 and psnr_analog, and an exact match is
-    psnr None."""
-    class Stub:
-        def __init__(self, x0):
-            self.latency_s, self.comm_bytes, self.x0 = 1.0, 0, x0
-            self.tau1 = self.tau2 = None
+    of the reference fidelity_l1, fidelity_l2 and psnr_analog above, and an
+    exact match is psnr None."""
     rng = np.random.default_rng(len(shape))
     for _ in range(20):
         x, y = rng.normal(0.0, 3.0, (2, *shape)) * 10.0 ** rng.integers(-3, 4)
         for a, b in [(x, y), (x, x.copy()), (x, x + 1e-17)]:
-            m = compare_runs(Stub(a), Stub(b))
+            m = compare_runs(Run(a), Run(b))
             # repr round-trips a float exactly, and tells None apart
             assert (repr((m.fidelity_l1, m.fidelity_l2, m.psnr_analog))
                     == repr((fidelity_l1(a, b), fidelity_l2(a, b), psnr_analog(a, b))))
-        assert compare_runs(Stub(x), Stub(x.copy())).psnr_analog is None
+        assert compare_runs(Run(x), Run(x.copy())).psnr_analog is None
 
 
 # golden output shapes --------------------------------------------------------------
@@ -612,6 +622,8 @@ BAD_CONFIG_VALUES = [
     ({"seeds": list(range(20000)), "condition_batch": 4096}, "seeds"),
     # sweep means would count a repeated seed twice
     ({"seeds": [0, 0, 1]}, "seeds"),
+    # a device cost must be finite and > 0
+    ({"devices": [0, 1]}, "branch_step_cost"),
 ]
 
 
@@ -774,7 +786,8 @@ def test_non_finite_x0_is_one_json_error(tmp_path, capsys, monkeypatch, argv):
     code, stdout, stderr = run_cli(argv, capsys)
     assert (code, stdout) == (1, "")
     assert len(stderr.splitlines()) == 1
-    assert json.loads(stderr)["error"] == "NumericError"
+    assert json.loads(stderr) == {"error": "NumericError",
+                                  "message": "latents at t=0 are not finite"}
     assert not (tmp_path / "run").exists()
 
 

@@ -42,6 +42,25 @@ def test_mixture_rejects_degenerate(kwargs):
         GaussianMixture(**{k: np.asarray(v, dtype=float) for k, v in kwargs.items()})
 
 
+@pytest.mark.parametrize("kwargs, error, message", [
+    (dict(weights=[1.0], means=[0.0], variances=[[1.0]]),
+     ShapeError, r"weights must be \(K,\), means and variances \(K, d\)"),
+    (dict(weights=[1.0, 1.0], means=[[0.0], [1.0]], variances=[[1.0, 1.0], [1.0, 1.0]]),
+     ShapeError, "inconsistent component shapes"),
+    (dict(weights=[1.0, 1.0, 1.0], means=[[0.0], [1.0]], variances=[[1.0], [1.0]]),
+     ShapeError, "inconsistent component shapes"),
+    (dict(weights=[1.0, 1.0], means=[[0.0], [np.nan]], variances=[[1.0], [1.0]]),
+     NumericError, "mixture parameters must be finite"),
+    (dict(weights=[1.0, 1.0], means=[[0.0], [1.0]], variances=[[1.0], [np.inf]]),
+     NumericError, "mixture parameters must be finite"),
+    (dict(weights=[np.inf, 1.0], means=[[0.0], [1.0]], variances=[[1.0], [1.0]]),
+     NumericError, "mixture parameters must be finite"),
+], ids=["means-ndim", "variances-shape", "component-count", "nan-mean", "inf-variance", "inf-weight"])
+def test_mixture_rejects_inconsistent_or_non_finite_parameters(kwargs, error, message):
+    with pytest.raises(error, match=message):
+        GaussianMixture(**{k: np.asarray(v, dtype=float) for k, v in kwargs.items()})
+
+
 def test_mixture_rejects_weights_whose_sum_overflows():
     # each weight is finite, but normalizing by their inf sum would give zeros
     with np.errstate(over="ignore"), pytest.raises(NumericError):

@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 import hybridpar.mixture as mixture
 from hybridpar.cli import curve_rows
 from hybridpar.config import DEFAULT_MIXTURE, DEFAULT_SCHEDULE, ExperimentConfig
-from hybridpar.engine import PlanVariant, initial_latents
+from hybridpar.engine import PlanVariant, _draw_latents, _Stack
 from hybridpar.errors import (DegenerateInputError, HistoryError,
                               NumericError, ParameterError, SequencingError,
                               ShapeError)
 from hybridpar.mixture import (Condition, GaussianMixture, _condition_rows, eps_prediction,
                                rel_mae, score_ratio_estimate)
 from hybridpar.monitor import (DiscrepancySeries, SlopeNoiseModel, Stage,
-                               StageState, SwitchConfig,
+                               StageState, SwitchConfig, _accepts, _slope,
                                hoeffding_false_alarm, replay_series,
-                               slope, stage_at, update_controller)
+                               stage_at, update_controller)
 from hybridpar.schedules import build_schedule
 
 
@@ -85,8 +85,7 @@ def test_series_records_descending_only():
         s.record(9, 0.3)
     with pytest.raises(SequencingError):
         s.record(11, 0.3)
-    assert len(s) == 2
-    assert s.items() == [(10, 0.5), (9, 0.4)]
+    assert list(s._values.items()) == [(10, 0.5), (9, 0.4)]
 
 
 def test_series_allows_gaps():
@@ -108,7 +107,7 @@ def test_slope_constant_series_is_zero():
     s = DiscrepancySeries()
     for t in range(10, 0, -1):
         s.record(t, 0.3)
-    assert slope(s, 5, 3) == 0.0
+    assert _slope(s, 5, 3) == 0.0
 
 
 def test_slope_linear_series():
@@ -117,17 +116,17 @@ def test_slope_linear_series():
     for t in range(10, 0, -1):
         s.record(t, 2.0 * t)
     for L in (1, 4, 7):
-        assert slope(s, 2, L) == -2.0
+        assert _slope(s, 2, L) == -2.0
 
 
 def test_slope_missing_history():
+    """The slope is None unless both M_t and M_{t+L} are recorded."""
     s = DiscrepancySeries()
     s.record(10, 0.5)
     s.record(9, 0.4)
-    with pytest.raises(HistoryError):
-        slope(s, 9, 5)
-    with pytest.raises(ParameterError):
-        slope(s, 9, 0)
+    assert _slope(s, 9, 1) == 0.4 - 0.5
+    assert _slope(s, 9, 5) is None
+    assert _slope(s, 8, 1) is None
 
 
 def test_slope_flattens_exactly_at_parabola_vertex():
@@ -141,7 +140,7 @@ def test_slope_flattens_exactly_at_parabola_vertex():
     for t, m in pairs:
         s.record(t, m)
         if first is None and s.has(t + cfg.L):
-            g = slope(s, t, cfg.L)
+            g = _slope(s, t, cfg.L)
             if 0.0 <= g < cfg.g_slope:
                 first = t
     assert first == 19
@@ -202,6 +201,14 @@ def test_controller_requires_descending_steps():
         update_controller(state, series, 8, cfg)
 
 
+def test_controller_rejects_a_negative_timestep():
+    """record rejects t < 0 first on every path that records; the controller
+    checks it too, without a recorded value."""
+    cfg = SwitchConfig(L=2, g_slope=1e-3, tau_cap=5, k=2)
+    with pytest.raises(ParameterError, match="^timestep must be >= 0, got -1$"):
+        update_controller(StageState(), DiscrepancySeries(), -1, cfg)
+
+
 def test_controller_k_zero_skips_pipelined_window():
     cfg = SwitchConfig(L=12, g_slope=4e-4, tau_cap=10, k=0)
     pairs = [(t, 0.1 + 0.01 * t) for t in range(30, 0, -1)]
@@ -237,13 +244,11 @@ def test_stage_at_boundaries():
     assert [stage_at(s, 3, 5) for s in range(1, 8)] == (
         [Stage.WARM_UP] * 3 + [Stage.PARALLELISM] * 2 + [Stage.FULLY_CONNECTING] * 2)
     assert [stage_at(s, 3, 3) for s in (3, 4)] == [Stage.WARM_UP, Stage.FULLY_CONNECTING]
-    with pytest.raises(AttributeError):        # derived, so it cannot regress
-        StageState().stage = Stage.FULLY_CONNECTING
 
 
 # The controller as it was when every call computed its own stage label,
-# verbatim but for the state class, whose stage was a settable field. It is
-# the reference the derived stage is checked against.
+# verbatim but for the state class, whose stage was a settable field, and the
+# slope, written out. It is the reference for stage_at of each step.
 @dataclass
 class LabelledState:
     tau1: int | None = None
@@ -264,7 +269,7 @@ def labelled_update_controller(state, series, t, cfg):
     if state.tau1 is None:
         fired = False
         if series.has(t) and series.has(t + cfg.L):
-            g = slope(series, t, cfg.L)
+            g = (series.get(t) - series.get(t + cfg.L)) / cfg.L
             fired = 0.0 <= g < cfg.g_slope
         if fired:
             state.tau1 = min(s, cfg.tau_cap)
@@ -329,7 +334,8 @@ def test_controller_matches_the_labelled_reference_step_by_step():
             ref_series.record(t, m)
             update_controller(state, series, t, cfg)
             labelled_update_controller(ref, ref_series, t, cfg)
-            got = (state.tau1, state.tau2, state.steps_done, state.last_t, state.stage)
+            got = (state.tau1, state.tau2, state.steps_done, state.last_t,
+                   stage_at(state.steps_done, state.tau1, state.tau2))
             assert got == (ref.tau1, ref.tau2, ref.steps_done, ref.last_t, ref.stage), case
         replayed, labels = replay_series(pairs, cfg)
         ref_replayed, ref_labels = labelled_replay_series(pairs, cfg)
@@ -441,6 +447,20 @@ def test_the_first_bad_row_after_the_switch_wins(first, second):
     assert want == raised(per_row_replay, pairs[:16], LATE_CFG)
 
 
+@pytest.mark.parametrize("value, error", [("0.5", TypeError), (10 ** 400, OverflowError)],
+                         ids=["str", "huge-int"])
+def test_a_row_the_bulk_check_cannot_read_raises_its_own_error(value, error):
+    """A value whose finiteness check raises is a row _accepts does not
+    accept, so the per-row calls resume and that row raises its own error."""
+    pairs = late_series()
+    pairs[20] = (pairs[20][0], value)
+    switch = LATE_POSITIONS["on-the-switch"]
+    assert _accepts(pairs[switch + 1:], pairs[switch][0]) is False
+    want = raised(per_row_replay, pairs, LATE_CFG)
+    assert want[0] is error
+    assert raised(replay_series, pairs, LATE_CFG) == want
+
+
 def test_replay_steps_the_controller_only_until_it_decides(monkeypatch):
     """A clean series calls update_controller once per row up to tau1, which
     the late series reaches on its switch row; a bad row after it sends the
@@ -498,7 +518,7 @@ def test_score_ratio_over_condition_groups_matches_branch_rel_mae():
     gm, sched = plan.mixture, plan.schedule
     groups = _condition_rows(gm, plan.conditions).groups
     assert sorted(len(cond.indices) for cond, _ in groups) == [1, 2]
-    x = initial_latents(plan)
+    x = _draw_latents(_Stack.of(plan), plan.seed)
     for t in (3, 25, 50):
         eps_c = np.empty_like(x)
         for cond, rows in groups:
@@ -519,7 +539,7 @@ def test_score_ratio_scores_the_unconditional_branch_once(monkeypatch):
     cfg = ExperimentConfig.from_dict({"conditions": [[0, 1], [2]]})
     plan = cfg.to_plan(variant=PlanVariant.SERIAL)
     groups = _condition_rows(plan.mixture, plan.conditions).groups
-    x = initial_latents(plan)
+    x = _draw_latents(_Stack.of(plan), plan.seed)
     conds = []
     original = mixture.noised_score
 
@@ -533,6 +553,16 @@ def test_score_ratio_scores_the_unconditional_branch_once(monkeypatch):
     conds.clear()
     curve_rows(cfg)
     assert conds.count(None) == 2 * plan.schedule.T
+
+
+def test_score_ratio_rejects_a_zero_unconditional_score():
+    """A one-component mixture centred at 0, evaluated at 0, has a zero score
+    on every branch, so the ratio has no denominator."""
+    gm = GaussianMixture(weights=np.ones(1), means=np.zeros((1, 3)), variances=np.ones((1, 3)))
+    sched = build_schedule(DEFAULT_SCHEDULE["kind"], DEFAULT_SCHEDULE["T"],
+                           DEFAULT_SCHEDULE["beta_start"], DEFAULT_SCHEDULE["beta_end"])
+    with pytest.raises(DegenerateInputError, match="^unconditional score has zero L1 norm$"):
+        score_ratio_estimate(gm, ((Condition((0,)), slice(None)),), sched, np.zeros((2, 3)), 25)
 
 
 # false-alarm bound ----------------------------------------------------------------

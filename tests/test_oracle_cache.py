@@ -15,7 +15,7 @@ import pytest
 import hybridpar.mixture as mixture_mod
 from hybridpar.cli import main
 from hybridpar.config import ExperimentConfig
-from hybridpar.engine import PlanVariant, initial_latents
+from hybridpar.engine import PlanVariant, _draw_latents, _Stack
 from hybridpar.errors import NumericError, ParameterError, ShapeError
 from hybridpar.mixture import (Condition, GaussianMixture, ScoreEval, _condition_rows,
                                _noised_terms, _Terms, conditional, eps_prediction,
@@ -176,14 +176,14 @@ def test_initial_latents_match_reference_draws():
         eps = rng.standard_normal(x0.shape)
         ab = sched.alpha_bar(sched.T)
         want = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-        assert np.array_equal(initial_latents(plan), want)
+        assert np.array_equal(_draw_latents(_Stack.of(plan), plan.seed), want)
 
 
 @pytest.mark.parametrize("body", [{}, {"conditions": [[0, 1], [2], [1, 2, 3]],
                                       "condition_batch": 17}, {"condition_batch": 1}],
                          ids=["default", "mixed-17", "one-row"])
 def test_initial_latents_equal_per_row_sample_x0(body):
-    """initial_latents against the reference its docstring names: one
+    """_draw_latents against the reference its docstring names: one
     sample_x0(gm, cond, rng, 1) per row, one (B, d) normal draw for eps,
     then noised to t = T, bit for bit."""
     cfg = ExperimentConfig.from_dict(body)
@@ -195,7 +195,7 @@ def test_initial_latents_equal_per_row_sample_x0(body):
         eps = rng.standard_normal(x0.shape)
         ab = sched.alpha_bar(sched.T)
         want = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-        got = initial_latents(plan)
+        got = _draw_latents(_Stack.of(plan), plan.seed)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
 
 
@@ -215,7 +215,7 @@ def test_initial_latents_match_reference_draws_weighted_multi_index():
         eps = rng.standard_normal(x0.shape)
         ab = sched.alpha_bar(sched.T)
         want = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-        assert np.array_equal(initial_latents(plan), want)
+        assert np.array_equal(_draw_latents(_Stack.of(plan), plan.seed), want)
 
 
 def test_sample_x0_matches_reference_draws():
