@@ -100,20 +100,29 @@ def _json_list(items: str) -> str:
     return f"[\n{items}\n  ]" if items else "[]"
 
 
+class _Escaped(dict):
+    """Each string's JSON spelling, escaped on its first lookup."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = escaped = _json_str(text)
+        return escaped
+
+
 def _trace_json(trace: RunTrace) -> str:
     """trace.json: byte for byte _json_dumps of {"busy": [...], "messages":
     [...]} with one object per event, written from one template per event
-    because json's indenting encoder is pure Python."""
-    s, f = _json_str, _json_float
+    because json's indenting encoder is pure Python. Each distinct device,
+    stage, label and kind is escaped once per trace."""
+    s, f = _Escaped(), _json_float
     busy = ",\n".join(
-        f'    {{\n      "device": {s(b.device)},\n      "end": {f(b.end)},\n'
-        f'      "label": {s(b.label)},\n      "stage": {s(b.stage)},\n'
+        f'    {{\n      "device": {s[b.device]},\n      "end": {f(b.end)},\n'
+        f'      "label": {s[b.label]},\n      "stage": {s[b.stage]},\n'
         f'      "start": {f(b.start)},\n      "step": {b.step}\n    }}'
         for b in trace.busy)
     messages = ",\n".join(
         f'    {{\n      "arrive": {f(m.arrive)},\n      "depart": {f(m.depart)},\n'
-        f'      "dst": {s(m.dst)},\n      "kind": {s(m.kind)},\n'
-        f'      "nbytes": {m.nbytes},\n      "src": {s(m.src)},\n'
+        f'      "dst": {s[m.dst]},\n      "kind": {s[m.kind]},\n'
+        f'      "nbytes": {m.nbytes},\n      "src": {s[m.src]},\n'
         f'      "step": {m.step}\n    }}'
         for m in trace.messages)
     return (f'{{\n  "busy": {_json_list(busy)},\n'
@@ -146,12 +155,10 @@ def cmd_simulate(args) -> int:
 
 def _write_trace(result: RunResult, out_dir: str) -> None:
     rows = [TRACE_HEADER]
-    for b in result.trace.busy:
-        rows.append(f"busy,{b.step},{b.stage},{b.device},,,{b.label},,"
-                    f"{_fmt(b.start)},{_fmt(b.end)},")
-    for m in result.trace.messages:
-        rows.append(f"message,{m.step},,,{m.src},{m.dst},,{m.kind},"
-                    f"{_fmt(m.depart)},{_fmt(m.arrive)},{m.nbytes}")
+    rows += [f"busy,{b.step},{b.stage},{b.device},,,{b.label},,{b.start:.17g},{b.end:.17g},"
+             for b in result.trace.busy]
+    rows += [f"message,{m.step},,,{m.src},{m.dst},,{m.kind},{m.depart:.17g},{m.arrive:.17g},"
+             f"{m.nbytes}" for m in result.trace.messages]
     with open(os.path.join(out_dir, "trace.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
     with open(os.path.join(out_dir, "trace.json"), "w", encoding="utf-8") as fh:

@@ -12,8 +12,9 @@ the conditional branch, split into per-device segments, with segment d
 evaluated at the input latent d steps stale and the blend weighted by segment
 fraction. Guidance collapses there (the window is entered once the branches
 agree), so the blended estimate is used directly. A latent is checked finite
-once: by the oracle call that reads it, on window entry, else by the step that
-makes it (_pipelined_steps; x0, which no oracle reads, _exact_step at t = 1).
+by the oracle call that reads it, on window entry, else by the step that makes
+it (_pipelined_steps; x0, which no oracle reads, _exact_step at t = 1); an
+exact step's ddim_step checks its x_t a second time (schedules._check_pair).
 
 A seed is the leading axis of the latents: S seeds are one (S, B, d) array
 x, seed i is x[i], and all share one batch's condition rows (axis 1). Every
@@ -308,7 +309,7 @@ def _conditional_branch(stack: _Stack, x: np.ndarray, t: int) -> np.ndarray:
 def _branches(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Both branch outputs for (S, B, d) latents at timestep t; eps_u is one
     eps_prediction call on the flat (S*B, d) view, and its input check, which
-    runs first, is the one check of x."""
+    runs first, is the step's first check of x."""
     eps_u = eps_prediction(stack.mixture, None, stack.schedule, x.reshape(-1, x.shape[2]), t)
     return _conditional_branch(stack, x, t), eps_u.reshape(x.shape)
 
@@ -316,8 +317,9 @@ def _branches(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndar
 def _exact_step(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, ...]:
     """One measured guided step of every seed in the stack, curve's too: the
     new latents, each seed's discrepancy and the branch outputs eps_c, eps_u.
-    The oracle checks x, rel_mae the branch outputs, ddim_step the guided
-    estimate (in rel_mae's eps_c - eps_u), and the step x0, which nothing reads."""
+    The oracle checks x, rel_mae the branch outputs, ddim_step x again and
+    the guided estimate (in rel_mae's eps_c - eps_u), and the step x0, which
+    nothing reads."""
     eps_c, eps_u = _branches(stack, x, t)
     m, delta = _rel_mae_blocks(eps_c, eps_u)
     x = ddim_step(x, t, _guided(eps_c, delta, stack.guidance.w), stack.schedule)
@@ -350,7 +352,7 @@ def _pipelined_steps(stack: _Stack, history: tuple[np.ndarray, ...],
 
 def _check_latents(x: np.ndarray, t: int) -> None:
     """Check latents at timestep t that no oracle call checks before use."""
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise NumericError(f"latents at t={t} are not finite")
 
 

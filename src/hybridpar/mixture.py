@@ -120,7 +120,7 @@ def noised_mixture(gm: GaussianMixture, alpha_bar: float) -> GaussianMixture:
 
 
 def _check_points(x: np.ndarray) -> None:
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise NumericError("evaluation points must be finite")
 
 
@@ -174,7 +174,7 @@ def _sum_last(a: np.ndarray) -> np.ndarray:
     sum, and so do fewer than 512 rows, where each add's fixed cost dominates."""
     n, m = a.shape[-1], a.shape[-1] // 8 * 8
     if not 0 < n <= 128 or a.size < 512 * n:
-        return a.sum(axis=-1)
+        return np.add.reduce(a, axis=-1)
     if m:
         r = a[..., :8]
         for i in range(8, m, 8):
@@ -201,7 +201,9 @@ def _max_last(a: np.ndarray) -> np.ndarray:
 
 def _score_rows(terms: _Terms, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Score and log-density at each row of a (B, d) batch."""
-    diff = terms.means - x[:, None, :]                             # (B, K, d)
+    diff = np.empty((len(x),) + terms.means.shape)                 # (B, K, d)
+    diff[...] = terms.means         # means - x, in two broadcasts faster than one
+    diff -= x[:, None, :]
     log_joint, log_density = _log_resp(terms, diff)
     r = np.exp(log_joint - log_density[:, None])                   # (B, K)
     diff /= terms.variances                                        # the pull, in place
@@ -339,17 +341,20 @@ def _rel_mae_blocks(eps_c: np.ndarray, eps_u: np.ndarray) -> tuple[np.ndarray, n
     """rel_mae of each pair (eps_c[i], eps_u[i]), summed over its values in
     memory order with the bits of np.abs(c - u).sum() / np.abs(u).sum() on
     that pair alone, and the new array delta = eps_c - eps_u it sums, which
-    the guided step takes over. Finite outputs can still sum past float range,
-    so the results are checked too: no series may record a non-finite one."""
-    if not (np.isfinite(eps_c).all() and np.isfinite(eps_u).all()):
-        raise NumericError("non-finite branch outputs")
-    magnitude = np.abs(eps_u)
-    denom = magnitude.reshape(len(eps_u), -1).sum(axis=1)
-    if (denom == 0.0).any():
-        raise DegenerateInputError("reference branch has zero L1 norm")
-    delta = eps_c - eps_u
-    m = np.abs(delta, out=magnitude).reshape(len(delta), -1).sum(axis=1) / denom
-    if not np.isfinite(m).all():
+    the guided step takes over. It is computed with numpy's warnings off, and
+    a finite m implies finite outputs and nonzero denominators: only a
+    non-finite m runs the checks (finite outputs, nonzero denominators,
+    finite m), in that order, for its error."""
+    with np.errstate(all="ignore"):
+        magnitude = np.abs(eps_u)
+        denom = np.add.reduce(magnitude.reshape(len(eps_u), -1), axis=1)
+        delta = eps_c - eps_u
+        m = np.add.reduce(np.abs(delta, out=magnitude).reshape(len(delta), -1), axis=1) / denom
+    if not np.logical_and.reduce(np.isfinite(m), axis=None):
+        if not (np.isfinite(eps_c).all() and np.isfinite(eps_u).all()):
+            raise NumericError("non-finite branch outputs")
+        if (denom == 0.0).any():
+            raise DegenerateInputError("reference branch has zero L1 norm")
         raise NumericError("branch discrepancy is not finite")
     return m, delta
 

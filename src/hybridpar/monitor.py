@@ -170,10 +170,10 @@ def _accepts(rows: list[tuple[int, float]], last_t: int) -> bool:
     """Whether record and update_controller would accept every (t, M) of
     rows after a step at last_t: t runs last_t - 1, last_t - 2, ... and stays
     >= 0, and every M is finite. The t and M columns are compared whole,
-    not row by row; a pair it cannot read that way counts as not accepted,
-    and so does any value whose check raises."""
+    not row by row; a row it cannot read that way (of any arity but two)
+    counts as not accepted, and so does any value whose check raises."""
     try:
-        ts, ms = zip(*rows)
+        ts, ms = zip(*rows, strict=True)
         return (last_t - len(ts) >= 0
                 and ts == tuple(range(last_t - 1, last_t - 1 - len(ts), -1))
                 and all(map(math.isfinite, ms)))

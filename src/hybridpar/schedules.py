@@ -91,7 +91,8 @@ def build_schedule(kind: str, T: int, beta_start: float, beta_end: float) -> Noi
 def _check_pair(eps_c: np.ndarray, eps_u: np.ndarray) -> None:
     if eps_c.shape != eps_u.shape:
         raise ShapeError(f"branch outputs disagree: {eps_c.shape} vs {eps_u.shape}")
-    if not (np.isfinite(eps_c).all() and np.isfinite(eps_u).all()):
+    if not (np.logical_and.reduce(np.isfinite(eps_c), axis=None)
+            and np.logical_and.reduce(np.isfinite(eps_u), axis=None)):
         raise NumericError("non-finite values in branch outputs")
 
 

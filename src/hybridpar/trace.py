@@ -4,12 +4,14 @@ The engine is a deterministic single-logical-thread simulation: device busy
 intervals and message events are appended in execution order against a
 virtual clock, never from real threads. Message arrival follows the affine
 link model arrive = depart + base_latency + bytes / bandwidth; links are
-contention-free.
+contention-free. Events are read-only named tuples, cheaper to build than
+frozen dataclasses, and traces, read-only too, are shared between runs.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError
 
@@ -55,8 +57,7 @@ class LinkSpec:
         return self.base_latency_s + nbytes / self.bandwidth_bytes_per_s
 
 
-@dataclass(frozen=True)
-class BusyInterval:
+class BusyInterval(NamedTuple):
     device: str
     start: float
     end: float
@@ -65,8 +66,7 @@ class BusyInterval:
     label: str       # what was computed
 
 
-@dataclass(frozen=True)
-class MessageEvent:
+class MessageEvent(NamedTuple):
     src: str
     dst: str
     kind: str        # "latent" or "activation"

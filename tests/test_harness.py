@@ -245,6 +245,32 @@ def test_curve_is_the_serial_run_of_the_exact_path(monkeypatch, body):
     assert steps == [t for t, *_ in rows] == list(range(cfg.schedule.T, 0, -1))
 
 
+@pytest.mark.parametrize("huge, error, message", [
+    (1e308, "NumericError", "non-finite values in branch outputs"),
+    (1.0, "DegenerateInputError", "reference branch has zero L1 norm")])
+def test_curve_reports_an_overflowing_step_before_a_zero_reference_row(
+        monkeypatch, tmp_path, capsys, huge, error, message):
+    """A row whose eps_u is all zero fails curve's per-row band, which runs
+    after the step: when one eps_c value of the step is so large that the
+    guided estimate (eps_c + 2 (eps_c - eps_u)) overflows, ddim_step's
+    NumericError is reported, else the band's DegenerateInputError."""
+    import hybridpar.engine as engine
+    branches = engine._branches
+
+    def zero_reference_row(stack, x, t):
+        eps_c, eps_u = branches(stack, x, t)
+        eps_u[0, 0] = 0.0
+        eps_c[0, 1, 0] = huge
+        return eps_c, eps_u
+
+    monkeypatch.setattr(engine, "_branches", zero_reference_row)
+    cfg = write_config(tmp_path, condition_batch=4, seeds=[0], guidance_w=2.0)
+    code, _, err = run_cli(["curve", "--config", cfg, "--out", str(tmp_path / "c.csv")],
+                           capsys)
+    assert code == 1
+    assert json.loads(err) == {"error": error, "message": message}
+
+
 def test_curve_zero_when_condition_spans_mixture():
     cfg = ExperimentConfig.from_dict(dict(condition_batch=4, seeds=[0],
                                           conditions=[[0, 1, 2, 3]]))

@@ -2,13 +2,19 @@
 sampling. Finishes with integration checks that drive the
 deterministic steppers with oracle outputs and verify refinement converges.
 """
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridpar.config import DEFAULT_MIXTURE, DEFAULT_SCHEDULE
-from hybridpar.errors import NumericError, ParameterError, ShapeError
-from hybridpar.mixture import (Condition, GaussianMixture, conditional, eps_prediction,
-                               noised_mixture, noised_score, sample_x0, score)
+from hybridpar.errors import (DegenerateInputError, HybridparError, NumericError,
+                              ParameterError, ShapeError)
+from hybridpar.mixture import (Condition, GaussianMixture, _rel_mae_blocks, conditional,
+                               eps_prediction, noised_mixture, noised_score, sample_x0,
+                               score)
 from hybridpar.schedules import NoiseSchedule, build_schedule, ddim_step
 
 
@@ -353,3 +359,111 @@ def test_short_axis_reductions_equal_numpys(share):
             for rows in (a, a[0]):
                 assert_same_reduction(_sum_last(rows), rows.sum(axis=-1))
                 assert_same_reduction(_max_last(rows), rows.max(axis=-1), zero_sign=False)
+
+
+# the discrepancy kernel's checks -----------------------------------------------
+
+def ordered_rel_mae_blocks(eps_c: np.ndarray, eps_u: np.ndarray):
+    """_rel_mae_blocks as it was when it checked the outputs, then the
+    denominators, then the ratios, each check before the next value was
+    computed. Its sums warn on overflow, so callers switch warnings off."""
+    if not (np.isfinite(eps_c).all() and np.isfinite(eps_u).all()):
+        raise NumericError("non-finite branch outputs")
+    magnitude = np.abs(eps_u)
+    denom = magnitude.reshape(len(eps_u), -1).sum(axis=1)
+    if (denom == 0.0).any():
+        raise DegenerateInputError("reference branch has zero L1 norm")
+    delta = eps_c - eps_u
+    m = np.abs(delta, out=magnitude).reshape(len(delta), -1).sum(axis=1) / denom
+    if not np.isfinite(m).all():
+        raise NumericError("branch discrepancy is not finite")
+    return m, delta
+
+
+def kernel_outcome(fn, eps_c, eps_u):
+    """fn's (m, delta) bytes, or the class and message of the error it raises."""
+    try:
+        m, delta = fn(eps_c, eps_u)
+    except HybridparError as exc:
+        return type(exc), str(exc)
+    return m.tobytes(), delta.tobytes()
+
+
+def assert_checks_as_ordered(eps_c, eps_u):
+    """_rel_mae_blocks against the ordered reference, with every numpy
+    warning an error: none may escape the kernel, whatever the outer errstate."""
+    with np.errstate(all="ignore"):
+        want = kernel_outcome(ordered_rel_mae_blocks, eps_c, eps_u)
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        assert kernel_outcome(_rel_mae_blocks, eps_c, eps_u) == want
+    return want
+
+
+# what a seed's block may hold: +-inf and nan in either output, an all-zero
+# eps_u, values near 1e308 whose sums (or differences) overflow, and a tiny
+# eps_u whose ratio does
+BLOCKS = ["good", "+inf", "-inf", "nan", "zero-u", "huge", "huge-opposed",
+          "huge-zero-u", "tiny-u"]
+
+
+@st.composite
+def branch_pairs(draw):
+    """(S, B, d) branch outputs of normal values, each seed's block then
+    made one of BLOCKS, so bad seeds sit among good ones."""
+    S, B, d = (draw(st.integers(1, 4)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    eps_c, eps_u = rng.standard_normal((2, S, B, d))
+    for i in range(S):
+        kind = draw(st.sampled_from(BLOCKS))
+        out = eps_u if draw(st.booleans()) else eps_c
+        row, col = draw(st.integers(0, B - 1)), draw(st.integers(0, d - 1))
+        if kind in ("+inf", "-inf", "nan"):
+            out[i, row, col] = float(kind)
+        elif kind == "zero-u":
+            eps_u[i] = draw(st.sampled_from([0.0, -0.0]))
+        elif kind == "huge":
+            out[i] = draw(st.sampled_from([1e308, -1.7e308, 8.9e307]))
+        elif kind == "huge-opposed":
+            eps_c[i], eps_u[i] = 1e308, -1e308
+        elif kind == "huge-zero-u":
+            eps_c[i], eps_u[i] = 1.7e308, 0.0
+        elif kind == "tiny-u":
+            eps_u[i] = 5e-324
+    return eps_c, eps_u
+
+
+@given(branch_pairs())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_rel_mae_blocks_check_as_the_ordered_checks_did(pair):
+    """Checking only m gives the ordered checks' result bit for bit, or
+    their error, class and message, with no numpy warning."""
+    assert_checks_as_ordered(*pair)
+
+
+def blocks(*values) -> np.ndarray:
+    """One (1, 2) block per value: an (S, 1, 2) array."""
+    return np.array([[[v, v]] for v in values], dtype=float)
+
+
+@pytest.mark.parametrize("eps_c, eps_u, want", [
+    (blocks(1.0, 2.0), blocks(2.0, 1.0), None),
+    (blocks(1.0, np.inf), blocks(1.0, 1.0), (NumericError, "non-finite branch outputs")),
+    (blocks(1.0, 1.0), blocks(np.nan, 1.0), (NumericError, "non-finite branch outputs")),
+    (blocks(1.0, 1.0), blocks(1.0, 0.0), (DegenerateInputError,
+                                          "reference branch has zero L1 norm")),
+    (blocks(1.0, 1e308), blocks(1.0, 1.0), (NumericError, "branch discrepancy is not finite")),
+    (blocks(1.0, 1.0), blocks(1.0, 5e-324), (NumericError,
+                                             "branch discrepancy is not finite")),
+    # a zero eps_u block beside one whose sums overflow: the denominators first
+    (blocks(1.0, 1e308), blocks(0.0, 1.0), (DegenerateInputError,
+                                            "reference branch has zero L1 norm")),
+    # ... and beside a non-finite output: the outputs first
+    (blocks(1.0, np.inf), blocks(0.0, 1.0), (NumericError, "non-finite branch outputs")),
+    # an eps_u whose sum overflows with a finite ratio: no check fails
+    (blocks(1e308), blocks(1e308), None),
+], ids=["good", "inf-c", "nan-u", "zero-u", "overflow", "tiny-u", "zero-u-and-overflow",
+        "zero-u-and-inf", "finite-ratio-of-overflowed-sums"])
+def test_rel_mae_blocks_error_precedence(eps_c, eps_u, want):
+    got = assert_checks_as_ordered(eps_c, eps_u)
+    assert isinstance(got[0], bytes) if want is None else got == want

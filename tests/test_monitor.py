@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hybridpar.mixture as mixture
@@ -459,6 +459,56 @@ def test_a_row_the_bulk_check_cannot_read_raises_its_own_error(value, error):
     want = raised(per_row_replay, pairs, LATE_CFG)
     assert want[0] is error
     assert raised(replay_series, pairs, LATE_CFG) == want
+
+
+def outcome(fn, pairs, cfg):
+    """What fn(pairs, cfg) returns, or the class and message of what it raises."""
+    try:
+        return fn(pairs, cfg)
+    except Exception as exc:        # any error: both replays are compared by what they raise
+        return type(exc), str(exc)
+
+
+@st.composite
+def odd_rows(draw):
+    """late_series with up to four rows replaced by rows of arity 1 to 3:
+    the row with a field added or one dropped, or fields that mix the row's
+    own t and M, nearby steps and values of other types, so that some rows
+    are clean and some fail in either loop."""
+    pairs = late_series()
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, LATE_ROWS - 1))
+        t, m = late_series()[i]
+        field = st.one_of(st.sampled_from([t, m, float(t), t - 1, t + 1, -1, True]),
+                          st.floats(), st.integers(-5, 40), st.text(max_size=2),
+                          st.none(), st.just(10 ** 400))
+        pairs[i] = draw(st.one_of(
+            st.tuples(st.just(t), st.just(m), field),
+            st.sampled_from([(t,), (m,)]),
+            st.integers(1, 3).flatmap(lambda n: st.tuples(*[field] * n))))
+    return pairs
+
+
+@given(odd_rows())
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example([*late_series()[:20], (10, 0.3, "extra"), *late_series()[21:]])
+@example([*late_series()[:20], (10,), *late_series()[21:]])
+@example([(t, m, None) for t, m in late_series()])
+@example([(t, 0.2, 0) if t < 15 else (t, 0.2) for t, _ in late_series()])
+def test_replay_series_matches_the_per_row_replay_on_rows_of_any_arity(pairs):
+    """replay_series returns what record and update_controller row by row
+    return, or raises the same class and message, a row of another arity
+    after the switch included."""
+    assert outcome(replay_series, pairs, LATE_CFG) == outcome(per_row_replay, pairs, LATE_CFG)
+
+
+def test_a_row_of_three_fields_after_the_switch_raises_as_per_row():
+    pairs = late_series()
+    pairs[20] = (pairs[20][0], 0.3, "extra")
+    switch = LATE_POSITIONS["on-the-switch"]
+    assert _accepts(pairs[switch + 1:], pairs[switch][0]) is False
+    assert raised(replay_series, pairs, LATE_CFG) == (
+        ValueError, "too many values to unpack (expected 2)")
 
 
 def test_replay_steps_the_controller_only_until_it_decides(monkeypatch):

@@ -94,7 +94,7 @@ def test_hybrid_empty_window_is_condition_partitioning_relabelled(no_numerics):
     hy = engine._timing(plan("hybrid", switch={"k": 0}), 15, 15)
     fcp = engine._timing(plan("full_condition_partition"), None, None)
     assert hy.latency_s == fcp.latency_s and hy.comm_bytes == fcp.comm_bytes
-    assert [replace(b, stage="") for b in hy.trace.busy] == list(fcp.trace.busy)
+    assert [b._replace(stage="") for b in hy.trace.busy] == list(fcp.trace.busy)
     assert {b.stage for b in hy.trace.busy if b.step > 15} == {"fully_connecting"}
 
 
@@ -210,7 +210,7 @@ def test_a_shared_trace_cannot_be_changed():
         a.trace.messages.append(a.trace.messages[0])
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.trace.busy = ()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):       # a named tuple's fields are read-only
         event.end = 0.0
     assert isinstance(b.trace.busy[0], BusyInterval) and len(b.trace.messages) == 95
 

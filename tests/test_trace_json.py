@@ -1,9 +1,12 @@
-"""simulate's trace.json and detect's stdout against json.dumps.
+"""simulate's trace.json and detect's stdout against json.dumps, and
+simulate's trace.csv against a writer that formats each field by a call.
 
-Both are written from one template per event or label. The reference below
-is the trace.json writer as it was when it built dicts and passed them to
-json.dumps(..., sort_keys=True, indent=2): the templates must write the same
-bytes for every trace, non-finite times and empty traces included.
+Both JSON outputs are written from one template per event or label. The
+reference below is the trace.json writer as it was when it built dicts and
+passed them to json.dumps(..., sort_keys=True, indent=2): the templates must
+write the same bytes for every trace, non-finite times and empty traces
+included. trace.csv's reference calls cli._fmt once per time field, where
+_write_trace formats the times inline.
 """
 import io
 import json
@@ -13,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hybridpar.cli import _write_trace, main, read_series_csv
+from hybridpar.cli import TRACE_HEADER, _fmt, _write_trace, main, read_series_csv
 from hybridpar.config import ExperimentConfig
 from hybridpar.engine import PlanVariant, RunResult, run_plan
 from hybridpar.monitor import replay_series
@@ -40,15 +43,29 @@ def ref_write_trace_json(result: RunResult, out_dir: str) -> None:
         fh.write(_json_dumps(structured))
 
 
+def ref_write_trace_csv(result: RunResult, out_dir: str) -> None:
+    rows = [TRACE_HEADER]
+    for b in result.trace.busy:
+        rows.append(f"busy,{b.step},{b.stage},{b.device},,,{b.label},,"
+                    f"{_fmt(b.start)},{_fmt(b.end)},")
+    for m in result.trace.messages:
+        rows.append(f"message,{m.step},,,{m.src},{m.dst},,{m.kind},"
+                    f"{_fmt(m.depart)},{_fmt(m.arrive)},{m.nbytes}")
+    with open(os.path.join(out_dir, "trace.csv"), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(rows) + "\n")
+
+
 # ---------------------------------------------------------------------------------
 
 def assert_trace_json_matches(result, tmp_path) -> bytes:
-    """Both writers read only result.trace."""
+    """Both writers of each file read only result.trace; trace.json's bytes."""
     ref_dir, out_dir = tmp_path / "ref", tmp_path / "out"
     ref_dir.mkdir()
     out_dir.mkdir()
     ref_write_trace_json(result, str(ref_dir))
+    ref_write_trace_csv(result, str(ref_dir))
     _write_trace(result, str(out_dir))
+    assert (out_dir / "trace.csv").read_bytes() == (ref_dir / "trace.csv").read_bytes()
     expected = (ref_dir / "trace.json").read_bytes()
     assert (out_dir / "trace.json").read_bytes() == expected
     return expected
@@ -78,6 +95,23 @@ def test_trace_json_spells_non_finite_times_as_json_does(tmp_path):
                   MessageEvent("dev0", "dev1", "activation", 1, -inf, -0.0, 2)))
     text = assert_trace_json_matches(SimpleNamespace(trace=trace), tmp_path)
     for spelling in (b"NaN", b"Infinity", b"-Infinity"):
+        assert spelling in text
+
+
+def test_trace_csv_writes_each_time_as_fmt_does(tmp_path):
+    """The times' edge cases: signed zero, the smallest subnormal, a tiny
+    normal, the largest float, +-inf and nan."""
+    inf, nan, big = float("inf"), float("nan"), 1.7976931348623157e308
+    trace = RunTrace(
+        busy=(BusyInterval("dev0", -0.0, 5e-324, 1, "warm_up", "eps_c"),
+              BusyInterval("dev1", 1e-300, big, 2, "", "segment_1"),
+              BusyInterval("dev2", -inf, nan, 3, "x", "eps_u")),
+        messages=(MessageEvent("dev1", "dev0", "latent", 2 ** 70, nan, inf, 1),
+                  MessageEvent("dev0", "dev1", "activation", 1, -big, -0.0, 2)))
+    assert_trace_json_matches(SimpleNamespace(trace=trace), tmp_path)
+    text = (tmp_path / "out" / "trace.csv").read_text(encoding="utf-8")
+    for spelling in ("-0,", "4.9406564584124654e-324", ",1e-300,",
+                     "1.7976931348623157e+308", "-inf", "nan", ",inf,"):
         assert spelling in text
 
 
