@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING
 
 from .config import ExperimentConfig, _seed, load_config
 from .errors import HybridparError, ParameterError, PlanError, SeriesParseError
-from .monitor import replay_series, stage_runs
+# detect calls no replay_series; perfbench/spans.py wraps it here, and crashes without it
+from .monitor import replay_columns, replay_series, stage_runs  # noqa: F401
 from .plan import PlanVariant
 from .trace import RunTrace
 
@@ -204,7 +205,12 @@ def cmd_curve(args) -> int:
 
 
 def read_series_csv(path: str) -> list[tuple[int, float]]:
-    """Parse (t, discrepancy) pairs from a curve CSV or a bare two-column file.
+    """The (t, discrepancy) pairs of read_series_columns(path)."""
+    return list(zip(*read_series_columns(path)))
+
+
+def read_series_columns(path: str) -> tuple[list[int], list[float]]:
+    """The t and discrepancy columns (ints, floats) of a curve CSV or a bare file.
 
     A header row is detected by non-numeric first field; the columns named
     t and rel_mae are used then, else columns 0 and 1. Blank lines are
@@ -213,10 +219,9 @@ def read_series_csv(path: str) -> list[tuple[int, float]]:
     holding "_" or a non-ASCII character is rejected, though int and float
     would read "1_0" as 10 and Arabic-Indic digits as ASCII ones.
 
-    The file is read as columns: blank lines are dropped and the lines split
-    by map and filter, and _pairs reads the t and rel_mae columns whole.
-    Only a file whose columns fail is re-read one row at a time by the same
-    _pairs, to name the first bad row's line.
+    Blank lines are dropped and the lines split by map and filter, and
+    _columns reads the t and rel_mae columns whole. Only a file whose columns
+    fail is re-read by _columns one row at a time, to name the first bad line.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
@@ -237,12 +242,12 @@ def read_series_csv(path: str) -> list[tuple[int, float]]:
             raise SeriesParseError(f"header must name columns t and rel_mae, got {names}",
                                    line=_line(text, 0)) from exc
     try:
-        return _pairs(rows, cols)
+        return _columns(rows, cols)
     except (IndexError, ValueError):
         pass
     for i, row in enumerate(rows):      # some row fails alone, as the columns did
         try:
-            _pairs([row], cols)
+            _columns([row], cols)
         except IndexError as exc:
             raise SeriesParseError(f"expected at least {max(cols) + 1} columns, "
                                    f"got {len(row)}", line=_line(text, head + i)) from exc
@@ -252,15 +257,15 @@ def read_series_csv(path: str) -> list[tuple[int, float]]:
                                    line=_line(text, head + i)) from exc
 
 
-def _pairs(rows: list[list[str]], cols: tuple[int, int]) -> list[tuple[int, float]]:
-    """The (t, rel_mae) pairs of split rows: the t and rel_mae columns (at
-    indices cols) picked by itemgetter, which raises IndexError on a short
-    row, then checked for typos joined and converted by map (ValueError)."""
+def _columns(rows: list[list[str]], cols: tuple[int, int]) -> tuple[list[int], list[float]]:
+    """The t and rel_mae columns of split rows, at indices cols: picked by
+    itemgetter, which raises IndexError on a short row, then checked for
+    typos joined and converted by map (ValueError)."""
     ts = list(map(itemgetter(cols[0]), rows))
     ms = list(map(itemgetter(cols[1]), rows))
     if _typo("".join(ts)) or _typo("".join(ms)):
         raise ValueError("a number holds '_' or a non-ASCII character")
-    return list(zip(map(int, ts), map(float, ms)))
+    return list(map(int, ts)), list(map(float, ms))
 
 
 def _line(text: str, i: int) -> int:
@@ -282,7 +287,7 @@ def _typo(field: str) -> bool:
 
 def _int(name: str, text: str) -> int:
     """text as an integer, by the one rule of --seed, each --k token and
-    each series t field (_pairs applies it a column at a time): no typo,
+    each series t field (_columns applies it a column at a time): no typo,
     then int, which takes a sign and surrounding whitespace."""
     if not _typo(text):
         try:
@@ -294,13 +299,12 @@ def _int(name: str, text: str) -> int:
 
 def cmd_detect(args) -> int:
     cfg = _load(args)
-    pairs = read_series_csv(args.series)
-    state, _ = replay_series(pairs, cfg.switch)
-    # _json_dumps of {"stages": [...], "tau1": ..., "tau2": ...}, byte for
-    # byte, written one run of equal labels at a time (stage_runs: at most
-    # three)
+    ts, ms = read_series_columns(args.series)
+    state = replay_columns(ts, ms, cfg.switch)
+    # _json_dumps of {"stages": [...], "tau1": ..., "tau2": ...}, byte for byte,
+    # written one run of equal labels at a time (stage_runs: at most three)
     items = "".join(f"    {_json_str(stage.value)},\n" * count
-                    for stage, count in stage_runs(len(pairs), state.tau1, state.tau2))
+                    for stage, count in stage_runs(len(ts), state.tau1, state.tau2))
     sys.stdout.write(f'{{\n  "stages": {_json_list(items[:-2])},\n'
                      f'  "tau1": {json.dumps(state.tau1)},\n'
                      f'  "tau2": {json.dumps(state.tau2)}\n}}\n')

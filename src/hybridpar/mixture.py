@@ -341,20 +341,26 @@ def _rel_mae_blocks(eps_c: np.ndarray, eps_u: np.ndarray) -> tuple[np.ndarray, n
     """rel_mae of each pair (eps_c[i], eps_u[i]), summed over its values in
     memory order with the bits of np.abs(c - u).sum() / np.abs(u).sum() on
     that pair alone, and the new array delta = eps_c - eps_u it sums, which
-    the guided step takes over. It is computed with numpy's warnings off, and
-    a finite m implies finite outputs and nonzero denominators: only a
-    non-finite m runs the checks (finite outputs, nonzero denominators,
-    finite m), in that order, for its error."""
+    the guided step takes over. It is computed with numpy's warnings off. A
+    finite m + denom implies finite outputs and nonzero, finite denominators
+    (an overflowed one would make m 0) and a finite m: only where it is not
+    do the checks run (finite outputs, nonzero denominators, denominators
+    that did not overflow, finite m), in that order, for its error. The sum
+    overflows nowhere m and denom are both finite, as m * denom is the
+    finite numerator."""
     with np.errstate(all="ignore"):
         magnitude = np.abs(eps_u)
         denom = np.add.reduce(magnitude.reshape(len(eps_u), -1), axis=1)
         delta = eps_c - eps_u
         m = np.add.reduce(np.abs(delta, out=magnitude).reshape(len(delta), -1), axis=1) / denom
-    if not np.logical_and.reduce(np.isfinite(m), axis=None):
+        finite = np.isfinite(m + denom)
+    if not np.logical_and.reduce(finite, axis=None):
         if not (np.isfinite(eps_c).all() and np.isfinite(eps_u).all()):
             raise NumericError("non-finite branch outputs")
         if (denom == 0.0).any():
             raise DegenerateInputError("reference branch has zero L1 norm")
+        if not np.isfinite(denom).all():
+            raise NumericError("reference branch L1 norm overflows")
         raise NumericError("branch discrepancy is not finite")
     return m, delta
 

@@ -89,20 +89,6 @@ class DiscrepancySeries:
         return self._values[t]
 
 
-def _slope(series: DiscrepancySeries, t: int, L: int) -> float | None:
-    """Windowed slope G at timestep t: (M_t - M_{t+L}) / L, or None where
-    M_t or M_{t+L} is not recorded.
-
-    The reference point is the measurement taken L controller iterations
-    earlier, which in a descending traversal lives at key t + L. G is
-    negative while the curve decays and enters [0, g_slope) once it
-    flattens. Each value is read once: one dict lookup per key, no
-    membership test before it.
-    """
-    now, then = series._values.get(t), series._values.get(t + L)
-    return None if now is None or then is None else (now - then) / L
-
-
 def stage_at(s: int, tau1: int | None, tau2: int | None) -> Stage:
     """The stage of denoising step s under switch steps (tau1, tau2): warm-up
     through tau1 (every step while tau1 is undecided), pipelined through tau2,
@@ -136,6 +122,21 @@ class StageState:
     last_t: int | None = field(default=None, repr=False)
 
 
+def _switch_step(first: int, last: int, pairs, cfg: SwitchConfig) -> int | None:
+    """tau1 as decided through step last, no step before first having
+    decided it: pairs holds (M_s, M_{s-L}) of steps s = first, first + 1, ...,
+    and tau1 is the first s <= min(last, tau_cap) whose windowed slope
+    G = (M_s - M_{s-L}) / L (negative while the curve decays) lies in
+    [0, g_slope), else tau_cap once last reaches it, else None. The one home
+    of the slope and of the fire-or-cap rule: update_controller asks it about
+    one step, replay_columns about a whole series."""
+    L, g_slope, cap = cfg.L, cfg.g_slope, cfg.tau_cap
+    for s, (now, then) in zip(range(first, min(last, cap) + 1), pairs):
+        if 0.0 <= (now - then) / L < g_slope:
+            return s
+    return cap if last >= cap else None
+
+
 def update_controller(state: StageState, series: DiscrepancySeries, t: int,
                       cfg: SwitchConfig) -> StageState:
     """Advance the controller by one denoising step (descending t).
@@ -144,9 +145,9 @@ def update_controller(state: StageState, series: DiscrepancySeries, t: int,
     if it never has; tau2 = tau1 + k. The step on which detection fires still
     runs as WARM_UP (its measurement was needed to decide), so the pipelined
     window occupies steps tau1+1 .. tau2 and stage labels are monotone:
-    WARM_UP+ PARALLELISM^k FULLY_CONNECTING* (see stage_at). It is the only
-    code that sets tau1; once tau1 is set, a call only checks t and counts
-    the step. The slope is read through _slope, one lookup per value.
+    WARM_UP+ PARALLELISM^k FULLY_CONNECTING* (see stage_at). _switch_step
+    decides, on M_t and M_{t+L} (L steps earlier) where both are recorded;
+    once tau1 is set, a call only checks t and counts the step.
     """
     if t < 0:
         raise ParameterError(f"timestep must be >= 0, got {t}")
@@ -155,62 +156,67 @@ def update_controller(state: StageState, series: DiscrepancySeries, t: int,
                               "steps must descend by exactly 1")
     s = state.steps_done + 1
     if state.tau1 is None:
-        g = _slope(series, t, cfg.L)
-        fired = g is not None and 0.0 <= g < cfg.g_slope
-        # at step tau_cap the switch is forced even if the slope never flattened
-        if fired or s >= cfg.tau_cap:
-            state.tau1 = min(s, cfg.tau_cap)
+        now, then = series._values.get(t), series._values.get(t + cfg.L)
+        state.tau1 = _switch_step(s, s, [] if now is None or then is None else [(now, then)],
+                                  cfg)
+        if state.tau1 is not None:
             state.tau2 = state.tau1 + cfg.k
     state.steps_done = s
     state.last_t = t
     return state
 
 
-def _accepts(rows: list[tuple[int, float]], last_t: int) -> bool:
-    """Whether record and update_controller would accept every (t, M) of
-    rows after a step at last_t: t runs last_t - 1, last_t - 2, ... and stays
-    >= 0, and every M is finite. The t and M columns are compared whole,
-    not row by row; a row it cannot read that way (of any arity but two)
-    counts as not accepted, and so does any value whose check raises."""
+def _accepts(ts: list[int], ms: list[float]) -> bool:
+    """Whether record and update_controller would accept every row of the
+    columns ts and ms: t descends by exactly 1 from ts[0] and stays >= 0,
+    and every M is finite. The columns are compared whole, not row by row;
+    a value whose check raises counts as not accepted."""
     try:
-        ts, ms = zip(*rows, strict=True)
-        return (last_t - len(ts) >= 0
-                and ts == tuple(range(last_t - 1, last_t - 1 - len(ts), -1))
+        return (not ts or ts[-1] >= 0 and ts == list(range(ts[0], ts[0] - len(ts), -1))
                 and all(map(math.isfinite, ms)))
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, OverflowError):
         return False
 
 
-def replay_series(pairs: list[tuple[int, float]], cfg: SwitchConfig) -> tuple[StageState, list[Stage]]:
-    """Run the controller over a fully recorded (t, M) sequence.
-
-    Pairs must be in descending-t order, one per denoising step. Returns the
-    final state and the per-step stage labels (stage_at of each step), built
-    from the at most three runs of stage_runs.
-
-    Each row is recorded and passed to update_controller only until tau1 is
-    decided. After that a call would only check t and count the step, so
-    the remaining rows get the same checks in one pass (_accepts) and the
-    state takes their step count and last t. If any row would fail, the
-    per-row calls resume from the decision, so that row raises its own
-    error, with the same class, message and precedence.
-    """
-    series = DiscrepancySeries()
-    state = StageState()
-    rows = iter(pairs)
+def _replay_rows(rows, cfg: SwitchConfig) -> StageState:
+    """The reference replay: each (t, M) row recorded and passed to
+    update_controller, so the first bad row raises its own error."""
+    series, state = DiscrepancySeries(), StageState()
     for t, m in rows:
         series.record(t, m)
         update_controller(state, series, t, cfg)
-        if state.tau1 is not None:
-            break
-    rest = pairs[state.steps_done:]
-    if rest and _accepts(rest, state.last_t):
-        state.steps_done += len(rest)
-        state.last_t = rest[-1][0]
+    return state
+
+
+def replay_columns(ts: list[int], ms: list[float], cfg: SwitchConfig) -> StageState:
+    """The final state of the controller over a recorded series held as
+    columns: ts (ints) and ms (floats), row i being step i + 1. A series
+    that passes _accepts is decided by one _switch_step scan of ms over steps
+    L + 1 .. n, with no row recorded and no controller step; any other runs
+    _replay_rows from its first row, so its first bad row raises its error.
+    """
+    if not _accepts(ts, ms):
+        return _replay_rows(zip(ts, ms), cfg)
+    tau1 = _switch_step(cfg.L + 1, len(ts), zip(ms[cfg.L:], ms), cfg)
+    return StageState(tau1=tau1, tau2=None if tau1 is None else tau1 + cfg.k,
+                      steps_done=len(ts), last_t=ts[-1] if ts else None)
+
+
+def replay_series(pairs: list[tuple[int, float]], cfg: SwitchConfig) -> tuple[StageState, list[Stage]]:
+    """Run the controller over a fully recorded (t, M) sequence, descending
+    in t, one pair per denoising step. Returns the final state and the
+    per-step stage labels (stage_at of each step) from stage_runs' runs.
+
+    Pairs that are all (t, float) tuples go to replay_columns as columns: one
+    scan of the M column decides a clean series, and any other is replayed
+    by the per-row reference, _replay_rows. Other pairs go to _replay_rows
+    directly, as record stores float(M), which for another type (a large
+    int, say) need not be the M the scan would subtract.
+    """
+    if all(type(row) is tuple and len(row) == 2 and type(row[1]) is float for row in pairs):
+        state = replay_columns([t for t, _ in pairs], [m for _, m in pairs], cfg)
     else:
-        for t, m in rows:
-            series.record(t, m)
-            update_controller(state, series, t, cfg)
+        state = _replay_rows(pairs, cfg)
     labels = []
     for stage, count in stage_runs(len(pairs), state.tau1, state.tau2):
         labels += [stage] * count

@@ -365,14 +365,17 @@ def test_short_axis_reductions_equal_numpys(share):
 
 def ordered_rel_mae_blocks(eps_c: np.ndarray, eps_u: np.ndarray):
     """_rel_mae_blocks as it was when it checked the outputs, then the
-    denominators, then the ratios, each check before the next value was
-    computed. Its sums warn on overflow, so callers switch warnings off."""
+    denominators (nonzero, then not overflowed), then the ratios, each check
+    before the next value was computed. Its sums warn on overflow, so
+    callers switch warnings off."""
     if not (np.isfinite(eps_c).all() and np.isfinite(eps_u).all()):
         raise NumericError("non-finite branch outputs")
     magnitude = np.abs(eps_u)
     denom = magnitude.reshape(len(eps_u), -1).sum(axis=1)
     if (denom == 0.0).any():
         raise DegenerateInputError("reference branch has zero L1 norm")
+    if not np.isfinite(denom).all():
+        raise NumericError("reference branch L1 norm overflows")
     delta = eps_c - eps_u
     m = np.abs(delta, out=magnitude).reshape(len(delta), -1).sum(axis=1) / denom
     if not np.isfinite(m).all():
@@ -401,10 +404,11 @@ def assert_checks_as_ordered(eps_c, eps_u):
 
 
 # what a seed's block may hold: +-inf and nan in either output, an all-zero
-# eps_u, values near 1e308 whose sums (or differences) overflow, and a tiny
-# eps_u whose ratio does
+# eps_u, values near 1e308 whose sums (or differences) overflow, an eps_u
+# whose sum overflows where eps_c's difference from it does not, and a tiny
+# eps_u whose ratio overflows
 BLOCKS = ["good", "+inf", "-inf", "nan", "zero-u", "huge", "huge-opposed",
-          "huge-zero-u", "tiny-u"]
+          "huge-zero-u", "huge-u-near-c", "tiny-u"]
 
 
 @st.composite
@@ -428,6 +432,9 @@ def branch_pairs(draw):
             eps_c[i], eps_u[i] = 1e308, -1e308
         elif kind == "huge-zero-u":
             eps_c[i], eps_u[i] = 1.7e308, 0.0
+        elif kind == "huge-u-near-c":
+            eps_c[i], eps_u[i] = 1e308, 1e308
+            eps_c[i, row, col] = 0.0
         elif kind == "tiny-u":
             eps_u[i] = 5e-324
     return eps_c, eps_u
@@ -460,10 +467,17 @@ def blocks(*values) -> np.ndarray:
                                             "reference branch has zero L1 norm")),
     # ... and beside a non-finite output: the outputs first
     (blocks(1.0, np.inf), blocks(0.0, 1.0), (NumericError, "non-finite branch outputs")),
-    # an eps_u whose sum overflows with a finite ratio: no check fails
-    (blocks(1e308), blocks(1e308), None),
+    # an eps_u whose sum overflows: its ratio would read 0, whatever the
+    # numerator, so the overflowed denominator is an error of its own
+    (blocks(1e308), blocks(1e308), (NumericError, "reference branch L1 norm overflows")),
+    (np.array([[[0.0, 1e308]]]), blocks(1e308), (NumericError,
+                                                  "reference branch L1 norm overflows")),
+    # ... after a zero eps_u block beside it: nonzero first
+    (blocks(1.0, 1.0), blocks(0.0, 1e308), (DegenerateInputError,
+                                            "reference branch has zero L1 norm")),
 ], ids=["good", "inf-c", "nan-u", "zero-u", "overflow", "tiny-u", "zero-u-and-overflow",
-        "zero-u-and-inf", "finite-ratio-of-overflowed-sums"])
+        "zero-u-and-inf", "finite-ratio-of-overflowed-sums", "overflowed-denominator",
+        "zero-u-and-overflowed-denominator"])
 def test_rel_mae_blocks_error_precedence(eps_c, eps_u, want):
     got = assert_checks_as_ordered(eps_c, eps_u)
     assert isinstance(got[0], bytes) if want is None else got == want

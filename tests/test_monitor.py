@@ -17,8 +17,8 @@ from hybridpar.errors import (DegenerateInputError, HistoryError,
 from hybridpar.mixture import (Condition, GaussianMixture, _condition_rows, eps_prediction,
                                rel_mae, score_ratio_estimate)
 from hybridpar.monitor import (DiscrepancySeries, SlopeNoiseModel, Stage,
-                               StageState, SwitchConfig, _accepts, _slope,
-                               hoeffding_false_alarm, replay_series,
+                               StageState, SwitchConfig, _accepts, _switch_step,
+                               hoeffding_false_alarm, replay_columns, replay_series,
                                stage_at, update_controller)
 from hybridpar.schedules import build_schedule
 
@@ -63,12 +63,18 @@ def test_rel_mae_rejects_bad_input():
 
 def test_rel_mae_rejects_finite_inputs_whose_sums_overflow():
     """Finite branch outputs can sum past float range; rel_mae raises rather
-    than return nan or inf, as the stacked kernel does."""
+    than return nan, inf or the 0 an overflowed denominator makes of a
+    finite numerator, as the stacked kernel does."""
     big = np.full((4, 2), 1e308)
     with np.errstate(over="ignore", invalid="ignore"):
-        for eps_u in (-big, np.ones((4, 2))):
-            with pytest.raises(NumericError, match="branch discrepancy is not finite"):
-                rel_mae(big, eps_u)
+        for eps_c, eps_u, message in [
+                (big, np.ones((4, 2)), "branch discrepancy is not finite"),
+                (big, -big, "reference branch L1 norm overflows"),
+                (np.array([0.0, 1e308]), np.array([1e308, 1e308]),
+                 "reference branch L1 norm overflows")]:
+            with pytest.raises(NumericError, match=f"^{message}$"):
+                rel_mae(eps_c, eps_u)
+    assert rel_mae(np.array([0.0, 1e307]), np.array([1e307, 1e307])) == 0.5
     with pytest.raises(ShapeError):
         rel_mae(big, np.ones((2, 4)))
     with pytest.raises(DegenerateInputError):
@@ -103,30 +109,45 @@ def test_series_rejects_nonfinite():
         s.record(5, float("nan"))
 
 
+def switch_step(ms, cfg):
+    """_switch_step's scan of a whole series of values ms, as replay_columns
+    runs it: steps L + 1 .. n, each against the value L steps earlier."""
+    return _switch_step(cfg.L + 1, len(ms), zip(ms[cfg.L:], ms), cfg)
+
+
 def test_slope_constant_series_is_zero():
-    s = DiscrepancySeries()
-    for t in range(10, 0, -1):
-        s.record(t, 0.3)
-    assert _slope(s, 5, 3) == 0.0
+    """G = 0 from step L + 1, the first with a value L steps earlier, so a
+    constant series fires there under any g_slope."""
+    for L in (1, 3, 9):
+        assert switch_step([0.3] * 10, SwitchConfig(L=L, g_slope=1e-300, tau_cap=50, k=0)) == L + 1
 
 
 def test_slope_linear_series():
-    # M_t = 2t gives (M_t - M_{t+L}) / L = -2 regardless of window
-    s = DiscrepancySeries()
-    for t in range(10, 0, -1):
-        s.record(t, 2.0 * t)
+    # M_s = 2s gives (M_s - M_{s-L}) / L = 2 regardless of window: a g_slope
+    # of 2 leaves it out and the next float up lets it in; M_s = -2s gives -2
+    ms = [2.0 * s for s in range(1, 11)]
     for L in (1, 4, 7):
-        assert _slope(s, 2, L) == -2.0
+        assert switch_step(ms, SwitchConfig(L=L, g_slope=2.0, tau_cap=50, k=0)) is None
+        above = SwitchConfig(L=L, g_slope=math.nextafter(2.0, 3.0), tau_cap=50, k=0)
+        assert switch_step(ms, above) == L + 1
+        assert switch_step([-m for m in ms], SwitchConfig(L=L, g_slope=1e9, tau_cap=50, k=0)) is None
 
 
 def test_slope_missing_history():
-    """The slope is None unless both M_t and M_{t+L} are recorded."""
+    """The controller reads a slope only where both M_t and M_{t+L} are
+    recorded: a flat pair fires for L = 1, not for L = 5 (nothing at t = 14),
+    and nothing fires at an unrecorded t."""
     s = DiscrepancySeries()
     s.record(10, 0.5)
-    s.record(9, 0.4)
-    assert _slope(s, 9, 1) == 0.4 - 0.5
-    assert _slope(s, 9, 5) is None
-    assert _slope(s, 8, 1) is None
+    s.record(9, 0.5)
+
+    def tau1(t, L):
+        state = StageState(steps_done=10 - t, last_t=t + 1)
+        return update_controller(state, s, t, SwitchConfig(L=L, g_slope=1e-3, tau_cap=50, k=0)).tau1
+
+    assert tau1(9, 1) == 2
+    assert tau1(9, 5) is None
+    assert tau1(8, 1) is None
 
 
 def test_slope_flattens_exactly_at_parabola_vertex():
@@ -134,16 +155,11 @@ def test_slope_flattens_exactly_at_parabola_vertex():
     the vertex the first non-negative slope lands where the two sampled
     points have equal height, at t = t0 - L/2 - 7 here."""
     cfg = SwitchConfig(L=12, g_slope=4e-4, tau_cap=50, k=5)
-    pairs = parabola_series()
-    s = DiscrepancySeries()
-    first = None
-    for t, m in pairs:
-        s.record(t, m)
-        if first is None and s.has(t + cfg.L):
-            g = _slope(s, t, cfg.L)
-            if 0.0 <= g < cfg.g_slope:
-                first = t
-    assert first == 19
+    ms = [m for _, m in parabola_series()]
+    first = next(s for s in range(cfg.L + 1, len(ms) + 1)
+                 if 0.0 <= (ms[s - 1] - ms[s - 1 - cfg.L]) / cfg.L < cfg.g_slope)
+    assert len(ms) + 1 - first == 19
+    assert switch_step(ms, cfg) == first
 
 
 # controller ---------------------------------------------------------------------
@@ -451,13 +467,15 @@ def test_the_first_bad_row_after_the_switch_wins(first, second):
                          ids=["str", "huge-int"])
 def test_a_row_the_bulk_check_cannot_read_raises_its_own_error(value, error):
     """A value whose finiteness check raises is a row _accepts does not
-    accept, so the per-row calls resume and that row raises its own error."""
+    accept, so the columns are replayed row by row and that row raises its
+    own error."""
     pairs = late_series()
     pairs[20] = (pairs[20][0], value)
-    switch = LATE_POSITIONS["on-the-switch"]
-    assert _accepts(pairs[switch + 1:], pairs[switch][0]) is False
+    ts, ms = [t for t, _ in pairs], [m for _, m in pairs]
+    assert _accepts(ts, ms) is False
     want = raised(per_row_replay, pairs, LATE_CFG)
     assert want[0] is error
+    assert raised(replay_columns, ts, ms, LATE_CFG) == want
     assert raised(replay_series, pairs, LATE_CFG) == want
 
 
@@ -495,26 +513,26 @@ def odd_rows(draw):
 @example([*late_series()[:20], (10,), *late_series()[21:]])
 @example([(t, m, None) for t, m in late_series()])
 @example([(t, 0.2, 0) if t < 15 else (t, 0.2) for t, _ in late_series()])
+@example([(t, 2 ** 60 + (t == 28)) if t in (30, 28) else (t, m) for t, m in late_series()])
 def test_replay_series_matches_the_per_row_replay_on_rows_of_any_arity(pairs):
     """replay_series returns what record and update_controller row by row
     return, or raises the same class and message, a row of another arity
-    after the switch included."""
+    after the switch included, and an M that is not a float (record stores
+    float(M): 2 ** 60 + 1 reads as 2 ** 60)."""
     assert outcome(replay_series, pairs, LATE_CFG) == outcome(per_row_replay, pairs, LATE_CFG)
 
 
 def test_a_row_of_three_fields_after_the_switch_raises_as_per_row():
     pairs = late_series()
     pairs[20] = (pairs[20][0], 0.3, "extra")
-    switch = LATE_POSITIONS["on-the-switch"]
-    assert _accepts(pairs[switch + 1:], pairs[switch][0]) is False
     assert raised(replay_series, pairs, LATE_CFG) == (
         ValueError, "too many values to unpack (expected 2)")
 
 
-def test_replay_steps_the_controller_only_until_it_decides(monkeypatch):
-    """A clean series calls update_controller once per row up to tau1, which
-    the late series reaches on its switch row; a bad row after it sends the
-    replay back to one call per row from there."""
+def test_replay_steps_the_controller_only_on_a_series_with_a_bad_row(monkeypatch):
+    """A clean series is decided by one scan, with no update_controller
+    call; a series with a bad row is replayed row by row from its first
+    row, one call per row up to the bad one, before or after the switch."""
     import hybridpar.monitor as monitor
     calls = []
     original = monitor.update_controller
@@ -525,12 +543,14 @@ def test_replay_steps_the_controller_only_until_it_decides(monkeypatch):
 
     monkeypatch.setattr(monitor, "update_controller", counting)
     state, _ = replay_series(late_series(), LATE_CFG)
-    assert state.tau1 == LATE_POSITIONS["on-the-switch"] + 1 == len(calls) == 10
-    assert (state.steps_done, state.last_t) == (LATE_ROWS, 1)
-    calls.clear()
-    with pytest.raises(NumericError):
-        replay_series(bad_series("nan", 20), LATE_CFG)
-    assert len(calls) == 20
+    assert calls == []
+    assert (state.tau1, state.steps_done, state.last_t) == (
+        LATE_POSITIONS["on-the-switch"] + 1, LATE_ROWS, 1)
+    for i in (LATE_POSITIONS["before-the-switch"], 20):
+        calls.clear()
+        with pytest.raises(NumericError):
+            replay_series(bad_series("nan", i), LATE_CFG)
+        assert len(calls) == i
 
 
 # score-based discrepancy estimate ------------------------------------------------

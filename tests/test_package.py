@@ -15,6 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # public module-level functions and classes that no src/ code names, and why
 # each stays
 UNNAMED_IN_SRC = {
+    ("cli", "read_series_csv"): "a series file as the (t, M) pairs replay_series takes, "
+                                "over read_series_columns, which detect reads",
     ("mixture", "score"): "the reference noised_score names; it goes with ScoreEval "
                           "once the benchmark stops counting its calls (ROADMAP item 1a)",
     ("monitor", "hoeffding_false_alarm"): "the false-alarm bound a calibrated switch rule "

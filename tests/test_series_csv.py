@@ -4,16 +4,26 @@ error (class, message and line) for every file that does not, and the typo
 rule that only the column parser has."""
 import json
 import random
+import string
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hybridpar.cli import CURVE_HEADER, main, read_series_csv
 from hybridpar.errors import SeriesParseError
 
 
-def per_line_read(path: str) -> list[tuple[int, float]]:
+# what str.isspace counts as whitespace below 128: a typo's field is quoted
+# without it
+ASCII_SPACE = string.whitespace + "\x1c\x1d\x1e\x1f"
+
+
+def per_line_read(path: str, typos: bool = False) -> list[tuple[int, float]]:
     """read_series_csv as it was when every line was split, stripped and
-    converted in its own loop iteration: the reference."""
+    converted in its own loop iteration: the reference. With typos, it also
+    has the typo rule: a t or rel_mae field holding "_" or a non-ASCII
+    character is a bad field, quoted without its ASCII padding."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
@@ -44,6 +54,9 @@ def per_line_read(path: str) -> list[tuple[int, float]]:
             raise SeriesParseError(f"expected at least {need} columns, got {len(fields)}",
                                    line=lineno)
         t_col, m_col = cols
+        if typos and any("_" in f or not f.isascii() for f in (fields[t_col], fields[m_col])):
+            raise SeriesParseError(f"bad numeric fields {fields[t_col].strip(ASCII_SPACE)!r}, "
+                                   f"{fields[m_col].strip(ASCII_SPACE)!r}", line=lineno)
         try:
             pairs.append((int(fields[t_col]), float(fields[m_col])))
         except ValueError as exc:
@@ -65,18 +78,18 @@ def outcome(read, path):
 
 @pytest.fixture
 def reads(monkeypatch) -> list:
-    """The row count of each cli._pairs call: the whole-file read first,
+    """The row count of each cli._columns call: the whole-file read first,
     then, if it failed, the one-row re-reads (reads[1:]) up to the first bad
     row. A file that fails before its rows are read makes no call."""
     import hybridpar.cli as cli
     calls = []
-    original = cli._pairs
+    original = cli._columns
 
     def counting(rows, cols):
         calls.append(len(rows))
         return original(rows, cols)
 
-    monkeypatch.setattr(cli, "_pairs", counting)
+    monkeypatch.setattr(cli, "_columns", counting)
     return calls
 
 
@@ -204,6 +217,42 @@ def test_the_two_parsers_agree_on_random_files(tmp_path, reads):
         failed_on_a_row += on_a_row
         assert bool(reads[1:]) == on_a_row and set(reads[1:]) <= {1}, text
     assert parsed > 50 and failed_on_a_row > 50
+
+
+# characters a series file may be typed with; "٣٠" are Arabic-Indic and
+# "２０" full-width digits
+SERIES_CHARS = [*string.digits, "+", "-", ".", "e", "nan", " ", "\t", "\r", "_", "\u00a0",
+                "٣", "٠", "２", "０"]
+
+
+@st.composite
+def series_texts(draw) -> str:
+    """Lines of fields drawn from SERIES_CHARS, each field a number as often
+    as not, bare or under a header naming the two columns either way round,
+    with blank lines, CRLF and a leading byte order mark at times."""
+    field = st.one_of(st.sampled_from(["3", "12", "0", "0.5", "1e-3", "-2", "nan"]),
+                      st.lists(st.sampled_from(SERIES_CHARS), max_size=4).map("".join))
+    width = st.sampled_from([1, 2, 2, 2, 2, 3])
+    line = st.one_of(st.just(""), width.flatmap(lambda n: st.lists(field, min_size=n, max_size=n))
+                     .map(",".join))
+    lines = draw(st.lists(line, max_size=8))
+    header = draw(st.sampled_from([[], ["t,rel_mae"], ["rel_mae,t"]]))
+    return ("\ufeff" * draw(st.booleans())
+            + draw(st.sampled_from(["\n", "\r\n"])).join(header + lines))
+
+
+@given(text=series_texts())
+@settings(max_examples=500, deadline=None, derandomize=True)
+@example(text="t,rel_mae\n3,0.5\n2,0.4\n")
+@example(text="\ufeff3,0.5\n\n2\u00a0,0.4\n1,x\n")
+@example(text="rel_mae,t\n0.5,3\n0.4,٢\n")
+def test_the_column_reader_is_the_per_line_reader_with_the_typo_rule(text, tmp_path_factory):
+    """On any text, read_series_csv returns the per-line reader's pairs, or
+    raises its error (class, message and line), once the typo rule is added
+    to it."""
+    path = write(tmp_path_factory.getbasetemp(), text)
+    assert outcome(read_series_csv, path) == outcome(
+        lambda p: per_line_read(p, typos=True), path), text
 
 
 @pytest.mark.parametrize("data, line, quoted", list(TYPOS.values()), ids=list(TYPOS))
