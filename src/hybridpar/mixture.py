@@ -244,16 +244,14 @@ def _conditional_of(gm: GaussianMixture, cond: Condition | None) -> GaussianMixt
     return _memo(gm, ("conditional", cond.indices), lambda: conditional(gm, cond))
 
 
-def _noised_rows(base: GaussianMixture, alpha_bars: np.ndarray) -> tuple[_Terms | None, ...]:
+def _noised_rows(base: GaussianMixture, alpha_bars: np.ndarray) -> tuple[_Terms, ...]:
     """Row t, for t = 0..T of a schedule's alpha_bars, is the _Terms.of
     noised_mixture(base, alpha_bar(t)) with its bits, built in one numpy
     pass: read-only views of three (T + 1, K, d) tables, and the log-weights
-    every row shares. A row is None exactly when noised_mixture rejects its
-    alpha_bar, outside (0, 1]: inside, a valid base's noised means are finite
-    and its variances finite and positive, so GaussianMixture's checks pass."""
-    ab = np.concatenate(([1.0], alpha_bars))                # t = 0: alpha_bar = 1
-    ok = (ab > 0.0) & (ab <= 1.0)
-    ab = np.where(ok, ab, 1.0)[:, None, None]               # a rejected row must not warn
+    every row shares. NoiseSchedule keeps each alpha_bar in (0, 1), where a
+    valid base's noised means are finite and its variances finite and
+    positive: every row would pass GaussianMixture's checks."""
+    ab = np.concatenate(([1.0], alpha_bars))[:, None, None]  # t = 0: alpha_bar = 1
     means = _read_only(np.sqrt(ab) * base.means)
     variances = ab * base.variances
     variances += 1.0 - ab
@@ -261,21 +259,20 @@ def _noised_rows(base: GaussianMixture, alpha_bars: np.ndarray) -> tuple[_Terms 
     np.log(log_norm, out=log_norm)
     log_weights = _read_only(np.log(base.weights / base.weights.sum()))
     variances, log_norm = _read_only(variances), _read_only(log_norm)
-    return tuple(_Terms(means[t], variances[t], log_weights, log_norm[t]) if row_ok else None
-                 for t, row_ok in enumerate(ok.tolist()))
+    return tuple(_Terms(means[t], variances[t], log_weights, log_norm[t])
+                 for t in range(len(ab)))
 
 
 def _noised_terms(gm: GaussianMixture, cond: Condition | None, sched: NoiseSchedule,
                   t: int) -> _Terms:
     """Terms of noised_mixture(conditional(gm, cond), sched.alpha_bar(t)): row
     t of the subset's table for that alpha_bar array (keyed by its bytes),
-    kept on gm. A t outside [0, T], or a row noised_mixture rejects, runs
-    it, so its error is raised when, and only when, that step is reached."""
+    kept on gm. A t outside [0, T] raises the schedule's timestep error."""
     rows = _memo(gm, ("noised", None if cond is None else cond.indices, sched.alpha_bars.tobytes()),
                  lambda: _noised_rows(_conditional_of(gm, cond), sched.alpha_bars))
-    if 0 <= t < len(rows) and rows[t] is not None:
-        return rows[t]
-    return _Terms.of(noised_mixture(_conditional_of(gm, cond), sched.alpha_bar(t)))
+    if not 0 <= t < len(rows):
+        sched.alpha_bar(t)                      # raises its timestep error
+    return rows[t]
 
 
 def eps_prediction(gm: GaussianMixture, cond: Condition | None, sched: NoiseSchedule,

@@ -204,19 +204,10 @@ def replay_columns(ts: list[int], ms: list[float], cfg: SwitchConfig) -> StageSt
 
 def replay_series(pairs: list[tuple[int, float]], cfg: SwitchConfig) -> tuple[StageState, list[Stage]]:
     """Run the controller over a fully recorded (t, M) sequence, descending
-    in t, one pair per denoising step. Returns the final state and the
-    per-step stage labels (stage_at of each step) from stage_runs' runs.
-
-    Pairs that are all (t, float) tuples go to replay_columns as columns: one
-    scan of the M column decides a clean series, and any other is replayed
-    by the per-row reference, _replay_rows. Other pairs go to _replay_rows
-    directly, as record stores float(M), which for another type (a large
-    int, say) need not be the M the scan would subtract.
-    """
-    if all(type(row) is tuple and len(row) == 2 and type(row[1]) is float for row in pairs):
-        state = replay_columns([t for t, _ in pairs], [m for _, m in pairs], cfg)
-    else:
-        state = _replay_rows(pairs, cfg)
+    in t, one pair per denoising step, row by row (_replay_rows). Returns the
+    final state and the per-step stage labels (stage_at of each step) from
+    stage_runs' runs."""
+    state = _replay_rows(pairs, cfg)
     labels = []
     for stage, count in stage_runs(len(pairs), state.tau1, state.tau2):
         labels += [stage] * count

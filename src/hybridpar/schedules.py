@@ -28,6 +28,15 @@ class NoiseSchedule:
     alpha_bars: np.ndarray = field(repr=False)
     sigmas: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        # alpha_bar in (0, 1) at every t >= 1: each step's noised marginal exists, sigma > 0
+        bad = ~((self.alpha_bars > 0.0) & (self.alpha_bars < 1.0))
+        if bad.any():
+            t = int(bad.argmax()) + 1
+            ab = float(self.alpha_bars[t - 1])
+            raise ParameterError(f"alpha_bar at t={t} is 1.0, so sigma would be 0" if ab == 1.0
+                                 else f"alpha_bar must lie in (0, 1], got {ab}")
+
     def alpha_bar(self, t: int) -> float:
         if t == 0:
             return 1.0

@@ -361,6 +361,7 @@ def test_controller_matches_the_labelled_reference_step_by_step():
             ref_replayed.tau1, ref_replayed.tau2, ref_replayed.steps_done,
             ref_replayed.last_t), case
         assert (replayed, labels) == per_row_replay(pairs, cfg), case
+        assert column_replay(pairs, cfg) == (replayed, labels), case
         seen.add("undecided" if state.tau1 is None else
                  "at the cap" if state.tau1 == tau_cap else "before the cap")
         seen.add(f"k={'0' if cfg.k == 0 else 'k'}")
@@ -368,13 +369,24 @@ def test_controller_matches_the_labelled_reference_step_by_step():
 
 
 def per_row_replay(pairs, cfg):
-    """replay_series as it was when every row was recorded and stepped."""
+    """The reference: every row recorded and stepped, and stage_at of every step."""
     series = DiscrepancySeries()
     state = StageState()
     for t, m in pairs:
         series.record(t, m)
         update_controller(state, series, t, cfg)
-    return state, [stage_at(s, state.tau1, state.tau2) for s in range(1, len(pairs) + 1)]
+    return state, labels_of(state, len(pairs))
+
+
+def column_replay(pairs, cfg):
+    """replay_columns over the t and M columns of pairs, the fast path detect
+    runs, with per_row_replay's labels."""
+    state = replay_columns([t for t, _ in pairs], [m for _, m in pairs], cfg)
+    return state, labels_of(state, len(pairs))
+
+
+def labels_of(state, n):
+    return [stage_at(s, state.tau1, state.tau2) for s in range(1, n + 1)]
 
 
 def test_replay_labels_are_stage_at_of_every_step(monkeypatch):
@@ -445,21 +457,24 @@ def raised(fn, *args) -> tuple[type, str]:
                                   "skipped-t", "negative-t"])
 def test_a_bad_row_raises_its_own_error_wherever_it_lies(kind, position):
     """A bad row before, on or after the switch raises what the per-row
-    replay raises there, class and message alike."""
+    replay raises there, class and message alike, in the column scan too."""
     pairs = bad_series(kind, LATE_POSITIONS[position])
     want = raised(per_row_replay, pairs, LATE_CFG)
     assert want[0] in {NumericError, SequencingError, ParameterError}
     assert raised(replay_series, pairs, LATE_CFG) == want
+    assert raised(column_replay, pairs, LATE_CFG) == want
 
 
 @pytest.mark.parametrize("first, second", [("nan", "skipped-t"), ("skipped-t", "nan"),
                                            ("negative-t", "nan")])
 def test_the_first_bad_row_after_the_switch_wins(first, second):
-    """Of two bad rows after the switch, the earlier one raises, as per row."""
+    """Of two bad rows after the switch, the earlier one raises, as per row,
+    in the column scan too."""
     pairs = bad_series(first, 15)
     pairs[22] = bad_series(second, 22)[22]
     want = raised(per_row_replay, pairs, LATE_CFG)
     assert raised(replay_series, pairs, LATE_CFG) == want
+    assert raised(column_replay, pairs, LATE_CFG) == want
     assert want == raised(per_row_replay, pairs[:16], LATE_CFG)
 
 
@@ -518,8 +533,12 @@ def test_replay_series_matches_the_per_row_replay_on_rows_of_any_arity(pairs):
     """replay_series returns what record and update_controller row by row
     return, or raises the same class and message, a row of another arity
     after the switch included, and an M that is not a float (record stores
-    float(M): 2 ** 60 + 1 reads as 2 ** 60)."""
-    assert outcome(replay_series, pairs, LATE_CFG) == outcome(per_row_replay, pairs, LATE_CFG)
+    float(M): 2 ** 60 + 1 reads as 2 ** 60). So does the column scan on
+    every series of (t, float) rows, whatever its t fields are."""
+    want = outcome(per_row_replay, pairs, LATE_CFG)
+    assert outcome(replay_series, pairs, LATE_CFG) == want
+    if all(len(row) == 2 and type(row[1]) is float for row in pairs):
+        assert outcome(column_replay, pairs, LATE_CFG) == want
 
 
 def test_a_row_of_three_fields_after_the_switch_raises_as_per_row():
@@ -530,9 +549,10 @@ def test_a_row_of_three_fields_after_the_switch_raises_as_per_row():
 
 
 def test_replay_steps_the_controller_only_on_a_series_with_a_bad_row(monkeypatch):
-    """A clean series is decided by one scan, with no update_controller
-    call; a series with a bad row is replayed row by row from its first
-    row, one call per row up to the bad one, before or after the switch."""
+    """replay_columns decides a clean series by one scan, with no
+    update_controller call; a series with a bad row is replayed row by row
+    from its first row, one call per row up to the bad one, before or after
+    the switch."""
     import hybridpar.monitor as monitor
     calls = []
     original = monitor.update_controller
@@ -542,14 +562,14 @@ def test_replay_steps_the_controller_only_on_a_series_with_a_bad_row(monkeypatch
         return original(state, series, t, cfg)
 
     monkeypatch.setattr(monitor, "update_controller", counting)
-    state, _ = replay_series(late_series(), LATE_CFG)
+    state, _ = column_replay(late_series(), LATE_CFG)
     assert calls == []
     assert (state.tau1, state.steps_done, state.last_t) == (
         LATE_POSITIONS["on-the-switch"] + 1, LATE_ROWS, 1)
     for i in (LATE_POSITIONS["before-the-switch"], 20):
         calls.clear()
         with pytest.raises(NumericError):
-            replay_series(bad_series("nan", i), LATE_CFG)
+            column_replay(bad_series("nan", i), LATE_CFG)
         assert len(calls) == i
 
 

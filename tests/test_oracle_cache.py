@@ -308,11 +308,9 @@ def test_schedules_with_other_alpha_bars_do_not_share_a_table(build_counts):
 @pytest.mark.parametrize("T", [1, 50, 1000])
 def test_table_rows_equal_the_per_step_build(kind, beta_start, beta_end, T):
     """Row t of each subset's table, t = 0..T, holds the bits of the noised
-    mixture built for that one step, and is read-only. The table masks rows
-    by the alpha_bar range alone: on valid mixtures at the float extremes,
-    every alpha_bar in (0, 1], the schedule's and the edge values, gives a
-    row with those bits, and any other gives None, whose step raises
-    noised_mixture's error."""
+    mixture built for that one step, and is read-only. So does the row of
+    each alpha_bar at the edges of (0, 1) that a schedule may hold, on valid
+    mixtures at the float extremes."""
     gm = random_mixture(seed=9, K=4)
     sched = build_schedule(kind, T, beta_start, beta_end)
     conds = [None] + [Condition(c) for n in range(1, 5)
@@ -322,28 +320,24 @@ def test_table_rows_equal_the_per_step_build(kind, beta_start, beta_end, T):
         for t in range(T + 1):
             assert_row_is_the_per_step_build(gm, cond, sched, t, base)
 
-    ok = np.concatenate([sched.alpha_bars, [5e-324, 1e-300, 1.0 - 2.0 ** -53, 1.0]])
-    alpha_bars = np.concatenate([ok, [0.0, np.nan, -1.0, 1.5]])
-    edges = NoiseSchedule(kind, len(alpha_bars), beta_start, beta_end,
-                          alpha_bars, alpha_bars, alpha_bars, alpha_bars)
+    alpha_bars = np.concatenate([sched.alpha_bars, [5e-324, 1e-300, 1.0 - 2.0 ** -53]])
     for gm in EXTREME_MIXTURES:
         with np.errstate(over="ignore"):    # log(2 pi var) of a near-max var is inf
             rows = mixture_mod._noised_rows(gm, alpha_bars)
-            for t in range(len(ok) + 1):
-                assert rows[t] is not None, t
-                assert_row_is_the_per_step_build(gm, None, edges, t, gm)
-        for t in range(len(ok) + 1, len(alpha_bars) + 1):
-            assert rows[t] is None, t
-            message = rf"alpha_bar must lie in \(0, 1\], got {edges.alpha_bar(t)}"
-            with pytest.raises(ParameterError, match=message):
-                _noised_terms(gm, None, edges, t)
+            assert len(rows) == len(alpha_bars) + 1
+            for t, ab in enumerate([1.0, *alpha_bars.tolist()]):
+                assert_terms_equal(rows[t], _Terms.of(noised_mixture(gm, ab)), t)
 
 
 def assert_row_is_the_per_step_build(gm, cond, sched, t, base):
     got = _noised_terms(gm, cond, sched, t)
-    want = _Terms.of(noised_mixture(base, sched.alpha_bar(t)))
-    for a, b in zip(got, want):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes(), (cond, t)
+    assert_terms_equal(got, _Terms.of(noised_mixture(base, sched.alpha_bar(t))), (cond, t))
+
+
+def assert_terms_equal(got, want, where):
+    """got holds want's arrays bit for bit, each read-only."""
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), where
         assert not a.flags.writeable
 
 
@@ -364,31 +358,55 @@ EXTREME_MIXTURES = [
 UNDERFLOW = {"schedule": {"T": 1000, "beta_start": 0.9, "beta_end": 0.9}}
 
 
-def test_an_underflowed_alpha_bar_fails_only_at_its_step():
-    """alpha_bar underflows to 0.0 from t = 324 on: the table is built on the
-    first call, but only a call at a rejected step raises, and every time."""
-    plan = ExperimentConfig.from_dict(UNDERFLOW).to_plan(variant=PlanVariant.SERIAL)
-    gm, sched = plan.mixture, plan.schedule
-    assert sched.alpha_bar(323) > 0.0 and sched.alpha_bar(324) == 0.0
-    x = np.random.default_rng(3).normal(size=(4, gm.dim))
-    for cond in (None, Condition((0, 2))):
-        for _ in range(2):
-            with pytest.raises(ParameterError, match=r"alpha_bar must lie in \(0, 1\], got 0.0"):
-                eps_prediction(gm, cond, sched, x, 324)
-            got = eps_prediction(gm, cond, sched, x, 10)
-            assert got.tobytes() == ref_eps_prediction(gm, cond, sched, x, 10).tobytes()
+def test_a_bad_alpha_bar_fails_when_the_schedule_is_built():
+    """alpha_bar underflows to 0.0 from t = 324: the config is rejected when
+    it is read, before any table is built or step run. So is a schedule built
+    by hand with an alpha_bar outside (0, 1] anywhere in it, or with 1.0 at a
+    step t >= 1, where sigma would be 0."""
+    with pytest.raises(ParameterError, match=r"^alpha_bar must lie in \(0, 1\], got 0.0$"):
+        ExperimentConfig.from_dict(UNDERFLOW)
+    good = build_schedule("linear", 8, 0.01, 0.1).alpha_bars
+    for t in (1, 5, 8):
+        for bad in (0.0, np.nan, -1.0, 1.5, 1.0):
+            alpha_bars = good.copy()
+            alpha_bars[t - 1] = bad
+            message = (rf"^alpha_bar at t={t} is 1.0, so sigma would be 0$" if bad == 1.0
+                       else rf"^alpha_bar must lie in \(0, 1\], got {bad}$")
+            with pytest.raises(ParameterError, match=message):
+                NoiseSchedule("linear", 8, 0.01, 0.1, good, good, alpha_bars, good)
 
 
-@pytest.mark.parametrize("argv", [["simulate", "--out", "{tmp}/run"], ["sweep", "--k", "0,5"],
-                                  ["curve", "--out", "{tmp}/curve.csv"]])
-def test_an_underflowed_alpha_bar_exits_1_with_one_json_line(tmp_path, capsys, argv):
-    cfg = tmp_path / "underflow.json"
-    cfg.write_text(json.dumps(UNDERFLOW))
+# beta_start below 2**-53: 1 - beta_start rounds to 1.0, so alpha_bar(1) = 1 and sigma_1 = 0
+ZERO_SIGMA = {"schedule": {"beta_start": 1e-17}}
+BAD_SCHEDULE_ARGV = [["simulate", "--out", "{tmp}/run"], ["sweep", "--k", "0,5"],
+                     ["curve", "--out", "{tmp}/curve.csv"],
+                     ["detect", "--series", "{tmp}/series.csv"]]
+
+
+def assert_exits_1_with_one_json_line(tmp_path, capsys, argv, doc, message):
+    """main fails on the config doc, detect too, with one JSON line on stderr
+    and no output written."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    (tmp_path / "series.csv").write_text("t,rel_mae\n2,0.5\n1,0.4\n")
     code = main([a.format(tmp=tmp_path) for a in argv] + ["--config", str(cfg)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err.splitlines() == [json.dumps(
-        {"error": "ParameterError", "message": "alpha_bar must lie in (0, 1], got 0.0"})]
+    assert captured.err.splitlines() == [
+        json.dumps({"error": "ParameterError", "message": message})]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "series.csv"]
+
+
+@pytest.mark.parametrize("argv", BAD_SCHEDULE_ARGV)
+def test_an_underflowed_alpha_bar_exits_1_with_one_json_line(tmp_path, capsys, argv):
+    assert_exits_1_with_one_json_line(tmp_path, capsys, argv, UNDERFLOW,
+                                      "alpha_bar must lie in (0, 1], got 0.0")
+
+
+@pytest.mark.parametrize("argv", BAD_SCHEDULE_ARGV)
+def test_a_zero_sigma_exits_1_with_one_json_line(tmp_path, capsys, argv):
+    assert_exits_1_with_one_json_line(tmp_path, capsys, argv, ZERO_SIGMA,
+                                      "alpha_bar at t=1 is 1.0, so sigma would be 0")
 
 
 @pytest.mark.parametrize("argv", [["simulate", "--out", "{tmp}/run"],

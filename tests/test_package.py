@@ -19,6 +19,10 @@ UNNAMED_IN_SRC = {
                                 "over read_series_columns, which detect reads",
     ("mixture", "score"): "the reference noised_score names; it goes with ScoreEval "
                           "once the benchmark stops counting its calls (ROADMAP item 1a)",
+    ("mixture", "noised_mixture"): "perfbench/spans.py's COUNT_TARGETS looks it up by name and "
+                                   "perfbench/run.py reads its count into mixtures_built, so "
+                                   "every traced run needs it; it leaves src/ with ROADMAP "
+                                   "item 1a, as the noised table's reference in the tests",
     ("monitor", "hoeffding_false_alarm"): "the false-alarm bound a calibrated switch rule "
                                           "would use; ROADMAP item 4 gives it a caller "
                                           "or deletes it",

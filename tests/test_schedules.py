@@ -50,10 +50,21 @@ def test_schedule_monotonicity_random_params():
     ("linear", 10, 0.0, 0.2),      # beta_start at 0
     ("linear", 10, 0.1, 1.0),      # beta_end at 1
     ("linear", 10, 0.3, 0.2),      # start above end
+    ("linear", 10, 2.0 ** -54, 0.2),    # 1 - beta_start rounds to 1.0: sigma_1 = 0
+    ("linear", 1000, 0.9, 0.9),         # alpha_bar underflows to 0.0 from t = 324
 ])
 def test_build_schedule_rejects(kind, T, b0, b1):
     with pytest.raises(ParameterError):
         build_schedule(kind, T, b0, b1)
+
+
+def test_the_schedules_at_the_edge_of_each_rejection_build():
+    """beta_start = 2**-53 leaves alpha_bar(1) = 1 - 2**-53 below 1, and
+    0.1 ** 323 is still a (subnormal) positive alpha_bar."""
+    tiny = build_schedule("linear", 10, 2.0 ** -53, 0.2)
+    assert tiny.alpha_bar(1) == 1.0 - 2.0 ** -53 and tiny.sigma(1) > 0.0
+    deep = build_schedule("linear", 323, 0.9, 0.9)
+    assert 0.0 < deep.alpha_bar(323) < 1e-300
 
 
 def test_schedule_arrays_are_frozen():
