@@ -101,27 +101,37 @@ def _json_list(items: str) -> str:
     return f"[\n{items}\n  ]" if items else "[]"
 
 
-class _Escaped(dict):
-    """Each string's JSON spelling, escaped on its first lookup."""
+class _Spelled(dict):
+    """Each value's text by spell (a string's JSON escape, a time's digits),
+    spelled on its first lookup. A zero is spelled on every lookup, because
+    0.0 and -0.0 are one key but two spellings; a nan is a key only to
+    itself, so each nan object is spelled."""
 
-    def __missing__(self, text: str) -> str:
-        self[text] = escaped = _json_str(text)
-        return escaped
+    def __init__(self, spell):
+        super().__init__()
+        self.spell = spell
+
+    def __missing__(self, x) -> str:
+        text = self.spell(x)
+        if x != 0:
+            self[x] = text
+        return text
 
 
 def _trace_json(trace: RunTrace) -> str:
     """trace.json: byte for byte _json_dumps of {"busy": [...], "messages":
     [...]} with one object per event, written from one template per event
     because json's indenting encoder is pure Python. Each distinct device,
-    stage, label and kind is escaped once per trace."""
-    s, f = _Escaped(), _json_float
+    stage, label and kind is escaped once per trace, and each distinct time
+    spelled once."""
+    s, f = _Spelled(_json_str), _Spelled(_json_float)
     busy = ",\n".join(
-        f'    {{\n      "device": {s[b.device]},\n      "end": {f(b.end)},\n'
+        f'    {{\n      "device": {s[b.device]},\n      "end": {f[b.end]},\n'
         f'      "label": {s[b.label]},\n      "stage": {s[b.stage]},\n'
-        f'      "start": {f(b.start)},\n      "step": {b.step}\n    }}'
+        f'      "start": {f[b.start]},\n      "step": {b.step}\n    }}'
         for b in trace.busy)
     messages = ",\n".join(
-        f'    {{\n      "arrive": {f(m.arrive)},\n      "depart": {f(m.depart)},\n'
+        f'    {{\n      "arrive": {f[m.arrive]},\n      "depart": {f[m.depart]},\n'
         f'      "dst": {s[m.dst]},\n      "kind": {s[m.kind]},\n'
         f'      "nbytes": {m.nbytes},\n      "src": {s[m.src]},\n'
         f'      "step": {m.step}\n    }}'
@@ -155,10 +165,12 @@ def cmd_simulate(args) -> int:
 
 
 def _write_trace(result: RunResult, out_dir: str) -> None:
+    """trace.csv and trace.json; each distinct time is spelled once per file."""
+    g = _Spelled(_fmt)
     rows = [TRACE_HEADER]
-    rows += [f"busy,{b.step},{b.stage},{b.device},,,{b.label},,{b.start:.17g},{b.end:.17g},"
+    rows += [f"busy,{b.step},{b.stage},{b.device},,,{b.label},,{g[b.start]},{g[b.end]},"
              for b in result.trace.busy]
-    rows += [f"message,{m.step},,,{m.src},{m.dst},,{m.kind},{m.depart:.17g},{m.arrive:.17g},"
+    rows += [f"message,{m.step},,,{m.src},{m.dst},,{m.kind},{g[m.depart]},{g[m.arrive]},"
              f"{m.nbytes}" for m in result.trace.messages]
     with open(os.path.join(out_dir, "trace.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")

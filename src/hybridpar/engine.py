@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import NumericError, PlanError
 from .mixture import (Condition, ConditionRows, GaussianMixture, _component_sampler,
-                      _condition_rows, _read_only, _rel_mae_blocks, _singleton_eps,
+                      _condition_rows, _memo, _read_only, _rel_mae_blocks, _singleton_eps,
                       eps_prediction)
 from .mixture import rel_mae  # noqa: F401  (perfbench/spans.py wraps engine.rel_mae)
 from .mixture import sample_x0  # noqa: F401  (perfbench/spans.py wraps engine.sample_x0)
@@ -111,10 +111,11 @@ class ExactPath:
     computed (_fill). A batch_level plan runs its pairs' hybrid plans on it.
 
     A template plan fixes the store when it is built: the model objects (a
-    _Stack, from which it draws the initial latents), the switch rule (a
-    staged plan's switch config with k = 0; none for an unstaged plan) and
-    the depth (a staged plan's segment count, whatever its k), the latents it
-    keeps up to each seed's switch for windows to start from. bind only
+    _Stack, from which it takes the initial latents, drawn once per seed and
+    command: _initial_latents), the switch rule (a staged plan's switch
+    config with k = 0; none for an unstaged plan) and the depth (a staged
+    plan's segment count, whatever its k), the latents it keeps up to each
+    seed's switch for windows to start from. bind only
     checks a plan against them, else PlanError: each seed it reads (_seeds)
     is one of the store's, its model the template's objects, a staged plan's
     rule the store's, and a window (k >= 1) starts from no more latents than
@@ -143,7 +144,7 @@ class ExactPath:
         self._depth = len(plan.segment_fractions) if staged else 0      # >= 2 if staged
         self._controls = [(StageState(), DiscrepancySeries())           # per seed
                           for _ in self._seeds] if staged else []
-        x_T = np.stack([_draw_latents(self._inputs, seed) for seed in self._seeds])
+        x_T = np.stack([_initial_latents(self._inputs, seed) for seed in self._seeds])
         self._recent = [_read_only(x_T)]               # x_T, then the last steps' latents
         self._ms: list[np.ndarray] = []                # per exact step, each seed's rel_mae
         self._x0: tuple[np.ndarray, ...] = ()           # per seed, once step T is taken
@@ -260,6 +261,15 @@ class ExactPath:
         x, ms = _exact_steps(self._inputs, head[0], tau1 + k)
         for j, x0, window_ms in zip(slots, x, zip(*[m.tolist() for m in ms])):
             self._windows[j, k, fractions] = x0, window_ms
+
+
+def _initial_latents(stack: _Stack, seed: int) -> np.ndarray:
+    """_draw_latents(stack, seed), drawn once and kept read-only on the
+    mixture, keyed by all else it reads: so the stores of one command (a
+    simulate's plan and its serial baseline) draw each seed once."""
+    sched = stack.schedule
+    return _memo(stack.mixture, ("latents", seed, stack.conditions, sched.T, sched._key),
+                 lambda: _read_only(_draw_latents(stack, seed)))
 
 
 def _draw_latents(stack: _Stack, seed: int) -> np.ndarray:

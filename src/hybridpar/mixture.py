@@ -8,6 +8,7 @@ here too, so the controller in monitor.py runs without numpy.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,9 +34,11 @@ class GaussianMixture:
     variances: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        m = np.asarray(self.means, dtype=float)
-        v = np.asarray(self.variances, dtype=float)
+        # copies: an entry built from the caller's arrays would go stale if
+        # the caller wrote to them (or to an array they view) afterwards
+        w = np.array(self.weights, dtype=float)
+        m = np.array(self.means, dtype=float)
+        v = np.array(self.variances, dtype=float)
         if w.ndim != 1 or m.ndim != 2 or v.ndim != 2:
             raise ShapeError("weights must be (K,), means and variances (K, d)")
         if m.shape != v.shape or m.shape[0] != w.shape[0]:
@@ -59,7 +62,7 @@ class GaussianMixture:
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", v)
         # oracle entries compiled on first use, keyed by kind (see _memo); the
-        # parameters above are read-only, so an entry never goes stale
+        # parameters above are read-only copies, so an entry never goes stale
         object.__setattr__(self, "_memo", {})
 
     @property
@@ -78,7 +81,7 @@ class Condition:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(map(_index, self.indices))
         if len(idx) == 0:
             raise ParameterError("condition subset must be non-empty")
         if len(set(idx)) != len(idx):
@@ -86,6 +89,17 @@ class Condition:
         if any(i < 0 for i in idx):
             raise ParameterError(f"condition indices must be >= 0: {idx}")
         object.__setattr__(self, "indices", idx)
+
+
+def _index(i) -> int:
+    """i as a component index: what operator.index takes (Python and numpy
+    integers), but no bool, which it takes as 0 or 1."""
+    if not isinstance(i, (bool, np.bool_)):
+        try:
+            return operator.index(i)
+        except TypeError:
+            pass
+    raise ParameterError(f"condition indices must be integers, got {i!r}")
 
 
 @dataclass(frozen=True)
@@ -268,7 +282,7 @@ def _noised_terms(gm: GaussianMixture, cond: Condition | None, sched: NoiseSched
     """Terms of noised_mixture(conditional(gm, cond), sched.alpha_bar(t)): row
     t of the subset's table for that alpha_bar array (keyed by its bytes),
     kept on gm. A t outside [0, T] raises the schedule's timestep error."""
-    rows = _memo(gm, ("noised", None if cond is None else cond.indices, sched.alpha_bars.tobytes()),
+    rows = _memo(gm, ("noised", None if cond is None else cond.indices, sched._key),
                  lambda: _noised_rows(_conditional_of(gm, cond), sched.alpha_bars))
     if not 0 <= t < len(rows):
         sched.alpha_bar(t)                      # raises its timestep error
@@ -284,7 +298,8 @@ def eps_prediction(gm: GaussianMixture, cond: Condition | None, sched: NoiseSche
     per schedule on gm: the same bits as scoring a freshly built mixture.
     """
     s = noised_score(gm, cond, sched, x, t)
-    s *= -sched.sigma(t)            # eps = -sigma_t * s, in the score's buffer
+    s *= -sched._sigma[t]           # eps = -sigma_t * s, in the score's buffer;
+                                    # noised_score checked t
     return s
 
 
@@ -306,7 +321,7 @@ def _singleton_eps(gm: GaussianMixture, components: np.ndarray,
     # with the bits of -sigma * ((m - x) / v); take gathers faster than [components]
     eps = terms.means.take(components, axis=0) - x
     eps /= terms.variances.take(components, axis=0)
-    eps *= -sched.sigma(t)
+    eps *= -sched._sigma[t]         # _noised_terms checked t
     return eps
 
 

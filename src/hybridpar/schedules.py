@@ -36,6 +36,17 @@ class NoiseSchedule:
             ab = float(self.alpha_bars[t - 1])
             raise ParameterError(f"alpha_bar at t={t} is 1.0, so sigma would be 0" if ab == 1.0
                                  else f"alpha_bar must lie in (0, 1], got {ab}")
+        # Per-step tables, indexed by t = 0..T, of the Python floats sigma(t)
+        # and ddim_step would compute per call, with their bits; callers
+        # check t first, so no t indexes a table from its end.
+        ab = [1.0] + self.alpha_bars.tolist()           # alpha_bar(0) = 1
+        root = [math.sqrt(a) for a in ab]               # correctly rounded, as np.sqrt is
+        object.__setattr__(self, "_sigma", (0.0,) + tuple(self.sigmas.tolist()))
+        # ddim_step's factors at t: sigma_t, sqrt(ab_t), sqrt(ab_{t-1}), sqrt(1 - ab_{t-1})
+        object.__setattr__(self, "_ddim", (None,) + tuple(
+            zip(self._sigma[1:], root[1:], root, [math.sqrt(1.0 - a) for a in ab])))
+        # the oracle's memo key for this alpha_bar array (mixture._noised_terms)
+        object.__setattr__(self, "_key", self.alpha_bars.tobytes())
 
     def alpha_bar(self, t: int) -> float:
         if t == 0:
@@ -47,7 +58,7 @@ class NoiseSchedule:
         if t == 0:
             return 0.0
         self._check_t(t)
-        return float(self.sigmas[t - 1])
+        return self._sigma[t]
 
     def _check_t(self, t: int) -> None:
         if not 1 <= t <= self.T:
@@ -60,8 +71,16 @@ class GuidanceParams:
     w: float
 
     def __post_init__(self):
-        if not np.isfinite(self.w) or self.w < 0:
-            raise ParameterError(f"guidance w must be finite and >= 0, got {self.w}")
+        w = self.w
+        if isinstance(w, bool) or not isinstance(w, (int, float, np.integer, np.floating)):
+            raise ParameterError(f"guidance w must be a number, got {w!r}")
+        try:
+            ok = math.isfinite(w) and w >= 0
+        except OverflowError:       # an integer past float range, as the config reads it
+            raise ParameterError("guidance w must be finite and >= 0, got an integer "
+                                 "past float range") from None
+        if not ok:
+            raise ParameterError(f"guidance w must be finite and >= 0, got {w}")
 
 
 def build_schedule(kind: str, T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
@@ -134,9 +153,10 @@ def ddim_step(x_t: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) ->
     x_t = np.asarray(x_t, dtype=float)
     eps = np.asarray(eps, dtype=float)
     _check_pair(x_t, eps)
-    x0_hat = x_t - sched.sigma(t) * eps
-    x0_hat /= math.sqrt(sched.alpha_bar(t))     # correctly rounded, as np.sqrt is
-    ab_prev = sched.alpha_bar(t - 1)
-    x0_hat *= math.sqrt(ab_prev)                # re-noised in x0_hat's buffer
-    x0_hat += math.sqrt(1.0 - ab_prev) * eps
+    sched._check_t(t)
+    sigma, root_ab, root_ab_prev, root_noise_prev = sched._ddim[t]
+    x0_hat = x_t - sigma * eps
+    x0_hat /= root_ab
+    x0_hat *= root_ab_prev                      # re-noised in x0_hat's buffer
+    x0_hat += root_noise_prev * eps
     return x0_hat

@@ -84,6 +84,37 @@ def test_condition_validation():
         Condition((-1,))
 
 
+@pytest.mark.parametrize("index", [1.7, 2.0, True, np.bool_(True), "1", None])
+def test_condition_index_of_another_type_is_a_parameter_error(index):
+    """int() read 1.7 and True as 1, and a string as its number."""
+    with pytest.raises(ParameterError):
+        Condition((0, index))
+
+
+def test_condition_takes_numpy_integers():
+    indices = Condition((np.int64(2), np.uint8(0), 1)).indices
+    assert indices == (2, 0, 1) and all(type(i) is int for i in indices)
+
+
+def test_mixture_copies_the_callers_arrays():
+    """An oracle entry built from the mixture cannot go stale: writing to an
+    array the caller passed, or to the base it views, changes neither the
+    mixture nor its answers, and the caller's arrays stay writeable."""
+    sched = default_schedule()
+    x = np.random.default_rng(1).normal(size=(4, 3))
+    base = np.zeros((2, 3))
+    gm = GaussianMixture(np.array([0.5, 0.5]), base[:], np.ones((2, 3)))
+    before = eps_prediction(gm, None, sched, x, 5)
+    base[0] = 3.0
+    assert np.array_equal(gm.means, np.zeros((2, 3)))
+    fresh = GaussianMixture(np.array([0.5, 0.5]), np.zeros((2, 3)), np.ones((2, 3)))
+    assert np.array_equal(eps_prediction(gm, None, sched, x, 5), before)
+    assert np.array_equal(eps_prediction(fresh, None, sched, x, 5), before)
+    means = np.zeros((2, 3))
+    GaussianMixture(np.array([0.5, 0.5]), means, np.ones((2, 3)))
+    assert means.flags.writeable
+
+
 def test_conditional_out_of_range():
     with pytest.raises(ParameterError):
         conditional(make_mixture(K=2), Condition((5,)))

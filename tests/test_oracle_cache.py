@@ -12,10 +12,11 @@ import json
 import numpy as np
 import pytest
 
+import hybridpar.engine as engine
 import hybridpar.mixture as mixture_mod
 from hybridpar.cli import main
 from hybridpar.config import ExperimentConfig
-from hybridpar.engine import PlanVariant, _draw_latents, _Stack
+from hybridpar.engine import PlanVariant, _draw_latents, _initial_latents, _Stack
 from hybridpar.errors import NumericError, ParameterError, ShapeError
 from hybridpar.mixture import (Condition, GaussianMixture, ScoreEval, _condition_rows,
                                _noised_terms, _Terms, conditional, eps_prediction,
@@ -420,6 +421,60 @@ def test_a_command_builds_the_unconditional_table_once(tmp_path, capsys, build_c
     capsys.readouterr()
     assert build_counts["_noised_rows"] == [4]
     assert build_counts["noised_mixture"] == []
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The seed of each engine._draw_latents call."""
+    seeds = []
+
+    def counting(stack, seed):
+        seeds.append(seed)
+        return original(stack, seed)
+
+    original = engine._draw_latents
+    monkeypatch.setattr(engine, "_draw_latents", counting)
+    return seeds
+
+
+@pytest.mark.parametrize("variant", [v.value for v in PlanVariant])
+def test_a_simulate_draws_each_seed_once(tmp_path, capsys, draws, variant):
+    """The plan's store and its serial baseline's read one draw per seed: a
+    4-device batch_level plan's pairs run seeds 3 and 4, the baseline 3."""
+    (tmp_path / "cfg.json").write_text(json.dumps({"devices": 4, "seeds": [3]}))
+    assert main(["simulate", "--config", str(tmp_path / "cfg.json"), "--variant", variant,
+                 "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert draws == ([3, 4] if variant == "batch_level" else [3])
+
+
+def test_a_sweep_draws_each_seed_once(tmp_path, capsys, draws):
+    (tmp_path / "seeds.json").write_text(json.dumps({"seeds": list(range(8))}))
+    assert main(["sweep", "--k", "0,5,10", "--config", str(tmp_path / "seeds.json")]) == 0
+    capsys.readouterr()
+    assert draws == list(range(8))
+
+
+def test_initial_latents_are_kept_per_seed_conditions_and_schedule(draws):
+    """The kept draw is read-only and has the bits of a fresh one. An equal
+    schedule built anew reads it; another seed, conditions tuple, or
+    schedule T over the same alpha_bars draws anew."""
+    cfg = ExperimentConfig.from_dict({"condition_batch": 6})
+    stack = _Stack.of(cfg.to_plan(variant=PlanVariant.SERIAL))
+    x = _initial_latents(stack, 2)
+    assert _initial_latents(stack, 2) is x and draws == [2]
+    assert not x.flags.writeable
+    assert np.array_equal(x, _draw_latents(stack, 2))
+    draws.clear()
+    sched = stack.schedule
+    same = build_schedule(sched.kind, sched.T, sched.beta_start, sched.beta_end)
+    shorter = NoiseSchedule(sched.kind, sched.T - 1, sched.beta_start, sched.beta_end,
+                           sched.betas, sched.alphas, sched.alpha_bars, sched.sigmas)
+    for other in (stack._replace(schedule=same), stack._replace(conditions=stack.conditions[:5]),
+                  stack._replace(schedule=shorter)):
+        _initial_latents(other._replace(rows=_condition_rows(other.mixture, other.conditions)), 2)
+    _initial_latents(stack, 7)
+    assert draws == [2, 2, 7]
 
 
 def test_validation_survives_the_cache():

@@ -1,12 +1,14 @@
 """Schedule construction and the deterministic steppers."""
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from hybridpar.errors import (NumericError, ParameterError, ShapeError,
                               StepUnderflowError)
-from hybridpar.schedules import GuidanceParams, build_schedule, cfg_combine, ddim_step
+from hybridpar.schedules import (GuidanceParams, NoiseSchedule, build_schedule, cfg_combine,
+                                 ddim_step)
 
 # independently recomputed in a scratch script as a plain cumulative product
 SCALED_LINEAR_AB50 = 0.763763285673763
@@ -79,6 +81,21 @@ def test_guidance_params_range():
         GuidanceParams(-1.0)
     with pytest.raises(ParameterError):
         GuidanceParams(float("nan"))
+
+
+@pytest.mark.parametrize("w", ["2", None, True, np.bool_(True), 1j, [2.0],
+                               pytest.param(10 ** 400, id="int-past-float-range"),
+                               pytest.param(10 ** 5000, id="int-past-the-str-digit-limit")])
+def test_guidance_w_of_another_type_is_a_parameter_error(w):
+    """A string or None made numpy raise TypeError, and True passed as 1;
+    an integer past float range is no finite w."""
+    with pytest.raises(ParameterError):
+        GuidanceParams(w)
+
+
+@pytest.mark.parametrize("w", [2, 7.5, np.float32(1.5), np.int64(3), np.float64(0.0)])
+def test_guidance_w_takes_python_and_numpy_numbers(w):
+    assert GuidanceParams(w).w == w
 
 
 # cfg_combine ---------------------------------------------------------------
@@ -206,3 +223,70 @@ def test_ddim_rejects_negative_t():
     sched = build_schedule("linear", 10, 0.02, 0.1)
     with pytest.raises(ParameterError):
         ddim_step(np.zeros(3), -1, np.zeros(3), sched)
+
+
+@pytest.mark.parametrize("t", [-1, -5, -6, 6])
+def test_ddim_step_checks_t_after_its_arrays(t):
+    """t = 0 is a StepUnderflowError before the arrays are read; any other t
+    outside [1, T] is the schedule's ParameterError, after the shape and
+    finiteness checks, and never reads a step table from its end."""
+    sched = build_schedule("linear", 5, 0.02, 0.1)
+    ok, bad = np.ones(3), np.array([1.0, np.nan, 1.0])
+    with pytest.raises(StepUnderflowError):
+        ddim_step(bad, 0, np.ones(4), sched)
+    with pytest.raises(ShapeError):
+        ddim_step(ok, t, np.ones(4), sched)
+    with pytest.raises(NumericError):
+        ddim_step(bad, t, ok, sched)
+    with pytest.raises(ParameterError, match=rf"timestep t={t} outside \[1, 5\]"):
+        ddim_step(ok, t, ok, sched)
+
+
+# the step tables -------------------------------------------------------------
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def ref_ddim_step(x_t, t, eps, sched):
+    """ddim_step as it computed each factor per call, from the schedule's arrays."""
+    x0_hat = x_t - float(sched.sigmas[t - 1]) * eps
+    x0_hat /= math.sqrt(float(sched.alpha_bars[t - 1]))
+    ab_prev = 1.0 if t == 1 else float(sched.alpha_bars[t - 2])
+    x0_hat *= math.sqrt(ab_prev)
+    x0_hat += math.sqrt(1.0 - ab_prev) * eps
+    return x0_hat
+
+
+def hand_built_schedule():
+    """alpha_bars and sigmas that no build_schedule call makes, and a sigma
+    table that is not sqrt(1 - alpha_bar): the tables read the arrays given."""
+    ab = np.array([0.9, 0.5, 1e-300])
+    return NoiseSchedule("linear", 3, 0.1, 0.9, 1.0 - ab, ab, ab, np.array([0.25, 0.5, 1.0]))
+
+
+@pytest.mark.parametrize("sched", [
+    build_schedule("linear", 50, 1e-4, 2e-2),
+    build_schedule("scaled-linear", 50, 0.00085, 0.012),
+    build_schedule("linear", 1, 0.5, 0.5),
+    build_schedule("scaled-linear", 1, 0.00085, 0.012),
+    build_schedule("linear", 323, 0.9, 0.9),       # alpha_bar(323) is subnormal
+    hand_built_schedule(),
+], ids=["linear", "scaled-linear", "linear-T1", "scaled-linear-T1", "subnormal", "hand-built"])
+def test_step_tables_hold_the_per_call_values(sched):
+    """The accessors and ddim_step read tables built with the schedule; at
+    every t each value has the bits the per-call expression gave, and the
+    oracle's memo key is the alpha_bar array's bytes."""
+    rng = np.random.default_rng(sched.T)
+    assert bits(sched.alpha_bar(0)) == bits(1.0) and bits(sched.sigma(0)) == bits(0.0)
+    for t in range(1, sched.T + 1):
+        ab_t = float(sched.alpha_bars[t - 1])
+        ab_prev = 1.0 if t == 1 else float(sched.alpha_bars[t - 2])
+        assert bits(sched.alpha_bar(t)) == bits(ab_t)
+        assert bits(sched.sigma(t)) == bits(float(sched.sigmas[t - 1]))
+        want = (float(sched.sigmas[t - 1]), math.sqrt(ab_t), math.sqrt(ab_prev),
+                math.sqrt(1.0 - ab_prev))
+        assert list(map(bits, sched._ddim[t])) == list(map(bits, want))
+        x, eps = rng.normal(0.0, 2.0, (2, 5, 4))
+        assert ddim_step(x, t, eps, sched).tobytes() == ref_ddim_step(x, t, eps, sched).tobytes()
+    assert sched._key == sched.alpha_bars.tobytes()

@@ -6,11 +6,13 @@ reference below is the trace.json writer as it was when it built dicts and
 passed them to json.dumps(..., sort_keys=True, indent=2): the templates must
 write the same bytes for every trace, non-finite times and empty traces
 included. trace.csv's reference calls cli._fmt once per time field, where
-_write_trace formats the times inline.
+_write_trace spells each distinct time once. The second reference is the
+writer pair as it was when it formatted every time field inline.
 """
 import io
 import json
 import os
+from json.encoder import encode_basestring_ascii as _json_str
 from contextlib import redirect_stdout
 from types import SimpleNamespace
 
@@ -55,6 +57,55 @@ def ref_write_trace_csv(result: RunResult, out_dir: str) -> None:
         fh.write("\n".join(rows) + "\n")
 
 
+# reference: the writers that formatted every time inline --------------------------
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _JSON_NON_FINITE.get(text, text)
+
+
+def _json_list(items: str) -> str:
+    return f"[\n{items}\n  ]" if items else "[]"
+
+
+class _Escaped(dict):
+    def __missing__(self, text: str) -> str:
+        self[text] = escaped = _json_str(text)
+        return escaped
+
+
+def inline_trace_json(trace: RunTrace) -> str:
+    s, f = _Escaped(), _json_float
+    busy = ",\n".join(
+        f'    {{\n      "device": {s[b.device]},\n      "end": {f(b.end)},\n'
+        f'      "label": {s[b.label]},\n      "stage": {s[b.stage]},\n'
+        f'      "start": {f(b.start)},\n      "step": {b.step}\n    }}'
+        for b in trace.busy)
+    messages = ",\n".join(
+        f'    {{\n      "arrive": {f(m.arrive)},\n      "depart": {f(m.depart)},\n'
+        f'      "dst": {s[m.dst]},\n      "kind": {s[m.kind]},\n'
+        f'      "nbytes": {m.nbytes},\n      "src": {s[m.src]},\n'
+        f'      "step": {m.step}\n    }}'
+        for m in trace.messages)
+    return (f'{{\n  "busy": {_json_list(busy)},\n'
+            f'  "messages": {_json_list(messages)}\n}}\n')
+
+
+def inline_write_trace(result: RunResult, out_dir: str) -> None:
+    rows = [TRACE_HEADER]
+    rows += [f"busy,{b.step},{b.stage},{b.device},,,{b.label},,{b.start:.17g},{b.end:.17g},"
+             for b in result.trace.busy]
+    rows += [f"message,{m.step},,,{m.src},{m.dst},,{m.kind},{m.depart:.17g},{m.arrive:.17g},"
+             f"{m.nbytes}" for m in result.trace.messages]
+    with open(os.path.join(out_dir, "trace.csv"), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(rows) + "\n")
+    with open(os.path.join(out_dir, "trace.json"), "w", encoding="utf-8") as fh:
+        fh.write(inline_trace_json(result.trace))
+
+
 # ---------------------------------------------------------------------------------
 
 def assert_trace_json_matches(result, tmp_path) -> bytes:
@@ -74,9 +125,11 @@ def assert_trace_json_matches(result, tmp_path) -> bytes:
 @pytest.mark.parametrize("preset", ["sdxl-like", "sd3-like"])
 @pytest.mark.parametrize("variant", list(PlanVariant))
 def test_trace_json_of_every_variant_equals_json_dumps(preset, variant, tmp_path):
+    """Both trace files also equal the inline writers' bytes."""
     cfg = ExperimentConfig.from_dict({"preset": preset, "devices": 4})
     result = run_plan(cfg.to_plan(seed=7, variant=variant))
     assert_trace_json_matches(result, tmp_path)
+    assert_inline_writer_matches(result, tmp_path)
 
 
 def test_trace_json_of_a_multi_index_hybrid_equals_json_dumps(tmp_path):
@@ -113,6 +166,34 @@ def test_trace_csv_writes_each_time_as_fmt_does(tmp_path):
     for spelling in ("-0,", "4.9406564584124654e-324", ",1e-300,",
                      "1.7976931348623157e+308", "-inf", "nan", ",inf,"):
         assert spelling in text
+
+
+def assert_inline_writer_matches(result, tmp_path) -> None:
+    ref_dir, out_dir = tmp_path / "inline", tmp_path / "spelled"
+    ref_dir.mkdir()
+    out_dir.mkdir()
+    inline_write_trace(result, str(ref_dir))
+    _write_trace(result, str(out_dir))
+    for name in ("trace.csv", "trace.json"):
+        assert (out_dir / name).read_bytes() == (ref_dir / name).read_bytes()
+
+
+def test_each_time_is_spelled_as_the_inline_writer_did(tmp_path):
+    """0.0 and -0.0 are one dict key but spell apart, in either order and
+    repeated; a nan is a key only to itself, whether the same object recurs
+    or another nan follows."""
+    nan, other_nan = float("nan"), float("inf") - float("inf")
+    trace = RunTrace(
+        busy=(BusyInterval("dev0", 0.0, -0.0, 1, "warm_up", "eps_c"),
+              BusyInterval("dev1", -0.0, 0.0, 1, "warm_up", "eps_u"),
+              BusyInterval("dev0", nan, nan, 2, "", "segment_0"),
+              BusyInterval("dev1", other_nan, 0.5, 2, "", "segment_1")),
+        messages=(MessageEvent("dev1", "dev0", "latent", 8, 0.5, -0.0, 1),
+                  MessageEvent("dev0", "dev1", "latent", 8, -0.0, 0.0, 1),
+                  MessageEvent("dev0", "dev1", "activation", 8, other_nan, nan, 2)))
+    assert_inline_writer_matches(SimpleNamespace(trace=trace), tmp_path)
+    text = (tmp_path / "spelled" / "trace.csv").read_text(encoding="utf-8")
+    assert ",0,-0," in text and ",-0,0," in text and ",nan,nan," in text
 
 
 def test_empty_trace_json_equals_json_dumps(tmp_path):
