@@ -47,13 +47,13 @@ import numpy as np
 
 from .errors import NumericError, PlanError
 from .mixture import (Condition, ConditionRows, GaussianMixture, _component_sampler,
-                      _condition_rows, _memo, _read_only, _rel_mae_blocks, _singleton_eps,
+                      _condition_rows, _memo, _rel_mae_blocks, _singleton_eps,
                       eps_prediction)
 from .mixture import rel_mae  # noqa: F401  (perfbench/spans.py wraps engine.rel_mae)
 from .mixture import sample_x0  # noqa: F401  (perfbench/spans.py wraps engine.sample_x0)
 from .monitor import DiscrepancySeries, Stage, StageState, stage_at, update_controller
 from .plan import _STAGED, ExecutionPlan, PlanVariant
-from .schedules import GuidanceParams, NoiseSchedule, _guided, ddim_step
+from .schedules import GuidanceParams, NoiseSchedule, _guided, _read_only, ddim_step
 from .schedules import cfg_combine  # noqa: F401  (perfbench/spans.py wraps it here)
 from .trace import RunTrace, Timeline, account_comm
 
@@ -267,8 +267,7 @@ def _initial_latents(stack: _Stack, seed: int) -> np.ndarray:
     """_draw_latents(stack, seed), drawn once and kept read-only on the
     mixture, keyed by all else it reads: so the stores of one command (a
     simulate's plan and its serial baseline) draw each seed once."""
-    sched = stack.schedule
-    return _memo(stack.mixture, ("latents", seed, stack.conditions, sched.T, sched._key),
+    return _memo(stack.mixture, ("latents", seed, stack.conditions, stack.schedule._key),
                  lambda: _read_only(_draw_latents(stack, seed)))
 
 

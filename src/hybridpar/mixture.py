@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (DegenerateInputError, NumericError, ParameterError, PlanError,
                      ShapeError)
-from .schedules import NoiseSchedule
+from .schedules import NoiseSchedule, _read_only, _reals
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,9 @@ class GaussianMixture:
     variances: np.ndarray
 
     def __post_init__(self):
-        # copies: an entry built from the caller's arrays would go stale if
-        # the caller wrote to them (or to an array they view) afterwards
-        w = np.array(self.weights, dtype=float)
-        m = np.array(self.means, dtype=float)
-        v = np.array(self.variances, dtype=float)
+        w = _reals(self.weights, "mixture weights")
+        m = _reals(self.means, "mixture means")
+        v = _reals(self.variances, "mixture variances")
         if w.ndim != 1 or m.ndim != 2 or v.ndim != 2:
             raise ShapeError("weights must be (K,), means and variances (K, d)")
         if m.shape != v.shape or m.shape[0] != w.shape[0]:
@@ -55,14 +53,10 @@ class GaussianMixture:
         total = w.sum()
         if not np.isfinite(total):
             raise NumericError("mixture weights sum past float range")
-        w = w / total
-        for arr in (w, m, v):
-            arr.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", m)
-        object.__setattr__(self, "variances", v)
+        for name, arr in (("weights", w / total), ("means", m), ("variances", v)):
+            object.__setattr__(self, name, _read_only(arr))
         # oracle entries compiled on first use, keyed by kind (see _memo); the
-        # parameters above are read-only copies, so an entry never goes stale
+        # parameters above are read-only copies (_reals), so no entry goes stale
         object.__setattr__(self, "_memo", {})
 
     @property
@@ -81,7 +75,10 @@ class Condition:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(map(_index, self.indices))
+        try:
+            idx = tuple(map(_index, self.indices))
+        except TypeError:           # not iterable: _index raises ParameterError
+            raise ParameterError(f"condition is not a sequence: {self.indices!r}") from None
         if len(idx) == 0:
             raise ParameterError("condition subset must be non-empty")
         if len(set(idx)) != len(idx):
@@ -116,9 +113,7 @@ def conditional(gm: GaussianMixture, cond: Condition) -> GaussianMixture:
         raise ParameterError(f"condition indices {cond.indices} exceed "
                              f"K={gm.n_components} components")
     idx = np.asarray(cond.indices, dtype=int)
-    return GaussianMixture(weights=gm.weights[idx].copy(),
-                           means=gm.means[idx].copy(),
-                           variances=gm.variances[idx].copy())
+    return GaussianMixture(gm.weights[idx], gm.means[idx], gm.variances[idx])
 
 
 def noised_mixture(gm: GaussianMixture, alpha_bar: float) -> GaussianMixture:
@@ -128,9 +123,8 @@ def noised_mixture(gm: GaussianMixture, alpha_bar: float) -> GaussianMixture:
     """
     if not (0.0 < alpha_bar <= 1.0):
         raise ParameterError(f"alpha_bar must lie in (0, 1], got {alpha_bar}")
-    return GaussianMixture(weights=gm.weights.copy(),
-                           means=np.sqrt(alpha_bar) * gm.means,
-                           variances=alpha_bar * gm.variances + (1.0 - alpha_bar))
+    return GaussianMixture(gm.weights, np.sqrt(alpha_bar) * gm.means,
+                           alpha_bar * gm.variances + (1.0 - alpha_bar))
 
 
 def _check_points(x: np.ndarray) -> None:
@@ -160,11 +154,8 @@ class _Terms(NamedTuple):
     @classmethod
     def of(cls, gm: GaussianMixture) -> "_Terms":
         """Read-only, like gm's own arrays: kernels must not write into them."""
-        log_weights = np.log(gm.weights)
-        log_norm = np.log(2.0 * np.pi * gm.variances)
-        log_weights.flags.writeable = False
-        log_norm.flags.writeable = False
-        return cls(gm.means, gm.variances, log_weights, log_norm)
+        return cls(gm.means, gm.variances, _read_only(np.log(gm.weights)),
+                   _read_only(np.log(2.0 * np.pi * gm.variances)))
 
 
 def _log_resp(terms: _Terms, diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,11 +226,6 @@ def score(gm: GaussianMixture, x: np.ndarray) -> ScoreEval:
     if squeezed:
         return ScoreEval(score=s[0], log_density=log_density[0])
     return ScoreEval(score=s, log_density=log_density)
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def _memo(gm: GaussianMixture, key: tuple, build):

@@ -1,13 +1,13 @@
 """Variance-preserving noise schedules and single-step denoising updates.
 
 Discrete timesteps are indexed t = 1..T with t = 0 reserved for the clean
-sample. Arrays inside NoiseSchedule are stored for t = 1..T; accessors accept
+sample. A NoiseSchedule's alpha_bar table holds t = 1..T; accessors accept
 t = 0 and return the clean-sample convention (alpha_bar = 1, sigma = 0).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,36 +17,36 @@ from .plan import SCHEDULE_KINDS
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Precomputed beta/alpha tables for a discrete VP schedule."""
+    """A discrete VP schedule, given as its alpha_bar(t) table for t = 1..T:
+    T, sigma(t) = sqrt(1 - alpha_bar(t)) and ddim_step's factors are derived
+    from a read-only copy of it."""
 
-    kind: str
-    T: int
-    beta_start: float
-    beta_end: float
-    betas: np.ndarray = field(repr=False)
-    alphas: np.ndarray = field(repr=False)
-    alpha_bars: np.ndarray = field(repr=False)
-    sigmas: np.ndarray = field(repr=False)
+    alpha_bars: np.ndarray
 
     def __post_init__(self):
+        table = _reals(self.alpha_bars, "alpha_bar table")
+        if table.ndim != 1 or table.size == 0:
+            raise ShapeError(f"alpha_bar table must be 1-D and non-empty, got shape {table.shape}")
         # alpha_bar in (0, 1) at every t >= 1: each step's noised marginal exists, sigma > 0
-        bad = ~((self.alpha_bars > 0.0) & (self.alpha_bars < 1.0))
+        bad = ~((table > 0.0) & (table < 1.0))
         if bad.any():
             t = int(bad.argmax()) + 1
-            ab = float(self.alpha_bars[t - 1])
+            ab = float(table[t - 1])
             raise ParameterError(f"alpha_bar at t={t} is 1.0, so sigma would be 0" if ab == 1.0
                                  else f"alpha_bar must lie in (0, 1], got {ab}")
+        object.__setattr__(self, "alpha_bars", _read_only(table))
+        object.__setattr__(self, "T", len(table))
         # Per-step tables, indexed by t = 0..T, of the Python floats sigma(t)
         # and ddim_step would compute per call, with their bits; callers
         # check t first, so no t indexes a table from its end.
-        ab = [1.0] + self.alpha_bars.tolist()           # alpha_bar(0) = 1
+        ab = [1.0] + table.tolist()                     # alpha_bar(0) = 1
         root = [math.sqrt(a) for a in ab]               # correctly rounded, as np.sqrt is
-        object.__setattr__(self, "_sigma", (0.0,) + tuple(self.sigmas.tolist()))
+        object.__setattr__(self, "_sigma", tuple(math.sqrt(1.0 - a) for a in ab))
         # ddim_step's factors at t: sigma_t, sqrt(ab_t), sqrt(ab_{t-1}), sqrt(1 - ab_{t-1})
         object.__setattr__(self, "_ddim", (None,) + tuple(
-            zip(self._sigma[1:], root[1:], root, [math.sqrt(1.0 - a) for a in ab])))
-        # the oracle's memo key for this alpha_bar array (mixture._noised_terms)
-        object.__setattr__(self, "_key", self.alpha_bars.tobytes())
+            zip(self._sigma[1:], root[1:], root, self._sigma)))
+        # the oracle's memo key for this table (mixture._noised_terms); it fixes T
+        object.__setattr__(self, "_key", table.tobytes())
 
     def alpha_bar(self, t: int) -> float:
         if t == 0:
@@ -107,13 +107,27 @@ def build_schedule(kind: str, T: int, beta_start: float, beta_end: float) -> Noi
         betas = np.linspace(beta_start, beta_end, T)
     else:
         betas = np.linspace(np.sqrt(beta_start), np.sqrt(beta_end), T) ** 2
-    alphas = 1.0 - betas
-    alpha_bars = np.cumprod(alphas)
-    sigmas = np.sqrt(1.0 - alpha_bars)
-    for arr in (betas, alphas, alpha_bars, sigmas):
-        arr.flags.writeable = False
-    return NoiseSchedule(kind, T, float(beta_start), float(beta_end),
-                         betas, alphas, alpha_bars, sigmas)
+    return NoiseSchedule(np.cumprod(1.0 - betas))
+
+
+def _reals(x, what: str) -> np.ndarray:
+    """A new float64 array of the real numbers x holds: any other value (a string,
+    a complex number, an object) is a ParameterError, a ragged nesting a ShapeError."""
+    try:
+        a = np.asarray(x)
+    except ValueError:                  # numpy's "inhomogeneous shape"
+        raise ShapeError(f"{what} is ragged") from None
+    if a.dtype.kind in "biufO":
+        try:
+            return a.astype(float)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ParameterError(f"{what} must hold real numbers in float range")
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _check_pair(eps_c: np.ndarray, eps_u: np.ndarray) -> None:

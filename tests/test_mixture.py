@@ -96,6 +96,30 @@ def test_condition_takes_numpy_integers():
     assert indices == (2, 0, 1) and all(type(i) is int for i in indices)
 
 
+@pytest.mark.parametrize("make, error", [
+    (lambda: Condition(3), ParameterError),
+    (lambda: Condition(None), ParameterError),
+    (lambda: GaussianMixture("a", np.zeros((1, 1)), np.ones((1, 1))), ParameterError),
+    (lambda: GaussianMixture([1.0], [[object()]], [[1.0]]), ParameterError),
+    (lambda: GaussianMixture([1.0], [[1j]], [[1.0]]), ParameterError),
+    (lambda: GaussianMixture([1.0], [[0.0]], [[10 ** 400]]), ParameterError),
+    (lambda: GaussianMixture([1.0, 1.0], [[0.0], [1.0, 2.0]], [[1.0], [1.0]]), ShapeError),
+], ids=["condition-int", "condition-none", "weights-string", "means-object", "means-complex",
+        "variances-past-float-range", "means-ragged"])
+def test_a_model_value_of_another_type_is_a_model_error(make, error):
+    """Neither Python's TypeError for a condition that is not a sequence nor
+    numpy's ValueError or TypeError for a mixture array that holds no real
+    numbers, or holds ragged rows, escapes the constructor."""
+    with pytest.raises(error):
+        make()
+
+
+def test_mixture_takes_integers_past_int64():
+    """numpy holds them as objects, which convert to float as they did."""
+    gm = GaussianMixture([2 ** 70], [[2 ** 70]], [[1]])
+    assert gm.means.dtype == float and gm.means[0, 0] == 2.0 ** 70 and gm.weights[0] == 1.0
+
+
 def test_mixture_copies_the_callers_arrays():
     """An oracle entry built from the mixture cannot go stale: writing to an
     array the caller passed, or to the base it views, changes neither the
@@ -225,9 +249,7 @@ def test_eps_pure_noise_limit_returns_x():
     prediction at x is x itself."""
     gm = make_mixture(seed=11)
     ab = 1e-6
-    sched = NoiseSchedule("linear", 1, 0.5, 0.5,
-                          np.array([1.0 - ab]), np.array([ab]),
-                          np.array([ab]), np.array([np.sqrt(1.0 - ab)]))
+    sched = NoiseSchedule(np.array([ab]))
     x = np.array([0.3, -1.2, 0.7, 2.0])
     assert np.allclose(eps_prediction(gm, None, sched, x, 1), x, atol=1e-2)
 
@@ -313,11 +335,7 @@ def _fine_schedule(coarse: NoiseSchedule, factor: int) -> NoiseSchedule:
     grid = np.arange(coarse.T + 1, dtype=float)
     n = coarse.T * factor
     fine_t = np.arange(1, n + 1, dtype=float) / factor
-    ab = np.exp(np.interp(fine_t, grid, log_ab))
-    alphas = ab / np.concatenate([[1.0], ab[:-1]])
-    betas = 1.0 - alphas
-    return NoiseSchedule(coarse.kind, n, float(betas[0]), float(betas[-1]),
-                         betas, alphas, ab, np.sqrt(1.0 - ab))
+    return NoiseSchedule(np.exp(np.interp(fine_t, grid, log_ab)))
 
 
 def test_ddim_rollout_converges_under_refinement():

@@ -15,7 +15,7 @@ import pytest
 import hybridpar.engine as engine
 import hybridpar.mixture as mixture_mod
 from hybridpar.cli import main
-from hybridpar.config import ExperimentConfig
+from hybridpar.config import DEFAULT_SCHEDULE, ExperimentConfig
 from hybridpar.engine import PlanVariant, _draw_latents, _initial_latents, _Stack
 from hybridpar.errors import NumericError, ParameterError, ShapeError
 from hybridpar.mixture import (Condition, GaussianMixture, ScoreEval, _condition_rows,
@@ -143,7 +143,7 @@ def test_eps_prediction_matches_reference_bitwise(K):
     rng = np.random.default_rng(K)
     points = {B: rng.normal(0.0, 3.0, (B, D)) for B in (1, 7, 64)}
     points["squeezed"] = rng.normal(0.0, 3.0, D)
-    for sched in SCHEDULES:
+    for i, sched in enumerate(SCHEDULES):
         for cond in subsets(K):
             for t in range(sched.T + 1):
                 for x in points.values():
@@ -152,7 +152,7 @@ def test_eps_prediction_matches_reference_bitwise(K):
                         got = eps_prediction(gm, cond, sched, x, t)
                         want = ref_eps_prediction(gm, cond, sched, x, t)
                         assert got.shape == want.shape
-                        assert np.array_equal(got, want), (K, cond, sched.kind, t)
+                        assert np.array_equal(got, want), (K, cond, i, t)
 
 
 def test_eps_prediction_matches_reference_far_from_every_component():
@@ -374,7 +374,7 @@ def test_a_bad_alpha_bar_fails_when_the_schedule_is_built():
             message = (rf"^alpha_bar at t={t} is 1.0, so sigma would be 0$" if bad == 1.0
                        else rf"^alpha_bar must lie in \(0, 1\], got {bad}$")
             with pytest.raises(ParameterError, match=message):
-                NoiseSchedule("linear", 8, 0.01, 0.1, good, good, alpha_bars, good)
+                NoiseSchedule(alpha_bars)
 
 
 # beta_start below 2**-53: 1 - beta_start rounds to 1.0, so alpha_bar(1) = 1 and sigma_1 = 0
@@ -457,8 +457,8 @@ def test_a_sweep_draws_each_seed_once(tmp_path, capsys, draws):
 
 def test_initial_latents_are_kept_per_seed_conditions_and_schedule(draws):
     """The kept draw is read-only and has the bits of a fresh one. An equal
-    schedule built anew reads it; another seed, conditions tuple, or
-    schedule T over the same alpha_bars draws anew."""
+    schedule built anew reads it; another seed, conditions tuple, or a
+    schedule whose table is a prefix of this one's (a shorter T) draws anew."""
     cfg = ExperimentConfig.from_dict({"condition_batch": 6})
     stack = _Stack.of(cfg.to_plan(variant=PlanVariant.SERIAL))
     x = _initial_latents(stack, 2)
@@ -467,9 +467,8 @@ def test_initial_latents_are_kept_per_seed_conditions_and_schedule(draws):
     assert np.array_equal(x, _draw_latents(stack, 2))
     draws.clear()
     sched = stack.schedule
-    same = build_schedule(sched.kind, sched.T, sched.beta_start, sched.beta_end)
-    shorter = NoiseSchedule(sched.kind, sched.T - 1, sched.beta_start, sched.beta_end,
-                           sched.betas, sched.alphas, sched.alpha_bars, sched.sigmas)
+    same = build_schedule(**DEFAULT_SCHEDULE)
+    shorter = NoiseSchedule(sched.alpha_bars[:-1])
     for other in (stack._replace(schedule=same), stack._replace(conditions=stack.conditions[:5]),
                   stack._replace(schedule=shorter)):
         _initial_latents(other._replace(rows=_condition_rows(other.mixture, other.conditions)), 2)

@@ -52,6 +52,23 @@ def test_readme_library_example_runs(tmp_path):
     assert proc.stderr == ""
 
 
+def test_readme_library_example_imports_each_name_from_its_module(tmp_path):
+    """As the README says: no name is taken from a module that only re-imports it."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("\n## Library\n"):]
+    block = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    names = [(node.module, alias.name) for node in ast.walk(ast.parse(block))
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    proc = run_fresh("import importlib\n"
+                     f"for module, name in {names!r}:\n"
+                     "    home = getattr(importlib.import_module(module), name).__module__\n"
+                     "    print(module, name, home)", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert len(rows) == len(names) >= 4
+    assert [(module, name) for module, name, home in rows if home != module] == []
+
+
 NUMERIC_MODULES = ("numpy", "hybridpar.engine", "hybridpar.mixture", "hybridpar.schedules")
 
 

@@ -1,4 +1,5 @@
 """Schedule construction and the deterministic steppers."""
+import dataclasses
 import math
 import struct
 
@@ -7,6 +8,7 @@ import pytest
 
 from hybridpar.errors import (NumericError, ParameterError, ShapeError,
                               StepUnderflowError)
+from hybridpar.mixture import GaussianMixture, eps_prediction
 from hybridpar.schedules import (GuidanceParams, NoiseSchedule, build_schedule, cfg_combine,
                                  ddim_step)
 
@@ -42,8 +44,7 @@ def test_schedule_monotonicity_random_params():
         kind = "linear" if rng.integers(2) else "scaled-linear"
         sched = build_schedule(kind, T, b0, b1)
         assert np.all(np.diff(sched.alpha_bars) < 0)
-        assert np.all(np.diff(sched.sigmas) > 0)
-        assert np.all((sched.betas > 0) & (sched.betas < 1))
+        assert np.all(np.diff([sched.sigma(t) for t in range(1, T + 1)]) > 0)
 
 
 @pytest.mark.parametrize("kind,T,b0,b1", [
@@ -71,8 +72,57 @@ def test_the_schedules_at_the_edge_of_each_rejection_build():
 
 def test_schedule_arrays_are_frozen():
     sched = build_schedule("linear", 5, 0.1, 0.2)
+    assert not sched.alpha_bars.flags.writeable
     with pytest.raises(ValueError):
-        sched.betas[0] = 0.5
+        sched.alpha_bars[0] = 0.5
+
+
+def test_a_schedule_is_its_alpha_bar_table():
+    """T and sigma are derived from the one table a schedule holds: a
+    timestep past its length is the schedule's error, not an IndexError."""
+    assert [f.name for f in dataclasses.fields(NoiseSchedule)] == ["alpha_bars"]
+    sched = NoiseSchedule([0.9, 0.5, 0.2, 0.1])
+    assert sched.T == 4 and sched.alpha_bars.dtype == float
+    assert [sched.sigma(t) for t in range(5)] == [math.sqrt(1.0 - a)
+                                                  for a in (1.0, 0.9, 0.5, 0.2, 0.1)]
+    with pytest.raises(ParameterError, match=r"timestep t=5 outside \[1, 4\]"):
+        sched.sigma(5)
+    with pytest.raises(ParameterError, match=r"timestep t=5 outside \[1, 4\]"):
+        ddim_step(np.zeros(2), 5, np.zeros(2), sched)
+
+
+def test_schedule_copies_the_callers_table():
+    """The schedule reads a read-only copy of the table it was given: a later
+    write to the caller's array, even of a value the (0, 1) check rejects,
+    changes no value the schedule derives nor an oracle answer."""
+    table = np.array([0.9, 0.5, 0.2])
+    sched = NoiseSchedule(table)
+    derived = [(sched.alpha_bar(t), sched.sigma(t)) for t in range(4)], sched._key
+    x = np.array([[0.3, -1.2], [2.0, 0.5]])
+    eps = eps_prediction(two_component_mixture(), None, sched, x, 2)
+    table[1] = 0.0
+    assert ([(sched.alpha_bar(t), sched.sigma(t)) for t in range(4)], sched._key) == derived
+    assert np.array_equal(eps_prediction(two_component_mixture(), None, sched, x, 2), eps)
+    assert table.flags.writeable
+
+
+def two_component_mixture():
+    return GaussianMixture(np.array([1.0, 2.0]), np.array([[0.0, 1.0], [2.0, -1.0]]),
+                           np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("table, error", [
+    (["0.9", "0.5"], ParameterError),
+    ([0.9, object()], ParameterError),
+    ([0.9, 0.5j], ParameterError),
+    (np.array([[0.9, 0.5]]), ShapeError),
+    ([], ShapeError),
+    (0.5, ShapeError),
+    ([[0.9], [0.5, 0.2]], ShapeError),
+], ids=["strings", "object", "complex", "2-d", "empty", "scalar", "ragged"])
+def test_a_table_that_is_not_1d_real_numbers_is_rejected(table, error):
+    with pytest.raises(error):
+        NoiseSchedule(table)
 
 
 def test_guidance_params_range():
@@ -249,9 +299,10 @@ def bits(x: float) -> bytes:
 
 
 def ref_ddim_step(x_t, t, eps, sched):
-    """ddim_step as it computed each factor per call, from the schedule's arrays."""
-    x0_hat = x_t - float(sched.sigmas[t - 1]) * eps
-    x0_hat /= math.sqrt(float(sched.alpha_bars[t - 1]))
+    """ddim_step as it computed each factor per call, from the alpha_bar table."""
+    ab_t = float(sched.alpha_bars[t - 1])
+    x0_hat = x_t - math.sqrt(1.0 - ab_t) * eps
+    x0_hat /= math.sqrt(ab_t)
     ab_prev = 1.0 if t == 1 else float(sched.alpha_bars[t - 2])
     x0_hat *= math.sqrt(ab_prev)
     x0_hat += math.sqrt(1.0 - ab_prev) * eps
@@ -259,10 +310,8 @@ def ref_ddim_step(x_t, t, eps, sched):
 
 
 def hand_built_schedule():
-    """alpha_bars and sigmas that no build_schedule call makes, and a sigma
-    table that is not sqrt(1 - alpha_bar): the tables read the arrays given."""
-    ab = np.array([0.9, 0.5, 1e-300])
-    return NoiseSchedule("linear", 3, 0.1, 0.9, 1.0 - ab, ab, ab, np.array([0.25, 0.5, 1.0]))
+    """An alpha_bar table that no build_schedule call makes: the tables read the one given."""
+    return NoiseSchedule(np.array([0.9, 0.5, 1e-300]))
 
 
 @pytest.mark.parametrize("sched", [
@@ -275,16 +324,18 @@ def hand_built_schedule():
 ], ids=["linear", "scaled-linear", "linear-T1", "scaled-linear-T1", "subnormal", "hand-built"])
 def test_step_tables_hold_the_per_call_values(sched):
     """The accessors and ddim_step read tables built with the schedule; at
-    every t each value has the bits the per-call expression gave, and the
-    oracle's memo key is the alpha_bar array's bytes."""
+    every t each value has the bits the per-call expression gave, the sigma
+    table those of np.sqrt(1.0 - alpha_bars), and the oracle's memo key is
+    the alpha_bar array's bytes."""
     rng = np.random.default_rng(sched.T)
+    assert np.array(sched._sigma[1:]).tobytes() == np.sqrt(1.0 - sched.alpha_bars).tobytes()
     assert bits(sched.alpha_bar(0)) == bits(1.0) and bits(sched.sigma(0)) == bits(0.0)
     for t in range(1, sched.T + 1):
         ab_t = float(sched.alpha_bars[t - 1])
         ab_prev = 1.0 if t == 1 else float(sched.alpha_bars[t - 2])
         assert bits(sched.alpha_bar(t)) == bits(ab_t)
-        assert bits(sched.sigma(t)) == bits(float(sched.sigmas[t - 1]))
-        want = (float(sched.sigmas[t - 1]), math.sqrt(ab_t), math.sqrt(ab_prev),
+        assert bits(sched.sigma(t)) == bits(math.sqrt(1.0 - ab_t))
+        want = (math.sqrt(1.0 - ab_t), math.sqrt(ab_t), math.sqrt(ab_prev),
                 math.sqrt(1.0 - ab_prev))
         assert list(map(bits, sched._ddim[t])) == list(map(bits, want))
         x, eps = rng.normal(0.0, 2.0, (2, 5, 4))
