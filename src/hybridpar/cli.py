@@ -82,9 +82,9 @@ def _load(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict({})
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
+# The JSON outputs are laid out byte for byte as json.dumps(obj,
+# sort_keys=True, indent=2) + "\n" lays them out, but written from templates:
+# json's indenting encoder is pure Python.
 
 # json spells the non-finite floats this way; finite ones as float.__repr__
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -96,9 +96,26 @@ def _json_float(x: float) -> str:
 
 
 def _json_list(items: str) -> str:
-    """A list member of a top-level object, as _json_dumps indents it, from
+    """A list member of a top-level object, as json.dumps indents it, from
     its items already indented and joined by ",\n"."""
     return f"[\n{items}\n  ]" if items else "[]"
+
+
+def _json_scalar(v) -> str:
+    """v as json spells it: a float or an int by its own repr, None as null,
+    anything else (a bool, a string) by json.dumps."""
+    if type(v) is float:
+        return _json_float(v)
+    if type(v) is int:
+        return int.__repr__(v)
+    return "null" if v is None else json.dumps(v)
+
+
+def _json_flat(obj: dict) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) + "\n" of a non-empty dict
+    of scalars (metrics.json)."""
+    items = ",\n".join(f"  {_json_str(k)}: {_json_scalar(v)}" for k, v in sorted(obj.items()))
+    return f"{{\n{items}\n}}\n"
 
 
 class _Spelled(dict):
@@ -119,11 +136,10 @@ class _Spelled(dict):
 
 
 def _trace_json(trace: RunTrace) -> str:
-    """trace.json: byte for byte _json_dumps of {"busy": [...], "messages":
-    [...]} with one object per event, written from one template per event
-    because json's indenting encoder is pure Python. Each distinct device,
-    stage, label and kind is escaped once per trace, and each distinct time
-    spelled once."""
+    """trace.json: byte for byte json.dumps of {"busy": [...], "messages":
+    [...]} with one object per event, written from one template per event.
+    Each distinct device, stage, label and kind is escaped once per trace,
+    and each distinct time spelled once."""
     s, f = _Spelled(_json_str), _Spelled(_json_float)
     busy = ",\n".join(
         f'    {{\n      "device": {s[b.device]},\n      "end": {f[b.end]},\n'
@@ -155,8 +171,9 @@ def cmd_simulate(args) -> int:
     else:
         serial = run_serial(cfg.to_plan(seed=plan.seed, variant=PlanVariant.SERIAL))
     metrics = compare_runs(result, serial)
-    os.makedirs(out_dir, exist_ok=True)
-    payload = _json_dumps(metrics.to_dict())
+    if not os.path.isdir(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+    payload = _json_flat(metrics.to_dict())
     with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
         fh.write(payload)
     _write_trace(result, out_dir)
@@ -313,7 +330,7 @@ def cmd_detect(args) -> int:
     cfg = _load(args)
     ts, ms = read_series_columns(args.series)
     state = replay_columns(ts, ms, cfg.switch)
-    # _json_dumps of {"stages": [...], "tau1": ..., "tau2": ...}, byte for byte,
+    # json.dumps of {"stages": [...], "tau1": ..., "tau2": ...}, byte for byte,
     # written one run of equal labels at a time (stage_runs: at most three)
     items = "".join(f"    {_json_str(stage.value)},\n" * count
                     for stage, count in stage_runs(len(ts), state.tau1, state.tau2))

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -144,9 +145,10 @@ class ExactPath:
         self._depth = len(plan.segment_fractions) if staged else 0      # >= 2 if staged
         self._controls = [(StageState(), DiscrepancySeries())           # per seed
                           for _ in self._seeds] if staged else []
+        self._pending = list(range(len(self._seeds))) if staged else []  # yet to switch
         x_T = np.stack([_initial_latents(self._inputs, seed) for seed in self._seeds])
         self._recent = [_read_only(x_T)]               # x_T, then the last steps' latents
-        self._ms: list[np.ndarray] = []                # per exact step, each seed's rel_mae
+        self._ms: list[list[float]] = []               # per exact step, each seed's rel_mae
         self._x0: tuple[np.ndarray, ...] = ()           # per seed, once step T is taken
         self._starts: dict[int, tuple] = {}            # tau1 -> (seeds, latents)
         self._windows: dict[tuple, tuple] = {}         # (seed, k, fractions) -> (x0, ms)
@@ -195,15 +197,15 @@ class ExactPath:
             tau1, tau2 = state.tau1, state.tau1 + plan.switch.k
         steps = T if tau1 == tau2 else tau1
         self._extend(steps)
-        series = [(T - i, float(m[slot])) for i, m in enumerate(self._ms[:steps])]
+        exact = zip(range(T, T - steps, -1), map(itemgetter(slot), self._ms[:steps]))
         if tau1 == tau2:
-            x0 = self._x0[slot]
+            x0, window = self._x0[slot], ()
         else:
             key = (slot, plan.switch.k, plan.segment_fractions)
             if key not in self._windows:
                 self._fill(plan.switch.k, plan.segment_fractions, tau1)
             x0, ms = self._windows[key]
-            series += [(T - tau2 - i, m) for i, m in enumerate(ms)]
+            window = zip(range(T - tau2, 0, -1), ms)
         # every input of the virtual clock, and never the seed
         key = (plan.variant, plan.devices, plan.link, plan.segment_fractions,
                plan.cfg_batching_factor, T, tau1, tau2)
@@ -212,19 +214,19 @@ class ExactPath:
             timing = self._timings[key] = _timing(plan, tau1, tau2)
         return RunResult(x0=x0, latency_s=timing.latency_s, comm_bytes=timing.comm_bytes,
                          throughput_samples_per_s=1.0 / timing.latency_s,
-                         tau1=tau1, tau2=tau2, trace=timing.trace, series=tuple(series))
+                         tau1=tau1, tau2=tau2, trace=timing.trace, series=(*exact, *window))
 
     def _extend(self, s: int) -> None:
         T = self._inputs.schedule.T
         while len(self._ms) < s:
             x, m, _, _ = _exact_step(self._inputs, self._recent[-1], T - len(self._ms))
-            self._ms.append(m)
+            self._ms.append(m.tolist())
             self._recent.append(_read_only(x))
             if len(self._ms) == T:
                 self._x0 = tuple(x)             # seed i's x0 is the view x[i]
             self._control(len(self._ms))
             # keep as many steps as a window of a seed yet to switch starts from
-            keep = self._depth if any(st.tau1 is None for st, _ in self._controls) else 1
+            keep = self._depth if self._pending else 1
             del self._recent[:-keep]
 
     def _control(self, s: int) -> None:
@@ -232,13 +234,13 @@ class ExactPath:
         controller; keep the latents the windows of the seeds that switch
         here start from."""
         t = self._inputs.schedule.T + 1 - s
-        slots = []
-        for j, (state, series) in enumerate(self._controls):
-            if state.tau1 is None:
-                series.record(t, float(self._ms[s - 1][j]))
-                update_controller(state, series, t, self._switch)
-                if state.tau1 is not None:
-                    slots.append(j)
+        ms, slots, pending = self._ms[s - 1], [], []
+        for j in self._pending:
+            state, series = self._controls[j]
+            series.record(t, ms[j])
+            update_controller(state, series, t, self._switch)
+            (pending if state.tau1 is None else slots).append(j)
+        self._pending = pending
         if slots:
             # the latents of the depth steps up to s (the initial ones repeated
             # where fewer exist), newest first; x itself when all seeds switch here

@@ -19,9 +19,13 @@ from .errors import (DegenerateInputError, NumericError, ParameterError, PlanErr
 from .schedules import NoiseSchedule, _read_only, _reals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianMixture:
     """Mixture of K diagonal Gaussians in R^d.
+
+    Two mixtures are equal only if they are one object, and hash by identity:
+    the oracle memo and engine.ExactPath.bind go by that identity, and so
+    does plan equality.
 
     Attributes:
         weights: (K,) strictly positive, normalized to sum to 1 on construction.
@@ -86,6 +90,12 @@ class Condition:
         if any(i < 0 for i in idx):
             raise ParameterError(f"condition indices must be >= 0: {idx}")
         object.__setattr__(self, "indices", idx)
+        # the hash the dataclass would compute on every call, computed once:
+        # memo keys hold whole tuples of conditions
+        object.__setattr__(self, "_hash", hash((idx,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def _index(i) -> int:
@@ -109,11 +119,16 @@ class ScoreEval:
 
 def conditional(gm: GaussianMixture, cond: Condition) -> GaussianMixture:
     """Restrict the mixture to a component subset and renormalize weights."""
+    idx = _subset(gm, cond)
+    return GaussianMixture(gm.weights[idx], gm.means[idx], gm.variances[idx])
+
+
+def _subset(gm: GaussianMixture, cond: Condition) -> np.ndarray:
+    """cond's component indices as an array, checked against gm's K."""
     if max(cond.indices) >= gm.n_components:
         raise ParameterError(f"condition indices {cond.indices} exceed "
                              f"K={gm.n_components} components")
-    idx = np.asarray(cond.indices, dtype=int)
-    return GaussianMixture(gm.weights[idx], gm.means[idx], gm.variances[idx])
+    return np.asarray(cond.indices, dtype=int)
 
 
 def noised_mixture(gm: GaussianMixture, alpha_bar: float) -> GaussianMixture:
@@ -391,12 +406,19 @@ def _component_sampler(gm: GaussianMixture, cond: Condition | None
     components[cdf.searchsorted(rng.random(n), side="right")] draws, from the
     same stream, exactly the components rng.choice(K, size=n, p=weights)
     would pick (as indices into gm), without choice's per-call validation of
-    p: the conditional mixture validated its weights when it was built.
+    p. The subset's weights are gm's validated ones, renormalized as
+    conditional renormalizes them (w / w.sum(), the same bits), so no
+    conditional mixture is built or checked again.
     """
     def build():
-        cdf = _conditional_of(gm, cond).weights.cumsum()
+        if cond is None:
+            weights, comps = gm.weights, np.arange(gm.n_components)
+        else:
+            comps = _subset(gm, cond)
+            weights = gm.weights[comps]
+            weights /= weights.sum()
+        cdf = weights.cumsum()
         cdf /= cdf[-1]
-        comps = np.arange(gm.n_components) if cond is None else np.asarray(cond.indices)
         return _read_only(cdf), _read_only(comps)
 
     return _memo(gm, ("sampler", None if cond is None else cond.indices), build)

@@ -15,11 +15,12 @@ from .errors import NumericError, ParameterError, ShapeError, StepUnderflowError
 from .plan import SCHEDULE_KINDS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSchedule:
     """A discrete VP schedule, given as its alpha_bar(t) table for t = 1..T:
     T, sigma(t) = sqrt(1 - alpha_bar(t)) and ddim_step's factors are derived
-    from a read-only copy of it."""
+    from a read-only copy of it. Like GaussianMixture, it equals only itself
+    and hashes by identity."""
 
     alpha_bars: np.ndarray
 

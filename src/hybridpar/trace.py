@@ -10,6 +10,7 @@ frozen dataclasses, and traces, read-only too, are shared between runs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,6 +53,9 @@ class LinkSpec:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ParameterError(f"{name} must be an integer >= 1, got {v!r}")
+            if v > sys.float_info.max:      # as the config bounds it: a transfer time exists
+                raise ParameterError(f"{name} must lie within float range, got an integer "
+                                     "past it")
 
     def transfer_time(self, nbytes: int) -> float:
         return self.base_latency_s + nbytes / self.bandwidth_bytes_per_s
@@ -99,6 +103,10 @@ class Timeline:
         self.link = link
         self._busy: list[BusyInterval] = []
         self._messages: list[MessageEvent] = []
+        # each message kind's size and transfer time, fixed by the link
+        self._kinds = {kind: (n, link.transfer_time(n)) for kind, n in (
+            ("latent", link.message_bytes_latent),
+            ("activation", link.message_bytes_activation))}
 
     def busy(self, device: str, start: float, duration: float, step: int,
              stage: str, label: str) -> float:
@@ -107,9 +115,12 @@ class Timeline:
         return end
 
     def send(self, src: str, dst: str, kind: str, depart: float, step: int) -> float:
-        nbytes = (self.link.message_bytes_latent if kind == "latent"
-                  else self.link.message_bytes_activation)
-        arrive = depart + self.link.transfer_time(nbytes)
+        try:
+            nbytes, transfer = self._kinds[kind]
+        except (KeyError, TypeError):          # TypeError: an unhashable kind
+            raise ParameterError(f"message kind must be one of {list(self._kinds)}, "
+                                 f"got {kind!r}") from None
+        arrive = depart + transfer
         self._messages.append(MessageEvent(src, dst, kind, nbytes, depart, arrive, step))
         return arrive
 

@@ -651,6 +651,30 @@ def test_sweep_steps_one_controller_per_seed_whatever_its_k_values(tmp_path, bod
     assert counts == [sum(tau1)] * 3
 
 
+@pytest.mark.parametrize("body", [{"preset": "sdxl-like"}, {"preset": "sd3-like"}],
+                         ids=["sdxl", "sd3"])
+def test_the_store_steps_only_the_seeds_yet_to_switch(body, controller_calls):
+    """After every exact step the store's pending slots are those whose
+    controller has not switched, in slot order; the next step advances
+    those controllers alone, and the store keeps the depth's latents while
+    any seed is pending, else only the last."""
+    cfg = ExperimentConfig.from_dict({**body, "condition_batch": 4, "seeds": [2, 0, 3, 7]})
+    path = ExactPath(cfg.seeds, cfg.to_plan(variant=PlanVariant.HYBRID, k=0))
+    assert path._pending == [0, 1, 2, 3]
+    switched = set()
+    for s in range(1, cfg.schedule.T + 1):
+        before, calls = list(path._pending), len(controller_calls)
+        path._extend(s)
+        assert len(controller_calls) - calls == len(before)
+        assert path._pending == [j for j, (st, _) in enumerate(path._controls)
+                                 if st.tau1 is None]
+        assert len(path._recent) == (path._depth if path._pending else 1)
+        switched |= {path._controls[j][0].tau1 for j in before if j not in path._pending}
+    assert path._pending == []
+    # sd3-like's seeds switch at three steps (online and forced), sdxl-like's at one
+    assert len(switched) == (3 if body["preset"] == "sd3-like" else 1), switched
+
+
 # work counts ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -779,7 +803,9 @@ def test_store_holds_only_what_runs_read(tmp_path, monkeypatch):
     assert sum(a.nbytes for a in latents) == (1 + depth + windows + n) * stacked
     other = sum(a.nbytes for a in roots.values()) - sum(a.nbytes for a in latents)
     assert other < stacked      # discrepancies and row indices
-    assert len(store._ms) == 50 and all(m.shape == (S,) for m in store._ms)
+    # each exact step's discrepancies are kept as S Python floats, not arrays
+    assert len(store._ms) == 50
+    assert all(len(m) == S and all(type(v) is float for v in m) for m in store._ms)
 
 
 @pytest.mark.parametrize("body, seeds, ks", [

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridpar.config import DEFAULT_MIXTURE, DEFAULT_SCHEDULE
+from hybridpar.config import DEFAULT_MIXTURE, DEFAULT_SCHEDULE, ExperimentConfig
 from hybridpar.errors import (DegenerateInputError, HybridparError, NumericError,
                               ParameterError, ShapeError)
 from hybridpar.mixture import (Condition, GaussianMixture, _rel_mae_blocks, conditional,
@@ -94,6 +94,32 @@ def test_condition_index_of_another_type_is_a_parameter_error(index):
 def test_condition_takes_numpy_integers():
     indices = Condition((np.int64(2), np.uint8(0), 1)).indices
     assert indices == (2, 0, 1) and all(type(i) is int for i in indices)
+
+
+@pytest.mark.parametrize("idx", [(0,), (3, 1), (2, 0, 5), tuple(range(40))])
+def test_a_condition_keeps_the_hash_the_dataclass_computed(idx):
+    """Condition computes its hash once, on construction: the value the
+    generated __hash__ gave, hash((indices,)), so equal conditions, numpy
+    indices among them, still hash alike."""
+    c = Condition(idx)
+    assert hash(c) == hash((idx,)) == vars(c)["_hash"]
+    twin = Condition([np.int64(i) for i in idx])
+    assert twin == c and hash(twin) == hash(c) and len({c, twin}) == 1
+    assert hash(tuple([c] * 64)) == hash(tuple([(idx,)] * 64))
+
+
+def test_model_objects_compare_and_hash_by_identity():
+    """A schedule and a mixture hold arrays, so each equals only itself and
+    hashes by identity, as the oracle memo and ExactPath.bind read them:
+    plans of two equal configs compare unequal without raising, and plans of
+    one config, which share its model objects, compare equal."""
+    a, b = ExperimentConfig.from_dict({}), ExperimentConfig.from_dict({})
+    pa, pb = a.to_plan(), b.to_plan()
+    assert pa != pb and a != b
+    assert pa == a.to_plan() and a == a
+    for x, y in ((pa.schedule, pb.schedule), (pa.mixture, pb.mixture)):
+        assert x == x and x != y and not (x == y)
+        assert hash(x) == object.__hash__(x) and len({x, y, x}) == 2
 
 
 @pytest.mark.parametrize("make, error", [

@@ -18,9 +18,9 @@ from hybridpar.cli import main
 from hybridpar.config import DEFAULT_SCHEDULE, ExperimentConfig
 from hybridpar.engine import PlanVariant, _draw_latents, _initial_latents, _Stack
 from hybridpar.errors import NumericError, ParameterError, ShapeError
-from hybridpar.mixture import (Condition, GaussianMixture, ScoreEval, _condition_rows,
-                               _noised_terms, _Terms, conditional, eps_prediction,
-                               noised_mixture, sample_x0)
+from hybridpar.mixture import (Condition, GaussianMixture, ScoreEval, _component_sampler,
+                               _condition_rows, _noised_terms, _Terms, conditional,
+                               eps_prediction, noised_mixture, sample_x0)
 from hybridpar.schedules import NoiseSchedule, build_schedule
 
 
@@ -227,6 +227,41 @@ def test_sample_x0_matches_reference_draws():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("weights", [
+    [0.05, 0.5, 0.15, 0.3, 0.0001],
+    [1e-12, 1.0, 3e5, 7.0, 0.3],
+    [1.0, 1.0, 1.0, 1.0, 1.0],
+    np.random.default_rng(4).uniform(0.01, 10.0, 5).tolist(),
+], ids=["weighted", "wide", "flat", "random"])
+def test_sampler_cdf_equals_the_conditional_weights_bitwise(weights):
+    """The sampler renormalizes the subset's weights off the mixture's own:
+    its cdf has the bits of the one cumsum of conditional(gm, cond).weights
+    gives, on every multi-index subset, in any index order."""
+    rng = np.random.default_rng(2)
+    gm = GaussianMixture(weights, rng.normal(size=(5, D)), rng.uniform(0.1, 2.0, (5, D)))
+    for idx in [(0, 1), (4, 0, 2), (3, 1), (1, 3), (2, 4, 0, 3), (0, 1, 2, 3, 4),
+                (4, 3, 2, 1, 0)]:
+        cond = Condition(idx)
+        cdf, comps = _component_sampler(gm, cond)
+        ref = conditional(gm, cond).weights.cumsum()
+        ref /= ref[-1]
+        assert cdf.tobytes() == ref.tobytes(), idx
+        assert comps.tolist() == list(idx)
+    cdf, comps = _component_sampler(gm, None)
+    ref = gm.weights.cumsum()
+    ref /= ref[-1]
+    assert cdf.tobytes() == ref.tobytes() and comps.tolist() == list(range(5))
+
+
+def test_sample_x0_keeps_its_out_of_range_message():
+    gm = random_mixture(seed=3, K=4)
+    for idx in [(4,), (1, 4), (0, 7, 2)]:
+        with pytest.raises(ParameterError) as exc:
+            sample_x0(gm, Condition(idx), np.random.default_rng(0), 2)
+        assert str(exc.value) == f"condition indices {idx} exceed K=4 components"
+    assert not any(key[0] == "sampler" for key in gm._memo)     # a failed build stores nothing
+
+
 # the cache ----------------------------------------------------------------------------
 
 @pytest.fixture
@@ -267,11 +302,22 @@ def test_each_entry_is_built_once_per_instance(build_counts):
     assert sorted(build_counts["_noised_rows"]) == sorted(
         4 if c is None else len(c.indices) for c in conds for _ in SCHEDULES)
     assert build_counts["noised_mixture"] == []
-    # sampling reuses the cached conditional mixtures
+    # sampling builds no conditional mixture (it reads gm's weights)
     rng = np.random.default_rng(0)
     for cond in conds:
         sample_x0(gm, cond, rng, 3)
     assert len(build_counts["conditional"]) == n_subsets
+
+
+def test_a_fresh_configs_first_draw_builds_no_conditional_mixture(build_counts):
+    """The draw of initial latents reads each subset's weights off the
+    validated mixture (_component_sampler): it builds no conditional mixture,
+    for singleton subsets or multi-index ones."""
+    for doc in ({}, {"preset": "sd3-like"},
+                {"condition_batch": 7, "conditions": [[3, 0, 2], [1], [2, 1]]}):
+        plan = ExperimentConfig.from_dict(doc).to_plan(variant=PlanVariant.SERIAL)
+        _draw_latents(_Stack.of(plan), plan.seed)
+        assert build_counts["conditional"] == [], doc
 
 
 def test_equal_mixtures_do_not_share_entries(build_counts):

@@ -10,6 +10,7 @@ exact step raise if called.
 import dataclasses
 import io
 import json
+import math
 from contextlib import redirect_stdout
 from dataclasses import replace
 
@@ -21,7 +22,8 @@ import hybridpar.cli as cli
 import hybridpar.engine as engine
 from hybridpar.config import PRESETS, ExperimentConfig
 from hybridpar.engine import ExactPath, PlanVariant, run_plan
-from hybridpar.trace import BusyInterval
+from hybridpar.errors import ParameterError
+from hybridpar.trace import BusyInterval, LinkSpec, MessageEvent, Timeline
 
 C = PRESETS["sdxl-like"]["branch_step_cost"]   # 0.1649
 MSG = 0.0025                                   # per-message link time
@@ -213,6 +215,42 @@ def test_a_shared_trace_cannot_be_changed():
     with pytest.raises(AttributeError):       # a named tuple's fields are read-only
         event.end = 0.0
     assert isinstance(b.trace.busy[0], BusyInterval) and len(b.trace.messages) == 95
+
+
+@pytest.mark.parametrize("kind", ["gradient", "Latent", "", None, ["latent"]])
+def test_a_message_of_an_unknown_kind_is_rejected(kind):
+    """Timeline charges a message the link's bytes for its kind; a kind it
+    has no size for is a ParameterError, not activation bytes, and is not
+    recorded."""
+    tl = Timeline(LinkSpec(1e6, 0.25, 3, 7))
+    with pytest.raises(ParameterError, match="message kind must be one of"):
+        tl.send("dev0", "dev1", kind, 1.0, 1)
+    assert tl.trace().messages == ()
+
+
+@pytest.mark.parametrize("sizes", [(2 ** 1024, 1), (1, 10 ** 400)])
+def test_a_message_size_past_float_range_is_rejected(sizes):
+    """A Timeline computes each kind's transfer time when it is built, so a
+    link whose size has no float transfer time is rejected when it is built,
+    as the config's bound rejects it, not by a later OverflowError."""
+    with pytest.raises(ParameterError, match="must lie within float range"):
+        LinkSpec(1e6, 0.0, *sizes)
+    LinkSpec(1e6, 0.0, int(1.7976931348623157e308), 1)        # the largest float is taken
+
+
+@pytest.mark.parametrize("link", [LinkSpec(1e6, 0.25, 3, 7), LinkSpec(math.inf, 0.0, 1, 1),
+                                  LinkSpec(3e9, 1.1e-5, 131072, 65536)])
+def test_a_message_arrives_after_its_kinds_transfer_time(link):
+    """send reads each kind's size and transfer time, fixed when the Timeline
+    is built, with the bits of link.transfer_time(size) added per call."""
+    tl = Timeline(link)
+    for kind, n in (("latent", link.message_bytes_latent),
+                    ("activation", link.message_bytes_activation)):
+        for depart in (0.0, 0.1, 7.3, 1e6 / 3):
+            arrive = tl.send("dev0", "dev1", kind, depart, 2)
+            assert arrive == depart + link.transfer_time(n)
+            assert tl.trace().messages[-1] == MessageEvent("dev0", "dev1", kind, n,
+                                                           depart, arrive, 2)
 
 
 def test_batch_level_trace_concatenates_the_pairs():

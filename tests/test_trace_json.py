@@ -1,7 +1,8 @@
-"""simulate's trace.json and detect's stdout against json.dumps, and
-simulate's trace.csv against a writer that formats each field by a call.
+"""simulate's trace.json and metrics.json and detect's stdout against
+json.dumps, and simulate's trace.csv against a writer that formats each
+field by a call.
 
-Both JSON outputs are written from one template per event or label. The
+The JSON outputs are written from one template per event, label or file. The
 reference below is the trace.json writer as it was when it built dicts and
 passed them to json.dumps(..., sort_keys=True, indent=2): the templates must
 write the same bytes for every trace, non-finite times and empty traces
@@ -18,9 +19,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from hybridpar.cli import TRACE_HEADER, _fmt, _write_trace, main, read_series_csv
+from hybridpar.cli import TRACE_HEADER, _fmt, _json_flat, _write_trace, main, read_series_csv
 from hybridpar.config import ExperimentConfig
 from hybridpar.engine import PlanVariant, RunResult, run_plan
+from hybridpar.metrics import compare_runs
 from hybridpar.monitor import replay_series
 from hybridpar.trace import BusyInterval, MessageEvent, RunTrace
 
@@ -199,6 +201,64 @@ def test_each_time_is_spelled_as_the_inline_writer_did(tmp_path):
 def test_empty_trace_json_equals_json_dumps(tmp_path):
     text = assert_trace_json_matches(SimpleNamespace(trace=RunTrace()), tmp_path)
     assert text == b'{\n  "busy": [],\n  "messages": []\n}\n'
+
+
+# metrics.json -----------------------------------------------------------------------
+
+def write_config(tmp_path, preset: str) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": preset, "devices": 4}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("preset", ["sdxl-like", "sd3-like"])
+@pytest.mark.parametrize("variant", list(PlanVariant))
+def test_simulate_metrics_json_equals_json_dumps(preset, variant, tmp_path):
+    """simulate spells metrics.json from a template (cli._json_flat); its
+    bytes, which it also writes to stdout, are json.dumps of the metrics.
+    A run that matches its serial baseline has a null psnr_analog."""
+    cfg = ExperimentConfig.from_dict({"preset": preset, "devices": 4})
+    plan = cfg.to_plan(seed=7, variant=variant)
+    result = run_plan(plan)
+    serial = run_plan(cfg.to_plan(seed=7, variant=PlanVariant.SERIAL))
+    expected = _json_dumps(compare_runs(result, serial).to_dict())
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["simulate", "--config", write_config(tmp_path, preset),
+                     "--variant", variant.value, "--seed", "7", "--out",
+                     str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "metrics.json").read_text(encoding="utf-8") == expected
+    assert out.getvalue() == expected
+    # plans that reproduce the serial trajectory report no psnr
+    exact = variant in (PlanVariant.SERIAL, PlanVariant.FULL_CONDITION_PARTITION)
+    assert ('"psnr_analog": null' in expected) == exact
+
+
+@pytest.mark.parametrize("obj", [
+    {"latency_s": 8.153, "comm_bytes": 475136, "tau1": None, "psnr_analog": 56.42},
+    {"a": float("nan"), "b": float("inf"), "c": -float("inf"), "d": -0.0, "e": 0.0},
+    {"big": 10 ** 30, "tiny": 5e-324, "huge": 1.7976931348623157e308, "neg": -3},
+    {"yes": True, "no": False, "none": None, "text": "x\u00e9\"\n"},
+], ids=["metrics", "non-finite", "extremes", "other-scalars"])
+def test_flat_json_equals_json_dumps(obj):
+    assert _json_flat(obj) == _json_dumps(obj)
+
+
+def test_simulate_writes_into_an_existing_directory_and_rejects_a_file(tmp_path, capsys):
+    """An existing --out directory is written into as it stands; an --out
+    that is a file exits 1 with one JSON error."""
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept", encoding="utf-8")
+    assert main(["simulate", "--variant", "serial", "--out", str(out)]) == 0
+    assert (out / "keep.txt").read_text(encoding="utf-8") == "kept"
+    assert {"metrics.json", "trace.csv", "trace.json"} <= set(os.listdir(out))
+    capsys.readouterr()
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["simulate", "--variant", "serial", "--out", str(blocker)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "FileExistsError"
 
 
 # detect ---------------------------------------------------------------------------
