@@ -275,7 +275,6 @@ class ExperimentConfig:
     """A fully resolved experiment; see SCHEMA for its JSON document."""
 
     variant: PlanVariant
-    preset: str
     schedule: NoiseSchedule = _Model(_schedule)
     mixture: GaussianMixture = _Model(_mixture)
     conditions: tuple[Condition, ...] = _Model(_conditions)
@@ -313,7 +312,7 @@ class ExperimentConfig:
         costs = v["devices"] or _DEVICES[variant][0]
         costs = costs if isinstance(costs, tuple) else (pre["branch_step_cost"],) * costs
         return cls(
-            variant=variant, preset=v["preset"], schedule=schedule, mixture=mixture,
+            variant=variant, schedule=schedule, mixture=mixture,
             conditions=model("conditions", _conditions), guidance=model("guidance_w", _guidance),
             switch=SwitchConfig(**_fields(v, "switch")),
             devices=tuple(DeviceSpec(name=f"dev{i}", branch_step_cost=c)

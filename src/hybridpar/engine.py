@@ -48,8 +48,7 @@ import numpy as np
 
 from .errors import NumericError, PlanError
 from .mixture import (Condition, ConditionRows, GaussianMixture, _component_sampler,
-                      _condition_rows, _memo, _rel_mae_blocks, _singleton_eps,
-                      eps_prediction)
+                      _condition_rows, _rel_mae_blocks, _singleton_eps, eps_prediction)
 from .mixture import rel_mae  # noqa: F401  (perfbench/spans.py wraps engine.rel_mae)
 from .mixture import sample_x0  # noqa: F401  (perfbench/spans.py wraps engine.sample_x0)
 from .monitor import DiscrepancySeries, Stage, StageState, stage_at, update_controller
@@ -59,9 +58,9 @@ from .schedules import cfg_combine  # noqa: F401  (perfbench/spans.py wraps it h
 from .trace import RunTrace, Timeline, account_comm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
-    """Outcome of one simulated run."""
+    """Outcome of one simulated run; equal only to itself (x0 is an array)."""
 
     x0: np.ndarray
     latency_s: float
@@ -99,24 +98,25 @@ class ExactPath:
     and the pipelined windows of the staged runs bound to them.
 
     Each step's latents are one (S, B, d) array, and seed i, x[i], gets the
-    bits it gets stepped alone (see the module docstring). run(plan) runs a
-    bound plan: serial and condition partitioning read the exact path end
-    to end, and so does a k = 0 staged run; a staged run with k >= 1 reads
-    it up to its switch, then its window's x0 and the discrepancies of the
-    exact steps after the window. The store alone decides tau1, under its
-    one switch rule (k only places tau2): it keeps one controller and
-    series per seed, and after each exact step update_controller advances
-    every seed yet to switch. The first run of a window computes the window
-    with that k and those segment fractions of every seed that switched at
-    the same step, as one batch, its pipelined steps continuing the furthest
-    computed (_fill). A batch_level plan runs its pairs' hybrid plans on it.
+    bits it gets stepped alone (see the module docstring). A plan bound to
+    it runs through run_plan (_run): serial and condition partitioning read
+    the exact path end to end, and so does a k = 0 staged run; a staged run
+    with k >= 1 reads it up to its switch, then its window's x0 and the
+    discrepancies of the exact steps after the window. The store alone
+    decides tau1, under its one switch rule (k only places tau2): it keeps
+    one controller and series per seed, and after each exact step
+    update_controller advances every seed yet to switch. The first run of a
+    window computes the window with that k and those segment fractions of
+    every seed that switched at the same step, as one batch, its pipelined
+    steps continuing the furthest computed (_fill). A batch_level plan runs
+    its pairs' hybrid plans on it.
 
     A template plan fixes the store when it is built: the model objects (a
     _Stack, from which it takes the initial latents, drawn once per seed and
     command: _initial_latents), the switch rule (a staged plan's switch
     config with k = 0; none for an unstaged plan) and the depth (a staged
     plan's segment count, whatever its k), the latents it keeps up to each
-    seed's switch for windows to start from. bind only
+    seed's switch for windows to start from. bind, its one public method,
     checks a plan against them, else PlanError: each seed it reads (_seeds)
     is one of the store's, its model the template's objects, a staged plan's
     rule the store's, and a window (k >= 1) starts from no more latents than
@@ -146,14 +146,14 @@ class ExactPath:
         self._controls = [(StageState(), DiscrepancySeries())           # per seed
                           for _ in self._seeds] if staged else []
         self._pending = list(range(len(self._seeds))) if staged else []  # yet to switch
-        x_T = np.stack([_initial_latents(self._inputs, seed) for seed in self._seeds])
+        x_T = _initial_latents(self._inputs, self._seeds)
         self._recent = [_read_only(x_T)]               # x_T, then the last steps' latents
         self._ms: list[list[float]] = []               # per exact step, each seed's rel_mae
         self._x0: tuple[np.ndarray, ...] = ()           # per seed, once step T is taken
         self._starts: dict[int, tuple] = {}            # tau1 -> (seeds, latents)
         self._windows: dict[tuple, tuple] = {}         # (seed, k, fractions) -> (x0, ms)
         self._heads: dict[tuple, tuple] = {}           # (tau1, fractions) -> (k, latents)
-        self._timings: dict[tuple, _Timing] = {}       # see run
+        self._timings: dict[tuple, _Timing] = {}       # see _run
 
     def bind(self, plan: ExecutionPlan) -> None:
         """Check that the store serves the plan (see the class docstring)."""
@@ -174,13 +174,13 @@ class ExactPath:
                 raise PlanError(f"the plan's window starts from {n} latents, "
                                 f"the exact path keeps {self._depth}")
 
-    def run(self, plan: ExecutionPlan) -> RunResult:
+    def _run(self, plan: ExecutionPlan) -> RunResult:
         """Run a bound plan: its seed's exact path up to the step it leaves
         it (T, or a staged run's tau1 when k >= 1), then its window. The
         series holds every exact step, none of the window's."""
         if plan.variant is PlanVariant.BATCH_LEVEL:     # see run_plan
-            runs = [self.run(replace(plan, variant=PlanVariant.HYBRID, seed=seed,
-                                     devices=plan.devices[2 * i:2 * i + 2], exact_path=self))
+            runs = [self._run(replace(plan, variant=PlanVariant.HYBRID, seed=seed,
+                                      devices=plan.devices[2 * i:2 * i + 2], exact_path=self))
                     for i, seed in enumerate(_seeds(plan))]
             latency = max(r.latency_s for r in runs)
             return replace(runs[0], latency_s=latency,
@@ -265,12 +265,17 @@ class ExactPath:
             self._windows[j, k, fractions] = x0, window_ms
 
 
-def _initial_latents(stack: _Stack, seed: int) -> np.ndarray:
-    """_draw_latents(stack, seed), drawn once and kept read-only on the
-    mixture, keyed by all else it reads: so the stores of one command (a
-    simulate's plan and its serial baseline) draw each seed once."""
-    return _memo(stack.mixture, ("latents", seed, stack.conditions, stack.schedule._key),
-                 lambda: _read_only(_draw_latents(stack, seed)))
+def _initial_latents(stack: _Stack, seeds: tuple[int, ...]) -> np.ndarray:
+    """The seeds' draws (_draw_latents) as one (S, B, d) array. The mixture
+    keeps the last store's, read-only, per conditions tuple and schedule, so
+    the stores of one command (a simulate's plan and its serial baseline)
+    draw each seed once, and new seeds replace the draws of old ones."""
+    key = ("latents", stack.conditions, stack.schedule._key)
+    kept = stack.mixture._memo.get(key, {})
+    draws = stack.mixture._memo[key] = {
+        seed: kept[seed] if seed in kept else _read_only(_draw_latents(stack, seed))
+        for seed in seeds}
+    return np.stack(list(draws.values()))
 
 
 def _draw_latents(stack: _Stack, seed: int) -> np.ndarray:
@@ -464,4 +469,4 @@ def run_plan(plan: ExecutionPlan) -> RunResult:
     tau2 and series come from pair 0, and the trace is the pairs' traces
     one after another.
     """
-    return (plan.exact_path or ExactPath(_seeds(plan), plan)).run(plan)
+    return (plan.exact_path or ExactPath(_seeds(plan), plan))._run(plan)

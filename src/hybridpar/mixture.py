@@ -252,13 +252,6 @@ def _memo(gm: GaussianMixture, key: tuple, build):
     return entry
 
 
-def _conditional_of(gm: GaussianMixture, cond: Condition | None) -> GaussianMixture:
-    """conditional(gm, cond), built once per subset and kept on gm."""
-    if cond is None:
-        return gm
-    return _memo(gm, ("conditional", cond.indices), lambda: conditional(gm, cond))
-
-
 def _noised_rows(base: GaussianMixture, alpha_bars: np.ndarray) -> tuple[_Terms, ...]:
     """Row t, for t = 0..T of a schedule's alpha_bars, is the _Terms.of
     noised_mixture(base, alpha_bar(t)) with its bits, built in one numpy
@@ -284,7 +277,8 @@ def _noised_terms(gm: GaussianMixture, cond: Condition | None, sched: NoiseSched
     t of the subset's table for that alpha_bar array (keyed by its bytes),
     kept on gm. A t outside [0, T] raises the schedule's timestep error."""
     rows = _memo(gm, ("noised", None if cond is None else cond.indices, sched._key),
-                 lambda: _noised_rows(_conditional_of(gm, cond), sched.alpha_bars))
+                 lambda: _noised_rows(gm if cond is None else conditional(gm, cond),
+                                      sched.alpha_bars))
     if not 0 <= t < len(rows):
         sched.alpha_bar(t)                      # raises its timestep error
     return rows[t]

@@ -203,7 +203,7 @@ def ref_from_dict(raw: dict) -> ExperimentConfig:
         _require(out_dir is None or isinstance(out_dir, str),
                  "out_dir must be a string path")
 
-        return cls(variant=variant, preset=preset, schedule=schedule,
+        return cls(variant=variant, schedule=schedule,
                    mixture=mixture, conditions=conditions, guidance=guidance,
                    switch=switch, devices=devices, link=link,
                    segment_fractions=fractions, cfg_batching_factor=factor,
@@ -336,3 +336,10 @@ def test_a_single_bad_key_raises_the_same_class_in_both(path):
             assert type(got) is type(want), (raw, got, want)
         else:
             assert_same(got, want)
+
+
+def test_a_config_keeps_no_preset_name():
+    """The document's preset fills the defaults it is resolved with and is
+    not kept: no plan or command reads its name."""
+    assert "preset" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert not hasattr(ExperimentConfig.from_dict({"preset": "sd3-like"}), "preset")

@@ -402,6 +402,15 @@ def test_initial_latents_shared_across_variants():
     assert np.array_equal(a, b)
 
 
+def test_run_results_compare_and_hash_by_identity():
+    """x0 is an array, so a RunResult is equal only to itself, as the model
+    objects are: two runs compare without raising, and hash is defined."""
+    plan = preset_plan("hybrid")
+    a, b = run_plan(plan), run_plan(plan)
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
 def test_serial_reference_scales_with_batching_factor():
     full = preset_plan("serial")
     lean = preset_plan("serial", cfg_batching_factor=1.0)

@@ -341,6 +341,14 @@ def test_path_rejects_a_plan_of_another_seed_or_model():
             ExactPath(seeds, plan)
 
 
+def test_a_store_runs_only_plans_it_bound():
+    """bind is the store's one public method: a plan runs on a store through
+    run_plan, and only once building it has bound it to the store (a plan of
+    another model or seed fails there), so the store has no run of its own."""
+    assert not hasattr(ExactPath, "run")
+    assert [name for name in vars(ExactPath) if not name.startswith("_")] == ["bind"]
+
+
 MODEL_KEYS = {
     "schedule": {"schedule": {"kind": "scaled-linear", "T": 30}},
     "mixture": {"mixture": {"weights": [1, 2, 1], "means": [[0, 0], [1, 1], [2, 0]],

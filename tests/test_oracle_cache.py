@@ -14,9 +14,9 @@ import pytest
 
 import hybridpar.engine as engine
 import hybridpar.mixture as mixture_mod
-from hybridpar.cli import main
+from hybridpar.cli import curve_rows, main
 from hybridpar.config import DEFAULT_SCHEDULE, ExperimentConfig
-from hybridpar.engine import PlanVariant, _draw_latents, _initial_latents, _Stack
+from hybridpar.engine import PlanVariant, _draw_latents, _initial_latents, _Stack, run_plan
 from hybridpar.errors import NumericError, ParameterError, ShapeError
 from hybridpar.mixture import (Condition, GaussianMixture, ScoreEval, _component_sampler,
                                _condition_rows, _noised_terms, _Terms, conditional,
@@ -296,9 +296,10 @@ def test_each_entry_is_built_once_per_instance(build_counts):
                 for t in range(sched.T + 1):
                     eps_prediction(gm, cond, sched, x, t)
                     eps_prediction(gm, cond, sched, x[0], t)
-    n_subsets = len(conds) - 1
-    assert sorted(build_counts["conditional"]) == sorted(c.indices for c in conds[1:])
-    # one table per (subset, schedule), and no per-step noised mixture
+    # one table per (subset, schedule), each from one conditional mixture,
+    # and no per-step noised mixture
+    tables = sorted(c.indices for c in conds[1:] for _ in SCHEDULES)
+    assert sorted(build_counts["conditional"]) == tables
     assert sorted(build_counts["_noised_rows"]) == sorted(
         4 if c is None else len(c.indices) for c in conds for _ in SCHEDULES)
     assert build_counts["noised_mixture"] == []
@@ -306,7 +307,7 @@ def test_each_entry_is_built_once_per_instance(build_counts):
     rng = np.random.default_rng(0)
     for cond in conds:
         sample_x0(gm, cond, rng, 3)
-    assert len(build_counts["conditional"]) == n_subsets
+    assert len(build_counts["conditional"]) == len(tables)
 
 
 def test_a_fresh_configs_first_draw_builds_no_conditional_mixture(build_counts):
@@ -502,24 +503,59 @@ def test_a_sweep_draws_each_seed_once(tmp_path, capsys, draws):
 
 
 def test_initial_latents_are_kept_per_seed_conditions_and_schedule(draws):
-    """The kept draw is read-only and has the bits of a fresh one. An equal
-    schedule built anew reads it; another seed, conditions tuple, or a
-    schedule whose table is a prefix of this one's (a shorter T) draws anew."""
+    """The kept draws are the last store's, read-only, with the bits of fresh
+    ones, under one key per conditions tuple and schedule. A store of an
+    equal schedule built anew reads the kept draws of its seeds, draws the
+    rest, and keeps its own in their place; another conditions tuple, or a
+    schedule whose table is a prefix of this one's (a shorter T), draws anew
+    under its own key."""
     cfg = ExperimentConfig.from_dict({"condition_batch": 6})
     stack = _Stack.of(cfg.to_plan(variant=PlanVariant.SERIAL))
-    x = _initial_latents(stack, 2)
-    assert _initial_latents(stack, 2) is x and draws == [2]
-    assert not x.flags.writeable
-    assert np.array_equal(x, _draw_latents(stack, 2))
+    x = _initial_latents(stack, (2, 5))
+    assert draws == [2, 5]
+    assert [a.tobytes() for a in x] == [_draw_latents(stack, s).tobytes() for s in (2, 5)]
+    key = ("latents", stack.conditions, stack.schedule._key)
+    kept = stack.mixture._memo[key]
+    assert list(kept) == [2, 5] and not any(a.flags.writeable for a in kept.values())
     draws.clear()
-    sched = stack.schedule
-    same = build_schedule(**DEFAULT_SCHEDULE)
-    shorter = NoiseSchedule(sched.alpha_bars[:-1])
-    for other in (stack._replace(schedule=same), stack._replace(conditions=stack.conditions[:5]),
+    same = stack._replace(schedule=build_schedule(**DEFAULT_SCHEDULE))
+    y = _initial_latents(same, (7, 2))
+    assert draws == [7] and y[1].tobytes() == x[0].tobytes()
+    assert list(stack.mixture._memo[key]) == [7, 2] and stack.mixture._memo[key][2] is kept[2]
+    _initial_latents(stack, (5,))           # no longer kept: drawn again
+    assert draws == [7, 5] and list(stack.mixture._memo[key]) == [5]
+    draws.clear()
+    shorter = NoiseSchedule(stack.schedule.alpha_bars[:-1])
+    for other in (stack._replace(conditions=stack.conditions[:5]),
                   stack._replace(schedule=shorter)):
-        _initial_latents(other._replace(rows=_condition_rows(other.mixture, other.conditions)), 2)
-    _initial_latents(stack, 7)
-    assert draws == [2, 2, 7]
+        _initial_latents(other._replace(rows=_condition_rows(other.mixture, other.conditions)),
+                         (5,))
+    assert draws == [5, 5]
+    assert sum(k[0] == "latents" for k in stack.mixture._memo) == 3
+
+
+def test_new_seeds_replace_the_kept_draws():
+    """2000 serial runs with new seeds on one config leave the mixture with
+    the last run's draw alone, not one draw per seed it ever ran."""
+    cfg = ExperimentConfig.from_dict({"schedule": {"T": 1}, "condition_batch": 1})
+    for seed in range(2000):
+        run_plan(cfg.to_plan(seed=seed, variant=PlanVariant.SERIAL))
+    kept = [entry for key, entry in cfg.mixture._memo.items() if key[0] == "latents"]
+    assert len(kept) == 1 and list(kept[0]) == [1999]
+
+
+def test_no_run_keeps_a_conditional_mixture(build_counts):
+    """A multi-index subset's table is built from its conditional mixture,
+    which nothing keeps: after curve_rows (whose score ratio reads a table
+    per subset), and after a run of every variant, the memo holds only its
+    four kinds of entry, and each table built one conditional mixture."""
+    cfg = ExperimentConfig.from_dict({"conditions": [[0, 1], [2]]})
+    curve_rows(cfg)
+    assert {key[0] for key in cfg.mixture._memo} == {"noised", "sampler", "rows"}
+    for variant in PlanVariant:
+        run_plan(cfg.to_plan(variant=variant))
+    assert {key[0] for key in cfg.mixture._memo} == {"noised", "sampler", "rows", "latents"}
+    assert sorted(build_counts["conditional"]) == [(0, 1), (2,)]
 
 
 def test_validation_survives_the_cache():
