@@ -82,9 +82,9 @@ def _load(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict({})
 
 
-# The JSON outputs are laid out byte for byte as json.dumps(obj,
-# sort_keys=True, indent=2) + "\n" lays them out, but written from templates:
-# json's indenting encoder is pure Python.
+# trace.json and detect's output are json.dumps(obj, sort_keys=True, indent=2)
+# + "\n" byte for byte, written from templates: json's indenting encoder is
+# pure Python.
 
 # json spells the non-finite floats this way; finite ones as float.__repr__
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -99,23 +99,6 @@ def _json_list(items: str) -> str:
     """A list member of a top-level object, as json.dumps indents it, from
     its items already indented and joined by ",\n"."""
     return f"[\n{items}\n  ]" if items else "[]"
-
-
-def _json_scalar(v) -> str:
-    """v as json spells it: a float or an int by its own repr, None as null,
-    anything else (a bool, a string) by json.dumps."""
-    if type(v) is float:
-        return _json_float(v)
-    if type(v) is int:
-        return int.__repr__(v)
-    return "null" if v is None else json.dumps(v)
-
-
-def _json_flat(obj: dict) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) + "\n" of a non-empty dict
-    of scalars (metrics.json)."""
-    items = ",\n".join(f"  {_json_str(k)}: {_json_scalar(v)}" for k, v in sorted(obj.items()))
-    return f"{{\n{items}\n}}\n"
 
 
 class _Spelled(dict):
@@ -173,7 +156,7 @@ def cmd_simulate(args) -> int:
     metrics = compare_runs(result, serial)
     if not os.path.isdir(out_dir):
         os.makedirs(out_dir, exist_ok=True)
-    payload = _json_flat(metrics.to_dict())
+    payload = json.dumps(metrics.to_dict(), sort_keys=True, indent=2) + "\n"
     with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
         fh.write(payload)
     _write_trace(result, out_dir)
@@ -202,16 +185,15 @@ def curve_rows(cfg: ExperimentConfig) -> list[tuple[int, float, float, float, fl
     The band is mean +/- 2 sample standard deviations of the per-condition
     discrepancy ratios across the batch.
     """
-    from .engine import _draw_latents, _exact_step, _Stack
+    from .engine import _draw_latents, _exact_step
     from .mixture import _rel_mae_blocks, score_ratio_estimate
 
     plan = cfg.to_plan(variant=PlanVariant.SERIAL)
-    stack = _Stack.of(plan)
-    x = _draw_latents(stack, plan.seed)[None]   # one seed: the kernels' (S, B, d)
+    x = _draw_latents(plan, plan.seed)[None]    # one seed: the kernels' (S, B, d)
     rows = []
     for t in range(plan.schedule.T, 0, -1):
-        x_next, ms, eps_c, eps_u = _exact_step(stack, x, t)
-        ratio = score_ratio_estimate(plan.mixture, stack.rows.groups, plan.schedule, x[0], t)
+        x_next, ms, eps_c, eps_u = _exact_step(plan, x, t)
+        ratio = score_ratio_estimate(plan.mixture, plan._rows.groups, plan.schedule, x[0], t)
         m, (per_row, _) = float(ms[0]), _rel_mae_blocks(eps_c[0], eps_u[0])
         sd = float(per_row.std(ddof=1)) if per_row.size > 1 else 0.0
         rows.append((t, m, ratio, m - 2.0 * sd, m + 2.0 * sd))

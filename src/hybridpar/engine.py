@@ -47,13 +47,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError, PlanError
-from .mixture import (Condition, ConditionRows, GaussianMixture, _component_sampler,
-                      _condition_rows, _rel_mae_blocks, _singleton_eps, eps_prediction)
+from .mixture import _component_sampler, _rel_mae_blocks, _singleton_eps, eps_prediction
 from .mixture import rel_mae  # noqa: F401  (perfbench/spans.py wraps engine.rel_mae)
 from .mixture import sample_x0  # noqa: F401  (perfbench/spans.py wraps engine.sample_x0)
 from .monitor import DiscrepancySeries, Stage, StageState, stage_at, update_controller
 from .plan import _STAGED, ExecutionPlan, PlanVariant
-from .schedules import GuidanceParams, NoiseSchedule, _guided, _read_only, ddim_step
+from .schedules import _guided, _read_only, ddim_step
 from .schedules import cfg_combine  # noqa: F401  (perfbench/spans.py wraps it here)
 from .trace import RunTrace, Timeline, account_comm
 
@@ -70,21 +69,6 @@ class RunResult:
     tau2: int | None
     trace: RunTrace
     series: tuple[tuple[int, float], ...]
-
-
-class _Stack(NamedTuple):
-    """A plan's model objects and condition rows: all the kernels read but x."""
-
-    mixture: GaussianMixture
-    schedule: NoiseSchedule
-    conditions: tuple[Condition, ...]
-    guidance: GuidanceParams
-    rows: ConditionRows
-
-    @classmethod
-    def of(cls, plan: ExecutionPlan) -> "_Stack":
-        return cls(plan.mixture, plan.schedule, plan.conditions, plan.guidance,
-                   _condition_rows(plan.mixture, plan.conditions))
 
 
 def _seeds(plan: ExecutionPlan) -> range:
@@ -111,12 +95,13 @@ class ExactPath:
     steps continuing the furthest computed (_fill). A batch_level plan runs
     its pairs' hybrid plans on it.
 
-    A template plan fixes the store when it is built: the model objects (a
-    _Stack, from which it takes the initial latents, drawn once per seed and
-    command: _initial_latents), the switch rule (a staged plan's switch
-    config with k = 0; none for an unstaged plan) and the depth (a staged
-    plan's segment count, whatever its k), the latents it keeps up to each
-    seed's switch for windows to start from. bind, its one public method,
+    A template plan, which the store keeps, fixes it when it is built: the
+    model objects and condition layout (plan._rows) that every step reads
+    and every bound plan takes over, the initial latents (drawn once per
+    seed and command: _initial_latents), the switch rule (a staged plan's
+    switch config with k = 0; none for an unstaged plan) and the depth (a
+    staged plan's segment count, whatever its k), the latents it keeps up to
+    each seed's switch for windows to start from. bind, its one public method,
     checks a plan against them, else PlanError: each seed it reads (_seeds)
     is one of the store's, its model the template's objects, a staged plan's
     rule the store's, and a window (k >= 1) starts from no more latents than
@@ -139,14 +124,14 @@ class ExactPath:
         self._slot = {seed: i for i, seed in enumerate(self._seeds)}
         if len(self._slot) < len(self._seeds):
             raise PlanError(f"exact path seeds must be distinct, got {list(self._seeds)}")
-        self._inputs = _Stack.of(plan)
+        self._template = plan
         staged = plan.variant in _STAGED
         self._switch = replace(plan.switch, k=0) if staged else None     # the rule
         self._depth = len(plan.segment_fractions) if staged else 0      # >= 2 if staged
         self._controls = [(StageState(), DiscrepancySeries())           # per seed
                           for _ in self._seeds] if staged else []
         self._pending = list(range(len(self._seeds))) if staged else []  # yet to switch
-        x_T = _initial_latents(self._inputs, self._seeds)
+        x_T = _initial_latents(plan, self._seeds)
         self._recent = [_read_only(x_T)]               # x_T, then the last steps' latents
         self._ms: list[list[float]] = []               # per exact step, each seed's rel_mae
         self._x0: tuple[np.ndarray, ...] = ()           # per seed, once step T is taken
@@ -162,7 +147,7 @@ class ExactPath:
             raise PlanError(f"exact path holds seeds {list(self._seeds)}, "
                             f"got seed {missing[0]}")
         for name in ("mixture", "schedule", "conditions", "guidance"):
-            if getattr(plan, name) is not getattr(self._inputs, name):
+            if getattr(plan, name) is not getattr(self._template, name):
                 raise PlanError(f"exact path is bound to another {name}")
         if plan.variant in _STAGED:
             if self._switch is None:
@@ -217,9 +202,9 @@ class ExactPath:
                          tau1=tau1, tau2=tau2, trace=timing.trace, series=(*exact, *window))
 
     def _extend(self, s: int) -> None:
-        T = self._inputs.schedule.T
+        T = self._template.schedule.T
         while len(self._ms) < s:
-            x, m, _, _ = _exact_step(self._inputs, self._recent[-1], T - len(self._ms))
+            x, m, _, _ = _exact_step(self._template, self._recent[-1], T - len(self._ms))
             self._ms.append(m.tolist())
             self._recent.append(_read_only(x))
             if len(self._ms) == T:
@@ -233,7 +218,7 @@ class ExactPath:
         """Record exact step s of every seed yet to switch and step its
         controller; keep the latents the windows of the seeds that switch
         here start from."""
-        t = self._inputs.schedule.T + 1 - s
+        t = self._template.schedule.T + 1 - s
         ms, slots, pending = self._ms[s - 1], [], []
         for j in self._pending:
             state, series = self._controls[j]
@@ -256,47 +241,47 @@ class ExactPath:
         slots, starts = self._starts[tau1]
         j, head = self._heads.get((tau1, fractions), (0, starts[:len(fractions)]))
         if j > k:
-            head = _pipelined_steps(self._inputs, starts[:len(fractions)], fractions, tau1, k)
+            head = _pipelined_steps(self._template, starts[:len(fractions)], fractions, tau1, k)
         else:
-            head = _pipelined_steps(self._inputs, head, fractions, tau1 + j, k - j)
+            head = _pipelined_steps(self._template, head, fractions, tau1 + j, k - j)
             self._heads[tau1, fractions] = k, head
-        x, ms = _exact_steps(self._inputs, head[0], tau1 + k)
+        x, ms = _exact_steps(self._template, head[0], tau1 + k)
         for j, x0, window_ms in zip(slots, x, zip(*[m.tolist() for m in ms])):
             self._windows[j, k, fractions] = x0, window_ms
 
 
-def _initial_latents(stack: _Stack, seeds: tuple[int, ...]) -> np.ndarray:
+def _initial_latents(plan: ExecutionPlan, seeds: tuple[int, ...]) -> np.ndarray:
     """The seeds' draws (_draw_latents) as one (S, B, d) array. The mixture
     keeps the last store's, read-only, per conditions tuple and schedule, so
     the stores of one command (a simulate's plan and its serial baseline)
     draw each seed once, and new seeds replace the draws of old ones."""
-    key = ("latents", stack.conditions, stack.schedule._key)
-    kept = stack.mixture._memo.get(key, {})
-    draws = stack.mixture._memo[key] = {
-        seed: kept[seed] if seed in kept else _read_only(_draw_latents(stack, seed))
+    key = ("latents", plan.conditions, plan.schedule._key)
+    kept = plan.mixture._memo.get(key, {})
+    draws = plan.mixture._memo[key] = {
+        seed: kept[seed] if seed in kept else _read_only(_draw_latents(plan, seed))
         for seed in seeds}
     return np.stack(list(draws.values()))
 
 
-def _draw_latents(stack: _Stack, seed: int) -> np.ndarray:
+def _draw_latents(plan: ExecutionPlan, seed: int) -> np.ndarray:
     """Seeded forward-noised draws, one row per condition: row b draws x0
     from the mixture restricted to condition b, then noises it to the t = T
-    marginal. They read only the stack and the seed, so every plan variant
-    starts from the same latents. The stream is the one per-row
-    sample_x0(gm, cond, rng, 1) calls consume (one uniform for the
-    component, then d normals), so the draws match them bit for bit; each
-    condition's rows then take their components in one search of the
+    marginal. They read only the plan's model objects and layout and the
+    seed, so every plan variant starts from the same latents. The stream is
+    the one per-row sample_x0(gm, cond, rng, 1) calls consume (one uniform
+    for the component, then d normals), so the draws match them bit for bit;
+    each condition's rows then take their components in one search of the
     uniforms.
     """
-    gm, sched = stack.mixture, stack.schedule
+    gm, sched = plan.mixture, plan.schedule
     rng = np.random.default_rng(seed)
-    b = len(stack.conditions)
+    b = len(plan.conditions)
     u, noise = np.empty(b), np.empty((b, gm.dim))
     for i in range(b):
         u[i] = rng.random()
         rng.standard_normal(out=noise[i])
     comp = np.empty(b, dtype=np.intp)
-    for cond, rows in stack.rows.groups:
+    for cond, rows in plan._rows.groups:
         cdf, comps = _component_sampler(gm, cond)
         comp[rows] = comps[cdf.searchsorted(u[rows], side="right")]
     x0 = gm.means[comp] + np.sqrt(gm.variances[comp]) * noise
@@ -305,59 +290,59 @@ def _draw_latents(stack: _Stack, seed: int) -> np.ndarray:
     return np.sqrt(ab_t) * x0 + np.sqrt(1.0 - ab_t) * eps
 
 
-def _conditional_branch(stack: _Stack, x: np.ndarray, t: int) -> np.ndarray:
+def _conditional_branch(plan: ExecutionPlan, x: np.ndarray, t: int) -> np.ndarray:
     """eps_c for (S, B, d) latents: every singleton row of every seed in one
     gather, then one eps_prediction call per multi-index group, on the
     group's rows of every seed as one flat batch."""
-    gm, sched = stack.mixture, stack.schedule
-    rows, comps = stack.rows.singletons
+    gm, sched = plan.mixture, plan.schedule
+    rows, comps = plan._rows.singletons
     if rows.size == x.shape[1]:     # every row is singleton-conditioned, in order
         return _singleton_eps(gm, comps, sched, x, t)
     eps_c = np.empty_like(x)
     eps_c[:, rows] = _singleton_eps(gm, comps, sched, x.take(rows, axis=1), t)
-    for cond, rows in stack.rows.multi_groups:
+    for cond, rows in plan._rows.multi_groups:
         xs = x.take(rows, axis=1)
         eps_c[:, rows] = eps_prediction(gm, cond, sched, xs.reshape(-1, x.shape[2]),
                                         t).reshape(xs.shape)
     return eps_c
 
 
-def _branches(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+def _branches(plan: ExecutionPlan, x: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Both branch outputs for (S, B, d) latents at timestep t; eps_u is one
     eps_prediction call on the flat (S*B, d) view, and its input check, which
     runs first, is the step's first check of x."""
-    eps_u = eps_prediction(stack.mixture, None, stack.schedule, x.reshape(-1, x.shape[2]), t)
-    return _conditional_branch(stack, x, t), eps_u.reshape(x.shape)
+    eps_u = eps_prediction(plan.mixture, None, plan.schedule, x.reshape(-1, x.shape[2]), t)
+    return _conditional_branch(plan, x, t), eps_u.reshape(x.shape)
 
 
-def _exact_step(stack: _Stack, x: np.ndarray, t: int) -> tuple[np.ndarray, ...]:
-    """One measured guided step of every seed in the stack, curve's too: the
-    new latents, each seed's discrepancy and the branch outputs eps_c, eps_u.
-    The oracle checks x, rel_mae the branch outputs, ddim_step x again and
-    the guided estimate (in rel_mae's eps_c - eps_u), and the step x0, which
-    nothing reads."""
-    eps_c, eps_u = _branches(stack, x, t)
+def _exact_step(plan: ExecutionPlan, x: np.ndarray, t: int) -> tuple[np.ndarray, ...]:
+    """One measured guided step of every seed of x, curve's too, under the
+    plan's model objects and layout: the new latents, each seed's
+    discrepancy and the branch outputs eps_c, eps_u. The oracle checks x,
+    rel_mae the branch outputs, ddim_step x again and the guided estimate
+    (in rel_mae's eps_c - eps_u), and the step x0, which nothing reads."""
+    eps_c, eps_u = _branches(plan, x, t)
     m, delta = _rel_mae_blocks(eps_c, eps_u)
-    x = ddim_step(x, t, _guided(eps_c, delta, stack.guidance.w), stack.schedule)
+    x = ddim_step(x, t, _guided(eps_c, delta, plan.guidance.w), plan.schedule)
     if t == 1:
         _check_latents(x, 0)
     return x, m, eps_c, eps_u
 
 
-def _pipelined_steps(stack: _Stack, history: tuple[np.ndarray, ...],
+def _pipelined_steps(plan: ExecutionPlan, history: tuple[np.ndarray, ...],
                      fractions: tuple[float, ...], s: int, k: int) -> tuple[np.ndarray, ...]:
     """Pipelined steps s + 1 .. s + k from history, the read-only latents of the
     N steps up to s, newest first (the initial latents where the path is
     shorter), to those up to s + k; segment d reads the latents d steps stale.
     It checks each latent once, on entry or as it is made, so an overflowing
     step raises before any caller keeps its latents; the gather checks none."""
-    sched = stack.schedule
+    sched = plan.schedule
     for d, x in enumerate(history):
         _check_latents(x, min(sched.T - s + d, sched.T))
     for t in range(sched.T - s, sched.T - s - k, -1):       # steps s + 1 .. s + k
         est = np.zeros_like(history[0])
         for d, f in enumerate(fractions):
-            eps_c = _conditional_branch(stack, history[d], t)
+            eps_c = _conditional_branch(plan, history[d], t)
             eps_c *= f
             est += eps_c
         x = ddim_step(history[0], t, est, sched)
@@ -372,11 +357,11 @@ def _check_latents(x: np.ndarray, t: int) -> None:
         raise NumericError(f"latents at t={t} are not finite")
 
 
-def _exact_steps(stack: _Stack, x: np.ndarray, s: int) -> tuple[np.ndarray, list[np.ndarray]]:
+def _exact_steps(plan: ExecutionPlan, x: np.ndarray, s: int) -> tuple[np.ndarray, list]:
     """Exact steps s + 1 .. T from x: the final latents and discrepancies."""
     ms = []
-    for t in range(stack.schedule.T - s, 0, -1):
-        x, m, _, _ = _exact_step(stack, x, t)
+    for t in range(plan.schedule.T - s, 0, -1):
+        x, m, _, _ = _exact_step(plan, x, t)
         ms.append(m)
     return _read_only(x), ms
 

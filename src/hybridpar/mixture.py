@@ -48,6 +48,8 @@ class GaussianMixture:
                              f"means {m.shape}, variances {v.shape}")
         if w.shape[0] < 1:
             raise ParameterError("mixture needs at least one component")
+        if m.shape[1] < 1:
+            raise ParameterError("mixture needs at least one dimension")
         if not np.all(np.isfinite(w)) or not np.all(np.isfinite(m)) or not np.all(np.isfinite(v)):
             raise NumericError("mixture parameters must be finite")
         if np.any(w <= 0):
@@ -377,9 +379,9 @@ def score_ratio_estimate(gm: GaussianMixture,
                          sched: NoiseSchedule, x: np.ndarray, t: int) -> float:
     """Discrepancy predicted from scores alone.
 
-    groups holds (condition, rows) pairs, as _condition_rows(...).groups
-    does: rows index x, and each condition's rows take its conditioning
-    gradient s_c - s_u. The result is the ratio of batch-summed L1 norms of
+    groups holds (condition, rows) pairs, as ConditionRows.groups does: rows
+    index x, and each condition's rows take its conditioning gradient
+    s_c - s_u. The result is the ratio of batch-summed L1 norms of
     those gradients and of the unconditional score s_u, both at the noised
     marginal for timestep t. Identical to rel_mae of the two branch outputs
     because the sigma_t factor cancels.
@@ -431,7 +433,8 @@ class ConditionRows(NamedTuple):
 
 def _condition_rows(gm: GaussianMixture, conditions: tuple[Condition, ...]) -> ConditionRows:
     """The row layout of a batch of conditions, built once per conditions
-    tuple and kept on gm, so every store of one config reads the same arrays."""
+    tuple and kept on gm, so every plan of one config keeps the same arrays
+    (ExecutionPlan looks it up; a plan bound to a store takes the store's)."""
     def build():
         subsets: dict[tuple[int, ...], tuple[Condition, list[int]]] = {}
         for i, c in enumerate(conditions):

@@ -2,8 +2,10 @@
 
 A plan names its variant, model, schedule, devices and link, and for staged
 variants the switch rule and segment split. _DEVICES alone decides how many
-devices each variant takes. A plan that brings an exact-path store is
-checked against it here (see engine.ExactPath).
+devices each variant takes. A plan keeps the row layout of its conditions
+(mixture.ConditionRows), which every branch kernel reads. A plan that brings
+an exact-path store is checked against it here (see engine.ExactPath) and
+takes the layout of the store's template plan.
 
 The module loads no numpy, so config parsing and `detect` can use the
 choices a plan is built from (PlanVariant, _DEVICES, SCHEDULE_KINDS) without
@@ -69,11 +71,13 @@ class ExecutionPlan:
     exact_path: ExactPath | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        from .mixture import _condition_rows
-
         if len(self.conditions) == 0:
             raise PlanError("plan needs at least one condition")
-        _condition_rows(self.mixture, self.conditions)      # PlanError if out of range
+        if self.exact_path is None:
+            from .mixture import _condition_rows
+
+            # the memo's read-only layout, not a field: PlanError if out of range
+            object.__setattr__(self, "_rows", _condition_rows(self.mixture, self.conditions))
         if type(self.seed) is not int or self.seed < 0:
             raise PlanError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 1.0 <= self.cfg_batching_factor <= 2.0:
@@ -97,7 +101,8 @@ class ExecutionPlan:
             if not (all(f > 0 for f in fr) and abs(sum(fr) - 1.0) <= 1e-9):
                 raise PlanError(f"segment_fractions must be positive and sum to 1, got {fr}")
         if self.exact_path is not None:
-            self.exact_path.bind(self)
+            self.exact_path.bind(self)      # the template's conditions and mixture
+            object.__setattr__(self, "_rows", self.exact_path._template._rows)
 
     def _check_switch(self):
         sw = self.switch

@@ -13,7 +13,7 @@ import pytest
 from test_exact_path import on_its_store
 
 from hybridpar.config import ExperimentConfig, PRESETS
-from hybridpar.engine import (ExecutionPlan, PlanVariant, _draw_latents, _Stack, run_plan,
+from hybridpar.engine import (ExecutionPlan, PlanVariant, _draw_latents, run_plan,
                              run_serial)
 from hybridpar.errors import ParameterError, PlanError
 from hybridpar.metrics import compare_runs
@@ -139,7 +139,7 @@ def test_hybrid_trajectory_bitwise_reference():
                 plan.mixture, Condition(idx), plan.schedule, x[np.asarray(rows)], t)
         return out
 
-    x = _draw_latents(_Stack.of(plan), plan.seed)
+    x = _draw_latents(plan, plan.seed)
     series = DiscrepancySeries()
     ctrl = StageState()
     history: list[np.ndarray] = []
@@ -397,7 +397,7 @@ def test_trace_messages_follow_link_model():
 
 
 def test_initial_latents_shared_across_variants():
-    a, b = (_draw_latents(_Stack.of(preset_plan(variant, seed=12, condition_batch=8)), 12)
+    a, b = (_draw_latents(preset_plan(variant, seed=12, condition_batch=8), 12)
             for variant in ("serial", "hybrid"))
     assert np.array_equal(a, b)
 

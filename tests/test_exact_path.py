@@ -23,7 +23,7 @@ import hybridpar.cli as cli
 import hybridpar.engine as engine
 from hybridpar.cli import SWEEP_HEADER, main
 from hybridpar.config import ExperimentConfig
-from hybridpar.engine import (ExactPath, PlanVariant, _draw_latents, _Stack, run_plan,
+from hybridpar.engine import (ExactPath, PlanVariant, _draw_latents, run_plan,
                              run_serial)
 from hybridpar.errors import NumericError, ParameterError, PlanError
 from hybridpar.metrics import compare_runs
@@ -174,7 +174,7 @@ def reference_runs(plan):
                                        x[rows], t)
         return out
 
-    x = _draw_latents(_Stack.of(plan), plan.seed)
+    x = _draw_latents(plan, plan.seed)
     series, ctrl, history = DiscrepancySeries(), StageState(), []
     for t in range(plan.schedule.T, 0, -1):
         history.insert(0, x)
@@ -290,7 +290,7 @@ def test_each_seed_x0_is_a_read_only_view_of_one_stacked_array():
     path = ExactPath(seeds, cfg.to_plan(variant=PlanVariant.HYBRID))
     assert len(path._ms) == 0
     (drawn,) = [a for a in held_arrays(path) if a.dtype == float and a.ndim >= 2]
-    want = np.stack([_draw_latents(_Stack.of(cfg.to_plan(seed=s)), s) for s in seeds])
+    want = np.stack([_draw_latents(cfg.to_plan(seed=s), s) for s in seeds])
     assert drawn.shape == (len(seeds), 8, cfg.mixture.dim) and not drawn.flags.writeable
     assert drawn.tobytes() == want.tobytes()
     for k in (0, 5):

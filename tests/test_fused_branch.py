@@ -14,7 +14,7 @@ import hybridpar.mixture as mixture_mod
 from hybridpar.cli import CURVE_HEADER, main
 from hybridpar.config import ExperimentConfig
 from hybridpar.engine import (PlanVariant, _branches, _conditional_branch, _draw_latents,
-                              _exact_step, _Stack)
+                              _exact_step)
 from hybridpar.errors import PlanError
 from hybridpar.mixture import (Condition, _condition_rows, _noised_terms, _score_rows,
                                _Terms, conditional, eps_prediction, noised_mixture,
@@ -101,15 +101,14 @@ def points(B: int, seed: int) -> dict[str, np.ndarray]:
 def test_branches_match_per_group_loop_bitwise(conditions, B, sched):
     for mixture in (None, random_mixture_raw(seed=B)):
         plan = make_plan(B, conditions, sched, mixture)
-        stack = _Stack.of(plan)
         for name, x in points(B, seed=B).items():
             x_before = x.copy()
             for t in range(plan.schedule.T + 1):
                 want_c = ref_conditional_branch(plan, x, t)
                 want_u = eps_prediction(plan.mixture, None, plan.schedule, x, t)
-                assert np.array_equal(_conditional_branch(stack, x[None], t)[0],
+                assert np.array_equal(_conditional_branch(plan, x[None], t)[0],
                                       want_c), (name, t)
-                eps_c, eps_u = _branches(stack, x[None], t)
+                eps_c, eps_u = _branches(plan, x[None], t)
                 assert np.array_equal(eps_c[0], want_c), (name, t)
                 assert np.array_equal(eps_u[0], want_u), (name, t)
             assert np.array_equal(x, x_before)
@@ -127,9 +126,8 @@ def test_singleton_rows_read_the_unconditional_entry(monkeypatch):
     monkeypatch.setattr(mixture_mod, "conditional", counting)
     plan = make_plan(16, schedule=SCHEDULES[0], mixture=random_mixture_raw(seed=3))
     x = points(16, seed=3)["near"]
-    stack = _Stack.of(plan)
     for t in range(1, plan.schedule.T + 1):
-        _conditional_branch(stack, x[None], t)
+        _conditional_branch(plan, x[None], t)
     assert built == []
     assert {key[1] for key in plan.mixture._memo if key[0] == "noised"} == {None}
 
@@ -166,7 +164,7 @@ def test_plan_singleton_and_multi_groups():
     layout = _condition_rows(plan.mixture, plan.conditions)
     assert layout.singletons[0].size == 0 and layout.singletons[1].size == 0
     x = points(3, seed=0)["near"]
-    assert np.array_equal(_conditional_branch(_Stack.of(plan), x[None], 5)[0],
+    assert np.array_equal(_conditional_branch(plan, x[None], 5)[0],
                           ref_conditional_branch(plan, x, 5))
 
 
@@ -178,17 +176,16 @@ def test_seed_axis_steps_equal_one_seed_steps_bitwise(conditions, S):
     of the same kernel on x[i] alone, along a whole trajectory; the exact
     step returns the branch outputs it stepped from, _branches' bits."""
     plan = make_plan(7, conditions, SCHEDULES[1], random_mixture_raw(seed=S))
-    stack = _Stack.of(plan)
     x = np.random.default_rng(S).normal(0.0, 3.0, (S, 7, D))
     for t in range(plan.schedule.T, 0, -1):
-        eps_c = _conditional_branch(stack, x, t)
-        x_next, m, step_c, step_u = _exact_step(stack, x, t)
+        eps_c = _conditional_branch(plan, x, t)
+        x_next, m, step_c, step_u = _exact_step(plan, x, t)
         assert eps_c.shape == x_next.shape == x.shape and m.shape == (S,)
-        for got, want in zip((step_c, step_u), _branches(stack, x, t)):
+        for got, want in zip((step_c, step_u), _branches(plan, x, t)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), t
         for i in range(S):
-            one_c = _conditional_branch(stack, x[i][None], t)
-            one_x, one_m, _, _ = _exact_step(stack, x[i][None], t)
+            one_c = _conditional_branch(plan, x[i][None], t)
+            one_x, one_m, _, _ = _exact_step(plan, x[i][None], t)
             assert eps_c[i].tobytes() == one_c[0].tobytes(), (i, t)
             assert x_next[i].tobytes() == one_x[0].tobytes(), (i, t)
             assert m[i:i + 1].tobytes() == one_m.tobytes(), (i, t)
@@ -236,7 +233,7 @@ def ref_curve_csv() -> str:
     """The curve command's CSV, computed with freshly built mixtures."""
     plan = ExperimentConfig.from_dict({}).to_plan(variant=PlanVariant.SERIAL)
     gm, sched = plan.mixture, plan.schedule
-    x = _draw_latents(_Stack.of(plan), plan.seed)
+    x = _draw_latents(plan, plan.seed)
     rows = []
     for t in range(sched.T, 0, -1):
         eps_c = ref_conditional_branch(plan, x, t)

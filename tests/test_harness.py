@@ -666,6 +666,22 @@ def test_bad_config_value_is_one_json_error(tmp_path, capsys, body, key):
     assert key in err["message"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "curve", "detect", "sweep"])
+def test_a_zero_dimensional_mixture_is_one_json_error(tmp_path, capsys, command):
+    """Every command builds the mixture a config sets, detect too, and a
+    mixture of no dimensions fails there, before any branch kernel runs."""
+    cfg = write_config(tmp_path, mixture={"weights": [1], "means": [[]], "variances": [[]]})
+    argv = {"simulate": ["--out", str(tmp_path / "run")],
+            "curve": ["--out", str(tmp_path / "curve.csv")],
+            "detect": ["--series", write_series(tmp_path, [(3, 0.5), (2, 0.4), (1, 0.4)])],
+            "sweep": ["--k", "0,5"]}[command]
+    code, stdout, stderr = run_cli([command, "--config", cfg, *argv], capsys)
+    assert (code, stdout) == (1, "")
+    assert len(stderr.splitlines()) == 1
+    assert json.loads(stderr) == {"error": "ParameterError",
+                                  "message": "mixture needs at least one dimension"}
+
+
 @pytest.mark.parametrize("body, key", [
     ({"switch": {"L": True}}, "L"),
     ({"switch": {"tau_cap": True}}, "tau_cap"),

@@ -67,6 +67,14 @@ def test_mixture_rejects_inconsistent_or_non_finite_parameters(kwargs, error, me
         GaussianMixture(**{k: np.asarray(v, dtype=float) for k, v in kwargs.items()})
 
 
+@pytest.mark.parametrize("K", [1, 3])
+def test_mixture_rejects_zero_dimensions(K):
+    """(K, 0) means and variances are consistent shapes, but no latent has
+    a data axis to draw or step along."""
+    with pytest.raises(ParameterError, match="^mixture needs at least one dimension$"):
+        GaussianMixture(np.ones(K), np.zeros((K, 0)), np.ones((K, 0)))
+
+
 def test_mixture_rejects_weights_whose_sum_overflows():
     # each weight is finite, but normalizing by their inf sum would give zeros
     with np.errstate(over="ignore"), pytest.raises(NumericError):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import hybridpar.mixture as mixture
 from hybridpar.cli import curve_rows
 from hybridpar.config import DEFAULT_MIXTURE, DEFAULT_SCHEDULE, ExperimentConfig
-from hybridpar.engine import PlanVariant, _draw_latents, _Stack
+from hybridpar.engine import PlanVariant, _draw_latents
 from hybridpar.errors import (DegenerateInputError, HistoryError,
                               NumericError, ParameterError, SequencingError,
                               ShapeError)
@@ -608,7 +608,7 @@ def test_score_ratio_over_condition_groups_matches_branch_rel_mae():
     gm, sched = plan.mixture, plan.schedule
     groups = _condition_rows(gm, plan.conditions).groups
     assert sorted(len(cond.indices) for cond, _ in groups) == [1, 2]
-    x = _draw_latents(_Stack.of(plan), plan.seed)
+    x = _draw_latents(plan, plan.seed)
     for t in (3, 25, 50):
         eps_c = np.empty_like(x)
         for cond, rows in groups:
@@ -629,7 +629,7 @@ def test_score_ratio_scores_the_unconditional_branch_once(monkeypatch):
     cfg = ExperimentConfig.from_dict({"conditions": [[0, 1], [2]]})
     plan = cfg.to_plan(variant=PlanVariant.SERIAL)
     groups = _condition_rows(plan.mixture, plan.conditions).groups
-    x = _draw_latents(_Stack.of(plan), plan.seed)
+    x = _draw_latents(plan, plan.seed)
     conds = []
     original = mixture.noised_score
 

@@ -6,8 +6,10 @@ them. The compiled oracle must return the same arrays (np.array_equal) on
 every input, and build each cache entry, such as a subset's noised table
 for one schedule, once per mixture instance.
 """
+import dataclasses
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ import hybridpar.engine as engine
 import hybridpar.mixture as mixture_mod
 from hybridpar.cli import curve_rows, main
 from hybridpar.config import DEFAULT_SCHEDULE, ExperimentConfig
-from hybridpar.engine import PlanVariant, _draw_latents, _initial_latents, _Stack, run_plan
+from hybridpar.engine import PlanVariant, _draw_latents, _initial_latents, run_plan
 from hybridpar.errors import NumericError, ParameterError, ShapeError
 from hybridpar.mixture import (Condition, GaussianMixture, ScoreEval, _component_sampler,
                                _condition_rows, _noised_terms, _Terms, conditional,
@@ -177,7 +179,7 @@ def test_initial_latents_match_reference_draws():
         eps = rng.standard_normal(x0.shape)
         ab = sched.alpha_bar(sched.T)
         want = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-        assert np.array_equal(_draw_latents(_Stack.of(plan), plan.seed), want)
+        assert np.array_equal(_draw_latents(plan, plan.seed), want)
 
 
 @pytest.mark.parametrize("body", [{}, {"conditions": [[0, 1], [2], [1, 2, 3]],
@@ -196,7 +198,7 @@ def test_initial_latents_equal_per_row_sample_x0(body):
         eps = rng.standard_normal(x0.shape)
         ab = sched.alpha_bar(sched.T)
         want = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-        got = _draw_latents(_Stack.of(plan), plan.seed)
+        got = _draw_latents(plan, plan.seed)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
 
 
@@ -216,7 +218,7 @@ def test_initial_latents_match_reference_draws_weighted_multi_index():
         eps = rng.standard_normal(x0.shape)
         ab = sched.alpha_bar(sched.T)
         want = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-        assert np.array_equal(_draw_latents(_Stack.of(plan), plan.seed), want)
+        assert np.array_equal(_draw_latents(plan, plan.seed), want)
 
 
 def test_sample_x0_matches_reference_draws():
@@ -317,7 +319,7 @@ def test_a_fresh_configs_first_draw_builds_no_conditional_mixture(build_counts):
     for doc in ({}, {"preset": "sd3-like"},
                 {"condition_batch": 7, "conditions": [[3, 0, 2], [1], [2, 1]]}):
         plan = ExperimentConfig.from_dict(doc).to_plan(variant=PlanVariant.SERIAL)
-        _draw_latents(_Stack.of(plan), plan.seed)
+        _draw_latents(plan, plan.seed)
         assert build_counts["conditional"] == [], doc
 
 
@@ -475,9 +477,9 @@ def draws(monkeypatch):
     """The seed of each engine._draw_latents call."""
     seeds = []
 
-    def counting(stack, seed):
+    def counting(plan, seed):
         seeds.append(seed)
-        return original(stack, seed)
+        return original(plan, seed)
 
     original = engine._draw_latents
     monkeypatch.setattr(engine, "_draw_latents", counting)
@@ -510,28 +512,27 @@ def test_initial_latents_are_kept_per_seed_conditions_and_schedule(draws):
     schedule whose table is a prefix of this one's (a shorter T), draws anew
     under its own key."""
     cfg = ExperimentConfig.from_dict({"condition_batch": 6})
-    stack = _Stack.of(cfg.to_plan(variant=PlanVariant.SERIAL))
-    x = _initial_latents(stack, (2, 5))
+    plan = cfg.to_plan(variant=PlanVariant.SERIAL)
+    x = _initial_latents(plan, (2, 5))
     assert draws == [2, 5]
-    assert [a.tobytes() for a in x] == [_draw_latents(stack, s).tobytes() for s in (2, 5)]
-    key = ("latents", stack.conditions, stack.schedule._key)
-    kept = stack.mixture._memo[key]
+    assert [a.tobytes() for a in x] == [_draw_latents(plan, s).tobytes() for s in (2, 5)]
+    key = ("latents", plan.conditions, plan.schedule._key)
+    kept = plan.mixture._memo[key]
     assert list(kept) == [2, 5] and not any(a.flags.writeable for a in kept.values())
     draws.clear()
-    same = stack._replace(schedule=build_schedule(**DEFAULT_SCHEDULE))
+    same = dataclasses.replace(plan, schedule=build_schedule(**DEFAULT_SCHEDULE))
     y = _initial_latents(same, (7, 2))
     assert draws == [7] and y[1].tobytes() == x[0].tobytes()
-    assert list(stack.mixture._memo[key]) == [7, 2] and stack.mixture._memo[key][2] is kept[2]
-    _initial_latents(stack, (5,))           # no longer kept: drawn again
-    assert draws == [7, 5] and list(stack.mixture._memo[key]) == [5]
+    assert list(plan.mixture._memo[key]) == [7, 2] and plan.mixture._memo[key][2] is kept[2]
+    _initial_latents(plan, (5,))            # no longer kept: drawn again
+    assert draws == [7, 5] and list(plan.mixture._memo[key]) == [5]
     draws.clear()
-    shorter = NoiseSchedule(stack.schedule.alpha_bars[:-1])
-    for other in (stack._replace(conditions=stack.conditions[:5]),
-                  stack._replace(schedule=shorter)):
-        _initial_latents(other._replace(rows=_condition_rows(other.mixture, other.conditions)),
-                         (5,))
+    shorter = NoiseSchedule(plan.schedule.alpha_bars[:-1])
+    for other in (dataclasses.replace(plan, conditions=plan.conditions[:5]),
+                  dataclasses.replace(plan, schedule=shorter)):
+        _initial_latents(other, (5,))
     assert draws == [5, 5]
-    assert sum(k[0] == "latents" for k in stack.mixture._memo) == 3
+    assert sum(k[0] == "latents" for k in plan.mixture._memo) == 3
 
 
 def test_new_seeds_replace_the_kept_draws():
@@ -621,3 +622,52 @@ def test_plans_of_one_config_share_their_condition_rows(monkeypatch):
                                         "conditions": [[0], [1, 2], [3]]}).to_plan()
     # its own mixture
     assert _condition_rows(other.mixture, other.conditions).singletons[0] is not a.singletons[0]
+
+
+@pytest.fixture
+def layouts(monkeypatch):
+    """Each layout mixture._condition_rows returns, called through any
+    module that imports it, and each plan bound to a store (ExactPath.bind)."""
+    found = {"rows": [], "bound": []}
+    lookup, bind = mixture_mod._condition_rows, engine.ExactPath.bind
+
+    def counting(gm, conditions):
+        found["rows"].append(lookup(gm, conditions))
+        return found["rows"][-1]
+
+    def binding(path, plan):
+        found["bound"].append(plan)
+        return bind(path, plan)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("hybridpar") and \
+                getattr(module, "_condition_rows", None) is lookup:
+            monkeypatch.setattr(module, "_condition_rows", counting)
+    monkeypatch.setattr(engine.ExactPath, "bind", binding)
+    return found
+
+
+@pytest.mark.parametrize("body, argv, lookups, bound", [
+    ({"seeds": [0, 1]}, ["sweep", "--k", "0"], 1, 4),
+    ({"seeds": list(range(8))}, ["sweep", "--k", "0,5,10,20,30"], 1, 48),
+    ({"variant": "hybrid"}, ["simulate"], 2, 0),
+    ({"variant": "batch_level", "devices": 8}, ["simulate"], 2, 4),
+    ({}, ["curve"], 1, 0),
+], ids=["sweep-2-seeds", "sweep-8-seeds", "hybrid", "batch_level-8", "curve"])
+def test_a_command_looks_its_layout_up_once_per_unbound_plan(tmp_path, capsys, layouts,
+                                                             body, argv, lookups, bound):
+    """An unbound plan looks its condition layout up on construction; a plan
+    bound to a store takes its template plan's, so a sweep looks it up once
+    (for its store's template) whatever its seeds and k list, a simulate
+    once for its plan and once for its serial baseline, and curve once. All
+    are the memo's one object."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(body), encoding="utf-8")
+    out = str(tmp_path / ("out.csv" if argv[0] != "simulate" else "run"))
+    assert main([*argv, "--config", str(path), "--out", out]) == 0
+    capsys.readouterr()
+    assert len(layouts["rows"]) == lookups
+    assert all(rows is layouts["rows"][0] for rows in layouts["rows"])
+    assert len(layouts["bound"]) == bound
+    for plan in layouts["bound"]:
+        assert plan._rows is plan.exact_path._template._rows is layouts["rows"][0]

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hybridpar.cli import TRACE_HEADER, _fmt, _json_flat, _write_trace, main, read_series_csv
+from hybridpar.cli import TRACE_HEADER, _fmt, _write_trace, main, read_series_csv
 from hybridpar.config import ExperimentConfig
 from hybridpar.engine import PlanVariant, RunResult, run_plan
 from hybridpar.metrics import compare_runs
@@ -214,8 +214,8 @@ def write_config(tmp_path, preset: str) -> str:
 @pytest.mark.parametrize("preset", ["sdxl-like", "sd3-like"])
 @pytest.mark.parametrize("variant", list(PlanVariant))
 def test_simulate_metrics_json_equals_json_dumps(preset, variant, tmp_path):
-    """simulate spells metrics.json from a template (cli._json_flat); its
-    bytes, which it also writes to stdout, are json.dumps of the metrics.
+    """simulate writes metrics.json, and the same bytes to stdout, as
+    json.dumps of the metrics.
     A run that matches its serial baseline has a null psnr_analog."""
     cfg = ExperimentConfig.from_dict({"preset": preset, "devices": 4})
     plan = cfg.to_plan(seed=7, variant=variant)
@@ -232,16 +232,6 @@ def test_simulate_metrics_json_equals_json_dumps(preset, variant, tmp_path):
     # plans that reproduce the serial trajectory report no psnr
     exact = variant in (PlanVariant.SERIAL, PlanVariant.FULL_CONDITION_PARTITION)
     assert ('"psnr_analog": null' in expected) == exact
-
-
-@pytest.mark.parametrize("obj", [
-    {"latency_s": 8.153, "comm_bytes": 475136, "tau1": None, "psnr_analog": 56.42},
-    {"a": float("nan"), "b": float("inf"), "c": -float("inf"), "d": -0.0, "e": 0.0},
-    {"big": 10 ** 30, "tiny": 5e-324, "huge": 1.7976931348623157e308, "neg": -3},
-    {"yes": True, "no": False, "none": None, "text": "x\u00e9\"\n"},
-], ids=["metrics", "non-finite", "extremes", "other-scalars"])
-def test_flat_json_equals_json_dumps(obj):
-    assert _json_flat(obj) == _json_dumps(obj)
 
 
 def test_simulate_writes_into_an_existing_directory_and_rejects_a_file(tmp_path, capsys):
