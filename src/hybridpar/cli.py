@@ -215,11 +215,6 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def read_series_csv(path: str) -> list[tuple[int, float]]:
-    """The (t, discrepancy) pairs of read_series_columns(path)."""
-    return list(zip(*read_series_columns(path)))
-
-
 def read_series_columns(path: str) -> tuple[list[int], list[float]]:
     """The t and discrepancy columns (ints, floats) of a curve CSV or a bare file.
 

@@ -252,14 +252,18 @@ class ExactPath:
 
 def _initial_latents(plan: ExecutionPlan, seeds: tuple[int, ...]) -> np.ndarray:
     """The seeds' draws (_draw_latents) as one (S, B, d) array. The mixture
-    keeps the last store's, read-only, per conditions tuple and schedule, so
-    the stores of one command (a simulate's plan and its serial baseline)
-    draw each seed once, and new seeds replace the draws of old ones."""
-    key = ("latents", plan.conditions, plan.schedule._key)
-    kept = plan.mixture._memo.get(key, {})
-    draws = plan.mixture._memo[key] = {
-        seed: kept[seed] if seed in kept else _read_only(_draw_latents(plan, seed))
-        for seed in seeds}
+    keeps one slot, the last store's draws, read-only, with the conditions
+    tuple and schedule key they were drawn for, compared by == (nothing is
+    hashed). A store of that batch and schedule reads the kept draw of each
+    of its seeds, so the stores of one command (a simulate's plan and its
+    serial baseline) draw each seed once; any other store replaces the slot."""
+    batch = plan.conditions, plan.schedule._key
+    kept_batch, kept = plan.mixture._memo.get(("latents",), (None, {}))
+    if kept_batch != batch:
+        kept = {}
+    draws = {seed: kept[seed] if seed in kept else _read_only(_draw_latents(plan, seed))
+             for seed in seeds}
+    plan.mixture._memo[("latents",)] = batch, draws
     return np.stack(list(draws.values()))
 
 

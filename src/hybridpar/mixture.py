@@ -25,7 +25,10 @@ class GaussianMixture:
 
     Two mixtures are equal only if they are one object, and hash by identity:
     the oracle memo and engine.ExactPath.bind go by that identity, and so
-    does plan equality.
+    does plan equality. The memo holds what is compiled from the mixture
+    itself, each subset's noised table per schedule ("noised") and component
+    sampler ("sampler"), plus one slot of initial latents ("latents", see
+    engine._initial_latents); a batch's layout is its plan's.
 
     Attributes:
         weights: (K,) strictly positive, normalized to sum to 1 on construction.
@@ -92,12 +95,6 @@ class Condition:
         if any(i < 0 for i in idx):
             raise ParameterError(f"condition indices must be >= 0: {idx}")
         object.__setattr__(self, "indices", idx)
-        # the hash the dataclass would compute on every call, computed once:
-        # memo keys hold whole tuples of conditions
-        object.__setattr__(self, "_hash", hash((idx,)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 def _index(i) -> int:
@@ -432,26 +429,22 @@ class ConditionRows(NamedTuple):
 
 
 def _condition_rows(gm: GaussianMixture, conditions: tuple[Condition, ...]) -> ConditionRows:
-    """The row layout of a batch of conditions, built once per conditions
-    tuple and kept on gm, so every plan of one config keeps the same arrays
-    (ExecutionPlan looks it up; a plan bound to a store takes the store's)."""
-    def build():
-        subsets: dict[tuple[int, ...], tuple[Condition, list[int]]] = {}
-        for i, c in enumerate(conditions):
-            subsets.setdefault(c.indices, (c, []))[1].append(i)
-        for idx in subsets:
-            if max(idx) >= gm.n_components:
-                raise PlanError(f"condition {idx} exceeds mixture components")
-        groups = tuple((cond, _read_only(np.asarray(rows)))
-                       for cond, rows in subsets.values())
-        single = [i for i, c in enumerate(conditions) if len(c.indices) == 1]
-        singletons = (_read_only(np.asarray(single, dtype=np.intp)),
-                      _read_only(np.asarray([conditions[i].indices[0] for i in single],
-                                            dtype=np.intp)))
-        return ConditionRows(groups, singletons,
-                             tuple(g for g in groups if len(g[0].indices) > 1))
-
-    return _memo(gm, ("rows", conditions), build)
+    """The row layout of a batch of conditions on gm, built on every call
+    and kept nowhere here: an unbound ExecutionPlan keeps the one it builds,
+    and a plan bound to a store takes its template plan's. PlanError if a
+    condition lies outside gm."""
+    subsets: dict[tuple[int, ...], tuple[Condition, list[int]]] = {}
+    for i, c in enumerate(conditions):
+        subsets.setdefault(c.indices, (c, []))[1].append(i)
+    for idx in subsets:
+        if max(idx) >= gm.n_components:
+            raise PlanError(f"condition {idx} exceeds mixture components")
+    groups = tuple((cond, _read_only(np.asarray(rows))) for cond, rows in subsets.values())
+    single = [i for i, c in enumerate(conditions) if len(c.indices) == 1]
+    singletons = (_read_only(np.asarray(single, dtype=np.intp)),
+                  _read_only(np.asarray([conditions[i].indices[0] for i in single],
+                                        dtype=np.intp)))
+    return ConditionRows(groups, singletons, tuple(g for g in groups if len(g[0].indices) > 1))
 
 
 def sample_x0(gm: GaussianMixture, cond: Condition | None,

@@ -3,9 +3,9 @@
 A plan names its variant, model, schedule, devices and link, and for staged
 variants the switch rule and segment split. _DEVICES alone decides how many
 devices each variant takes. A plan keeps the row layout of its conditions
-(mixture.ConditionRows), which every branch kernel reads. A plan that brings
-an exact-path store is checked against it here (see engine.ExactPath) and
-takes the layout of the store's template plan.
+(mixture.ConditionRows), which every branch kernel reads: an unbound plan
+builds its own. A plan that brings an exact-path store is checked against it
+here (see engine.ExactPath) and takes the layout of the store's template plan.
 
 The module loads no numpy, so config parsing and `detect` can use the
 choices a plan is built from (PlanVariant, _DEVICES, SCHEDULE_KINDS) without
@@ -76,7 +76,7 @@ class ExecutionPlan:
         if self.exact_path is None:
             from .mixture import _condition_rows
 
-            # the memo's read-only layout, not a field: PlanError if out of range
+            # its own read-only layout, not a field: PlanError if out of range
             object.__setattr__(self, "_rows", _condition_rows(self.mixture, self.conditions))
         if type(self.seed) is not int or self.seed < 0:
             raise PlanError(f"seed must be an integer >= 0, got {self.seed!r}")

@@ -133,12 +133,15 @@ def test_singleton_rows_read_the_unconditional_entry(monkeypatch):
 
 
 def test_a_failed_rows_build_leaves_the_memo_unchanged():
+    """A layout is its plan's: the mixture's memo keeps none, and neither a
+    build that fails nor one that succeeds changes it."""
     plan = make_plan(8, MIXED)
     gm = plan.mixture
     before = {key: id(entry) for key, entry in gm._memo.items()}
-    assert ("rows", plan.conditions) in before
+    assert not any(key[0] == "rows" for key in before)
     with pytest.raises(PlanError, match="exceeds mixture components"):
         _condition_rows(gm, plan.conditions + (Condition((gm.n_components,)),))
+    assert _condition_rows(gm, plan.conditions) is not plan._rows
     assert {key: id(entry) for key, entry in gm._memo.items()} == before
 
 

@@ -11,10 +11,16 @@ import numpy as np
 import pytest
 
 from hybridpar.cli import (CURVE_HEADER, SWEEP_HEADER, TRACE_HEADER,
-                           curve_rows, main, read_series_csv)
+                           curve_rows, main, read_series_columns)
 from hybridpar.config import ExperimentConfig, load_config
 from hybridpar.errors import ParameterError, PlanError, SeriesParseError, ShapeError
 from hybridpar.metrics import Metrics, compare_runs
+
+
+def series_pairs(path: str) -> list[tuple[int, float]]:
+    """The (t, discrepancy) pairs of read_series_columns(path)."""
+    return list(zip(*read_series_columns(path)))
+
 
 METRIC_KEYS = {"latency_s", "speedup", "comm_bytes", "fidelity_l1",
                "fidelity_l2", "psnr_analog", "tau1", "tau2"}
@@ -356,7 +362,7 @@ def test_detect_consumes_curve_output(tmp_path, capsys):
 
 def test_read_series_accepts_bare_columns(tmp_path):
     path = write_series(tmp_path, [(3, 0.5), (2, 0.4), (1, 0.3)])
-    assert read_series_csv(path) == [(3, 0.5), (2, 0.4), (1, 0.3)]
+    assert series_pairs(path) == [(3, 0.5), (2, 0.4), (1, 0.3)]
 
 
 @pytest.mark.parametrize("header", [None, "t,rel_mae"], ids=["bare", "headered"])
@@ -367,7 +373,7 @@ def test_detect_accepts_a_utf8_byte_order_mark(tmp_path, capsys, header):
     plain = write_series(tmp_path, pairs, header=header)
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "series.csv").read_bytes())
-    assert read_series_csv(str(bom)) == read_series_csv(plain) == pairs
+    assert series_pairs(str(bom)) == series_pairs(plain) == pairs
     outputs = [run_cli(["detect", "--series", path], capsys) for path in (plain, str(bom))]
     assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
@@ -376,7 +382,7 @@ def test_read_series_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")
     with pytest.raises(SeriesParseError):
-        read_series_csv(path)
+        series_pairs(path)
 
 
 def test_detect_bad_rows_report_line_numbers(tmp_path, capsys):
@@ -539,7 +545,7 @@ def test_seed_k_and_series_t_share_one_integer_rule(tmp_path, capsys, monkeypatc
     if want is not None:
         assert cli._parse_k_list(f"5,{token}") == sorted([5, want])
         assert (code, seeds) == (1, [want])
-        assert read_series_csv(str(series)) == [(want, 0.5)]
+        assert series_pairs(str(series)) == [(want, 0.5)]
         return
     with pytest.raises(ParameterError, match="^bad k list"):
         cli._parse_k_list(f"5,{token}")
@@ -547,7 +553,7 @@ def test_seed_k_and_series_t_share_one_integer_rule(tmp_path, capsys, monkeypatc
     assert json.loads(stderr) == {"error": "ParameterError",
                                   "message": f"--seed must be an integer, got {token!r}"}
     with pytest.raises(SeriesParseError, match="^line 2: bad numeric fields"):
-        read_series_csv(str(series))
+        series_pairs(str(series))
     assert not (tmp_path / "run").exists()
 
 
@@ -559,6 +565,21 @@ def test_sweep_negative_k_is_an_infeasible_row(tmp_path, capsys):
     lines = stdout.splitlines()
     assert lines[:2] == [SWEEP_HEADER, "-1,infeasible,,,,"]
     assert lines[2].startswith("4,ok,")
+
+
+def test_a_negative_k_list_takes_the_equals_form(tmp_path, capsys):
+    """As the README says: argparse reads `--k -1,0` as an option, so the
+    list needs `--k=-1,0`, which writes the negative k's infeasible row."""
+    cfg = write_config(tmp_path, **SMALL)
+    code, stdout, stderr = run_cli(["sweep", "--config", cfg, "--k", "-1,0"], capsys)
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {"error": "ParameterError",
+                                  "message": "argument --k: expected one argument"}
+    code, stdout, stderr = run_cli(["sweep", "--config", cfg, "--k=-1,0"], capsys)
+    assert (code, stderr) == (0, "")
+    lines = stdout.splitlines()
+    assert lines[:2] == [SWEEP_HEADER, "-1,infeasible,,,,"]
+    assert lines[2].startswith("0,ok,") and len(lines) == 3
 
 
 def test_sweep_calls_each_runner_once_per_plan(tmp_path, capsys, monkeypatch):

@@ -505,34 +505,35 @@ def test_a_sweep_draws_each_seed_once(tmp_path, capsys, draws):
 
 
 def test_initial_latents_are_kept_per_seed_conditions_and_schedule(draws):
-    """The kept draws are the last store's, read-only, with the bits of fresh
-    ones, under one key per conditions tuple and schedule. A store of an
-    equal schedule built anew reads the kept draws of its seeds, draws the
-    rest, and keeps its own in their place; another conditions tuple, or a
-    schedule whose table is a prefix of this one's (a shorter T), draws anew
-    under its own key."""
+    """The mixture keeps one slot of draws: the last store's, read-only, with
+    the bits of fresh ones, next to the conditions tuple and schedule key they
+    were drawn for. A store of an equal schedule built anew reads the kept
+    draws of its seeds, draws the rest, and keeps its own in their place;
+    another conditions tuple, or a schedule whose table is a prefix of this
+    one's (a shorter T), draws anew and replaces the slot."""
     cfg = ExperimentConfig.from_dict({"condition_batch": 6})
     plan = cfg.to_plan(variant=PlanVariant.SERIAL)
     x = _initial_latents(plan, (2, 5))
     assert draws == [2, 5]
     assert [a.tobytes() for a in x] == [_draw_latents(plan, s).tobytes() for s in (2, 5)]
-    key = ("latents", plan.conditions, plan.schedule._key)
-    kept = plan.mixture._memo[key]
+    memo = plan.mixture._memo
+    batch, kept = memo[("latents",)]
+    assert batch == (plan.conditions, plan.schedule._key)
     assert list(kept) == [2, 5] and not any(a.flags.writeable for a in kept.values())
     draws.clear()
     same = dataclasses.replace(plan, schedule=build_schedule(**DEFAULT_SCHEDULE))
     y = _initial_latents(same, (7, 2))
     assert draws == [7] and y[1].tobytes() == x[0].tobytes()
-    assert list(plan.mixture._memo[key]) == [7, 2] and plan.mixture._memo[key][2] is kept[2]
+    assert list(memo[("latents",)][1]) == [7, 2] and memo[("latents",)][1][2] is kept[2]
     _initial_latents(plan, (5,))            # no longer kept: drawn again
-    assert draws == [7, 5] and list(plan.mixture._memo[key]) == [5]
+    assert draws == [7, 5] and list(memo[("latents",)][1]) == [5]
     draws.clear()
     shorter = NoiseSchedule(plan.schedule.alpha_bars[:-1])
     for other in (dataclasses.replace(plan, conditions=plan.conditions[:5]),
-                  dataclasses.replace(plan, schedule=shorter)):
+                  dataclasses.replace(plan, schedule=shorter), plan):
         _initial_latents(other, (5,))
-    assert draws == [5, 5]
-    assert sum(k[0] == "latents" for k in plan.mixture._memo) == 3
+    assert draws == [5, 5, 5]
+    assert [k for k in memo if k[0] == "latents"] == [("latents",)]
 
 
 def test_new_seeds_replace_the_kept_draws():
@@ -542,20 +543,21 @@ def test_new_seeds_replace_the_kept_draws():
     for seed in range(2000):
         run_plan(cfg.to_plan(seed=seed, variant=PlanVariant.SERIAL))
     kept = [entry for key, entry in cfg.mixture._memo.items() if key[0] == "latents"]
-    assert len(kept) == 1 and list(kept[0]) == [1999]
+    assert len(kept) == 1 and list(kept[0][1]) == [1999]
 
 
 def test_no_run_keeps_a_conditional_mixture(build_counts):
     """A multi-index subset's table is built from its conditional mixture,
     which nothing keeps: after curve_rows (whose score ratio reads a table
-    per subset), and after a run of every variant, the memo holds only its
-    four kinds of entry, and each table built one conditional mixture."""
+    per subset), and after a run of every variant, the memo holds only what
+    is compiled from the mixture (its noised tables and samplers) and the
+    one slot of draws, and each table built one conditional mixture."""
     cfg = ExperimentConfig.from_dict({"conditions": [[0, 1], [2]]})
     curve_rows(cfg)
-    assert {key[0] for key in cfg.mixture._memo} == {"noised", "sampler", "rows"}
+    assert {key[0] for key in cfg.mixture._memo} == {"noised", "sampler"}
     for variant in PlanVariant:
         run_plan(cfg.to_plan(variant=variant))
-    assert {key[0] for key in cfg.mixture._memo} == {"noised", "sampler", "rows", "latents"}
+    assert {key[0] for key in cfg.mixture._memo} == {"noised", "sampler", "latents"}
     assert sorted(build_counts["conditional"]) == [(0, 1), (2,)]
 
 
@@ -595,8 +597,9 @@ def test_plan_condition_groups_are_read_only():
 
 
 def test_plans_of_one_config_share_their_condition_rows(monkeypatch):
-    """The row layout is compiled once per (mixture, conditions): a sweep's
-    plans all read the same read-only arrays."""
+    """The row layout is built once per unbound plan, and every plan bound
+    to a store takes its template plan's: a sweep's plans all read the same
+    read-only arrays, and two unbound plans read equal ones."""
     import hybridpar.mixture as mixture_mod
     cfg = ExperimentConfig.from_dict({"condition_batch": 10,
                                       "conditions": [[0], [1, 2], [3]]})
@@ -608,20 +611,21 @@ def test_plans_of_one_config_share_their_condition_rows(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(mixture_mod, "ConditionRows", counting)
-    plans = (cfg.to_plan(seed=1, variant=PlanVariant.SERIAL),
-             cfg.to_plan(seed=2, variant=PlanVariant.HYBRID, k=3))
+    template = cfg.to_plan(seed=1, variant=PlanVariant.HYBRID, k=0)
+    path = engine.ExactPath((1, 2), template)
+    plans = (cfg.to_plan(seed=1, variant=PlanVariant.SERIAL, exact_path=path),
+             cfg.to_plan(seed=2, variant=PlanVariant.HYBRID, k=3, exact_path=path))
     assert len(built) == 1
-    a, b = (_condition_rows(p.mixture, p.conditions) for p in plans)
-    assert len(built) == 1
-    assert a.singletons[0] is b.singletons[0] and a.singletons[1] is b.singletons[1]
-    assert all(ra is rb for (_, ra), (_, rb) in zip(a.groups, b.groups))
-    assert all(ra is rb for (_, ra), (_, rb) in zip(a.multi_groups, b.multi_groups))
+    a = template._rows
+    for plan in plans:
+        assert plan._rows is a
     for arr in (*a.singletons, *(r for _, r in a.groups)):
         assert not arr.flags.writeable
-    other = ExperimentConfig.from_dict({"condition_batch": 10,
-                                        "conditions": [[0], [1, 2], [3]]}).to_plan()
-    # its own mixture
-    assert _condition_rows(other.mixture, other.conditions).singletons[0] is not a.singletons[0]
+    own = cfg.to_plan(seed=2, variant=PlanVariant.HYBRID, k=3)._rows
+    assert len(built) == 2 and own is not a
+    assert all(np.array_equal(x, y) for x, y in zip(own.singletons, a.singletons))
+    assert [(c, r.tolist()) for c, r in own.groups] == [(c, r.tolist()) for c, r in a.groups]
+    assert [c for c, _ in own.multi_groups] == [c for c, _ in a.multi_groups]
 
 
 @pytest.fixture
@@ -656,18 +660,72 @@ def layouts(monkeypatch):
 ], ids=["sweep-2-seeds", "sweep-8-seeds", "hybrid", "batch_level-8", "curve"])
 def test_a_command_looks_its_layout_up_once_per_unbound_plan(tmp_path, capsys, layouts,
                                                              body, argv, lookups, bound):
-    """An unbound plan looks its condition layout up on construction; a plan
-    bound to a store takes its template plan's, so a sweep looks it up once
+    """An unbound plan builds its condition layout on construction; a plan
+    bound to a store takes its template plan's, so a sweep builds it once
     (for its store's template) whatever its seeds and k list, a simulate
-    once for its plan and once for its serial baseline, and curve once. All
-    are the memo's one object."""
+    once for its plan and once for its serial baseline, and curve once."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(body), encoding="utf-8")
     out = str(tmp_path / ("out.csv" if argv[0] != "simulate" else "run"))
     assert main([*argv, "--config", str(path), "--out", out]) == 0
     capsys.readouterr()
     assert len(layouts["rows"]) == lookups
-    assert all(rows is layouts["rows"][0] for rows in layouts["rows"])
     assert len(layouts["bound"]) == bound
     for plan in layouts["bound"]:
-        assert plan._rows is plan.exact_path._template._rows is layouts["rows"][0]
+        assert plan._rows is plan.exact_path._template._rows
+        assert any(plan._rows is rows for rows in layouts["rows"])
+
+
+def test_the_memo_keeps_no_batch_but_one_slot_of_draws():
+    """Runs over 500 distinct 64-condition batches, then over 50 schedules,
+    on one mixture leave one "latents" slot (the last run's batch, schedule
+    and draw) and no layout: the memo grows with the mixture's subsets and
+    schedules, never with the batches it served."""
+    cfg = ExperimentConfig.from_dict({"schedule": {"T": 1}, "mixture": {
+        "weights": [1, 1], "means": [[0, 0], [1, 1]], "variances": [[1, 1], [1, 1]]}})
+    base = cfg.to_plan(variant=PlanVariant.SERIAL)
+    for n in range(500):
+        conditions = tuple(Condition((int(bit),)) for bit in f"{n:064b}")
+        plan = dataclasses.replace(base, conditions=conditions)
+        run_plan(plan)
+    memo = cfg.mixture._memo
+    assert {key[0] for key in memo} == {"noised", "sampler", "latents"}
+    assert memo[("latents",)][0] == (plan.conditions, base.schedule._key)
+    assert list(memo[("latents",)][1]) == [base.seed]
+    for n in range(50):
+        schedule = build_schedule("linear", 1, 1e-4, 0.02 + 1e-4 * n)
+        run_plan(dataclasses.replace(base, schedule=schedule))
+    assert [key for key in memo if key[0] == "latents"] == [("latents",)]
+    assert memo[("latents",)][0] == (base.conditions, schedule._key)
+
+
+@pytest.fixture
+def condition_hashes(monkeypatch):
+    """The number of Condition.__hash__ calls."""
+    calls = []
+    original = Condition.__hash__
+
+    def counting(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(Condition, "__hash__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("body, argv, drawn", [
+    ({"seeds": list(range(8))}, ["sweep", "--k", "0,5,10,20,30"], 8),
+    ({"variant": "hybrid"}, ["simulate"], 1),
+    ({"variant": "batch_level", "devices": 4}, ["simulate"], 2),
+], ids=["sweep-8-seeds", "hybrid", "batch_level-4"])
+def test_a_command_hashes_no_condition(tmp_path, capsys, condition_hashes, draws,
+                                       body, argv, drawn):
+    """No memo key holds a conditions tuple, so a command hashes no
+    Condition, and its stores still draw each seed once."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(body), encoding="utf-8")
+    out = str(tmp_path / ("out.csv" if argv[0] != "simulate" else "run"))
+    assert main([*argv, "--config", str(path), "--out", out]) == 0
+    capsys.readouterr()
+    assert len(condition_hashes) == 0
+    assert len(draws) == drawn

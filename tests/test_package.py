@@ -15,8 +15,6 @@ ROOT = Path(__file__).resolve().parents[1]
 # public module-level functions and classes that no src/ code names, and why
 # each stays
 UNNAMED_IN_SRC = {
-    ("cli", "read_series_csv"): "a series file as the (t, M) pairs replay_series takes, "
-                                "over read_series_columns, which detect reads",
     ("mixture", "score"): "the reference noised_score names; it goes with ScoreEval "
                           "once the benchmark stops counting its calls (ROADMAP item 1a)",
     ("mixture", "noised_mixture"): "perfbench/spans.py's COUNT_TARGETS looks it up by name and "
@@ -24,8 +22,9 @@ UNNAMED_IN_SRC = {
                                    "every traced run needs it; it leaves src/ with ROADMAP "
                                    "item 1a, as the noised table's reference in the tests",
     ("monitor", "hoeffding_false_alarm"): "the false-alarm bound a calibrated switch rule "
-                                          "would use; ROADMAP item 4 gives it a caller "
-                                          "or deletes it",
+                                          "would use, with SlopeNoiseModel; acceptance "
+                                          "criterion 09 checks both, so they stay until "
+                                          "a rule calls them (ROADMAP item 4)",
 }
 
 # public methods and properties of public classes that no src/ code reads as
@@ -160,3 +159,41 @@ def test_every_public_method_and_property_is_read_in_src():
               if isinstance(node, ast.FunctionDef)
               and not node.name.startswith("_") and node.name not in read}
     assert unread == set(UNREAD_IN_SRC)
+
+
+def benchmark_reexports() -> set[tuple[str, str]]:
+    """(module, name) of each name a src/ module imports on a `noqa: F401`
+    line and never reads: a re-export, kept for perfbench to find there."""
+    found = set()
+    for module, tree in src_trees().items():
+        lines = (ROOT / "src" / "hybridpar" / f"{module}.py").read_text(
+            encoding="utf-8").splitlines()
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found |= {(module, alias.name) for node in tree.body
+                  if isinstance(node, ast.ImportFrom)
+                  and "noqa: F401" in lines[node.end_lineno - 1]
+                  for alias in node.names if alias.name not in loaded}
+    return found
+
+
+def test_every_name_kept_for_the_benchmark_still_names_something_in_perfbench():
+    """A name src/ keeps only for the benchmark (an allowlist entry whose
+    reason cites it, or a re-export) is still named in perfbench/*.py, read
+    as text: a module-level name as its patch or count target, `"hybridpar.
+    <module>", "<name>"`, a method as an attribute read. Once the benchmark
+    stops reading one, this fails, and the name leaves src/ or its list."""
+    bench = "\n".join(path.read_text(encoding="utf-8")
+                      for path in sorted((ROOT / "perfbench").glob("*.py")))
+    cites = ("benchmark", "perfbench")
+    names = {key for key, why in UNNAMED_IN_SRC.items() if any(c in why for c in cites)}
+    reexports = benchmark_reexports()
+    assert reexports == {("engine", "rel_mae"), ("engine", "sample_x0"),
+                         ("engine", "cfg_combine"), ("cli", "replay_series")}
+    assert names == {("mixture", "score"), ("mixture", "noised_mixture")}
+    unread = [(module, name) for module, name in names | reexports
+              if f'"hybridpar.{module}", "{name}"' not in bench]
+    methods = [key for key, why in UNREAD_IN_SRC.items() if any(c in why for c in cites)]
+    assert methods == [("monitor", "DiscrepancySeries", "has")]
+    unread += [key for key in methods if f".{key[2]}(" not in bench]
+    assert unread == []

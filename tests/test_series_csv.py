@@ -1,7 +1,7 @@
-"""read_series_csv, the column parser behind `detect`, against the line-by-line
-parser it replaced: the same pairs for every file that parses, the same
-error (class, message and line) for every file that does not, and the typo
-rule that only the column parser has."""
+"""read_series_columns, the column parser behind `detect`, read as pairs,
+against the line-by-line parser it replaced: the same pairs for every file
+that parses, the same error (class, message and line) for every file that
+does not, and the typo rule that only the column parser has."""
 import json
 import random
 import string
@@ -10,8 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hybridpar.cli import CURVE_HEADER, main, read_series_csv
+from hybridpar.cli import CURVE_HEADER, main, read_series_columns
 from hybridpar.errors import SeriesParseError
+
+
+def series_pairs(path: str) -> list[tuple[int, float]]:
+    """The (t, discrepancy) pairs of read_series_columns(path)."""
+    return list(zip(*read_series_columns(path)))
 
 
 # what str.isspace counts as whitespace below 128: a typo's field is quoted
@@ -20,7 +25,7 @@ ASCII_SPACE = string.whitespace + "\x1c\x1d\x1e\x1f"
 
 
 def per_line_read(path: str, typos: bool = False) -> list[tuple[int, float]]:
-    """read_series_csv as it was when every line was split, stripped and
+    """The series reader as it was when every line was split, stripped and
     converted in its own loop iteration: the reference. With typos, it also
     has the typo rule: a t or rel_mae field holding "_" or a non-ASCII
     character is a bad field, quoted without its ASCII padding."""
@@ -164,7 +169,7 @@ TYPOS = {
 @pytest.mark.parametrize("data", list(VALID.values()), ids=list(VALID))
 def test_every_valid_shape_reads_as_the_per_line_parser_reads_it(data, tmp_path, reads):
     path = write(tmp_path, data)
-    got = outcome(read_series_csv, path)
+    got = outcome(series_pairs, path)
     assert isinstance(got, str), got
     assert got == outcome(per_line_read, path)
     assert len(reads) == 1                      # the whole-file read, no re-read
@@ -177,7 +182,7 @@ def test_every_bad_file_raises_the_per_line_parsers_error(data, line, rereads, t
     want = outcome(per_line_read, path)
     assert want[0] is SeriesParseError, want
     assert want[2] == line
-    assert outcome(read_series_csv, path) == want
+    assert outcome(series_pairs, path) == want
     assert reads == ([reads[0]] + [1] * rereads if rereads else [])
 
 
@@ -210,7 +215,7 @@ def test_the_two_parsers_agree_on_random_files(tmp_path, reads):
         path = write(tmp_path, text)
         want = outcome(per_line_read, path)
         reads.clear()
-        assert outcome(read_series_csv, path) == want, text
+        assert outcome(series_pairs, path) == want, text
         parsed += isinstance(want, str)
         # not the empty file's error, which has no line, nor a bad header's
         on_a_row = not isinstance(want, str) and want[2] is not None and "header must" not in want[1]
@@ -247,11 +252,11 @@ def series_texts(draw) -> str:
 @example(text="\ufeff3,0.5\n\n2\u00a0,0.4\n1,x\n")
 @example(text="rel_mae,t\n0.5,3\n0.4,٢\n")
 def test_the_column_reader_is_the_per_line_reader_with_the_typo_rule(text, tmp_path_factory):
-    """On any text, read_series_csv returns the per-line reader's pairs, or
+    """On any text, the column reader returns the per-line reader's pairs, or
     raises its error (class, message and line), once the typo rule is added
     to it."""
     path = write(tmp_path_factory.getbasetemp(), text)
-    assert outcome(read_series_csv, path) == outcome(
+    assert outcome(series_pairs, path) == outcome(
         lambda p: per_line_read(p, typos=True), path), text
 
 
@@ -262,7 +267,7 @@ def test_a_typo_in_a_number_names_its_line(data, line, quoted, tmp_path):
     path = write(tmp_path, data)
     assert isinstance(outcome(per_line_read, path), str)
     with pytest.raises(SeriesParseError) as info:
-        read_series_csv(path)
+        series_pairs(path)
     assert (str(info.value), info.value.line) == (
         f"line {line}: bad numeric fields {quoted}", line)
 
@@ -273,12 +278,12 @@ def test_a_typo_in_a_number_names_its_line(data, line, quoted, tmp_path):
 ], ids=["typo-then-short-row", "short-row-then-typo"])
 def test_the_first_bad_line_wins_typo_or_not(data, want, tmp_path):
     with pytest.raises(SeriesParseError, match=f"^{want}$"):
-        read_series_csv(write(tmp_path, data))
+        series_pairs(write(tmp_path, data))
 
 
 def test_extra_columns_are_not_checked_for_typos(tmp_path):
     path = write(tmp_path, "t,rel_mae,note\n3,0.5,1_0\n2,0.4,٣\n")
-    assert read_series_csv(path) == per_line_read(path) == [(3, 0.5), (2, 0.4)]
+    assert series_pairs(path) == per_line_read(path) == [(3, 0.5), (2, 0.4)]
 
 
 def test_detect_reports_a_typo_with_its_line(tmp_path, capsys):

@@ -19,12 +19,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from hybridpar.cli import TRACE_HEADER, _fmt, _write_trace, main, read_series_csv
+from hybridpar.cli import TRACE_HEADER, _fmt, _write_trace, main, read_series_columns
 from hybridpar.config import ExperimentConfig
 from hybridpar.engine import PlanVariant, RunResult, run_plan
 from hybridpar.metrics import compare_runs
 from hybridpar.monitor import replay_series
 from hybridpar.trace import BusyInterval, MessageEvent, RunTrace
+
+
+def series_pairs(path: str) -> list[tuple[int, float]]:
+    """The (t, discrepancy) pairs of read_series_columns(path)."""
+    return list(zip(*read_series_columns(path)))
 
 
 # reference: the json.dumps writer -------------------------------------------------
@@ -290,7 +295,7 @@ def test_detect_stdout_equals_json_dumps(ms, switch, stages, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"switch": switch}), encoding="utf-8")
     cfg = ExperimentConfig.from_dict({"switch": switch})
-    state, labels = replay_series(read_series_csv(series), cfg.switch)
+    state, labels = replay_series(series_pairs(series), cfg.switch)
     runs = {lab.value: labels.count(lab) for lab in dict.fromkeys(labels)}
     assert {"tau1": state.tau1, **runs} == stages
     expected = _json_dumps({"tau1": state.tau1, "tau2": state.tau2,
