@@ -27,6 +27,8 @@ from .plan import PlanVariant
 from .trace import RunTrace
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .engine import RunResult
     from .metrics import Metrics
 
@@ -225,35 +227,48 @@ def read_series_columns(path: str) -> tuple[list[int], list[float]]:
     holding "_" or a non-ASCII character is rejected, though int and float
     would read "1_0" as 10 and Arabic-Indic digits as ASCII ones.
 
-    Blank lines are dropped and the lines split by map and filter, and
-    _columns reads the t and rel_mae columns whole. Only a file whose columns
-    fail is re-read by _columns one row at a time, to name the first bad line.
+    Blank lines are dropped and the body (the lines after any header) is
+    split once, joined by ",\n,". No field holds "\n", so every row is as
+    wide as the first, w fields, exactly when the split holds n(w + 1) - 1
+    fields and every (w + 1)-th of them is "\n"; column c is then
+    flat[c::w + 1]. Only a file of mixed widths is read through per-row
+    lists. _columns converts the two columns whole either way; only a file
+    whose columns fail is re-read row by row, to name the first bad line.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise SeriesParseError(f"series file is not valid UTF-8: {exc}") from exc
-    rows = list(map(str.split, filter(None, map(str.strip, text.split("\n"))), repeat(",")))
-    if not rows:
+    lines = list(filter(None, map(str.strip, text.split("\n"))))
+    if not lines:
         raise SeriesParseError("series file is empty")
+    first = lines[0].split(",")
     try:
-        float(rows[0][0])
+        float(first[0])
         head, cols = 0, (0, 1)
     except ValueError:
-        head, names = 1, [f.strip() for f in rows.pop(0)]
+        head, names = 1, [f.strip() for f in first]
         try:
             cols = names.index("t"), names.index("rel_mae")
         except ValueError as exc:
             raise SeriesParseError(f"header must name columns t and rel_mae, got {names}",
                                    line=_line(text, 0)) from exc
+    body = lines[head:]
+    flat = ",\n,".join(body).split(",")
+    n = len(body)
+    w = flat.index("\n") if n > 1 else len(flat)
+    if max(cols) < w and len(flat) == n * (w + 1) - 1 and flat[w::w + 1].count("\n") == n - 1:
+        pick = _strided(flat, w + 1)
+    else:
+        pick = _by_row(list(map(str.split, body, repeat(","))))
     try:
-        return _columns(rows, cols)
+        return _columns(pick, cols)
     except (IndexError, ValueError):
         pass
-    for i, row in enumerate(rows):      # some row fails alone, as the columns did
-        try:
-            _columns([row], cols)
+    for i, row in enumerate(map(str.split, body, repeat(","))):
+        try:                            # some row fails alone, as the columns did
+            _columns(_by_row([row]), cols)
         except IndexError as exc:
             raise SeriesParseError(f"expected at least {max(cols) + 1} columns, "
                                    f"got {len(row)}", line=_line(text, head + i)) from exc
@@ -263,12 +278,23 @@ def read_series_columns(path: str) -> tuple[list[int], list[float]]:
                                    line=_line(text, head + i)) from exc
 
 
-def _columns(rows: list[list[str]], cols: tuple[int, int]) -> tuple[list[int], list[float]]:
-    """The t and rel_mae columns of split rows, at indices cols: picked by
-    itemgetter, which raises IndexError on a short row, then checked for
-    typos joined and converted by map (ValueError)."""
-    ts = list(map(itemgetter(cols[0]), rows))
-    ms = list(map(itemgetter(cols[1]), rows))
+def _strided(flat: list[str], step: int) -> Callable[[int], list[str]]:
+    """A column picker over a split body whose rows are step - 1 fields wide:
+    column c is flat[c::step]."""
+    return lambda c: flat[c::step]
+
+
+def _by_row(rows: list[list[str]]) -> Callable[[int], list[str]]:
+    """A column picker over split rows: itemgetter, which raises IndexError
+    at a short row."""
+    return lambda c: list(map(itemgetter(c), rows))
+
+
+def _columns(pick: Callable[[int], list[str]],
+             cols: tuple[int, int]) -> tuple[list[int], list[float]]:
+    """The t and rel_mae columns, pick(cols[0]) and pick(cols[1]), checked
+    for typos joined and converted by map (ValueError)."""
+    ts, ms = pick(cols[0]), pick(cols[1])
     if _typo("".join(ts)) or _typo("".join(ms)):
         raise ValueError("a number holds '_' or a non-ASCII character")
     return list(map(int, ts)), list(map(float, ms))

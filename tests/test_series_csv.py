@@ -83,16 +83,18 @@ def outcome(read, path):
 
 @pytest.fixture
 def reads(monkeypatch) -> list:
-    """The row count of each cli._columns call: the whole-file read first,
-    then, if it failed, the one-row re-reads (reads[1:]) up to the first bad
-    row. A file that fails before its rows are read makes no call."""
+    """The row count of each cli._columns call, the conversion that both
+    column pickers (the strided split of the body and the per-row lists)
+    feed: the whole-file read first, then, if it failed, the one-row
+    re-reads (reads[1:]) up to the first bad row. A file that fails before
+    its rows are read makes no call."""
     import hybridpar.cli as cli
     calls = []
     original = cli._columns
 
-    def counting(rows, cols):
-        calls.append(len(rows))
-        return original(rows, cols)
+    def counting(pick, cols):
+        calls.append(len(pick(0)))              # every row has a column 0
+        return original(pick, cols)
 
     monkeypatch.setattr(cli, "_columns", counting)
     return calls
@@ -126,6 +128,13 @@ VALID = {
     "header-only-blank-lines": "\n\nt,rel_mae\n\n",
     "curve-header-only": CURVE_HEADER + "\n",
     "long": "t,rel_mae\n" + "".join(f"{t},{t / 1000 + 0.1!r}\n" for t in range(1000, 0, -1)),
+    "every-row-wider-than-the-header": "t,rel_mae\n3,0.5,x\n2,0.4,y\n",
+    "first-row-wider-than-the-rest": "t,rel_mae\n3,0.5,x\n2,0.4\n1,0.3\n",
+    "single-data-row": "t,rel_mae\n3,0.5\n",
+    "bare-single-row": "3,0.5\n",
+    # widths 3, 2 and 4 total a uniform file's 9 fields; read from one split,
+    # the third row's t would be its third field
+    "widths-that-total-a-uniform-files": "t,rel_mae,x\n3,0.5,a\n2,0.4\n1,7,8,9\n",
 }
 
 # name -> (file, the error's line, the rows re-read one at a time): the data
@@ -151,6 +160,11 @@ BAD = {
     "bad-row-after-scattered-blank-lines": ("t,rel_mae\n" + "".join(
         "\n" if n % 10 == 0 else f"{n},0.5\n" for n in range(2, 1000)) + "x,0.5\n", 1000, 900),
     "bad-header-after-blank-lines": ("\n \n\t\ntime,rel_mae\n3,0.5\n", 4, 0),
+    # widths 2, 1 and 3 total a uniform file's 6 fields, but the split's
+    # field 5, a "\n" in a uniform file, is the third row's t
+    "short-row-in-widths-that-total-a-uniform-files": ("t,rel_mae\n3,0.5\n2\n1,0.4,x\n", 3, 2),
+    "short-first-row-then-wide": ("3\n2,0.4,x\n", 1, 1),
+    "row-of-commas-only": ("t,rel_mae\n3,0.5\n,\n1,0.3\n", 3, 2),
 }
 
 # int and float read each of these; a series rejects them: line -> fields
@@ -258,6 +272,70 @@ def test_the_column_reader_is_the_per_line_reader_with_the_typo_rule(text, tmp_p
     path = write(tmp_path_factory.getbasetemp(), text)
     assert outcome(series_pairs, path) == outcome(
         lambda p: per_line_read(p, typos=True), path), text
+
+
+@st.composite
+def near_uniform_texts(draw) -> str:
+    """n rows each w - 1, w or w + 1 fields wide, under a header of w names
+    (t, rel_mae and w - 2 others, in any order) or bare, where w is 2. In
+    about half the files the first row is w wide and the widths total n·w
+    fields, as a uniform file's do: each later row one field wider is
+    matched by one a field narrower. Most fields are numbers, and in some
+    files all are integers."""
+    header = draw(st.booleans())
+    w = draw(st.integers(2, 4)) if header else 2
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        k = (n - 1) // 2
+        half = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=k, max_size=k))
+        deltas = [0] + draw(st.permutations(half + [-d for d in half] + [0] * (n - 1 - 2 * k)))
+    else:
+        deltas = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
+    # at times integers only, so a row read from the wrong offsets still parses
+    field = st.sampled_from(["3", "12", "-7"] if draw(st.booleans()) else
+                            ["3", "12", "7", "0.5", "1e-3", "-2", "nan", "0.25", "", "x", "1_0"])
+    lines = [",".join(draw(st.lists(field, min_size=w + d, max_size=w + d))) for d in deltas]
+    if header:
+        lines.insert(0, ",".join(draw(st.permutations(["t", "rel_mae", "a", "b"][:w]))))
+    return "\n".join(lines) + "\n"
+
+
+@given(text=near_uniform_texts())
+@settings(max_examples=500, deadline=None, derandomize=True)
+@example(text="t,rel_mae\n3,0.5\n2\n1,0.4,x\n")
+@example(text="t,rel_mae\n3,0.5,x\n2\n1,0.4\n")
+@example(text="3,0.5\n2\n1,0.4,7\n")
+def test_rows_whose_widths_total_a_uniform_files_read_as_the_per_line_reader_reads_them(
+        text, tmp_path_factory):
+    """Near-uniform widths, at times adding up to a uniform file's, give the
+    per-line reader's pairs or error (with the typo rule) all the same."""
+    path = write(tmp_path_factory.getbasetemp(), text)
+    assert outcome(series_pairs, path) == outcome(
+        lambda p: per_line_read(p, typos=True), path), text
+
+
+@pytest.mark.parametrize("name, per_row", [
+    ("headered", False), ("curve-csv", False), ("long", False), ("crlf", False),
+    ("every-row-wider-than-the-header", False), ("single-data-row", False),
+    ("bare-single-row", False), ("ragged-extra-columns", True), ("bare-ragged", True),
+    ("first-row-wider-than-the-rest", True), ("widths-that-total-a-uniform-files", True),
+])
+def test_only_a_file_of_mixed_widths_is_read_through_per_row_lists(name, per_row, tmp_path,
+                                                                  monkeypatch):
+    """A file whose rows are all one width is read from one split of its
+    body; cli._by_row, the per-row picker, serves only mixed widths."""
+    import hybridpar.cli as cli
+    calls = []
+    original = cli._by_row
+
+    def counting(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(cli, "_by_row", counting)
+    path = write(tmp_path, VALID[name])
+    assert series_pairs(path) == per_line_read(path)
+    assert calls == ([len(per_line_read(path))] if per_row else [])
 
 
 @pytest.mark.parametrize("data, line, quoted", list(TYPOS.values()), ids=list(TYPOS))
